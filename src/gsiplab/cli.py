@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -92,11 +93,7 @@ def _resolve_initial(cfg: algorithms.AlgorithmConfig,
             raise UsageError(
                 f"initial Y point has {len(values)} components, expected {p.Y.dim}")
         yset.append({n: v for n, v in zip(p.Y.names, values)})
-    return algorithms.AlgorithmConfig(
-        variant=cfg.variant, alpha=cfg.alpha, tol_feas=cfg.tol_feas,
-        tol_opt=cfg.tol_opt, max_iter=cfg.max_iter,
-        initial_yset=tuple(yset), aux_tie_break=cfg.aux_tie_break,
-        node_budget=cfg.node_budget)
+    return dataclasses.replace(cfg, initial_yset=tuple(yset))
 
 
 def _trace_csv(p: gsip.GsipProblem, result: algorithms.RunResult) -> str:
@@ -281,7 +278,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NodeBudgetExceeded, EvaluationError) as e:
+    except (NodeBudgetExceeded, EvaluationError, OverflowError) as e:
         print(f"solver error: {e}", file=sys.stderr)
         return 3
 

@@ -38,6 +38,11 @@ class BoxDomain:
     def intervals(self) -> dict[str, Interval]:
         return {n: Interval(lo, hi) for n, lo, hi in self.coords}
 
+    def bounds(self) -> tuple[tuple[float, float], ...]:
+        """The (lo, hi) pairs in coordinate order, as compiled interval
+        kernels take them (``expr.compile_expr``)."""
+        return tuple([(lo, hi) for _, lo, hi in self.coords])
+
     def midpoint(self) -> dict[str, float]:
         return {n: 0.5 * (lo + hi) for n, lo, hi in self.coords}
 
@@ -55,7 +60,7 @@ class BoxDomain:
 
     @property
     def max_width(self) -> float:
-        return max((hi - lo for _, lo, hi in self.coords), default=0.0)
+        return max([hi - lo for _, lo, hi in self.coords], default=0.0)
 
     def widest_index(self) -> int:
         widths = [hi - lo for _, lo, hi in self.coords]
@@ -65,12 +70,24 @@ class BoxDomain:
         i = self.widest_index()
         n, lo, hi = self.coords[i]
         mid = 0.5 * (lo + hi)
+        # the children inherit every other bound from this validated box; of
+        # the checks in __init__ only finiteness can fail for mid (rounding is
+        # monotone, so a finite mid lies in [lo, hi])
+        if not math.isfinite(mid):
+            raise ValueError(f"bounds of {n!r} must be finite")
         left = self.coords[:i] + ((n, lo, mid),) + self.coords[i + 1:]
         right = self.coords[:i] + ((n, mid, hi),) + self.coords[i + 1:]
-        return BoxDomain(left), BoxDomain(right)
+        return _validated(left), _validated(right)
 
     def contains(self, point: Mapping[str, float], slack: float = 0.0) -> bool:
         try:
             return all(lo - slack <= point[n] <= hi + slack for n, lo, hi in self.coords)
         except KeyError:
             return False
+
+
+def _validated(coords) -> BoxDomain:
+    """A BoxDomain over coordinates already known to be valid."""
+    box = object.__new__(BoxDomain)
+    object.__setattr__(box, "coords", coords)
+    return box

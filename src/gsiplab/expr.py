@@ -2,14 +2,23 @@
 
 An expression is an immutable tree over named variables with the node kinds
 constant, variable, neg, add, sub, mul, div, integer power, and binary
-min/max.  Three evaluators are provided: exact point evaluation, vectorized
-evaluation over numpy arrays (used by the dense-grid oracle), and the natural
-interval extension (used by branch-and-bound).
+min/max.  Three recursive evaluators are provided: exact point evaluation,
+vectorized evaluation over numpy arrays (used by the dense-grid oracle), and
+the natural interval extension.
+
+``compile_expr`` turns a tree into two closure kernels over one variable
+order, for callers that evaluate the same expression many times (the
+branch-and-bound solver compiles its objective and constraints once per
+solve).  The kernels do the float operations of ``evaluate`` and
+``interval_eval`` in the same order and raise the same exceptions, so their
+results are bit-identical; they only drop the per-node kind dispatch, the
+name lookups and the ``Interval`` allocations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -299,3 +308,251 @@ def substitute(e: Expr, bindings: Mapping[str, float]) -> Expr:
             return node  # leave the error to evaluation time
         return const(evaluate(node, {}))
     return node
+
+
+# -- compiled kernels ---------------------------------------------------------
+
+def compile_expr(e: Expr, names: Sequence[str]) -> tuple[Callable, Callable]:
+    """Compile ``e`` into a point kernel and an interval kernel over ``names``.
+
+    The point kernel maps a tuple of floats (one per name) to a float, like
+    ``evaluate``.  The interval kernel maps a tuple of ``(lo, hi)`` pairs to
+    a ``(lo, hi)`` pair, like ``interval_eval``, without building
+    ``Interval`` objects.  A variable outside ``names`` compiles to a kernel
+    that raises ``EvaluationError`` when it is reached, as ``evaluate`` would.
+    """
+    index = {n: i for i, n in enumerate(names)}
+    return (_compile(e, index, {}, _point_node),
+            _compile(e, index, {}, _interval_node))
+
+
+def _compile(e: Expr, index, memo, node):
+    # shared subtrees compile once.  The memo is keyed by id because Expr
+    # hashes its whole subtree; ids are not reused while the tree compiles.
+    f = memo.get(id(e))
+    if f is None:
+        f = memo[id(e)] = node(e, index, lambda c: _compile(c, index, memo, node))
+    return f
+
+
+def _unknown(name: str):
+    def kernel(_):
+        raise EvaluationError(f"unknown variable {name!r}")
+    return kernel
+
+
+def _empty(lo, hi):
+    raise ValueError(f"empty interval [{lo}, {hi}]")
+
+
+def _point_node(e: Expr, index, sub):
+    k = e.kind
+    if k == "const":
+        v = e.value
+        return lambda x: v
+    if k == "var":
+        i = index.get(e.name)
+        return _unknown(e.name) if i is None else itemgetter(i)
+    if k == "neg":
+        f = sub(e.children[0])
+        return lambda x: -f(x)
+    if k == "pow":
+        n = e.exponent
+        c = e.children[0]
+        if c.kind == "var" and c.name in index:
+            i = index[c.name]
+            return lambda x: x[i] ** n
+        f = sub(c)
+        return lambda x: f(x) ** n
+    a, b = e.children
+    fa, fb = sub(a), sub(b)
+    if k == "add":
+        if b.kind == "const":
+            cb = b.value
+            return lambda x: fa(x) + cb
+        return lambda x: fa(x) + fb(x)
+    if k == "sub":
+        if b.kind == "const":
+            cb = b.value
+            return lambda x: fa(x) - cb
+        return lambda x: fa(x) - fb(x)
+    if k == "mul":
+        if a.kind == "const":
+            ca = a.value
+            return lambda x: ca * fb(x)
+        return lambda x: fa(x) * fb(x)
+    if k == "div":
+        def div_(x):
+            u = fa(x)
+            v = fb(x)
+            if v == 0.0:
+                raise EvaluationError("division by zero")
+            return u / v
+        return div_
+    # min(u, v) returns u unless v < u; max(u, v) returns u unless v > u
+    if k == "min":
+        def min_(x):
+            u = fa(x)
+            v = fb(x)
+            return v if v < u else u
+        return min_
+
+    def max_(x):
+        u = fa(x)
+        v = fb(x)
+        return v if v > u else u
+    return max_
+
+
+def _mul_pairs(al, ah, bl, bh):
+    """Interval.__mul__ on bare floats: min and max of the four products,
+    scanned in the same order as the builtins, so ties and NaNs resolve
+    identically."""
+    p = al * bl
+    lo = hi = p
+    p = al * bh
+    if p < lo:
+        lo = p
+    if p > hi:
+        hi = p
+    p = ah * bl
+    if p < lo:
+        lo = p
+    if p > hi:
+        hi = p
+    p = ah * bh
+    if p < lo:
+        lo = p
+    if p > hi:
+        hi = p
+    if not lo <= hi:
+        _empty(lo, hi)
+    return lo, hi
+
+
+# Every pair a kernel returns is a valid interval (lo <= hi, no NaN), the
+# invariant Interval.__post_init__ enforces.  neg, min and max map valid
+# intervals to valid ones; every other node checks its result wherever the
+# Interval constructor would (add, sub, mul and div can meet inf - inf or
+# inf * 0).
+def _interval_node(e: Expr, index, sub):
+    k = e.kind
+    if k == "const":
+        v = e.value
+        if not v <= v:  # NaN
+            return lambda b: _empty(v, v)
+        pair = (v, v)
+        return lambda b: pair
+    if k == "var":
+        i = index.get(e.name)
+        return _unknown(e.name) if i is None else itemgetter(i)
+    if k == "neg":
+        f = sub(e.children[0])
+
+        def neg_(b):
+            lo, hi = f(b)
+            return -hi, -lo
+        return neg_
+    if k == "pow":
+        return _interval_pow(e, index, sub)
+    a, c = e.children
+    fa, fc = sub(a), sub(c)
+    if k == "add":
+        def add_(b):
+            al, ah = fa(b)
+            cl, ch = fc(b)
+            lo = al + cl
+            hi = ah + ch
+            if not lo <= hi:
+                _empty(lo, hi)
+            return lo, hi
+        return add_
+    if k == "sub":
+        def sub_(b):
+            al, ah = fa(b)
+            cl, ch = fc(b)
+            lo = al - ch
+            hi = ah - cl
+            if not lo <= hi:
+                _empty(lo, hi)
+            return lo, hi
+        return sub_
+    if k == "mul":
+        if a.kind == "const" and a.value <= a.value:
+            # [v, v] * [cl, ch]: the third and fourth products repeat the
+            # first two, so they can change neither the min nor the max (a
+            # NaN constant takes the generic path, where its kernel raises)
+            v = a.value
+
+            def scale_(b):
+                cl, ch = fc(b)
+                lo = hi = v * cl
+                p = v * ch
+                if p < lo:
+                    lo = p
+                if p > hi:
+                    hi = p
+                if not lo <= hi:
+                    _empty(lo, hi)
+                return lo, hi
+            return scale_
+
+        def mul_(b):
+            al, ah = fa(b)
+            cl, ch = fc(b)
+            return _mul_pairs(al, ah, cl, ch)
+        return mul_
+    if k == "div":
+        def div_(b):
+            al, ah = fa(b)
+            cl, ch = fc(b)
+            if cl <= 0.0 <= ch:
+                raise EvaluationError("division by an interval containing zero")
+            return _mul_pairs(al, ah, 1.0 / ch, 1.0 / cl)
+        return div_
+    if k == "min":
+        def min_(b):
+            al, ah = fa(b)
+            cl, ch = fc(b)
+            return (cl if cl < al else al), (ch if ch < ah else ah)
+        return min_
+
+    def max_(b):
+        al, ah = fa(b)
+        cl, ch = fc(b)
+        return (cl if cl > al else al), (ch if ch > ah else ah)
+    return max_
+
+
+def _interval_pow(e: Expr, index, sub):
+    n = e.exponent
+    f = sub(e.children[0])
+    if n == 0:
+        def pow0(b):
+            f(b)
+            return 1.0, 1.0
+        return pow0
+    if n % 2 == 1:
+        def odd(b):
+            lo, hi = f(b)
+            lo = lo ** n
+            hi = hi ** n
+            if not lo <= hi:
+                _empty(lo, hi)
+            return lo, hi
+        return odd
+
+    def even(b):
+        lo, hi = f(b)
+        if lo <= 0.0 <= hi:
+            # max(abs(lo), abs(hi)) keeps abs(lo) unless abs(hi) is larger
+            return 0.0, (hi if hi > -lo else -lo) ** n
+        if lo > 0.0:
+            lo = lo ** n
+            hi = hi ** n
+        else:
+            lo, hi = (-hi) ** n, (-lo) ** n
+        if not lo <= hi:
+            _empty(lo, hi)
+        return lo, hi
+    return even

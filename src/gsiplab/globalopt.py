@@ -6,23 +6,35 @@ Two engines share one outcome type:
   are pruned when a constraint is interval-certified violated or when the
   objective's interval lower bound cannot beat the incumbent by more than
   ``tol_opt``.  Incumbents come from box midpoints and corners that pass the
-  ``tol_feas`` feasibility check.
+  ``tol_feas`` feasibility check.  The objective and the constraints are
+  compiled once per call into point and interval kernels
+  (``expr.compile_expr``), bit-identical to the recursive evaluators.  Each
+  corner is considered once: a child of a bisection considers its midpoint
+  and the corners on the split plane (the right child only if the left one
+  was certified infeasible before considering them); its other corners are
+  corners of the parent.  A point offered again could never pass the strict
+  ``v < best`` update test, so this leaves every outcome unchanged.
 
 * ``grid_minimize`` -- brute-force evaluation on a dense tensor grid,
-  kept deliberately independent of the interval machinery so it can serve
-  as a cross-checking oracle.
+  kept deliberately independent of the interval machinery and of the
+  compiled kernels (it uses ``evaluate_array``) so that it can serve as a
+  cross-checking oracle.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .domains import BoxDomain
-from .expr import Expr, Interval, evaluate, evaluate_array, interval_eval
+# minimize calls neither evaluate nor interval_eval; they stay bound here
+# because bench/tracer.py counts the point and interval evaluations made
+# through these names
+from .expr import (Expr, Interval, compile_expr, evaluate,  # noqa: F401
+                   evaluate_array, interval_eval)
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -45,10 +57,16 @@ class ConstraintSpec:
             return value <= tol_feas
         return value >= -tol_feas
 
-    def certified_violated(self, iv: Interval, tol_feas: float) -> bool:
+    def compile(self, names: Sequence[str], tol_feas: float):
+        """Two tests over the kernels of ``expr`` (``expr.compile_expr``):
+        whether a point passes ``satisfied``, and whether a box of
+        ``(lo, hi)`` pairs is certified to violate the constraint."""
+        point, interval = compile_expr(self.expr, names)
         if self.sense == "le":
-            return iv.lo > tol_feas
-        return iv.hi < -tol_feas
+            return (lambda x: point(x) <= tol_feas,
+                    lambda bounds: interval(bounds)[0] > tol_feas)
+        return (lambda x: point(x) >= -tol_feas,
+                lambda bounds: interval(bounds)[1] < -tol_feas)
 
 
 @dataclass(frozen=True)
@@ -64,11 +82,6 @@ class MinimizeOutcome:
 
 
 INFEASIBLE = MinimizeOutcome("infeasible")
-
-
-def _point_feasible(constraints: Sequence[ConstraintSpec],
-                    point: Mapping[str, float], tol_feas: float) -> bool:
-    return all(c.satisfied(evaluate(c.expr, point), tol_feas) for c in constraints)
 
 
 def minimize(objective: Expr,
@@ -87,46 +100,60 @@ def minimize(objective: Expr,
         raise ValueError("tol_opt must be positive")
     if tol_feas < 0.0:
         raise ValueError("tol_feas must be nonnegative")
-    constraints = tuple(constraints)
+
+    # Compile once per solve.  Kernels take points as tuples and boxes as
+    # tuples of (lo, hi) pairs, both in the order of box.names.
+    names = box.names
+    obj_point, obj_interval = compile_expr(objective, names)
+    tests = [c.compile(names, tol_feas) for c in constraints]
+    satisfied = [ok for ok, _ in tests]
+    violated = [certified for _, certified in tests]
 
     heap: list = []
     counter = itertools.count()
     best_val = float("inf")
-    best_pt: Optional[dict[str, float]] = None
+    best_pt: Optional[tuple[float, ...]] = None
     retired_lb = float("inf")   # lbs of min-width nodes kept as feasible
     pruned_lb = float("inf")    # lbs of nodes pruned against the incumbent
 
-    def consider(point: dict[str, float]):
+    def consider(point) -> bool:
+        """Offer a candidate incumbent; returns whether it is feasible."""
         nonlocal best_val, best_pt
-        if not _point_feasible(constraints, point, tol_feas):
-            return
-        v = evaluate(objective, point)
+        for ok in satisfied:
+            if not ok(point):
+                return False
+        v = obj_point(point)
         if v < best_val:
             best_val = v
-            best_pt = dict(point)
+            best_pt = point
+        return True
 
-    def push(b: BoxDomain):
+    def push(b: BoxDomain, bounds, corners) -> bool:
+        """Bound a box and queue or retire it.  ``corners`` are the box's
+        corners not yet considered.  Returns False when the box is certified
+        infeasible, in which case nothing was considered."""
         nonlocal retired_lb, pruned_lb
-        for c in constraints:
-            if c.certified_violated(interval_eval(c.expr, b), tol_feas):
-                return
-        mid = b.midpoint()
-        consider(mid)
-        for corner in b.corners():
+        for certified in violated:
+            if certified(bounds):
+                return False
+        mid = tuple([0.5 * (lo + hi) for lo, hi in bounds])
+        mid_feasible = consider(mid)
+        for corner in corners:
             consider(corner)
-        lb = interval_eval(objective, b).lo
+        lb = obj_interval(bounds)[0]
         if b.max_width <= min_width:
             # undecided node at minimum width: keep it (through its midpoint)
             # only if the midpoint passes the feasibility check
-            if _point_feasible(constraints, mid, tol_feas):
+            if mid_feasible:
                 retired_lb = min(retired_lb, lb)
-            return
+            return True
         if best_pt is not None and lb > best_val - tol_opt:
             pruned_lb = min(pruned_lb, lb)
-            return
+            return True
         heapq.heappush(heap, (lb, next(counter), b))
+        return True
 
-    push(box)
+    push(box, box.bounds(), itertools.product(*map(_corner_values, box.bounds())))
     frontier_lb = float("inf")
     pops = 0
     while heap:
@@ -137,14 +164,29 @@ def minimize(objective: Expr,
         pops += 1
         if pops > node_budget:
             raise NodeBudgetExceeded(f"node budget {node_budget} exhausted")
+        i = b.widest_index()
         left, right = b.bisect()
-        push(left)
-        push(right)
+        # A child's corners off the split plane are corners of b, which were
+        # considered when b was pushed: offered again they could not pass the
+        # strict `v < best_val` test, so the children consider only the plane
+        # corners, and the right child only if the left one was infeasible.
+        axes = list(map(_corner_values, b.bounds()))
+        axes[i] = (left.coords[i][2],)
+        plane = list(itertools.product(*axes))
+        considered = push(left, left.bounds(), plane)
+        push(right, right.bounds(), () if considered else plane)
 
     if best_pt is None:
         return INFEASIBLE
     lo = min(frontier_lb, retired_lb, pruned_lb, best_val)
-    return MinimizeOutcome("optimal", best_pt, best_val, Interval(lo, best_val))
+    return MinimizeOutcome("optimal", dict(zip(names, best_pt)), best_val,
+                           Interval(lo, best_val))
+
+
+def _corner_values(bound: tuple[float, float]) -> tuple[float, ...]:
+    """A coordinate's values at the corners of a box (BoxDomain.corners)."""
+    lo, hi = bound
+    return (lo,) if lo == hi else (lo, hi)
 
 
 def grid_minimize(objective: Expr,

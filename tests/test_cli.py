@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from gsiplab.cli import main
+from gsiplab import algorithms, gsip
+from gsiplab.cli import _resolve_initial, main
 from gsiplab.problem_format import parse_problem
 
 CEX1_TEXT = """\
@@ -102,6 +104,31 @@ class TestUsageErrors:
 
     def test_bad_initial_y(self):
         assert main(["run", "--problem", "cex1", "--initial-y", "zap"]) == 2
+
+
+class TestSolverErrors:
+    def test_overflow_is_a_solver_error(self, tmp_path, capsys):
+        src = tmp_path / "overflow.gsip"
+        src.write_text(CEX1_TEXT.replace("objective: -x",
+                                          "objective: -x + (1e200*x)^3"))
+        assert main(["run", "--file", str(src), "--variant", "sip-llp"]) == 3
+        assert capsys.readouterr().err.startswith("solver error: ")
+
+
+class TestResolveInitial:
+    def test_every_other_config_field_survives(self):
+        cfg = algorithms.AlgorithmConfig(
+            variant=algorithms.AUX_LLP, alpha=0.5, tol_feas=1e-7, tol_opt=1e-8,
+            max_iter=7, initial_yset=((0.25,),), aux_tie_break="max-y",
+            node_budget=1234)
+        # a field left at its default could not show that it was dropped
+        for f in dataclasses.fields(cfg):
+            assert getattr(cfg, f.name) != f.default, f.name
+        resolved = _resolve_initial(cfg, gsip.get_builtin("cex1"))
+        assert resolved.initial_yset == ({"y": 0.25},)
+        for f in dataclasses.fields(cfg):
+            if f.name != "initial_yset":
+                assert getattr(resolved, f.name) == getattr(cfg, f.name), f.name
 
 
 class TestVerify:

@@ -1,12 +1,15 @@
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_box, random_expr, sample_point, shrink_box
 from gsiplab import expr as ex
-from gsiplab.expr import (EvaluationError, Interval, evaluate, interval_eval,
-                          substitute)
+from gsiplab.expr import (EvaluationError, Interval, compile_expr, evaluate,
+                          interval_eval, substitute)
 
 x, y = ex.var("x"), ex.var("y")
 
@@ -115,3 +118,104 @@ class TestFuzzProperties:
             va, vb = evaluate(a, p), evaluate(b, p)
             assert evaluate(ex.emin(a, b), p) == min(va, vb)
             assert evaluate(ex.emax(a, b), p) == max(va, vb)
+
+
+# -- compiled kernels against the recursive evaluators -------------------------
+
+NAMES = ("x", "y")   # "z" appears in expressions but not in the variable order
+# few distinct values make ties (min/max, signed zeros) and overflow common
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 1e200, -1e200, 1e-320]
+CONSTS = st.one_of(st.sampled_from(SPECIAL + [math.inf, -math.inf, math.nan]),
+                   st.floats(-10.0, 10.0))
+COORDS = st.one_of(st.sampled_from(SPECIAL), st.floats(-10.0, 10.0))
+KINDS = ("const", "neg", "add", "sub", "mul", "div", "pow", "min", "max")
+
+
+@st.composite
+def expressions(draw):
+    """A random expression DAG: each new node draws its children from all
+    earlier nodes, so subtrees are often shared."""
+    pool = [ex.var("x"), ex.var("y")]
+    if draw(st.integers(0, 9)) == 0:
+        pool.append(ex.var("z"))
+    for _ in range(draw(st.integers(1, 8))):
+        def pick():
+            return pool[draw(st.integers(0, len(pool) - 1))]
+        kind = draw(st.sampled_from(KINDS))
+        if kind == "const":
+            node = ex.const(draw(CONSTS))
+        elif kind == "neg":
+            node = ex.Expr("neg", children=(pick(),))
+        elif kind == "pow":
+            node = ex.ipow(pick(), draw(st.integers(0, 5)))
+        else:
+            node = ex.Expr(kind, children=(pick(), pick()))
+        pool.append(node)
+    return pool[-1]
+
+
+@st.composite
+def bounds(draw):
+    pairs = []
+    for _ in NAMES:
+        a, b = draw(COORDS), draw(COORDS)
+        pairs.append((min(a, b), max(a, b)))
+    return tuple(pairs)
+
+
+def _outcome(fn, *args):
+    """The result of a call, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (EvaluationError, ValueError, OverflowError) as e:
+        return type(e)
+
+
+def _bits(v):
+    """A float's exact bit pattern (tells -0.0 from 0.0); anything else as is."""
+    return struct.pack("<d", v) if type(v) is float else v
+
+
+class TestCompiledKernels:
+    @settings(max_examples=400, deadline=None)
+    @given(expressions(), st.tuples(COORDS, COORDS))
+    # ties between signed zeros: the first operand wins
+    @example(ex.emin(x, y), (0.0, -0.0))
+    @example(ex.emax(x, y), (-0.0, 0.0))
+    def test_point_kernel_is_bit_identical(self, e, point):
+        want = _outcome(evaluate, e, dict(zip(NAMES, point)))
+        got = _outcome(compile_expr(e, NAMES)[0], point)
+        assert _bits(got) == _bits(want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(expressions(), bounds())
+    # ties between signed zeros among the endpoints and the products
+    @example(ex.emin(x, y), ((0.0, 0.0), (-0.0, -0.0)))
+    @example(ex.emax(x, y), ((-0.0, -0.0), (0.0, 0.0)))
+    @example(ex.mul(ex.const(0.0), x), ((-1.0, 1.0), (0.0, 0.0)))
+    @example(ex.mul(x, y), ((0.0, 1.0), (-1.0, 1.0)))
+    @example(ex.mul(y, x), ((0.0, 1.0), (-1.0, 1.0)))
+    def test_interval_kernel_is_bit_identical(self, e, box):
+        want = _outcome(interval_eval, e,
+                        {n: Interval(lo, hi) for n, (lo, hi) in zip(NAMES, box)})
+        if isinstance(want, Interval):
+            want = (want.lo, want.hi)
+        got = _outcome(compile_expr(e, NAMES)[1], box)
+        if isinstance(got, tuple):
+            got = tuple(map(_bits, got))
+            want = tuple(map(_bits, want))
+        assert got == want
+
+    def test_shared_subtree(self):
+        s = (x - y) ** 2
+        e = ex.emax(s, s * 2.0)
+        point, interval = compile_expr(e, NAMES)
+        assert point((1.0, 3.0)) == evaluate(e, {"x": 1.0, "y": 3.0}) == 8.0
+        assert interval(((0.0, 1.0), (-1.0, 1.0))) == (0.0, 8.0)
+
+    def test_unknown_variable_raises_only_when_reached(self):
+        point, interval = compile_expr(ex.emin(x, ex.var("z")), ("x",))
+        with pytest.raises(EvaluationError):
+            point((1.0,))
+        with pytest.raises(EvaluationError):
+            interval(((0.0, 1.0),))

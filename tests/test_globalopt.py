@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_poly_instance
+from test_golden import (ORACLE_NODE_BUDGET, ORACLE_TOL_OPT,
+                         load_oracle_outcomes)
 from gsiplab import expr as ex
 from gsiplab.domains import BoxDomain
 from gsiplab.expr import Interval, evaluate, evaluate_array
@@ -102,10 +104,14 @@ def _sampled_lipschitz(objective, box, points_per_axis):
 class TestOracleAgreement:
     def test_fifty_random_instances(self):
         grid_n = 401
-        tol_opt = 1e-3
+        tol_opt = ORACLE_TOL_OPT
+        expected = load_oracle_outcomes()
         for seed in range(50):
             obj, cons, box = random_poly_instance(seed)
-            bnb = minimize(obj, cons, box, tol_opt=tol_opt, node_budget=400_000)
+            bnb = minimize(obj, cons, box, tol_opt=tol_opt,
+                           node_budget=ORACLE_NODE_BUDGET)
+            # the outcome is pinned to the one stored in tests/golden
+            assert bnb == expected[seed], seed
             oracle = grid_minimize(obj, cons, box, grid_n)
             if bnb.optimal:
                 # soundness: minimizer in box, feasible, value bracketed
