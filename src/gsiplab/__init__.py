@@ -5,9 +5,9 @@ from .algorithms import (AUX_LLP, LLP_ONLY, SIP_LLP, AlgorithmConfig,
                          IterateRecord, RunResult, diagnose_trace,
                          lower_bound_history, run)
 from .domains import BoxDomain
-from .expr import (EvaluationError, Expr, Interval, compile_expr, const, emax,
-                   emin, evaluate, evaluate_array, interval_eval, substitute,
-                   var)
+from .expr import (EmptyIntervalError, EvaluationError, Expr, Interval,
+                   compile_expr, const, emax, emin, evaluate, evaluate_array,
+                   interval_eval, substitute, var)
 from .globalopt import (ConstraintSpec, MinimizeOutcome, NodeBudgetExceeded,
                         grid_minimize, minimize)
 from .gsip import (DomainError, GsipProblem, SlaterCertificate,

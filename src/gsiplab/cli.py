@@ -19,7 +19,7 @@ import sys
 from typing import Optional
 
 from . import algorithms, gsip
-from .expr import EvaluationError, evaluate
+from .expr import EmptyIntervalError, EvaluationError
 from .globalopt import NodeBudgetExceeded, grid_minimize, minimize
 from .problem_format import (ProblemSyntaxError, ProblemValidationError,
                              parse_problem, serialize_problem)
@@ -92,7 +92,12 @@ def _resolve_initial(cfg: algorithms.AlgorithmConfig,
         if len(values) != p.Y.dim:
             raise UsageError(
                 f"initial Y point has {len(values)} components, expected {p.Y.dim}")
-        yset.append({n: v for n, v in zip(p.Y.names, values)})
+        point = dict(zip(p.Y.names, values))
+        try:
+            gsip.check_point(p.Y, point, "initial Y point")
+        except gsip.DomainError as e:
+            raise UsageError(str(e)) from None
+        yset.append(point)
     return dataclasses.replace(cfg, initial_yset=tuple(yset))
 
 
@@ -159,6 +164,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.grid < 2:
+        raise UsageError(f"--grid must be at least 2, got {args.grid}")
     p = _load_problem(args)
     cfg = _resolve_initial(_config_from_args(args), p)
     result = algorithms.run(p, cfg)
@@ -278,7 +285,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NodeBudgetExceeded, EvaluationError, OverflowError) as e:
+    except (NodeBudgetExceeded, EvaluationError, EmptyIntervalError,
+            OverflowError) as e:
         print(f"solver error: {e}", file=sys.stderr)
         return 3
 

@@ -3,8 +3,10 @@
 An expression is an immutable tree over named variables with the node kinds
 constant, variable, neg, add, sub, mul, div, integer power, and binary
 min/max.  Three recursive evaluators are provided: exact point evaluation,
-vectorized evaluation over numpy arrays (used by the dense-grid oracle), and
-the natural interval extension.
+vectorized evaluation over numpy arrays (used by the grid oracle, which passes
+an open grid and lets broadcasting build the full grid), and the natural
+interval extension.  Only ``evaluate_array`` needs numpy, and it imports numpy
+when called, so the rest of the package loads without it.
 
 ``compile_expr`` turns a tree into two closure kernels over one variable
 order, for callers that evaluate the same expression many times (the
@@ -18,13 +20,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EvaluationError(ValueError):
     """Unknown variable or division by zero while evaluating an expression."""
+
+
+class EmptyIntervalError(ValueError):
+    """An interval whose bounds are out of order or NaN, as inf - inf or
+    inf * 0 in interval arithmetic produce."""
 
 
 @dataclass(frozen=True)
@@ -36,7 +44,7 @@ class Interval:
 
     def __post_init__(self):
         if not self.lo <= self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+            raise EmptyIntervalError(f"empty interval [{self.lo}, {self.hi}]")
 
     @property
     def width(self) -> float:
@@ -224,6 +232,8 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
 
 def evaluate_array(e: Expr, point: Mapping[str, np.ndarray]):
     """Vectorized evaluation over numpy arrays (broadcasting applies)."""
+    import numpy as np
+
     k = e.kind
     if k == "const":
         return e.value
@@ -342,7 +352,7 @@ def _unknown(name: str):
 
 
 def _empty(lo, hi):
-    raise ValueError(f"empty interval [{lo}, {hi}]")
+    raise EmptyIntervalError(f"empty interval [{lo}, {hi}]")
 
 
 def _point_node(e: Expr, index, sub):

@@ -15,10 +15,12 @@ Two engines share one outcome type:
   corners of the parent.  A point offered again could never pass the strict
   ``v < best`` update test, so this leaves every outcome unchanged.
 
-* ``grid_minimize`` -- brute-force evaluation on a dense tensor grid,
+* ``grid_minimize`` -- brute-force evaluation on the full tensor grid,
   kept deliberately independent of the interval machinery and of the
   compiled kernels (it uses ``evaluate_array``) so that it can serve as a
-  cross-checking oracle.
+  cross-checking oracle.  The grid is passed as an open grid, one array per
+  axis, and broadcasting builds the full grid inside the evaluation.  It is
+  the only user of numpy here and imports it when called.
 """
 from __future__ import annotations
 
@@ -26,8 +28,6 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .domains import BoxDomain
 # minimize calls neither evaluate nor interval_eval; they stay bound here
@@ -194,18 +194,26 @@ def grid_minimize(objective: Expr,
                   box: BoxDomain,
                   points_per_axis: int,
                   tol_feas: float = 1e-9) -> MinimizeOutcome:
-    """Brute-force minimization over the full tensor grid (endpoints included)."""
+    """Brute-force minimization over the full tensor grid (endpoints included).
+
+    The variables are bound to an open grid: axis ``i`` is an array of shape
+    ``(1, ..., n, ..., 1)``.  ``evaluate_array`` thus works on one axis's
+    values until an operation mixes two axes, where broadcasting builds the
+    full grid.  Broadcasting only repeats operands, so every grid value comes
+    from the same float operations as on a dense grid, bit for bit.
+    """
+    import numpy as np
+
     if points_per_axis < 2:
         raise ValueError("points_per_axis must be at least 2")
     axes = [np.linspace(lo, hi, points_per_axis) for _, lo, hi in box.coords]
-    grids = np.meshgrid(*axes, indexing="ij")
-    env = {name: g for name, g in zip(box.names, grids)}
-    shape = grids[0].shape
+    env = dict(zip(box.names, np.meshgrid(*axes, indexing="ij", sparse=True)))
+    shape = tuple(len(a) for a in axes)
 
-    vals = np.broadcast_to(np.asarray(evaluate_array(objective, env), dtype=float), shape)
+    vals = np.asarray(evaluate_array(objective, env), dtype=float)
     feas = np.ones(shape, dtype=bool)
     for c in constraints:
-        cv = np.broadcast_to(np.asarray(evaluate_array(c.expr, env), dtype=float), shape)
+        cv = np.asarray(evaluate_array(c.expr, env), dtype=float)
         feas &= (cv <= tol_feas) if c.sense == "le" else (cv >= -tol_feas)
     if not feas.any():
         return INFEASIBLE

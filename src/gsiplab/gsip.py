@@ -83,7 +83,9 @@ def hbar(p: GsipProblem) -> Expr:
                             reversed(p.h[:-1]), p.h[-1])
 
 
-def _check_point(box: BoxDomain, point: Mapping[str, float], what: str):
+def check_point(box: BoxDomain, point: Mapping[str, float], what: str):
+    """Raise ``DomainError`` unless ``point`` names exactly the coordinates of
+    ``box`` and lies in it, up to a rounding slack."""
     if set(point) != set(box.names) or not box.contains(point, slack=_POINT_SLACK):
         raise DomainError(f"{what} {dict(point)} does not lie in box over {box.names}")
 
@@ -95,7 +97,7 @@ def build_lower_bounding(p: GsipProblem,
     hb = hbar(p)
     constraints = []
     for y in yset:
-        _check_point(p.Y, y, "discretization point")
+        check_point(p.Y, y, "discretization point")
         constraints.append(
             ConstraintSpec(ex.emax(substitute(p.g, y), substitute(hb, y)), "ge"))
     return SubproblemInstance(p.f, tuple(constraints), p.X)
@@ -103,7 +105,7 @@ def build_lower_bounding(p: GsipProblem,
 
 def build_llp(p: GsipProblem, x: Mapping[str, float]) -> SubproblemInstance:
     """Original lower-level program: min g(x,.) over Y s.t. hbar(x,.) <= 0."""
-    _check_point(p.X, x, "outer point")
+    check_point(p.X, x, "outer point")
     return SubproblemInstance(
         substitute(p.g, x),
         (ConstraintSpec(substitute(hbar(p), x), "le"),),
@@ -115,7 +117,7 @@ def build_aux_llp(p: GsipProblem, x: Mapping[str, float],
     """Auxiliary LLP: min hbar(x,.) over Y s.t. g(x,.) <= alpha * llp_value."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_point(p.X, x, "outer point")
+    check_point(p.X, x, "outer point")
     return SubproblemInstance(
         substitute(hbar(p), x),
         (ConstraintSpec(substitute(p.g, x) - ex.const(alpha * llp_value), "le"),),
@@ -125,7 +127,7 @@ def build_aux_llp(p: GsipProblem, x: Mapping[str, float],
 def build_sip_llp(p: GsipProblem, x: Mapping[str, float]) -> SubproblemInstance:
     """Lower-level program of the relaxation seen as a standard SIP:
     min max(g(x,.), hbar(x,.)) over Y."""
-    _check_point(p.X, x, "outer point")
+    check_point(p.X, x, "outer point")
     return SubproblemInstance(
         ex.emax(substitute(p.g, x), substitute(hbar(p), x)), (), p.Y)
 
@@ -143,7 +145,7 @@ def verify_slater(p: GsipProblem, cert: SlaterCertificate, f_star: float,
                   tol_feas: float = 1e-9, **solver_kwargs) -> bool:
     """Check the near-optimal interior-margin condition: f(x_s) <= f_star + eps
     and min over Y of max(g(x_s,.), hbar(x_s,.)) >= delta - tol_feas."""
-    _check_point(p.X, cert.x_s, "candidate point")
+    check_point(p.X, cert.x_s, "candidate point")
     if evaluate(p.f, cert.x_s) > f_star + cert.epsilon:
         return False
     inst = build_sip_llp(p, cert.x_s)

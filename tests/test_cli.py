@@ -1,12 +1,18 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gsiplab import algorithms, gsip
 from gsiplab.cli import _resolve_initial, main
 from gsiplab.problem_format import parse_problem
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CEX1_TEXT = """\
 problem "mine"
@@ -105,6 +111,14 @@ class TestUsageErrors:
     def test_bad_initial_y(self):
         assert main(["run", "--problem", "cex1", "--initial-y", "zap"]) == 2
 
+    def test_initial_y_outside_box(self, capsys):
+        assert main(["run", "--problem", "cex1", "--initial-y", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error: initial Y point")
+
+    def test_verify_grid_too_coarse(self, capsys):
+        assert main(["verify", "--problem", "cex1", "--grid", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --grid")
+
 
 class TestSolverErrors:
     def test_overflow_is_a_solver_error(self, tmp_path, capsys):
@@ -113,6 +127,15 @@ class TestSolverErrors:
                                           "objective: -x + (1e200*x)^3"))
         assert main(["run", "--file", str(src), "--variant", "sip-llp"]) == 3
         assert capsys.readouterr().err.startswith("solver error: ")
+
+    def test_empty_interval_is_a_solver_error(self, tmp_path, capsys):
+        # the interval extension meets inf - inf and returns [nan, nan]
+        src = tmp_path / "nan.gsip"
+        src.write_text(CEX1_TEXT.replace(
+            "objective: -x",
+            "objective: -x + 1e300*x*1e300 - 1e300*x*1e300"))
+        assert main(["run", "--file", str(src)]) == 3
+        assert capsys.readouterr().err.startswith("solver error: empty interval")
 
 
 class TestResolveInitial:
@@ -162,6 +185,27 @@ class TestListAndFmt:
         canonical = capsys.readouterr().out
         assert parse_problem(canonical) == parse_problem(CEX1_TEXT)
         assert "#" not in canonical
+
+    def test_list_and_fmt_load_no_numpy(self, tmp_path):
+        # numpy is needed only by the grid oracle; check in a new interpreter
+        src = tmp_path / "mine.gsip"
+        src.write_text(CEX1_TEXT)
+        script = f"""
+import contextlib, io, sys
+import gsiplab, gsiplab.cli
+assert "numpy" not in sys.modules, "numpy loaded on import"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert gsiplab.cli.main(["list"]) == 0
+    assert gsiplab.cli.main(["fmt", {str(src)!r}]) == 0
+assert "numpy" not in sys.modules, "numpy loaded by list or fmt"
+out = gsiplab.grid_minimize(-gsiplab.var("x"), [],
+                            gsiplab.BoxDomain([("x", -1.0, 1.0)]), 3)
+assert out.minimizer == {{"x": 1.0}}, out
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_fmt_rejects_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.gsip"

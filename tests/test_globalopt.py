@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import random_poly_instance
-from test_golden import (ORACLE_NODE_BUDGET, ORACLE_TOL_OPT,
+from test_golden import (ORACLE_GRID_N, ORACLE_GRID_OUTCOMES,
+                         ORACLE_NODE_BUDGET, ORACLE_TOL_OPT,
                          load_oracle_outcomes)
 from gsiplab import expr as ex
 from gsiplab.domains import BoxDomain
-from gsiplab.expr import Interval, evaluate, evaluate_array
-from gsiplab.globalopt import (ConstraintSpec, NodeBudgetExceeded,
-                               grid_minimize, minimize)
+from gsiplab.expr import EvaluationError, Interval, evaluate, evaluate_array
+from gsiplab.globalopt import (INFEASIBLE, ConstraintSpec, MinimizeOutcome,
+                               NodeBudgetExceeded, grid_minimize, minimize)
 
-x, y = ex.var("x"), ex.var("y")
+x, y, z = ex.var("x"), ex.var("y"), ex.var("z")
 UNIT_X = BoxDomain([("x", -1.0, 1.0)])
 UNIT_Y = BoxDomain([("y", -1.0, 1.0)])
 
@@ -87,13 +88,69 @@ class TestGridMinimize:
         with pytest.raises(ValueError):
             grid_minimize(x, [], UNIT_X, 1)
 
+    @pytest.mark.parametrize("objective,constraints,coords,n", [
+        # constant objective and constraint on a 2-D box
+        (ex.const(3.0), [ConstraintSpec(ex.const(-1.0), "le")],
+         [("x", -1.0, 2.0), ("y", 0.5, 1.5)], 9),
+        # objective in x only, constraint in y only
+        ((x - 0.3) ** 2, [ConstraintSpec(y - 0.2, "ge")],
+         [("x", -1.0, 1.0), ("y", -1.0, 1.0)], 11),
+        # 3-D box
+        (x * y - z ** 3 + ex.emin(x, z) + ex.emax(y ** 2, ex.const(1.5)),
+         [ConstraintSpec(x + y + z - 0.5, "le"),
+          ConstraintSpec(y * y - 0.1, "ge")],
+         [("x", -1.0, 1.0), ("y", 0.0, 2.0), ("z", -3.0, -0.5)], 7),
+        # 4 points on [-1, 1] miss y = 0.5, so the divisor is never zero
+        (x / (y - 0.5), [], [("x", -1.0, 1.0), ("y", -1.0, 1.0)], 4),
+    ], ids=["constant", "separate-axes", "3d", "division"])
+    def test_matches_dense_grid(self, objective, constraints, coords, n):
+        # bit for bit: repr round-trips every float
+        box = BoxDomain(coords)
+        assert repr(grid_minimize(objective, constraints, box, n)) == repr(
+            _dense_grid_minimize(objective, constraints, box, n))
 
-def _sampled_lipschitz(objective, box, points_per_axis):
+    def test_division_by_zero_at_one_grid_point(self):
+        # 5 points on [-1, 1] include y = 0.5, where the divisor is zero
+        box = BoxDomain([("x", -1.0, 1.0), ("y", -1.0, 1.0)])
+        obj = x / (y - 0.5)
+        with pytest.raises(EvaluationError):
+            _dense_grid_minimize(obj, [], box, 5)
+        with pytest.raises(EvaluationError):
+            grid_minimize(obj, [], box, 5)
+
+
+def _dense_grid_minimize(objective, constraints, box, points_per_axis,
+                         tol_feas=1e-9):
+    """Reference oracle: every variable bound to a full meshgrid copy."""
     axes = [np.linspace(lo, hi, points_per_axis) for _, lo, hi in box.coords]
     grids = np.meshgrid(*axes, indexing="ij")
     env = dict(zip(box.names, grids))
-    vals = np.broadcast_to(
-        np.asarray(evaluate_array(objective, env), dtype=float), grids[0].shape)
+    shape = grids[0].shape
+
+    def on_grid(e):
+        return np.broadcast_to(
+            np.asarray(evaluate_array(e, env), dtype=float), shape)
+
+    vals = on_grid(objective)
+    feas = np.ones(shape, dtype=bool)
+    for c in constraints:
+        cv = on_grid(c.expr)
+        feas &= (cv <= tol_feas) if c.sense == "le" else (cv >= -tol_feas)
+    if not feas.any():
+        return INFEASIBLE
+    masked = np.where(feas, vals, np.inf)
+    idx = np.unravel_index(int(np.argmin(masked)), shape)
+    value = float(masked[idx])
+    return MinimizeOutcome(
+        "optimal", {n: float(g[idx]) for n, g in env.items()}, value,
+        Interval(value, value))
+
+
+def _sampled_lipschitz(objective, box, points_per_axis):
+    axes = [np.linspace(lo, hi, points_per_axis) for _, lo, hi in box.coords]
+    env = dict(zip(box.names, np.meshgrid(*axes, indexing="ij", sparse=True)))
+    vals = np.broadcast_to(np.asarray(evaluate_array(objective, env), dtype=float),
+                           tuple(len(a) for a in axes))
     L = 0.0
     for axis, ax in enumerate(axes):
         if len(ax) > 1 and ax[1] > ax[0]:
@@ -103,9 +160,10 @@ def _sampled_lipschitz(objective, box, points_per_axis):
 
 class TestOracleAgreement:
     def test_fifty_random_instances(self):
-        grid_n = 401
+        grid_n = ORACLE_GRID_N
         tol_opt = ORACLE_TOL_OPT
         expected = load_oracle_outcomes()
+        expected_grid = load_oracle_outcomes(ORACLE_GRID_OUTCOMES)
         for seed in range(50):
             obj, cons, box = random_poly_instance(seed)
             bnb = minimize(obj, cons, box, tol_opt=tol_opt,
@@ -113,6 +171,7 @@ class TestOracleAgreement:
             # the outcome is pinned to the one stored in tests/golden
             assert bnb == expected[seed], seed
             oracle = grid_minimize(obj, cons, box, grid_n)
+            assert oracle == expected_grid[seed], seed
             if bnb.optimal:
                 # soundness: minimizer in box, feasible, value bracketed
                 assert box.contains(bnb.minimizer, slack=1e-12)

@@ -19,8 +19,10 @@ import pytest
 
 GOLDEN = Path(__file__).with_name("golden")
 ORACLE_OUTCOMES = GOLDEN / "oracle50_outcomes.json"
+ORACLE_GRID_OUTCOMES = GOLDEN / "oracle50_grid_outcomes.json"
 ORACLE_TOL_OPT = 1e-3
 ORACLE_NODE_BUDGET = 400_000
+ORACLE_GRID_N = 401
 
 PROBLEMS = ("cex1", "cex2")
 VARIANTS = ("llp-only", "aux-llp", "sip-llp")
@@ -57,13 +59,15 @@ def outcome_record(out) -> dict:
     }
 
 
-def load_oracle_outcomes() -> list:
-    """The stored outcomes of the oracle suite's solves, seed by seed."""
+def load_oracle_outcomes(path: Path = ORACLE_OUTCOMES) -> list:
+    """The stored outcomes of the oracle suite's solves, seed by seed: the
+    branch-and-bound ones by default, the grid oracle's from
+    ``ORACLE_GRID_OUTCOMES``."""
     from gsiplab.expr import Interval
     from gsiplab.globalopt import MinimizeOutcome
 
     outcomes = []
-    for rec in json.loads(ORACLE_OUTCOMES.read_text(encoding="utf-8")):
+    for rec in json.loads(path.read_text(encoding="utf-8")):
         bounds = rec["value_bounds"]
         outcomes.append(MinimizeOutcome(
             rec["status"],
@@ -81,27 +85,32 @@ def test_run_output_matches_golden(problem, variant, fmt):
 
 def test_oracle_outcomes_round_trip():
     # the stored records must decode to outcomes that encode back identically
-    records = json.loads(ORACLE_OUTCOMES.read_text(encoding="utf-8"))
-    assert len(records) == 50
-    assert [outcome_record(o) for o in load_oracle_outcomes()] == records
+    for path in (ORACLE_OUTCOMES, ORACLE_GRID_OUTCOMES):
+        records = json.loads(path.read_text(encoding="utf-8"))
+        assert len(records) == 50
+        assert [outcome_record(o) for o in load_oracle_outcomes(path)] == records
 
 
 def _regenerate():
     from conftest import random_poly_instance
-    from gsiplab.globalopt import minimize
+    from gsiplab.globalopt import grid_minimize, minimize
 
     for problem, variant, fmt in CASES:
         golden_path(problem, variant, fmt).write_text(
             run_stdout(problem, variant, fmt), encoding="utf-8")
-    records = []
+    records, grid_records = [], []
     for seed in range(50):
         obj, cons, box = random_poly_instance(seed)
         records.append(outcome_record(minimize(
             obj, cons, box, tol_opt=ORACLE_TOL_OPT,
             node_budget=ORACLE_NODE_BUDGET)))
-    ORACLE_OUTCOMES.write_text(
-        "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n",
-        encoding="utf-8")
+        grid_records.append(outcome_record(grid_minimize(
+            obj, cons, box, ORACLE_GRID_N)))
+    for path, recs in ((ORACLE_OUTCOMES, records),
+                       (ORACLE_GRID_OUTCOMES, grid_records)):
+        path.write_text(
+            "[\n" + ",\n".join(json.dumps(r) for r in recs) + "\n]\n",
+            encoding="utf-8")
 
 
 if __name__ == "__main__":
