@@ -3,7 +3,7 @@
 Parses a problem from text, shows the canonical serialization, and
 demonstrates that parse and serialize are inverse on the canonical form.
 """
-from gsiplab import from_document, parse_problem, serialize_problem
+from gsiplab import parse_problem, serialize_problem
 
 SOURCE = """\
 # any number of inner constraints, combined by maximum
@@ -17,14 +17,13 @@ h: -x
 f_star: 0.5
 """
 
-doc = parse_problem(SOURCE)
-canonical = serialize_problem(doc)
+problem = parse_problem(SOURCE)
+canonical = serialize_problem(problem)
 print("canonical form:")
 print(canonical)
 
-assert parse_problem(canonical) == doc
-print("round trip: parse(serialize(doc)) == doc")
+assert parse_problem(canonical) == problem
+print("round trip: parse(serialize(problem)) == problem")
 
-problem = from_document(doc)
 print(f"loaded problem {problem.name!r} with outer box {problem.X.intervals()} "
       f"and {len(problem.h)} inner constraints")

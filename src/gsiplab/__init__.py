@@ -2,7 +2,7 @@
 programs, with certified interval branch-and-bound subproblem solves."""
 
 from .algorithms import (AUX_LLP, LLP_ONLY, SIP_LLP, AlgorithmConfig,
-                         IterateRecord, RunResult, diagnose_trace,
+                         IterateRecord, RunResult, Solve, diagnose_trace,
                          lower_bound_history, run)
 from .domains import BoxDomain
 from .expr import (EmptyIntervalError, EvaluationError, Expr, Interval,
@@ -13,11 +13,9 @@ from .globalopt import (ConstraintSpec, MinimizeOutcome, NodeBudgetExceeded,
 from .gsip import (DomainError, GsipProblem, SlaterCertificate,
                    build_aux_llp, build_llp, build_lower_bounding,
                    build_sip_llp, builtin_problems, check_relaxation_feasible,
-                   from_document, get_builtin, hbar, to_document,
-                   verify_slater)
-from .problem_format import (ProblemDocument, ProblemSyntaxError,
-                             ProblemValidationError, format_expr,
-                             parse_expression, parse_problem,
+                   get_builtin, hbar, verify_slater)
+from .problem_format import (ProblemSyntaxError, ProblemValidationError,
+                             format_expr, parse_expression, parse_problem,
                              serialize_problem)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import expr as ex
 from .expr import evaluate
-from .globalopt import ConstraintSpec, MinimizeOutcome, minimize
+from .globalopt import ConstraintSpec, check_tolerances, minimize
 from .gsip import (GsipProblem, SubproblemInstance, build_aux_llp, build_llp,
                    build_lower_bounding, build_sip_llp, hbar)
 
@@ -50,10 +50,7 @@ class AlgorithmConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.tol_feas < 0.0:
-            raise ValueError("tol_feas must be nonnegative")
-        if self.tol_opt <= 0.0:
-            raise ValueError("tol_opt must be positive")
+        check_tolerances(self.tol_opt, self.tol_feas)
         if self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
         if self.aux_tie_break not in TIE_BREAKS:
@@ -61,22 +58,15 @@ class AlgorithmConfig:
 
 
 @dataclass(frozen=True)
-class LlpSolve:
+class Solve:
+    """A subproblem's minimizer and value; both None if it is infeasible."""
+
     y: Optional[dict[str, float]]
     value: Optional[float]
-    infeasible: bool = False
 
-
-@dataclass(frozen=True)
-class AuxSolve:
-    y: dict[str, float]
-    value: float
-
-
-@dataclass(frozen=True)
-class SipSolve:
-    y: dict[str, float]
-    value: float
+    @property
+    def infeasible(self) -> bool:
+        return self.y is None
 
 
 @dataclass(frozen=True)
@@ -84,9 +74,9 @@ class IterateRecord:
     k: int
     x: dict[str, float]
     f_lower: float
-    llp: Optional[LlpSolve] = None
-    aux: Optional[AuxSolve] = None
-    sip: Optional[SipSolve] = None
+    llp: Optional[Solve] = None
+    aux: Optional[Solve] = None
+    sip: Optional[Solve] = None
     added_point: Optional[dict[str, float]] = None
     yset_size_after: int = 0
 
@@ -104,29 +94,36 @@ class RunResult:
     final_lower_bound: float
 
 
-def _solve(inst: SubproblemInstance, cfg: AlgorithmConfig) -> MinimizeOutcome:
-    return minimize(inst.objective, inst.constraints, inst.box,
-                    tol_opt=cfg.tol_opt, tol_feas=cfg.tol_feas,
-                    node_budget=cfg.node_budget)
+def _solve(inst: SubproblemInstance, cfg: AlgorithmConfig) -> Solve:
+    out = minimize(inst.objective, inst.constraints, inst.box,
+                   tol_opt=cfg.tol_opt, tol_feas=cfg.tol_feas,
+                   node_budget=cfg.node_budget)
+    return Solve(out.minimizer, out.value)
+
+
+def _sip_check(p: GsipProblem, x_k: dict[str, float], rec: IterateRecord,
+               cfg: AlgorithmConfig) -> tuple[IterateRecord, bool]:
+    """Record the relaxation's own lower-level program at x_k, and whether
+    its value shows x_k feasible for the relaxation."""
+    sip = _solve(build_sip_llp(p, x_k), cfg)
+    return replace(rec, sip=sip), sip.value >= -cfg.tol_feas
 
 
 def _same_point(a: Mapping[str, float], b: Mapping[str, float]) -> bool:
     return all(abs(a[n] - b[n]) <= _DUP_TOL for n in a)
 
 
-def _tie_broken_aux(p: GsipProblem, x: Mapping[str, float],
-                    inst: SubproblemInstance, out: MinimizeOutcome,
-                    cfg: AlgorithmConfig) -> AuxSolve:
+def _tie_broken_aux(p: GsipProblem, inst: SubproblemInstance, aux: Solve,
+                    cfg: AlgorithmConfig) -> Solve:
     if cfg.aux_tie_break == "solver":
-        return AuxSolve(out.minimizer, out.value)
+        return aux
     # re-solve preferring extreme first-coordinate y among near-optimal points
     yname = p.Y.names[0]
     secondary = ex.var(yname) if cfg.aux_tie_break == "min-y" else -ex.var(yname)
-    near_opt = ConstraintSpec(inst.objective - ex.const(out.value + cfg.tol_opt), "le")
-    out2 = minimize(secondary, inst.constraints + (near_opt,), inst.box,
-                    tol_opt=cfg.tol_opt, tol_feas=cfg.tol_feas,
-                    node_budget=cfg.node_budget)
-    return AuxSolve(out2.minimizer, evaluate(inst.objective, out2.minimizer))
+    near_opt = ConstraintSpec(inst.objective - ex.const(aux.value + cfg.tol_opt), "le")
+    y = _solve(SubproblemInstance(secondary, inst.constraints + (near_opt,),
+                                  inst.box), cfg).y
+    return Solve(y, evaluate(inst.objective, y))
 
 
 def run(p: GsipProblem, cfg: AlgorithmConfig) -> RunResult:
@@ -138,46 +135,40 @@ def run(p: GsipProblem, cfg: AlgorithmConfig) -> RunResult:
     status = ITERATION_CAP
 
     for k in range(1, cfg.max_iter + 1):
-        lb_out = _solve(build_lower_bounding(p, yset), cfg)
-        if not lb_out.optimal:
+        lb = _solve(build_lower_bounding(p, yset), cfg)
+        if lb.infeasible:
             # the discretized relaxation is already infeasible, hence so is
             # the full relaxation
             status = INFEASIBLE_DETECTED
             break
-        x_k = lb_out.minimizer
-        rec = IterateRecord(k=k, x=x_k, f_lower=lb_out.value,
+        x_k = lb.y
+        rec = IterateRecord(k=k, x=x_k, f_lower=lb.value,
                             yset_size_after=len(yset))
-        new_point: Optional[dict[str, float]] = None
 
         if cfg.variant in (LLP_ONLY, AUX_LLP):
-            llp_out = _solve(build_llp(p, x_k), cfg)
-            if not llp_out.optimal:
-                rec = replace(rec, llp=LlpSolve(None, None, infeasible=True))
-                status, rec = _terminal_check(p, x_k, rec, cfg)
-                trace.append(rec)
-                break
-            rec = replace(rec, llp=LlpSolve(llp_out.minimizer, llp_out.value))
-            if llp_out.value >= -cfg.tol_feas:
-                # x_k looks feasible for the relaxation; confirm before stopping
-                status, rec = _terminal_check(p, x_k, rec, cfg)
+            llp = _solve(build_llp(p, x_k), cfg)
+            rec = replace(rec, llp=llp)
+            if llp.infeasible or llp.value >= -cfg.tol_feas:
+                # the LLP gives no usable cut; the relaxation's own
+                # lower-level program decides between convergence and stall
+                rec, feasible = _sip_check(p, x_k, rec, cfg)
+                status = CONVERGED_FEASIBLE if feasible else STALLED
                 trace.append(rec)
                 break
             if cfg.variant == LLP_ONLY:
-                new_point = llp_out.minimizer
+                new_point = llp.y
             else:
-                aux_inst = build_aux_llp(p, x_k, llp_out.value, cfg.alpha)
-                aux_out = _solve(aux_inst, cfg)
-                aux = _tie_broken_aux(p, x_k, aux_inst, aux_out, cfg)
+                aux_inst = build_aux_llp(p, x_k, llp.value, cfg.alpha)
+                aux = _tie_broken_aux(p, aux_inst, _solve(aux_inst, cfg), cfg)
                 rec = replace(rec, aux=aux)
                 new_point = aux.y
         else:  # SIP_LLP
-            sip_out = _solve(build_sip_llp(p, x_k), cfg)
-            rec = replace(rec, sip=SipSolve(sip_out.minimizer, sip_out.value))
-            if sip_out.value >= -cfg.tol_feas:
+            rec, feasible = _sip_check(p, x_k, rec, cfg)
+            if feasible:
                 status = CONVERGED_FEASIBLE
                 trace.append(rec)
                 break
-            new_point = sip_out.minimizer
+            new_point = rec.sip.y
 
         duplicate = any(_same_point(new_point, y) for y in yset)
         if not duplicate:
@@ -191,17 +182,6 @@ def run(p: GsipProblem, cfg: AlgorithmConfig) -> RunResult:
 
     final = trace[-1].f_lower if trace else float("-inf")
     return RunResult(tuple(trace), status, final)
-
-
-def _terminal_check(p: GsipProblem, x_k, rec: IterateRecord,
-                    cfg: AlgorithmConfig):
-    """LLP gave no usable cut; decide between convergence and stall via the
-    relaxation's own lower-level program."""
-    sip_out = _solve(build_sip_llp(p, x_k), cfg)
-    rec = replace(rec, sip=SipSolve(sip_out.minimizer, sip_out.value))
-    if sip_out.value >= -cfg.tol_feas:
-        return CONVERGED_FEASIBLE, rec
-    return STALLED, rec
 
 
 def diagnose_trace(p: GsipProblem, result: RunResult,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -39,21 +38,25 @@ def _fmt_point(pt: Optional[dict]) -> str:
     return ";".join(repr(float(pt[n])) for n in sorted(pt))
 
 
+def _read_problem_file(path: str) -> gsip.GsipProblem:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e}") from None
+    try:
+        return parse_problem(text)
+    except (ProblemSyntaxError, ProblemValidationError) as e:
+        raise UsageError(f"{path}: {e}") from None
+
+
 def _load_problem(args) -> gsip.GsipProblem:
     if args.problem is not None:
         try:
             return gsip.get_builtin(args.problem)
         except KeyError as e:
             raise UsageError(str(e)) from None
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise UsageError(f"cannot read {args.file}: {e}") from None
-    try:
-        return gsip.from_document(parse_problem(text))
-    except (ProblemSyntaxError, ProblemValidationError, ValueError) as e:
-        raise UsageError(f"{args.file}: {e}") from None
+    return _read_problem_file(args.file)
 
 
 _VARIANT_ALIASES = {
@@ -64,13 +67,24 @@ _VARIANT_ALIASES = {
 }
 
 
-def _config_from_args(args) -> algorithms.AlgorithmConfig:
-    initial = []
-    for spec in args.initial_y or []:
-        try:
-            initial.append([float(v) for v in spec.split(",")])
-        except ValueError:
-            raise UsageError(f"bad initial Y point {spec!r}") from None
+def _initial_point(spec: str, p: gsip.GsipProblem) -> dict[str, float]:
+    try:
+        values = [float(v) for v in spec.split(",")]
+    except ValueError:
+        raise UsageError(f"bad initial Y point {spec!r}") from None
+    if len(values) != p.Y.dim:
+        raise UsageError(
+            f"initial Y point has {len(values)} components, expected {p.Y.dim}")
+    point = dict(zip(p.Y.names, values))
+    try:
+        gsip.check_point(p.Y, point, "initial Y point")
+    except gsip.DomainError as e:
+        raise UsageError(str(e)) from None
+    return point
+
+
+def _config_from_args(args, p: gsip.GsipProblem) -> algorithms.AlgorithmConfig:
+    initial = tuple(_initial_point(spec, p) for spec in args.initial_y or [])
     try:
         return algorithms.AlgorithmConfig(
             variant=_VARIANT_ALIASES[args.variant],
@@ -78,27 +92,11 @@ def _config_from_args(args) -> algorithms.AlgorithmConfig:
             tol_feas=args.tol_feas,
             tol_opt=args.tol_opt,
             max_iter=args.max_iter,
-            initial_yset=tuple(initial),  # names filled in below
+            initial_yset=initial,
             aux_tie_break=args.tie_break,
         )
     except ValueError as e:
         raise UsageError(str(e)) from None
-
-
-def _resolve_initial(cfg: algorithms.AlgorithmConfig,
-                     p: gsip.GsipProblem) -> algorithms.AlgorithmConfig:
-    yset = []
-    for values in cfg.initial_yset:
-        if len(values) != p.Y.dim:
-            raise UsageError(
-                f"initial Y point has {len(values)} components, expected {p.Y.dim}")
-        point = dict(zip(p.Y.names, values))
-        try:
-            gsip.check_point(p.Y, point, "initial Y point")
-        except gsip.DomainError as e:
-            raise UsageError(str(e)) from None
-        yset.append(point)
-    return dataclasses.replace(cfg, initial_yset=tuple(yset))
 
 
 def _trace_csv(p: gsip.GsipProblem, result: algorithms.RunResult) -> str:
@@ -150,7 +148,7 @@ def _trace_json(p: gsip.GsipProblem, result: algorithms.RunResult) -> str:
 
 def cmd_run(args) -> int:
     p = _load_problem(args)
-    cfg = _resolve_initial(_config_from_args(args), p)
+    cfg = _config_from_args(args, p)
     result = algorithms.run(p, cfg)
     text = (_trace_csv if args.format == "csv" else _trace_json)(p, result)
     if args.output:
@@ -167,7 +165,7 @@ def cmd_verify(args) -> int:
     if args.grid < 2:
         raise UsageError(f"--grid must be at least 2, got {args.grid}")
     p = _load_problem(args)
-    cfg = _resolve_initial(_config_from_args(args), p)
+    cfg = _config_from_args(args, p)
     result = algorithms.run(p, cfg)
 
     worst = 0.0
@@ -215,16 +213,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise UsageError(f"cannot read {args.file}: {e}") from None
-    try:
-        doc = parse_problem(text)
-    except (ProblemSyntaxError, ProblemValidationError) as e:
-        raise UsageError(f"{args.file}: {e}") from None
-    sys.stdout.write(serialize_problem(doc))
+    sys.stdout.write(serialize_problem(_read_problem_file(args.file)))
     return 0
 
 

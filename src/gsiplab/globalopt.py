@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -84,6 +85,15 @@ class MinimizeOutcome:
 INFEASIBLE = MinimizeOutcome("infeasible")
 
 
+def check_tolerances(tol_opt: float, tol_feas: float) -> None:
+    """Raise ``ValueError`` unless 0 < tol_opt < inf and 0 <= tol_feas < inf
+    (a NaN fails every comparison, so it is rejected too)."""
+    if not 0.0 < tol_opt < math.inf:
+        raise ValueError(f"tol_opt must be positive and finite, got {tol_opt}")
+    if not 0.0 <= tol_feas < math.inf:
+        raise ValueError(f"tol_feas must be nonnegative and finite, got {tol_feas}")
+
+
 def minimize(objective: Expr,
              constraints: Sequence[ConstraintSpec],
              box: BoxDomain,
@@ -96,10 +106,7 @@ def minimize(objective: Expr,
     Returns the first certified incumbent achieving the final value; the
     search order is deterministic, so repeated calls give identical outcomes.
     """
-    if tol_opt <= 0.0:
-        raise ValueError("tol_opt must be positive")
-    if tol_feas < 0.0:
-        raise ValueError("tol_feas must be nonnegative")
+    check_tolerances(tol_opt, tol_feas)
 
     # Compile once per solve.  Kernels take points as tuples and boxes as
     # tuples of (lo, hi) pairs, both in the order of box.names.

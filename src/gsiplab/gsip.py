@@ -20,7 +20,6 @@ from . import expr as ex
 from .domains import BoxDomain
 from .expr import Expr, evaluate, substitute
 from .globalopt import ConstraintSpec, minimize
-from .problem_format import ProblemDocument
 
 
 class DomainError(ValueError):
@@ -42,17 +41,27 @@ class GsipProblem:
     f_L: Optional[float] = None
 
     def __post_init__(self):
+        if not self.name:
+            raise ValueError("the problem name must not be empty")
+        if not self.X.dim:
+            raise ValueError("at least one outer variable is required")
+        if not self.Y.dim:
+            raise ValueError("at least one inner variable is required")
         if not self.h:
-            raise ValueError("at least one lower-level constraint h is required")
+            raise ValueError("at least one 'h' constraint is required")
         xn = set(self.X.names)
         yn = set(self.Y.names)
         if xn & yn:
             raise ValueError(f"X and Y share variable names: {sorted(xn & yn)}")
-        if not self.f.variables() <= xn:
-            raise ValueError("objective may reference outer variables only")
+        bad = self.f.variables() - xn
+        if bad:
+            raise ValueError(
+                f"objective references non-outer variable(s): {sorted(bad)}")
         for label, e in [("g", self.g)] + [(f"h[{i}]", hi) for i, hi in enumerate(self.h)]:
-            if not e.variables() <= xn | yn:
-                raise ValueError(f"{label} references undeclared variables")
+            bad = e.variables() - (xn | yn)
+            if bad:
+                raise ValueError(
+                    f"{label} references undeclared variable(s): {sorted(bad)}")
 
 
 @dataclass(frozen=True)
@@ -174,16 +183,3 @@ def get_builtin(name: str) -> GsipProblem:
             return p
     raise KeyError(f"no builtin problem named {name!r}")
 
-
-def from_document(doc: ProblemDocument) -> GsipProblem:
-    return GsipProblem(
-        name=doc.name,
-        X=BoxDomain(doc.outer), Y=BoxDomain(doc.inner),
-        f=doc.objective, g=doc.g, h=doc.h,
-        f_star=doc.f_star, f_L=doc.f_L)
-
-
-def to_document(p: GsipProblem) -> ProblemDocument:
-    return ProblemDocument(
-        name=p.name, outer=p.X.coords, inner=p.Y.coords,
-        objective=p.f, g=p.g, h=p.h, f_star=p.f_star, f_L=p.f_L)

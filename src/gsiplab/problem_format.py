@@ -14,16 +14,20 @@ Line-oriented grammar (``#`` starts a comment, blank lines ignored):
 Expressions use ``+ - * / ^`` with standard precedence, unary minus,
 parentheses, ``min(a,b)``/``max(a,b)``, and decimal literals.  ``^`` takes a
 nonnegative integer literal exponent.
+
+``parse_problem`` reads the text straight into a ``GsipProblem``.  It checks
+only that the required lines are present; ``GsipProblem`` and ``BoxDomain``
+check everything else (names, bounds, variable scoping), and their errors
+reach the caller as ``ProblemValidationError``.
 """
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass, field
-from typing import Optional
 
 from . import expr as ex
+from .domains import BoxDomain
 from .expr import Expr
+from .gsip import GsipProblem
 
 
 class ProblemSyntaxError(ValueError):
@@ -36,24 +40,13 @@ class ProblemSyntaxError(ValueError):
 
 
 class ProblemValidationError(ValueError):
-    """Structurally valid text that violates a document invariant."""
+    """Well-formed text that does not describe a valid problem."""
 
 
-@dataclass(frozen=True)
-class ProblemDocument:
-    name: str
-    outer: tuple[tuple[str, float, float], ...]
-    inner: tuple[tuple[str, float, float], ...]
-    objective: Expr
-    g: Expr
-    h: tuple[Expr, ...]
-    f_star: Optional[float] = None
-    f_L: Optional[float] = None
-
-
-_TOKEN_RE = re.compile(r"""
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"""
     (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<name>{_NAME})
   | (?P<str>"[^"]*")
   | (?P<sym>[-+*/^()\[\],:])
   | (?P<ws>\s+)
@@ -189,6 +182,8 @@ def _parse_bounds_line(p: _ExprParser):
     kind, val, _ = p.peek()
     if kind != "name":
         p.error("expected a variable name")
+    if val in ("min", "max"):
+        p.error(f"{val!r} names a function and cannot name a variable")
     p.next()
     name = val
     k2, v2, _ = p.peek()
@@ -204,8 +199,8 @@ def _parse_bounds_line(p: _ExprParser):
     return name, lo, hi
 
 
-def parse_problem(text: str) -> ProblemDocument:
-    """Parse ``.gsip`` text into a validated ProblemDocument."""
+def parse_problem(text: str) -> GsipProblem:
+    """Parse ``.gsip`` text into a ``GsipProblem``."""
     name = None
     outer: list[tuple[str, float, float]] = []
     inner: list[tuple[str, float, float]] = []
@@ -266,44 +261,14 @@ def parse_problem(text: str) -> ProblemDocument:
         else:
             raise ProblemSyntaxError(f"unknown keyword {head!r}", line_no, col)
 
-    doc = ProblemDocument(
-        name=name if name is not None else "",
-        outer=tuple(outer), inner=tuple(inner),
-        objective=objective, g=g, h=tuple(h), f_star=f_star, f_L=f_L,
-    )
-    _validate(doc)
-    return doc
-
-
-def _validate(doc: ProblemDocument):
-    if not doc.name:
-        raise ProblemValidationError("missing 'problem' line")
-    if not doc.outer:
-        raise ProblemValidationError("at least one outer variable is required")
-    if not doc.inner:
-        raise ProblemValidationError("at least one inner variable is required")
-    if doc.objective is None:
-        raise ProblemValidationError("missing 'objective' line")
-    if doc.g is None:
-        raise ProblemValidationError("missing 'g' line")
-    if not doc.h:
-        raise ProblemValidationError("at least one 'h' constraint is required")
-    for n, lo, hi in doc.outer + doc.inner:
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ProblemValidationError(f"bounds of {n!r} must be finite")
-        if lo > hi:
-            raise ProblemValidationError(f"bounds of {n!r} are empty: [{lo}, {hi}]")
-    outer_names = {n for n, _, _ in doc.outer}
-    all_names = outer_names | {n for n, _, _ in doc.inner}
-    bad = doc.objective.variables() - outer_names
-    if bad:
-        raise ProblemValidationError(
-            f"objective references non-outer variable(s): {sorted(bad)}")
-    for label, e in [("g", doc.g)] + [(f"h[{i}]", hi) for i, hi in enumerate(doc.h)]:
-        bad = e.variables() - all_names
-        if bad:
-            raise ProblemValidationError(
-                f"{label} references undeclared variable(s): {sorted(bad)}")
+    for label, value in (("problem", name), ("objective", objective), ("g", g)):
+        if value is None:
+            raise ProblemValidationError(f"missing {label!r} line")
+    try:
+        return GsipProblem(name, BoxDomain(outer), BoxDomain(inner),
+                           objective, g, tuple(h), f_star, f_L)
+    except ValueError as e:
+        raise ProblemValidationError(str(e)) from None
 
 
 # -- canonical serialization ------------------------------------------------
@@ -349,20 +314,31 @@ def format_expr(e: Expr, min_level: int = _LVL_SUM) -> str:
     return format_expr(a, _LVL_PROD) + op + format_expr(b, _LVL_UNARY)
 
 
-def serialize_problem(doc: ProblemDocument) -> str:
-    """Canonical text; parse_problem maps it back to an equal document."""
-    _validate(doc)
-    lines = [f'problem "{doc.name}"']
-    for n, lo, hi in doc.outer:
+def serialize_problem(p: GsipProblem) -> str:
+    """Canonical text; ``parse_problem`` maps it back to an equal problem.
+
+    Raises ``ValueError`` for a name the text cannot carry: a problem name
+    with a quote, ``#`` or a line break, or a variable name that is not an
+    identifier or is ``min``/``max``.
+    """
+    if '"' in p.name or "#" in p.name or p.name.splitlines() != [p.name]:
+        raise ValueError(f"problem name {p.name!r} cannot be written: it "
+                         "contains a quote, '#' or a line break")
+    for n in p.X.names + p.Y.names:
+        if not re.fullmatch(_NAME, n) or n in ("min", "max"):
+            raise ValueError(f"variable name {n!r} cannot be written: it is "
+                             "not an identifier other than min and max")
+    lines = [f'problem "{p.name}"']
+    for n, lo, hi in p.X.coords:
         lines.append(f"outer {n} in [{_fmt_real(lo)}, {_fmt_real(hi)}]")
-    for n, lo, hi in doc.inner:
+    for n, lo, hi in p.Y.coords:
         lines.append(f"inner {n} in [{_fmt_real(lo)}, {_fmt_real(hi)}]")
-    lines.append(f"objective: {format_expr(doc.objective)}")
-    lines.append(f"g: {format_expr(doc.g)}")
-    for e in doc.h:
+    lines.append(f"objective: {format_expr(p.f)}")
+    lines.append(f"g: {format_expr(p.g)}")
+    for e in p.h:
         lines.append(f"h: {format_expr(e)}")
-    if doc.f_star is not None:
-        lines.append(f"f_star: {_fmt_real(doc.f_star)}")
-    if doc.f_L is not None:
-        lines.append(f"f_L: {_fmt_real(doc.f_L)}")
+    if p.f_star is not None:
+        lines.append(f"f_star: {_fmt_real(p.f_star)}")
+    if p.f_L is not None:
+        lines.append(f"f_L: {_fmt_real(p.f_L)}")
     return "\n".join(lines) + "\n"

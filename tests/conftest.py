@@ -6,7 +6,7 @@ import random
 from gsiplab import expr as ex
 from gsiplab.domains import BoxDomain
 from gsiplab.globalopt import ConstraintSpec
-from gsiplab.problem_format import ProblemDocument
+from gsiplab.gsip import GsipProblem
 
 
 def random_expr(rng: random.Random, names, depth: int, allow_div: bool = True):
@@ -90,7 +90,7 @@ def random_poly_instance(seed: int):
     return objective, constraints, box
 
 
-def random_document(rng: random.Random) -> ProblemDocument:
+def random_problem(rng: random.Random) -> GsipProblem:
     n_out = rng.randint(1, 2)
     n_in = rng.randint(1, 2)
     outer = []
@@ -103,10 +103,10 @@ def random_document(rng: random.Random) -> ProblemDocument:
         inner.append((f"q{i}", lo, lo + rng.uniform(0.1, 3.0)))
     outer_names = [n for n, _, _ in outer]
     all_names = outer_names + [n for n, _, _ in inner]
-    return ProblemDocument(
+    return GsipProblem(
         name=f"fuzz_{rng.randint(0, 10**6)}",
-        outer=tuple(outer), inner=tuple(inner),
-        objective=random_expr(rng, outer_names, rng.randint(1, 4)),
+        X=BoxDomain(outer), Y=BoxDomain(inner),
+        f=random_expr(rng, outer_names, rng.randint(1, 4)),
         g=random_expr(rng, all_names, rng.randint(1, 4)),
         h=tuple(random_expr(rng, all_names, rng.randint(1, 3))
                 for _ in range(rng.randint(1, 3))),

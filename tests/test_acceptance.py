@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_document, random_expr, random_poly_instance, sample_point
+from conftest import random_expr, random_poly_instance, random_problem, sample_point
 from gsiplab import expr as ex
 from gsiplab.algorithms import (AUX_LLP, LLP_ONLY, SIP_LLP, AlgorithmConfig,
                                 diagnose_trace, run)
@@ -19,7 +19,7 @@ from gsiplab.expr import evaluate, interval_eval
 from gsiplab.globalopt import grid_minimize, minimize
 from gsiplab.gsip import (GsipProblem, SlaterCertificate, builtin_problems,
                           check_relaxation_feasible, get_builtin, hbar,
-                          to_document, verify_slater)
+                          verify_slater)
 from gsiplab.problem_format import parse_problem, serialize_problem
 
 CEX1 = get_builtin("cex1")
@@ -157,13 +157,12 @@ def test_structural_properties_hold(capsys):
             pt = {"x": rng.uniform(-9, 9), "y": rng.uniform(-9, 9)}
             assert evaluate(hbar(p), pt) == max(evaluate(h, pt) for h in hs)
 
-        # the text format round-trips builtins and fuzzed documents
+        # the text format round-trips builtins and fuzzed problems
         for p in builtin_problems():
-            doc = to_document(p)
-            assert parse_problem(serialize_problem(doc)) == doc
+            assert parse_problem(serialize_problem(p)) == p
         for _ in range(100):
-            doc = random_document(rng)
-            assert parse_problem(serialize_problem(doc)) == doc
+            p = random_problem(rng)
+            assert parse_problem(serialize_problem(p)) == p
 
         # feasibility of the disjunctive relaxation recovers [-1, -1/2]
         n = 201

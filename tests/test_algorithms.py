@@ -33,6 +33,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AlgorithmConfig(max_iter=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("tol_opt", float("nan")), ("tol_opt", float("inf")), ("tol_opt", 0.0),
+        ("tol_feas", float("nan")), ("tol_feas", float("inf")),
+        ("tol_feas", -1e-9)])
+    def test_bad_tolerance(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AlgorithmConfig(**{field: value})
+
     def test_bad_tie_break(self):
         with pytest.raises(ValueError):
             AlgorithmConfig(aux_tie_break="random")

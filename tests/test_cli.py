@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from gsiplab import algorithms, gsip
-from gsiplab.cli import _resolve_initial, main
+from gsiplab.cli import _config_from_args, build_parser, main
 from gsiplab.problem_format import parse_problem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -115,9 +115,59 @@ class TestUsageErrors:
         assert main(["run", "--problem", "cex1", "--initial-y", "5"]) == 2
         assert capsys.readouterr().err.startswith("error: initial Y point")
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol-opt", "nan"), ("--tol-opt", "inf"), ("--tol-opt", "0"),
+        ("--tol-feas", "nan"), ("--tol-feas", "inf"), ("--tol-feas", "-1e-9")])
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_bad_tolerance(self, capsys, command, flag, value):
+        assert main([command, "--problem", "cex1", f"{flag}={value}"]) == 2
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+
     def test_verify_grid_too_coarse(self, capsys):
         assert main(["verify", "--problem", "cex1", "--grid", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: --grid")
+
+
+# one problem-file defect each, and the message that names it
+INVALID_FILES = [
+    ("outer x in [-1, 1]\ninner y in [-1, 1]\nobjective: -x\ng: y\nh: x\n",
+     "missing 'problem' line"),
+    ('problem "t"\ninner y in [-1, 1]\nobjective: 0\ng: y\nh: y\n',
+     "at least one outer variable is required"),
+    ('problem "t"\nouter x in [-1, 1]\nobjective: -x\ng: x\nh: x\n',
+     "at least one inner variable is required"),
+    ('problem "t"\nouter x in [-1, 1]\ninner y in [-1, 1]\ng: y\nh: x\n',
+     "missing 'objective' line"),
+    ('problem "t"\nouter x in [-1, 1]\ninner y in [-1, 1]\nobjective: -x\nh: x\n',
+     "missing 'g' line"),
+    ('problem "t"\nouter x in [-1, 1]\ninner y in [-1, 1]\nobjective: -x\ng: y\n',
+     "at least one 'h' constraint is required"),
+    (CEX1_TEXT.replace("outer x in [-1, 1]", "outer x in [-1, 1e400]"),
+     "bounds of 'x' must be finite"),
+    (CEX1_TEXT.replace("inner y in [-1, 1]", "inner y in [-1e400, 1]"),
+     "bounds of 'y' must be finite"),
+    (CEX1_TEXT.replace("outer x in [-1, 1]", "outer x in [2, 1]"),
+     "bounds of 'x' are empty: [2.0, 1.0]"),
+    (CEX1_TEXT.replace("objective: -x", "objective: -x - y"),
+     "objective references non-outer variable(s): ['y']"),
+    (CEX1_TEXT.replace("objective: -x", "objective: -z*w"),
+     "objective references non-outer variable(s): ['w', 'z']"),
+    (CEX1_TEXT.replace("g: (x - y)^2 - 10", "g: (x - z)^2 - 10"),
+     "g references undeclared variable(s): ['z']"),
+    (CEX1_TEXT + "h: x + z\n",
+     "h[1] references undeclared variable(s): ['z']"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "fmt"])
+@pytest.mark.parametrize("text,message", INVALID_FILES)
+def test_invalid_file_is_a_usage_error(tmp_path, capsys, command, text, message):
+    src = tmp_path / "bad.gsip"
+    src.write_text(text)
+    argv = ["run", "--file", str(src)] if command == "run" else ["fmt", str(src)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {src}: {message}\n"
 
 
 class TestSolverErrors:
@@ -140,18 +190,24 @@ class TestSolverErrors:
 
 class TestResolveInitial:
     def test_every_other_config_field_survives(self):
-        cfg = algorithms.AlgorithmConfig(
+        args = build_parser().parse_args([
+            "run", "--problem", "cex1", "--variant", "aux", "--alpha", "0.5",
+            "--tol-feas", "1e-7", "--tol-opt", "1e-8", "--max-iter", "7",
+            "--initial-y", "0.25", "--tie-break", "max-y"])
+        cfg = _config_from_args(args, gsip.get_builtin("cex1"))
+        assert cfg == algorithms.AlgorithmConfig(
             variant=algorithms.AUX_LLP, alpha=0.5, tol_feas=1e-7, tol_opt=1e-8,
-            max_iter=7, initial_yset=((0.25,),), aux_tie_break="max-y",
-            node_budget=1234)
-        # a field left at its default could not show that it was dropped
+            max_iter=7, initial_yset=({"y": 0.25},), aux_tie_break="max-y")
+        # a field left at its default could not show that its flag was
+        # dropped; node_budget has no flag
         for f in dataclasses.fields(cfg):
-            assert getattr(cfg, f.name) != f.default, f.name
-        resolved = _resolve_initial(cfg, gsip.get_builtin("cex1"))
-        assert resolved.initial_yset == ({"y": 0.25},)
-        for f in dataclasses.fields(cfg):
-            if f.name != "initial_yset":
-                assert getattr(resolved, f.name) == getattr(cfg, f.name), f.name
+            if f.name != "node_budget":
+                assert getattr(cfg, f.name) != f.default, f.name
+
+    def test_wrong_component_count(self, capsys):
+        assert main(["run", "--problem", "cex1", "--initial-y", "0.1,0.2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: initial Y point has 2 components, expected 1\n")
 
 
 class TestVerify:

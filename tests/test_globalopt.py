@@ -53,6 +53,13 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(x, [], UNIT_X, tol_feas=-1.0)
 
+    @pytest.mark.parametrize("tolerance,value", [
+        ("tol_opt", float("nan")), ("tol_opt", float("inf")),
+        ("tol_feas", float("nan")), ("tol_feas", float("inf"))])
+    def test_non_finite_tolerances_rejected(self, tolerance, value):
+        with pytest.raises(ValueError, match=tolerance):
+            minimize(x, [], UNIT_X, **{tolerance: value})
+
     def test_node_budget_error(self):
         # x*(1-x) written with a reused variable converges slowly under the
         # natural extension, so a tiny budget must trip

@@ -1,9 +1,12 @@
 """Byte-for-byte golden outputs.
 
 ``gsiplab run`` must print exactly the stored CSV and JSON traces for both
-builtin problems under every variant, and the branch-and-bound solves of the
-oracle-agreement suite must return the stored outcomes (the latter
-are asserted in ``test_globalopt.TestOracleAgreement``).
+builtin problems under every variant, and for ``llp_infeasible.gsip``, whose
+lower-level program is infeasible at the first iterate, under the two variants
+that solve it; ``gsiplab fmt`` must print exactly the stored canonical form of
+``fmt_input.gsip``, a CRLF file that uses every line kind; and the
+branch-and-bound solves of the oracle-agreement suite must return the stored
+outcomes (the latter are asserted in ``test_globalopt.TestOracleAgreement``).
 
 The goldens are written by ``python tests/test_golden.py --regenerate``.
 Regenerate them only for a change that is meant to alter solver output, and
@@ -28,23 +31,36 @@ PROBLEMS = ("cex1", "cex2")
 VARIANTS = ("llp-only", "aux-llp", "sip-llp")
 FORMATS = ("csv", "json")
 CASES = [(p, v, f) for p in PROBLEMS for v in VARIANTS for f in FORMATS]
+# the only trace rows with ``llp_y=infeasible`` / ``"infeasible": true``
+INFEASIBLE_LLP_FILE = GOLDEN / "llp_infeasible.gsip"
+INFEASIBLE_LLP_CASES = [(INFEASIBLE_LLP_FILE.stem, v, f)
+                        for v in ("llp-only", "aux-llp") for f in FORMATS]
+FMT_INPUT = GOLDEN / "fmt_input.gsip"
+FMT_OUTPUT = GOLDEN / "fmt_output.gsip"
 
 
 def golden_path(problem: str, variant: str, fmt: str) -> Path:
     return GOLDEN / f"run_{problem}_{variant}.{fmt}"
 
 
-def run_stdout(problem: str, variant: str, fmt: str) -> str:
-    """Everything ``gsiplab run`` prints: the trace, then the status line."""
+def cli_stdout(argv) -> str:
+    """Everything ``gsiplab`` prints on stdout for a successful command."""
     # gsiplab is imported late so that the script can set sys.path first
     from gsiplab.cli import main
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["run", "--problem", problem, "--variant", variant,
-                     "--format", fmt])
+        code = main(argv)
     assert code == 0
     return out.getvalue()
+
+
+def run_stdout(problem: str, variant: str, fmt: str) -> str:
+    """What ``gsiplab run`` prints, the trace and then the status line, for
+    a builtin problem or for the golden file ``<problem>.gsip``."""
+    source = (["--problem", problem] if problem in PROBLEMS
+              else ["--file", str(GOLDEN / f"{problem}.gsip")])
+    return cli_stdout(["run", *source, "--variant", variant, "--format", fmt])
 
 
 def outcome_record(out) -> dict:
@@ -77,10 +93,17 @@ def load_oracle_outcomes(path: Path = ORACLE_OUTCOMES) -> list:
     return outcomes
 
 
-@pytest.mark.parametrize("problem,variant,fmt", CASES)
+@pytest.mark.parametrize("problem,variant,fmt", CASES + INFEASIBLE_LLP_CASES)
 def test_run_output_matches_golden(problem, variant, fmt):
     expected = golden_path(problem, variant, fmt).read_text(encoding="utf-8")
     assert run_stdout(problem, variant, fmt) == expected
+
+
+def test_fmt_output_matches_golden():
+    # the input must keep its CRLF line ends for the test to cover them
+    assert FMT_INPUT.read_bytes().count(b"\r\n") > 10
+    expected = FMT_OUTPUT.read_text(encoding="utf-8")
+    assert cli_stdout(["fmt", str(FMT_INPUT)]) == expected
 
 
 def test_oracle_outcomes_round_trip():
@@ -95,9 +118,10 @@ def _regenerate():
     from conftest import random_poly_instance
     from gsiplab.globalopt import grid_minimize, minimize
 
-    for problem, variant, fmt in CASES:
+    for problem, variant, fmt in CASES + INFEASIBLE_LLP_CASES:
         golden_path(problem, variant, fmt).write_text(
             run_stdout(problem, variant, fmt), encoding="utf-8")
+    FMT_OUTPUT.write_text(cli_stdout(["fmt", str(FMT_INPUT)]), encoding="utf-8")
     records, grid_records = [], []
     for seed in range(50):
         obj, cons, box = random_poly_instance(seed)

@@ -9,8 +9,8 @@ from gsiplab.globalopt import grid_minimize, minimize
 from gsiplab.gsip import (DomainError, GsipProblem, SlaterCertificate,
                           build_aux_llp, build_llp, build_lower_bounding,
                           build_sip_llp, builtin_problems,
-                          check_relaxation_feasible, from_document,
-                          get_builtin, hbar, to_document, verify_slater)
+                          check_relaxation_feasible, get_builtin, hbar,
+                          verify_slater)
 from gsiplab.problem_format import parse_problem, serialize_problem
 
 CEX1 = get_builtin("cex1")
@@ -52,6 +52,28 @@ class TestHbar:
             GsipProblem("t", CEX1.X, CEX1.Y, CEX1.f, CEX1.g, ())
 
 
+class TestProblemValidation:
+    X, Y = BoxDomain([("x", -1, 1)]), BoxDomain([("y", -1, 1)])
+    x, y = ex.var("x"), ex.var("y")
+
+    @pytest.mark.parametrize("change,message", [
+        ({"name": ""}, "name must not be empty"),
+        ({"X": BoxDomain([])}, "at least one outer variable is required"),
+        ({"Y": BoxDomain([])}, "at least one inner variable is required"),
+        ({"Y": BoxDomain([("x", -1, 1)])}, r"share variable names: \['x'\]"),
+        ({"f": y * ex.var("z")},
+         r"objective references non-outer variable\(s\): \['y', 'z'\]"),
+        ({"g": ex.var("z")}, r"g references undeclared variable\(s\): \['z'\]"),
+        ({"h": (x, ex.var("w"))},
+         r"h\[1\] references undeclared variable\(s\): \['w'\]"),
+    ])
+    def test_message_names_the_defect(self, change, message):
+        fields = dict(name="t", X=self.X, Y=self.Y, f=-self.x, g=self.y,
+                      h=(self.x,))
+        with pytest.raises(ValueError, match=message):
+            GsipProblem(**{**fields, **change})
+
+
 class TestBuiltins:
     def test_reference_values(self):
         assert CEX1.f_L == 0.5 and CEX1.f_star == 0.5
@@ -65,8 +87,7 @@ class TestBuiltins:
 
     def test_round_trip_through_text_format(self):
         for p in builtin_problems():
-            doc = to_document(p)
-            assert from_document(parse_problem(serialize_problem(doc))) == p
+            assert parse_problem(serialize_problem(p)) == p
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
