@@ -224,16 +224,17 @@ def _add_problem_source(sub):
 
 
 def _add_run_flags(sub):
+    defaults = algorithms.AlgorithmConfig()
     sub.add_argument("--variant", choices=sorted(_VARIANT_ALIASES),
-                     default="sip-llp")
-    sub.add_argument("--alpha", type=float, default=0.95)
-    sub.add_argument("--tol-feas", type=float, default=1e-9)
-    sub.add_argument("--tol-opt", type=float, default=1e-13)
-    sub.add_argument("--max-iter", type=int, default=50)
+                     default=defaults.variant)
+    sub.add_argument("--alpha", type=float, default=defaults.alpha)
+    sub.add_argument("--tol-feas", type=float, default=defaults.tol_feas)
+    sub.add_argument("--tol-opt", type=float, default=defaults.tol_opt)
+    sub.add_argument("--max-iter", type=int, default=defaults.max_iter)
     sub.add_argument("--initial-y", action="append", metavar="V1[,V2...]",
                      help="initial discretization point (repeatable)")
     sub.add_argument("--tie-break", choices=algorithms.TIE_BREAKS,
-                     default="solver")
+                     default=defaults.aux_tie_break)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,6 +1,13 @@
-"""Axis-aligned boxes with named coordinates."""
+"""Axis-aligned boxes with named coordinates.
+
+A box stores its names and its ``(lo, hi)`` pairs separately, in coordinate
+order; the pairs are the format the compiled interval kernels take
+(``expr.compile_expr``), so a solver passes ``box.bounds`` to them as is.
+``corner_values`` is the one rule for a box's corners.
+"""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -8,15 +15,24 @@ from typing import Iterable, Mapping
 from .expr import Interval
 
 
+def corner_values(bound: tuple[float, float]) -> tuple[float, ...]:
+    """A coordinate's values at the corners of a box: both ends, or the one
+    value of a degenerate axis."""
+    lo, hi = bound
+    return (lo,) if lo == hi else (lo, hi)
+
+
 @dataclass(frozen=True)
 class BoxDomain:
     """Ordered list of (variable name, lo, hi) with lo <= hi and unique names."""
 
-    coords: tuple[tuple[str, float, float], ...]
+    names: tuple[str, ...]
+    bounds: tuple[tuple[float, float], ...]
 
     def __init__(self, coords: Iterable[tuple[str, float, float]]):
         coords = tuple((str(n), float(lo), float(hi)) for n, lo, hi in coords)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "names", tuple(n for n, _, _ in coords))
+        object.__setattr__(self, "bounds", tuple((lo, hi) for _, lo, hi in coords))
         seen = set()
         for n, lo, hi in coords:
             if n in seen:
@@ -28,66 +44,57 @@ class BoxDomain:
                 raise ValueError(f"bounds of {n!r} are empty: [{lo}, {hi}]")
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _, _ in self.coords)
+    def coords(self) -> tuple[tuple[str, float, float], ...]:
+        """The (name, lo, hi) triples the constructor takes."""
+        return tuple((n, lo, hi) for n, (lo, hi) in zip(self.names, self.bounds))
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.names)
 
     def intervals(self) -> dict[str, Interval]:
-        return {n: Interval(lo, hi) for n, lo, hi in self.coords}
-
-    def bounds(self) -> tuple[tuple[float, float], ...]:
-        """The (lo, hi) pairs in coordinate order, as compiled interval
-        kernels take them (``expr.compile_expr``)."""
-        return tuple([(lo, hi) for _, lo, hi in self.coords])
+        return {n: Interval(lo, hi) for n, (lo, hi) in zip(self.names, self.bounds)}
 
     def midpoint(self) -> dict[str, float]:
-        return {n: 0.5 * (lo + hi) for n, lo, hi in self.coords}
+        return {n: 0.5 * (lo + hi) for n, (lo, hi) in zip(self.names, self.bounds)}
 
     def corners(self) -> list[dict[str, float]]:
-        pts = [{}]
-        for n, lo, hi in self.coords:
-            nxt = []
-            for p in pts:
-                for v in ((lo,) if lo == hi else (lo, hi)):
-                    q = dict(p)
-                    q[n] = v
-                    nxt.append(q)
-            pts = nxt
-        return pts
+        """Every corner once, the first coordinate varying slowest."""
+        return [dict(zip(self.names, p))
+                for p in itertools.product(*map(corner_values, self.bounds))]
 
     @property
     def max_width(self) -> float:
-        return max([hi - lo for _, lo, hi in self.coords], default=0.0)
+        return max([hi - lo for lo, hi in self.bounds], default=0.0)
 
     def widest_index(self) -> int:
-        widths = [hi - lo for _, lo, hi in self.coords]
+        widths = [hi - lo for lo, hi in self.bounds]
         return widths.index(max(widths))
 
     def bisect(self) -> tuple["BoxDomain", "BoxDomain"]:
         i = self.widest_index()
-        n, lo, hi = self.coords[i]
+        lo, hi = self.bounds[i]
         mid = 0.5 * (lo + hi)
         # the children inherit every other bound from this validated box; of
         # the checks in __init__ only finiteness can fail for mid (rounding is
         # monotone, so a finite mid lies in [lo, hi])
         if not math.isfinite(mid):
-            raise ValueError(f"bounds of {n!r} must be finite")
-        left = self.coords[:i] + ((n, lo, mid),) + self.coords[i + 1:]
-        right = self.coords[:i] + ((n, mid, hi),) + self.coords[i + 1:]
-        return _validated(left), _validated(right)
+            raise ValueError(f"bounds of {self.names[i]!r} must be finite")
+        head, tail = self.bounds[:i], self.bounds[i + 1:]
+        return (_validated(self.names, head + ((lo, mid),) + tail),
+                _validated(self.names, head + ((mid, hi),) + tail))
 
     def contains(self, point: Mapping[str, float], slack: float = 0.0) -> bool:
         try:
-            return all(lo - slack <= point[n] <= hi + slack for n, lo, hi in self.coords)
+            return all(lo - slack <= point[n] <= hi + slack
+                       for n, (lo, hi) in zip(self.names, self.bounds))
         except KeyError:
             return False
 
 
-def _validated(coords) -> BoxDomain:
+def _validated(names, bounds) -> BoxDomain:
     """A BoxDomain over coordinates already known to be valid."""
     box = object.__new__(BoxDomain)
-    object.__setattr__(box, "coords", coords)
+    object.__setattr__(box, "names", names)
+    object.__setattr__(box, "bounds", bounds)
     return box

@@ -2,11 +2,13 @@
 
 An expression is an immutable tree over named variables with the node kinds
 constant, variable, neg, add, sub, mul, div, integer power, and binary
-min/max.  Three recursive evaluators are provided: exact point evaluation,
-vectorized evaluation over numpy arrays (used by the grid oracle, which passes
-an open grid and lets broadcasting build the full grid), and the natural
-interval extension.  Only ``evaluate_array`` needs numpy, and it imports numpy
-when called, so the rest of the package loads without it.
+min/max.  One recursive walker evaluates a tree over three domains: floats
+(``evaluate``), numpy arrays (``evaluate_array``, used by the grid oracle,
+which passes an open grid and lets broadcasting build the full grid) and
+intervals (``interval_eval``, the natural interval extension).  The domains
+differ only in the value of a constant, in division and in min and max; every
+other operation is a Python operator.  Only ``evaluate_array`` needs numpy,
+and it imports numpy when called, so the rest of the package loads without it.
 
 ``compile_expr`` turns a tree into two closure kernels over one variable
 order, for callers that evaluate the same expression many times (the
@@ -14,7 +16,8 @@ branch-and-bound solver compiles its objective and constraints once per
 solve).  The kernels do the float operations of ``evaluate`` and
 ``interval_eval`` in the same order and raise the same exceptions, so their
 results are bit-identical; they only drop the per-node kind dispatch, the
-name lookups and the ``Interval`` allocations.
+name lookups and the ``Interval`` allocations.  They share no code with the
+walker, which the tests use as their reference.
 """
 from __future__ import annotations
 
@@ -79,7 +82,7 @@ class Interval:
             raise EvaluationError("division by an interval containing zero")
         return self * Interval(1.0 / other.hi, 1.0 / other.lo)
 
-    def power(self, n: int) -> "Interval":
+    def __pow__(self, n: int) -> "Interval":
         if n == 0:
             return Interval(1.0, 1.0)
         if n % 2 == 1:
@@ -199,68 +202,74 @@ def emax(a: Expr, b: Expr) -> Expr:
     return Expr("max", children=(a, b))
 
 
+def _walker(constant: Callable, divide: Callable, minimum: Callable,
+            maximum: Callable) -> Callable:
+    """The one recursive evaluator, over one domain of values.
+
+    neg, add, sub, mul and pow are the domain's Python operators; the
+    arguments supply the rest: the value of a constant, division (with its
+    zero check), and min and max.  Children are evaluated left to right
+    before their parent, so a domain sees its operations in the same order
+    as every other.
+    """
+    def walk(e: Expr, env: Mapping):
+        k = e.kind
+        if k == "const":
+            return constant(e.value)
+        if k == "var":
+            try:
+                return env[e.name]
+            except KeyError:
+                raise EvaluationError(f"unknown variable {e.name!r}") from None
+        if k == "neg":
+            return -walk(e.children[0], env)
+        if k == "pow":
+            return walk(e.children[0], env) ** e.exponent
+        a = walk(e.children[0], env)
+        b = walk(e.children[1], env)
+        if k == "add":
+            return a + b
+        if k == "sub":
+            return a - b
+        if k == "mul":
+            return a * b
+        if k == "div":
+            return divide(a, b)
+        if k == "min":
+            return minimum(a, b)
+        return maximum(a, b)
+    return walk
+
+
+def _same(v):
+    return v
+
+
+def _float_div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvaluationError("division by zero")
+    return a / b
+
+
+_evaluate = _walker(_same, _float_div, min, max)
+_interval_eval = _walker(lambda v: Interval(v, v), Interval.divide,
+                         Interval.min_with, Interval.max_with)
+
+
 def evaluate(e: Expr, point: Mapping[str, float]) -> float:
     """Exact recursive evaluation at a point (name -> value)."""
-    k = e.kind
-    if k == "const":
-        return e.value
-    if k == "var":
-        try:
-            return point[e.name]
-        except KeyError:
-            raise EvaluationError(f"unknown variable {e.name!r}") from None
-    if k == "neg":
-        return -evaluate(e.children[0], point)
-    if k == "pow":
-        return evaluate(e.children[0], point) ** e.exponent
-    a = evaluate(e.children[0], point)
-    b = evaluate(e.children[1], point)
-    if k == "add":
-        return a + b
-    if k == "sub":
-        return a - b
-    if k == "mul":
-        return a * b
-    if k == "div":
-        if b == 0.0:
-            raise EvaluationError("division by zero")
-        return a / b
-    if k == "min":
-        return min(a, b)
-    return max(a, b)
+    return _evaluate(e, point)
 
 
 def evaluate_array(e: Expr, point: Mapping[str, np.ndarray]):
     """Vectorized evaluation over numpy arrays (broadcasting applies)."""
     import numpy as np
 
-    k = e.kind
-    if k == "const":
-        return e.value
-    if k == "var":
-        try:
-            return point[e.name]
-        except KeyError:
-            raise EvaluationError(f"unknown variable {e.name!r}") from None
-    if k == "neg":
-        return -evaluate_array(e.children[0], point)
-    if k == "pow":
-        return evaluate_array(e.children[0], point) ** e.exponent
-    a = evaluate_array(e.children[0], point)
-    b = evaluate_array(e.children[1], point)
-    if k == "add":
-        return a + b
-    if k == "sub":
-        return a - b
-    if k == "mul":
-        return a * b
-    if k == "div":
+    def div(a, b):
         if np.any(b == 0.0):
             raise EvaluationError("division by zero")
         return a / b
-    if k == "min":
-        return np.minimum(a, b)
-    return np.maximum(a, b)
+    return _walker(_same, div, np.minimum, np.maximum)(e, point)
 
 
 def interval_eval(e: Expr, box) -> Interval:
@@ -271,35 +280,7 @@ def interval_eval(e: Expr, box) -> Interval:
     """
     if not isinstance(box, Mapping):
         box = box.intervals()
-    return _interval_rec(e, box)
-
-
-def _interval_rec(e: Expr, env: Mapping[str, Interval]) -> Interval:
-    k = e.kind
-    if k == "const":
-        return Interval(e.value, e.value)
-    if k == "var":
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvaluationError(f"unknown variable {e.name!r}") from None
-    if k == "neg":
-        return -_interval_rec(e.children[0], env)
-    if k == "pow":
-        return _interval_rec(e.children[0], env).power(e.exponent)
-    a = _interval_rec(e.children[0], env)
-    b = _interval_rec(e.children[1], env)
-    if k == "add":
-        return a + b
-    if k == "sub":
-        return a - b
-    if k == "mul":
-        return a * b
-    if k == "div":
-        return a.divide(b)
-    if k == "min":
-        return a.min_with(b)
-    return a.max_with(b)
+    return _interval_eval(e, box)
 
 
 def substitute(e: Expr, bindings: Mapping[str, float]) -> Expr:
@@ -339,9 +320,15 @@ def compile_expr(e: Expr, names: Sequence[str]) -> tuple[Callable, Callable]:
 def _compile(e: Expr, index, memo, node):
     # shared subtrees compile once.  The memo is keyed by id because Expr
     # hashes its whole subtree; ids are not reused while the tree compiles.
+    # A variable is the same kernel in both domains: its entry of the tuple.
     f = memo.get(id(e))
     if f is None:
-        f = memo[id(e)] = node(e, index, lambda c: _compile(c, index, memo, node))
+        if e.kind == "var":
+            i = index.get(e.name)
+            f = _unknown(e.name) if i is None else itemgetter(i)
+        else:
+            f = node(e, index, lambda c: _compile(c, index, memo, node))
+        memo[id(e)] = f
     return f
 
 
@@ -360,9 +347,6 @@ def _point_node(e: Expr, index, sub):
     if k == "const":
         v = e.value
         return lambda x: v
-    if k == "var":
-        i = index.get(e.name)
-        return _unknown(e.name) if i is None else itemgetter(i)
     if k == "neg":
         f = sub(e.children[0])
         return lambda x: -f(x)
@@ -453,9 +437,6 @@ def _interval_node(e: Expr, index, sub):
             return lambda b: _empty(v, v)
         pair = (v, v)
         return lambda b: pair
-    if k == "var":
-        i = index.get(e.name)
-        return _unknown(e.name) if i is None else itemgetter(i)
     if k == "neg":
         f = sub(e.children[0])
 

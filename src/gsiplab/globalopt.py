@@ -8,19 +8,24 @@ Two engines share one outcome type:
   ``tol_opt``.  Incumbents come from box midpoints and corners that pass the
   ``tol_feas`` feasibility check.  The objective and the constraints are
   compiled once per call into point and interval kernels
-  (``expr.compile_expr``), bit-identical to the recursive evaluators.  Each
-  corner is considered once: a child of a bisection considers its midpoint
-  and the corners on the split plane (the right child only if the left one
-  was certified infeasible before considering them); its other corners are
-  corners of the parent.  A point offered again could never pass the strict
-  ``v < best`` update test, so this leaves every outcome unchanged.
+  (``expr.compile_expr``), bit-identical to the recursive evaluators; the
+  interval kernels take a node's ``BoxDomain.bounds`` as stored.  Each
+  corner (``domains.corner_values``) is considered once: a child of a
+  bisection considers its midpoint and the corners on the split plane (the
+  right child only if the left one was certified infeasible before
+  considering them); its other corners are corners of the parent.  A point
+  offered again could never pass the strict ``v < best`` update test, so
+  this leaves every outcome unchanged.  A node no wider than ``MIN_WIDTH``
+  is retired instead of bisected.
 
 * ``grid_minimize`` -- brute-force evaluation on the full tensor grid,
   kept deliberately independent of the interval machinery and of the
   compiled kernels (it uses ``evaluate_array``) so that it can serve as a
   cross-checking oracle.  The grid is passed as an open grid, one array per
-  axis, and broadcasting builds the full grid inside the evaluation.  It is
-  the only user of numpy here and imports it when called.
+  axis, and broadcasting builds the full grid inside the evaluation.  Grid
+  points are feasible by ``ConstraintSpec.satisfied``, the rule ``minimize``
+  applies to its candidates.  It is the only user of numpy here and imports
+  it when called.
 """
 from __future__ import annotations
 
@@ -30,12 +35,16 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .domains import BoxDomain
+from .domains import BoxDomain, corner_values
 # minimize calls neither evaluate nor interval_eval; they stay bound here
 # because bench/tracer.py counts the point and interval evaluations made
 # through these names
 from .expr import (Expr, Interval, compile_expr, evaluate,  # noqa: F401
                    evaluate_array, interval_eval)
+
+
+# an undecided node no wider than this is retired instead of bisected
+MIN_WIDTH = 1e-9
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -53,7 +62,8 @@ class ConstraintSpec:
         if self.sense not in ("le", "ge"):
             raise ValueError(f"sense must be 'le' or 'ge', got {self.sense!r}")
 
-    def satisfied(self, value: float, tol_feas: float) -> bool:
+    def satisfied(self, value, tol_feas: float):
+        """Whether ``value`` (a float, or elementwise an array) passes."""
         if self.sense == "le":
             return value <= tol_feas
         return value >= -tol_feas
@@ -99,8 +109,7 @@ def minimize(objective: Expr,
              box: BoxDomain,
              tol_opt: float = 1e-6,
              tol_feas: float = 1e-9,
-             node_budget: int = 1_000_000,
-             min_width: float = 1e-9) -> MinimizeOutcome:
+             node_budget: int = 1_000_000) -> MinimizeOutcome:
     """Globally minimize ``objective`` over ``box`` subject to ``constraints``.
 
     Returns the first certified incumbent achieving the final value; the
@@ -109,7 +118,7 @@ def minimize(objective: Expr,
     check_tolerances(tol_opt, tol_feas)
 
     # Compile once per solve.  Kernels take points as tuples and boxes as
-    # tuples of (lo, hi) pairs, both in the order of box.names.
+    # their bounds, both in the order of box.names.
     names = box.names
     obj_point, obj_interval = compile_expr(objective, names)
     tests = [c.compile(names, tol_feas) for c in constraints]
@@ -135,11 +144,12 @@ def minimize(objective: Expr,
             best_pt = point
         return True
 
-    def push(b: BoxDomain, bounds, corners) -> bool:
+    def push(b: BoxDomain, corners) -> bool:
         """Bound a box and queue or retire it.  ``corners`` are the box's
         corners not yet considered.  Returns False when the box is certified
         infeasible, in which case nothing was considered."""
         nonlocal retired_lb, pruned_lb
+        bounds = b.bounds
         for certified in violated:
             if certified(bounds):
                 return False
@@ -148,7 +158,7 @@ def minimize(objective: Expr,
         for corner in corners:
             consider(corner)
         lb = obj_interval(bounds)[0]
-        if b.max_width <= min_width:
+        if b.max_width <= MIN_WIDTH:
             # undecided node at minimum width: keep it (through its midpoint)
             # only if the midpoint passes the feasibility check
             if mid_feasible:
@@ -160,7 +170,7 @@ def minimize(objective: Expr,
         heapq.heappush(heap, (lb, next(counter), b))
         return True
 
-    push(box, box.bounds(), itertools.product(*map(_corner_values, box.bounds())))
+    push(box, itertools.product(*map(corner_values, box.bounds)))
     frontier_lb = float("inf")
     pops = 0
     while heap:
@@ -177,23 +187,17 @@ def minimize(objective: Expr,
         # considered when b was pushed: offered again they could not pass the
         # strict `v < best_val` test, so the children consider only the plane
         # corners, and the right child only if the left one was infeasible.
-        axes = list(map(_corner_values, b.bounds()))
-        axes[i] = (left.coords[i][2],)
+        axes = list(map(corner_values, b.bounds))
+        axes[i] = (left.bounds[i][1],)
         plane = list(itertools.product(*axes))
-        considered = push(left, left.bounds(), plane)
-        push(right, right.bounds(), () if considered else plane)
+        considered = push(left, plane)
+        push(right, () if considered else plane)
 
     if best_pt is None:
         return INFEASIBLE
     lo = min(frontier_lb, retired_lb, pruned_lb, best_val)
     return MinimizeOutcome("optimal", dict(zip(names, best_pt)), best_val,
                            Interval(lo, best_val))
-
-
-def _corner_values(bound: tuple[float, float]) -> tuple[float, ...]:
-    """A coordinate's values at the corners of a box (BoxDomain.corners)."""
-    lo, hi = bound
-    return (lo,) if lo == hi else (lo, hi)
 
 
 def grid_minimize(objective: Expr,
@@ -213,7 +217,7 @@ def grid_minimize(objective: Expr,
 
     if points_per_axis < 2:
         raise ValueError("points_per_axis must be at least 2")
-    axes = [np.linspace(lo, hi, points_per_axis) for _, lo, hi in box.coords]
+    axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in box.bounds]
     env = dict(zip(box.names, np.meshgrid(*axes, indexing="ij", sparse=True)))
     shape = tuple(len(a) for a in axes)
 
@@ -221,7 +225,7 @@ def grid_minimize(objective: Expr,
     feas = np.ones(shape, dtype=bool)
     for c in constraints:
         cv = np.asarray(evaluate_array(c.expr, env), dtype=float)
-        feas &= (cv <= tol_feas) if c.sense == "le" else (cv >= -tol_feas)
+        feas &= c.satisfied(cv, tol_feas)
     if not feas.any():
         return INFEASIBLE
     masked = np.where(feas, vals, np.inf)

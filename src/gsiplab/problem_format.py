@@ -22,6 +22,7 @@ reach the caller as ``ProblemValidationError``.
 """
 from __future__ import annotations
 
+import math
 import re
 
 from . import expr as ex
@@ -130,11 +131,20 @@ class _ExprParser:
             return ex.ipow(base, int(val))
         return base
 
+    def number(self) -> float:
+        """The value of the number token at the cursor; a literal too large
+        for a float is an error, as the text could not write it back."""
+        _, val, col = self.next()
+        value = float(val)
+        if math.isinf(value):
+            raise ProblemSyntaxError(f"number {val} is too large for a float",
+                                     self.line_no, col)
+        return value
+
     def parse_atom(self) -> Expr:
         kind, val, col = self.peek()
         if kind == "num":
-            self.next()
-            return ex.const(float(val))
+            return ex.const(self.number())
         if kind == "name":
             self.next()
             if val in ("min", "max"):
@@ -161,8 +171,7 @@ class _ExprParser:
         kind, val, _ = self.peek()
         if kind != "num":
             self.error(f"expected a number, found {val or 'end of line'!r}")
-        self.next()
-        return sign * float(val)
+        return sign * self.number()
 
     def expect_eof(self):
         kind, val, _ = self.peek()
@@ -201,14 +210,10 @@ def _parse_bounds_line(p: _ExprParser):
 
 def parse_problem(text: str) -> GsipProblem:
     """Parse ``.gsip`` text into a ``GsipProblem``."""
-    name = None
     outer: list[tuple[str, float, float]] = []
     inner: list[tuple[str, float, float]] = []
-    objective = None
-    g = None
     h: list[Expr] = []
-    f_star = None
-    f_L = None
+    once: dict[str, object] = {}  # the value of each line that may appear once
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip("\r").strip()
@@ -221,52 +226,42 @@ def parse_problem(text: str) -> GsipProblem:
             raise ProblemSyntaxError(f"expected a keyword, found {head!r}", line_no, col)
         p.next()
 
-        if head == "problem":
-            k2, v2, c2 = p.peek()
-            if k2 != "str":
-                raise ProblemSyntaxError('expected a quoted problem name', line_no, c2)
-            p.next()
-            p.expect_eof()
-            if name is not None:
-                raise ProblemSyntaxError("duplicate 'problem' line", line_no, col)
-            name = v2[1:-1]
-        elif head in ("outer", "inner"):
+        if head in ("outer", "inner"):
             var_name, lo, hi = _parse_bounds_line(p)
             target = outer if head == "outer" else inner
             if any(var_name == n for n, _, _ in outer + inner):
                 raise ProblemSyntaxError(f"duplicate declaration of {var_name!r}", line_no, col)
             target.append((var_name, lo, hi))
-        elif head in ("objective", "g", "h", "f_star", "f_L"):
+            continue
+        if head == "problem":
+            k2, v2, c2 = p.peek()
+            if k2 != "str":
+                raise ProblemSyntaxError('expected a quoted problem name', line_no, c2)
+            p.next()
+            value = v2[1:-1]
+        elif head in ("objective", "g", "h"):
             p.expect_sym(":")
-            if head in ("f_star", "f_L"):
-                value = p.parse_signed_real()
-                p.expect_eof()
-                if head == "f_star":
-                    f_star = value
-                else:
-                    f_L = value
-            else:
-                node = p.parse_expression()
-                p.expect_eof()
-                if head == "objective":
-                    if objective is not None:
-                        raise ProblemSyntaxError("duplicate 'objective' line", line_no, col)
-                    objective = node
-                elif head == "g":
-                    if g is not None:
-                        raise ProblemSyntaxError("duplicate 'g' line", line_no, col)
-                    g = node
-                else:
-                    h.append(node)
+            value = p.parse_expression()
+        elif head in ("f_star", "f_L"):
+            p.expect_sym(":")
+            value = p.parse_signed_real()
         else:
             raise ProblemSyntaxError(f"unknown keyword {head!r}", line_no, col)
+        p.expect_eof()
+        if head == "h":
+            h.append(value)
+        elif head in once:
+            raise ProblemSyntaxError(f"duplicate {head!r} line", line_no, col)
+        else:
+            once[head] = value
 
-    for label, value in (("problem", name), ("objective", objective), ("g", g)):
-        if value is None:
+    for label in ("problem", "objective", "g"):
+        if label not in once:
             raise ProblemValidationError(f"missing {label!r} line")
     try:
-        return GsipProblem(name, BoxDomain(outer), BoxDomain(inner),
-                           objective, g, tuple(h), f_star, f_L)
+        return GsipProblem(once["problem"], BoxDomain(outer), BoxDomain(inner),
+                           once["objective"], once["g"], tuple(h),
+                           once.get("f_star"), once.get("f_L"))
     except ValueError as e:
         raise ProblemValidationError(str(e)) from None
 
@@ -277,6 +272,9 @@ _LVL_SUM, _LVL_PROD, _LVL_UNARY, _LVL_POW, _LVL_ATOM = 1, 2, 3, 4, 5
 
 
 def _fmt_real(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError(f"number {v!r} cannot be written: the text has "
+                         "literals for finite numbers only")
     return repr(float(v))
 
 
@@ -317,9 +315,10 @@ def format_expr(e: Expr, min_level: int = _LVL_SUM) -> str:
 def serialize_problem(p: GsipProblem) -> str:
     """Canonical text; ``parse_problem`` maps it back to an equal problem.
 
-    Raises ``ValueError`` for a name the text cannot carry: a problem name
-    with a quote, ``#`` or a line break, or a variable name that is not an
-    identifier or is ``min``/``max``.
+    Raises ``ValueError`` for a name or number the text cannot carry: a
+    problem name with a quote, ``#`` or a line break, a variable name that is
+    not an identifier or is ``min``/``max``, or a constant, ``f_star`` or
+    ``f_L`` that is not finite.
     """
     if '"' in p.name or "#" in p.name or p.name.splitlines() != [p.name]:
         raise ValueError(f"problem name {p.name!r} cannot be written: it "

@@ -143,10 +143,18 @@ INVALID_FILES = [
      "missing 'g' line"),
     ('problem "t"\nouter x in [-1, 1]\ninner y in [-1, 1]\nobjective: -x\ng: y\n',
      "at least one 'h' constraint is required"),
+    # a literal too large for a float could not be written back
     (CEX1_TEXT.replace("outer x in [-1, 1]", "outer x in [-1, 1e400]"),
-     "bounds of 'x' must be finite"),
+     "line 2, column 17: number 1e400 is too large for a float"),
     (CEX1_TEXT.replace("inner y in [-1, 1]", "inner y in [-1e400, 1]"),
-     "bounds of 'y' must be finite"),
+     "line 3, column 14: number 1e400 is too large for a float"),
+    (CEX1_TEXT.replace("objective: -x", "objective: -x*1e400"),
+     "line 4, column 15: number 1e400 is too large for a float"),
+    (CEX1_TEXT + "f_star: 1e400\n",
+     "line 7, column 9: number 1e400 is too large for a float"),
+    (CEX1_TEXT + "f_L: 0.5\nf_L: 0.25\n", "line 8, column 1: duplicate 'f_L' line"),
+    (CEX1_TEXT + "f_star: 0.5\nf_star: 0.5\n",
+     "line 8, column 1: duplicate 'f_star' line"),
     (CEX1_TEXT.replace("outer x in [-1, 1]", "outer x in [2, 1]"),
      "bounds of 'x' are empty: [2.0, 1.0]"),
     (CEX1_TEXT.replace("objective: -x", "objective: -x - y"),
@@ -189,6 +197,11 @@ class TestSolverErrors:
 
 
 class TestResolveInitial:
+    def test_bare_run_takes_the_config_defaults(self):
+        args = build_parser().parse_args(["run", "--problem", "cex1"])
+        cfg = _config_from_args(args, gsip.get_builtin("cex1"))
+        assert cfg == algorithms.AlgorithmConfig()
+
     def test_every_other_config_field_survives(self):
         args = build_parser().parse_args([
             "run", "--problem", "cex1", "--variant", "aux", "--alpha", "0.5",

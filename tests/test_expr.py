@@ -1,15 +1,17 @@
+import itertools
 import math
 import random
 import struct
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_box, random_expr, sample_point, shrink_box
 from gsiplab import expr as ex
 from gsiplab.expr import (EvaluationError, Interval, compile_expr, evaluate,
-                          interval_eval, substitute)
+                          evaluate_array, interval_eval, substitute)
 
 x, y = ex.var("x"), ex.var("y")
 
@@ -132,7 +134,7 @@ KINDS = ("const", "neg", "add", "sub", "mul", "div", "pow", "min", "max")
 
 
 @st.composite
-def expressions(draw):
+def expressions(draw, consts=CONSTS):
     """A random expression DAG: each new node draws its children from all
     earlier nodes, so subtrees are often shared."""
     pool = [ex.var("x"), ex.var("y")]
@@ -143,7 +145,7 @@ def expressions(draw):
             return pool[draw(st.integers(0, len(pool) - 1))]
         kind = draw(st.sampled_from(KINDS))
         if kind == "const":
-            node = ex.const(draw(CONSTS))
+            node = ex.const(draw(consts))
         elif kind == "neg":
             node = ex.Expr("neg", children=(pick(),))
         elif kind == "pow":
@@ -219,3 +221,44 @@ class TestCompiledKernels:
             point((1.0,))
         with pytest.raises(EvaluationError):
             interval(((0.0, 1.0),))
+
+
+# -- the numpy evaluator against the point evaluator ----------------------------
+
+def _subterms(e):
+    yield e
+    for c in e.children:
+        yield from _subterms(c)
+
+
+class TestArrayEvaluation:
+    @settings(max_examples=300, deadline=None)
+    # finite constants: a NaN operand is where np.minimum and the builtin min
+    # part ways, so draws that meet one are skipped below
+    @given(expressions(consts=COORDS),
+           st.lists(st.lists(COORDS, min_size=1, max_size=4), min_size=1, max_size=2))
+    @example(ex.emin(x, y) / (x - 1.0), [[0.0, 1.0], [-0.0, 2.0]])
+    @example(ex.emax(x ** 3, y * y) + x ** 2, [[-2.0, 0.5], [1.5]])
+    def test_open_grid_matches_pointwise(self, e, axes):
+        names = NAMES[:len(axes)]
+        points = [dict(zip(names, p)) for p in itertools.product(*axes)]
+        want = []
+        for p in points:
+            for s in _subterms(e):
+                try:
+                    v = evaluate(s, p)
+                except EvaluationError:
+                    continue
+                except OverflowError:  # numpy overflows to inf instead
+                    assume(False)
+                assume(v == v)
+            want.append(_outcome(evaluate, e, p))
+        env = dict(zip(names, np.meshgrid(*axes, indexing="ij", sparse=True)))
+        with np.errstate(all="ignore"):
+            if EvaluationError in want:
+                with pytest.raises(EvaluationError):
+                    evaluate_array(e, env)
+                return
+            got = np.broadcast_to(np.asarray(evaluate_array(e, env), dtype=float),
+                                  tuple(map(len, axes)))
+        assert [got[i] for i in np.ndindex(got.shape)] == want

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from pathlib import Path
 
@@ -108,6 +109,14 @@ class TestSerialization:
     def test_unwritable_problem_name_rejected(self, name):
         p = dataclasses.replace(get_builtin("cex1"), name=name)
         with pytest.raises(ValueError, match="problem name"):
+            serialize_problem(p)
+
+    @pytest.mark.parametrize("field,value", [
+        ("f", -ex.var("x") * math.inf), ("g", ex.var("y") - math.nan),
+        ("f_star", math.inf), ("f_L", -math.inf)])
+    def test_non_finite_number_rejected(self, field, value):
+        p = dataclasses.replace(get_builtin("cex1"), **{field: value})
+        with pytest.raises(ValueError, match="cannot be written"):
             serialize_problem(p)
 
     @pytest.mark.parametrize("outer,inner", [
