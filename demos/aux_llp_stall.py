@@ -15,7 +15,7 @@ result = run(problem, AlgorithmConfig(variant=AUX_LLP, alpha=0.95, max_iter=8))
 print(f"problem {problem.name}: true value {problem.f_star}")
 print(f"{'k':>3} {'x^k':>10} {'llp value':>10} {'added y':>10} {'bound':>10}")
 for rec in result.trace:
-    added = rec.aux.y["y"] if rec.aux is not None else float("nan")
+    added = rec.aux.minimizer["y"] if rec.aux is not None else float("nan")
     print(f"{rec.k:>3} {rec.x['x']:>10.4f} {rec.llp.value:>10.4f} "
           f"{added:>10.4f} {rec.f_lower:>10.4f}")
 print(f"status: {result.status}, final bound {result.final_lower_bound:.4f}")

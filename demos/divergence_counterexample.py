@@ -14,7 +14,7 @@ result = run(problem, AlgorithmConfig(variant=LLP_ONLY, max_iter=12))
 print(f"problem {problem.name}: true value {problem.f_star}")
 print(f"{'k':>3} {'x^k':>12} {'y^k':>12} {'lower bound':>12}")
 for rec in result.trace:
-    print(f"{rec.k:>3} {rec.x['x']:>12.6f} {rec.llp.y['y']:>12.6f} "
+    print(f"{rec.k:>3} {rec.x['x']:>12.6f} {rec.llp.minimizer['y']:>12.6f} "
           f"{rec.f_lower:>12.6f}")
 print(f"status: {result.status}, final bound {result.final_lower_bound:.6f} "
       f"(never reaches {problem.f_L})")

@@ -2,8 +2,9 @@
 programs, with certified interval branch-and-bound subproblem solves."""
 
 from .algorithms import (AUX_LLP, LLP_ONLY, SIP_LLP, AlgorithmConfig,
-                         IterateRecord, RunResult, Solve, diagnose_trace,
-                         lower_bound_history, run)
+                         IterateRecord, RunResult, check_relaxation_feasible,
+                         diagnose_trace, lower_bound_history, run,
+                         verify_slater)
 from .domains import BoxDomain
 from .expr import (EmptyIntervalError, EvaluationError, Expr, Interval,
                    compile_expr, const, emax, emin, evaluate, evaluate_array,
@@ -12,8 +13,7 @@ from .globalopt import (ConstraintSpec, MinimizeOutcome, NodeBudgetExceeded,
                         grid_minimize, minimize)
 from .gsip import (DomainError, GsipProblem, SlaterCertificate,
                    build_aux_llp, build_llp, build_lower_bounding,
-                   build_sip_llp, builtin_problems, check_relaxation_feasible,
-                   get_builtin, hbar, verify_slater)
+                   build_sip_llp, builtin_problems, get_builtin, hbar)
 from .problem_format import (ProblemSyntaxError, ProblemValidationError,
                              format_expr, parse_expression, parse_problem,
                              serialize_problem)

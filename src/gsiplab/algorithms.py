@@ -1,4 +1,4 @@
-"""Iterative lower-bounding loops and trace diagnostics.
+"""Iterative lower-bounding loops, feasibility checks and trace diagnostics.
 
 Three variants differ only in how the growing discretization set is fed:
 
@@ -9,17 +9,20 @@ Three variants differ only in how the growing discretization set is fed:
   program min max(g, hbar); the convergent choice.
 
 Every iteration is recorded so failures can be inspected after the fact.
+Every subproblem solve of the lab is made here; every decision on one goes
+through ``_solve_at_least``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from . import expr as ex
 from .expr import evaluate
-from .globalopt import ConstraintSpec, check_tolerances, minimize
-from .gsip import (GsipProblem, SubproblemInstance, build_aux_llp, build_llp,
-                   build_lower_bounding, build_sip_llp, hbar)
+from .globalopt import ConstraintSpec, MinimizeOutcome, check_tolerances, minimize
+from .gsip import (GsipProblem, SlaterCertificate, SubproblemInstance,
+                   build_aux_llp, build_llp, build_lower_bounding,
+                   build_sip_llp, check_point, hbar)
 
 LLP_ONLY = "llp-only"
 AUX_LLP = "aux-llp"
@@ -58,27 +61,15 @@ class AlgorithmConfig:
 
 
 @dataclass(frozen=True)
-class Solve:
-    """A subproblem's minimizer and value; both None if it is infeasible."""
-
-    y: Optional[dict[str, float]]
-    value: Optional[float]
-
-    @property
-    def infeasible(self) -> bool:
-        return self.y is None
-
-
-@dataclass(frozen=True)
 class IterateRecord:
     k: int
     x: dict[str, float]
     f_lower: float
-    llp: Optional[Solve] = None
-    aux: Optional[Solve] = None
-    sip: Optional[Solve] = None
-    added_point: Optional[dict[str, float]] = None
-    yset_size_after: int = 0
+    llp: Optional[MinimizeOutcome]
+    aux: Optional[MinimizeOutcome]
+    sip: Optional[MinimizeOutcome]
+    added_point: Optional[dict[str, float]]
+    yset_size_after: int
 
 
 CONVERGED_FEASIBLE = "converged_feasible"
@@ -94,36 +85,58 @@ class RunResult:
     final_lower_bound: float
 
 
-def _solve(inst: SubproblemInstance, cfg: AlgorithmConfig) -> Solve:
-    out = minimize(inst.objective, inst.constraints, inst.box,
-                   tol_opt=cfg.tol_opt, tol_feas=cfg.tol_feas,
-                   node_budget=cfg.node_budget)
-    return Solve(out.minimizer, out.value)
+def _solve(inst: SubproblemInstance, cfg: AlgorithmConfig) -> MinimizeOutcome:
+    return minimize(inst.objective, inst.constraints, inst.box,
+                    tol_opt=cfg.tol_opt, tol_feas=cfg.tol_feas,
+                    node_budget=cfg.node_budget)
 
 
-def _sip_check(p: GsipProblem, x_k: dict[str, float], rec: IterateRecord,
-               cfg: AlgorithmConfig) -> tuple[IterateRecord, bool]:
-    """Record the relaxation's own lower-level program at x_k, and whether
-    its value shows x_k feasible for the relaxation."""
-    sip = _solve(build_sip_llp(p, x_k), cfg)
-    return replace(rec, sip=sip), sip.value >= -cfg.tol_feas
+def _solve_at_least(inst: SubproblemInstance, cfg: AlgorithmConfig,
+                    margin: float = 0.0) -> tuple[MinimizeOutcome, bool]:
+    """Solve ``inst``, and decide whether its minimum is at least
+    ``margin - cfg.tol_feas`` (an infeasible instance's infimum is +inf): the
+    LLP's "no usable cut" test and every SIP-LLP decision."""
+    out = _solve(inst, cfg)
+    return out, not out.optimal or out.value >= margin - cfg.tol_feas
+
+
+def check_relaxation_feasible(p: GsipProblem, x: Mapping[str, float],
+                              tol_feas: float = 1e-9) -> bool:
+    """True iff x is feasible for the relaxation: the SIP-LLP value is >= -tol_feas
+    (the checks keep minimize's default tol_opt: they need no minimizer)."""
+    cfg = AlgorithmConfig(tol_opt=1e-6, tol_feas=tol_feas)
+    return _solve_at_least(build_sip_llp(p, x), cfg)[1]
+
+
+def verify_slater(p: GsipProblem, cert: SlaterCertificate, f_star: float,
+                  tol_feas: float = 1e-9) -> bool:
+    """Check the near-optimal interior-margin condition: f(x_s) <= f_star + eps
+    and min over Y of max(g(x_s,.), hbar(x_s,.)) >= delta - tol_feas."""
+    check_point(p.X, cert.x_s, "candidate point")
+    if evaluate(p.f, cert.x_s) > f_star + cert.epsilon:
+        return False
+    cfg = AlgorithmConfig(tol_opt=1e-6, tol_feas=tol_feas)
+    return _solve_at_least(build_sip_llp(p, cert.x_s), cfg, cert.delta)[1]
 
 
 def _same_point(a: Mapping[str, float], b: Mapping[str, float]) -> bool:
     return all(abs(a[n] - b[n]) <= _DUP_TOL for n in a)
 
 
-def _tie_broken_aux(p: GsipProblem, inst: SubproblemInstance, aux: Solve,
-                    cfg: AlgorithmConfig) -> Solve:
+def _aux_llp(p: GsipProblem, x: dict[str, float], llp: MinimizeOutcome,
+             cfg: AlgorithmConfig) -> MinimizeOutcome:
+    inst = build_aux_llp(p, x, llp.value, cfg.alpha)
+    aux = _solve(inst, cfg)
     if cfg.aux_tie_break == "solver":
         return aux
-    # re-solve preferring extreme first-coordinate y among near-optimal points
+    # re-solve preferring extreme first-coordinate y among near-optimal
+    # points; the record is the aux objective at the re-solve's minimizer
     yname = p.Y.names[0]
     secondary = ex.var(yname) if cfg.aux_tie_break == "min-y" else -ex.var(yname)
     near_opt = ConstraintSpec(inst.objective - ex.const(aux.value + cfg.tol_opt), "le")
     y = _solve(SubproblemInstance(secondary, inst.constraints + (near_opt,),
-                                  inst.box), cfg).y
-    return Solve(y, evaluate(inst.objective, y))
+                                  inst.box), cfg).minimizer
+    return MinimizeOutcome("optimal", y, evaluate(inst.objective, y))
 
 
 def run(p: GsipProblem, cfg: AlgorithmConfig) -> RunResult:
@@ -136,52 +149,58 @@ def run(p: GsipProblem, cfg: AlgorithmConfig) -> RunResult:
 
     for k in range(1, cfg.max_iter + 1):
         lb = _solve(build_lower_bounding(p, yset), cfg)
-        if lb.infeasible:
-            # the discretized relaxation is already infeasible, hence so is
-            # the full relaxation
+        if not lb.optimal:
+            # the discretized relaxation is infeasible, hence so is the full one
             status = INFEASIBLE_DETECTED
             break
-        x_k = lb.y
-        rec = IterateRecord(k=k, x=x_k, f_lower=lb.value,
-                            yset_size_after=len(yset))
-
-        if cfg.variant in (LLP_ONLY, AUX_LLP):
-            llp = _solve(build_llp(p, x_k), cfg)
-            rec = replace(rec, llp=llp)
-            if llp.infeasible or llp.value >= -cfg.tol_feas:
+        x_k = lb.minimizer
+        llp = aux = sip = added = stop = None
+        if cfg.variant == SIP_LLP:
+            sip, feasible = _solve_at_least(build_sip_llp(p, x_k), cfg)
+            stop = CONVERGED_FEASIBLE if feasible else None
+        else:
+            llp, no_cut = _solve_at_least(build_llp(p, x_k), cfg)
+            if no_cut:
                 # the LLP gives no usable cut; the relaxation's own
                 # lower-level program decides between convergence and stall
-                rec, feasible = _sip_check(p, x_k, rec, cfg)
-                status = CONVERGED_FEASIBLE if feasible else STALLED
-                trace.append(rec)
-                break
-            if cfg.variant == LLP_ONLY:
-                new_point = llp.y
-            else:
-                aux_inst = build_aux_llp(p, x_k, llp.value, cfg.alpha)
-                aux = _tie_broken_aux(p, aux_inst, _solve(aux_inst, cfg), cfg)
-                rec = replace(rec, aux=aux)
-                new_point = aux.y
-        else:  # SIP_LLP
-            rec, feasible = _sip_check(p, x_k, rec, cfg)
-            if feasible:
-                status = CONVERGED_FEASIBLE
-                trace.append(rec)
-                break
-            new_point = rec.sip.y
+                sip, feasible = _solve_at_least(build_sip_llp(p, x_k), cfg)
+                stop = CONVERGED_FEASIBLE if feasible else STALLED
+            elif cfg.variant == AUX_LLP:
+                aux = _aux_llp(p, x_k, llp, cfg)
 
-        duplicate = any(_same_point(new_point, y) for y in yset)
-        if not duplicate:
-            yset.append(dict(new_point))
-        rec = replace(rec, added_point=dict(new_point), yset_size_after=len(yset))
-        trace.append(rec)
-        if duplicate and prev_x is not None and _same_point(x_k, prev_x):
-            status = STALLED
+        if stop is None:
+            # the new point is the minimizer of the last subproblem solved
+            added = dict((aux or llp or sip).minimizer)
+            duplicate = any(_same_point(added, y) for y in yset)
+            if not duplicate:
+                yset.append(added)
+            elif prev_x is not None and _same_point(x_k, prev_x):
+                stop = STALLED
+            prev_x = x_k
+        trace.append(IterateRecord(k=k, x=x_k, f_lower=lb.value, llp=llp,
+                                   aux=aux, sip=sip, added_point=added,
+                                   yset_size_after=len(yset)))
+        if stop is not None:
+            status = stop
             break
-        prev_x = x_k
 
     final = trace[-1].f_lower if trace else float("-inf")
     return RunResult(tuple(trace), status, final)
+
+
+def record_subproblems(p: GsipProblem, rec: IterateRecord, cfg: AlgorithmConfig
+                       ) -> list[tuple[str, SubproblemInstance, MinimizeOutcome]]:
+    """(label, instance, outcome) of each subproblem at ``rec.x``, as
+    ``run(p, cfg)`` recorded it; the SIP-LLP is solved here if the run did not."""
+    subs = []
+    if rec.llp is not None:
+        subs.append(("llp", build_llp(p, rec.x), rec.llp))
+    if rec.aux is not None:
+        subs.append(("aux_llp", build_aux_llp(p, rec.x, rec.llp.value, cfg.alpha),
+                     rec.aux))
+    inst = build_sip_llp(p, rec.x)
+    sip = rec.sip if rec.sip is not None else _solve_at_least(inst, cfg)[0]
+    return subs + [("sip_llp", inst, sip)]
 
 
 def diagnose_trace(p: GsipProblem, result: RunResult,
@@ -192,20 +211,18 @@ def diagnose_trace(p: GsipProblem, result: RunResult,
     Requires a trace carrying LLP minimizers (the llp-only variant records them).
     """
     recs = {r.k: r for r in result.trace
-            if r.llp is not None and not r.llp.infeasible}
+            if r.llp is not None and r.llp.optimal}
     if not recs:
         raise ValueError("trace carries no LLP minimizers to diagnose")
     hb = hbar(p)
     xs = {r.k: r.x for r in result.trace}
     violations = []
     for k, rk in sorted(recs.items()):
-        base = evaluate(hb, {**rk.x, **rk.llp.y})
-        if base >= -tol_feas:
+        y_k = rk.llp.minimizer
+        if evaluate(hb, {**rk.x, **y_k}) >= -tol_feas:
             continue
-        for l in sorted(xs):
-            if l <= k:
-                continue
-            value = evaluate(hb, {**xs[l], **rk.llp.y})
+        for l in sorted(l for l in xs if l > k):
+            value = evaluate(hb, {**xs[l], **y_k})
             if value > tol_feas:
                 violations.append((l, k, value))
     return violations

@@ -14,12 +14,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional
 
 from . import algorithms, gsip
 from .expr import EmptyIntervalError, EvaluationError
-from .globalopt import NodeBudgetExceeded, grid_minimize, minimize
+from .globalopt import NodeBudgetExceeded, grid_minimize
 from .problem_format import (ProblemSyntaxError, ProblemValidationError,
                              parse_problem, serialize_problem)
 
@@ -109,12 +110,12 @@ def _trace_csv(p: gsip.GsipProblem, result: algorithms.RunResult) -> str:
     for r in result.trace:
         llp_y = llp_value = ""
         if r.llp is not None:
-            llp_y = "infeasible" if r.llp.infeasible else _fmt_point(r.llp.y)
+            llp_y = "infeasible" if not r.llp.optimal else _fmt_point(r.llp.minimizer)
             llp_value = _fmt_real(r.llp.value)
         writer.writerow(
             [r.k] + [_fmt_real(r.x[n]) for n in p.X.names] + [
                 _fmt_real(r.f_lower), llp_y, llp_value,
-                _fmt_point(r.aux.y) if r.aux else "",
+                _fmt_point(r.aux.minimizer) if r.aux else "",
                 _fmt_real(r.aux.value) if r.aux else "",
                 _fmt_real(r.sip.value) if r.sip else "",
                 _fmt_point(r.added_point), r.yset_size_after, result.status])
@@ -132,12 +133,12 @@ def _trace_json(p: gsip.GsipProblem, result: algorithms.RunResult) -> str:
             "x": point(r.x),
             "f_Lk": r.f_lower,
             "llp": None if r.llp is None else {
-                "y": point(r.llp.y), "value": r.llp.value,
-                "infeasible": r.llp.infeasible},
+                "y": point(r.llp.minimizer), "value": r.llp.value,
+                "infeasible": not r.llp.optimal},
             "aux": None if r.aux is None else {
-                "y": point(r.aux.y), "value": r.aux.value},
+                "y": point(r.aux.minimizer), "value": r.aux.value},
             "sip_llp": None if r.sip is None else {
-                "y": point(r.sip.y), "value": r.sip.value},
+                "y": point(r.sip.minimizer), "value": r.sip.value},
             "added_point": point(r.added_point),
             "Yset_size_after": r.yset_size_after,
         })
@@ -164,41 +165,39 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     if args.grid < 2:
         raise UsageError(f"--grid must be at least 2, got {args.grid}")
+    if not 0.0 <= args.tol < math.inf:
+        raise UsageError(f"--tol must be nonnegative and finite, got {args.tol}")
     p = _load_problem(args)
     cfg = _config_from_args(args, p)
     result = algorithms.run(p, cfg)
 
     worst = 0.0
-    checks = 0
-
-    def compare(label, k, inst, bnb_value):
-        nonlocal worst, checks
-        oracle = grid_minimize(inst.objective, inst.constraints, inst.box,
-                               args.grid, tol_feas=cfg.tol_feas)
-        if not oracle.optimal or bnb_value is None:
-            return
-        diff = abs(oracle.value - bnb_value)
-        worst = max(worst, diff)
-        checks += 1
-        print(f"k={k} {label}: bnb={_fmt_real(bnb_value)} "
-              f"grid={_fmt_real(oracle.value)} diff={diff:.3e}")
-
+    checks = refuted = 0
     for r in result.trace:
-        if r.llp is not None and not r.llp.infeasible:
-            compare("llp", r.k, gsip.build_llp(p, r.x), r.llp.value)
-        if r.aux is not None and r.llp is not None:
-            compare("aux_llp", r.k,
-                    gsip.build_aux_llp(p, r.x, r.llp.value, cfg.alpha), r.aux.value)
-        sip_inst = gsip.build_sip_llp(p, r.x)
-        if r.sip is not None:
-            sip_value = r.sip.value
-        else:
-            sip_value = minimize(sip_inst.objective, sip_inst.constraints,
-                                 sip_inst.box, tol_opt=cfg.tol_opt,
-                                 tol_feas=cfg.tol_feas).value
-        compare("sip_llp", r.k, sip_inst, sip_value)
+        for label, inst, bnb in algorithms.record_subproblems(p, r, cfg):
+            grid = grid_minimize(inst.objective, inst.constraints, inst.box,
+                                 args.grid, tol_feas=cfg.tol_feas)
+            if not bnb.optimal:
+                # a certified infeasibility claim: any grid point that passes
+                # the constraints refutes it
+                refuted += grid.optimal
+                found = _fmt_real(grid.value) if grid.optimal else "infeasible"
+                line = f"bnb=infeasible grid={found}"
+            elif grid.optimal:
+                diff = abs(grid.value - bnb.value)
+                worst = max(worst, diff)
+                line = (f"bnb={_fmt_real(bnb.value)} "
+                        f"grid={_fmt_real(grid.value)} diff={diff:.3e}")
+            else:
+                continue
+            checks += 1
+            print(f"k={r.k} {label}: {line}")
 
     print(f"checked {checks} subproblems, max discrepancy {worst:.6e}")
+    if refuted:
+        print(f"FAIL: the grid has feasible points in {refuted} subproblem(s) "
+              "certified infeasible", file=sys.stderr)
+        return 3
     if worst > args.tol:
         print(f"FAIL: discrepancy exceeds tolerance {args.tol}", file=sys.stderr)
         return 3

@@ -6,9 +6,13 @@ min/max.  One recursive walker evaluates a tree over three domains: floats
 (``evaluate``), numpy arrays (``evaluate_array``, used by the grid oracle,
 which passes an open grid and lets broadcasting build the full grid) and
 intervals (``interval_eval``, the natural interval extension).  The domains
-differ only in the value of a constant, in division and in min and max; every
-other operation is a Python operator.  Only ``evaluate_array`` needs numpy,
-and it imports numpy when called, so the rest of the package loads without it.
+differ only in the value of a constant, in division, in power and in min and
+max; every other operation is a Python operator.  Arrays are raised to a power
+with ``np.float_power``, whose float64 loop calls C's ``pow`` per element, as
+Python's ``**`` does: numpy's ``**`` may run SIMD code that differs from
+``pow`` in the last bit, which would tie the oracle's values to the CPU.  Only
+``evaluate_array`` needs numpy, and it imports numpy when called, so the rest
+of the package loads without it.
 
 ``compile_expr`` turns a tree into two closure kernels over one variable
 order, for callers that evaluate the same expression many times (the
@@ -52,10 +56,6 @@ class Interval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= x <= self.hi + slack
@@ -202,15 +202,15 @@ def emax(a: Expr, b: Expr) -> Expr:
     return Expr("max", children=(a, b))
 
 
-def _walker(constant: Callable, divide: Callable, minimum: Callable,
-            maximum: Callable) -> Callable:
+def _walker(constant: Callable, divide: Callable, power: Callable,
+            minimum: Callable, maximum: Callable) -> Callable:
     """The one recursive evaluator, over one domain of values.
 
-    neg, add, sub, mul and pow are the domain's Python operators; the
-    arguments supply the rest: the value of a constant, division (with its
-    zero check), and min and max.  Children are evaluated left to right
-    before their parent, so a domain sees its operations in the same order
-    as every other.
+    neg, add, sub and mul are the domain's Python operators; the arguments
+    supply the rest: the value of a constant, division (with its zero
+    check), integer power, and min and max.  Children are evaluated left to
+    right before their parent, so a domain sees its operations in the same
+    order as every other.
     """
     def walk(e: Expr, env: Mapping):
         k = e.kind
@@ -224,7 +224,7 @@ def _walker(constant: Callable, divide: Callable, minimum: Callable,
         if k == "neg":
             return -walk(e.children[0], env)
         if k == "pow":
-            return walk(e.children[0], env) ** e.exponent
+            return power(walk(e.children[0], env), e.exponent)
         a = walk(e.children[0], env)
         b = walk(e.children[1], env)
         if k == "add":
@@ -251,8 +251,8 @@ def _float_div(a: float, b: float) -> float:
     return a / b
 
 
-_evaluate = _walker(_same, _float_div, min, max)
-_interval_eval = _walker(lambda v: Interval(v, v), Interval.divide,
+_evaluate = _walker(_same, _float_div, pow, min, max)
+_interval_eval = _walker(lambda v: Interval(v, v), Interval.divide, pow,
                          Interval.min_with, Interval.max_with)
 
 
@@ -269,7 +269,7 @@ def evaluate_array(e: Expr, point: Mapping[str, np.ndarray]):
         if np.any(b == 0.0):
             raise EvaluationError("division by zero")
         return a / b
-    return _walker(_same, div, np.minimum, np.maximum)(e, point)
+    return _walker(_same, div, np.float_power, np.minimum, np.maximum)(e, point)
 
 
 def interval_eval(e: Expr, box) -> Interval:

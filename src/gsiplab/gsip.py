@@ -1,4 +1,4 @@
-"""GSIP problem model, subproblem builders, feasibility checks, built-ins.
+"""GSIP problem model, subproblem builders, built-ins.
 
 A problem is
 
@@ -8,7 +8,8 @@ A problem is
 and the lab works throughout with its relaxation whose constraint is the
 disjunction  [g(x,y) >= 0] or [hbar(x,y) >= 0]  for all y in Y, where hbar
 is the pointwise maximum of the h_j.  The builders return ready-to-solve
-box-constrained instances with the outer point substituted as constants.
+box-constrained instances with the outer point substituted as constants;
+``algorithms`` solves them.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from typing import Mapping, Optional, Sequence
 
 from . import expr as ex
 from .domains import BoxDomain
-from .expr import Expr, evaluate, substitute
-from .globalopt import ConstraintSpec, minimize
+from .expr import Expr, substitute
+from .globalopt import ConstraintSpec
 
 
 class DomainError(ValueError):
@@ -139,28 +140,6 @@ def build_sip_llp(p: GsipProblem, x: Mapping[str, float]) -> SubproblemInstance:
     check_point(p.X, x, "outer point")
     return SubproblemInstance(
         ex.emax(substitute(p.g, x), substitute(hbar(p), x)), (), p.Y)
-
-
-def check_relaxation_feasible(p: GsipProblem, x: Mapping[str, float],
-                              tol_feas: float = 1e-9, **solver_kwargs) -> bool:
-    """True iff x is feasible for the relaxation: the SIP-LLP value is >= -tol_feas."""
-    inst = build_sip_llp(p, x)
-    out = minimize(inst.objective, inst.constraints, inst.box,
-                   tol_feas=tol_feas, **solver_kwargs)
-    return out.value >= -tol_feas
-
-
-def verify_slater(p: GsipProblem, cert: SlaterCertificate, f_star: float,
-                  tol_feas: float = 1e-9, **solver_kwargs) -> bool:
-    """Check the near-optimal interior-margin condition: f(x_s) <= f_star + eps
-    and min over Y of max(g(x_s,.), hbar(x_s,.)) >= delta - tol_feas."""
-    check_point(p.X, cert.x_s, "candidate point")
-    if evaluate(p.f, cert.x_s) > f_star + cert.epsilon:
-        return False
-    inst = build_sip_llp(p, cert.x_s)
-    out = minimize(inst.objective, inst.constraints, inst.box,
-                   tol_feas=tol_feas, **solver_kwargs)
-    return out.value >= cert.delta - tol_feas
 
 
 def builtin_problems() -> list[GsipProblem]:

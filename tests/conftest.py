@@ -3,10 +3,18 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import settings
+
 from gsiplab import expr as ex
 from gsiplab.domains import BoxDomain
 from gsiplab.globalopt import ConstraintSpec
 from gsiplab.gsip import GsipProblem
+
+# Tier-1 runs are reproducible: each test draws its examples from a fixed seed
+# and replays no example database.  Explore with fresh random examples through
+# ``pytest --hypothesis-profile default``.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def random_expr(rng: random.Random, names, depth: int, allow_div: bool = True):

@@ -13,13 +13,13 @@ import pytest
 from conftest import random_expr, random_poly_instance, random_problem, sample_point
 from gsiplab import expr as ex
 from gsiplab.algorithms import (AUX_LLP, LLP_ONLY, SIP_LLP, AlgorithmConfig,
-                                diagnose_trace, run)
+                                check_relaxation_feasible, diagnose_trace, run,
+                                verify_slater)
 from gsiplab.domains import BoxDomain
 from gsiplab.expr import evaluate, interval_eval
 from gsiplab.globalopt import grid_minimize, minimize
 from gsiplab.gsip import (GsipProblem, SlaterCertificate, builtin_problems,
-                          check_relaxation_feasible, get_builtin, hbar,
-                          verify_slater)
+                          get_builtin, hbar)
 from gsiplab.problem_format import parse_problem, serialize_problem
 
 CEX1 = get_builtin("cex1")
@@ -44,7 +44,7 @@ def test_divergence_of_llp_only_discretization(capsys):
         for rec in result.trace:
             target = 2.0 ** -(rec.k - 1)
             assert abs(rec.x["x"] - target) <= 1e-6
-            assert abs(rec.llp.y["y"] - target) <= 1e-6
+            assert abs(rec.llp.minimizer["y"] - target) <= 1e-6
             assert abs(rec.f_lower + target) <= 1e-6
         assert all(r.f_lower <= 1e-6 for r in result.trace)
         assert result.final_lower_bound < CEX1.f_L
@@ -63,7 +63,7 @@ def test_stall_of_aux_llp_discretization(capsys):
             r1 = result.trace[0]
             assert r1.x["x"] == 1.0
             assert r1.llp.value == pytest.approx(-11.0, abs=1e-6)
-            assert r1.aux.y["y"] == pytest.approx(0.45, abs=1e-6)
+            assert r1.aux.minimizer["y"] == pytest.approx(0.45, abs=1e-6)
             assert abs(result.trace[1].x["x"]) <= 1e-6
             for rec in result.trace[1:]:
                 assert abs(rec.x["x"]) <= 1e-6

@@ -2,9 +2,10 @@ import pytest
 
 from gsiplab.algorithms import (AUX_LLP, LLP_ONLY, SIP_LLP, AlgorithmConfig,
                                 RunResult, diagnose_trace, lower_bound_history,
-                                run)
+                                record_subproblems, run)
 from gsiplab.expr import evaluate
-from gsiplab.gsip import get_builtin, hbar
+from gsiplab.globalopt import minimize
+from gsiplab.gsip import build_aux_llp, build_sip_llp, get_builtin, hbar
 
 CEX1 = get_builtin("cex1")
 CEX2 = get_builtin("cex2")
@@ -52,7 +53,7 @@ class TestLlpOnlyOnCex1:
         for rec in divergent_run.trace:
             target = 2.0 ** -(rec.k - 1)
             assert abs(rec.x["x"] - target) <= 1e-6
-            assert abs(rec.llp.y["y"] - target) <= 1e-6
+            assert abs(rec.llp.minimizer["y"] - target) <= 1e-6
             assert abs(rec.f_lower + target) <= 1e-6
 
     def test_bound_never_reaches_reference(self, divergent_run):
@@ -63,7 +64,7 @@ class TestLlpOnlyOnCex1:
     def test_llp_minimizers_feasible(self, divergent_run):
         hb = hbar(CEX1)
         for rec in divergent_run.trace:
-            assert evaluate(hb, {**rec.x, **rec.llp.y}) <= 1e-9
+            assert evaluate(hb, {**rec.x, **rec.llp.minimizer}) <= 1e-9
 
 
 class TestAuxLlpOnCex2:
@@ -71,7 +72,7 @@ class TestAuxLlpOnCex2:
         r1 = stalled_run.trace[0]
         assert r1.x["x"] == 1.0
         assert r1.llp.value == pytest.approx(-11.0, abs=1e-9)
-        assert r1.aux.y["y"] == pytest.approx(0.45, abs=1e-6)
+        assert r1.aux.minimizer["y"] == pytest.approx(0.45, abs=1e-6)
         assert r1.aux.value == pytest.approx(-1.55, abs=1e-6)
 
     def test_x_pinned_at_zero_from_second_iteration(self, stalled_run):
@@ -90,12 +91,12 @@ class TestAuxLlpOnCex2:
         # every added point stays inside the band the near-optimality cut allows
         for rec in result.trace:
             if rec.aux is not None:
-                assert 0.45 - 1e-6 <= rec.aux.y["y"] <= 1.0 + 1e-12
+                assert 0.45 - 1e-6 <= rec.aux.minimizer["y"] <= 1.0 + 1e-12
 
     def test_aux_minimizers_near_optimal_in_llp(self, stalled_run):
         for rec in stalled_run.trace:
             if rec.aux is not None:
-                gval = evaluate(CEX2.g, {**rec.x, **rec.aux.y})
+                gval = evaluate(CEX2.g, {**rec.x, **rec.aux.minimizer})
                 assert gval <= 0.95 * rec.llp.value + 1e-9
 
 
@@ -115,6 +116,42 @@ class TestSipLlpConvergence:
         assert r1.added_point["y"] == pytest.approx(-1.0, abs=1e-6)
         assert r2.x["x"] == pytest.approx(-0.5, abs=1e-6)
         assert r2.sip.value >= -1e-9
+
+
+class TestRecords:
+    def test_records_keep_the_certified_bracket(self):
+        r1 = run(CEX1, AlgorithmConfig(variant=SIP_LLP)).trace[0]
+        assert r1.sip.optimal
+        assert r1.sip.value_bounds.lo <= r1.sip.value == r1.sip.value_bounds.hi
+
+    @pytest.mark.parametrize("tie_break", ["min-y", "max-y"])
+    def test_tie_broken_aux_record(self, tie_break):
+        cfg = AlgorithmConfig(variant=AUX_LLP, max_iter=1, aux_tie_break=tie_break)
+        r1 = run(CEX2, cfg).trace[0]
+        inst = build_aux_llp(CEX2, r1.x, r1.llp.value, cfg.alpha)
+        assert r1.aux.optimal
+        assert r1.aux.value == evaluate(inst.objective, r1.aux.minimizer)
+        assert r1.aux.value_bounds is None
+        assert r1.added_point == r1.aux.minimizer
+
+    def test_record_subproblems(self):
+        cfg = AlgorithmConfig(variant=AUX_LLP, max_iter=1)
+        r1 = run(CEX2, cfg).trace[0]
+        subs = record_subproblems(CEX2, r1, cfg)
+        assert [label for label, _, _ in subs] == ["llp", "aux_llp", "sip_llp"]
+        assert subs[0][2] is r1.llp and subs[1][2] is r1.aux
+        # the run did not solve the SIP-LLP, so it is solved with the run's settings
+        inst = subs[2][1]
+        assert inst == build_sip_llp(CEX2, r1.x)
+        assert subs[2][2] == minimize(inst.objective, inst.constraints, inst.box,
+                                      tol_opt=cfg.tol_opt, tol_feas=cfg.tol_feas)
+
+    def test_record_subproblems_reuse_the_sip_outcome(self):
+        cfg = AlgorithmConfig(variant=SIP_LLP)
+        for rec in run(CEX1, cfg).trace:
+            (label, inst, out), = record_subproblems(CEX1, rec, cfg)
+            assert (label, inst) == ("sip_llp", build_sip_llp(CEX1, rec.x))
+            assert out is rec.sip
 
 
 class TestMonotonicityAndValidity:

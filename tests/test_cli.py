@@ -10,9 +10,11 @@ import pytest
 
 from gsiplab import algorithms, gsip
 from gsiplab.cli import _config_from_args, build_parser, main
+from gsiplab.globalopt import INFEASIBLE
 from gsiplab.problem_format import parse_problem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+LLP_INFEASIBLE = Path(__file__).with_name("golden") / "llp_infeasible.gsip"
 
 CEX1_TEXT = """\
 problem "mine"
@@ -128,6 +130,16 @@ class TestUsageErrors:
         assert main(["verify", "--problem", "cex1", "--grid", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: --grid")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+    def test_verify_bad_tol(self, capsys, value):
+        # with --grid 3, cex1's k=2 LLP differs from the grid by 0.25
+        assert main(["verify", "--problem", "cex1", "--max-iter", "2",
+                     "--grid", "3", f"--tol={value}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: --tol must be nonnegative and finite, "
+                           f"got {float(value)}\n")
+
 
 # one problem-file defect each, and the message that names it
 INVALID_FILES = [
@@ -239,6 +251,29 @@ class TestVerify:
         report = capsys.readouterr().out
         first_sip = next(l for l in report.splitlines() if "sip_llp" in l)
         assert "grid=-3.0" in first_sip
+
+    def test_infeasibility_claim_is_checked(self, capsys):
+        # the k=1 LLP of this file is certified infeasible
+        assert main(["verify", "--file", str(LLP_INFEASIBLE)]) == 0
+        assert capsys.readouterr().out == (
+            "k=1 llp: bnb=infeasible grid=infeasible\n"
+            "k=1 sip_llp: bnb=1.5 grid=1.5 diff=0.000e+00\n"
+            "checked 2 subproblems, max discrepancy 0.000000e+00\n")
+
+    def test_refuted_infeasibility_claim_fails(self, capsys, monkeypatch):
+        # a wrong claim that cex1's k=1 LLP is infeasible: the grid finds
+        # feasible points, with the least objective value -10 at y = 1
+        record_subproblems = algorithms.record_subproblems
+
+        def claim_llp_infeasible(p, rec, cfg):
+            return [(label, inst, INFEASIBLE if label == "llp" else out)
+                    for label, inst, out in record_subproblems(p, rec, cfg)]
+        monkeypatch.setattr(algorithms, "record_subproblems", claim_llp_infeasible)
+        assert main(["verify", "--problem", "cex1", "--max-iter", "1"]) == 3
+        out = capsys.readouterr()
+        assert out.out.splitlines()[0] == "k=1 llp: bnb=infeasible grid=-10.0"
+        assert out.err == ("FAIL: the grid has feasible points in 1 subproblem(s) "
+                           "certified infeasible\n")
 
 
 class TestListAndFmt:

@@ -3,14 +3,13 @@ import random
 import pytest
 
 from gsiplab import expr as ex
+from gsiplab.algorithms import check_relaxation_feasible, verify_slater
 from gsiplab.domains import BoxDomain
 from gsiplab.expr import evaluate, interval_eval
 from gsiplab.globalopt import grid_minimize, minimize
 from gsiplab.gsip import (DomainError, GsipProblem, SlaterCertificate,
                           build_aux_llp, build_llp, build_lower_bounding,
-                          build_sip_llp, builtin_problems,
-                          check_relaxation_feasible, get_builtin, hbar,
-                          verify_slater)
+                          build_sip_llp, builtin_problems, get_builtin, hbar)
 from gsiplab.problem_format import parse_problem, serialize_problem
 
 CEX1 = get_builtin("cex1")
