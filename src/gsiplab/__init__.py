@@ -10,7 +10,7 @@ from .expr import (EmptyIntervalError, EvaluationError, Expr, Interval,
                    compile_expr, const, emax, emin, evaluate, evaluate_array,
                    interval_eval, substitute, var)
 from .globalopt import (ConstraintSpec, MinimizeOutcome, NodeBudgetExceeded,
-                        grid_minimize, minimize)
+                        UndecidedError, grid_minimize, minimize)
 from .gsip import (DomainError, GsipProblem, SlaterCertificate,
                    build_aux_llp, build_llp, build_lower_bounding,
                    build_sip_llp, builtin_problems, get_builtin, hbar)

@@ -46,7 +46,6 @@ class AlgorithmConfig:
     max_iter: int = 50
     initial_yset: tuple[dict[str, float], ...] = ()
     aux_tie_break: str = "solver"
-    node_budget: int = 1_000_000
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -87,8 +86,7 @@ class RunResult:
 
 def _solve(inst: SubproblemInstance, cfg: AlgorithmConfig) -> MinimizeOutcome:
     return minimize(inst.objective, inst.constraints, inst.box,
-                    tol_opt=cfg.tol_opt, tol_feas=cfg.tol_feas,
-                    node_budget=cfg.node_budget)
+                    tol_opt=cfg.tol_opt, tol_feas=cfg.tol_feas)
 
 
 def _solve_at_least(inst: SubproblemInstance, cfg: AlgorithmConfig,

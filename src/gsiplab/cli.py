@@ -20,7 +20,8 @@ from typing import Optional
 
 from . import algorithms, gsip
 from .expr import EmptyIntervalError, EvaluationError
-from .globalopt import NodeBudgetExceeded, grid_minimize
+from .globalopt import (MinimizeOutcome, NodeBudgetExceeded, UndecidedError,
+                        grid_minimize)
 from .problem_format import (ProblemSyntaxError, ProblemValidationError,
                              parse_problem, serialize_problem)
 
@@ -31,6 +32,10 @@ class UsageError(Exception):
 
 def _fmt_real(v: Optional[float]) -> str:
     return "" if v is None else repr(float(v))
+
+
+def _fmt_value(out: MinimizeOutcome) -> str:
+    return _fmt_real(out.value) if out.optimal else "infeasible"
 
 
 def _fmt_point(pt: Optional[dict]) -> str:
@@ -177,19 +182,16 @@ def cmd_verify(args) -> int:
         for label, inst, bnb in algorithms.record_subproblems(p, r, cfg):
             grid = grid_minimize(inst.objective, inst.constraints, inst.box,
                                  args.grid, tol_feas=cfg.tol_feas)
+            line = f"bnb={_fmt_value(bnb)} grid={_fmt_value(grid)}"
             if not bnb.optimal:
                 # a certified infeasibility claim: any grid point that passes
                 # the constraints refutes it
                 refuted += grid.optimal
-                found = _fmt_real(grid.value) if grid.optimal else "infeasible"
-                line = f"bnb=infeasible grid={found}"
             elif grid.optimal:
                 diff = abs(grid.value - bnb.value)
                 worst = max(worst, diff)
-                line = (f"bnb={_fmt_real(bnb.value)} "
-                        f"grid={_fmt_real(grid.value)} diff={diff:.3e}")
-            else:
-                continue
+                line += f" diff={diff:.3e}"
+            # else the feasible set misses every grid point: nothing to compare
             checks += 1
             print(f"k={r.k} {label}: {line}")
 
@@ -274,8 +276,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NodeBudgetExceeded, EvaluationError, EmptyIntervalError,
-            OverflowError) as e:
+    except (NodeBudgetExceeded, UndecidedError, EvaluationError,
+            EmptyIntervalError, OverflowError) as e:
         print(f"solver error: {e}", file=sys.stderr)
         return 3
 

@@ -2,30 +2,27 @@
 
 Two engines share one outcome type:
 
-* ``minimize`` -- deterministic best-first interval branch-and-bound.  Nodes
-  are pruned when a constraint is interval-certified violated or when the
-  objective's interval lower bound cannot beat the incumbent by more than
-  ``tol_opt``.  Incumbents come from box midpoints and corners that pass the
-  ``tol_feas`` feasibility check.  The objective and the constraints are
-  compiled once per call into point and interval kernels
-  (``expr.compile_expr``), bit-identical to the recursive evaluators; the
-  interval kernels take a node's ``BoxDomain.bounds`` as stored.  Each
-  corner (``domains.corner_values``) is considered once: a child of a
-  bisection considers its midpoint and the corners on the split plane (the
-  right child only if the left one was certified infeasible before
-  considering them); its other corners are corners of the parent.  A point
-  offered again could never pass the strict ``v < best`` update test, so
-  this leaves every outcome unchanged.  A node no wider than ``MIN_WIDTH``
-  is retired instead of bisected.
+* ``minimize`` -- deterministic best-first interval branch-and-bound over
+  kernels compiled once per call (``expr.compile_expr``), bit-identical to
+  the recursive evaluators.  Incumbents are box midpoints and corners that
+  pass the ``tol_feas`` check; each corner (``domains.corner_values``) is
+  considered once, as one offered again could not pass the strict
+  ``v < best`` update test.  A node leaves the search certified infeasible
+  by a constraint's interval bound, contributing nothing, or settled,
+  contributing its objective lower bound ``lb`` to one minimum: retired at
+  ``MIN_WIDTH`` whatever its midpoint, or set aside by the one comparison
+  ``lb >= best - tol_opt``, at push and at the heap front, where it stops
+  the search.  The bracket is ``[min(settled lbs, best), best]``;
+  ``infeasible`` needs every leaf certified infeasible, and a search that
+  settles nodes but finds no incumbent raises ``UndecidedError``.
 
 * ``grid_minimize`` -- brute-force evaluation on the full tensor grid,
   kept deliberately independent of the interval machinery and of the
   compiled kernels (it uses ``evaluate_array``) so that it can serve as a
-  cross-checking oracle.  The grid is passed as an open grid, one array per
-  axis, and broadcasting builds the full grid inside the evaluation.  Grid
-  points are feasible by ``ConstraintSpec.satisfied``, the rule ``minimize``
-  applies to its candidates.  It is the only user of numpy here and imports
-  it when called.
+  cross-checking oracle.  Grid points are feasible by
+  ``ConstraintSpec.satisfied``, the rule ``minimize`` applies to its
+  candidates.  It proves no bound.  It is the only user of numpy here and
+  imports it when called.
 """
 from __future__ import annotations
 
@@ -43,12 +40,16 @@ from .expr import (Expr, Interval, compile_expr, evaluate,  # noqa: F401
                    evaluate_array, interval_eval)
 
 
-# an undecided node no wider than this is retired instead of bisected
+# a node no wider than this is settled instead of bisected
 MIN_WIDTH = 1e-9
 
 
 class NodeBudgetExceeded(RuntimeError):
     """Branch-and-bound exhausted its node budget before certifying a result."""
+
+
+class UndecidedError(RuntimeError):
+    """Branch-and-bound found no feasible point but settled some boxes."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class MinimizeOutcome:
     status: str  # "optimal" | "infeasible"
     minimizer: Optional[dict[str, float]] = None
     value: Optional[float] = None
-    value_bounds: Optional[Interval] = None
+    value_bounds: Optional[Interval] = None  # present only with a certificate
 
     @property
     def optimal(self) -> bool:
@@ -127,57 +128,54 @@ def minimize(objective: Expr,
 
     heap: list = []
     counter = itertools.count()
-    best_val = float("inf")
+    best_val = math.inf
     best_pt: Optional[tuple[float, ...]] = None
-    retired_lb = float("inf")   # lbs of min-width nodes kept as feasible
-    pruned_lb = float("inf")    # lbs of nodes pruned against the incumbent
+    settled_lb = math.inf  # least lb of the settled nodes
+    settled = False
 
-    def consider(point) -> bool:
-        """Offer a candidate incumbent; returns whether it is feasible."""
+    def consider(point) -> None:
+        """Offer a candidate incumbent."""
         nonlocal best_val, best_pt
         for ok in satisfied:
             if not ok(point):
-                return False
+                return
         v = obj_point(point)
         if v < best_val:
             best_val = v
             best_pt = point
-        return True
+
+    def settle(lb: float, retired: bool = False) -> bool:
+        """Settle a node retired at ``MIN_WIDTH``, or one whose ``lb`` passes
+        the one comparison with the incumbent; returns whether it settled."""
+        nonlocal settled_lb, settled
+        if retired or (best_pt is not None and lb >= best_val - tol_opt):
+            settled_lb = min(settled_lb, lb)
+            settled = True
+            return True
+        return False
 
     def push(b: BoxDomain, corners) -> bool:
-        """Bound a box and queue or retire it.  ``corners`` are the box's
+        """Bound a box, then queue or settle it.  ``corners`` are the box's
         corners not yet considered.  Returns False when the box is certified
         infeasible, in which case nothing was considered."""
-        nonlocal retired_lb, pruned_lb
         bounds = b.bounds
         for certified in violated:
             if certified(bounds):
                 return False
-        mid = tuple([0.5 * (lo + hi) for lo, hi in bounds])
-        mid_feasible = consider(mid)
+        consider(tuple([0.5 * (lo + hi) for lo, hi in bounds]))
         for corner in corners:
             consider(corner)
         lb = obj_interval(bounds)[0]
-        if b.max_width <= MIN_WIDTH:
-            # undecided node at minimum width: keep it (through its midpoint)
-            # only if the midpoint passes the feasibility check
-            if mid_feasible:
-                retired_lb = min(retired_lb, lb)
-            return True
-        if best_pt is not None and lb > best_val - tol_opt:
-            pruned_lb = min(pruned_lb, lb)
-            return True
-        heapq.heappush(heap, (lb, next(counter), b))
+        if not settle(lb, b.max_width <= MIN_WIDTH):
+            heapq.heappush(heap, (lb, next(counter), b))
         return True
 
     push(box, itertools.product(*map(corner_values, box.bounds)))
-    frontier_lb = float("inf")
     pops = 0
     while heap:
         lb, _, b = heapq.heappop(heap)
-        if best_pt is not None and lb >= best_val - tol_opt:
-            frontier_lb = lb  # minimal lb among all remaining nodes
-            break
+        if settle(lb):
+            break  # b had the least lb of the nodes left in the heap
         pops += 1
         if pops > node_budget:
             raise NodeBudgetExceeded(f"node budget {node_budget} exhausted")
@@ -194,10 +192,12 @@ def minimize(objective: Expr,
         push(right, () if considered else plane)
 
     if best_pt is None:
+        if settled:
+            raise UndecidedError("no feasible point found, and boxes at "
+                                 "MIN_WIDTH were not certified infeasible")
         return INFEASIBLE
-    lo = min(frontier_lb, retired_lb, pruned_lb, best_val)
     return MinimizeOutcome("optimal", dict(zip(names, best_pt)), best_val,
-                           Interval(lo, best_val))
+                           Interval(min(settled_lb, best_val), best_val))
 
 
 def grid_minimize(objective: Expr,
@@ -231,5 +231,4 @@ def grid_minimize(objective: Expr,
     masked = np.where(feas, vals, np.inf)
     idx = np.unravel_index(int(np.argmin(masked)), shape)
     point = {name: float(axes[i][idx[i]]) for i, name in enumerate(box.names)}
-    value = float(masked[idx])
-    return MinimizeOutcome("optimal", point, value, Interval(value, value))
+    return MinimizeOutcome("optimal", point, float(masked[idx]))

@@ -15,6 +15,12 @@ Expressions use ``+ - * / ^`` with standard precedence, unary minus,
 parentheses, ``min(a,b)``/``max(a,b)``, and decimal literals.  ``^`` takes a
 nonnegative integer literal exponent.
 
+An expression may nest at most ``MAX_DEPTH`` levels deep, counted two ways:
+the parentheses, ``min``/``max`` calls and unary minus signs around any
+token, and the operations on any path from the root of its tree to a leaf.
+Deeper text is a ``ProblemSyntaxError`` at the token that crosses the limit:
+the parser and every walker over the tree recurse once or more per level.
+
 ``parse_problem`` reads the text straight into a ``GsipProblem``.  It checks
 only that the required lines are present; ``GsipProblem`` and ``BoxDomain``
 check everything else (names, bounds, variable scoping), and their errors
@@ -29,6 +35,14 @@ from . import expr as ex
 from .domains import BoxDomain
 from .expr import Expr
 from .gsip import GsipProblem
+
+
+# Sized by measurement on CPython 3.11 under pytest, with the interpreter's
+# default recursion limit of 1000: the parser takes 5 frames per parenthesis
+# and fails past 189 of them, and compiling a tree for the solver takes 3
+# frames per level, so that `run` and `verify` fail past about 313 levels.
+# 100 keeps at least half the stack free.
+MAX_DEPTH = 100
 
 
 class ProblemSyntaxError(ValueError):
@@ -75,6 +89,28 @@ class _ExprParser:
         self.tokens = tokens
         self.pos = 0
         self.line_no = line_no
+        self.nesting = 0
+        self.depths: dict[int, int] = {}  # id of a built node -> its depth
+
+    def open_level(self):
+        """Enter a parenthesis, a ``min``/``max`` call or a unary minus at
+        the cursor; the parser recurses once for each."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            self.error(f"expression nests deeper than {MAX_DEPTH} levels")
+
+    def build(self, col: int, make, *children: Expr) -> Expr:
+        """``make(*children)``, unless its tree would be deeper than
+        ``MAX_DEPTH`` operations: then an error at column ``col``.  The nodes
+        are keyed by id, as hashing one walks its whole tree; every node
+        built stays in the tree, so no id is reused during the parse."""
+        depth = 1 + max(self.depths.get(id(c), 0) for c in children)
+        if depth > MAX_DEPTH:
+            raise ProblemSyntaxError(
+                f"expression nests deeper than {MAX_DEPTH} levels", self.line_no, col)
+        node = make(*children)
+        self.depths[id(node)] = depth
+        return node
 
     def peek(self):
         return self.tokens[self.pos]
@@ -101,34 +137,37 @@ class _ExprParser:
     def parse_expression(self) -> Expr:
         node = self.parse_term()
         while self.at_sym("+") or self.at_sym("-"):
-            _, op, _ = self.next()
+            _, op, col = self.next()
             rhs = self.parse_term()
-            node = ex.add(node, rhs) if op == "+" else ex.sub(node, rhs)
+            node = self.build(col, ex.add if op == "+" else ex.sub, node, rhs)
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
         while self.at_sym("*") or self.at_sym("/"):
-            _, op, _ = self.next()
+            _, op, col = self.next()
             rhs = self.parse_factor()
-            node = ex.mul(node, rhs) if op == "*" else ex.div(node, rhs)
+            node = self.build(col, ex.mul if op == "*" else ex.div, node, rhs)
         return node
 
     def parse_factor(self) -> Expr:
         if self.at_sym("-"):
-            self.next()
-            return ex.neg(self.parse_factor())
+            self.open_level()
+            _, _, col = self.next()
+            node = self.build(col, ex.neg, self.parse_factor())
+            self.nesting -= 1
+            return node
         return self.parse_power()
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
         if self.at_sym("^"):
-            self.next()
-            kind, val, col = self.peek()
+            _, _, col = self.next()
+            kind, val, _ = self.peek()
             if kind != "num" or not re.fullmatch(r"\d+", val):
                 self.error("exponent must be a nonnegative integer literal")
             self.next()
-            return ex.ipow(base, int(val))
+            return self.build(col, lambda b: ex.ipow(b, int(val)), base)
         return base
 
     def number(self) -> float:
@@ -148,17 +187,21 @@ class _ExprParser:
         if kind == "name":
             self.next()
             if val in ("min", "max"):
+                self.open_level()
                 self.expect_sym("(")
                 a = self.parse_expression()
                 self.expect_sym(",")
                 b = self.parse_expression()
                 self.expect_sym(")")
-                return ex.emin(a, b) if val == "min" else ex.emax(a, b)
+                self.nesting -= 1
+                return self.build(col, ex.emin if val == "min" else ex.emax, a, b)
             return ex.var(val)
         if self.at_sym("("):
+            self.open_level()
             self.next()
             node = self.parse_expression()
             self.expect_sym(")")
+            self.nesting -= 1
             return node
         self.error(f"expected expression, found {val or 'end of line'!r}")
 

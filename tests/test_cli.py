@@ -11,7 +11,7 @@ import pytest
 from gsiplab import algorithms, gsip
 from gsiplab.cli import _config_from_args, build_parser, main
 from gsiplab.globalopt import INFEASIBLE
-from gsiplab.problem_format import parse_problem
+from gsiplab.problem_format import MAX_DEPTH, parse_problem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 LLP_INFEASIBLE = Path(__file__).with_name("golden") / "llp_infeasible.gsip"
@@ -24,6 +24,11 @@ objective: -x
 g: (x - y)^2 - 10
 h: -2*x + y
 """
+
+
+# y lies in a feasible set of width 6e-11 at x = 1, narrower than MIN_WIDTH
+THIN_H_TEXT = CEX1_TEXT.replace("g: (x - y)^2 - 10", "g: y - 10").replace(
+    "h: -2*x + y", "h: 1000000000000*(y - 0.3001)^2 + x - 1")
 
 
 def read_csv(path):
@@ -198,6 +203,15 @@ class TestSolverErrors:
         assert main(["run", "--file", str(src), "--variant", "sip-llp"]) == 3
         assert capsys.readouterr().err.startswith("solver error: ")
 
+    def test_undecided_solve_is_a_solver_error(self, tmp_path, capsys):
+        # the k=1 LLP finds no feasible point and cannot certify its
+        # minimum-width boxes around y = 0.3001 infeasible
+        src = tmp_path / "thin.gsip"
+        src.write_text(THIN_H_TEXT)
+        assert main(["run", "--file", str(src), "--variant", "llp-only"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "solver error: no feasible point found")
+
     def test_empty_interval_is_a_solver_error(self, tmp_path, capsys):
         # the interval extension meets inf - inf and returns [nan, nan]
         src = tmp_path / "nan.gsip"
@@ -223,11 +237,9 @@ class TestResolveInitial:
         assert cfg == algorithms.AlgorithmConfig(
             variant=algorithms.AUX_LLP, alpha=0.5, tol_feas=1e-7, tol_opt=1e-8,
             max_iter=7, initial_yset=({"y": 0.25},), aux_tie_break="max-y")
-        # a field left at its default could not show that its flag was
-        # dropped; node_budget has no flag
+        # a field left at its default could not show that its flag was dropped
         for f in dataclasses.fields(cfg):
-            if f.name != "node_budget":
-                assert getattr(cfg, f.name) != f.default, f.name
+            assert getattr(cfg, f.name) != f.default, f.name
 
     def test_wrong_component_count(self, capsys):
         assert main(["run", "--problem", "cex1", "--initial-y", "0.1,0.2"]) == 2
@@ -274,6 +286,54 @@ class TestVerify:
         assert out.out.splitlines()[0] == "k=1 llp: bnb=infeasible grid=-10.0"
         assert out.err == ("FAIL: the grid has feasible points in 1 subproblem(s) "
                            "certified infeasible\n")
+
+    def test_subproblem_the_grid_misses_is_counted(self, tmp_path, capsys):
+        # the k=1 LLP's feasible set, |y - 0.3001| <= 3.2e-5 at x = 1, lies
+        # between the grid points 0.3 and 0.305
+        src = tmp_path / "narrow.gsip"
+        src.write_text(THIN_H_TEXT.replace("1000000000000*", ""))
+        assert main(["verify", "--file", str(src), "--max-iter", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "k=1 llp: bnb=-9.699931622482836 grid=infeasible\n"
+            "k=1 sip_llp: bnb=2.2648549702353193e-14 grid=9.99999993922529e-09 "
+            "diff=1.000e-08\n"
+            "checked 2 subproblems, max discrepancy 9.999977e-09\n")
+
+
+def _deep_h(shape: str, depth: int) -> str:
+    """An h line around y - 2*x that nests ``depth`` levels deep."""
+    if shape == "parens":
+        return "(" * depth + "y - 2*x" + ")" * depth
+    if shape == "sum":  # y - 2*x is 2 levels deep, each + 0 adds one
+        return "y - 2*x" + " + 0" * (depth - 2)
+    return "-" * (depth - 2) + "(y - 2*x)"
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", ["parens", "sum", "neg"])
+    def test_expression_at_the_limit_works(self, tmp_path, capsys, shape):
+        src = tmp_path / "deep.gsip"
+        src.write_text(CEX1_TEXT.replace(
+            "h: -2*x + y", "h: " + _deep_h(shape, MAX_DEPTH)))
+        assert main(["fmt", str(src)]) == 0
+        assert main(["run", "--file", str(src), "--max-iter", "3"]) == 0
+        assert main(["verify", "--file", str(src), "--max-iter", "3"]) == 0
+
+    @pytest.mark.parametrize("shape,column", [
+        ("parens", 3 + MAX_DEPTH + 1),  # the first parenthesis too many
+        ("sum", 3 + len(_deep_h("sum", MAX_DEPTH + 1)) - 2),  # the last +
+        ("neg", 4)])  # the outermost minus closes the deepest tree
+    @pytest.mark.parametrize("command", ["run", "fmt"])
+    def test_one_level_deeper_is_a_usage_error(self, tmp_path, capsys, shape,
+                                                column, command):
+        src = tmp_path / "deep.gsip"
+        src.write_text(CEX1_TEXT.replace(
+            "h: -2*x + y", "h: " + _deep_h(shape, MAX_DEPTH + 1)))
+        argv = ["run", "--file", str(src)] if command == "run" else ["fmt", str(src)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: line 6, column {column}: expression nests deeper "
+            f"than {MAX_DEPTH} levels\n")
 
 
 class TestListAndFmt:

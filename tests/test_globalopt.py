@@ -9,9 +9,10 @@ from test_golden import (ORACLE_GRID_N, ORACLE_GRID_OUTCOMES,
                          load_oracle_outcomes)
 from gsiplab import expr as ex
 from gsiplab.domains import BoxDomain
-from gsiplab.expr import EvaluationError, Interval, evaluate, evaluate_array
+from gsiplab.expr import EvaluationError, evaluate, evaluate_array
 from gsiplab.globalopt import (INFEASIBLE, ConstraintSpec, MinimizeOutcome,
-                               NodeBudgetExceeded, grid_minimize, minimize)
+                               NodeBudgetExceeded, UndecidedError,
+                               grid_minimize, minimize)
 
 x, y, z = ex.var("x"), ex.var("y"), ex.var("z")
 UNIT_X = BoxDomain([("x", -1.0, 1.0)])
@@ -39,6 +40,22 @@ class TestMinimize:
         out = minimize(y, cons, UNIT_Y)
         assert out.status == "infeasible"
         assert out.minimizer is None
+
+    def test_retired_boxes_bound_the_value(self):
+        # x = 0.1 is feasible with value 0.1, in a feasible sliver narrower
+        # than MIN_WIDTH whose boxes all have an infeasible midpoint; the
+        # incumbent is x = 0.5
+        cons = [ConstraintSpec(ex.emin(1e12 * (x - 0.1) ** 2, 0.5 - x), "le")]
+        out = minimize(x, cons, UNIT_X)
+        assert out.value == 0.5
+        assert out.value_bounds.lo <= 0.1
+
+    def test_no_incumbent_and_retired_boxes_is_undecided(self):
+        # feasible only in that sliver: no candidate passes, but the boxes
+        # around x = 0.1 are not certified infeasible either
+        cons = [ConstraintSpec(1e12 * (x - 0.1) ** 2, "le")]
+        with pytest.raises(UndecidedError):
+            minimize(x, cons, UNIT_X)
 
     def test_value_bounds_bracket_minimizer(self):
         obj = (x - 0.3) ** 2
@@ -147,10 +164,8 @@ def _dense_grid_minimize(objective, constraints, box, points_per_axis,
         return INFEASIBLE
     masked = np.where(feas, vals, np.inf)
     idx = np.unravel_index(int(np.argmin(masked)), shape)
-    value = float(masked[idx])
     return MinimizeOutcome(
-        "optimal", {n: float(g[idx]) for n, g in env.items()}, value,
-        Interval(value, value))
+        "optimal", {n: float(g[idx]) for n, g in env.items()}, float(masked[idx]))
 
 
 def _sampled_lipschitz(objective, box, points_per_axis):
