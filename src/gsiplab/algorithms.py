@@ -10,7 +10,7 @@ Three variants differ only in how the growing discretization set is fed:
 
 Every iteration is recorded so failures can be inspected after the fact.
 Every subproblem solve of the lab is made here; every decision on one goes
-through ``_solve_at_least``.
+through ``_solve_at_least``, which reads only the certified ``value_bounds.lo``.
 """
 from __future__ import annotations
 
@@ -91,11 +91,11 @@ def _solve(inst: SubproblemInstance, cfg: AlgorithmConfig) -> MinimizeOutcome:
 
 def _solve_at_least(inst: SubproblemInstance, cfg: AlgorithmConfig,
                     margin: float = 0.0) -> tuple[MinimizeOutcome, bool]:
-    """Solve ``inst``, and decide whether its minimum is at least
-    ``margin - cfg.tol_feas`` (an infeasible instance's infimum is +inf): the
-    LLP's "no usable cut" test and every SIP-LLP decision."""
+    """Solve ``inst``, and decide whether its certified lower bound is at
+    least ``margin - cfg.tol_feas``: the LLP's "no usable cut" test and every
+    SIP-LLP decision."""
     out = _solve(inst, cfg)
-    return out, not out.optimal or out.value >= margin - cfg.tol_feas
+    return out, out.value_bounds.lo >= margin - cfg.tol_feas
 
 
 def check_relaxation_feasible(p: GsipProblem, x: Mapping[str, float],
@@ -197,7 +197,7 @@ def record_subproblems(p: GsipProblem, rec: IterateRecord, cfg: AlgorithmConfig
         subs.append(("aux_llp", build_aux_llp(p, rec.x, rec.llp.value, cfg.alpha),
                      rec.aux))
     inst = build_sip_llp(p, rec.x)
-    sip = rec.sip if rec.sip is not None else _solve_at_least(inst, cfg)[0]
+    sip = rec.sip if rec.sip is not None else _solve(inst, cfg)
     return subs + [("sip_llp", inst, sip)]
 
 

@@ -5,16 +5,19 @@ Two engines share one outcome type:
 * ``minimize`` -- deterministic best-first interval branch-and-bound over
   kernels compiled once per call (``expr.compile_expr``), bit-identical to
   the recursive evaluators.  Incumbents are box midpoints and corners that
-  pass the ``tol_feas`` check; each corner (``domains.corner_values``) is
-  considered once, as one offered again could not pass the strict
-  ``v < best`` update test.  A node leaves the search certified infeasible
-  by a constraint's interval bound, contributing nothing, or settled,
-  contributing its objective lower bound ``lb`` to one minimum: retired at
-  ``MIN_WIDTH`` whatever its midpoint, or set aside by the one comparison
+  pass the ``tol_feas`` check; the first one becomes the incumbent even if
+  its value is +inf, and later ones must pass the strict ``v < best``
+  update test, so each corner (``domains.corner_values``) is considered
+  once.  A node leaves the search certified infeasible by a constraint's
+  interval bound, contributing nothing, or settled, contributing its
+  objective lower bound ``lb`` to one minimum: retired at ``MIN_WIDTH``
+  whatever its midpoint, or set aside by the one comparison
   ``lb >= best - tol_opt``, at push and at the heap front, where it stops
-  the search.  The bracket is ``[min(settled lbs, best), best]``;
-  ``infeasible`` needs every leaf certified infeasible, and a search that
-  settles nodes but finds no incumbent raises ``UndecidedError``.
+  the search.  The bracket is ``[min(settled lbs, best), best]``.
+  ``infeasible`` needs every leaf certified infeasible, and its bracket is
+  ``[+inf, +inf]``, the minimum over the empty set; a search that settles
+  nodes but finds no incumbent raises ``UndecidedError``.  Decisions on an
+  outcome read the certified ``value_bounds.lo``.
 
 * ``grid_minimize`` -- brute-force evaluation on the full tensor grid,
   kept deliberately independent of the interval machinery and of the
@@ -83,10 +86,12 @@ class ConstraintSpec:
 
 @dataclass(frozen=True)
 class MinimizeOutcome:
+    """``value_bounds`` is present exactly when the solver proved it."""
+
     status: str  # "optimal" | "infeasible"
     minimizer: Optional[dict[str, float]] = None
     value: Optional[float] = None
-    value_bounds: Optional[Interval] = None  # present only with a certificate
+    value_bounds: Optional[Interval] = None
 
     @property
     def optimal(self) -> bool:
@@ -140,7 +145,7 @@ def minimize(objective: Expr,
             if not ok(point):
                 return
         v = obj_point(point)
-        if v < best_val:
+        if v < best_val or (best_pt is None and v == math.inf):
             best_val = v
             best_pt = point
 
@@ -195,7 +200,7 @@ def minimize(objective: Expr,
         if settled:
             raise UndecidedError("no feasible point found, and boxes at "
                                  "MIN_WIDTH were not certified infeasible")
-        return INFEASIBLE
+        return MinimizeOutcome("infeasible", value_bounds=Interval(math.inf, math.inf))
     return MinimizeOutcome("optimal", dict(zip(names, best_pt)), best_val,
                            Interval(min(settled_lb, best_val), best_val))
 

@@ -13,7 +13,6 @@ box-constrained instances with the outer point substituted as constants;
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -88,9 +87,13 @@ class SubproblemInstance:
 
 
 def hbar(p: GsipProblem) -> Expr:
-    """Right-folded binary max of the h_j in declared order."""
-    return functools.reduce(lambda acc, e: ex.emax(e, acc),
-                            reversed(p.h[:-1]), p.h[-1])
+    """Binary max of the h_j in declared order, folded pairwise (neighbours
+    first) so that n lines nest only ceil(log2 n) levels deep."""
+    hs = list(p.h)
+    while len(hs) > 1:
+        hs = [ex.emax(*hs[i:i + 2]) if i + 1 < len(hs) else hs[i]
+              for i in range(0, len(hs), 2)]
+    return hs[0]
 
 
 def check_point(box: BoxDomain, point: Mapping[str, float], what: str):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 from gsiplab import algorithms, gsip
 from gsiplab.cli import _config_from_args, build_parser, main
-from gsiplab.globalopt import INFEASIBLE
+from gsiplab.expr import Interval
+from gsiplab.globalopt import MinimizeOutcome
 from gsiplab.problem_format import MAX_DEPTH, parse_problem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -134,16 +136,6 @@ class TestUsageErrors:
     def test_verify_grid_too_coarse(self, capsys):
         assert main(["verify", "--problem", "cex1", "--grid", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: --grid")
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
-    def test_verify_bad_tol(self, capsys, value):
-        # with --grid 3, cex1's k=2 LLP differs from the grid by 0.25
-        assert main(["verify", "--problem", "cex1", "--max-iter", "2",
-                     "--grid", "3", f"--tol={value}"]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err == ("error: --tol must be nonnegative and finite, "
-                           f"got {float(value)}\n")
 
 
 # one problem-file defect each, and the message that names it
@@ -272,20 +264,76 @@ class TestVerify:
             "k=1 sip_llp: bnb=1.5 grid=1.5 diff=0.000e+00\n"
             "checked 2 subproblems, max discrepancy 0.000000e+00\n")
 
-    def test_refuted_infeasibility_claim_fails(self, capsys, monkeypatch):
-        # a wrong claim that cex1's k=1 LLP is infeasible: the grid finds
-        # feasible points, with the least objective value -10 at y = 1
+    @staticmethod
+    def _claim_llp(monkeypatch, claim):
+        """Make ``verify`` see ``claim`` as the outcome of cex1's k=1 LLP,
+        whose grid value is -10 at y = 1."""
         record_subproblems = algorithms.record_subproblems
 
-        def claim_llp_infeasible(p, rec, cfg):
-            return [(label, inst, INFEASIBLE if label == "llp" else out)
+        def claimed(p, rec, cfg):
+            return [(label, inst, claim if label == "llp" else out)
                     for label, inst, out in record_subproblems(p, rec, cfg)]
-        monkeypatch.setattr(algorithms, "record_subproblems", claim_llp_infeasible)
+        monkeypatch.setattr(algorithms, "record_subproblems", claimed)
+
+    def test_refuted_infeasibility_claim_fails(self, capsys, monkeypatch):
+        # a wrong certificate that the LLP is infeasible
+        self._claim_llp(monkeypatch, MinimizeOutcome(
+            "infeasible", value_bounds=Interval(math.inf, math.inf)))
         assert main(["verify", "--problem", "cex1", "--max-iter", "1"]) == 3
         out = capsys.readouterr()
         assert out.out.splitlines()[0] == "k=1 llp: bnb=infeasible grid=-10.0"
-        assert out.err == ("FAIL: the grid has feasible points in 1 subproblem(s) "
-                           "certified infeasible\n")
+        assert out.err == ("FAIL: the grid has feasible points below the "
+                           "certified lower bound in 1 subproblem(s)\n")
+
+    def test_refuted_value_certificate_fails(self, capsys, monkeypatch):
+        # the right value with a wrong certificate that it is at least -9.5
+        self._claim_llp(monkeypatch, MinimizeOutcome(
+            "optimal", {"y": 1.0}, -10.0, Interval(-9.5, -9.5)))
+        assert main(["verify", "--problem", "cex1", "--max-iter", "1"]) == 3
+        out = capsys.readouterr()
+        assert out.out.splitlines()[0] == "k=1 llp: bnb=-10.0 grid=-10.0 diff=0.000e+00"
+        assert out.err == ("FAIL: the grid has feasible points below the "
+                           "certified lower bound in 1 subproblem(s)\n")
+
+    def test_grid_mesh_error_is_no_failure(self, capsys):
+        # the k=3 LLP's grid value lies 2.45e-3 above the solver's, the mesh
+        # error of the 401-point grid; no grid value lies below a certified
+        # lower bound
+        assert main(["verify", "--problem", "cex1", "--variant", "aux-llp"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out == (
+            "k=1 llp: bnb=-10.0 grid=-10.0 diff=0.000e+00\n"
+            "k=1 aux_llp: bnb=-1.7071067816577852 grid=-1.705 diff=2.107e-03\n"
+            "k=1 sip_llp: bnb=-3.0 grid=-3.0 diff=0.000e+00\n"
+            "k=2 llp: bnb=-9.999999999999991 grid=-9.999997907321232 diff=2.093e-06\n"
+            "k=2 aux_llp: bnb=-0.8535533910617232 grid=-0.8528932188078762 "
+            "diff=6.602e-04\n"
+            "k=2 sip_llp: bnb=-1.292893218807876 grid=-1.292893218807876 "
+            "diff=0.000e+00\n"
+            "k=3 llp: bnb=-9.921415043595305 grid=-9.918963039870375 diff=2.452e-03\n"
+            "k=3 aux_llp: bnb=-0.43933982867747545 grid=-0.43933982867747545 "
+            "diff=0.000e+00\n"
+            "k=3 sip_llp: bnb=-0.43933982867747545 grid=-0.43933982867747545 "
+            "diff=0.000e+00\n"
+            "k=4 llp: bnb=-9.750000001396984 grid=-9.749999999534339 diff=1.863e-09\n"
+            "k=4 aux_llp: bnb=-9.313225746154785e-10 grid=-9.313225746154785e-10 "
+            "diff=0.000e+00\n"
+            "k=4 sip_llp: bnb=-9.313225746154785e-10 grid=-9.313225746154785e-10 "
+            "diff=0.000e+00\n"
+            "k=5 llp: bnb=-9.750000001396984 grid=-9.749999999534339 diff=1.863e-09\n"
+            "k=5 aux_llp: bnb=-9.313225746154785e-10 grid=-9.313225746154785e-10 "
+            "diff=0.000e+00\n"
+            "k=5 sip_llp: bnb=-9.313225746154785e-10 grid=-9.313225746154785e-10 "
+            "diff=0.000e+00\n"
+            "checked 15 subproblems, max discrepancy 2.452004e-03\n")
+
+    @pytest.mark.parametrize("variant", algorithms.VARIANTS)
+    @pytest.mark.parametrize("problem", ["cex1", "cex2"])
+    def test_builtins_pass(self, capsys, problem, variant):
+        assert main(["verify", "--problem", problem, "--variant", variant,
+                     "--max-iter", "20"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_subproblem_the_grid_misses_is_counted(self, tmp_path, capsys):
         # the k=1 LLP's feasible set, |y - 0.3001| <= 3.2e-5 at x = 1, lies
@@ -334,6 +382,17 @@ class TestNestingLimit:
         assert capsys.readouterr().err == (
             f"error: {src}: line 6, column {column}: expression nests deeper "
             f"than {MAX_DEPTH} levels\n")
+
+
+class TestManyConstraints:
+    def test_hundreds_of_h_lines_run(self, tmp_path, capsys):
+        # hbar nests 400 lines 9 levels deep, not 400
+        src = tmp_path / "many.gsip"
+        src.write_text(CEX1_TEXT.replace("h: -2*x + y\n", "".join(
+            f"h: -2*x + y - {i}\n" for i in range(400))))
+        assert main(["run", "--file", str(src), "--max-iter", "2"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "status=converged_feasible final_lower_bound=0.4999999995343387\n")
 
 
 class TestListAndFmt:

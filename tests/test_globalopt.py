@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ from test_golden import (ORACLE_GRID_N, ORACLE_GRID_OUTCOMES,
                          load_oracle_outcomes)
 from gsiplab import expr as ex
 from gsiplab.domains import BoxDomain
-from gsiplab.expr import EvaluationError, evaluate, evaluate_array
+from gsiplab.expr import EvaluationError, Interval, evaluate, evaluate_array
 from gsiplab.globalopt import (INFEASIBLE, ConstraintSpec, MinimizeOutcome,
                                NodeBudgetExceeded, UndecidedError,
                                grid_minimize, minimize)
@@ -40,6 +41,19 @@ class TestMinimize:
         out = minimize(y, cons, UNIT_Y)
         assert out.status == "infeasible"
         assert out.minimizer is None
+
+    def test_infeasible_bracket_is_plus_infinity(self):
+        # the minimum over the empty set is +inf; the grid proves nothing
+        cons = [ConstraintSpec(2.0 + y, "le")]
+        assert minimize(y, cons, UNIT_Y).value_bounds == Interval(math.inf, math.inf)
+        assert grid_minimize(y, cons, UNIT_Y, 101).value_bounds is None
+
+    def test_objective_infinite_on_the_box(self):
+        # x*1e308*10 overflows to +inf at every point of [1, 2]
+        out = minimize(x * 1e308 * 10.0, [], BoxDomain([("x", 1.0, 2.0)]),
+                       node_budget=5)
+        assert out.optimal and out.value == math.inf
+        assert out.value_bounds == Interval(math.inf, math.inf)
 
     def test_retired_boxes_bound_the_value(self):
         # x = 0.1 is feasible with value 0.1, in a feasible sliver narrower

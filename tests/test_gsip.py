@@ -29,7 +29,19 @@ class TestHbar:
         x, y = ex.var("x"), ex.var("y")
         p = GsipProblem("t", BoxDomain([("x", 0, 10)]), BoxDomain([("y", 0, 10)]),
                         ex.const(0.0), ex.const(0.0), (x, y))
+        assert hbar(p) == ex.emax(x, y)
         assert evaluate(hbar(p), {"x": 3.0, "y": 5.0}) == 5.0
+
+    def test_pairwise_fold(self):
+        # n lines nest ceil(log2 n) levels deep, in declared order
+        hs = tuple(ex.var("y") - float(i) for i in range(400))
+        p = GsipProblem("t", CEX1.X, CEX1.Y, CEX1.f, CEX1.g, hs)
+
+        def depth(e):
+            return 1 + max(map(depth, e.children), default=0)
+        assert depth(hbar(p)) == 9 + depth(hs[0])
+        assert hbar(GsipProblem("t", CEX1.X, CEX1.Y, CEX1.f, CEX1.g, hs[:3])) == (
+            ex.emax(ex.emax(hs[0], hs[1]), hs[2]))
 
     def test_max_aggregation_equivalence(self):
         # hbar <= 0 at a point iff every h_j <= 0 there
