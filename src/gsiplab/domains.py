@@ -63,10 +63,6 @@ class BoxDomain:
         return [dict(zip(self.names, p))
                 for p in itertools.product(*map(corner_values, self.bounds))]
 
-    @property
-    def max_width(self) -> float:
-        return max([hi - lo for lo, hi in self.bounds], default=0.0)
-
     def widest_index(self) -> int:
         widths = [hi - lo for lo, hi in self.bounds]
         return widths.index(max(widths))

@@ -21,10 +21,13 @@ solve).  The kernels do the float operations of ``evaluate`` and
 ``interval_eval`` in the same order and raise the same exceptions, so their
 results are bit-identical; they only drop the per-node kind dispatch, the
 name lookups and the ``Interval`` allocations.  They share no code with the
-walker, which the tests use as their reference.
+walker, which the tests use as their reference.  ``compile_gradient`` adds a
+third kernel from the same compiler: a forward-mode interval gradient, whose
+values are the interval kernel's.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -317,19 +320,37 @@ def compile_expr(e: Expr, names: Sequence[str]) -> tuple[Callable, Callable]:
             _compile(e, index, {}, _interval_node))
 
 
+def compile_gradient(e: Expr, names: Sequence[str]) -> Callable:
+    """Compile ``e`` into a forward-mode interval gradient kernel over ``names``.
+
+    The kernel maps a tuple of ``(lo, hi)`` pairs to ``(value, gradient)``:
+    ``value`` is the interval kernel's pair, bit for bit, and ``gradient``
+    holds one pair per name, enclosing the partial derivative of ``e`` along
+    that name at every point of the box where ``e`` is differentiable.  At a
+    kink of ``min``/``max`` it encloses both sides' derivatives: the kernel
+    returns one child's gradient when the children's value intervals do not
+    overlap, and the hull of both otherwise.  Each node's value comes from
+    its interval kernel, so the kernel raises exactly where the interval
+    kernel raises; a NaN in a derivative, as inf * 0 or inf - inf produce,
+    widens it to (-inf, inf) instead.
+    """
+    return _compile(e, {n: i for i, n in enumerate(names)}, {}, _gradient_node)
+
+
 def _compile(e: Expr, index, memo, node):
     # shared subtrees compile once.  The memo is keyed by id because Expr
     # hashes its whole subtree; ids are not reused while the tree compiles.
-    # A variable is the same kernel in both domains: its entry of the tuple.
     f = memo.get(id(e))
     if f is None:
-        if e.kind == "var":
-            i = index.get(e.name)
-            f = _unknown(e.name) if i is None else itemgetter(i)
-        else:
-            f = node(e, index, lambda c: _compile(c, index, memo, node))
+        f = node(e, index, lambda c: _compile(c, index, memo, node))
         memo[id(e)] = f
     return f
+
+
+def _variable(e: Expr, index):
+    """A variable's point and interval kernel: its entry of the tuple."""
+    i = index.get(e.name)
+    return _unknown(e.name) if i is None else itemgetter(i)
 
 
 def _unknown(name: str):
@@ -344,6 +365,8 @@ def _empty(lo, hi):
 
 def _point_node(e: Expr, index, sub):
     k = e.kind
+    if k == "var":
+        return _variable(e, index)
     if k == "const":
         v = e.value
         return lambda x: v
@@ -431,6 +454,8 @@ def _mul_pairs(al, ah, bl, bh):
 # inf * 0).
 def _interval_node(e: Expr, index, sub):
     k = e.kind
+    if k == "var":
+        return _variable(e, index)
     if k == "const":
         v = e.value
         if not v <= v:  # NaN
@@ -445,7 +470,7 @@ def _interval_node(e: Expr, index, sub):
             return -hi, -lo
         return neg_
     if k == "pow":
-        return _interval_pow(e, index, sub)
+        return _interval_pow(e.exponent, sub(e.children[0]))
     a, c = e.children
     fa, fc = sub(a), sub(c)
     if k == "add":
@@ -515,9 +540,8 @@ def _interval_node(e: Expr, index, sub):
     return max_
 
 
-def _interval_pow(e: Expr, index, sub):
-    n = e.exponent
-    f = sub(e.children[0])
+def _interval_pow(n: int, f):
+    """The kernel of ``f(b) ** n``."""
     if n == 0:
         def pow0(b):
             f(b)
@@ -547,3 +571,120 @@ def _interval_pow(e: Expr, index, sub):
             _empty(lo, hi)
         return lo, hi
     return even
+
+
+# -- the gradient kernel --------------------------------------------------------
+# A node's value is its interval kernel applied to its children's values, so it
+# is the interval kernel's pair and raises where that kernel raises.  The
+# derivative arithmetic below never raises: a NaN, from inf * 0 or inf - inf,
+# means the sign is unknown, so it widens to the entire line.
+
+_ENTIRE = (-math.inf, math.inf)
+
+
+def _dadd(p, q):
+    lo = p[0] + q[0]
+    hi = p[1] + q[1]
+    return (lo, hi) if lo <= hi else _ENTIRE
+
+
+def _dneg(p):
+    return -p[1], -p[0]
+
+
+def _dmul(p, q):
+    a, b = p
+    c, d = q
+    w, x, y, z = a * c, a * d, b * c, b * d
+    s = w + x + y + z
+    if s != s:  # a NaN product, or products of both infinite signs
+        return _ENTIRE
+    return min(w, x, y, z), max(w, x, y, z)
+
+
+def _hull(p, q):
+    return (p[0] if p[0] < q[0] else q[0]), (p[1] if p[1] > q[1] else q[1])
+
+
+def _derivative(e: Expr):
+    """The rule mapping a node's value and its children's (value, gradient)
+    pairs to the node's gradient."""
+    k = e.kind
+    if k == "neg":
+        return lambda v, a: tuple(map(_dneg, a[1]))
+    if k == "add":
+        return lambda v, a, c: tuple(map(_dadd, a[1], c[1]))
+    if k == "sub":
+        return lambda v, a, c: tuple(_dadd(p, _dneg(q)) for p, q in zip(a[1], c[1]))
+    if k == "mul":
+        # d(a c) = c da + a dc
+        return lambda v, a, c: tuple(_dadd(_dmul(c[0], p), _dmul(a[0], q))
+                                     for p, q in zip(a[1], c[1]))
+    if k == "div":
+        # d(a / c) = (da - (a / c) dc) / c; the value check excluded 0 from c
+        def div_(v, a, c):
+            inverse = (1.0 / c[0][1], 1.0 / c[0][0])
+            return tuple(_dmul(_dadd(p, _dneg(_dmul(v, q))), inverse)
+                         for p, q in zip(a[1], c[1]))
+        return div_
+    if k == "pow":
+        # d(u^n) = n u^(n-1) du; u^(n-1) cannot overflow where u^n did not
+        n = e.exponent
+        if n == 0:
+            return lambda v, a: tuple((0.0, 0.0) for _ in a[1])
+        power = _interval_pow(n - 1, _same)
+
+        def pow_(v, a):
+            lo, hi = power(a[0])
+            factor = (n * lo, n * hi)
+            return tuple(_dmul(factor, p) for p in a[1])
+        return pow_
+    if k == "min":
+        def min_(v, a, c):
+            if a[0][1] < c[0][0]:
+                return a[1]
+            if c[0][1] < a[0][0]:
+                return c[1]
+            return tuple(map(_hull, a[1], c[1]))
+        return min_
+
+    def max_(v, a, c):
+        if a[0][0] > c[0][1]:
+            return a[1]
+        if c[0][0] > a[0][1]:
+            return c[1]
+        return tuple(map(_hull, a[1], c[1]))
+    return max_
+
+
+def _gradient_node(e: Expr, index, sub):
+    k = e.kind
+    if k == "var":
+        i = index.get(e.name)
+        if i is None:
+            return _unknown(e.name)
+        unit = tuple((1.0, 1.0) if j == i else (0.0, 0.0) for j in range(len(index)))
+        return lambda b: (b[i], unit)
+    # the node's interval kernel, over the tuple of its children's values
+    slots = {id(c): itemgetter(j) for j, c in enumerate(e.children)}
+    value = _interval_node(e, index, lambda c: slots[id(c)])
+    if k == "const":
+        zero = ((0.0, 0.0),) * len(index)
+        return lambda b: (value(()), zero)
+    rule = _derivative(e)
+    if len(e.children) == 1:
+        fa = sub(e.children[0])
+
+        def unary(b):
+            a = fa(b)
+            v = value((a[0],))
+            return v, rule(v, a)
+        return unary
+    fa, fc = map(sub, e.children)
+
+    def binary(b):
+        a = fa(b)
+        c = fc(b)
+        v = value((a[0], c[0]))
+        return v, rule(v, a, c)
+    return binary

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import random_box, random_expr, sample_point, shrink_box
 from gsiplab import expr as ex
-from gsiplab.expr import (EvaluationError, Interval, compile_expr, evaluate,
-                          evaluate_array, interval_eval, substitute)
+from gsiplab.expr import (EvaluationError, Interval, compile_expr,
+                          compile_gradient, evaluate, evaluate_array,
+                          interval_eval, substitute)
 
 x, y = ex.var("x"), ex.var("y")
 
@@ -221,6 +223,121 @@ class TestCompiledKernels:
             point((1.0,))
         with pytest.raises(EvaluationError):
             interval(((0.0, 1.0),))
+
+
+# -- the gradient kernel ----------------------------------------------------------
+
+FINITE = st.floats(-10.0, 10.0)
+UNIT = st.floats(0.0, 1.0)
+
+
+def _exact(e, point, memo=None):
+    """The exact rational value of ``e`` at a point of Fractions."""
+    memo = {} if memo is None else memo
+    if id(e) in memo:
+        return memo[id(e)]
+    k = e.kind
+    if k == "const":
+        v = Fraction(e.value)
+    elif k == "var":
+        v = point[e.name]
+    else:
+        a = [_exact(c, point, memo) for c in e.children]
+        if k == "neg":
+            v = -a[0]
+        elif k == "pow":
+            v = a[0] ** e.exponent
+        elif k == "add":
+            v = a[0] + a[1]
+        elif k == "sub":
+            v = a[0] - a[1]
+        elif k == "mul":
+            v = a[0] * a[1]
+        elif k == "div":
+            v = a[0] / a[1]   # ZeroDivisionError at a zero divisor
+        else:
+            v = (min if k == "min" else max)(a[0], a[1])
+    memo[id(e)] = v
+    return v
+
+
+def _degree(e, memo=None):
+    """A bound on the degree of ``e`` as a rational function, which bounds
+    the growth of its exact values' numerators and denominators."""
+    memo = {} if memo is None else memo
+    if id(e) not in memo:
+        d = [_degree(c, memo) for c in e.children]
+        if e.kind == "pow":
+            memo[id(e)] = d[0] * max(e.exponent, 1)
+        else:
+            memo[id(e)] = sum(d) or 1
+    return memo[id(e)]
+
+
+def _inside(lo, hi, t):
+    """The point ``t`` of the way from ``lo`` to ``hi``, kept in [lo, hi]."""
+    return min(max(lo + t * (hi - lo), lo), hi)
+
+
+class TestGradientKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(expressions(consts=FINITE), st.lists(FINITE, min_size=4, max_size=4),
+           st.sampled_from((0, 1)), st.tuples(UNIT, UNIT, UNIT))
+    @example(ex.emin(x, y), [0.0, 1.0, 0.0, 1.0], 0, (0.0, 1.0, 0.5))
+    @example(x / (y + 3.0) * x, [-1.0, 2.0, 0.5, 1.0], 1, (0.25, 0.75, 0.5))
+    def test_slope_lies_in_the_enclosure(self, e, ends, i, ts):
+        # mean value theorem: the exact slope between two points of the box
+        # that differ only along axis i is a derivative along i at some point
+        # between them (for min and max, a mix of both sides' derivatives)
+        box = ((min(ends[:2]), max(ends[:2])), (min(ends[2:]), max(ends[2:])))
+        try:
+            _, gradient = compile_gradient(e, NAMES)(box)
+        except (EvaluationError, ValueError, OverflowError):
+            assume(False)
+        a = [_inside(lo, hi, ts[2]) for lo, hi in box]
+        b = list(a)
+        a[i] = _inside(*box[i], ts[0])
+        b[i] = _inside(*box[i], ts[1])
+        assume(a[i] != b[i])
+        assume(_degree(e) <= 100)   # keeps the exact arithmetic fast
+        try:
+            fa = _exact(e, {n: Fraction(v) for n, v in zip(NAMES, a)})
+            fb = _exact(e, {n: Fraction(v) for n, v in zip(NAMES, b)})
+        except ZeroDivisionError:
+            assume(False)
+        slope = (fb - fa) / (Fraction(b[i]) - Fraction(a[i]))
+        lo, hi = gradient[i]
+        # the kernel rounds to nearest, not outward
+        slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+        assert lo - slack <= slope <= hi + slack
+
+    @settings(max_examples=400, deadline=None)
+    @given(expressions(), bounds())
+    @example(x * 1e200 * 1e200 - x * 1e200 * 1e200, ((1.0, 2.0), (0.0, 0.0)))
+    @example(ex.const(0.0) * (x * 1e200 * 1e200), ((1.0, 2.0), (0.0, 0.0)))
+    @example(x / y, ((0.0, 1.0), (-1.0, 1.0)))
+    @example(ex.ipow(x * 1e200, 2), ((1.0, 2.0), (0.0, 0.0)))
+    def test_raises_only_where_the_interval_kernel_raises(self, e, box):
+        want = _outcome(compile_expr(e, NAMES)[1], box)
+        got = _outcome(compile_gradient(e, NAMES), box)
+        if isinstance(want, tuple):
+            value, gradient = got
+            assert tuple(map(_bits, value)) == tuple(map(_bits, want))
+            assert len(gradient) == len(NAMES)
+            assert all(lo <= hi for lo, hi in gradient)   # no NaN either
+        else:
+            assert got == want
+
+    def test_unused_variable_has_zero_derivative(self):
+        value, gradient = compile_gradient(x ** 3 - 2.0 * x, NAMES)(
+            ((1.0, 2.0), (-1.0, 1.0)))
+        assert value == (-3.0, 6.0)
+        assert gradient == ((1.0, 10.0), (0.0, 0.0))
+
+    def test_min_takes_the_lower_branch_when_apart(self):
+        kernel = compile_gradient(ex.emin(x, y + 5.0), NAMES)
+        assert kernel(((0.0, 1.0), (0.0, 1.0)))[1] == ((1.0, 1.0), (0.0, 0.0))
+        assert kernel(((0.0, 6.0), (0.0, 1.0)))[1] == ((0.0, 1.0), (0.0, 1.0))
 
 
 # -- the numpy evaluator against the point evaluator ----------------------------

@@ -1,19 +1,23 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_poly_instance
+from conftest import random_box, random_expr, random_poly_instance
 from test_golden import (ORACLE_GRID_N, ORACLE_GRID_OUTCOMES,
                          ORACLE_NODE_BUDGET, ORACLE_TOL_OPT,
                          load_oracle_outcomes)
 from gsiplab import expr as ex
-from gsiplab.domains import BoxDomain
-from gsiplab.expr import EvaluationError, Interval, evaluate, evaluate_array
-from gsiplab.globalopt import (INFEASIBLE, ConstraintSpec, MinimizeOutcome,
-                               NodeBudgetExceeded, UndecidedError,
-                               grid_minimize, minimize)
+from gsiplab.domains import BoxDomain, corner_values
+from gsiplab.expr import (EvaluationError, Interval, evaluate, evaluate_array,
+                          interval_eval)
+from gsiplab.globalopt import (INFEASIBLE, SATISFIED, ConstraintSpec,
+                               MinimizeOutcome, NodeBudgetExceeded,
+                               UndecidedError, grid_minimize, minimize)
 
 x, y, z = ex.var("x"), ex.var("y"), ex.var("z")
 UNIT_X = BoxDomain([("x", -1.0, 1.0)])
@@ -92,11 +96,13 @@ class TestMinimize:
             minimize(x, [], UNIT_X, **{tolerance: value})
 
     def test_node_budget_error(self):
-        # x*(1-x) written with a reused variable converges slowly under the
-        # natural extension, so a tiny budget must trip
-        obj = ex.neg(ex.mul(x, 1.0 - x))
+        # (x - y)^2 expanded, so that x and y each occur twice: along the
+        # valley x = y the natural extension's lower bound stays below the
+        # minimum 0 and the derivatives change sign, so no coordinate can be
+        # fixed, and a tiny budget must trip
+        obj = x * x - 2.0 * x * y + y * y
         with pytest.raises(NodeBudgetExceeded):
-            minimize(obj, [], BoxDomain([("x", 0.0, 1.0)]),
+            minimize(obj, [], BoxDomain([("x", 0.0, 1.0), ("y", 0.0, 1.0)]),
                      tol_opt=1e-12, node_budget=20)
 
     def test_deterministic(self):
@@ -104,6 +110,44 @@ class TestMinimize:
         a = minimize(obj, cons, box, tol_opt=1e-5)
         b = minimize(obj, cons, box, tol_opt=1e-5)
         assert a == b
+
+
+class TestConstraintTests:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("le", "ge")),
+           st.floats(-1.0, 1.0), st.sampled_from((0.0, 1e-9)))
+    @example(0, "le", 0.0, 0.0)
+    @example(1, "ge", 0.0, 0.0)
+    def test_certified_satisfied_holds_on_the_box(self, seed, sense, margin, tol_feas):
+        # what lets minimize drop a constraint from a node's active set: its
+        # children are certified too, and every candidate of the box passes.
+        # The kernels round to nearest, not outward, so a quotient's point
+        # value can pass its interval bound by an ulp (ROADMAP item 3): the
+        # candidates are checked with the slack of test_expr's inclusion test.
+        rng = random.Random(seed)
+        e = random_expr(rng, ["x", "y"], rng.randint(1, 4))
+        box = random_box(rng, ["x", "y"])
+        enclosure = interval_eval(e, box)
+        slack = 1e-9 * max(1.0, abs(enclosure.lo), abs(enclosure.hi))
+        # shift e by its enclosure: a margin >= 0 makes the interval test
+        # certify the constraint on box (a margin of 0 where it is tight), a
+        # negative one may leave it undecided or violated
+        if sense == "le":
+            c = ConstraintSpec(e - (enclosure.hi + margin), "le")
+        else:
+            c = ConstraintSpec(e - (enclosure.lo - margin), "ge")
+        _, decide = c.compile(box.names, tol_feas)
+        if margin >= 0.0:
+            assert decide(box.bounds) is SATISFIED
+        elif decide(box.bounds) is not SATISFIED:
+            return
+        for child in box.bisect():
+            assert decide(child.bounds) is SATISFIED
+        midpoint = tuple(0.5 * (lo + hi) for lo, hi in box.bounds)
+        corners = itertools.product(*map(corner_values, box.bounds))
+        for p in (midpoint, *corners):
+            value = evaluate(c.expr, dict(zip(box.names, p)))
+            assert c.satisfied(value, tol_feas + slack)
 
 
 class TestGridMinimize:
@@ -224,3 +268,18 @@ class TestOracleAgreement:
                 # cannot have found a feasible point
                 assert oracle.status == "infeasible", seed
             # bnb optimal + oracle infeasible is the tolerated sub-mesh sliver
+
+    @pytest.mark.parametrize("seed", [25, 35])
+    def test_deep_instances_at_a_tight_tolerance(self, seed):
+        # the suite's two deepest solves, a cluster around a minimizer on the
+        # box's boundary; at tol_opt=1e-6 each exhausted a 100k-node budget
+        # before the monotonicity test
+        tol_opt = 1e-6
+        obj, cons, box = random_poly_instance(seed)
+        bnb = minimize(obj, cons, box, tol_opt=tol_opt, node_budget=100_000)
+        oracle = grid_minimize(obj, cons, box, ORACLE_GRID_N)
+        assert bnb.optimal and oracle.optimal
+        mesh = max((hi - lo) / (ORACLE_GRID_N - 1) for _, lo, hi in box.coords)
+        L = _sampled_lipschitz(obj, box, ORACLE_GRID_N)
+        assert abs(bnb.value - oracle.value) <= tol_opt + L * mesh
+        assert bnb.value_bounds.lo <= oracle.value
