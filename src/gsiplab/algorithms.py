@@ -86,7 +86,8 @@ class RunResult:
 
 def _solve(inst: SubproblemInstance, cfg: AlgorithmConfig) -> MinimizeOutcome:
     return minimize(inst.objective, inst.constraints, inst.box,
-                    tol_opt=cfg.tol_opt, tol_feas=cfg.tol_feas)
+                    tol_opt=cfg.tol_opt, tol_feas=cfg.tol_feas,
+                    parameters=inst.parameters)
 
 
 def _solve_at_least(inst: SubproblemInstance, cfg: AlgorithmConfig,
@@ -131,10 +132,12 @@ def _aux_llp(p: GsipProblem, x: dict[str, float], llp: MinimizeOutcome,
     # points; the record is the aux objective at the re-solve's minimizer
     yname = p.Y.names[0]
     secondary = ex.var(yname) if cfg.aux_tie_break == "min-y" else -ex.var(yname)
-    near_opt = ConstraintSpec(inst.objective - ex.const(aux.value + cfg.tol_opt), "le")
+    near_opt = ConstraintSpec(inst.objective - ex.const(aux.value + cfg.tol_opt),
+                              "le", inst.parameters)
     y = _solve(SubproblemInstance(secondary, inst.constraints + (near_opt,),
                                   inst.box), cfg).minimizer
-    return MinimizeOutcome("optimal", y, evaluate(inst.objective, y))
+    return MinimizeOutcome("optimal", y,
+                           evaluate(inst.objective, {**y, **dict(inst.parameters)}))
 
 
 def run(p: GsipProblem, cfg: AlgorithmConfig) -> RunResult:

@@ -178,7 +178,8 @@ def cmd_verify(args) -> int:
     for r in result.trace:
         for label, inst, bnb in algorithms.record_subproblems(p, r, cfg):
             grid = grid_minimize(inst.objective, inst.constraints, inst.box,
-                                 args.grid, tol_feas=cfg.tol_feas)
+                                 args.grid, tol_feas=cfg.tol_feas,
+                                 parameters=inst.parameters)
             line = f"bnb={_fmt_value(bnb)} grid={_fmt_value(grid)}"
             if bnb.optimal and grid.optimal:
                 diff = abs(grid.value - bnb.value)

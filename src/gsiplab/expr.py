@@ -15,15 +15,17 @@ Python's ``**`` does: numpy's ``**`` may run SIMD code that differs from
 of the package loads without it.
 
 ``compile_expr`` turns a tree into two closure kernels over one variable
-order, for callers that evaluate the same expression many times (the
-branch-and-bound solver compiles its objective and constraints once per
-solve).  The kernels do the float operations of ``evaluate`` and
-``interval_eval`` in the same order and raise the same exceptions, so their
-results are bit-identical; they only drop the per-node kind dispatch, the
-name lookups and the ``Interval`` allocations.  They share no code with the
-walker, which the tests use as their reference.  ``compile_gradient`` adds a
-third kernel from the same compiler: a forward-mode interval gradient, whose
-values are the interval kernel's.
+order, for callers that evaluate the same expression many times.  The
+kernels are kept on the tree, keyed by the variable order, so a tree that
+lives for a whole run compiles once however many solves use it (``gsip``
+builds one tree per problem function, and its subproblems pass the outer
+point as extra kernel arguments).  The kernels do the float operations of
+``evaluate`` and ``interval_eval`` in the same order and raise the same
+exceptions, so their results are bit-identical; they only drop the per-node
+kind dispatch, the name lookups and the ``Interval`` allocations.  They
+share no code with the walker, which the tests use as their reference.
+``compile_gradient`` adds a third kernel from the same compiler: a
+forward-mode interval gradient, whose values are the interval kernel's.
 """
 from __future__ import annotations
 
@@ -128,6 +130,13 @@ class Expr:
                              f"got {len(self.children)}")
         if self.kind == "pow" and (not isinstance(self.exponent, int) or self.exponent < 0):
             raise ValueError("integer power exponent must be a nonnegative integer")
+
+    def __getstate__(self):
+        # the kernels compile_expr keeps on the tree are closures, not state:
+        # copies and pickles leave them out
+        state = dict(self.__dict__)
+        state.pop(_KERNELS, None)
+        return state
 
     # -- convenience operators ------------------------------------------
     def __add__(self, other): return add(self, as_expr(other))
@@ -314,10 +323,14 @@ def compile_expr(e: Expr, names: Sequence[str]) -> tuple[Callable, Callable]:
     a ``(lo, hi)`` pair, like ``interval_eval``, without building
     ``Interval`` objects.  A variable outside ``names`` compiles to a kernel
     that raises ``EvaluationError`` when it is reached, as ``evaluate`` would.
+
+    The kernels are kept on ``e``, keyed by the order of ``names``: compiling
+    the same tree over the same names again returns them without compiling.
+    The tree's fields do not change, so equality, hashing and ``repr``
+    ignore them, and copies and pickles leave them out.
     """
-    index = {n: i for i, n in enumerate(names)}
-    return (_compile(e, index, {}, _point_node),
-            _compile(e, index, {}, _interval_node))
+    return _cached(e, names, "expr", lambda index: (
+        _compile(e, index, {}, _point_node), _compile(e, index, {}, _interval_node)))
 
 
 def compile_gradient(e: Expr, names: Sequence[str]) -> Callable:
@@ -332,9 +345,26 @@ def compile_gradient(e: Expr, names: Sequence[str]) -> Callable:
     overlap, and the hull of both otherwise.  Each node's value comes from
     its interval kernel, so the kernel raises exactly where the interval
     kernel raises; a NaN in a derivative, as inf * 0 or inf - inf produce,
-    widens it to (-inf, inf) instead.
+    widens it to (-inf, inf) instead.  It is kept on ``e`` as the kernels of
+    ``compile_expr`` are.
     """
-    return _compile(e, {n: i for i, n in enumerate(names)}, {}, _gradient_node)
+    return _cached(e, names, "gradient",
+                   lambda index: _compile(e, index, {}, _gradient_node))
+
+
+_KERNELS = "_kernels"  # the attribute of a tree that holds its compiled kernels
+
+
+def _cached(e: Expr, names: Sequence[str], kind: str, build: Callable):
+    """The kernels of ``kind`` of ``e`` over ``names``, built from the name
+    index at the first request and kept on ``e`` (a frozen dataclass: the
+    attribute goes straight into its ``__dict__``, outside its fields)."""
+    kernels = e.__dict__.setdefault(_KERNELS, {})
+    key = (kind, tuple(names))
+    k = kernels.get(key)
+    if k is None:
+        k = kernels[key] = build({n: i for i, n in enumerate(key[1])})
+    return k
 
 
 def _compile(e: Expr, index, memo, node):

@@ -3,33 +3,40 @@
 Two engines share one outcome type:
 
 * ``minimize`` -- deterministic best-first interval branch-and-bound over
-  kernels compiled once per call (``expr.compile_expr``), bit-identical to
-  the recursive evaluators.  Incumbents are box midpoints and corners that
-  pass the ``tol_feas`` check; the first one becomes the incumbent even if
-  its value is +inf, and later ones must pass the strict ``v < best``
-  update test, so each corner (``domains.corner_values``) is considered
-  once.  A node leaves the search certified infeasible by a constraint's
-  interval bound, contributing nothing, or settled, contributing its
-  objective lower bound ``lb`` to one minimum: retired at ``MIN_WIDTH``
-  whatever its midpoint, or set aside by the one comparison
-  ``lb >= best - tol_opt``, at push and at the heap front, where it stops
-  the search.  The bracket is ``[min(settled lbs, best), best]``.
-  ``infeasible`` needs every leaf certified infeasible, and its bracket is
-  ``[+inf, +inf]``, the minimum over the empty set; a search that settles
-  nodes but finds no incumbent raises ``UndecidedError``.  Decisions on an
-  outcome read the certified ``value_bounds.lo``.
+  compiled kernels (``expr.compile_expr``), bit-identical to the recursive
+  evaluators.  The kernels take the box's variables, then the bound values
+  (``parameters``): variables held fixed, which are appended to every call,
+  as floats to a point and as ``(v, v)`` pairs to a box, and never bisected.
+  A tree keeps its kernels, so a tree that many solves share compiles once.
+  Incumbents are box midpoints and corners that pass the ``tol_feas``
+  check; the first one becomes the incumbent even if its value is +inf, and
+  later ones must pass the strict ``v < best`` update test, so each corner
+  (``domains.corner_values``) is considered once.  A node leaves the
+  search certified infeasible by a constraint's interval bound,
+  contributing nothing, or settled, contributing its objective lower bound
+  ``lb`` to one minimum: retired at ``MIN_WIDTH`` whatever its midpoint, or
+  set aside by the one comparison ``lb >= best - tol_opt``, at push and at
+  the heap front, where it stops the search.  The bracket is
+  ``[min(settled lbs, best), best]``.  ``infeasible`` needs every leaf
+  certified infeasible, and its bracket is ``[+inf, +inf]``, the minimum
+  over the empty set; a search that settles nodes but finds no incumbent
+  raises ``UndecidedError``.  Decisions on an outcome read the certified
+  ``value_bounds.lo``.
 
   Each node carries its active set: the constraints its interval tests have
   not decided.  A constraint certified satisfied on a box holds on every
   box inside it, so it leaves the set, the node's children inherit the
-  rest, and candidates are checked against the set only.  A node whose set
-  is empty is feasible at every point, and it gets the monotonicity test
-  (Hansen & Walster, *Global Optimization Using Interval Analysis*, 2004)
-  when its bound does not settle it: each coordinate along which the
-  objective's interval gradient (``expr.compile_gradient``) is >= 0 is
-  fixed at its lower end, each along which it is <= 0 at its upper end,
-  and the reduced box's midpoint is considered and its bound replaces the
-  node's; a box reduced to a point is retired at once, as at ``MIN_WIDTH``.
+  rest, and candidates are checked against the set only; a candidate that
+  would become the incumbent is checked against every constraint, since the
+  interval tests round to nearest and may certify a constraint that fails
+  the point test by an ulp.  A node whose set is empty is feasible at every
+  point, and it gets the monotonicity test (Hansen & Walster, *Global
+  Optimization Using Interval Analysis*, 2004) when its bound does not
+  settle it: each coordinate along which the objective's interval gradient
+  (``expr.compile_gradient``) is >= 0 is fixed at its lower end, each along
+  which it is <= 0 at its upper end, and the reduced box's midpoint is
+  considered and its bound replaces the node's; a box reduced to a point is
+  retired at once, as at ``MIN_WIDTH``.
   A coordinate the objective ignores, or one along which the minimum sits
   on a face of the box, is then no longer bisected, which removes most of
   the cluster of boxes that a first-order bound leaves around a minimizer
@@ -76,10 +83,14 @@ class UndecidedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Inequality ``expr <= 0`` (sense "le") or ``expr >= 0`` (sense "ge")."""
+    """Inequality ``expr <= 0`` (sense "le") or ``expr >= 0`` (sense "ge").
+
+    ``parameters`` are bound values, ``(name, value)`` pairs: variables of
+    ``expr`` that the solver holds fixed and never bisects."""
 
     expr: Expr
     sense: str = "le"
+    parameters: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         if self.sense not in ("le", "ge"):
@@ -96,22 +107,24 @@ class ConstraintSpec:
         whether a point passes ``satisfied``, and whether a box of
         ``(lo, hi)`` pairs is certified to violate the constraint
         (``VIOLATED``), certified to satisfy it at every point (``SATISFIED``)
-        or neither (``UNDECIDED``)."""
-        point, interval = compile_expr(self.expr, names)
+        or neither (``UNDECIDED``).  Points and boxes are over ``names``; the
+        tests append the bound values."""
+        all_names, values, pairs = _bind(names, self.parameters)
+        point, interval = compile_expr(self.expr, all_names)
         if self.sense == "le":
             def decide(bounds):
-                lo, hi = interval(bounds)
+                lo, hi = interval(bounds + pairs)
                 if lo > tol_feas:
                     return VIOLATED
                 return SATISFIED if hi <= tol_feas else UNDECIDED
-            return lambda x: point(x) <= tol_feas, decide
+            return lambda x: point(x + values) <= tol_feas, decide
 
         def decide_ge(bounds):
-            lo, hi = interval(bounds)
+            lo, hi = interval(bounds + pairs)
             if hi < -tol_feas:
                 return VIOLATED
             return SATISFIED if lo >= -tol_feas else UNDECIDED
-        return lambda x: point(x) >= -tol_feas, decide_ge
+        return lambda x: point(x + values) >= -tol_feas, decide_ge
 
 
 @dataclass(frozen=True)
@@ -140,6 +153,19 @@ def check_tolerances(tol_opt: float, tol_feas: float) -> None:
         raise ValueError(f"tol_feas must be nonnegative and finite, got {tol_feas}")
 
 
+def _bind(names: Sequence[str], parameters: Sequence[tuple[str, float]]):
+    """The kernel names of an expression with ``parameters`` bound over a
+    box's ``names``: the box's names, then the parameters'.  Returns them with
+    the tuples a call appends: the bound values to a point, and their
+    ``(v, v)`` pairs to a box."""
+    pnames = tuple(n for n, _ in parameters)
+    if set(pnames) & set(names):
+        raise ValueError(f"bound values {pnames} share names with the box "
+                         f"{tuple(names)}")
+    values = tuple(v for _, v in parameters)
+    return tuple(names) + pnames, values, tuple((v, v) for v in values)
+
+
 def _midpoint(bounds) -> tuple[float, ...]:
     return tuple([0.5 * (lo + hi) for lo, hi in bounds])
 
@@ -154,19 +180,26 @@ def minimize(objective: Expr,
              box: BoxDomain,
              tol_opt: float = 1e-6,
              tol_feas: float = 1e-9,
-             node_budget: int = 1_000_000) -> MinimizeOutcome:
+             node_budget: int = 1_000_000,
+             parameters: Sequence[tuple[str, float]] = ()) -> MinimizeOutcome:
     """Globally minimize ``objective`` over ``box`` subject to ``constraints``.
 
-    Returns the first certified incumbent achieving the final value; the
-    search order is deterministic, so repeated calls give identical outcomes.
+    ``parameters`` are the objective's bound values, ``(name, value)`` pairs
+    held fixed (each constraint carries its own); the minimizer names only
+    ``box.names``.  Returns the first certified incumbent achieving the final
+    value; the search order is deterministic, so repeated calls give
+    identical outcomes.
     """
     check_tolerances(tol_opt, tol_feas)
 
-    # Compile once per solve.  Kernels take points as tuples and boxes as
-    # their bounds, both in the order of box.names.  The gradient kernel is
-    # compiled at the first box that no constraint can cut.
+    # Kernels take points as tuples and boxes as their bounds, both in the
+    # order of box.names, and the bound values are appended to every call.
+    # A tree keeps its kernels (expr.compile_expr), so a tree shared by many
+    # solves compiles once.  The gradient kernel is fetched at the first box
+    # that no constraint can cut.
     names = box.names
-    obj_point, obj_interval = compile_expr(objective, names)
+    obj_names, values, pairs = _bind(names, parameters)
+    obj_point, obj_interval = compile_expr(objective, obj_names)
     tests = [c.compile(names, tol_feas) for c in constraints]
     satisfied = [ok for ok, _ in tests]
     decide = [d for _, d in tests]
@@ -186,10 +219,14 @@ def minimize(objective: Expr,
         for j in active:
             if not satisfied[j](point):
                 return
-        v = obj_point(point)
+        v = obj_point(point + values)
         if v < best_val or (best_pt is None and v == math.inf):
-            best_val = v
-            best_pt = point
+            # the interval kernels round to nearest, so a constraint they
+            # certified satisfied can still fail the point test by an ulp:
+            # a new incumbent passes every point test
+            if all(ok(point) for ok in satisfied):
+                best_val = v
+                best_pt = point
 
     def settle(lb: float, retired: bool = False) -> bool:
         """Settle a node retired at ``MIN_WIDTH``, or one whose ``lb`` passes
@@ -208,8 +245,8 @@ def minimize(objective: Expr,
         objective ignores has [0, 0]), the upper one where it is <= 0."""
         nonlocal obj_gradient
         if obj_gradient is None:
-            obj_gradient = compile_gradient(objective, names)
-        gradient = obj_gradient(bounds)[1]
+            obj_gradient = compile_gradient(objective, obj_names)
+        gradient = obj_gradient(bounds + pairs)[1]
         return tuple((lo, lo) if dlo >= 0.0 else (hi, hi) if dhi <= 0.0 else (lo, hi)
                      for (lo, hi), (dlo, dhi) in zip(bounds, gradient))
 
@@ -229,7 +266,7 @@ def minimize(objective: Expr,
         consider(_midpoint(bounds), undecided)
         for corner in corners:
             consider(corner, undecided)
-        lb = obj_interval(bounds)[0]
+        lb = obj_interval(bounds + pairs)[0]
         if settle(lb, _narrow(bounds)):
             return True
         if not undecided:
@@ -237,7 +274,7 @@ def minimize(objective: Expr,
             if reduced != bounds:
                 # the reduced box's corners are corners of b
                 consider(_midpoint(reduced), ())
-                lb = obj_interval(reduced)[0]
+                lb = obj_interval(reduced + pairs)[0]
                 if settle(lb, _narrow(reduced)):
                     return True
                 b = BoxDomain((n, lo, hi) for n, (lo, hi) in zip(names, reduced))
@@ -279,8 +316,12 @@ def grid_minimize(objective: Expr,
                   constraints: Sequence[ConstraintSpec],
                   box: BoxDomain,
                   points_per_axis: int,
-                  tol_feas: float = 1e-9) -> MinimizeOutcome:
+                  tol_feas: float = 1e-9,
+                  parameters: Sequence[tuple[str, float]] = ()) -> MinimizeOutcome:
     """Brute-force minimization over the full tensor grid (endpoints included).
+
+    Bound values (``parameters`` for the objective, each constraint's own)
+    enter the environment as floats.
 
     The variables are bound to an open grid: axis ``i`` is an array of shape
     ``(1, ..., n, ..., 1)``.  ``evaluate_array`` thus works on one axis's
@@ -296,10 +337,12 @@ def grid_minimize(objective: Expr,
     env = dict(zip(box.names, np.meshgrid(*axes, indexing="ij", sparse=True)))
     shape = tuple(len(a) for a in axes)
 
-    vals = np.asarray(evaluate_array(objective, env), dtype=float)
+    vals = np.asarray(evaluate_array(objective, {**env, **dict(parameters)}),
+                      dtype=float)
     feas = np.ones(shape, dtype=bool)
     for c in constraints:
-        cv = np.asarray(evaluate_array(c.expr, env), dtype=float)
+        cv = np.asarray(evaluate_array(c.expr, {**env, **dict(c.parameters)}),
+                        dtype=float)
         feas &= c.satisfied(cv, tol_feas)
     if not feas.any():
         return INFEASIBLE

@@ -8,17 +8,24 @@ A problem is
 and the lab works throughout with its relaxation whose constraint is the
 disjunction  [g(x,y) >= 0] or [hbar(x,y) >= 0]  for all y in Y, where hbar
 is the pointwise maximum of the h_j.  The builders return ready-to-solve
-box-constrained instances with the outer point substituted as constants;
-``algorithms`` solves them.
+box-constrained instances; ``algorithms`` solves them.  Each problem builds
+``g``, ``hbar`` and the cut ``max(g, hbar)`` once, and every instance shares
+these trees: an instance fixes the outer point (or, in the lower-bounding
+problem, each cut's discretization point) as bound values, which the solver
+appends to its kernel calls, so each tree compiles once per run
+(``expr.compile_expr``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from . import expr as ex
 from .domains import BoxDomain
-from .expr import Expr, substitute
+# the builders bind points instead of substituting them; substitute stays
+# bound here because bench/tracer.py counts the calls made through this name
+from .expr import Expr, substitute  # noqa: F401
 from .globalopt import ConstraintSpec
 
 
@@ -63,6 +70,23 @@ class GsipProblem:
                 raise ValueError(
                     f"{label} references undeclared variable(s): {sorted(bad)}")
 
+    @cached_property
+    def hbar(self) -> Expr:
+        """Binary max of the h_j in declared order, folded pairwise
+        (neighbours first) so that n lines nest only ceil(log2 n) levels
+        deep; built once per problem."""
+        hs = list(self.h)
+        while len(hs) > 1:
+            hs = [ex.emax(*hs[i:i + 2]) if i + 1 < len(hs) else hs[i]
+                  for i in range(0, len(hs), 2)]
+        return hs[0]
+
+    @cached_property
+    def cut(self) -> Expr:
+        """max(g, hbar), the relaxation's constraint function; built once per
+        problem."""
+        return ex.emax(self.g, self.hbar)
+
 
 @dataclass(frozen=True)
 class SlaterCertificate:
@@ -79,21 +103,19 @@ class SlaterCertificate:
 
 @dataclass(frozen=True)
 class SubproblemInstance:
-    """A box-constrained minimization ready for globalopt."""
+    """A box-constrained minimization ready for globalopt: ``parameters``
+    are the objective's bound values, ``(name, value)`` pairs in the order of
+    the box they come from; each constraint carries its own."""
 
     objective: Expr
     constraints: tuple[ConstraintSpec, ...]
     box: BoxDomain
+    parameters: tuple[tuple[str, float], ...] = ()
 
 
 def hbar(p: GsipProblem) -> Expr:
-    """Binary max of the h_j in declared order, folded pairwise (neighbours
-    first) so that n lines nest only ceil(log2 n) levels deep."""
-    hs = list(p.h)
-    while len(hs) > 1:
-        hs = [ex.emax(*hs[i:i + 2]) if i + 1 < len(hs) else hs[i]
-              for i in range(0, len(hs), 2)]
-    return hs[0]
+    """The problem's ``GsipProblem.hbar`` tree, the same object at every call."""
+    return p.hbar
 
 
 def check_point(box: BoxDomain, point: Mapping[str, float], what: str):
@@ -103,26 +125,27 @@ def check_point(box: BoxDomain, point: Mapping[str, float], what: str):
         raise DomainError(f"{what} {dict(point)} does not lie in box over {box.names}")
 
 
+def _as_parameters(box: BoxDomain, point: Mapping[str, float], what: str):
+    """``point``, checked to lie in ``box``, as bound values: ``(name,
+    value)`` pairs in the order of ``box``."""
+    check_point(box, point, what)
+    return tuple((n, float(point[n])) for n in box.names)
+
+
 def build_lower_bounding(p: GsipProblem,
                          yset: Sequence[Mapping[str, float]]) -> SubproblemInstance:
     """Discretized relaxation: min f over X s.t. max(g(.,y), hbar(.,y)) >= 0
-    for each y in the finite set."""
-    hb = hbar(p)
-    constraints = []
-    for y in yset:
-        check_point(p.Y, y, "discretization point")
-        constraints.append(
-            ConstraintSpec(ex.emax(substitute(p.g, y), substitute(hb, y)), "ge"))
-    return SubproblemInstance(p.f, tuple(constraints), p.X)
+    for each y in the finite set; every cut is the problem's one cut tree,
+    with its own y bound."""
+    return SubproblemInstance(p.f, tuple(
+        ConstraintSpec(p.cut, "ge", _as_parameters(p.Y, y, "discretization point"))
+        for y in yset), p.X)
 
 
 def build_llp(p: GsipProblem, x: Mapping[str, float]) -> SubproblemInstance:
     """Original lower-level program: min g(x,.) over Y s.t. hbar(x,.) <= 0."""
-    check_point(p.X, x, "outer point")
-    return SubproblemInstance(
-        substitute(p.g, x),
-        (ConstraintSpec(substitute(hbar(p), x), "le"),),
-        p.Y)
+    xs = _as_parameters(p.X, x, "outer point")
+    return SubproblemInstance(p.g, (ConstraintSpec(p.hbar, "le", xs),), p.Y, xs)
 
 
 def build_aux_llp(p: GsipProblem, x: Mapping[str, float],
@@ -130,19 +153,16 @@ def build_aux_llp(p: GsipProblem, x: Mapping[str, float],
     """Auxiliary LLP: min hbar(x,.) over Y s.t. g(x,.) <= alpha * llp_value."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    check_point(p.X, x, "outer point")
+    xs = _as_parameters(p.X, x, "outer point")
     return SubproblemInstance(
-        substitute(hbar(p), x),
-        (ConstraintSpec(substitute(p.g, x) - ex.const(alpha * llp_value), "le"),),
-        p.Y)
+        p.hbar, (ConstraintSpec(p.g - ex.const(alpha * llp_value), "le", xs),),
+        p.Y, xs)
 
 
 def build_sip_llp(p: GsipProblem, x: Mapping[str, float]) -> SubproblemInstance:
     """Lower-level program of the relaxation seen as a standard SIP:
     min max(g(x,.), hbar(x,.)) over Y."""
-    check_point(p.X, x, "outer point")
-    return SubproblemInstance(
-        ex.emax(substitute(p.g, x), substitute(hbar(p), x)), (), p.Y)
+    return SubproblemInstance(p.cut, (), p.Y, _as_parameters(p.X, x, "outer point"))
 
 
 def builtin_problems() -> list[GsipProblem]:

@@ -1,5 +1,6 @@
 import pytest
 
+from gsiplab import expr as ex
 from gsiplab.algorithms import (AUX_LLP, LLP_ONLY, SIP_LLP, AlgorithmConfig,
                                 RunResult, diagnose_trace, lower_bound_history,
                                 record_subproblems, run)
@@ -130,7 +131,8 @@ class TestRecords:
         r1 = run(CEX2, cfg).trace[0]
         inst = build_aux_llp(CEX2, r1.x, r1.llp.value, cfg.alpha)
         assert r1.aux.optimal
-        assert r1.aux.value == evaluate(inst.objective, r1.aux.minimizer)
+        assert r1.aux.value == evaluate(inst.objective,
+                                        {**r1.aux.minimizer, **dict(inst.parameters)})
         assert r1.aux.value_bounds is None
         assert r1.added_point == r1.aux.minimizer
 
@@ -144,7 +146,8 @@ class TestRecords:
         inst = subs[2][1]
         assert inst == build_sip_llp(CEX2, r1.x)
         assert subs[2][2] == minimize(inst.objective, inst.constraints, inst.box,
-                                      tol_opt=cfg.tol_opt, tol_feas=cfg.tol_feas)
+                                      tol_opt=cfg.tol_opt, tol_feas=cfg.tol_feas,
+                                      parameters=inst.parameters)
 
     def test_record_subproblems_reuse_the_sip_outcome(self):
         cfg = AlgorithmConfig(variant=SIP_LLP)
@@ -152,6 +155,28 @@ class TestRecords:
             (label, inst, out), = record_subproblems(CEX1, rec, cfg)
             assert (label, inst) == ("sip_llp", build_sip_llp(CEX1, rec.x))
             assert out is rec.sip
+
+
+class TestCompileOnce:
+    def test_compile_cost_does_not_grow_with_iterations(self, monkeypatch):
+        # the subproblems share the problem's trees, which keep their kernels,
+        # so a longer run solves more subproblems but compiles nothing more
+        compile_node = ex._compile
+        compiled = []
+
+        def counting(e, index, memo, node):
+            if id(e) not in memo:
+                compiled.append(e.kind)
+            return compile_node(e, index, memo, node)
+        monkeypatch.setattr(ex, "_compile", counting)
+        counts = []
+        for max_iter in (5, 20):
+            compiled.clear()
+            result = run(get_builtin("cex1"),  # fresh trees, compiled by no one
+                         AlgorithmConfig(variant=LLP_ONLY, max_iter=max_iter))
+            assert len(result.trace) == max_iter
+            counts.append(len(compiled))
+        assert counts[0] == counts[1] > 0
 
 
 class TestMonotonicityAndValidity:

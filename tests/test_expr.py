@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import struct
 from fractions import Fraction
@@ -338,6 +340,29 @@ class TestGradientKernel:
         kernel = compile_gradient(ex.emin(x, y + 5.0), NAMES)
         assert kernel(((0.0, 1.0), (0.0, 1.0)))[1] == ((1.0, 1.0), (0.0, 0.0))
         assert kernel(((0.0, 6.0), (0.0, 1.0)))[1] == ((0.0, 1.0), (0.0, 1.0))
+
+
+class TestKernelCache:
+    def test_kernels_are_kept_per_name_order(self):
+        e = x - y
+        assert compile_expr(e, ("x", "y")) is compile_expr(e, ["x", "y"])
+        assert compile_gradient(e, NAMES) is compile_gradient(e, NAMES)
+        assert compile_expr(e, ("x", "y"))[0]((1.0, 3.0)) == -2.0
+        assert compile_expr(e, ("y", "x"))[0]((1.0, 3.0)) == 2.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(expressions(consts=FINITE))
+    def test_compiling_leaves_the_tree_as_it_was(self, e):
+        twin = copy.deepcopy(e)
+        before = (hash(e), repr(e), pickle.dumps(e))
+        compile_expr(e, NAMES)
+        compile_gradient(e, NAMES)
+        assert e == twin and twin == e
+        assert (hash(e), repr(e), pickle.dumps(e)) == before
+        for clone in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert clone == e and hash(clone) == hash(e)
+            assert _bits(_outcome(compile_expr(clone, NAMES)[0], (0.5, -1.5))) == \
+                _bits(_outcome(compile_expr(e, NAMES)[0], (0.5, -1.5)))
 
 
 # -- the numpy evaluator against the point evaluator ----------------------------

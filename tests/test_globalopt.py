@@ -105,6 +105,34 @@ class TestMinimize:
             minimize(obj, [], BoxDomain([("x", 0.0, 1.0), ("y", 0.0, 1.0)]),
                      tol_opt=1e-12, node_budget=20)
 
+    def test_incumbent_passes_its_point_test(self):
+        # the interval kernel computes c / d as c * fl(1/d), which rounds down
+        # to 1.2123149273425617 and certifies the constraint satisfied on the
+        # box; its point value c / d - 1.2123149273425617 is 2.2e-16 > 0, so
+        # no point passes, and the retired boxes leave the search undecided
+        c = ConstraintSpec(ex.const(3.5473533668846606) / 2.9260988930166745
+                           - 1.2123149273425617, "le")
+        assert evaluate(c.expr, {}) > 0.0
+        with pytest.raises(UndecidedError):
+            minimize(x, [c], BoxDomain([("x", 0.0, 1.0)]), tol_feas=0.0)
+
+    def test_bound_values(self):
+        # min over y of (y - a)^2 s.t. y >= b, with a = 0.5 and b = 0.75 bound
+        a, b = ex.var("a"), ex.var("b")
+        cons = [ConstraintSpec(y - b, "ge", (("b", 0.75),))]
+        out = minimize((y - a) ** 2, cons, UNIT_Y, tol_opt=1e-12,
+                       parameters=(("a", 0.5),))
+        assert set(out.minimizer) == {"y"}
+        assert out.minimizer["y"] == pytest.approx(0.75, abs=1e-9)
+        grid = grid_minimize((y - a) ** 2, cons, UNIT_Y, 9, parameters=(("a", 0.5),))
+        assert grid.minimizer == {"y": 0.75} and grid.value == 0.0625
+
+    def test_bound_value_named_like_the_box(self):
+        with pytest.raises(ValueError, match="share names"):
+            minimize(x, [], UNIT_X, parameters=(("x", 0.0),))
+        with pytest.raises(ValueError, match="share names"):
+            minimize(x, [ConstraintSpec(x, "le", (("x", 0.0),))], UNIT_X)
+
     def test_deterministic(self):
         obj, cons, box = random_poly_instance(42)
         a = minimize(obj, cons, box, tol_opt=1e-5)

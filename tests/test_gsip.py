@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsiplab import expr as ex
 from gsiplab.algorithms import check_relaxation_feasible, verify_slater
 from gsiplab.domains import BoxDomain
-from gsiplab.expr import evaluate, interval_eval
-from gsiplab.globalopt import grid_minimize, minimize
+from gsiplab.expr import EvaluationError, evaluate, interval_eval, substitute
+from gsiplab.globalopt import (ConstraintSpec, NodeBudgetExceeded,
+                               UndecidedError, grid_minimize, minimize)
 from gsiplab.gsip import (DomainError, GsipProblem, SlaterCertificate,
                           build_aux_llp, build_llp, build_lower_bounding,
                           build_sip_llp, builtin_problems, get_builtin, hbar)
@@ -17,7 +20,8 @@ CEX2 = get_builtin("cex2")
 
 
 def solve(inst, **kw):
-    return minimize(inst.objective, inst.constraints, inst.box, **kw)
+    return minimize(inst.objective, inst.constraints, inst.box,
+                    parameters=inst.parameters, **kw)
 
 
 class TestHbar:
@@ -118,20 +122,27 @@ class TestLowerBoundingBuilder:
         assert out.minimizer["x"] == pytest.approx(0.5, abs=1e-6)
         # feasible set is [-1, 1/2]
         c = inst.constraints[0]
-        assert c.satisfied(evaluate(c.expr, {"x": 0.5}), 1e-9)
-        assert not c.satisfied(evaluate(c.expr, {"x": 0.6}), 1e-9)
+        assert c.satisfied(evaluate(c.expr, {"x": 0.5, **dict(c.parameters)}), 1e-9)
+        assert not c.satisfied(evaluate(c.expr, {"x": 0.6, **dict(c.parameters)}), 1e-9)
 
     def test_cex2_cut_caps_at_zero(self):
         inst = build_lower_bounding(CEX2, [{"y": 0.45}])
         out = solve(inst)
         assert out.minimizer["x"] == pytest.approx(0.0, abs=1e-6)
         c = inst.constraints[0]
-        assert c.satisfied(evaluate(c.expr, {"x": -1.0}), 1e-9)
-        assert not c.satisfied(evaluate(c.expr, {"x": 0.1}), 1e-9)
+        assert c.satisfied(evaluate(c.expr, {"x": -1.0, **dict(c.parameters)}), 1e-9)
+        assert not c.satisfied(evaluate(c.expr, {"x": 0.1, **dict(c.parameters)}), 1e-9)
 
     def test_point_outside_host_box(self):
         with pytest.raises(DomainError):
             build_lower_bounding(CEX1, [{"y": 2.0}])
+
+    def test_cuts_share_one_tree(self):
+        inst = build_lower_bounding(CEX1, [{"y": 1.0}, {"y": -0.5}])
+        assert all(c.expr is CEX1.cut for c in inst.constraints)
+        assert [c.parameters for c in inst.constraints] == [(("y", 1.0),),
+                                                            (("y", -0.5),)]
+        assert CEX1.cut == ex.emax(CEX1.g, hbar(CEX1))
 
     def test_empty_discretization_matches_plain_minimization(self):
         for p in builtin_problems():
@@ -163,8 +174,8 @@ class TestAuxLlpBuilder:
     def test_feasible_band_and_minimizer(self):
         inst = build_aux_llp(CEX2, {"x": 1.0}, -11.0, 0.95)
         c = inst.constraints[0]
-        assert c.satisfied(evaluate(c.expr, {"y": 0.45}), 1e-9)
-        assert not c.satisfied(evaluate(c.expr, {"y": 0.4}), 1e-9)
+        assert c.satisfied(evaluate(c.expr, {"y": 0.45, **dict(c.parameters)}), 1e-9)
+        assert not c.satisfied(evaluate(c.expr, {"y": 0.4, **dict(c.parameters)}), 1e-9)
         out = solve(inst, tol_opt=1e-13)
         assert out.minimizer["y"] == pytest.approx(0.45, abs=1e-6)
         assert out.value == pytest.approx(-1.55, abs=1e-6)
@@ -175,7 +186,7 @@ class TestAuxLlpBuilder:
         assert out.value == pytest.approx(0.0, abs=1e-9)
         # every feasible y is optimal; the objective is identically zero there
         for yv in (0.45, 0.7, 1.0):
-            assert evaluate(inst.objective, {"y": yv}) == 0.0
+            assert evaluate(inst.objective, {"y": yv, **dict(inst.parameters)}) == 0.0
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
@@ -191,12 +202,66 @@ class TestSipLlpBuilder:
     ])
     def test_values_match_grid_oracle(self, problem, xv, value, yv):
         inst = build_sip_llp(problem, {"x": xv})
-        oracle = grid_minimize(inst.objective, inst.constraints, inst.box, 401)
+        oracle = grid_minimize(inst.objective, inst.constraints, inst.box, 401,
+                               parameters=inst.parameters)
         assert oracle.value == pytest.approx(value, abs=1e-9)
         assert oracle.minimizer["y"] == pytest.approx(yv, abs=1e-9)
         out = solve(inst)
         assert out.value == pytest.approx(value, abs=1e-6)
         assert out.minimizer["y"] == pytest.approx(yv, abs=1e-6)
+
+
+# -- bound values against substitution -----------------------------------------
+
+TREE_KINDS = ("const", "add", "sub", "mul", "pow", "min", "max")
+
+
+@st.composite
+def trees(draw):
+    """A random expression DAG over x and y with + - * ^ min max; no division,
+    whose constant folding by ``substitute`` rounds differently from the
+    interval kernel's ``a * (1/b)``."""
+    pool = [ex.var("x"), ex.var("y")]
+    for _ in range(draw(st.integers(1, 6))):
+        def pick():
+            return pool[draw(st.integers(0, len(pool) - 1))]
+        kind = draw(st.sampled_from(TREE_KINDS))
+        if kind == "const":
+            node = ex.const(draw(st.floats(-3.0, 3.0)))
+        elif kind == "pow":
+            node = ex.ipow(pick(), draw(st.integers(0, 3)))
+        else:
+            node = ex.Expr(kind, children=(pick(), pick()))
+        pool.append(node)
+    return pool[-1]
+
+
+def _solved(objective, constraints, box, parameters=()):
+    """repr of the outcome, which shows every bit of its floats, or the type
+    of the exception the solve raised."""
+    try:
+        return repr(minimize(objective, constraints, box, node_budget=2000,
+                             parameters=parameters))
+    except (EvaluationError, ValueError, OverflowError, NodeBudgetExceeded,
+            UndecidedError) as e:
+        return type(e)
+
+
+class TestBoundValues:
+    @settings(max_examples=200, deadline=None)
+    @given(trees(), st.lists(trees(), min_size=1, max_size=2),
+           st.floats(-1.0, 1.0), st.floats(-2.0, 1.0), st.floats(0.1, 2.0))
+    def test_solves_match_substitution(self, g, h, xv, ylo, width):
+        p = GsipProblem("t", BoxDomain([("x", -1.0, 1.0)]),
+                        BoxDomain([("y", ylo, ylo + width)]), -ex.var("x"), g, tuple(h))
+        point = {"x": xv}
+        llp = build_llp(p, point)
+        assert _solved(llp.objective, llp.constraints, llp.box, llp.parameters) == \
+            _solved(substitute(g, point),
+                    [ConstraintSpec(substitute(hbar(p), point), "le")], p.Y)
+        sip = build_sip_llp(p, point)
+        assert _solved(sip.objective, sip.constraints, sip.box, sip.parameters) == \
+            _solved(ex.emax(substitute(g, point), substitute(hbar(p), point)), [], p.Y)
 
 
 class TestRelaxationFeasibility:
