@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from . import expr as ex
 from .expr import evaluate
 from .globalopt import ConstraintSpec, MinimizeOutcome, check_tolerances, minimize
-from .gsip import (GsipProblem, SlaterCertificate, SubproblemInstance,
+from .gsip import (LEVEL, GsipProblem, SlaterCertificate, SubproblemInstance,
                    build_aux_llp, build_llp, build_lower_bounding,
                    build_sip_llp, check_point, hbar)
 
@@ -129,11 +128,12 @@ def _aux_llp(p: GsipProblem, x: dict[str, float], llp: MinimizeOutcome,
     if cfg.aux_tie_break == "solver":
         return aux
     # re-solve preferring extreme first-coordinate y among near-optimal
-    # points; the record is the aux objective at the re-solve's minimizer
-    yname = p.Y.names[0]
-    secondary = ex.var(yname) if cfg.aux_tie_break == "min-y" else -ex.var(yname)
-    near_opt = ConstraintSpec(inst.objective - ex.const(aux.value + cfg.tol_opt),
-                              "le", inst.parameters)
+    # points, where the aux objective hbar is within tol_opt of its
+    # minimum; the record is the aux objective at the re-solve's minimizer
+    low, high = p.first_inner
+    secondary = low if cfg.aux_tie_break == "min-y" else high
+    near_opt = ConstraintSpec(p.hbar_level, "le",
+                              inst.parameters + ((LEVEL, aux.value + cfg.tol_opt),))
     y = _solve(SubproblemInstance(secondary, inst.constraints + (near_opt,),
                                   inst.box), cfg).minimizer
     return MinimizeOutcome("optimal", y,

@@ -14,24 +14,31 @@ Python's ``**`` does: numpy's ``**`` may run SIMD code that differs from
 ``evaluate_array`` needs numpy, and it imports numpy when called, so the rest
 of the package loads without it.
 
-``compile_expr`` turns a tree into two closure kernels over one variable
-order, for callers that evaluate the same expression many times.  The
-kernels are kept on the tree, keyed by the variable order, so a tree that
-lives for a whole run compiles once however many solves use it (``gsip``
-builds one tree per problem function, and its subproblems pass the outer
-point as extra kernel arguments).  The kernels do the float operations of
-``evaluate`` and ``interval_eval`` in the same order and raise the same
-exceptions, so their results are bit-identical; they only drop the per-node
-kind dispatch, the name lookups and the ``Interval`` allocations.  They
-share no code with the walker, which the tests use as their reference.
-``compile_gradient`` adds a third kernel from the same compiler: a
-forward-mode interval gradient, whose values are the interval kernel's.
+``compile_expr`` turns a tree into two kernels over one variable order, for
+callers that evaluate the same expression many times: a point kernel and an
+interval kernel, each one generated Python function of straight-line code,
+compiled once with ``compile``.  The kernels are kept on the tree, keyed by
+the variable order, so a tree that lives for a whole run compiles once
+however many solves use it (``gsip`` builds one tree per problem function,
+and its subproblems pass the outer point as extra kernel arguments).  The
+kernels do the float operations of ``evaluate`` and ``interval_eval`` in
+the same order and raise the same exceptions, so their results are
+bit-identical (up to the sign bit of a NaN: when both operands of a float
+``+`` or ``*`` are NaNs, CPython 3.11 returns one or the other depending on
+whether it has specialized the instruction yet, in the walker too); they
+only drop the per-node calls and kind dispatch, the name lookups and the
+``Interval`` allocations, and compute a shared subtree once.  They share
+no code with the walker, which the tests use as their reference.  Nothing
+from the tree enters a kernel's source text: constants, exponents and the
+names of unknown variables reach it through its namespace, and variables
+are indices into its argument tuple.  ``compile_gradient`` generates a
+third kernel the same way: a forward-mode interval gradient, whose value
+lines are the interval kernel's.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -132,8 +139,8 @@ class Expr:
             raise ValueError("integer power exponent must be a nonnegative integer")
 
     def __getstate__(self):
-        # the kernels compile_expr keeps on the tree are closures, not state:
-        # copies and pickles leave them out
+        # the kernels compile_expr keeps on the tree are generated functions,
+        # not state: copies and pickles leave them out
         state = dict(self.__dict__)
         state.pop(_KERNELS, None)
         return state
@@ -313,7 +320,7 @@ def substitute(e: Expr, bindings: Mapping[str, float]) -> Expr:
     return node
 
 
-# -- compiled kernels ---------------------------------------------------------
+# -- generated kernels --------------------------------------------------------
 
 def compile_expr(e: Expr, names: Sequence[str]) -> tuple[Callable, Callable]:
     """Compile ``e`` into a point kernel and an interval kernel over ``names``.
@@ -321,8 +328,10 @@ def compile_expr(e: Expr, names: Sequence[str]) -> tuple[Callable, Callable]:
     The point kernel maps a tuple of floats (one per name) to a float, like
     ``evaluate``.  The interval kernel maps a tuple of ``(lo, hi)`` pairs to
     a ``(lo, hi)`` pair, like ``interval_eval``, without building
-    ``Interval`` objects.  A variable outside ``names`` compiles to a kernel
-    that raises ``EvaluationError`` when it is reached, as ``evaluate`` would.
+    ``Interval`` objects.  Each kernel is one generated function of
+    straight-line code (``_generate``).  A variable outside ``names``
+    compiles to a line that raises ``EvaluationError`` when it is reached,
+    as ``evaluate`` would.
 
     The kernels are kept on ``e``, keyed by the order of ``names``: compiling
     the same tree over the same names again returns them without compiling.
@@ -330,7 +339,7 @@ def compile_expr(e: Expr, names: Sequence[str]) -> tuple[Callable, Callable]:
     ignore them, and copies and pickles leave them out.
     """
     return _cached(e, names, "expr", lambda index: (
-        _compile(e, index, {}, _point_node), _compile(e, index, {}, _interval_node)))
+        _generate(e, index, _POINT), _generate(e, index, _INTERVAL)))
 
 
 def compile_gradient(e: Expr, names: Sequence[str]) -> Callable:
@@ -342,14 +351,14 @@ def compile_gradient(e: Expr, names: Sequence[str]) -> Callable:
     that name at every point of the box where ``e`` is differentiable.  At a
     kink of ``min``/``max`` it encloses both sides' derivatives: the kernel
     returns one child's gradient when the children's value intervals do not
-    overlap, and the hull of both otherwise.  Each node's value comes from
-    its interval kernel, so the kernel raises exactly where the interval
-    kernel raises; a NaN in a derivative, as inf * 0 or inf - inf produce,
-    widens it to (-inf, inf) instead.  It is kept on ``e`` as the kernels of
+    overlap, and the hull of both otherwise.  Its value lines are the
+    interval kernel's, so it raises exactly where the interval kernel
+    raises; a NaN in a derivative, as inf * 0 or inf - inf produce, widens
+    it to (-inf, inf) instead.  It is kept on ``e`` as the kernels of
     ``compile_expr`` are.
     """
     return _cached(e, names, "gradient",
-                   lambda index: _compile(e, index, {}, _gradient_node))
+                   lambda index: _generate(e, index, _GRADIENT))
 
 
 _KERNELS = "_kernels"  # the attribute of a tree that holds its compiled kernels
@@ -367,247 +376,233 @@ def _cached(e: Expr, names: Sequence[str], kind: str, build: Callable):
     return k
 
 
-def _compile(e: Expr, index, memo, node):
-    # shared subtrees compile once.  The memo is keyed by id because Expr
-    # hashes its whole subtree; ids are not reused while the tree compiles.
-    f = memo.get(id(e))
-    if f is None:
-        f = node(e, index, lambda c: _compile(c, index, memo, node))
-        memo[id(e)] = f
-    return f
+_POINT, _INTERVAL, _GRADIENT = "point", "interval", "gradient"
 
 
-def _variable(e: Expr, index):
-    """A variable's point and interval kernel: its entry of the tuple."""
-    i = index.get(e.name)
-    return _unknown(e.name) if i is None else itemgetter(i)
+def _generate(e: Expr, index: Mapping[str, int], kind: str) -> Callable:
+    """The kernel of ``kind`` of ``e``, written out as the source of one
+    Python function and compiled once.
 
-
-def _unknown(name: str):
-    def kernel(_):
-        raise EvaluationError(f"unknown variable {name!r}")
-    return kernel
+    The body is straight-line code: one assignment (a few for an interval
+    product) per node, children before their parent and left to right, as
+    the walker evaluates them, and each shared subtree once.  The source
+    holds only names the emitter makes up and its own literals: every value
+    taken from the tree (a constant, an exponent, the error of an unknown
+    variable, a derivative rule) reaches the function through its namespace,
+    and a variable is an index into the argument tuple.
+    """
+    emitter = _Emitter(index, kind)
+    out = emitter.node(e)
+    result = {_POINT: "{0}", _INTERVAL: "{0}, {1}", _GRADIENT: "({0}, {1}), {2}"}
+    source = "\n    ".join(["def kernel(arg):", *emitter.lines,
+                            "return " + result[kind].format(*out)])
+    exec(compile(source, f"<{kind} kernel>", "exec"), emitter.namespace)
+    return emitter.namespace["kernel"]
 
 
 def _empty(lo, hi):
     raise EmptyIntervalError(f"empty interval [{lo}, {hi}]")
 
 
-def _point_node(e: Expr, index, sub):
-    k = e.kind
-    if k == "var":
-        return _variable(e, index)
-    if k == "const":
-        v = e.value
-        return lambda x: v
-    if k == "neg":
-        f = sub(e.children[0])
-        return lambda x: -f(x)
-    if k == "pow":
-        n = e.exponent
-        c = e.children[0]
-        if c.kind == "var" and c.name in index:
-            i = index[c.name]
-            return lambda x: x[i] ** n
-        f = sub(c)
-        return lambda x: f(x) ** n
-    a, b = e.children
-    fa, fb = sub(a), sub(b)
-    if k == "add":
-        if b.kind == "const":
-            cb = b.value
-            return lambda x: fa(x) + cb
-        return lambda x: fa(x) + fb(x)
-    if k == "sub":
-        if b.kind == "const":
-            cb = b.value
-            return lambda x: fa(x) - cb
-        return lambda x: fa(x) - fb(x)
-    if k == "mul":
-        if a.kind == "const":
-            ca = a.value
-            return lambda x: ca * fb(x)
-        return lambda x: fa(x) * fb(x)
-    if k == "div":
-        def div_(x):
-            u = fa(x)
-            v = fb(x)
-            if v == 0.0:
-                raise EvaluationError("division by zero")
-            return u / v
-        return div_
-    # min(u, v) returns u unless v < u; max(u, v) returns u unless v > u
-    if k == "min":
-        def min_(x):
-            u = fa(x)
-            v = fb(x)
-            return v if v < u else u
-        return min_
-
-    def max_(x):
-        u = fa(x)
-        v = fb(x)
-        return v if v > u else u
-    return max_
+def _division_by_zero():
+    raise EvaluationError("division by zero")
 
 
-def _mul_pairs(al, ah, bl, bh):
-    """Interval.__mul__ on bare floats: min and max of the four products,
-    scanned in the same order as the builtins, so ties and NaNs resolve
-    identically."""
-    p = al * bl
-    lo = hi = p
-    p = al * bh
-    if p < lo:
-        lo = p
-    if p > hi:
-        hi = p
-    p = ah * bl
-    if p < lo:
-        lo = p
-    if p > hi:
-        hi = p
-    p = ah * bh
-    if p < lo:
-        lo = p
-    if p > hi:
-        hi = p
+def _division_by_straddle():
+    raise EvaluationError("division by an interval containing zero")
+
+
+def _unknown(name: str):
+    def raise_unknown():
+        raise EvaluationError(f"unknown variable {name!r}")
+    return raise_unknown
+
+
+def _pow_pairs(lo: float, hi: float, n: int) -> tuple[float, float]:
+    """``Interval.__pow__`` on bare floats, for the interval kernels and the
+    pow derivative rule."""
+    if n == 0:
+        return 1.0, 1.0
+    if n % 2 == 0 and lo <= 0.0 <= hi:
+        # max(abs(lo), abs(hi)) keeps abs(lo) unless abs(hi) is larger
+        return 0.0, (hi if hi > -lo else -lo) ** n
+    if n % 2 == 1 or lo > 0.0:
+        lo, hi = lo ** n, hi ** n
+    else:
+        lo, hi = (-hi) ** n, (-lo) ** n
     if not lo <= hi:
         _empty(lo, hi)
     return lo, hi
 
 
-# Every pair a kernel returns is a valid interval (lo <= hi, no NaN), the
-# invariant Interval.__post_init__ enforces.  neg, min and max map valid
-# intervals to valid ones; every other node checks its result wherever the
-# Interval constructor would (add, sub, mul and div can meet inf - inf or
-# inf * 0).
-def _interval_node(e: Expr, index, sub):
-    k = e.kind
-    if k == "var":
-        return _variable(e, index)
-    if k == "const":
-        v = e.value
-        if not v <= v:  # NaN
-            return lambda b: _empty(v, v)
-        pair = (v, v)
-        return lambda b: pair
-    if k == "neg":
-        f = sub(e.children[0])
+_BINARY = {"add": "+", "sub": "-", "mul": "*"}
 
-        def neg_(b):
-            lo, hi = f(b)
-            return -hi, -lo
-        return neg_
-    if k == "pow":
-        return _interval_pow(e.exponent, sub(e.children[0]))
-    a, c = e.children
-    fa, fc = sub(a), sub(c)
-    if k == "add":
-        def add_(b):
-            al, ah = fa(b)
-            cl, ch = fc(b)
-            lo = al + cl
-            hi = ah + ch
-            if not lo <= hi:
-                _empty(lo, hi)
+
+class _Emitter:
+    """The body of one kernel, written node by node.
+
+    ``node`` returns a node's operands, the names its parent reads: a
+    point kernel's value; an interval kernel's ``lo`` and ``hi``; for the
+    gradient kernel those two and the gradient.  A constant's operands are
+    its namespace name, so it takes no line.
+    """
+
+    def __init__(self, index: Mapping[str, int], kind: str):
+        self.index = index
+        self.kind = kind
+        self.lines: list[str] = []
+        self.namespace = {"_empty": _empty, "_pow": _pow_pairs,
+                          "_division_by_zero": _division_by_zero,
+                          "_division_by_straddle": _division_by_straddle}
+        self.memo: dict[int, tuple[str, ...]] = {}
+
+    def bind(self, value) -> str:
+        """A new name in the kernel's namespace, bound to ``value``."""
+        name = f"_k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def node(self, e: Expr) -> tuple[str, ...]:
+        # the memo is keyed by id because Expr hashes its whole subtree; ids
+        # are not reused while the tree is alive
+        out = self.memo.get(id(e))
+        if out is None:
+            kids = [self.node(c) for c in e.children]
+            n = len(self.memo)
+            if self.kind == _POINT:
+                out = self.point(e, kids, n)
+            else:
+                out = self.interval(e, kids, n)
+                if self.kind == _GRADIENT:
+                    out += (self.gradient(e, kids, out, n),)
+            self.memo[id(e)] = out
+        return out
+
+    def variable(self, e: Expr, target: str) -> None:
+        """``target = `` a variable's entry of the argument tuple."""
+        i = self.index.get(e.name)
+        self.lines.append(f"{target} = arg[{i}]" if i is not None else
+                          f"{target} = {self.bind(_unknown(e.name))}()")
+
+    def point(self, e: Expr, kids, n: int) -> tuple[str]:
+        """Python's float operations, as ``evaluate`` applies them."""
+        k = e.kind
+        if k == "const":
+            return (self.bind(e.value),)
+        v = f"v{n}"
+        emit = self.lines.append
+        if k == "var":
+            self.variable(e, v)
+            return (v,)
+        a = kids[0][0]
+        if k == "neg":
+            emit(f"{v} = -{a}")
+            return (v,)
+        if k == "pow":
+            emit(f"{v} = {a} ** {self.bind(e.exponent)}")
+            return (v,)
+        c = kids[1][0]
+        if k in _BINARY:
+            emit(f"{v} = {a} {_BINARY[k]} {c}")
+        elif k == "div":
+            emit(f"if {c} == 0.0: _division_by_zero()")
+            emit(f"{v} = {a} / {c}")
+        # min(u, v) returns u unless v < u; max(u, v) returns u unless v > u
+        elif k == "min":
+            emit(f"{v} = {c} if {c} < {a} else {a}")
+        else:
+            emit(f"{v} = {c} if {c} > {a} else {a}")
+        return (v,)
+
+    # Every pair an interval kernel computes is a valid interval (lo <= hi,
+    # no NaN), the invariant Interval.__post_init__ enforces.  neg, min and
+    # max map valid intervals to valid ones; every other node checks its
+    # result wherever the Interval constructor would (add, sub, mul and div
+    # can meet inf - inf or inf * 0).
+    def interval(self, e: Expr, kids, n: int) -> tuple[str, str]:
+        """``Interval``'s operations on bare floats, as ``interval_eval``
+        applies them."""
+        k = e.kind
+        emit = self.lines.append
+        if k == "const":
+            c = self.bind(e.value)
+            if math.isnan(e.value):
+                emit(f"_empty({c}, {c})")
+            return c, c
+        lo, hi = f"l{n}", f"h{n}"
+        if k == "var":
+            self.variable(e, f"{lo}, {hi}")
             return lo, hi
-        return add_
-    if k == "sub":
-        def sub_(b):
-            al, ah = fa(b)
-            cl, ch = fc(b)
-            lo = al - ch
-            hi = ah - cl
-            if not lo <= hi:
-                _empty(lo, hi)
+        al, ah = kids[0][:2]
+        if k == "neg":
+            emit(f"{lo} = -{ah}")
+            emit(f"{hi} = -{al}")
             return lo, hi
-        return sub_
-    if k == "mul":
-        if a.kind == "const" and a.value <= a.value:
+        if k == "pow":
+            emit(f"{lo}, {hi} = _pow({al}, {ah}, {self.bind(e.exponent)})")
+            return lo, hi
+        cl, ch = kids[1][:2]
+        if k == "min":
+            emit(f"{lo} = {cl} if {cl} < {al} else {al}")
+            emit(f"{hi} = {ch} if {ch} < {ah} else {ah}")
+            return lo, hi
+        if k == "max":
+            emit(f"{lo} = {cl} if {cl} > {al} else {al}")
+            emit(f"{hi} = {ch} if {ch} > {ah} else {ah}")
+            return lo, hi
+        if k == "add":
+            emit(f"{lo} = {al} + {cl}")
+            emit(f"{hi} = {ah} + {ch}")
+        elif k == "sub":
+            emit(f"{lo} = {al} - {ch}")
+            emit(f"{hi} = {ah} - {cl}")
+        elif k == "div":
+            emit(f"if {cl} <= 0.0 <= {ch}: _division_by_straddle()")
+            emit(f"r{n} = 1.0 / {ch}")
+            emit(f"s{n} = 1.0 / {cl}")
+            self.products(lo, hi, (al, ah), (f"r{n}", f"s{n}"))
+        elif e.children[0].kind == "const" and not math.isnan(e.children[0].value):
             # [v, v] * [cl, ch]: the third and fourth products repeat the
             # first two, so they can change neither the min nor the max (a
-            # NaN constant takes the generic path, where its kernel raises)
-            v = a.value
-
-            def scale_(b):
-                cl, ch = fc(b)
-                lo = hi = v * cl
-                p = v * ch
-                if p < lo:
-                    lo = p
-                if p > hi:
-                    hi = p
-                if not lo <= hi:
-                    _empty(lo, hi)
-                return lo, hi
-            return scale_
-
-        def mul_(b):
-            al, ah = fa(b)
-            cl, ch = fc(b)
-            return _mul_pairs(al, ah, cl, ch)
-        return mul_
-    if k == "div":
-        def div_(b):
-            al, ah = fa(b)
-            cl, ch = fc(b)
-            if cl <= 0.0 <= ch:
-                raise EvaluationError("division by an interval containing zero")
-            return _mul_pairs(al, ah, 1.0 / ch, 1.0 / cl)
-        return div_
-    if k == "min":
-        def min_(b):
-            al, ah = fa(b)
-            cl, ch = fc(b)
-            return (cl if cl < al else al), (ch if ch < ah else ah)
-        return min_
-
-    def max_(b):
-        al, ah = fa(b)
-        cl, ch = fc(b)
-        return (cl if cl > al else al), (ch if ch > ah else ah)
-    return max_
-
-
-def _interval_pow(n: int, f):
-    """The kernel of ``f(b) ** n``."""
-    if n == 0:
-        def pow0(b):
-            f(b)
-            return 1.0, 1.0
-        return pow0
-    if n % 2 == 1:
-        def odd(b):
-            lo, hi = f(b)
-            lo = lo ** n
-            hi = hi ** n
-            if not lo <= hi:
-                _empty(lo, hi)
-            return lo, hi
-        return odd
-
-    def even(b):
-        lo, hi = f(b)
-        if lo <= 0.0 <= hi:
-            # max(abs(lo), abs(hi)) keeps abs(lo) unless abs(hi) is larger
-            return 0.0, (hi if hi > -lo else -lo) ** n
-        if lo > 0.0:
-            lo = lo ** n
-            hi = hi ** n
+            # NaN constant takes the generic path, where its line raises)
+            self.products(lo, hi, (al,), (cl, ch))
         else:
-            lo, hi = (-hi) ** n, (-lo) ** n
-        if not lo <= hi:
-            _empty(lo, hi)
+            self.products(lo, hi, (al, ah), (cl, ch))
+        emit(f"if not {lo} <= {hi}: _empty({lo}, {hi})")
         return lo, hi
-    return even
+
+    def products(self, lo: str, hi: str, a, c) -> None:
+        """``Interval.__mul__``'s min and max of the products of ``a``'s and
+        ``c``'s ends, scanned in the order of the builtins, so that ties and
+        NaNs resolve identically."""
+        first, *rest = [f"{p} * {q}" for p in a for q in c]
+        self.lines.append(f"{lo} = {hi} = {first}")
+        for product in rest:
+            self.lines += [f"p = {product}",
+                           f"if p < {lo}: {lo} = p",
+                           f"if p > {hi}: {hi} = p"]
+
+    def gradient(self, e: Expr, kids, out, n: int) -> str:
+        """The node's gradient: one call to its ``_derivative`` rule, over
+        the node's value and its children's values and gradients."""
+        k = e.kind
+        if k == "var":
+            i = self.index.get(e.name)
+            return self.bind(tuple((1.0, 1.0) if j == i else (0.0, 0.0)
+                                   for j in range(len(self.index))))
+        if k == "const":
+            return self.bind(((0.0, 0.0),) * len(self.index))
+        args = [f"({out[0]}, {out[1]})"]
+        for lo, hi, g in kids:
+            args += [f"({lo}, {hi})", g]
+        self.lines.append(f"g{n} = {self.bind(_derivative(e))}({', '.join(args)})")
+        return f"g{n}"
 
 
-# -- the gradient kernel --------------------------------------------------------
-# A node's value is its interval kernel applied to its children's values, so it
-# is the interval kernel's pair and raises where that kernel raises.  The
-# derivative arithmetic below never raises: a NaN, from inf * 0 or inf - inf,
-# means the sign is unknown, so it widens to the entire line.
+# -- derivative rules ----------------------------------------------------------
+# A node's rule maps its value and its children's values and gradients to its
+# gradient.  The derivative arithmetic below never raises: a NaN, from inf * 0
+# or inf - inf, means the sign is unknown, so it widens to the entire line.
 
 _ENTIRE = (-math.inf, math.inf)
 
@@ -636,85 +631,53 @@ def _hull(p, q):
     return (p[0] if p[0] < q[0] else q[0]), (p[1] if p[1] > q[1] else q[1])
 
 
-def _derivative(e: Expr):
-    """The rule mapping a node's value and its children's (value, gradient)
-    pairs to the node's gradient."""
+def _derivative(e: Expr) -> Callable:
+    """The rule of a node that is neither a constant nor a variable:
+    ``rule(v, a, da)`` for a unary node, ``rule(v, a, da, c, dc)`` for a
+    binary one, where ``v`` is the node's value pair, ``a`` and ``c`` its
+    children's, and ``da`` and ``dc`` their gradients."""
     k = e.kind
     if k == "neg":
-        return lambda v, a: tuple(map(_dneg, a[1]))
+        return lambda v, a, da: tuple(map(_dneg, da))
     if k == "add":
-        return lambda v, a, c: tuple(map(_dadd, a[1], c[1]))
+        return lambda v, a, da, c, dc: tuple(map(_dadd, da, dc))
     if k == "sub":
-        return lambda v, a, c: tuple(_dadd(p, _dneg(q)) for p, q in zip(a[1], c[1]))
+        return lambda v, a, da, c, dc: tuple(_dadd(p, _dneg(q)) for p, q in zip(da, dc))
     if k == "mul":
         # d(a c) = c da + a dc
-        return lambda v, a, c: tuple(_dadd(_dmul(c[0], p), _dmul(a[0], q))
-                                     for p, q in zip(a[1], c[1]))
+        return lambda v, a, da, c, dc: tuple(_dadd(_dmul(c, p), _dmul(a, q))
+                                             for p, q in zip(da, dc))
     if k == "div":
         # d(a / c) = (da - (a / c) dc) / c; the value check excluded 0 from c
-        def div_(v, a, c):
-            inverse = (1.0 / c[0][1], 1.0 / c[0][0])
+        def div_(v, a, da, c, dc):
+            inverse = (1.0 / c[1], 1.0 / c[0])
             return tuple(_dmul(_dadd(p, _dneg(_dmul(v, q))), inverse)
-                         for p, q in zip(a[1], c[1]))
+                         for p, q in zip(da, dc))
         return div_
     if k == "pow":
         # d(u^n) = n u^(n-1) du; u^(n-1) cannot overflow where u^n did not
         n = e.exponent
         if n == 0:
-            return lambda v, a: tuple((0.0, 0.0) for _ in a[1])
-        power = _interval_pow(n - 1, _same)
+            return lambda v, a, da: tuple((0.0, 0.0) for _ in da)
 
-        def pow_(v, a):
-            lo, hi = power(a[0])
+        def pow_(v, a, da):
+            lo, hi = _pow_pairs(a[0], a[1], n - 1)
             factor = (n * lo, n * hi)
-            return tuple(_dmul(factor, p) for p in a[1])
+            return tuple(_dmul(factor, p) for p in da)
         return pow_
     if k == "min":
-        def min_(v, a, c):
-            if a[0][1] < c[0][0]:
-                return a[1]
-            if c[0][1] < a[0][0]:
-                return c[1]
-            return tuple(map(_hull, a[1], c[1]))
+        def min_(v, a, da, c, dc):
+            if a[1] < c[0]:
+                return da
+            if c[1] < a[0]:
+                return dc
+            return tuple(map(_hull, da, dc))
         return min_
 
-    def max_(v, a, c):
-        if a[0][0] > c[0][1]:
-            return a[1]
-        if c[0][0] > a[0][1]:
-            return c[1]
-        return tuple(map(_hull, a[1], c[1]))
+    def max_(v, a, da, c, dc):
+        if a[0] > c[1]:
+            return da
+        if c[0] > a[1]:
+            return dc
+        return tuple(map(_hull, da, dc))
     return max_
-
-
-def _gradient_node(e: Expr, index, sub):
-    k = e.kind
-    if k == "var":
-        i = index.get(e.name)
-        if i is None:
-            return _unknown(e.name)
-        unit = tuple((1.0, 1.0) if j == i else (0.0, 0.0) for j in range(len(index)))
-        return lambda b: (b[i], unit)
-    # the node's interval kernel, over the tuple of its children's values
-    slots = {id(c): itemgetter(j) for j, c in enumerate(e.children)}
-    value = _interval_node(e, index, lambda c: slots[id(c)])
-    if k == "const":
-        zero = ((0.0, 0.0),) * len(index)
-        return lambda b: (value(()), zero)
-    rule = _derivative(e)
-    if len(e.children) == 1:
-        fa = sub(e.children[0])
-
-        def unary(b):
-            a = fa(b)
-            v = value((a[0],))
-            return v, rule(v, a)
-        return unary
-    fa, fc = map(sub, e.children)
-
-    def binary(b):
-        a = fa(b)
-        c = fc(b)
-        v = value((a[0], c[0]))
-        return v, rule(v, a, c)
-    return binary

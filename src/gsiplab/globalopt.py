@@ -10,8 +10,12 @@ Two engines share one outcome type:
   A tree keeps its kernels, so a tree that many solves share compiles once.
   Incumbents are box midpoints and corners that pass the ``tol_feas``
   check; the first one becomes the incumbent even if its value is +inf, and
-  later ones must pass the strict ``v < best`` update test, so each corner
-  (``domains.corner_values``) is considered once.  A node leaves the
+  later ones must pass the strict ``v < best`` update test, so a point
+  offered again could not change the incumbent, and none is: each corner
+  (``domains.corner_values``) is considered once, a child considers only
+  its corners on the split plane, none in 1-D, where the plane is the
+  parent's midpoint, and a box that the monotonicity test below reduces to a
+  point, one of its corners, considers nothing.  A node leaves the
   search certified infeasible by a constraint's interval bound,
   contributing nothing, or settled, contributing its objective lower bound
   ``lb`` to one minimum: retired at ``MIN_WIDTH`` whatever its midpoint, or
@@ -27,16 +31,16 @@ Two engines share one outcome type:
   not decided.  A constraint certified satisfied on a box holds on every
   box inside it, so it leaves the set, the node's children inherit the
   rest, and candidates are checked against the set only; a candidate that
-  would become the incumbent is checked against every constraint, since the
-  interval tests round to nearest and may certify a constraint that fails
-  the point test by an ulp.  A node whose set is empty is feasible at every
-  point, and it gets the monotonicity test (Hansen & Walster, *Global
-  Optimization Using Interval Analysis*, 2004) when its bound does not
-  settle it: each coordinate along which the objective's interval gradient
-  (``expr.compile_gradient``) is >= 0 is fixed at its lower end, each along
-  which it is <= 0 at its upper end, and the reduced box's midpoint is
-  considered and its bound replaces the node's; a box reduced to a point is
-  retired at once, as at ``MIN_WIDTH``.
+  would become the incumbent is then checked against the constraints
+  outside the set, since the interval tests round to nearest and may
+  certify a constraint that fails the point test by an ulp.  A node whose
+  set is empty is feasible at every point, and it gets the monotonicity
+  test (Hansen & Walster, *Global Optimization Using Interval Analysis*,
+  2004) when its bound does not settle it: each coordinate along which the
+  objective's interval gradient (``expr.compile_gradient``) is >= 0 is fixed
+  at its lower end, each along which it is <= 0 at its upper end, and the
+  reduced box's midpoint is considered and its bound replaces the node's; a
+  box reduced to a point is retired at once, as at ``MIN_WIDTH``.
   A coordinate the objective ignores, or one along which the minimum sits
   on a face of the box, is then no longer bisected, which removes most of
   the cluster of boxes that a first-order bound leaves around a minimizer
@@ -223,8 +227,8 @@ def minimize(objective: Expr,
         if v < best_val or (best_pt is None and v == math.inf):
             # the interval kernels round to nearest, so a constraint they
             # certified satisfied can still fail the point test by an ulp:
-            # a new incumbent passes every point test
-            if all(ok(point) for ok in satisfied):
+            # a new incumbent also passes the point tests outside ``active``
+            if all(ok(point) for j, ok in enumerate(satisfied) if j not in active):
                 best_val = v
                 best_pt = point
 
@@ -272,8 +276,10 @@ def minimize(objective: Expr,
         if not undecided:
             reduced = monotone(bounds)
             if reduced != bounds:
-                # the reduced box's corners are corners of b
-                consider(_midpoint(reduced), ())
+                # the reduced box's corners are corners of b, all of which
+                # were considered, so a box reduced to a point offers nothing
+                if any(lo != hi for lo, hi in reduced):
+                    consider(_midpoint(reduced), ())
                 lb = obj_interval(reduced + pairs)[0]
                 if settle(lb, _narrow(reduced)):
                     return True
@@ -291,15 +297,16 @@ def minimize(objective: Expr,
         pops += 1
         if pops > node_budget:
             raise NodeBudgetExceeded(f"node budget {node_budget} exhausted")
-        i = b.widest_index()
         left, right = b.bisect()
         # A child's corners off the split plane are corners of b, which were
         # considered when b was pushed: offered again they could not pass the
         # strict `v < best_val` test, so the children consider only the plane
         # corners, and the right child only if the left one was infeasible.
-        axes = list(map(corner_values, b.bounds))
-        axes[i] = (left.bounds[i][1],)
-        plane = list(itertools.product(*axes))
+        # The children's bounds differ on the split axis only; in 1-D the
+        # plane is b's midpoint, which was considered too.
+        plane = () if len(names) == 1 else list(itertools.product(*[
+            corner_values(p) if p == q else (q[0],)
+            for p, q in zip(left.bounds, right.bounds)]))
         considered = push(left, plane, active)
         push(right, () if considered else plane, active)
 

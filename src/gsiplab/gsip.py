@@ -9,10 +9,11 @@ and the lab works throughout with its relaxation whose constraint is the
 disjunction  [g(x,y) >= 0] or [hbar(x,y) >= 0]  for all y in Y, where hbar
 is the pointwise maximum of the h_j.  The builders return ready-to-solve
 box-constrained instances; ``algorithms`` solves them.  Each problem builds
-``g``, ``hbar`` and the cut ``max(g, hbar)`` once, and every instance shares
-these trees: an instance fixes the outer point (or, in the lower-bounding
-problem, each cut's discretization point) as bound values, which the solver
-appends to its kernel calls, so each tree compiles once per run
+``g``, ``hbar``, the cut ``max(g, hbar)`` and the level trees ``g - level``
+and ``hbar - level`` once, and every instance shares these trees: an
+instance fixes the outer point (or, in the lower-bounding problem, each
+cut's discretization point) and any level as bound values, which the
+solver appends to its kernel calls, so each tree compiles once per run
 (``expr.compile_expr``).
 """
 from __future__ import annotations
@@ -34,6 +35,10 @@ class DomainError(ValueError):
 
 
 _POINT_SLACK = 1e-9  # solver minimizers may sit a rounding step outside faces
+
+# The name under which a level enters a tree as a bound value.  Parsed names
+# are identifiers, so no parsed problem can declare it.
+LEVEL = "#level"
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,8 @@ class GsipProblem:
             raise ValueError("at least one 'h' constraint is required")
         xn = set(self.X.names)
         yn = set(self.Y.names)
+        if LEVEL in xn | yn:
+            raise ValueError(f"the variable name {LEVEL!r} is reserved")
         if xn & yn:
             raise ValueError(f"X and Y share variable names: {sorted(xn & yn)}")
         bad = self.f.variables() - xn
@@ -86,6 +93,25 @@ class GsipProblem:
         """max(g, hbar), the relaxation's constraint function; built once per
         problem."""
         return ex.emax(self.g, self.hbar)
+
+    @cached_property
+    def g_level(self) -> Expr:
+        """g - level, the auxiliary LLP's constraint, with the level bound
+        under ``LEVEL``; built once per problem."""
+        return self.g - ex.var(LEVEL)
+
+    @cached_property
+    def hbar_level(self) -> Expr:
+        """hbar - level, with the level bound under ``LEVEL``; built once per
+        problem."""
+        return self.hbar - ex.var(LEVEL)
+
+    @cached_property
+    def first_inner(self) -> tuple[Expr, Expr]:
+        """y_1 and -y_1, the first inner variable and its negation; built
+        once per problem."""
+        y = ex.var(self.Y.names[0])
+        return y, -y
 
 
 @dataclass(frozen=True)
@@ -150,13 +176,15 @@ def build_llp(p: GsipProblem, x: Mapping[str, float]) -> SubproblemInstance:
 
 def build_aux_llp(p: GsipProblem, x: Mapping[str, float],
                   llp_value: float, alpha: float) -> SubproblemInstance:
-    """Auxiliary LLP: min hbar(x,.) over Y s.t. g(x,.) <= alpha * llp_value."""
+    """Auxiliary LLP: min hbar(x,.) over Y s.t. g(x,.) <= alpha * llp_value;
+    the constraint is the problem's one ``g_level`` tree, with the level
+    bound after x."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     xs = _as_parameters(p.X, x, "outer point")
+    level = ((LEVEL, alpha * llp_value),)
     return SubproblemInstance(
-        p.hbar, (ConstraintSpec(p.g - ex.const(alpha * llp_value), "le", xs),),
-        p.Y, xs)
+        p.hbar, (ConstraintSpec(p.g_level, "le", xs + level),), p.Y, xs)
 
 
 def build_sip_llp(p: GsipProblem, x: Mapping[str, float]) -> SubproblemInstance:

@@ -158,24 +158,42 @@ class TestRecords:
 
 
 class TestCompileOnce:
-    def test_compile_cost_does_not_grow_with_iterations(self, monkeypatch):
-        # the subproblems share the problem's trees, which keep their kernels,
-        # so a longer run solves more subproblems but compiles nothing more
-        compile_node = ex._compile
-        compiled = []
+    # the subproblems share the problem's trees, which keep their kernels,
+    # so a longer run solves more subproblems but generates no more kernels
 
-        def counting(e, index, memo, node):
-            if id(e) not in memo:
-                compiled.append(e.kind)
-            return compile_node(e, index, memo, node)
-        monkeypatch.setattr(ex, "_compile", counting)
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """The kind of every kernel generated while the test runs."""
+        generate = ex._generate
+        kinds = []
+
+        def counting(e, index, kind):
+            kinds.append(kind)
+            return generate(e, index, kind)
+        monkeypatch.setattr(ex, "_generate", counting)
+        return kinds
+
+    @staticmethod
+    def _counts(generated, lengths, **config):
         counts = []
-        for max_iter in (5, 20):
-            compiled.clear()
+        for max_iter in lengths:
+            generated.clear()
             result = run(get_builtin("cex1"),  # fresh trees, compiled by no one
-                         AlgorithmConfig(variant=LLP_ONLY, max_iter=max_iter))
+                         AlgorithmConfig(max_iter=max_iter, **config))
             assert len(result.trace) == max_iter
-            counts.append(len(compiled))
+            counts.append(len(generated))
+        return counts
+
+    def test_compile_cost_does_not_grow_with_iterations(self, generated):
+        counts = self._counts(generated, (5, 20), variant=LLP_ONLY)
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("tie_break", ["solver", "min-y"])
+    def test_aux_llp_levels_are_bound_values(self, generated, tie_break):
+        # the aux-LLP's level, and the tie-break's, is a bound value of a tree
+        # the problem builds once
+        counts = self._counts(generated, (2, 5), variant=AUX_LLP,
+                              aux_tie_break=tie_break)
         assert counts[0] == counts[1] > 0
 
 

@@ -226,6 +226,41 @@ class TestCompiledKernels:
         with pytest.raises(EvaluationError):
             interval(((0.0, 1.0),))
 
+    def test_names_and_constants_stay_out_of_the_source(self):
+        # none of these names is an identifier, and none of these constants
+        # has a repr that reads back as itself, so a kernel compiles and
+        # agrees with the walker only if they reach it through its namespace
+        names = ("x y", "#level", "1x")
+        u, w, t = map(ex.var, names)
+        nan, inf, nzero = ex.const(math.nan), ex.const(math.inf), ex.const(-0.0)
+        exprs = [(u - t) * w + nzero, ex.emin(u, inf) / (w - nzero),
+                 ex.emax(nzero * u, t) ** 3, u * nan + t, inf * (w - w),
+                 u + ex.var("#other")]
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except (EvaluationError, ValueError) as e:
+                return type(e), str(e)
+        points = [(0.5, -0.0, 2.0), (-1.0, 3.0, 0.0)]
+        boxes = [((0.5, 1.0), (-0.0, 0.0), (2.0, 3.0)),
+                 ((-1.0, 1.0), (1.0, 3.0), (-2.0, 0.0))]
+        for e in exprs:
+            point, interval = compile_expr(e, names)
+            gradient = compile_gradient(e, names)
+            for p in points:
+                want = outcome(evaluate, e, dict(zip(names, p)))
+                assert _bits(outcome(point, p)) == _bits(want)
+            for b in boxes:
+                want = outcome(interval_eval, e,
+                               {n: Interval(lo, hi) for n, (lo, hi) in zip(names, b)})
+                if isinstance(want, Interval):
+                    want = (_bits(want.lo), _bits(want.hi))
+                    assert tuple(map(_bits, outcome(interval, b))) == want
+                    assert tuple(map(_bits, outcome(gradient, b)[0])) == want
+                else:
+                    assert outcome(interval, b) == outcome(gradient, b) == want
+
 
 # -- the gradient kernel ----------------------------------------------------------
 

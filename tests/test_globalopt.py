@@ -12,12 +12,15 @@ from test_golden import (ORACLE_GRID_N, ORACLE_GRID_OUTCOMES,
                          ORACLE_NODE_BUDGET, ORACLE_TOL_OPT,
                          load_oracle_outcomes)
 from gsiplab import expr as ex
+from gsiplab import globalopt
 from gsiplab.domains import BoxDomain, corner_values
 from gsiplab.expr import (EvaluationError, Interval, evaluate, evaluate_array,
                           interval_eval)
 from gsiplab.globalopt import (INFEASIBLE, SATISFIED, ConstraintSpec,
                                MinimizeOutcome, NodeBudgetExceeded,
                                UndecidedError, grid_minimize, minimize)
+from gsiplab.gsip import (SubproblemInstance, build_llp, build_lower_bounding,
+                          get_builtin)
 
 x, y, z = ex.var("x"), ex.var("y"), ex.var("z")
 UNIT_X = BoxDomain([("x", -1.0, 1.0)])
@@ -138,6 +141,35 @@ class TestMinimize:
         a = minimize(obj, cons, box, tol_opt=1e-5)
         b = minimize(obj, cons, box, tol_opt=1e-5)
         assert a == b
+
+    def test_a_one_dimensional_solve_evaluates_no_point_twice(self, monkeypatch):
+        # a 1-D split point is its parent's midpoint, and a box that the
+        # monotonicity test reduces to a point is one of the box's corners:
+        # both were offered before
+        cex1 = get_builtin("cex1")
+        cuts = [{"y": 1.0}, {"y": 0.5}, {"y": 0.25}]  # as an llp-only run adds them
+        instances = [build_lower_bounding(cex1, cuts), build_llp(cex1, {"x": 0.125}),
+                     # the root's loose bound -0.5 does not settle it, and the
+                     # monotonicity test reduces it to the corner x = 0
+                     SubproblemInstance(x - 0.5 * x, (), BoxDomain([("x", 0.0, 1.0)]))]
+        compile_expr = globalopt.compile_expr
+        for inst in instances:
+            points = []
+
+            def recording(e, names, inst=inst, points=points):
+                point, interval = compile_expr(e, names)
+                if e is not inst.objective:
+                    return point, interval
+
+                def record(x):
+                    points.append(x)
+                    return point(x)
+                return record, interval
+            monkeypatch.setattr(globalopt, "compile_expr", recording)
+            minimize(inst.objective, inst.constraints, inst.box, tol_opt=1e-13,
+                     parameters=inst.parameters)
+            assert len(points) > 1
+            assert len(set(points)) == len(points)
 
 
 class TestConstraintTests:

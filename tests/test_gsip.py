@@ -10,7 +10,7 @@ from gsiplab.domains import BoxDomain
 from gsiplab.expr import EvaluationError, evaluate, interval_eval, substitute
 from gsiplab.globalopt import (ConstraintSpec, NodeBudgetExceeded,
                                UndecidedError, grid_minimize, minimize)
-from gsiplab.gsip import (DomainError, GsipProblem, SlaterCertificate,
+from gsiplab.gsip import (LEVEL, DomainError, GsipProblem, SlaterCertificate,
                           build_aux_llp, build_llp, build_lower_bounding,
                           build_sip_llp, builtin_problems, get_builtin, hbar)
 from gsiplab.problem_format import parse_problem, serialize_problem
@@ -87,6 +87,13 @@ class TestProblemValidation:
                       h=(self.x,))
         with pytest.raises(ValueError, match=message):
             GsipProblem(**{**fields, **change})
+
+    def test_level_name_is_reserved(self):
+        # a level enters the aux-LLP trees as a bound value under LEVEL
+        level = ex.var(LEVEL)
+        with pytest.raises(ValueError, match="is reserved"):
+            GsipProblem("t", self.X, BoxDomain([(LEVEL, -1, 1)]), -self.x, level,
+                        (self.x,))
 
 
 class TestBuiltins:
@@ -262,6 +269,18 @@ class TestBoundValues:
         sip = build_sip_llp(p, point)
         assert _solved(sip.objective, sip.constraints, sip.box, sip.parameters) == \
             _solved(ex.emax(substitute(g, point), substitute(hbar(p), point)), [], p.Y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(trees(), trees(), st.floats(-1.0, 1.0), st.floats(-3.0, 3.0))
+    def test_aux_llp_level_matches_a_constant(self, g, h, xv, level):
+        p = GsipProblem("t", BoxDomain([("x", -1.0, 1.0)]),
+                        BoxDomain([("y", -1.0, 1.0)]), -ex.var("x"), g, (h,))
+        point = {"x": xv}
+        aux = build_aux_llp(p, point, level, 0.5)
+        assert _solved(aux.objective, aux.constraints, aux.box, aux.parameters) == \
+            _solved(substitute(h, point),
+                    [ConstraintSpec(substitute(g, point) - ex.const(0.5 * level), "le")],
+                    p.Y)
 
 
 class TestRelaxationFeasibility:
