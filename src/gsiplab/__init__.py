@@ -13,7 +13,7 @@ from .globalopt import (ConstraintSpec, MinimizeOutcome, NodeBudgetExceeded,
                         UndecidedError, grid_minimize, minimize)
 from .gsip import (DomainError, GsipProblem, SlaterCertificate,
                    build_aux_llp, build_llp, build_lower_bounding,
-                   build_sip_llp, builtin_problems, get_builtin, hbar)
+                   build_sip_llp, builtin_problems, get_builtin)
 from .problem_format import (ProblemSyntaxError, ProblemValidationError,
                              format_expr, parse_expression, parse_problem,
                              serialize_problem)

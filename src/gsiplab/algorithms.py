@@ -21,7 +21,7 @@ from .expr import evaluate
 from .globalopt import ConstraintSpec, MinimizeOutcome, check_tolerances, minimize
 from .gsip import (LEVEL, GsipProblem, SlaterCertificate, SubproblemInstance,
                    build_aux_llp, build_llp, build_lower_bounding,
-                   build_sip_llp, check_point, hbar)
+                   build_sip_llp, check_point)
 
 LLP_ONLY = "llp-only"
 AUX_LLP = "aux-llp"
@@ -215,7 +215,7 @@ def diagnose_trace(p: GsipProblem, result: RunResult,
             if r.llp is not None and r.llp.optimal}
     if not recs:
         raise ValueError("trace carries no LLP minimizers to diagnose")
-    hb = hbar(p)
+    hb = p.hbar
     xs = {r.k: r.x for r in result.trace}
     violations = []
     for k, rk in sorted(recs.items()):

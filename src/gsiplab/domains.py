@@ -3,7 +3,8 @@
 A box stores its names and its ``(lo, hi)`` pairs separately, in coordinate
 order; the pairs are the format the compiled interval kernels take
 (``expr.compile_expr``), so a solver passes ``box.bounds`` to them as is.
-``corner_values`` is the one rule for a box's corners.
+``corner_values`` is the one rule for a box's corners, ``midpoint_value``
+the one rule for its midpoint and for the plane ``bisect`` splits it at.
 """
 from __future__ import annotations
 
@@ -20,6 +21,16 @@ def corner_values(bound: tuple[float, float]) -> tuple[float, ...]:
     value of a degenerate axis."""
     lo, hi = bound
     return (lo,) if lo == hi else (lo, hi)
+
+
+def midpoint_value(bound: tuple[float, float]) -> float:
+    """A coordinate's value at the midpoint of a box: ``0.5 * (lo + hi)``, or
+    ``0.5 * lo + 0.5 * hi`` where that sum overflows, since both halves are
+    exact there.  For finite bounds either is finite and, rounding being
+    monotone, lies in ``[lo, hi]``."""
+    lo, hi = bound
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
 
 
 @dataclass(frozen=True)
@@ -56,7 +67,7 @@ class BoxDomain:
         return {n: Interval(lo, hi) for n, (lo, hi) in zip(self.names, self.bounds)}
 
     def midpoint(self) -> dict[str, float]:
-        return {n: 0.5 * (lo + hi) for n, (lo, hi) in zip(self.names, self.bounds)}
+        return dict(zip(self.names, map(midpoint_value, self.bounds)))
 
     def corners(self) -> list[dict[str, float]]:
         """Every corner once, the first coordinate varying slowest."""
@@ -70,12 +81,7 @@ class BoxDomain:
     def bisect(self) -> tuple["BoxDomain", "BoxDomain"]:
         i = self.widest_index()
         lo, hi = self.bounds[i]
-        mid = 0.5 * (lo + hi)
-        # the children inherit every other bound from this validated box; of
-        # the checks in __init__ only finiteness can fail for mid (rounding is
-        # monotone, so a finite mid lies in [lo, hi])
-        if not math.isfinite(mid):
-            raise ValueError(f"bounds of {self.names[i]!r} must be finite")
+        mid = midpoint_value(self.bounds[i])
         head, tail = self.bounds[:i], self.bounds[i + 1:]
         return (_validated(self.names, head + ((lo, mid),) + tail),
                 _validated(self.names, head + ((mid, hi),) + tail))

@@ -14,18 +14,18 @@ Two engines share one outcome type:
   offered again could not change the incumbent, and none is: each corner
   (``domains.corner_values``) is considered once, a child considers only
   its corners on the split plane, none in 1-D, where the plane is the
-  parent's midpoint, and a box that the monotonicity test below reduces to a
-  point, one of its corners, considers nothing.  A node leaves the
-  search certified infeasible by a constraint's interval bound,
-  contributing nothing, or settled, contributing its objective lower bound
-  ``lb`` to one minimum: retired at ``MIN_WIDTH`` whatever its midpoint, or
-  set aside by the one comparison ``lb >= best - tol_opt``, at push and at
-  the heap front, where it stops the search.  The bracket is
-  ``[min(settled lbs, best), best]``.  ``infeasible`` needs every leaf
-  certified infeasible, and its bracket is ``[+inf, +inf]``, the minimum
-  over the empty set; a search that settles nodes but finds no incumbent
-  raises ``UndecidedError``.  Decisions on an outcome read the certified
-  ``value_bounds.lo``.
+  parent's midpoint (one rule, ``domains.midpoint_value``, gives both), and
+  a box that the monotonicity test below reduces to a point, one of its
+  corners, considers nothing.  A node leaves the search certified
+  infeasible by a constraint's interval bound, contributing nothing, or
+  settled, contributing its objective lower bound ``lb`` to one minimum:
+  retired at ``MIN_WIDTH`` whatever its midpoint, or set aside by the one
+  comparison ``lb >= best - tol_opt``, at push and at the heap front, where
+  it stops the search.  The bracket is ``[min(settled lbs, best), best]``.
+  ``infeasible`` needs every leaf certified infeasible, and its bracket is
+  ``[+inf, +inf]``, the minimum over the empty set; a search that settles
+  nodes but finds no incumbent raises ``UndecidedError``.  Decisions on an
+  outcome read the certified ``value_bounds.lo``.
 
   Each node carries its active set: the constraints its interval tests have
   not decided.  A constraint certified satisfied on a box holds on every
@@ -62,7 +62,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .domains import BoxDomain, corner_values
+from .domains import BoxDomain, _validated, corner_values, midpoint_value
 # minimize calls neither evaluate nor interval_eval; they stay bound here
 # because bench/tracer.py counts the point and interval evaluations made
 # through these names
@@ -89,8 +89,11 @@ class UndecidedError(RuntimeError):
 class ConstraintSpec:
     """Inequality ``expr <= 0`` (sense "le") or ``expr >= 0`` (sense "ge").
 
-    ``parameters`` are bound values, ``(name, value)`` pairs: variables of
-    ``expr`` that the solver holds fixed and never bisects."""
+    One rule decides feasibility: the signed value, ``sign * expr``, is at
+    most ``tol_feas``.  Negation is exact and a NaN fails, so "ge" means
+    ``expr >= -tol_feas``.  ``parameters`` are bound values, ``(name,
+    value)`` pairs: variables of ``expr`` that the solver holds fixed and
+    never bisects."""
 
     expr: Expr
     sense: str = "le"
@@ -100,35 +103,33 @@ class ConstraintSpec:
         if self.sense not in ("le", "ge"):
             raise ValueError(f"sense must be 'le' or 'ge', got {self.sense!r}")
 
+    @property
+    def sign(self) -> float:
+        return 1.0 if self.sense == "le" else -1.0
+
     def satisfied(self, value, tol_feas: float):
         """Whether ``value`` (a float, or elementwise an array) passes."""
-        if self.sense == "le":
-            return value <= tol_feas
-        return value >= -tol_feas
+        return self.sign * value <= tol_feas
 
     def compile(self, names: Sequence[str], tol_feas: float):
         """Two tests over the kernels of ``expr`` (``expr.compile_expr``):
         whether a point passes ``satisfied``, and whether a box of
         ``(lo, hi)`` pairs is certified to violate the constraint
         (``VIOLATED``), certified to satisfy it at every point (``SATISFIED``)
-        or neither (``UNDECIDED``).  Points and boxes are over ``names``; the
-        tests append the bound values."""
+        or neither (``UNDECIDED``), by the signed value's interval.  Points
+        and boxes are over ``names``; the tests append the bound values."""
         all_names, values, pairs = _bind(names, self.parameters)
         point, interval = compile_expr(self.expr, all_names)
-        if self.sense == "le":
-            def decide(bounds):
-                lo, hi = interval(bounds + pairs)
-                if lo > tol_feas:
-                    return VIOLATED
-                return SATISFIED if hi <= tol_feas else UNDECIDED
-            return lambda x: point(x + values) <= tol_feas, decide
+        sign = self.sign
 
-        def decide_ge(bounds):
+        def decide(bounds):
             lo, hi = interval(bounds + pairs)
-            if hi < -tol_feas:
+            if sign < 0.0:
+                lo, hi = -hi, -lo
+            if lo > tol_feas:
                 return VIOLATED
-            return SATISFIED if lo >= -tol_feas else UNDECIDED
-        return lambda x: point(x + values) >= -tol_feas, decide_ge
+            return SATISFIED if hi <= tol_feas else UNDECIDED
+        return lambda x: sign * point(x + values) <= tol_feas, decide
 
 
 @dataclass(frozen=True)
@@ -168,10 +169,6 @@ def _bind(names: Sequence[str], parameters: Sequence[tuple[str, float]]):
                          f"{tuple(names)}")
     values = tuple(v for _, v in parameters)
     return tuple(names) + pnames, values, tuple((v, v) for v in values)
-
-
-def _midpoint(bounds) -> tuple[float, ...]:
-    return tuple([0.5 * (lo + hi) for lo, hi in bounds])
 
 
 def _narrow(bounds) -> bool:
@@ -267,7 +264,7 @@ def minimize(objective: Expr,
                 return False
             if verdict is UNDECIDED:
                 undecided.append(j)
-        consider(_midpoint(bounds), undecided)
+        consider(tuple(map(midpoint_value, bounds)), undecided)
         for corner in corners:
             consider(corner, undecided)
         lb = obj_interval(bounds + pairs)[0]
@@ -279,11 +276,11 @@ def minimize(objective: Expr,
                 # the reduced box's corners are corners of b, all of which
                 # were considered, so a box reduced to a point offers nothing
                 if any(lo != hi for lo, hi in reduced):
-                    consider(_midpoint(reduced), ())
+                    consider(tuple(map(midpoint_value, reduced)), ())
                 lb = obj_interval(reduced + pairs)[0]
                 if settle(lb, _narrow(reduced)):
                     return True
-                b = BoxDomain((n, lo, hi) for n, (lo, hi) in zip(names, reduced))
+                b = _validated(names, reduced)
         heapq.heappush(heap, (lb, next(counter), b, undecided))
         return True
 

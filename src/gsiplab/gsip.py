@@ -139,11 +139,6 @@ class SubproblemInstance:
     parameters: tuple[tuple[str, float], ...] = ()
 
 
-def hbar(p: GsipProblem) -> Expr:
-    """The problem's ``GsipProblem.hbar`` tree, the same object at every call."""
-    return p.hbar
-
-
 def check_point(box: BoxDomain, point: Mapping[str, float], what: str):
     """Raise ``DomainError`` unless ``point`` names exactly the coordinates of
     ``box`` and lies in it, up to a rounding slack."""

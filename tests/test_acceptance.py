@@ -19,7 +19,7 @@ from gsiplab.domains import BoxDomain
 from gsiplab.expr import evaluate, interval_eval
 from gsiplab.globalopt import grid_minimize, minimize
 from gsiplab.gsip import (GsipProblem, SlaterCertificate, builtin_problems,
-                          get_builtin, hbar)
+                          get_builtin)
 from gsiplab.problem_format import parse_problem, serialize_problem
 
 CEX1 = get_builtin("cex1")
@@ -155,7 +155,7 @@ def test_structural_properties_hold(capsys):
                             BoxDomain([("y", -9, 9)]),
                             ex.const(0.0), ex.const(0.0), hs)
             pt = {"x": rng.uniform(-9, 9), "y": rng.uniform(-9, 9)}
-            assert evaluate(hbar(p), pt) == max(evaluate(h, pt) for h in hs)
+            assert evaluate(p.hbar, pt) == max(evaluate(h, pt) for h in hs)
 
         # the text format round-trips builtins and fuzzed problems
         for p in builtin_problems():

@@ -6,7 +6,7 @@ from gsiplab.algorithms import (AUX_LLP, LLP_ONLY, SIP_LLP, AlgorithmConfig,
                                 record_subproblems, run)
 from gsiplab.expr import evaluate
 from gsiplab.globalopt import minimize
-from gsiplab.gsip import build_aux_llp, build_sip_llp, get_builtin, hbar
+from gsiplab.gsip import build_aux_llp, build_sip_llp, get_builtin
 
 CEX1 = get_builtin("cex1")
 CEX2 = get_builtin("cex2")
@@ -63,7 +63,7 @@ class TestLlpOnlyOnCex1:
         assert divergent_run.final_lower_bound < CEX1.f_L
 
     def test_llp_minimizers_feasible(self, divergent_run):
-        hb = hbar(CEX1)
+        hb = CEX1.hbar
         for rec in divergent_run.trace:
             assert evaluate(hb, {**rec.x, **rec.llp.minimizer}) <= 1e-9
 

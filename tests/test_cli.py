@@ -187,6 +187,30 @@ def test_invalid_file_is_a_usage_error(tmp_path, capsys, command, text, message)
     assert capsys.readouterr().err == f"error: {src}: {message}\n"
 
 
+# the outer box's bounds sum past the float maximum
+HUGE_BOX_TEXT = """\
+problem "huge"
+outer x in [1e308, 1.7e308]
+inner y in [-1, 1]
+objective: (x - 1.5e308)*(x - 1.5e308)
+g: y + 10
+h: y - 2
+"""
+
+
+class TestHugeBox:
+    @pytest.mark.parametrize("objective,bound", [
+        ("(x - 1.5e308)*(x - 1.5e308)", "0.0"), ("-x", "-1.7e+308")])
+    def test_run_bisects_and_stays_in_the_box(self, tmp_path, capsys,
+                                              objective, bound):
+        src = tmp_path / "huge.gsip"
+        src.write_text(HUGE_BOX_TEXT.replace(
+            "(x - 1.5e308)*(x - 1.5e308)", objective))
+        assert main(["run", "--file", str(src), "--max-iter", "2"]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"status=converged_feasible final_lower_bound={bound}\n")
+
+
 class TestSolverErrors:
     def test_overflow_is_a_solver_error(self, tmp_path, capsys):
         src = tmp_path / "overflow.gsip"

@@ -1,8 +1,14 @@
 import math
+import struct
+import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from gsiplab.domains import BoxDomain
+from gsiplab.domains import BoxDomain, midpoint_value
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestCorners:
@@ -37,3 +43,27 @@ class TestConstruction:
         assert left == BoxDomain([("x", 0.0, 1.0), ("y", 0.0, 2.0)])
         assert right == BoxDomain([("x", 0.0, 1.0), ("y", 2.0, 4.0)])
         assert left.names is box.names and right.names is box.names
+
+
+class TestMidpoint:
+    @given(FINITE, FINITE)
+    @example(1e308, 1.7e308)
+    @example(-1.7e308, -1e308)
+    @example(sys.float_info.max, sys.float_info.max)
+    @example(-sys.float_info.max, sys.float_info.max)
+    @example(-0.0, 0.0)
+    def test_the_one_rule(self, a, b):
+        lo, hi = min(a, b), max(a, b)
+        mid = midpoint_value((lo, hi))
+        assert lo <= mid <= hi
+        plain = 0.5 * (lo + hi)
+        if math.isfinite(plain):  # bit for bit, the sign of a zero included
+            assert struct.pack("<d", mid) == struct.pack("<d", plain)
+
+    def test_bounds_that_sum_past_the_float_maximum(self):
+        box = BoxDomain([("x", 1e308, 1.7e308), ("y", -1.7e308, -1e308)])
+        assert box.midpoint() == {"x": 1.35e308, "y": -1.35e308}
+        left, right = box.bisect()
+        assert left.bounds[0] == (1e308, 1.35e308)
+        assert right.bounds[0] == (1.35e308, 1.7e308)
+        assert left.bisect()[0].bounds[1] == (-1.7e308, -1.35e308)

@@ -13,7 +13,7 @@ from test_golden import (ORACLE_GRID_N, ORACLE_GRID_OUTCOMES,
                          load_oracle_outcomes)
 from gsiplab import expr as ex
 from gsiplab import globalopt
-from gsiplab.domains import BoxDomain, corner_values
+from gsiplab.domains import BoxDomain, corner_values, midpoint_value
 from gsiplab.expr import (EvaluationError, Interval, evaluate, evaluate_array,
                           interval_eval)
 from gsiplab.globalopt import (INFEASIBLE, SATISFIED, ConstraintSpec,
@@ -61,6 +61,15 @@ class TestMinimize:
                        node_budget=5)
         assert out.optimal and out.value == math.inf
         assert out.value_bounds == Interval(math.inf, math.inf)
+
+    @pytest.mark.parametrize("objective,lo,hi,at", [
+        (-x, 1e308, 1.7e308, 1.7e308), (x, -1.7e308, -1e308, -1.7e308)])
+    def test_bounds_that_sum_past_the_float_maximum(self, objective, lo, hi, at):
+        # 0.5 * (lo + hi) is infinite, a candidate outside the box
+        out = minimize(objective, [], BoxDomain([("x", lo, hi)]))
+        assert out.minimizer == {"x": at}
+        assert out.value == -1.7e308
+        assert out.value_bounds.lo <= -1.7e308
 
     def test_retired_boxes_bound_the_value(self):
         # x = 0.1 is feasible with value 0.1, in a feasible sliver narrower
@@ -203,11 +212,55 @@ class TestConstraintTests:
             return
         for child in box.bisect():
             assert decide(child.bounds) is SATISFIED
-        midpoint = tuple(0.5 * (lo + hi) for lo, hi in box.bounds)
-        corners = itertools.product(*map(corner_values, box.bounds))
-        for p in (midpoint, *corners):
+        for p in _candidates(box):
             value = evaluate(c.expr, dict(zip(box.names, p)))
             assert c.satisfied(value, tol_feas + slack)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.sampled_from((0.0, 1e-9)))
+    @example(0, 0.0, 0.0)
+    def test_ge_decides_as_le_on_the_negation(self, seed, level, tol_feas):
+        # one feasibility rule: a "ge" constraint's signed value is -expr, and
+        # negation is exact, so every test agrees with "le" on ex.neg(expr)
+        rng = random.Random(seed)
+        box = random_box(rng, ["x", "y"])
+        e = random_expr(rng, ["x", "y"], rng.randint(1, 4))
+        enclosure = interval_eval(e, box)
+        # a level inside the enclosure leaves part of the box undecided
+        e = e - (enclosure.lo + level * (enclosure.hi - enclosure.lo))
+        ge, le = ConstraintSpec(e, "ge"), ConstraintSpec(ex.neg(e), "le")
+        (ge_point, ge_decide), (le_point, le_decide) = (
+            c.compile(box.names, tol_feas) for c in (ge, le))
+        left, right = box.bisect()
+        for b in (box, left, right, *left.bisect(), *right.bisect()):
+            assert ge_decide(b.bounds) is le_decide(b.bounds)
+        for p in _candidates(box):
+            value = evaluate(e, dict(zip(box.names, p)))
+            assert ge.satisfied(value, tol_feas) is le.satisfied(-value, tol_feas) \
+                is ge_point(p) is le_point(p)
+        env = dict(zip(box.names, np.meshgrid(
+            *(np.linspace(lo, hi, 5) for lo, hi in box.bounds), indexing="ij")))
+        assert np.array_equal(ge.satisfied(evaluate_array(e, env), tol_feas),
+                              le.satisfied(evaluate_array(ex.neg(e), env), tol_feas))
+
+    @pytest.mark.parametrize("tol_feas", [0.0, 1e-9])
+    def test_exceptional_values_pass_alike_in_both_senses(self, tol_feas):
+        values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-9, -1e-9, 1e-300]
+        ge, le = ConstraintSpec(x, "ge"), ConstraintSpec(ex.neg(x), "le")
+        ge_point, le_point = (c.compile(("x",), tol_feas)[0] for c in (ge, le))
+        for v in values:
+            assert ge.satisfied(v, tol_feas) is le.satisfied(-v, tol_feas) \
+                is ge_point((v,)) is le_point((v,))
+        array = np.array(values)
+        assert np.array_equal(ge.satisfied(array, tol_feas),
+                              le.satisfied(-array, tol_feas))
+        assert not ge.satisfied(math.nan, tol_feas)
+
+
+def _candidates(box):
+    """The points minimize offers from a box: its midpoint and its corners."""
+    return [tuple(map(midpoint_value, box.bounds)),
+            *itertools.product(*map(corner_values, box.bounds))]
 
 
 class TestGridMinimize:

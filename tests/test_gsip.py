@@ -12,7 +12,7 @@ from gsiplab.globalopt import (ConstraintSpec, NodeBudgetExceeded,
                                UndecidedError, grid_minimize, minimize)
 from gsiplab.gsip import (LEVEL, DomainError, GsipProblem, SlaterCertificate,
                           build_aux_llp, build_llp, build_lower_bounding,
-                          build_sip_llp, builtin_problems, get_builtin, hbar)
+                          build_sip_llp, builtin_problems, get_builtin)
 from gsiplab.problem_format import parse_problem, serialize_problem
 
 CEX1 = get_builtin("cex1")
@@ -26,15 +26,15 @@ def solve(inst, **kw):
 
 class TestHbar:
     def test_single_constraint_is_unchanged(self):
-        assert hbar(CEX1) == CEX1.h[0]
-        assert hbar(CEX2) == CEX2.h[0]
+        assert CEX1.hbar == CEX1.h[0]
+        assert CEX2.hbar == CEX2.h[0]
 
     def test_two_constraints(self):
         x, y = ex.var("x"), ex.var("y")
         p = GsipProblem("t", BoxDomain([("x", 0, 10)]), BoxDomain([("y", 0, 10)]),
                         ex.const(0.0), ex.const(0.0), (x, y))
-        assert hbar(p) == ex.emax(x, y)
-        assert evaluate(hbar(p), {"x": 3.0, "y": 5.0}) == 5.0
+        assert p.hbar == ex.emax(x, y)
+        assert evaluate(p.hbar, {"x": 3.0, "y": 5.0}) == 5.0
 
     def test_pairwise_fold(self):
         # n lines nest ceil(log2 n) levels deep, in declared order
@@ -43,8 +43,8 @@ class TestHbar:
 
         def depth(e):
             return 1 + max(map(depth, e.children), default=0)
-        assert depth(hbar(p)) == 9 + depth(hs[0])
-        assert hbar(GsipProblem("t", CEX1.X, CEX1.Y, CEX1.f, CEX1.g, hs[:3])) == (
+        assert depth(p.hbar) == 9 + depth(hs[0])
+        assert GsipProblem("t", CEX1.X, CEX1.Y, CEX1.f, CEX1.g, hs[:3]).hbar == (
             ex.emax(ex.emax(hs[0], hs[1]), hs[2]))
 
     def test_max_aggregation_equivalence(self):
@@ -59,8 +59,8 @@ class TestHbar:
                             ex.const(0.0), ex.const(0.0), hs)
             pt = {"x": rng.uniform(-9, 9), "y": rng.uniform(-9, 9)}
             vals = [evaluate(h, pt) for h in hs]
-            assert evaluate(hbar(p), pt) == max(vals)
-            assert (evaluate(hbar(p), pt) <= 0) == all(v <= 0 for v in vals)
+            assert evaluate(p.hbar, pt) == max(vals)
+            assert (evaluate(p.hbar, pt) <= 0) == all(v <= 0 for v in vals)
 
     def test_empty_h_rejected(self):
         with pytest.raises(ValueError):
@@ -149,7 +149,7 @@ class TestLowerBoundingBuilder:
         assert all(c.expr is CEX1.cut for c in inst.constraints)
         assert [c.parameters for c in inst.constraints] == [(("y", 1.0),),
                                                             (("y", -0.5),)]
-        assert CEX1.cut == ex.emax(CEX1.g, hbar(CEX1))
+        assert CEX1.cut == ex.emax(CEX1.g, CEX1.hbar)
 
     def test_empty_discretization_matches_plain_minimization(self):
         for p in builtin_problems():
@@ -265,10 +265,10 @@ class TestBoundValues:
         llp = build_llp(p, point)
         assert _solved(llp.objective, llp.constraints, llp.box, llp.parameters) == \
             _solved(substitute(g, point),
-                    [ConstraintSpec(substitute(hbar(p), point), "le")], p.Y)
+                    [ConstraintSpec(substitute(p.hbar, point), "le")], p.Y)
         sip = build_sip_llp(p, point)
         assert _solved(sip.objective, sip.constraints, sip.box, sip.parameters) == \
-            _solved(ex.emax(substitute(g, point), substitute(hbar(p), point)), [], p.Y)
+            _solved(ex.emax(substitute(g, point), substitute(p.hbar, point)), [], p.Y)
 
     @settings(max_examples=100, deadline=None)
     @given(trees(), trees(), st.floats(-1.0, 1.0), st.floats(-3.0, 3.0))
