@@ -4,16 +4,21 @@ A box stores its names and its ``(lo, hi)`` pairs separately, in coordinate
 order; the pairs are the format the compiled interval kernels take
 (``expr.compile_expr``), so a solver passes ``box.bounds`` to them as is.
 ``corner_values`` is the one rule for a box's corners, ``midpoint_value``
-the one rule for its midpoint and for the plane ``bisect`` splits it at.
+the one rule for its midpoint, and ``split`` the one rule for bisection:
+whether a box can be cut and where, the plane ``bisect`` cuts it at.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .expr import Interval
+
+
+# a box no wider than this is not cut
+MIN_WIDTH = 1e-9
 
 
 def corner_values(bound: tuple[float, float]) -> tuple[float, ...]:
@@ -31,6 +36,20 @@ def midpoint_value(bound: tuple[float, float]) -> float:
     lo, hi = bound
     mid = 0.5 * (lo + hi)
     return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
+
+
+def split(bounds) -> Optional[tuple[int, float]]:
+    """Where a box of ``(lo, hi)`` pairs is cut: its widest axis (the first
+    of equals) and that axis's midpoint.  ``None`` when the box cannot be
+    cut: it has no axes, it is no wider than ``MIN_WIDTH``, or the midpoint
+    is one of the axis's ends, as between two adjacent floats."""
+    if not bounds:
+        return None
+    widths = [hi - lo for lo, hi in bounds]
+    i = widths.index(max(widths))
+    lo, hi = bounds[i]
+    mid = midpoint_value(bounds[i])
+    return (i, mid) if widths[i] > MIN_WIDTH and lo < mid < hi else None
 
 
 @dataclass(frozen=True)
@@ -74,14 +93,13 @@ class BoxDomain:
         return [dict(zip(self.names, p))
                 for p in itertools.product(*map(corner_values, self.bounds))]
 
-    def widest_index(self) -> int:
-        widths = [hi - lo for lo, hi in self.bounds]
-        return widths.index(max(widths))
-
     def bisect(self) -> tuple["BoxDomain", "BoxDomain"]:
-        i = self.widest_index()
+        """The halves ``split`` cuts the box into; ``ValueError`` if it cannot."""
+        cut = split(self.bounds)
+        if cut is None:
+            raise ValueError(f"box too narrow to bisect: {self.coords}")
+        i, mid = cut
         lo, hi = self.bounds[i]
-        mid = midpoint_value(self.bounds[i])
         head, tail = self.bounds[:i], self.bounds[i + 1:]
         return (_validated(self.names, head + ((lo, mid),) + tail),
                 _validated(self.names, head + ((mid, hi),) + tail))

@@ -8,24 +8,26 @@ Two engines share one outcome type:
   (``parameters``): variables held fixed, which are appended to every call,
   as floats to a point and as ``(v, v)`` pairs to a box, and never bisected.
   A tree keeps its kernels, so a tree that many solves share compiles once.
-  Incumbents are box midpoints and corners that pass the ``tol_feas``
-  check; the first one becomes the incumbent even if its value is +inf, and
-  later ones must pass the strict ``v < best`` update test, so a point
-  offered again could not change the incumbent, and none is: each corner
-  (``domains.corner_values``) is considered once, a child considers only
-  its corners on the split plane, none in 1-D, where the plane is the
-  parent's midpoint (one rule, ``domains.midpoint_value``, gives both), and
-  a box that the monotonicity test below reduces to a point, one of its
-  corners, considers nothing.  A node leaves the search certified
-  infeasible by a constraint's interval bound, contributing nothing, or
-  settled, contributing its objective lower bound ``lb`` to one minimum:
-  retired at ``MIN_WIDTH`` whatever its midpoint, or set aside by the one
-  comparison ``lb >= best - tol_opt``, at push and at the heap front, where
-  it stops the search.  The bracket is ``[min(settled lbs, best), best]``.
-  ``infeasible`` needs every leaf certified infeasible, and its bracket is
-  ``[+inf, +inf]``, the minimum over the empty set; a search that settles
-  nodes but finds no incumbent raises ``UndecidedError``.  Decisions on an
-  outcome read the certified ``value_bounds.lo``.
+  Incumbents are box midpoints and corners that pass the ``tol_feas`` check;
+  the first one becomes the incumbent even if its value is +inf, and later
+  ones must pass the strict ``v < best`` update test, so a point offered
+  again could not change the incumbent.  A node and its children offer none
+  twice: a child considers only its corners (``domains.corner_values``) on
+  the split plane, none when the plane is one point, the parent's midpoint
+  (``domains.midpoint_value``), and a box that the monotonicity test below
+  reduces to a point, one of its corners, considers nothing; a corner shared
+  with a box that is not a sibling is offered again.  A node leaves the
+  search certified infeasible by a constraint's interval bound, contributing
+  nothing, or settled, contributing its objective lower bound ``lb`` to one
+  minimum: retired at the heap front when ``domains.split``, the one
+  bisection rule, cannot cut it, whatever its midpoint, or set aside by the
+  one comparison ``lb >= best - tol_opt``, at push and at the heap front,
+  where it stops the search.  The bracket is
+  ``[min(settled lbs, best), best]``.  ``infeasible`` needs every leaf
+  certified infeasible, and its bracket is ``[+inf, +inf]``, the minimum
+  over the empty set; a search that settles nodes but finds no incumbent
+  raises ``UndecidedError``.  Decisions on an outcome read the certified
+  ``value_bounds.lo``.
 
   Each node carries its active set: the constraints its interval tests have
   not decided.  A constraint certified satisfied on a box holds on every
@@ -39,8 +41,7 @@ Two engines share one outcome type:
   2004) when its bound does not settle it: each coordinate along which the
   objective's interval gradient (``expr.compile_gradient``) is >= 0 is fixed
   at its lower end, each along which it is <= 0 at its upper end, and the
-  reduced box's midpoint is considered and its bound replaces the node's; a
-  box reduced to a point is retired at once, as at ``MIN_WIDTH``.
+  reduced box's midpoint is considered and its bound replaces the node's.
   A coordinate the objective ignores, or one along which the minimum sits
   on a face of the box, is then no longer bisected, which removes most of
   the cluster of boxes that a first-order bound leaves around a minimizer
@@ -62,16 +63,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .domains import BoxDomain, _validated, corner_values, midpoint_value
+from .domains import BoxDomain, _validated, corner_values, midpoint_value, split
 # minimize calls neither evaluate nor interval_eval; they stay bound here
 # because bench/tracer.py counts the point and interval evaluations made
 # through these names
 from .expr import (Expr, Interval, compile_expr, compile_gradient,  # noqa: F401
                    evaluate, evaluate_array, interval_eval)
 
-
-# a node no wider than this is settled instead of bisected
-MIN_WIDTH = 1e-9
 
 # the outcomes of a constraint's interval test on a box
 VIOLATED, UNDECIDED, SATISFIED = "violated", "undecided", "satisfied"
@@ -171,11 +169,6 @@ def _bind(names: Sequence[str], parameters: Sequence[tuple[str, float]]):
     return tuple(names) + pnames, values, tuple((v, v) for v in values)
 
 
-def _narrow(bounds) -> bool:
-    """Whether a box is retired at ``MIN_WIDTH`` instead of bisected."""
-    return max([hi - lo for lo, hi in bounds], default=0.0) <= MIN_WIDTH
-
-
 def minimize(objective: Expr,
              constraints: Sequence[ConstraintSpec],
              box: BoxDomain,
@@ -195,16 +188,12 @@ def minimize(objective: Expr,
 
     # Kernels take points as tuples and boxes as their bounds, both in the
     # order of box.names, and the bound values are appended to every call.
-    # A tree keeps its kernels (expr.compile_expr), so a tree shared by many
-    # solves compiles once.  The gradient kernel is fetched at the first box
-    # that no constraint can cut.
     names = box.names
     obj_names, values, pairs = _bind(names, parameters)
     obj_point, obj_interval = compile_expr(objective, obj_names)
     tests = [c.compile(names, tol_feas) for c in constraints]
     satisfied = [ok for ok, _ in tests]
     decide = [d for _, d in tests]
-    obj_gradient = None
 
     heap: list = []
     counter = itertools.count()
@@ -230,7 +219,7 @@ def minimize(objective: Expr,
                 best_pt = point
 
     def settle(lb: float, retired: bool = False) -> bool:
-        """Settle a node retired at ``MIN_WIDTH``, or one whose ``lb`` passes
+        """Settle a node that ``split`` cannot cut, or one whose ``lb`` passes
         the one comparison with the incumbent; returns whether it settled."""
         nonlocal settled_lb, settled
         if retired or (best_pt is not None and lb >= best_val - tol_opt):
@@ -244,10 +233,7 @@ def minimize(objective: Expr,
         coordinate along which the objective is monotone fixed at its better
         end: the lower one where the derivative is >= 0 (a coordinate the
         objective ignores has [0, 0]), the upper one where it is <= 0."""
-        nonlocal obj_gradient
-        if obj_gradient is None:
-            obj_gradient = compile_gradient(objective, obj_names)
-        gradient = obj_gradient(bounds + pairs)[1]
+        gradient = compile_gradient(objective, obj_names)(bounds + pairs)[1]
         return tuple((lo, lo) if dlo >= 0.0 else (hi, hi) if dhi <= 0.0 else (lo, hi)
                      for (lo, hi), (dlo, dhi) in zip(bounds, gradient))
 
@@ -268,7 +254,7 @@ def minimize(objective: Expr,
         for corner in corners:
             consider(corner, undecided)
         lb = obj_interval(bounds + pairs)[0]
-        if settle(lb, _narrow(bounds)):
+        if settle(lb):
             return True
         if not undecided:
             reduced = monotone(bounds)
@@ -278,7 +264,7 @@ def minimize(objective: Expr,
                 if any(lo != hi for lo, hi in reduced):
                     consider(tuple(map(midpoint_value, reduced)), ())
                 lb = obj_interval(reduced + pairs)[0]
-                if settle(lb, _narrow(reduced)):
+                if settle(lb):
                     return True
                 b = _validated(names, reduced)
         heapq.heappush(heap, (lb, next(counter), b, undecided))
@@ -291,6 +277,10 @@ def minimize(objective: Expr,
         lb, _, b, active = heapq.heappop(heap)
         if settle(lb):
             break  # b had the least lb of the nodes left in the heap
+        cut = split(b.bounds)
+        if cut is None:
+            settle(lb, retired=True)
+            continue
         pops += 1
         if pops > node_budget:
             raise NodeBudgetExceeded(f"node budget {node_budget} exhausted")
@@ -299,18 +289,18 @@ def minimize(objective: Expr,
         # considered when b was pushed: offered again they could not pass the
         # strict `v < best_val` test, so the children consider only the plane
         # corners, and the right child only if the left one was infeasible.
-        # The children's bounds differ on the split axis only; in 1-D the
-        # plane is b's midpoint, which was considered too.
+        # A plane of one point, as in 1-D, is b's midpoint, considered too.
+        i, mid = cut
         plane = () if len(names) == 1 else list(itertools.product(*[
-            corner_values(p) if p == q else (q[0],)
-            for p, q in zip(left.bounds, right.bounds)]))
+            (mid,) if j == i else corner_values(p) for j, p in enumerate(b.bounds)]))
+        plane = plane if len(plane) > 1 else ()
         considered = push(left, plane, active)
         push(right, () if considered else plane, active)
 
     if best_pt is None:
         if settled:
-            raise UndecidedError("no feasible point found, and boxes at "
-                                 "MIN_WIDTH were not certified infeasible")
+            raise UndecidedError("no feasible point found, and boxes too "
+                                 "narrow to bisect were not certified infeasible")
         return MinimizeOutcome("infeasible", value_bounds=Interval(math.inf, math.inf))
     return MinimizeOutcome("optimal", dict(zip(names, best_pt)), best_val,
                            Interval(min(settled_lb, best_val), best_val))

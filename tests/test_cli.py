@@ -198,6 +198,18 @@ h: y - 2
 """
 
 
+# bisection around x = 10000000.1 reaches boxes two adjacent floats wide,
+# wider than MIN_WIDTH but too narrow to cut
+ADJACENT_FLOATS_TEXT = """\
+problem "big"
+outer x in [10000000, 10000001]
+inner y in [0, 1]
+objective: -x
+g: 10000000.1 - x
+h: y - 2
+"""
+
+
 class TestHugeBox:
     @pytest.mark.parametrize("objective,bound", [
         ("(x - 1.5e308)*(x - 1.5e308)", "0.0"), ("-x", "-1.7e+308")])
@@ -209,6 +221,13 @@ class TestHugeBox:
         assert main(["run", "--file", str(src), "--max-iter", "2"]) == 0
         assert capsys.readouterr().out.endswith(
             f"status=converged_feasible final_lower_bound={bound}\n")
+
+    def test_run_retires_boxes_of_two_adjacent_floats(self, tmp_path, capsys):
+        src = tmp_path / "big.gsip"
+        src.write_text(ADJACENT_FLOATS_TEXT)
+        assert main(["run", "--file", str(src), "--max-iter", "3"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "status=converged_feasible final_lower_bound=-10000000.1\n")
 
 
 class TestSolverErrors:

@@ -71,6 +71,25 @@ class TestMinimize:
         assert out.value == -1.7e308
         assert out.value_bounds.lo <= -1.7e308
 
+    @pytest.mark.parametrize("cap,lo,hi,tol_opt,at", [
+        (x - 1e7 - 0.1, 1e7, 1e7 + 1, 1e-12, 10000000.1),
+        (x - 1.2e308, 1e308, 1.7e308, 1e-6, 1.2e308)])
+    def test_boxes_of_two_adjacent_floats_are_retired(self, cap, lo, hi,
+                                                      tol_opt, at):
+        # bisection reaches boxes two adjacent floats wide, wider than
+        # MIN_WIDTH, around x = at; they are retired, not cut into copies
+        out = minimize(-x, [ConstraintSpec(cap)], BoxDomain([("x", lo, hi)]),
+                       tol_opt=tol_opt, node_budget=5000)
+        assert out.optimal and out.minimizer == {"x": at}
+        assert out.value_bounds.lo <= -at
+
+    def test_a_box_with_no_coordinates(self):
+        out = minimize(ex.const(3.5473533668846606) / 2.9260988930166745 * 1e20,
+                       [], BoxDomain([]), tol_opt=1e-9)
+        assert out.minimizer == {}
+        assert out.value_bounds == Interval(1.2123149273425617e+20,
+                                            1.212314927342562e+20)
+
     def test_retired_boxes_bound_the_value(self):
         # x = 0.1 is feasible with value 0.1, in a feasible sliver narrower
         # than MIN_WIDTH whose boxes all have an infeasible midpoint; the
@@ -179,6 +198,27 @@ class TestMinimize:
                      parameters=inst.parameters)
             assert len(points) > 1
             assert len(set(points)) == len(points)
+
+    def test_a_plane_of_one_point_is_not_offered(self, monkeypatch):
+        # with y degenerate, each split plane is one point, its parent's
+        # midpoint; no solve offers a point twice within a node and its
+        # children, and here no box shares a corner with a non-sibling
+        obj = (x - 0.3) ** 2 + y
+        points = []
+        compile_expr = globalopt.compile_expr
+
+        def recording(e, names):
+            point, interval = compile_expr(e, names)
+
+            def record(p):
+                points.append(p)
+                return point(p)
+            return record, interval
+        monkeypatch.setattr(globalopt, "compile_expr", recording)
+        out = minimize(obj, [], BoxDomain([("x", 0, 1), ("y", 0.5, 0.5)]),
+                       tol_opt=1e-9)
+        assert out.minimizer == {"x": 0.29998779296875, "y": 0.5}
+        assert len(points) == len(set(points)) == 29
 
 
 class TestConstraintTests:
