@@ -33,7 +33,9 @@ from the tree enters a kernel's source text: constants, exponents and the
 names of unknown variables reach it through its namespace, and variables
 are indices into its argument tuple.  ``compile_gradient`` generates a
 third kernel the same way: a forward-mode interval gradient, whose value
-lines are the interval kernel's.
+lines are the interval kernel's and whose derivative lines are straight-line
+code too, each node's rule written out coordinate by coordinate; it calls
+nothing but the power helper and the error raisers.
 """
 from __future__ import annotations
 
@@ -388,12 +390,14 @@ def _generate(e: Expr, index: Mapping[str, int], kind: str) -> Callable:
     the walker evaluates them, and each shared subtree once.  The source
     holds only names the emitter makes up and its own literals: every value
     taken from the tree (a constant, an exponent, the error of an unknown
-    variable, a derivative rule) reaches the function through its namespace,
-    and a variable is an index into the argument tuple.
+    variable) reaches the function through its namespace, and a variable is
+    an index into the argument tuple.
     """
     emitter = _Emitter(index, kind)
     out = emitter.node(e)
-    result = {_POINT: "{0}", _INTERVAL: "{0}, {1}", _GRADIENT: "({0}, {1}), {2}"}
+    if kind == _GRADIENT:   # a tuple of pairs
+        out = (*out[:2], "".join(f"({lo}, {hi}), " for lo, hi in out[2]))
+    result = {_POINT: "{0}", _INTERVAL: "{0}, {1}", _GRADIENT: "({0}, {1}), ({2})"}
     source = "\n    ".join(["def kernel(arg):", *emitter.lines,
                             "return " + result[kind].format(*out)])
     exec(compile(source, f"<{kind} kernel>", "exec"), emitter.namespace)
@@ -420,7 +424,7 @@ def _unknown(name: str):
 
 def _pow_pairs(lo: float, hi: float, n: int) -> tuple[float, float]:
     """``Interval.__pow__`` on bare floats, for the interval kernels and the
-    pow derivative rule."""
+    gradient kernel's pow factor."""
     if n == 0:
         return 1.0, 1.0
     if n % 2 == 0 and lo <= 0.0 <= hi:
@@ -452,6 +456,7 @@ class _Emitter:
         self.kind = kind
         self.lines: list[str] = []
         self.namespace = {"_empty": _empty, "_pow": _pow_pairs,
+                          "_entire": (-math.inf, math.inf),
                           "_division_by_zero": _division_by_zero,
                           "_division_by_straddle": _division_by_straddle}
         self.memo: dict[int, tuple[str, ...]] = {}
@@ -582,102 +587,93 @@ class _Emitter:
                            f"if p < {lo}: {lo} = p",
                            f"if p > {hi}: {hi} = p"]
 
-    def gradient(self, e: Expr, kids, out, n: int) -> str:
-        """The node's gradient: one call to its ``_derivative`` rule, over
-        the node's value and its children's values and gradients."""
+    # The derivative arithmetic never raises: a NaN, from inf * 0 or
+    # inf - inf, means the sign is unknown, so it widens to the entire line.
+    # A gradient is one (lo, hi) pair of operands per name.
+    def gradient(self, e: Expr, kids, out, n: int) -> tuple[tuple[str, str], ...]:
+        """The node's gradient, by forward-mode rules written out coordinate
+        by coordinate, over its value ``out`` and its children's values and
+        gradients."""
         k = e.kind
-        if k == "var":
-            i = self.index.get(e.name)
-            return self.bind(tuple((1.0, 1.0) if j == i else (0.0, 0.0)
-                                   for j in range(len(self.index))))
-        if k == "const":
-            return self.bind(((0.0, 0.0),) * len(self.index))
-        args = [f"({out[0]}, {out[1]})"]
-        for lo, hi, g in kids:
-            args += [f"({lo}, {hi})", g]
-        self.lines.append(f"g{n} = {self.bind(_derivative(e))}({', '.join(args)})")
-        return f"g{n}"
+        dims = range(len(self.index))
+        if k in ("const", "var") or (k == "pow" and e.exponent == 0):
+            i = self.index.get(e.name) if k == "var" else None
+            return tuple(("1.0", "1.0") if j == i else ("0.0", "0.0") for j in dims)
+        emit = self.lines.append
+        d = tuple((f"dl{n}_{j}", f"dh{n}_{j}") for j in dims)
+        (al, ah, da), *rest = kids
+        if k == "neg":
+            for (lo, hi), (pl, ph) in zip(d, da):
+                emit(f"{lo} = -{ph}")
+                emit(f"{hi} = -{pl}")
+            return d
+        if k == "pow":
+            # d(u^n) = n u^(n-1) du; u^(n-1) cannot overflow where u^n did not
+            emit(f"fl, fh = _pow({al}, {ah}, {self.bind(e.exponent - 1)})")
+            factor = self.bind(e.exponent)
+            emit(f"fl = {factor} * fl")
+            emit(f"fh = {factor} * fh")
+            for (lo, hi), p in zip(d, da):
+                self.dmul(lo, hi, ("fl", "fh"), p)
+            return d
+        (cl, ch, dc), = rest
+        if k in ("min", "max"):
+            # one child's gradient where the values do not overlap, else the
+            # hull of both
+            first, second = ((ah, cl), (ch, al)) if k == "min" else ((ch, al), (ah, cl))
+            if d:
+                emit(f"if {first[0]} < {first[1]}:")
+                self.lines += [f"    {lo}, {hi} = {pl}, {ph}" for (lo, hi), (pl, ph) in zip(d, da)]
+                emit(f"elif {second[0]} < {second[1]}:")
+                self.lines += [f"    {lo}, {hi} = {ql}, {qh}" for (lo, hi), (ql, qh) in zip(d, dc)]
+                emit("else:")
+                for (lo, hi), (pl, ph), (ql, qh) in zip(d, da, dc):
+                    emit(f"    {lo} = {pl} if {pl} < {ql} else {ql}")
+                    emit(f"    {hi} = {ph} if {ph} > {qh} else {qh}")
+            return d
+        for (lo, hi), (pl, ph), (ql, qh) in zip(d, da, dc):
+            if k == "add":
+                self.dadd(lo, hi, f"{pl} + {ql}", f"{ph} + {qh}")
+            elif k == "sub":
+                # p + (-q), which is how IEEE defines p - q
+                self.dadd(lo, hi, f"{pl} - {qh}", f"{ph} - {ql}")
+            elif k == "mul":
+                # d(a c) = c da + a dc
+                self.dmul("tl", "th", (cl, ch), (pl, ph))
+                self.dmul("ul", "uh", (al, ah), (ql, qh))
+                self.dadd(lo, hi, "tl + ul", "th + uh")
+            else:
+                # d(a / c) = (da - (a / c) dc) / c, where (r, s) is the
+                # value lines' (1 / ch, 1 / cl)
+                self.dmul("tl", "th", out, (ql, qh))
+                self.dadd("ul", "uh", f"{pl} - th", f"{ph} - tl")
+                self.dmul(lo, hi, ("ul", "uh"), (f"r{n}", f"s{n}"))
+        return d
 
+    def dadd(self, lo: str, hi: str, lo_sum: str, hi_sum: str) -> None:
+        """``lo, hi = lo_sum, hi_sum``, widened where ``lo <= hi`` fails."""
+        self.lines += [f"{lo} = {lo_sum}", f"{hi} = {hi_sum}",
+                       f"if not {lo} <= {hi}: {lo}, {hi} = _entire"]
 
-# -- derivative rules ----------------------------------------------------------
-# A node's rule maps its value and its children's values and gradients to its
-# gradient.  The derivative arithmetic below never raises: a NaN, from inf * 0
-# or inf - inf, means the sign is unknown, so it widens to the entire line.
+    def dmul(self, lo: str, hi: str, a, c) -> None:
+        """The product of the pairs ``a`` and ``c``: the min and max of their
+        ends' products, scanned in the order of the builtins, widened where
+        the products hold a NaN or both infinities (their sum is NaN).
 
-_ENTIRE = (-math.inf, math.inf)
-
-
-def _dadd(p, q):
-    lo = p[0] + q[0]
-    hi = p[1] + q[1]
-    return (lo, hi) if lo <= hi else _ENTIRE
-
-
-def _dneg(p):
-    return -p[1], -p[0]
-
-
-def _dmul(p, q):
-    a, b = p
-    c, d = q
-    w, x, y, z = a * c, a * d, b * c, b * d
-    s = w + x + y + z
-    if s != s:  # a NaN product, or products of both infinite signs
-        return _ENTIRE
-    return min(w, x, y, z), max(w, x, y, z)
-
-
-def _hull(p, q):
-    return (p[0] if p[0] < q[0] else q[0]), (p[1] if p[1] > q[1] else q[1])
-
-
-def _derivative(e: Expr) -> Callable:
-    """The rule of a node that is neither a constant nor a variable:
-    ``rule(v, a, da)`` for a unary node, ``rule(v, a, da, c, dc)`` for a
-    binary one, where ``v`` is the node's value pair, ``a`` and ``c`` its
-    children's, and ``da`` and ``dc`` their gradients."""
-    k = e.kind
-    if k == "neg":
-        return lambda v, a, da: tuple(map(_dneg, da))
-    if k == "add":
-        return lambda v, a, da, c, dc: tuple(map(_dadd, da, dc))
-    if k == "sub":
-        return lambda v, a, da, c, dc: tuple(_dadd(p, _dneg(q)) for p, q in zip(da, dc))
-    if k == "mul":
-        # d(a c) = c da + a dc
-        return lambda v, a, da, c, dc: tuple(_dadd(_dmul(c, p), _dmul(a, q))
-                                             for p, q in zip(da, dc))
-    if k == "div":
-        # d(a / c) = (da - (a / c) dc) / c; the value check excluded 0 from c
-        def div_(v, a, da, c, dc):
-            inverse = (1.0 / c[1], 1.0 / c[0])
-            return tuple(_dmul(_dadd(p, _dneg(_dmul(v, q))), inverse)
-                         for p, q in zip(da, dc))
-        return div_
-    if k == "pow":
-        # d(u^n) = n u^(n-1) du; u^(n-1) cannot overflow where u^n did not
-        n = e.exponent
-        if n == 0:
-            return lambda v, a, da: tuple((0.0, 0.0) for _ in da)
-
-        def pow_(v, a, da):
-            lo, hi = _pow_pairs(a[0], a[1], n - 1)
-            factor = (n * lo, n * hi)
-            return tuple(_dmul(factor, p) for p in da)
-        return pow_
-    if k == "min":
-        def min_(v, a, da, c, dc):
-            if a[1] < c[0]:
-                return da
-            if c[1] < a[0]:
-                return dc
-            return tuple(map(_hull, da, dc))
-        return min_
-
-    def max_(v, a, da, c, dc):
-        if a[0] > c[1]:
-            return da
-        if c[0] > a[1]:
-            return dc
-        return tuple(map(_hull, da, dc))
-    return max_
+        A product by the literal 1.0 is the other factor, and a product
+        that repeats an earlier one, as where a pair's ends are one operand,
+        is computed once: the same float cannot move the scan."""
+        terms = [p if q == "1.0" else q if p == "1.0" else f"{p} * {q}"
+                 for p in a for q in c]
+        operand = {}   # each distinct term once: an operand, or a product
+        for t in terms:
+            if t not in operand and " * " in t:
+                operand[t] = f"m{len(operand)}"
+                self.lines.append(f"{operand[t]} = {t}")
+            operand.setdefault(t, t)
+        first, *rest = operand.values()
+        self.lines.append(f"{lo} = {hi} = {first}")
+        for m in rest:
+            self.lines += [f"if {m} < {lo}: {lo} = {m}", f"if {m} > {hi}: {hi} = {m}"]
+        self.lines += [f"m = {' + '.join(operand[t] for t in terms)}",
+                       f"if m != m: {lo}, {hi} = _entire"]

@@ -52,7 +52,10 @@ Two engines share one outcome type:
   compiled kernels (it uses ``evaluate_array``) so that it can serve as a
   cross-checking oracle.  Grid points are feasible by
   ``ConstraintSpec.satisfied``, the rule ``minimize`` applies to its
-  candidates.  It proves no bound.  It is the only user of numpy here and
+  candidates, and a point whose value is NaN is never the minimum, as a NaN
+  is never ``minimize``'s incumbent.  The grid is evaluated in blocks of
+  rows of its first axis, so that a block's arrays stay in cache.  It
+  proves no bound.  It is the only user of numpy here and
   imports it when called.
 """
 from __future__ import annotations
@@ -306,6 +309,12 @@ def minimize(objective: Expr,
                            Interval(min(settled_lb, best_val), best_val))
 
 
+# the most grid points grid_minimize evaluates at once: few enough that a
+# block's arrays stay in a core's cache, enough that a block's Python does not
+# dominate
+_BLOCK_POINTS = 1 << 15
+
+
 def grid_minimize(objective: Expr,
                   constraints: Sequence[ConstraintSpec],
                   box: BoxDomain,
@@ -321,26 +330,49 @@ def grid_minimize(objective: Expr,
     ``(1, ..., n, ..., 1)``.  ``evaluate_array`` thus works on one axis's
     values until an operation mixes two axes, where broadcasting builds the
     full grid.  Broadcasting only repeats operands, so every grid value comes
-    from the same float operations as on a dense grid, bit for bit.
+    from the same float operations as on a dense grid, bit for bit.  The grid
+    is evaluated in blocks of rows of the first axis, of at most
+    ``_BLOCK_POINTS`` points (one row, if a row holds more), so that the
+    arrays of a block stay in cache.
+
+    The minimum is the first in C order among the grid points that are
+    feasible and whose value is not NaN, as a NaN never becomes
+    ``minimize``'s incumbent; a grid without such a point is infeasible.
     """
     import numpy as np
 
     if points_per_axis < 2:
         raise ValueError("points_per_axis must be at least 2")
     axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in box.bounds]
-    env = dict(zip(box.names, np.meshgrid(*axes, indexing="ij", sparse=True)))
+    grid = np.meshgrid(*axes, indexing="ij", sparse=True)
     shape = tuple(len(a) for a in axes)
-
-    vals = np.asarray(evaluate_array(objective, {**env, **dict(parameters)}),
-                      dtype=float)
-    feas = np.ones(shape, dtype=bool)
-    for c in constraints:
-        cv = np.asarray(evaluate_array(c.expr, {**env, **dict(c.parameters)}),
-                        dtype=float)
-        feas &= c.satisfied(cv, tol_feas)
-    if not feas.any():
+    row = math.prod(shape[1:])
+    rows = max(1, _BLOCK_POINTS // row)
+    best = None   # the first minimum so far: (value, flat index)
+    for start in range(0, shape[0] if shape else 1, rows):
+        # rows [start, start + rows) of the first axis; a box without axes
+        # is one block of one point
+        block = [g[start:start + rows] if i == 0 else g for i, g in enumerate(grid)]
+        env = dict(zip(box.names, block))
+        vals = np.asarray(evaluate_array(objective, {**env, **dict(parameters)}),
+                          dtype=float)
+        ok = np.ones(np.broadcast_shapes(*(g.shape for g in block)), dtype=bool)
+        ok &= vals == vals
+        for c in constraints:
+            cv = np.asarray(evaluate_array(c.expr, {**env, **dict(c.parameters)}),
+                            dtype=float)
+            ok &= c.satisfied(cv, tol_feas)
+        if not ok.any():
+            continue
+        masked = np.where(ok, vals, np.inf)
+        i = int(np.argmin(masked))
+        if not ok.flat[i]:   # every feasible value is +inf
+            i = int(np.argmax(ok))
+        if best is None or masked.flat[i] < best[0]:
+            best = float(masked.flat[i]), start * row + i
+    if best is None:
         return INFEASIBLE
-    masked = np.where(feas, vals, np.inf)
-    idx = np.unravel_index(int(np.argmin(masked)), shape)
+    value, flat = best
+    idx = np.unravel_index(flat, shape)
     point = {name: float(axes[i][idx[i]]) for i, name in enumerate(box.names)}
-    return MinimizeOutcome("optimal", point, float(masked[idx]))
+    return MinimizeOutcome("optimal", point, value)

@@ -324,7 +324,140 @@ def _inside(lo, hi, t):
     return min(max(lo + t * (hi - lo), lo), hi)
 
 
+# A small forward-mode reference for the gradient kernel, as the walker is the
+# reference for the point and interval kernels.  A node's rule maps its value
+# and its children's values and gradients to its gradient.  The derivative
+# arithmetic never raises: a NaN, from inf * 0 or inf - inf, means the sign is
+# unknown, so it widens to the entire line.
+
+_ENTIRE = (-math.inf, math.inf)
+
+
+def _dadd(p, q):
+    lo = p[0] + q[0]
+    hi = p[1] + q[1]
+    return (lo, hi) if lo <= hi else _ENTIRE
+
+
+def _dneg(p):
+    return -p[1], -p[0]
+
+
+def _dmul(p, q):
+    a, b = p
+    c, d = q
+    w, x, y, z = a * c, a * d, b * c, b * d
+    s = w + x + y + z
+    if s != s:  # a NaN product, or products of both infinite signs
+        return _ENTIRE
+    return min(w, x, y, z), max(w, x, y, z)
+
+
+def _hull(p, q):
+    return (p[0] if p[0] < q[0] else q[0]), (p[1] if p[1] > q[1] else q[1])
+
+
+def _derivative(e):
+    """The rule of a node that is neither a constant nor a variable:
+    ``rule(v, a, da)`` for a unary node, ``rule(v, a, da, c, dc)`` for a
+    binary one, where ``v`` is the node's value pair, ``a`` and ``c`` its
+    children's, and ``da`` and ``dc`` their gradients."""
+    k = e.kind
+    if k == "neg":
+        return lambda v, a, da: tuple(map(_dneg, da))
+    if k == "add":
+        return lambda v, a, da, c, dc: tuple(map(_dadd, da, dc))
+    if k == "sub":
+        return lambda v, a, da, c, dc: tuple(_dadd(p, _dneg(q)) for p, q in zip(da, dc))
+    if k == "mul":
+        # d(a c) = c da + a dc
+        return lambda v, a, da, c, dc: tuple(_dadd(_dmul(c, p), _dmul(a, q))
+                                             for p, q in zip(da, dc))
+    if k == "div":
+        # d(a / c) = (da - (a / c) dc) / c; the value check excluded 0 from c
+        def div_(v, a, da, c, dc):
+            inverse = (1.0 / c[1], 1.0 / c[0])
+            return tuple(_dmul(_dadd(p, _dneg(_dmul(v, q))), inverse)
+                         for p, q in zip(da, dc))
+        return div_
+    if k == "pow":
+        # d(u^n) = n u^(n-1) du; u^(n-1) cannot overflow where u^n did not
+        n = e.exponent
+        if n == 0:
+            return lambda v, a, da: tuple((0.0, 0.0) for _ in da)
+
+        def pow_(v, a, da):
+            lo, hi = ex._pow_pairs(a[0], a[1], n - 1)
+            factor = (n * lo, n * hi)
+            return tuple(_dmul(factor, p) for p in da)
+        return pow_
+    if k == "min":
+        def min_(v, a, da, c, dc):
+            if a[1] < c[0]:
+                return da
+            if c[1] < a[0]:
+                return dc
+            return tuple(map(_hull, da, dc))
+        return min_
+
+    def max_(v, a, da, c, dc):
+        if a[0] > c[1]:
+            return da
+        if c[0] > a[1]:
+            return dc
+        return tuple(map(_hull, da, dc))
+    return max_
+
+
+def _reference_gradient(e, names, box):
+    """``compile_gradient(e, names)(box)`` by recursion: children first, then
+    the node's value by ``interval_eval`` and its gradient by its rule."""
+    env = {n: Interval(lo, hi) for n, (lo, hi) in zip(names, box)}
+
+    def walk(e):
+        kids = [walk(c) for c in e.children]
+        v = interval_eval(e, env)
+        v = (v.lo, v.hi)
+        if e.kind == "var":
+            return v, tuple((1.0, 1.0) if n == e.name else (0.0, 0.0) for n in names)
+        if e.kind == "const":
+            return v, ((0.0, 0.0),) * len(names)
+        return v, _derivative(e)(v, *itertools.chain.from_iterable(kids))
+    return walk(e)
+
+
+def _nested_bits(v):
+    """``_bits`` of every float in nested tuples."""
+    return tuple(map(_nested_bits, v)) if isinstance(v, tuple) else _bits(v)
+
+
 class TestGradientKernel:
+    @settings(max_examples=600, deadline=None)
+    @given(expressions(), bounds())
+    # infinite, signed-zero and NaN constants
+    @example(x * ex.const(math.inf) - y, ((-1.0, 1.0), (0.0, 2.0)))
+    @example(ex.const(-math.inf) * x * y, ((0.0, 1.0), (-1.0, 0.0)))
+    @example(ex.const(-0.0) * x + ex.const(-0.0) * y, ((-0.0, 0.0), (-1.0, -0.0)))
+    @example(x - ex.const(math.nan), ((0.0, 1.0), (0.0, 1.0)))
+    # min and max apart, and at a kink
+    @example(ex.emin(x, y), ((0.0, 1.0), (0.5, 2.0)))
+    @example(ex.emin(x * y, y), ((2.0, 3.0), (0.0, 1.0)))
+    @example(ex.emax(x, y * y), ((2.0, 3.0), (0.0, 1.0)))
+    @example(ex.emax(x - y, ex.const(0.0)), ((-1.0, 1.0), (-0.0, 0.0)))
+    # division, by a divisor away from zero and by one that straddles it
+    @example(x / (y + 3.0) * x, ((-1.0, 2.0), (0.5, 1.0)))
+    @example(ex.const(math.inf) / y, ((0.0, 1.0), (1.0, 2.0)))
+    @example(x / y, ((0.0, 1.0), (-1.0, 1.0)))
+    # powers: the zeroth, and an infinite factor times a zero derivative
+    @example(ex.ipow(x - y, 0) + ex.ipow(x, 3), ((-1.0, 2.0), (0.0, 1.0)))
+    @example(ex.ipow(x, 2), ((0.0, math.inf), (0.0, 1.0)))
+    # a tie of signed zeros between the second and third end products
+    @example(ex.emin(-x, y) * y, ((0.0, 1.0), (-1.0, -0.0)))
+    def test_matches_the_reference_bit_for_bit(self, e, box):
+        want = _outcome(_reference_gradient, e, NAMES, box)
+        got = _outcome(compile_gradient(e, NAMES), box)
+        assert _nested_bits(got) == _nested_bits(want)
+
     @settings(max_examples=400, deadline=None)
     @given(expressions(consts=FINITE), st.lists(FINITE, min_size=4, max_size=4),
            st.sampled_from((0, 1)), st.tuples(UNIT, UNIT, UNIT))
@@ -378,6 +511,11 @@ class TestGradientKernel:
             ((1.0, 2.0), (-1.0, 1.0)))
         assert value == (-3.0, 6.0)
         assert gradient == ((1.0, 10.0), (0.0, 0.0))
+
+    def test_no_names(self):
+        # no coordinates: the gradient is empty, at a min or max node too
+        kernel = compile_gradient(ex.emin(ex.const(1.0), ex.const(2.0)), ())
+        assert kernel(()) == ((1.0, 1.0), ())
 
     def test_min_takes_the_lower_branch_when_apart(self):
         kernel = compile_gradient(ex.emin(x, y + 5.0), NAMES)

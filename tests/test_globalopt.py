@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -344,6 +345,26 @@ class TestGridMinimize:
         assert repr(grid_minimize(objective, constraints, box, n)) == repr(
             _dense_grid_minimize(objective, constraints, box, n))
 
+    def test_nan_is_never_the_minimum(self):
+        # inf * x is NaN at x = 0 and -inf at x = -1, minimize's minimum too
+        obj = ex.const(math.inf) * x
+        with np.errstate(invalid="ignore"):
+            out = grid_minimize(obj, [], UNIT_X, 5)
+        assert (out.minimizer, out.value) == ({"x": -1.0}, -math.inf)
+        bnb = minimize(obj, [], UNIT_X)
+        assert (bnb.minimizer, bnb.value) == (out.minimizer, out.value)
+
+    def test_a_grid_of_nan_values_is_infeasible(self):
+        with np.errstate(invalid="ignore"):
+            out = grid_minimize(ex.const(math.inf) * (x - x), [], UNIT_X, 5)
+        assert out is INFEASIBLE
+
+    def test_infinite_minimum_is_at_a_feasible_point(self):
+        # every feasible value is +inf: the minimizer is the first feasible
+        # point, as minimize's first incumbent is, not the infeasible x = -1
+        out = grid_minimize(ex.const(math.inf), [ConstraintSpec(x, "ge")], UNIT_X, 5)
+        assert (out.minimizer, out.value) == ({"x": 0.0}, math.inf)
+
     def test_division_by_zero_at_one_grid_point(self):
         # 5 points on [-1, 1] include y = 0.5, where the divisor is zero
         box = BoxDomain([("x", -1.0, 1.0), ("y", -1.0, 1.0)])
@@ -354,29 +375,98 @@ class TestGridMinimize:
             grid_minimize(obj, [], box, 5)
 
 
+def _blocked(block, *args):
+    """``grid_minimize(*args)`` in blocks of at most ``block`` grid points."""
+    with mock.patch.object(globalopt, "_BLOCK_POINTS", block):
+        return grid_minimize(*args)
+
+
+UNIT_XY = BoxDomain([("x", -1.0, 1.0), ("y", -1.0, 1.0)])
+
+
+class TestGridBlocks:
+    """Blocks far smaller than the default make tiny grids span many."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(2, 6),
+           st.sampled_from((1, 7, 64)))
+    def test_matches_the_dense_grid(self, seed, dims, n, block):
+        rng = random.Random(seed)
+        names = ["x", "y", "z"][:dims]
+        box = random_box(rng, names)
+        objective = random_expr(rng, names, rng.randint(0, 3))
+        constraints = [ConstraintSpec(random_expr(rng, names, rng.randint(0, 2)),
+                                      rng.choice(["le", "ge"]))
+                       for _ in range(rng.randint(0, 2))]
+        assert repr(_blocked(block, objective, constraints, box, n)) == repr(
+            _dense_grid_minimize(objective, constraints, box, n))
+
+    @pytest.mark.parametrize("block", [1, 7, 10, 64])
+    def test_a_tie_goes_to_the_first_point(self, block):
+        # 0 at (-0.5, 0) and (0.5, 0), in rows 1 and 3 of the 5 x 5 grid
+        obj = (x * x - 0.25) ** 2 + y * y
+        out = _blocked(block, obj, [], UNIT_XY, 5)
+        assert (out.minimizer, out.value) == ({"x": -0.5, "y": 0.0}, 0.0)
+        assert repr(out) == repr(_dense_grid_minimize(obj, [], UNIT_XY, 5))
+
+    def test_infeasible_blocks_before_a_feasible_one(self):
+        # one row per block: only the last two rows satisfy x >= 0.5
+        cons = [ConstraintSpec(x - 0.5, "ge")]
+        out = _blocked(5, -y, cons, UNIT_XY, 5)
+        assert (out.minimizer, out.value) == ({"x": 0.5, "y": 1.0}, -1.0)
+        assert repr(out) == repr(_dense_grid_minimize(-y, cons, UNIT_XY, 5))
+
+    def test_zero_divisor_in_the_last_block(self):
+        # x - 1 is zero in the last row only
+        with pytest.raises(EvaluationError):
+            _blocked(5, y / (x - 1.0), [], UNIT_XY, 5)
+
+    def test_box_without_axes(self):
+        box = BoxDomain([])
+        for cons in ([], [ConstraintSpec(ex.const(-1.0), "le")],
+                     [ConstraintSpec(ex.const(1.0), "le")]):
+            out = _blocked(1, ex.const(2.0), cons, box, 5)
+            assert repr(out) == repr(_dense_grid_minimize(ex.const(2.0), cons, box, 5))
+        assert out is INFEASIBLE
+        assert repr(grid_minimize(ex.const(2.0), [], box, 5)) == repr(
+            MinimizeOutcome("optimal", {}, 2.0))
+
+    @pytest.mark.parametrize("block", [1, 7, 24])
+    def test_a_row_larger_than_the_block(self, block):
+        # 3-D, 5 points per axis: a row of the first axis holds 25 points
+        box = BoxDomain([("x", -1.0, 1.0), ("y", 0.0, 2.0), ("z", -3.0, -0.5)])
+        obj = x * y - z ** 3 + ex.emin(x, z)
+        cons = [ConstraintSpec(x + y + z - 0.5, "le")]
+        assert repr(_blocked(block, obj, cons, box, 5)) == repr(
+            _dense_grid_minimize(obj, cons, box, 5))
+
+
 def _dense_grid_minimize(objective, constraints, box, points_per_axis,
                          tol_feas=1e-9):
-    """Reference oracle: every variable bound to a full meshgrid copy."""
+    """Reference oracle: every variable bound to a full meshgrid copy, and
+    the first minimum in C order among the feasible points whose value is
+    not NaN."""
     axes = [np.linspace(lo, hi, points_per_axis) for _, lo, hi in box.coords]
     grids = np.meshgrid(*axes, indexing="ij")
     env = dict(zip(box.names, grids))
-    shape = grids[0].shape
+    shape = tuple(len(a) for a in axes)
 
     def on_grid(e):
         return np.broadcast_to(
             np.asarray(evaluate_array(e, env), dtype=float), shape)
 
     vals = on_grid(objective)
-    feas = np.ones(shape, dtype=bool)
+    feas = ~np.isnan(vals)
     for c in constraints:
         cv = on_grid(c.expr)
         feas &= (cv <= tol_feas) if c.sense == "le" else (cv >= -tol_feas)
-    if not feas.any():
+    candidates = np.flatnonzero(feas)
+    if not len(candidates):
         return INFEASIBLE
-    masked = np.where(feas, vals, np.inf)
-    idx = np.unravel_index(int(np.argmin(masked)), shape)
+    best = candidates[np.argmin(vals.ravel()[candidates])]
+    idx = np.unravel_index(int(best), shape)
     return MinimizeOutcome(
-        "optimal", {n: float(g[idx]) for n, g in env.items()}, float(masked[idx]))
+        "optimal", {n: float(g[idx]) for n, g in env.items()}, float(vals[idx]))
 
 
 def _sampled_lipschitz(objective, box, points_per_axis):

@@ -4,7 +4,9 @@
 builtin problems under every variant, and for ``llp_infeasible.gsip``, whose
 lower-level program is infeasible at the first iterate, under the two variants
 that solve it; ``gsiplab fmt`` must print exactly the stored canonical form of
-``fmt_input.gsip``, a CRLF file that uses every line kind; and the
+``fmt_input.gsip``, a CRLF file that uses every line kind; ``gsiplab verify``
+must print exactly the stored report for that canonical form, whose inner set
+is 2-D, so its grid oracle runs on 401 x 401 grids; and the
 branch-and-bound solves of the oracle-agreement suite must return the stored
 outcomes (the latter are asserted in ``test_globalopt.TestOracleAgreement``).
 
@@ -37,6 +39,7 @@ INFEASIBLE_LLP_CASES = [(INFEASIBLE_LLP_FILE.stem, v, f)
                         for v in ("llp-only", "aux-llp") for f in FORMATS]
 FMT_INPUT = GOLDEN / "fmt_input.gsip"
 FMT_OUTPUT = GOLDEN / "fmt_output.gsip"
+VERIFY_OUTPUT = GOLDEN / "verify_fmt_output.txt"
 
 
 def golden_path(problem: str, variant: str, fmt: str) -> Path:
@@ -106,6 +109,11 @@ def test_fmt_output_matches_golden():
     assert cli_stdout(["fmt", str(FMT_INPUT)]) == expected
 
 
+def test_verify_output_matches_golden():
+    expected = VERIFY_OUTPUT.read_text(encoding="utf-8")
+    assert cli_stdout(["verify", "--file", str(FMT_OUTPUT)]) == expected
+
+
 def test_oracle_outcomes_round_trip():
     # the stored records must decode to outcomes that encode back identically
     for path in (ORACLE_OUTCOMES, ORACLE_GRID_OUTCOMES):
@@ -122,6 +130,8 @@ def _regenerate():
         golden_path(problem, variant, fmt).write_text(
             run_stdout(problem, variant, fmt), encoding="utf-8")
     FMT_OUTPUT.write_text(cli_stdout(["fmt", str(FMT_INPUT)]), encoding="utf-8")
+    VERIFY_OUTPUT.write_text(cli_stdout(["verify", "--file", str(FMT_OUTPUT)]),
+                             encoding="utf-8")
     records, grid_records = [], []
     for seed in range(50):
         obj, cons, box = random_poly_instance(seed)
