@@ -34,8 +34,10 @@ names of unknown variables reach it through its namespace, and variables
 are indices into its argument tuple.  ``compile_gradient`` generates a
 third kernel the same way: a forward-mode interval gradient, whose value
 lines are the interval kernel's and whose derivative lines are straight-line
-code too, each node's rule written out coordinate by coordinate; it calls
-nothing but the power helper and the error raisers.
+code too, each node's rule written out coordinate by coordinate, along the
+coordinates of a box only, not along the bound values that follow them.  An
+integer power is written out for its exponent, and so is its derivative's
+factor, so a kernel calls nothing but the error raisers.
 """
 from __future__ import annotations
 
@@ -344,29 +346,33 @@ def compile_expr(e: Expr, names: Sequence[str]) -> tuple[Callable, Callable]:
         _generate(e, index, _POINT), _generate(e, index, _INTERVAL)))
 
 
-def compile_gradient(e: Expr, names: Sequence[str]) -> Callable:
+def compile_gradient(e: Expr, names: Sequence[str],
+                     bound: Sequence[str] = ()) -> Callable:
     """Compile ``e`` into a forward-mode interval gradient kernel over ``names``.
 
-    The kernel maps a tuple of ``(lo, hi)`` pairs to ``(value, gradient)``:
-    ``value`` is the interval kernel's pair, bit for bit, and ``gradient``
-    holds one pair per name, enclosing the partial derivative of ``e`` along
-    that name at every point of the box where ``e`` is differentiable.  At a
-    kink of ``min``/``max`` it encloses both sides' derivatives: the kernel
-    returns one child's gradient when the children's value intervals do not
-    overlap, and the hull of both otherwise.  Its value lines are the
-    interval kernel's, so it raises exactly where the interval kernel
-    raises; a NaN in a derivative, as inf * 0 or inf - inf produce, widens
-    it to (-inf, inf) instead.  It is kept on ``e`` as the kernels of
-    ``compile_expr`` are.
+    The kernel maps a tuple of ``(lo, hi)`` pairs, one per name of ``names``
+    and then one per name of ``bound``, to ``(value, gradient)``: ``value``
+    is the interval kernel's pair over ``(*names, *bound)``, bit for bit, and
+    ``gradient`` holds one pair per name of ``names`` (none for ``bound``,
+    the bound values a solver never bisects), enclosing the partial
+    derivative of ``e`` along that name at every point of the box where
+    ``e`` is differentiable.  At a kink of ``min``/``max`` it encloses both
+    sides' derivatives: the kernel returns one child's gradient when the
+    children's value intervals do not overlap, and the hull of both
+    otherwise.  Its value lines are the interval kernel's, so it raises
+    exactly where the interval kernel raises; a NaN in a derivative, as
+    inf * 0 or inf - inf produce, widens it to (-inf, inf) instead.  It is
+    kept on ``e`` as the kernels of ``compile_expr`` are.
     """
-    return _cached(e, names, "gradient",
-                   lambda index: _generate(e, index, _GRADIENT))
+    dims = len(names)
+    return _cached(e, (*names, *bound), (_GRADIENT, dims),
+                   lambda index: _generate(e, index, _GRADIENT, dims))
 
 
 _KERNELS = "_kernels"  # the attribute of a tree that holds its compiled kernels
 
 
-def _cached(e: Expr, names: Sequence[str], kind: str, build: Callable):
+def _cached(e: Expr, names: Sequence[str], kind, build: Callable):
     """The kernels of ``kind`` of ``e`` over ``names``, built from the name
     index at the first request and kept on ``e`` (a frozen dataclass: the
     attribute goes straight into its ``__dict__``, outside its fields)."""
@@ -381,9 +387,11 @@ def _cached(e: Expr, names: Sequence[str], kind: str, build: Callable):
 _POINT, _INTERVAL, _GRADIENT = "point", "interval", "gradient"
 
 
-def _generate(e: Expr, index: Mapping[str, int], kind: str) -> Callable:
+def _generate(e: Expr, index: Mapping[str, int], kind: str,
+              dims: int = 0) -> Callable:
     """The kernel of ``kind`` of ``e``, written out as the source of one
-    Python function and compiled once.
+    Python function and compiled once; a gradient kernel differentiates
+    along the first ``dims`` names of ``index``.
 
     The body is straight-line code: one assignment (a few for an interval
     product) per node, children before their parent and left to right, as
@@ -393,7 +401,7 @@ def _generate(e: Expr, index: Mapping[str, int], kind: str) -> Callable:
     variable) reaches the function through its namespace, and a variable is
     an index into the argument tuple.
     """
-    emitter = _Emitter(index, kind)
+    emitter = _Emitter(index, kind, dims)
     out = emitter.node(e)
     if kind == _GRADIENT:   # a tuple of pairs
         out = (*out[:2], "".join(f"({lo}, {hi}), " for lo, hi in out[2]))
@@ -422,23 +430,6 @@ def _unknown(name: str):
     return raise_unknown
 
 
-def _pow_pairs(lo: float, hi: float, n: int) -> tuple[float, float]:
-    """``Interval.__pow__`` on bare floats, for the interval kernels and the
-    gradient kernel's pow factor."""
-    if n == 0:
-        return 1.0, 1.0
-    if n % 2 == 0 and lo <= 0.0 <= hi:
-        # max(abs(lo), abs(hi)) keeps abs(lo) unless abs(hi) is larger
-        return 0.0, (hi if hi > -lo else -lo) ** n
-    if n % 2 == 1 or lo > 0.0:
-        lo, hi = lo ** n, hi ** n
-    else:
-        lo, hi = (-hi) ** n, (-lo) ** n
-    if not lo <= hi:
-        _empty(lo, hi)
-    return lo, hi
-
-
 _BINARY = {"add": "+", "sub": "-", "mul": "*"}
 
 
@@ -451,11 +442,12 @@ class _Emitter:
     its namespace name, so it takes no line.
     """
 
-    def __init__(self, index: Mapping[str, int], kind: str):
+    def __init__(self, index: Mapping[str, int], kind: str, dims: int = 0):
         self.index = index
         self.kind = kind
+        self.dims = range(dims)   # the coordinates a gradient is along
         self.lines: list[str] = []
-        self.namespace = {"_empty": _empty, "_pow": _pow_pairs,
+        self.namespace = {"_empty": _empty,
                           "_entire": (-math.inf, math.inf),
                           "_division_by_zero": _division_by_zero,
                           "_division_by_straddle": _division_by_straddle}
@@ -544,7 +536,7 @@ class _Emitter:
             emit(f"{hi} = -{al}")
             return lo, hi
         if k == "pow":
-            emit(f"{lo}, {hi} = _pow({al}, {ah}, {self.bind(e.exponent)})")
+            self.power(lo, hi, al, ah, e.exponent)
             return lo, hi
         cl, ch = kids[1][:2]
         if k == "min":
@@ -576,6 +568,33 @@ class _Emitter:
         emit(f"if not {lo} <= {hi}: _empty({lo}, {hi})")
         return lo, hi
 
+    def power(self, lo: str, hi: str, al: str, ah: str, n: int) -> None:
+        """``lo, hi = `` the pair ``(al, ah)`` to the power ``n``, as
+        ``Interval.__pow__`` computes it, written out for this ``n``: 1 for
+        ``n == 0``; for odd ``n`` the ends' powers; for even ``n`` 0 and the
+        larger magnitude's power where the pair straddles 0, else the ends'
+        powers, of their magnitudes where both are negative."""
+        emit = self.lines.append
+        if n == 0:
+            emit(f"{lo} = {hi} = 1.0")
+            return
+        p = self.bind(n)
+        if n % 2:
+            emit(f"{lo} = {al} ** {p}")
+            emit(f"{hi} = {ah} ** {p}")
+        else:
+            # max(abs(al), abs(ah)) keeps abs(al) unless abs(ah) is larger
+            emit(f"if {al} <= 0.0 <= {ah}:")
+            emit(f"    {lo} = 0.0")
+            emit(f"    {hi} = ({ah} if {ah} > -{al} else -{al}) ** {p}")
+            emit(f"elif {al} > 0.0:")
+            emit(f"    {lo} = {al} ** {p}")
+            emit(f"    {hi} = {ah} ** {p}")
+            emit("else:")
+            emit(f"    {lo} = (-{ah}) ** {p}")
+            emit(f"    {hi} = (-{al}) ** {p}")
+        emit(f"if not {lo} <= {hi}: _empty({lo}, {hi})")
+
     def products(self, lo: str, hi: str, a, c) -> None:
         """``Interval.__mul__``'s min and max of the products of ``a``'s and
         ``c``'s ends, scanned in the order of the builtins, so that ties and
@@ -595,7 +614,7 @@ class _Emitter:
         by coordinate, over its value ``out`` and its children's values and
         gradients."""
         k = e.kind
-        dims = range(len(self.index))
+        dims = self.dims
         if k in ("const", "var") or (k == "pow" and e.exponent == 0):
             i = self.index.get(e.name) if k == "var" else None
             return tuple(("1.0", "1.0") if j == i else ("0.0", "0.0") for j in dims)
@@ -609,7 +628,7 @@ class _Emitter:
             return d
         if k == "pow":
             # d(u^n) = n u^(n-1) du; u^(n-1) cannot overflow where u^n did not
-            emit(f"fl, fh = _pow({al}, {ah}, {self.bind(e.exponent - 1)})")
+            self.power("fl", "fh", al, ah, e.exponent - 1)
             factor = self.bind(e.exponent)
             emit(f"fl = {factor} * fl")
             emit(f"fh = {factor} * fh")

@@ -14,11 +14,13 @@ Two engines share one outcome type:
   again could not change the incumbent.  A node and its children offer none
   twice: a child considers only its corners (``domains.corner_values``) on
   the split plane, none when the plane is one point, the parent's midpoint
-  (``domains.midpoint_value``), and a box that the monotonicity test below
-  reduces to a point, one of its corners, considers nothing; a corner shared
-  with a box that is not a sibling is offered again.  A node leaves the
-  search certified infeasible by a constraint's interval bound, contributing
-  nothing, or settled, contributing its objective lower bound ``lb`` to one
+  (``domains.midpoint_value``), unless the contraction below moved the
+  parent, and a box that the monotonicity test below reduces to a point,
+  one of its corners, considers nothing; a corner shared with a box that is
+  not a sibling is offered again.  A node leaves the search certified
+  infeasible by a constraint's interval bound or by the contraction,
+  contributing nothing, or settled, contributing its objective lower bound
+  ``lb`` to one
   minimum: retired at the heap front when ``domains.split``, the one
   bisection rule, cannot cut it, whatever its midpoint, or set aside by the
   one comparison ``lb >= best - tol_opt``, at push and at the heap front,
@@ -46,6 +48,33 @@ Two engines share one outcome type:
   on a face of the box, is then no longer bisected, which removes most of
   the cluster of boxes that a first-order bound leaves around a minimizer
   (Du & Kearfott, J. Glob. Optim. 1994).
+
+  Before a box is bounded, queued or offers candidates, it is contracted
+  against each constraint its interval tests leave undecided: mean-value
+  contraction, also called interval Newton or box consistency (Hansen &
+  Walster, ch. 6 and 10; Benhamou, Goualard, Granvilliers & Puget,
+  "Revising hull and box consistency", ICLP 1999).  With m the box's
+  midpoint and D the interval gradient of the signed value s over the box
+  (``expr.compile_gradient``, along the box's coordinates), every point x
+  kept satisfies ``s(m) + sum_i D_i (x_i - m_i) <= target``; solved for each
+  coordinate and intersected with the box, with each new end moved outward
+  by one float, this gives the contracted box (``_contract``), one per
+  constraint, and the box kept is their intersection.  The target is 0, the
+  exact constraint: a minimizer on a constraint's boundary, as in every
+  lower-bounding solve of the paper's loops, becomes a corner of the
+  contracted box, whose new corners are offered at once, at the ends as
+  rounded to nearest, and the box's bound then settles it without a
+  bisection.  Where the boxes contracted to 0 do not meet, the boxes
+  contracted to ``tol_feas``, which hold them, are intersected instead, and
+  only an empty ``tol_feas`` intersection certifies a box infeasible, so
+  ``infeasible`` keeps its meaning and the grid oracle, which tests
+  ``tol_feas``, still agrees with it.  A contraction to 0 may cut away
+  points that pass the ``tol_feas`` test, so ``value_bounds.lo`` bounds the
+  minimum over the exactly feasible points, as well as the incumbent's
+  value.  The contraction evaluates each undecided constraint once at m,
+  and m's own feasibility test reads those values; the midpoint of a
+  contracted box is offered when the box is cut.  Its arithmetic rounds to
+  nearest, as the interval kernels do, the outward step being its margin.
 
 * ``grid_minimize`` -- brute-force evaluation on the full tensor grid,
   kept deliberately independent of the interval machinery and of the
@@ -119,8 +148,8 @@ class ConstraintSpec:
         (``VIOLATED``), certified to satisfy it at every point (``SATISFIED``)
         or neither (``UNDECIDED``), by the signed value's interval.  Points
         and boxes are over ``names``; the tests append the bound values."""
-        all_names, values, pairs = _bind(names, self.parameters)
-        point, interval = compile_expr(self.expr, all_names)
+        pnames, values, pairs = _bind(names, self.parameters)
+        point, interval = compile_expr(self.expr, (*names, *pnames))
         sign = self.sign
 
         def decide(bounds):
@@ -131,6 +160,28 @@ class ConstraintSpec:
                 return VIOLATED
             return SATISFIED if hi <= tol_feas else UNDECIDED
         return lambda x: sign * point(x + values) <= tol_feas, decide
+
+    def contractor(self, names: Sequence[str]):
+        """The box contraction by this constraint (``_contract``), over the
+        kernels of ``expr`` and its gradient kernel along ``names``
+        (``expr.compile_gradient``): a function of a box's ``(lo, hi)`` pairs
+        and its midpoint that returns the signed value at the midpoint, which
+        passes ``satisfied`` exactly where it is at most the tolerance, and a
+        function of a target that returns the box contracted to the signed
+        value's being at most that target, both from one evaluation of each
+        kernel."""
+        pnames, values, pairs = _bind(names, self.parameters)
+        point = compile_expr(self.expr, (*names, *pnames))[0]
+        gradient = compile_gradient(self.expr, names, pnames)
+        sign = self.sign
+
+        def contract(bounds, mid):
+            value = sign * point(mid + values)
+            slopes = gradient(bounds + pairs)[1]
+            if sign < 0.0:
+                slopes = [(-hi, -lo) for lo, hi in slopes]
+            return value, lambda target: _contract(bounds, mid, value, slopes, target)
+        return contract
 
 
 @dataclass(frozen=True)
@@ -160,16 +211,91 @@ def check_tolerances(tol_opt: float, tol_feas: float) -> None:
 
 
 def _bind(names: Sequence[str], parameters: Sequence[tuple[str, float]]):
-    """The kernel names of an expression with ``parameters`` bound over a
-    box's ``names``: the box's names, then the parameters'.  Returns them with
-    the tuples a call appends: the bound values to a point, and their
-    ``(v, v)`` pairs to a box."""
-    pnames = tuple(n for n, _ in parameters)
-    if set(pnames) & set(names):
+    """The names of ``parameters``, bound over a box's ``names``: a kernel
+    takes the box's names, then these.  Returns them with the tuples a call
+    appends: the bound values to a point, and their ``(v, v)`` pairs to a
+    box."""
+    pnames = tuple([n for n, _ in parameters])
+    if pnames and not set(pnames).isdisjoint(names):
         raise ValueError(f"bound values {pnames} share names with the box "
                          f"{tuple(names)}")
-    values = tuple(v for _, v in parameters)
-    return tuple(names) + pnames, values, tuple((v, v) for v in values)
+    values = tuple([v for _, v in parameters])
+    return pnames, values, tuple([(v, v) for v in values])
+
+
+def _contract(bounds, mid, value, slopes, target):
+    """Mean-value contraction of a box by a signed constraint ``s``: the
+    bounds of the hull of the box's points where ``s`` can be at most
+    ``target``, or None where there are none.
+
+    ``value`` is s at ``mid``, a point of the box, and ``slopes`` the
+    interval gradient D of s over the box, so s(x) lies in s(m) +
+    sum_i D_i (x_i - m_i) at every point x of the box.  A point with
+    s(x) <= target thus has, along each axis i, a slope d in D_i with
+    d (x_i - m_i) <= b_i, where b_i is the target less s(m) and less the
+    least sum_{j != i} D_j (X_j - m_j).  The x_i that do form one interval
+    around m_i where b_i >= 0, and two pieces, one on each side of m_i,
+    where b_i < 0; a slope range that holds 0 leaves a side unbounded.  The
+    hull of the pieces within X_i, each new end moved outward by one float
+    (``math.nextafter``), replaces X_i.  A value that is not finite cuts
+    nothing, and where b_i >= 0 an infinite slope bounds nothing, as
+    b_i / inf would cut at m_i itself.  Every end is monotone in
+    ``target``, so a box contracted to a lower target lies inside the one
+    contracted to a higher target."""
+    if not math.isfinite(value):
+        return bounds
+    # the least of D_j (x_j - m_j) over X_j: an offset of 0 adds 0 whatever
+    # the slope, as the box holds no other value there
+    least = [min(dh * (lo - m) if lo != m else 0.0, dl * (hi - m) if hi != m else 0.0)
+             for (lo, hi), m, (dl, dh) in zip(bounds, mid, slopes)]
+    inf, step = math.inf, math.nextafter
+    box = []
+    for i, ((lo, hi), m, (dl, dh)) in enumerate(zip(bounds, mid, slopes)):
+        b = target - value - sum(least[:i] + least[i + 1:])
+        if b >= 0.0:
+            # m_i is kept: below it a negative slope bounds x_i, above it a
+            # positive one
+            a = max(lo, step(m + b / dh, -inf)) if -inf < dh < 0.0 else lo
+            z = min(hi, step(m + b / dl, inf)) if 0.0 < dl < inf else hi
+        else:
+            # m_i is not: a piece below it ending at z, where a positive
+            # slope lets s fall, one above it starting at a, where a negative
+            # one does; their hull
+            z = min(hi, step(m + b / dh, inf)) if dh > 0.0 else -inf
+            a = max(lo, step(m + b / dl, -inf)) if dl < 0.0 else inf
+            a, z = (lo if lo <= z else a), (hi if a <= hi else z)
+        if a > z:
+            return None
+        box.append((a, z))
+    return tuple(box)
+
+
+def _meet(a, b):
+    """The intersection of two boxes' bounds, None where it is empty or
+    either box is None."""
+    if a is None or b is None:
+        return None
+    out = []
+    for (alo, ahi), (blo, bhi) in zip(a, b):
+        lo, hi = max(alo, blo), min(ahi, bhi)
+        if lo > hi:
+            return None
+        out.append((lo, hi))
+    return tuple(out)
+
+
+def _new_corners(old, new):
+    """The corners of the box ``new``, contracted from ``old``, that are not
+    corners of ``old``, taken at the ends as rounded to nearest: a moved end
+    one float inward, which undoes ``_contract``'s outward step (``+ 0.0``
+    makes the -0.0 that steps up from -5e-324 the 0.0 it came from)."""
+    axes = []
+    for (olo, ohi), (lo, hi) in zip(old, new):
+        a = math.nextafter(lo, hi) + 0.0 if lo > olo else lo
+        z = math.nextafter(hi, lo) + 0.0 if hi < ohi else hi
+        axes.append((a,) if a == z else (a, z))
+    return [corner for corner in itertools.product(*axes)
+            if any(v != lo and v != hi for v, (lo, hi) in zip(corner, old))]
 
 
 def minimize(objective: Expr,
@@ -192,11 +318,12 @@ def minimize(objective: Expr,
     # Kernels take points as tuples and boxes as their bounds, both in the
     # order of box.names, and the bound values are appended to every call.
     names = box.names
-    obj_names, values, pairs = _bind(names, parameters)
-    obj_point, obj_interval = compile_expr(objective, obj_names)
+    pnames, values, pairs = _bind(names, parameters)
+    obj_point, obj_interval = compile_expr(objective, (*names, *pnames))
     tests = [c.compile(names, tol_feas) for c in constraints]
     satisfied = [ok for ok, _ in tests]
     decide = [d for _, d in tests]
+    contract = [c.contractor(names) for c in constraints]
 
     heap: list = []
     counter = itertools.count()
@@ -205,13 +332,15 @@ def minimize(objective: Expr,
     settled_lb = math.inf  # least lb of the settled nodes
     settled = False
 
-    def consider(point, active) -> None:
+    def consider(point, active, checked: bool = False) -> None:
         """Offer a candidate incumbent from a box on which the constraints
-        outside ``active`` are certified satisfied."""
+        outside ``active`` are certified satisfied; ``checked`` when the
+        point is known to pass the tests of ``active``."""
         nonlocal best_val, best_pt
-        for j in active:
-            if not satisfied[j](point):
-                return
+        if not checked:
+            for j in active:
+                if not satisfied[j](point):
+                    return
         v = obj_point(point + values)
         if v < best_val or (best_pt is None and v == math.inf):
             # the interval kernels round to nearest, so a constraint they
@@ -236,15 +365,15 @@ def minimize(objective: Expr,
         coordinate along which the objective is monotone fixed at its better
         end: the lower one where the derivative is >= 0 (a coordinate the
         objective ignores has [0, 0]), the upper one where it is <= 0."""
-        gradient = compile_gradient(objective, obj_names)(bounds + pairs)[1]
+        gradient = compile_gradient(objective, names, pnames)(bounds + pairs)[1]
         return tuple((lo, lo) if dlo >= 0.0 else (hi, hi) if dhi <= 0.0 else (lo, hi)
                      for (lo, hi), (dlo, dhi) in zip(bounds, gradient))
 
     def push(b: BoxDomain, corners, active) -> bool:
-        """Bound a box, then queue or settle it.  ``corners`` are the box's
-        corners not yet considered, ``active`` the constraints not certified
-        satisfied on its parent.  Returns False when the box is certified
-        infeasible, in which case nothing was considered."""
+        """Contract a box, bound it, then queue or settle it.  ``corners``
+        are the box's corners not yet considered, ``active`` the constraints
+        not certified satisfied on its parent.  Returns False when the box is
+        certified infeasible, in which case nothing was considered."""
         bounds = b.bounds
         undecided = []
         for j in active:
@@ -253,9 +382,37 @@ def minimize(objective: Expr,
                 return False
             if verdict is UNDECIDED:
                 undecided.append(j)
-        consider(tuple(map(midpoint_value, bounds)), undecided)
+        mid = tuple(map(midpoint_value, bounds))
+        passes = True
+        to_target = []
+        for j in undecided:
+            # one point evaluation per constraint at mid serves both the
+            # contraction and mid's feasibility test
+            value, to = contract[j](bounds, mid)
+            passes = passes and value <= tol_feas
+            to_target.append(to)
+        # the box contracted to the exact target, or where the constraints'
+        # boxes do not meet, to tol_feas, whose boxes hold the exact ones;
+        # where those do not meet either, the box is certified infeasible
+        for target in (0.0, tol_feas):
+            contracted = bounds
+            for to in to_target:
+                contracted = _meet(contracted, to(target))
+            if contracted is not None:
+                break
+        else:
+            return False
+        if passes:
+            consider(mid, undecided, checked=True)
         for corner in corners:
             consider(corner, undecided)
+        offered = contracted == bounds   # the queued box's midpoint is mid
+        if not offered:
+            for corner in _new_corners(bounds, contracted):
+                if corner != mid:
+                    consider(corner, undecided)
+            bounds = contracted
+            b = _validated(names, bounds)
         lb = obj_interval(bounds + pairs)[0]
         if settle(lb):
             return True
@@ -263,21 +420,23 @@ def minimize(objective: Expr,
             reduced = monotone(bounds)
             if reduced != bounds:
                 # the reduced box's corners are corners of b, all of which
-                # were considered, so a box reduced to a point offers nothing
+                # were considered, at their ends as rounded to nearest where
+                # a contraction moved them, so a box reduced to a point
+                # offers nothing
                 if any(lo != hi for lo, hi in reduced):
                     consider(tuple(map(midpoint_value, reduced)), ())
                 lb = obj_interval(reduced + pairs)[0]
                 if settle(lb):
                     return True
                 b = _validated(names, reduced)
-        heapq.heappush(heap, (lb, next(counter), b, undecided))
+        heapq.heappush(heap, (lb, next(counter), b, undecided, offered))
         return True
 
     push(box, itertools.product(*map(corner_values, box.bounds)),
          range(len(constraints)))
     pops = 0
     while heap:
-        lb, _, b, active = heapq.heappop(heap)
+        lb, _, b, active, offered = heapq.heappop(heap)
         if settle(lb):
             break  # b had the least lb of the nodes left in the heap
         cut = split(b.bounds)
@@ -289,14 +448,16 @@ def minimize(objective: Expr,
             raise NodeBudgetExceeded(f"node budget {node_budget} exhausted")
         left, right = b.bisect()
         # A child's corners off the split plane are corners of b, which were
-        # considered when b was pushed: offered again they could not pass the
-        # strict `v < best_val` test, so the children consider only the plane
+        # considered when b was pushed, or, where a contraction moved them,
+        # as rounded to nearest: offered again they could not pass the strict
+        # `v < best_val` test, so the children consider only the plane
         # corners, and the right child only if the left one was infeasible.
-        # A plane of one point, as in 1-D, is b's midpoint, considered too.
+        # A plane of one point, as in 1-D, is b's midpoint, considered too
+        # unless b was contracted.
         i, mid = cut
-        plane = () if len(names) == 1 else list(itertools.product(*[
+        plane = list(itertools.product(*[
             (mid,) if j == i else corner_values(p) for j, p in enumerate(b.bounds)]))
-        plane = plane if len(plane) > 1 else ()
+        plane = () if offered and len(plane) == 1 else plane
         considered = push(left, plane, active)
         push(right, () if considered else plane, active)
 

@@ -167,9 +167,9 @@ class TestCompileOnce:
         generate = ex._generate
         kinds = []
 
-        def counting(e, index, kind):
+        def counting(e, index, kind, *rest):
             kinds.append(kind)
-            return generate(e, index, kind)
+            return generate(e, index, kind, *rest)
         monkeypatch.setattr(ex, "_generate", counting)
         return kinds
 

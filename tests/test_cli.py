@@ -347,29 +347,25 @@ class TestVerify:
         assert out.err == ""
         assert out.out == (
             "k=1 llp: bnb=-10.0 grid=-10.0 diff=0.000e+00\n"
-            "k=1 aux_llp: bnb=-1.7071067816577852 grid=-1.705 diff=2.107e-03\n"
+            "k=1 aux_llp: bnb=-1.7071067815450975 grid=-1.705 diff=2.107e-03\n"
             "k=1 sip_llp: bnb=-3.0 grid=-3.0 diff=0.000e+00\n"
-            "k=2 llp: bnb=-9.999999999999991 grid=-9.999997907321232 diff=2.093e-06\n"
-            "k=2 aux_llp: bnb=-0.8535533910617232 grid=-0.8528932188078762 "
+            "k=2 llp: bnb=-9.999999999999948 grid=-9.999997907321744 diff=2.093e-06\n"
+            "k=2 aux_llp: bnb=-0.8535533905939175 grid=-0.8528932184549026 "
             "diff=6.602e-04\n"
-            "k=2 sip_llp: bnb=-1.292893218807876 grid=-1.292893218807876 "
+            "k=2 sip_llp: bnb=-1.2928932184549025 grid=-1.2928932184549025 "
             "diff=0.000e+00\n"
-            "k=3 llp: bnb=-9.921415043595305 grid=-9.918963039870375 diff=2.452e-03\n"
-            "k=3 aux_llp: bnb=-0.43933982867747545 grid=-0.43933982867747545 "
+            "k=3 llp: bnb=-9.921415042844263 grid=-9.918963040102806 diff=2.452e-03\n"
+            "k=3 aux_llp: bnb=-0.439339827860985 grid=-0.439339827860985 "
             "diff=0.000e+00\n"
-            "k=3 sip_llp: bnb=-0.43933982867747545 grid=-0.43933982867747545 "
+            "k=3 sip_llp: bnb=-0.439339827860985 grid=-0.439339827860985 "
             "diff=0.000e+00\n"
-            "k=4 llp: bnb=-9.750000001396984 grid=-9.749999999534339 diff=1.863e-09\n"
-            "k=4 aux_llp: bnb=-9.313225746154785e-10 grid=-9.313225746154785e-10 "
-            "diff=0.000e+00\n"
-            "k=4 sip_llp: bnb=-9.313225746154785e-10 grid=-9.313225746154785e-10 "
-            "diff=0.000e+00\n"
-            "k=5 llp: bnb=-9.750000001396984 grid=-9.749999999534339 diff=1.863e-09\n"
-            "k=5 aux_llp: bnb=-9.313225746154785e-10 grid=-9.313225746154785e-10 "
-            "diff=0.000e+00\n"
-            "k=5 sip_llp: bnb=-9.313225746154785e-10 grid=-9.313225746154785e-10 "
-            "diff=0.000e+00\n"
-            "checked 15 subproblems, max discrepancy 2.452004e-03\n")
+            "k=4 llp: bnb=-9.75 grid=-9.75 diff=0.000e+00\n"
+            "k=4 aux_llp: bnb=0.0 grid=0.0 diff=0.000e+00\n"
+            "k=4 sip_llp: bnb=0.0 grid=0.0 diff=0.000e+00\n"
+            "k=5 llp: bnb=-9.75 grid=-9.75 diff=0.000e+00\n"
+            "k=5 aux_llp: bnb=0.0 grid=0.0 diff=0.000e+00\n"
+            "k=5 sip_llp: bnb=0.0 grid=0.0 diff=0.000e+00\n"
+            "checked 15 subproblems, max discrepancy 2.452003e-03\n")
 
     @pytest.mark.parametrize("variant", algorithms.VARIANTS)
     @pytest.mark.parametrize("problem", ["cex1", "cex2"])
@@ -385,7 +381,7 @@ class TestVerify:
         src.write_text(THIN_H_TEXT.replace("1000000000000*", ""))
         assert main(["verify", "--file", str(src), "--max-iter", "1"]) == 0
         assert capsys.readouterr().out == (
-            "k=1 llp: bnb=-9.699931622482836 grid=infeasible\n"
+            "k=1 llp: bnb=-9.699923310952046 grid=infeasible\n"
             "k=1 sip_llp: bnb=2.2648549702353193e-14 grid=9.99999993922529e-09 "
             "diff=1.000e-08\n"
             "checked 2 subproblems, max discrepancy 9.999977e-09\n")
@@ -435,7 +431,7 @@ class TestManyConstraints:
             f"h: -2*x + y - {i}\n" for i in range(400))))
         assert main(["run", "--file", str(src), "--max-iter", "2"]) == 0
         assert capsys.readouterr().out.endswith(
-            "status=converged_feasible final_lower_bound=0.4999999995343387\n")
+            "status=converged_feasible final_lower_bound=0.5\n")
 
 
 class TestListAndFmt:

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_box, random_expr, random_poly_instance
+from conftest import (random_box, random_expr, random_poly_instance,
+                      sample_point, shrink_box)
 from test_golden import (ORACLE_GRID_N, ORACLE_GRID_OUTCOMES,
                          ORACLE_NODE_BUDGET, ORACLE_TOL_OPT,
                          load_oracle_outcomes)
+from gsiplab import algorithms, globalopt
 from gsiplab import expr as ex
-from gsiplab import globalopt
 from gsiplab.domains import BoxDomain, corner_values, midpoint_value
 from gsiplab.expr import (EvaluationError, Interval, evaluate, evaluate_array,
                           interval_eval)
@@ -296,6 +297,96 @@ class TestConstraintTests:
         assert np.array_equal(ge.satisfied(array, tol_feas),
                               le.satisfied(-array, tol_feas))
         assert not ge.satisfied(math.nan, tol_feas)
+
+
+class TestContraction:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("le", "ge")),
+           st.sampled_from((0.0, 1e-9)))
+    @example(0, "le", 1e-9)
+    def test_no_feasible_point_is_cut_away(self, seed, sense, tol_feas):
+        # the contraction to the signed value's target 0 keeps every point
+        # where it is <= 0, the one to tol_feas every point where it is <=
+        # tol_feas and holds the former, and only the latter certifies a box
+        # infeasible by emptying it; the constraints are the oracle suite's
+        # polynomials (1-D and 2-D), shifted to a level their value takes
+        # inside a box
+        rng = random.Random(seed)
+        objective, constraints, box = random_poly_instance(seed)
+        e = rng.choice([c.expr for c in constraints] or [objective])
+        for b in (box, shrink_box(rng, box), shrink_box(rng, box)):
+            level = evaluate(e, sample_point(rng, b)) + rng.uniform(-1.0, 1.0)
+            c = ConstraintSpec(e - level, sense)
+            mid = tuple(map(midpoint_value, b.bounds))
+            value, to = c.contractor(b.names)(b.bounds, mid)
+            exact, relaxed = to(0.0), to(tol_feas)
+            assert value == c.sign * evaluate(c.expr, dict(zip(b.names, mid)))
+            if exact is not None:
+                assert relaxed is not None and all(
+                    r_lo <= e_lo and e_hi <= r_hi
+                    for (e_lo, e_hi), (r_lo, r_hi) in zip(exact, relaxed))
+            points = _candidates(b) + [tuple(sample_point(rng, b).values())
+                                       for _ in range(30)]
+            for target, kept in ((0.0, exact), (tol_feas, relaxed)):
+                if kept is not None:
+                    assert all(lo <= k_lo <= k_hi <= hi for (lo, hi), (k_lo, k_hi)
+                               in zip(b.bounds, kept))
+                for p in points:
+                    if c.satisfied(evaluate(c.expr, dict(zip(b.names, p))), target):
+                        assert kept is not None and all(
+                            lo <= v <= hi for v, (lo, hi) in zip(p, kept)), (p, kept)
+
+    @pytest.mark.parametrize("slopes,kept", [
+        # slopes of at least 2: s reaches 0 no sooner than at x = 1/2
+        (((2.0, 3.0),), ((-1.0, 0.5000000000000001),)),
+        # a slope range that holds 0 lets s stay at -1 on either side
+        (((-1.0, 1.0),), ((-1.0, 1.0),)),
+        (((0.0, 2.0),), ((-1.0, 1.0),)),
+        (((-math.inf, math.inf),), ((-1.0, 1.0),)),
+        # an infinite slope bounds nothing (here b = 1 >= 0)
+        (((math.inf, math.inf),), ((-1.0, 1.0),))])
+    def test_slopes_that_hold_zero_or_infinity(self, slopes, kept):
+        # s(0) = -1 on [-1, 1], contracted to s <= 0; the kept end is moved
+        # outward by one float
+        assert globalopt._contract(((-1.0, 1.0),), (0.0,), -1.0, slopes,
+                                   0.0) == kept
+
+    def test_two_pieces_and_an_empty_box(self):
+        # s(0) = 1 with slopes in [-1, 1]: s <= 0 needs |x| >= 1, the two
+        # ends of [-2, 2] and what lies beyond them; the hull is the box.
+        # With slopes in [0, 0.25], s <= 0 is out of reach on [-2, 2]
+        box, mid = ((-2.0, 2.0),), (0.0,)
+        assert globalopt._contract(box, mid, 1.0, ((-1.0, 1.0),), 0.0) == box
+        assert globalopt._contract(((-0.5, 2.0),), (0.0,), 1.0, ((-1.0, 1.0),),
+                                   0.0) == ((0.9999999999999999, 2.0),)
+        assert globalopt._contract(box, mid, 1.0, ((0.0, 0.25),), 0.0) is None
+
+    def test_lower_bounding_solves_do_not_bisect(self, monkeypatch):
+        # every lower-bounding solve of the divergence counterexample has its
+        # minimizer on the newest cut's boundary, which the contraction
+        # reaches at the root: none bisects a box
+        bisect = BoxDomain.bisect
+        calls = {"lb": 0, "other": 0}
+        kind = []
+
+        def counting(self):
+            calls[kind[-1]] += 1
+            return bisect(self)
+
+        def attributed(objective, *args, **kwargs):
+            # a lower-bounding solve minimizes the problem's objective f
+            kind.append("lb" if objective is cex1.f else "other")
+            try:
+                return minimize(objective, *args, **kwargs)
+            finally:
+                kind.pop()
+        cex1 = get_builtin("cex1")
+        monkeypatch.setattr(BoxDomain, "bisect", counting)
+        monkeypatch.setattr(algorithms, "minimize", attributed)
+        result = algorithms.run(cex1, algorithms.AlgorithmConfig(
+            variant=algorithms.LLP_ONLY, max_iter=20))
+        assert len(result.trace) == 20
+        assert calls["lb"] == 0 and calls["other"] > 0
 
 
 def _candidates(box):
