@@ -166,6 +166,14 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _exact_grid_below(inst, points_per_axis: int, lo: float) -> bool:
+    """Whether a grid point that passes the constraints of ``inst`` with no
+    tolerance has a value below ``lo``."""
+    grid = grid_minimize(inst.objective, inst.constraints, inst.box,
+                         points_per_axis, tol_feas=0.0, parameters=inst.parameters)
+    return grid.optimal and grid.value < lo
+
+
 def cmd_verify(args) -> int:
     if args.grid < 2:
         raise UsageError(f"--grid must be at least 2, got {args.grid}")
@@ -185,10 +193,15 @@ def cmd_verify(args) -> int:
                 diff = abs(grid.value - bnb.value)
                 worst = max(worst, diff)
                 line += f" diff={diff:.3e}"
-            # a grid point that passes the constraints below the certified
-            # lower bound refutes it; +inf makes any such point a refutation
+            # a grid point below the certified lower bound refutes it: for an
+            # infeasible outcome (+inf) any point that passes tol_feas, for an
+            # optimal one a point that passes the constraints exactly, the
+            # points its bound holds for; none of those lies below the
+            # tol_feas grid's minimum
             refuted += (bnb.value_bounds is not None and grid.optimal
-                        and grid.value < bnb.value_bounds.lo)
+                        and grid.value < bnb.value_bounds.lo
+                        and (not bnb.optimal
+                             or _exact_grid_below(inst, args.grid, bnb.value_bounds.lo)))
             checks += 1
             print(f"k={r.k} {label}: {line}")
 

@@ -17,15 +17,15 @@ Two engines share one outcome type:
   (``domains.midpoint_value``), unless the contraction below moved the
   parent, and a box that the monotonicity test below reduces to a point,
   one of its corners, considers nothing; a corner shared with a box that is
-  not a sibling is offered again.  A node leaves the search certified
-  infeasible by a constraint's interval bound or by the contraction,
-  contributing nothing, or settled, contributing its objective lower bound
-  ``lb`` to one
-  minimum: retired at the heap front when ``domains.split``, the one
-  bisection rule, cannot cut it, whatever its midpoint, or set aside by the
-  one comparison ``lb >= best - tol_opt``, at push and at the heap front,
-  where it stops the search.  The bracket is
-  ``[min(settled lbs, best), best]``.  ``infeasible`` needs every leaf
+  not a sibling is offered again, and the padded corners of a contracted
+  box, one float outside the ends that were offered, are never offered.  A
+  node leaves the search certified infeasible by a constraint's interval
+  bound or by the contraction, contributing nothing, or settled,
+  contributing its objective lower bound ``lb`` to one minimum: retired at
+  the heap front when ``domains.split``, the one bisection rule, cannot cut
+  it, whatever its midpoint, or set aside by the one comparison
+  ``lb >= best - tol_opt``, at push and at the heap front, where it stops
+  the search.  The bracket is ``[min(settled lbs, best), best]``.  ``infeasible`` needs every leaf
   certified infeasible, and its bracket is ``[+inf, +inf]``, the minimum
   over the empty set; a search that settles nodes but finds no incumbent
   raises ``UndecidedError``.  Decisions on an outcome read the certified
@@ -71,9 +71,11 @@ Two engines share one outcome type:
   ``tol_feas``, still agrees with it.  A contraction to 0 may cut away
   points that pass the ``tol_feas`` test, so ``value_bounds.lo`` bounds the
   minimum over the exactly feasible points, as well as the incumbent's
-  value.  The contraction evaluates each undecided constraint once at m,
-  and m's own feasibility test reads those values; the midpoint of a
-  contracted box is offered when the box is cut.  Its arithmetic rounds to
+  value, and a grid cross-check of it takes the grid points that pass the
+  constraints exactly (``grid_minimize(..., tol_feas=0.0)``, as
+  ``gsiplab verify`` does).  The contraction evaluates each undecided
+  constraint once at m, and m's own feasibility test reads those values;
+  the midpoint of a contracted box is offered when the box is cut.  Its arithmetic rounds to
   nearest, as the interval kernels do, the outward step being its margin.
 
 * ``grid_minimize`` -- brute-force evaluation on the full tensor grid,
@@ -148,8 +150,22 @@ class ConstraintSpec:
         (``VIOLATED``), certified to satisfy it at every point (``SATISFIED``)
         or neither (``UNDECIDED``), by the signed value's interval.  Points
         and boxes are over ``names``; the tests append the bound values."""
+        return self._kernels(names, tol_feas)[:2]
+
+    def contractor(self, names: Sequence[str]):
+        """A function of a box's ``(lo, hi)`` pairs over ``names`` and its
+        midpoint that returns what ``_contract`` needs: the signed value at
+        the midpoint, which passes ``satisfied`` exactly where it is at most
+        the tolerance, and the signed value's interval gradient over the box
+        (``expr.compile_gradient``, along ``names``)."""
+        return self._kernels(names, 0.0)[2]
+
+    def _kernels(self, names: Sequence[str], tol_feas: float):
+        """``compile``'s two tests and the ``contractor``, over one binding
+        of the bound values."""
         pnames, values, pairs = _bind(names, self.parameters)
         point, interval = compile_expr(self.expr, (*names, *pnames))
+        gradient = compile_gradient(self.expr, names, pnames)
         sign = self.sign
 
         def decide(bounds):
@@ -159,29 +175,13 @@ class ConstraintSpec:
             if lo > tol_feas:
                 return VIOLATED
             return SATISFIED if hi <= tol_feas else UNDECIDED
-        return lambda x: sign * point(x + values) <= tol_feas, decide
 
-    def contractor(self, names: Sequence[str]):
-        """The box contraction by this constraint (``_contract``), over the
-        kernels of ``expr`` and its gradient kernel along ``names``
-        (``expr.compile_gradient``): a function of a box's ``(lo, hi)`` pairs
-        and its midpoint that returns the signed value at the midpoint, which
-        passes ``satisfied`` exactly where it is at most the tolerance, and a
-        function of a target that returns the box contracted to the signed
-        value's being at most that target, both from one evaluation of each
-        kernel."""
-        pnames, values, pairs = _bind(names, self.parameters)
-        point = compile_expr(self.expr, (*names, *pnames))[0]
-        gradient = compile_gradient(self.expr, names, pnames)
-        sign = self.sign
-
-        def contract(bounds, mid):
-            value = sign * point(mid + values)
+        def contractor(bounds, mid):
             slopes = gradient(bounds + pairs)[1]
             if sign < 0.0:
                 slopes = [(-hi, -lo) for lo, hi in slopes]
-            return value, lambda target: _contract(bounds, mid, value, slopes, target)
-        return contract
+            return sign * point(mid + values), slopes
+        return lambda x: sign * point(x + values) <= tol_feas, decide, contractor
 
 
 @dataclass(frozen=True)
@@ -215,12 +215,12 @@ def _bind(names: Sequence[str], parameters: Sequence[tuple[str, float]]):
     takes the box's names, then these.  Returns them with the tuples a call
     appends: the bound values to a point, and their ``(v, v)`` pairs to a
     box."""
-    pnames = tuple([n for n, _ in parameters])
-    if pnames and not set(pnames).isdisjoint(names):
+    pnames = tuple(n for n, _ in parameters)
+    if set(pnames) & set(names):
         raise ValueError(f"bound values {pnames} share names with the box "
                          f"{tuple(names)}")
-    values = tuple([v for _, v in parameters])
-    return pnames, values, tuple([(v, v) for v in values])
+    values = tuple(v for _, v in parameters)
+    return pnames, values, tuple((v, v) for v in values)
 
 
 def _contract(bounds, mid, value, slopes, target):
@@ -320,10 +320,10 @@ def minimize(objective: Expr,
     names = box.names
     pnames, values, pairs = _bind(names, parameters)
     obj_point, obj_interval = compile_expr(objective, (*names, *pnames))
-    tests = [c.compile(names, tol_feas) for c in constraints]
-    satisfied = [ok for ok, _ in tests]
-    decide = [d for _, d in tests]
-    contract = [c.contractor(names) for c in constraints]
+    kernels = [c._kernels(names, tol_feas) for c in constraints]
+    satisfied = [ok for ok, _, _ in kernels]
+    decide = [d for _, d, _ in kernels]
+    contractor = [c for _, _, c in kernels]
 
     heap: list = []
     counter = itertools.count()
@@ -384,20 +384,21 @@ def minimize(objective: Expr,
                 undecided.append(j)
         mid = tuple(map(midpoint_value, bounds))
         passes = True
-        to_target = []
+        cuts = []
         for j in undecided:
             # one point evaluation per constraint at mid serves both the
             # contraction and mid's feasibility test
-            value, to = contract[j](bounds, mid)
+            value, slopes = contractor[j](bounds, mid)
             passes = passes and value <= tol_feas
-            to_target.append(to)
+            cuts.append((value, slopes))
         # the box contracted to the exact target, or where the constraints'
         # boxes do not meet, to tol_feas, whose boxes hold the exact ones;
         # where those do not meet either, the box is certified infeasible
         for target in (0.0, tol_feas):
             contracted = bounds
-            for to in to_target:
-                contracted = _meet(contracted, to(target))
+            for value, slopes in cuts:
+                contracted = _meet(contracted,
+                                   _contract(bounds, mid, value, slopes, target))
             if contracted is not None:
                 break
         else:
@@ -419,10 +420,10 @@ def minimize(objective: Expr,
         if not undecided:
             reduced = monotone(bounds)
             if reduced != bounds:
-                # the reduced box's corners are corners of b, all of which
-                # were considered, at their ends as rounded to nearest where
-                # a contraction moved them, so a box reduced to a point
-                # offers nothing
+                # the reduced box's corners are corners of b, which were
+                # considered, except the padded ones of a contracted box,
+                # which are skipped on purpose (see the bisection below), so
+                # a box reduced to a point offers nothing
                 if any(lo != hi for lo, hi in reduced):
                     consider(tuple(map(midpoint_value, reduced)), ())
                 lb = obj_interval(reduced + pairs)[0]
@@ -447,13 +448,16 @@ def minimize(objective: Expr,
         if pops > node_budget:
             raise NodeBudgetExceeded(f"node budget {node_budget} exhausted")
         left, right = b.bisect()
-        # A child's corners off the split plane are corners of b, which were
-        # considered when b was pushed, or, where a contraction moved them,
-        # as rounded to nearest: offered again they could not pass the strict
-        # `v < best_val` test, so the children consider only the plane
-        # corners, and the right child only if the left one was infeasible.
-        # A plane of one point, as in 1-D, is b's midpoint, considered too
-        # unless b was contracted.
+        # A child's corners off the split plane are corners of b, so the
+        # children consider only the plane corners, and the right child only
+        # if the left one was infeasible.  The corners b had when it was
+        # pushed were considered then, and offered again they could not pass
+        # the strict `v < best_val` test.  The corners a contraction gave it
+        # lie one float outside the ends, rounded to nearest, that were
+        # offered; they are skipped on purpose, at the cost of at most an
+        # ulp-scale gap between the incumbent and the lower bound, which
+        # tol_opt covers.  A plane of one point, as in 1-D, is b's midpoint,
+        # considered too unless b was contracted.
         i, mid = cut
         plane = list(itertools.product(*[
             (mid,) if j == i else corner_values(p) for j, p in enumerate(b.bounds)]))

@@ -386,6 +386,21 @@ class TestVerify:
             "diff=1.000e-08\n"
             "checked 2 subproblems, max discrepancy 9.999977e-09\n")
 
+    def test_points_within_tol_feas_do_not_refute_an_optimal_outcome(
+            self, tmp_path, capsys):
+        # the same LLP on a finer grid: y = 0.300075 passes h within tol_feas
+        # (h = 6.25e-10) with a value below the certified bound, which holds
+        # for the points that pass h exactly; the contraction to h <= 0 cut
+        # the grid point away
+        src = tmp_path / "narrow.gsip"
+        src.write_text(THIN_H_TEXT.replace("1000000000000*", ""))
+        assert main(["verify", "--file", str(src), "--max-iter", "1",
+                     "--grid", "240001"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out.splitlines()[0] == (
+            "k=1 llp: bnb=-9.699923310952046 grid=-9.699925 diff=1.689e-06")
+
 
 def _deep_h(shape: str, depth: int) -> str:
     """An h line around y - 2*x that nests ``depth`` levels deep."""

@@ -318,8 +318,9 @@ class TestContraction:
             level = evaluate(e, sample_point(rng, b)) + rng.uniform(-1.0, 1.0)
             c = ConstraintSpec(e - level, sense)
             mid = tuple(map(midpoint_value, b.bounds))
-            value, to = c.contractor(b.names)(b.bounds, mid)
-            exact, relaxed = to(0.0), to(tol_feas)
+            value, slopes = c.contractor(b.names)(b.bounds, mid)
+            exact, relaxed = (globalopt._contract(b.bounds, mid, value, slopes, t)
+                              for t in (0.0, tol_feas))
             assert value == c.sign * evaluate(c.expr, dict(zip(b.names, mid)))
             if exact is not None:
                 assert relaxed is not None and all(
