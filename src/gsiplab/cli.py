@@ -29,8 +29,14 @@ class UsageError(Exception):
     pass
 
 
+def _real(v: Optional[float]) -> Optional[float]:
+    """``v`` as printed: a float, a zero of either sign as 0.0 (adding 0.0
+    turns -0.0 into 0.0 and leaves every other float as it is), or None."""
+    return None if v is None else float(v) + 0.0
+
+
 def _fmt_real(v: Optional[float]) -> str:
-    return "" if v is None else repr(float(v))
+    return "" if v is None else repr(_real(v))
 
 
 def _fmt_value(out: MinimizeOutcome) -> str:
@@ -40,7 +46,7 @@ def _fmt_value(out: MinimizeOutcome) -> str:
 def _fmt_point(pt: Optional[dict]) -> str:
     if pt is None:
         return ""
-    return ";".join(repr(float(pt[n])) for n in sorted(pt))
+    return ";".join(_fmt_real(pt[n]) for n in sorted(pt))
 
 
 def _read_problem_file(path: str) -> gsip.GsipProblem:
@@ -128,26 +134,27 @@ def _trace_csv(p: gsip.GsipProblem, result: algorithms.RunResult) -> str:
 
 def _trace_json(p: gsip.GsipProblem, result: algorithms.RunResult) -> str:
     def point(pt):
-        return None if pt is None else {n: pt[n] for n in sorted(pt)}
+        return None if pt is None else {n: _real(pt[n]) for n in sorted(pt)}
 
     records = []
     for r in result.trace:
         records.append({
             "k": r.k,
             "x": point(r.x),
-            "f_Lk": r.f_lower,
+            "f_Lk": _real(r.f_lower),
             "llp": None if r.llp is None else {
-                "y": point(r.llp.minimizer), "value": r.llp.value,
+                "y": point(r.llp.minimizer), "value": _real(r.llp.value),
                 "infeasible": not r.llp.optimal},
             "aux": None if r.aux is None else {
-                "y": point(r.aux.minimizer), "value": r.aux.value},
+                "y": point(r.aux.minimizer), "value": _real(r.aux.value)},
             "sip_llp": None if r.sip is None else {
-                "y": point(r.sip.minimizer), "value": r.sip.value},
+                "y": point(r.sip.minimizer), "value": _real(r.sip.value)},
             "added_point": point(r.added_point),
             "Yset_size_after": r.yset_size_after,
         })
     doc = {"problem": p.name, "status": result.status,
-           "final_lower_bound": result.final_lower_bound, "trace": records}
+           "final_lower_bound": _real(result.final_lower_bound),
+           "trace": records}
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -85,9 +85,11 @@ Two engines share one outcome type:
   ``ConstraintSpec.satisfied``, the rule ``minimize`` applies to its
   candidates, and a point whose value is NaN is never the minimum, as a NaN
   is never ``minimize``'s incumbent.  The grid is evaluated in blocks of
-  rows of its first axis, so that a block's arrays stay in cache.  It
-  proves no bound.  It is the only user of numpy here and
-  imports it when called.
+  rows of its first axis, so that a block's arrays stay in cache.  A block
+  evaluates its constraints before its objective, and once none of its
+  points passes, it skips the trees that no feasible point needs, save
+  those that can raise ``EvaluationError``.  It proves no bound.  It is
+  the only user of numpy here and imports it when called.
 """
 from __future__ import annotations
 
@@ -140,8 +142,13 @@ class ConstraintSpec:
         return 1.0 if self.sense == "le" else -1.0
 
     def satisfied(self, value, tol_feas: float):
-        """Whether ``value`` (a float, or elementwise an array) passes."""
-        return self.sign * value <= tol_feas
+        """Whether ``value`` (a float, or elementwise an array) passes: the
+        rule above, written ``value <= tol_feas`` for "le" and ``value >=
+        -tol_feas`` for "ge", which is the same test, as negation is exact
+        and a NaN fails both, with no array of signed values built."""
+        if self.sense == "le":
+            return value <= tol_feas
+        return value >= -tol_feas
 
     def compile(self, names: Sequence[str], tol_feas: float):
         """Two tests over the kernels of ``expr`` (``expr.compile_expr``):
@@ -500,6 +507,11 @@ def grid_minimize(objective: Expr,
     ``_BLOCK_POINTS`` points (one row, if a row holds more), so that the
     arrays of a block stay in cache.
 
+    A block evaluates its constraints first, in their order, and its
+    objective last; once no point of the block passes, the trees still to
+    come are skipped, except those that can raise ``EvaluationError``
+    (``_can_raise``), so an error surfaces whether or not a point passes.
+
     The minimum is the first in C order among the grid points that are
     feasible and whose value is not NaN, as a NaN never becomes
     ``minimize``'s incumbent; a grid without such a point is infeasible.
@@ -508,36 +520,63 @@ def grid_minimize(objective: Expr,
 
     if points_per_axis < 2:
         raise ValueError("points_per_axis must be at least 2")
-    axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in box.bounds]
-    grid = np.meshgrid(*axes, indexing="ij", sparse=True)
-    shape = tuple(len(a) for a in axes)
+    shape = (points_per_axis,) * len(box.names)
+    grid = [np.linspace(lo, hi, points_per_axis).reshape(
+                (1,) * i + (-1,) + (1,) * (len(shape) - 1 - i))
+            for i, (lo, hi) in enumerate(box.bounds)]
+    env = dict(zip(box.names, grid))
     row = math.prod(shape[1:])
     rows = max(1, _BLOCK_POINTS // row)
+    trees = [(c.expr, dict(c.parameters), c.satisfied) for c in constraints]
+    trees.append((objective, dict(parameters), None))
     best = None   # the first minimum so far: (value, flat index)
     for start in range(0, shape[0] if shape else 1, rows):
         # rows [start, start + rows) of the first axis; a box without axes
         # is one block of one point
-        block = [g[start:start + rows] if i == 0 else g for i, g in enumerate(grid)]
-        env = dict(zip(box.names, block))
-        vals = np.asarray(evaluate_array(objective, {**env, **dict(parameters)}),
-                          dtype=float)
-        ok = np.ones(np.broadcast_shapes(*(g.shape for g in block)), dtype=bool)
-        ok &= vals == vals
-        for c in constraints:
-            cv = np.asarray(evaluate_array(c.expr, {**env, **dict(c.parameters)}),
-                            dtype=float)
-            ok &= c.satisfied(cv, tol_feas)
-        if not ok.any():
+        block = ()
+        if shape:
+            env[box.names[0]] = grid[0][start:start + rows]
+            block = env[box.names[0]].shape[:1] + shape[1:]
+        # which points pass the constraints evaluated so far; True, not an
+        # array, until one is, so that the reduction below takes no mask
+        ok = True
+        live = True   # whether any point passes
+        for e, bound, test in trees:
+            environment = {**env, **bound}
+            if live or _can_raise(e, environment):
+                vals = np.asarray(evaluate_array(e, environment), dtype=float)
+                if test is not None:
+                    passed = test(vals, tol_feas)
+                    ok = passed if ok is True else ok & passed
+                    live = bool(ok.any())
+        if not live:
             continue
-        masked = np.where(ok, vals, np.inf)
-        i = int(np.argmin(masked))
-        if not ok.flat[i]:   # every feasible value is +inf
-            i = int(np.argmax(ok))
-        if best is None or masked.flat[i] < best[0]:
-            best = float(masked.flat[i]), start * row + i
+        # the block's least feasible value, which fmin takes over the values
+        # that are not NaN (+inf if there is none), and the first point in C
+        # order that takes it
+        vals = np.broadcast_to(vals, block)
+        least = np.fmin.reduce(vals, axis=None, where=ok, initial=np.inf)
+        hits = vals == least
+        if ok is not True:
+            hits &= ok
+        if not hits.any():   # every feasible value is NaN
+            continue
+        if best is None or least < best[0]:
+            best = float(least), start * row + int(np.argmax(hits))
     if best is None:
         return INFEASIBLE
     value, flat = best
     idx = np.unravel_index(flat, shape)
-    point = {name: float(axes[i][idx[i]]) for i, name in enumerate(box.names)}
+    point = {name: float(g.flat[i]) for name, g, i in zip(box.names, grid, idx)}
     return MinimizeOutcome("optimal", point, value)
+
+
+def _can_raise(e: Expr, bound) -> bool:
+    """Whether ``evaluate_array`` can raise ``EvaluationError`` on ``e`` with
+    the names ``bound`` bound: ``e`` holds a division, or a variable not
+    bound."""
+    if e.kind == "div":
+        return True
+    if e.kind == "var":
+        return e.name not in bound
+    return any(_can_raise(c, bound) for c in e.children)

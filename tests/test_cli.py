@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,18 @@ class TestRun:
         final = capsys.readouterr().out.strip().splitlines()[-1]
         bound = float(final.split("final_lower_bound=")[1])
         assert bound == pytest.approx(0.5, abs=1e-4)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_zero_prints_without_its_sign(self, capsys, fmt):
+        # cex2's llp-only run ends with f_Lk = -0.0, a zero with a sign
+        argv = ["run", "--problem", "cex2", "--variant", "llp-only"]
+        p = gsip.get_builtin("cex2")
+        result = algorithms.run(p, _config_from_args(build_parser().parse_args(argv), p))
+        assert math.copysign(1.0, result.final_lower_bound) == -1.0
+        assert main(argv + ["--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"-0\.0(?!\d)", out) is None
+        assert out.splitlines()[-1] == "status=stalled final_lower_bound=0.0"
 
 
 class TestUsageErrors:

@@ -467,10 +467,11 @@ class TestGridMinimize:
             grid_minimize(obj, [], box, 5)
 
 
-def _blocked(block, *args):
-    """``grid_minimize(*args)`` in blocks of at most ``block`` grid points."""
+def _blocked(block, *args, **kwargs):
+    """``grid_minimize(*args, **kwargs)`` in blocks of at most ``block`` grid
+    points."""
     with mock.patch.object(globalopt, "_BLOCK_POINTS", block):
-        return grid_minimize(*args)
+        return grid_minimize(*args, **kwargs)
 
 
 UNIT_XY = BoxDomain([("x", -1.0, 1.0), ("y", -1.0, 1.0)])
@@ -531,6 +532,81 @@ class TestGridBlocks:
         cons = [ConstraintSpec(x + y + z - 0.5, "le")]
         assert repr(_blocked(block, obj, cons, box, 5)) == repr(
             _dense_grid_minimize(obj, cons, box, 5))
+
+
+class TestGridFeasibilityFirst:
+    """A block evaluates its constraints first and its objective last, and
+    stops once none of its points passes."""
+
+    @staticmethod
+    def _spied(*args, parameters=()):
+        """``grid_minimize(*args)`` in blocks of one row, and the trees it
+        evaluated, one entry per block."""
+        seen = []
+
+        def spy(e, env):
+            seen.append(e)
+            return evaluate_array(e, env)
+        with mock.patch.object(globalopt, "evaluate_array", spy):
+            out = _blocked(5, *args, parameters=parameters)
+        return out, seen
+
+    def test_no_tree_after_a_constraint_that_no_point_passes(self):
+        first = ConstraintSpec(2.0 + y, "le")
+        second = ConstraintSpec(x * y, "ge")
+        # w is a bound value, so the objective cannot raise
+        obj = x * x + ex.var("w")
+        out, seen = self._spied(obj, [first, second], UNIT_XY, 5,
+                                parameters=(("w", 1.0),))
+        assert out is INFEASIBLE
+        assert seen == [first.expr] * 5
+
+    def test_the_objective_only_on_blocks_with_a_feasible_point(self):
+        # only the last two rows satisfy x >= 0.5
+        cons = [ConstraintSpec(x - 0.5, "ge")]
+        out, seen = self._spied(-y, cons, UNIT_XY, 5)
+        assert (out.minimizer, out.value) == ({"x": 0.5, "y": 1.0}, -1.0)
+        assert seen == [cons[0].expr] * 3 + [cons[0].expr, -y] * 2
+
+    @pytest.mark.parametrize("objective", [x / (y - 0.5), x + ex.var("w")],
+                             ids=["division", "unbound-variable"])
+    def test_a_tree_that_can_raise_is_evaluated(self, objective):
+        # no point passes; the divisor is zero at y = 0.5, w is bound nowhere
+        cons = [ConstraintSpec(2.0 + y, "le")]
+        with pytest.raises(EvaluationError):
+            grid_minimize(objective, cons, UNIT_XY, 5)
+        with pytest.raises(EvaluationError):
+            _dense_grid_minimize(objective, cons, UNIT_XY, 5)
+        with pytest.raises(EvaluationError):
+            grid_minimize(x, cons + [ConstraintSpec(objective)], UNIT_XY, 5)
+
+    def test_a_division_that_does_not_raise(self):
+        # 4 points on [-1, 1] miss y = 0.5: evaluated, and nothing passes
+        cons = [ConstraintSpec(2.0 + y, "le")]
+        out, seen = self._spied(x / (y - 0.5), cons, UNIT_XY, 4)
+        assert out is INFEASIBLE
+        assert seen == [cons[0].expr, x / (y - 0.5)] * 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(2, 6),
+           st.sampled_from((1, 7, 64)))
+    def test_matches_the_dense_grid_with_infeasible_blocks(self, seed, dims,
+                                                           n, block):
+        rng = random.Random(seed)
+        names = ["x", "y", "z"][:dims]
+        box = random_box(rng, names)
+        _, lo, hi = box.coords[0]
+        # a cut across the first axis, along which the blocks are cut: the
+        # blocks on its far side hold no feasible point
+        cut = ConstraintSpec(x - rng.uniform(lo - 0.1, hi + 0.1),
+                             rng.choice(["le", "ge"]))
+        constraints = [ConstraintSpec(random_expr(rng, names, rng.randint(0, 2)),
+                                      rng.choice(["le", "ge"]))
+                       for _ in range(rng.randint(0, 2))]
+        constraints.insert(rng.randint(0, len(constraints)), cut)
+        objective = random_expr(rng, names, rng.randint(0, 3))
+        assert repr(_blocked(block, objective, constraints, box, n)) == repr(
+            _dense_grid_minimize(objective, constraints, box, n))
 
 
 def _dense_grid_minimize(objective, constraints, box, points_per_axis,
@@ -594,6 +670,11 @@ class TestOracleAgreement:
                     assert c.satisfied(evaluate(c.expr, bnb.minimizer), 1e-9)
                 v = evaluate(obj, bnb.minimizer)
                 assert bnb.value_bounds.lo - 1e-12 <= v <= bnb.value_bounds.hi + 1e-12
+            exact = grid_minimize(obj, cons, box, grid_n, tol_feas=0.0)
+            if exact.optimal:
+                # value_bounds.lo bounds the minimum over the exactly
+                # feasible points, the grid's among them
+                assert bnb.value_bounds.lo <= exact.value + 1e-12, seed
             if bnb.optimal and oracle.optimal:
                 mesh = max((hi - lo) / (grid_n - 1) for _, lo, hi in box.coords)
                 L = _sampled_lipschitz(obj, box, grid_n)
