@@ -8,19 +8,22 @@ Two engines share one outcome type:
   (``parameters``): variables held fixed, which are appended to every call,
   as floats to a point and as ``(v, v)`` pairs to a box, and never bisected.
   A tree keeps its kernels, so a tree that many solves share compiles once.
-  Incumbents are box midpoints and corners that pass the ``tol_feas`` check;
-  the first one becomes the incumbent even if its value is +inf, and later
-  ones must pass the strict ``v < best`` update test, so a point offered
-  again could not change the incumbent.  A node and its children offer none
-  twice: a child considers only its corners (``domains.corner_values``) on
-  the split plane, none when the plane is one point, the parent's midpoint
-  (``domains.midpoint_value``), unless the contraction below moved the
-  parent, and a box that the monotonicity test below reduces to a point,
-  one of its corners, considers nothing; a corner shared with a box that is
-  not a sibling is offered again, and the padded corners of a contracted
-  box, one float outside the ends that were offered, are never offered.  A
-  node leaves the search certified infeasible by a constraint's interval
-  bound or by the contraction, contributing nothing, or settled,
+  Incumbents are candidates that pass the ``tol_feas`` check: box midpoints
+  and corners, the corners a contraction gives a box, and one secant step
+  at the root.  The first one becomes the incumbent even if its value is
+  +inf, and later ones must pass the strict ``v < best`` update test, so a
+  point offered again could not change the incumbent.  A node and its
+  children offer none twice: a child considers only its corners
+  (``domains.corner_values``) on the split plane, none when the plane is
+  one point, the parent's midpoint (``domains.midpoint_value``), unless the
+  contraction below moved the parent, and a box that the monotonicity test
+  below reduces to a point, one of its corners, considers nothing; a corner
+  shared with a box that is not a sibling is offered again, and the padded
+  corners of a contracted box, one float outside the ends that were
+  offered, are never offered.  The secant step is outside that claim: a
+  later midpoint may repeat it.  A node leaves the search certified
+  infeasible by a constraint's interval bound or by the contraction,
+  contributing nothing, or settled,
   contributing its objective lower bound ``lb`` to one minimum: retired at
   the heap front when ``domains.split``, the one bisection rule, cannot cut
   it, whatever its midpoint, or set aside by the one comparison
@@ -77,6 +80,22 @@ Two engines share one outcome type:
   constraint once at m, and m's own feasibility test reads those values;
   the midpoint of a contracted box is offered when the box is cut.  Its arithmetic rounds to
   nearest, as the interval kernels do, the outward step being its margin.
+
+  The secant step is the local step that interval codes add to sharpen the
+  incumbent (Hansen & Walster).  When the root is queued, not settled, its
+  queued box, after the contraction and the monotonicity test above,
+  offers its midpoint with each coordinate moved to the regula-falsi zero
+  of the objective's partial derivative between the centres of the two
+  faces across that axis (``expr.compile_gradient`` on the faces' centres
+  as boxes of one point), where the derivative is < 0 at the lower face
+  and > 0 at the upper one and the zero lies strictly inside the box.  The
+  step is exact where the objective is quadratic along each axis, as every
+  LLP of the paper's counterexample is, so the first comparison at the
+  heap front stops such a search at its root, where bisection alone would
+  go some 20 levels down to put a candidate within the square root of
+  ``tol_opt`` of an interior minimizer.  It costs two gradient-kernel
+  calls per axis and is not offered where it is the midpoint.  It adds a
+  candidate, not a bound, so ``value_bounds`` stays certified.
 
 * ``grid_minimize`` -- brute-force evaluation on the full tensor grid,
   kept deliberately independent of the interval machinery and of the
@@ -376,6 +395,27 @@ def minimize(objective: Expr,
         return tuple((lo, lo) if dlo >= 0.0 else (hi, hi) if dhi <= 0.0 else (lo, hi)
                      for (lo, hi), (dlo, dhi) in zip(bounds, gradient))
 
+    def secant(bounds):
+        """The box's midpoint with each coordinate moved to the regula-falsi
+        zero of the objective's partial derivative along it, taken at the
+        centres of the two faces across it: where the derivative is < 0 at
+        the lower face and > 0 at the upper one, and the zero lies strictly
+        inside the box.  Exact where the objective is quadratic along that
+        axis; a NaN derivative fails both tests and keeps the midpoint's."""
+        gradient = compile_gradient(objective, names, pnames)
+        mid = tuple(map(midpoint_value, bounds))
+        at = tuple((v, v) for v in mid)
+        point = list(mid)
+        for i, (lo, hi) in enumerate(bounds):
+            if lo < hi:
+                dl = gradient(at[:i] + ((lo, lo),) + at[i + 1:] + pairs)[1][i][1]
+                dh = gradient(at[:i] + ((hi, hi),) + at[i + 1:] + pairs)[1][i][0]
+                if dl < 0.0 < dh:
+                    r = lo - dl * (hi - lo) / (dh - dl)
+                    if lo < r < hi:
+                        point[i] = r
+        return tuple(point), mid
+
     def push(b: BoxDomain, corners, active) -> bool:
         """Contract a box, bound it, then queue or settle it.  ``corners``
         are the box's corners not yet considered, ``active`` the constraints
@@ -442,6 +482,13 @@ def minimize(objective: Expr,
 
     push(box, itertools.product(*map(corner_values, box.bounds)),
          range(len(constraints)))
+    if heap:
+        # the root did not settle: its queued box, contracted and reduced,
+        # offers the secant step, which the first settle below then reads
+        _, _, b, active, _ = heap[0]
+        point, mid = secant(b.bounds)
+        if point != mid:
+            consider(point, active)
     pops = 0
     while heap:
         lb, _, b, active, offered = heapq.heappop(heap)
@@ -527,8 +574,12 @@ def grid_minimize(objective: Expr,
     env = dict(zip(box.names, grid))
     row = math.prod(shape[1:])
     rows = max(1, _BLOCK_POINTS // row)
+    # each tree with its bound values, its test (None for the objective) and
+    # whether it can raise, which the names bound decide, not the block
     trees = [(c.expr, dict(c.parameters), c.satisfied) for c in constraints]
     trees.append((objective, dict(parameters), None))
+    trees = [(e, bound, test, _can_raise(e, {*box.names, *bound}))
+             for e, bound, test in trees]
     best = None   # the first minimum so far: (value, flat index)
     for start in range(0, shape[0] if shape else 1, rows):
         # rows [start, start + rows) of the first axis; a box without axes
@@ -541,10 +592,9 @@ def grid_minimize(objective: Expr,
         # array, until one is, so that the reduction below takes no mask
         ok = True
         live = True   # whether any point passes
-        for e, bound, test in trees:
-            environment = {**env, **bound}
-            if live or _can_raise(e, environment):
-                vals = np.asarray(evaluate_array(e, environment), dtype=float)
+        for e, bound, test, raises in trees:
+            if live or raises:
+                vals = np.asarray(evaluate_array(e, {**env, **bound}), dtype=float)
                 if test is not None:
                     passed = test(vals, tol_feas)
                     ok = passed if ok is True else ok & passed

@@ -123,6 +123,11 @@ def test_solver_matches_dense_grid_oracle(capsys):
                 # and the incumbent is within tol_opt of the true minimum
                 assert bnb.value_bounds.lo <= oracle.value + 1e-12, seed
                 assert bnb.value <= oracle.value + tol_opt + 1e-12, seed
+            exact = grid_minimize(obj, cons, box, grid_n, tol_feas=0.0)
+            if exact.optimal:
+                # value_bounds.lo bounds the minimum over the exactly
+                # feasible points, the grid's among them
+                assert bnb.value_bounds.lo <= exact.value + 1e-12, seed
         assert time.perf_counter() - t0 < 60.0
 
     _report(capsys, "branch-and-bound agrees with the grid oracle on 50 instances", check)

@@ -362,15 +362,15 @@ class TestVerify:
             "k=1 llp: bnb=-10.0 grid=-10.0 diff=0.000e+00\n"
             "k=1 aux_llp: bnb=-1.7071067815450975 grid=-1.705 diff=2.107e-03\n"
             "k=1 sip_llp: bnb=-3.0 grid=-3.0 diff=0.000e+00\n"
-            "k=2 llp: bnb=-9.999999999999948 grid=-9.999997907321744 diff=2.093e-06\n"
-            "k=2 aux_llp: bnb=-0.8535533905939175 grid=-0.8528932184549026 "
+            "k=2 llp: bnb=-10.0 grid=-9.999997907321744 diff=2.093e-06\n"
+            "k=2 aux_llp: bnb=-0.8535533905938827 grid=-0.8528932184549026 "
             "diff=6.602e-04\n"
             "k=2 sip_llp: bnb=-1.2928932184549025 grid=-1.2928932184549025 "
             "diff=0.000e+00\n"
-            "k=3 llp: bnb=-9.921415042844263 grid=-9.918963040102806 diff=2.452e-03\n"
-            "k=3 aux_llp: bnb=-0.439339827860985 grid=-0.439339827860985 "
+            "k=3 llp: bnb=-9.921415042844272 grid=-9.918963040102796 diff=2.452e-03\n"
+            "k=3 aux_llp: bnb=-0.4393398278610199 grid=-0.4393398278610199 "
             "diff=0.000e+00\n"
-            "k=3 sip_llp: bnb=-0.439339827860985 grid=-0.439339827860985 "
+            "k=3 sip_llp: bnb=-0.4393398278610199 grid=-0.4393398278610199 "
             "diff=0.000e+00\n"
             "k=4 llp: bnb=-9.75 grid=-9.75 diff=0.000e+00\n"
             "k=4 aux_llp: bnb=0.0 grid=0.0 diff=0.000e+00\n"
@@ -395,9 +395,8 @@ class TestVerify:
         assert main(["verify", "--file", str(src), "--max-iter", "1"]) == 0
         assert capsys.readouterr().out == (
             "k=1 llp: bnb=-9.699923310952046 grid=infeasible\n"
-            "k=1 sip_llp: bnb=2.2648549702353193e-14 grid=9.99999993922529e-09 "
-            "diff=1.000e-08\n"
-            "checked 2 subproblems, max discrepancy 9.999977e-09\n")
+            "k=1 sip_llp: bnb=0.0 grid=9.99999993922529e-09 diff=1.000e-08\n"
+            "checked 2 subproblems, max discrepancy 1.000000e-08\n")
 
     def test_points_within_tol_feas_do_not_refute_an_optimal_outcome(
             self, tmp_path, capsys):

@@ -204,23 +204,88 @@ class TestMinimize:
     def test_a_plane_of_one_point_is_not_offered(self, monkeypatch):
         # with y degenerate, each split plane is one point, its parent's
         # midpoint; no solve offers a point twice within a node and its
-        # children, and here no box shares a corner with a non-sibling
-        obj = (x - 0.3) ** 2 + y
-        points = []
-        compile_expr = globalopt.compile_expr
-
-        def recording(e, names):
-            point, interval = compile_expr(e, names)
-
-            def record(p):
-                points.append(p)
-                return point(p)
-            return record, interval
-        monkeypatch.setattr(globalopt, "compile_expr", recording)
+        # children, and here no box shares a corner with a non-sibling.  The
+        # quartic is not quadratic along x, so the root's secant step misses
+        # its minimizer and the search bisects
+        obj = (x - 0.3) ** 4 + y
+        points = _recorded_points(monkeypatch)
         out = minimize(obj, [], BoxDomain([("x", 0, 1), ("y", 0.5, 0.5)]),
                        tol_opt=1e-9)
-        assert out.minimizer == {"x": 0.29998779296875, "y": 0.5}
-        assert len(points) == len(set(points)) == 29
+        assert out.minimizer == {"x": 0.296875, "y": 0.5}
+        assert len(points) == len(set(points)) == 14
+
+
+def _recorded_points(monkeypatch):
+    """The list that every point kernel minimize compiles from now on
+    appends its arguments to."""
+    points = []
+    compile_expr = globalopt.compile_expr
+
+    def recording(e, names):
+        point, interval = compile_expr(e, names)
+
+        def record(p):
+            points.append(p)
+            return point(p)
+        return record, interval
+    monkeypatch.setattr(globalopt, "compile_expr", recording)
+    return points
+
+
+def _no_bisection(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"bisected {self.bounds}")
+    monkeypatch.setattr(BoxDomain, "bisect", refuse)
+
+
+def _secant_zero(objective, box, i):
+    """The regula-falsi zero along axis ``i`` of the objective's partial
+    derivative at the centres of the box's two faces across that axis."""
+    gradient = ex.compile_gradient(objective, box.names)
+    lo, hi = box.bounds[i]
+    at = [(m, m) for m in map(midpoint_value, box.bounds)]
+    dl, dh = (gradient((*at[:i], (end, end), *at[i + 1:]))[1][i][0]
+              for end in (lo, hi))
+    return lo - dl * (hi - lo) / (dh - dl)
+
+
+class TestSecantStep:
+    def test_a_quadratic_settles_at_the_root(self, monkeypatch):
+        # (x - 0.3)^2 has its minimizer inside [0, 1], off every bisection
+        # point; the root's bound, 0, is tight, and the secant step along x
+        # offers the zero of the linear derivative, so the root settles
+        obj, box = (x - 0.3) ** 2, BoxDomain([("x", 0.0, 1.0)])
+        _no_bisection(monkeypatch)
+        out = minimize(obj, [], box, tol_opt=1e-13)
+        r = _secant_zero(obj, box, 0)
+        assert r != 0.5 and abs(r - 0.3) < 1e-15
+        assert out.minimizer == {"x": r}
+        assert out.value_bounds.lo == 0.0
+
+    def test_a_step_to_the_midpoint_is_not_offered(self, monkeypatch):
+        # x*x over [-1, 1] has the loose bound -1, so the root is queued;
+        # its derivative x + x is -2 and 2 at the ends, whose secant zero is
+        # the midpoint 0, offered already
+        points = _recorded_points(monkeypatch)
+        minimize(x * x, [], UNIT_X, tol_opt=1e-3)
+        assert points[:3] == [(0.0,), (-1.0,), (1.0,)]
+        assert points.count((0.0,)) == 1
+
+    def test_only_the_axis_with_a_sign_change_moves(self, monkeypatch):
+        # the objective ignores y, whose derivative is 0 at both faces, and
+        # the undecided constraint y <= 0.5 keeps the monotonicity test from
+        # fixing y: the step moves x to its secant zero and keeps y at the
+        # midpoint of the contracted range [-1, 0.5], whose upper end is
+        # moved one float outward
+        obj = (x - 0.3) ** 2
+        box = BoxDomain([("x", 0.0, 1.0), ("y", -1.0, 1.0)])
+        _no_bisection(monkeypatch)
+        out = minimize(obj, [ConstraintSpec(y - 0.5)], box, tol_opt=1e-13)
+        queued = BoxDomain([("x", 0.0, 1.0), ("y", -1.0, math.nextafter(0.5, 1.0))])
+        my = midpoint_value(queued.bounds[1])
+        r = _secant_zero(obj, queued, 0)
+        assert out.minimizer == {"x": r, "y": my}
+        assert my != 0.0 and r != 0.5
 
 
 class TestConstraintTests:
@@ -365,9 +430,12 @@ class TestContraction:
     def test_lower_bounding_solves_do_not_bisect(self, monkeypatch):
         # every lower-bounding solve of the divergence counterexample has its
         # minimizer on the newest cut's boundary, which the contraction
-        # reaches at the root: none bisects a box
+        # reaches at the root: none bisects a box.  Each LLP, min over y of
+        # (x - y)^2 - 10, is quadratic along y, so the root's secant step
+        # offers its minimizer y = x and settles it: none bisects either
         bisect = BoxDomain.bisect
-        calls = {"lb": 0, "other": 0}
+        solves = {"lb": 0, "llp": 0, "other": 0}
+        calls = dict.fromkeys(solves, 0)
         kind = []
 
         def counting(self):
@@ -375,8 +443,11 @@ class TestContraction:
             return bisect(self)
 
         def attributed(objective, *args, **kwargs):
-            # a lower-bounding solve minimizes the problem's objective f
-            kind.append("lb" if objective is cex1.f else "other")
+            # a lower-bounding solve minimizes the problem's objective f, an
+            # LLP its g
+            kind.append("lb" if objective is cex1.f else
+                        "llp" if objective is cex1.g else "other")
+            solves[kind[-1]] += 1
             try:
                 return minimize(objective, *args, **kwargs)
             finally:
@@ -387,7 +458,8 @@ class TestContraction:
         result = algorithms.run(cex1, algorithms.AlgorithmConfig(
             variant=algorithms.LLP_ONLY, max_iter=20))
         assert len(result.trace) == 20
-        assert calls["lb"] == 0 and calls["other"] > 0
+        assert solves["lb"] == solves["llp"] == 20
+        assert calls["lb"] == calls["llp"] == 0
 
 
 def _candidates(box):
@@ -699,3 +771,8 @@ class TestOracleAgreement:
         L = _sampled_lipschitz(obj, box, ORACLE_GRID_N)
         assert abs(bnb.value - oracle.value) <= tol_opt + L * mesh
         assert bnb.value_bounds.lo <= oracle.value
+        exact = grid_minimize(obj, cons, box, ORACLE_GRID_N, tol_feas=0.0)
+        if exact.optimal:
+            # value_bounds.lo bounds the minimum over the exactly feasible
+            # points, the grid's among them
+            assert bnb.value_bounds.lo <= exact.value + 1e-12
