@@ -147,9 +147,13 @@ def run(p: GsipProblem, cfg: AlgorithmConfig) -> RunResult:
     trace: list[IterateRecord] = []
     prev_x: Optional[dict[str, float]] = None
     status = ITERATION_CAP
+    lb_inst: Optional[SubproblemInstance] = None
 
     for k in range(1, cfg.max_iter + 1):
-        lb = _solve(build_lower_bounding(p, yset), cfg)
+        # the set only grows, so this iteration's instance is the last one
+        # plus the cuts of the points added since
+        lb_inst = build_lower_bounding(p, yset, lb_inst)
+        lb = _solve(lb_inst, cfg)
         if not lb.optimal:
             # the discretized relaxation is infeasible, hence so is the full one
             status = INFEASIBLE_DETECTED

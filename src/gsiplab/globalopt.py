@@ -7,7 +7,9 @@ Two engines share one outcome type:
   evaluators.  The kernels take the box's variables, then the bound values
   (``parameters``): variables held fixed, which are appended to every call,
   as floats to a point and as ``(v, v)`` pairs to a box, and never bisected.
-  A tree keeps its kernels, so a tree that many solves share compiles once.
+  A tree keeps its kernels, so a tree that many solves share compiles once,
+  and a ``ConstraintSpec`` keeps its kernels with its bound values
+  appended, so a constraint that many solves share is bound once.
   Incumbents are candidates that pass the ``tol_feas`` check: box midpoints
   and corners, the corners a contraction gives a box, and one secant step
   at the root.  The first one becomes the incumbent even if its value is
@@ -126,6 +128,8 @@ from .expr import (Expr, Interval, compile_expr, compile_gradient,  # noqa: F401
                    evaluate, evaluate_array, interval_eval)
 
 
+_BOUND = "_bound"  # the attribute of a spec that holds its bound kernels
+
 # the outcomes of a constraint's interval test on a box
 VIOLATED, UNDECIDED, SATISFIED = "violated", "undecided", "satisfied"
 
@@ -146,7 +150,13 @@ class ConstraintSpec:
     most ``tol_feas``.  Negation is exact and a NaN fails, so "ge" means
     ``expr >= -tol_feas``.  ``parameters`` are bound values, ``(name,
     value)`` pairs: variables of ``expr`` that the solver holds fixed and
-    never bisects."""
+    never bisects.
+
+    A spec keeps its bound kernels (``compile`` and ``contractor``), keyed by
+    the box's names and the tolerance, as a tree keeps its compiled ones:
+    every solve of a spec after the first binds nothing.  The fields do not
+    change, so equality, hashing and ``repr`` ignore the kernels, and copies
+    and pickles leave them out."""
 
     expr: Expr
     sense: str = "le"
@@ -155,6 +165,11 @@ class ConstraintSpec:
     def __post_init__(self):
         if self.sense not in ("le", "ge"):
             raise ValueError(f"sense must be 'le' or 'ge', got {self.sense!r}")
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop(_BOUND, None)
+        return state
 
     @property
     def sign(self) -> float:
@@ -188,7 +203,17 @@ class ConstraintSpec:
 
     def _kernels(self, names: Sequence[str], tol_feas: float):
         """``compile``'s two tests and the ``contractor``, over one binding
-        of the bound values."""
+        of the bound values, made at the first request and kept on the spec
+        (a frozen dataclass: the attribute goes straight into its
+        ``__dict__``, outside its fields)."""
+        kept = self.__dict__.setdefault(_BOUND, {})
+        key = (tuple(names), tol_feas)
+        k = kept.get(key)
+        if k is None:
+            k = kept[key] = self._bind_kernels(*key)
+        return k
+
+    def _bind_kernels(self, names: tuple[str, ...], tol_feas: float):
         pnames, values, pairs = _bind(names, self.parameters)
         point, interval = compile_expr(self.expr, (*names, *pnames))
         gradient = compile_gradient(self.expr, names, pnames)

@@ -14,7 +14,9 @@ and ``hbar - level`` once, and every instance shares these trees: an
 instance fixes the outer point (or, in the lower-bounding problem, each
 cut's discretization point) and any level as bound values, which the
 solver appends to its kernel calls, so each tree compiles once per run
-(``expr.compile_expr``).
+(``expr.compile_expr``).  The lower-bounding instance of a run grows by the
+cuts of the points added since the last iteration, so each cut is built
+once per run.
 """
 from __future__ import annotations
 
@@ -154,13 +156,32 @@ def _as_parameters(box: BoxDomain, point: Mapping[str, float], what: str):
 
 
 def build_lower_bounding(p: GsipProblem,
-                         yset: Sequence[Mapping[str, float]]) -> SubproblemInstance:
+                         yset: Sequence[Mapping[str, float]],
+                         previous: Optional[SubproblemInstance] = None
+                         ) -> SubproblemInstance:
     """Discretized relaxation: min f over X s.t. max(g(.,y), hbar(.,y)) >= 0
     for each y in the finite set; every cut is the problem's one cut tree,
-    with its own y bound."""
-    return SubproblemInstance(p.f, tuple(
+    with its own y bound, in the order of ``yset``.
+
+    ``previous``, an instance this function built for ``p`` from a prefix
+    of ``yset``, lends its cuts: only the points after that prefix are
+    checked and made into new cuts, so a loop whose set grows by a point
+    per iteration builds each cut once, and the solver, which keeps each
+    cut's bound kernels on the cut (``ConstraintSpec``), binds it once.
+    A ``previous`` of another problem, or with more cuts than ``yset`` has
+    points, raises ``ValueError``."""
+    cuts = () if previous is None else previous.constraints
+    # the cuts this function builds share one tree, so the first stands for all
+    if previous is not None and not (
+            previous.objective == p.f and previous.box == p.X
+            and all(c.expr == p.cut for c in cuts[:1])):
+        raise ValueError("previous is not a lower-bounding instance of this problem")
+    if len(cuts) > len(yset):
+        raise ValueError(f"previous holds {len(cuts)} cuts, more than the "
+                         f"{len(yset)} discretization points")
+    return SubproblemInstance(p.f, cuts + tuple(
         ConstraintSpec(p.cut, "ge", _as_parameters(p.Y, y, "discretization point"))
-        for y in yset), p.X)
+        for y in yset[len(cuts):]), p.X)
 
 
 def build_llp(p: GsipProblem, x: Mapping[str, float]) -> SubproblemInstance:

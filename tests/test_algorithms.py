@@ -1,6 +1,7 @@
 import pytest
 
 from gsiplab import expr as ex
+from gsiplab import globalopt, gsip
 from gsiplab.algorithms import (AUX_LLP, LLP_ONLY, SIP_LLP, AlgorithmConfig,
                                 RunResult, diagnose_trace, lower_bound_history,
                                 record_subproblems, run)
@@ -195,6 +196,30 @@ class TestCompileOnce:
         counts = self._counts(generated, (2, 5), variant=AUX_LLP,
                               aux_tie_break=tie_break)
         assert counts[0] == counts[1] > 0
+
+
+class TestCutsBuiltOnce:
+    def test_each_point_is_made_a_cut_and_bound_once(self, monkeypatch):
+        # the k-th lower-bounding solve extends the previous instance by one
+        # cut, and its solver binds only that cut: 19 points in 20 solves,
+        # each cut checked and bound once, not 0 + 1 + ... + 19 = 190 times
+        counts = {"checked": 0, "bound": 0}
+        as_parameters, bind = gsip._as_parameters, globalopt._bind
+
+        def checking(box, point, what):
+            counts["checked"] += what == "discretization point"
+            return as_parameters(box, point, what)
+
+        def binding(names, parameters):
+            # a cut binds y over the box of x; the LLP binds x over y's
+            counts["bound"] += tuple(names) == ("x",) and bool(parameters)
+            return bind(names, parameters)
+        monkeypatch.setattr(gsip, "_as_parameters", checking)
+        monkeypatch.setattr(globalopt, "_bind", binding)
+        result = run(get_builtin("cex1"), AlgorithmConfig(variant=LLP_ONLY, max_iter=20))
+        assert len(result.trace) == 20
+        assert result.trace[-2].yset_size_after == 19
+        assert counts == {"checked": 19, "bound": 19}
 
 
 class TestMonotonicityAndValidity:

@@ -16,6 +16,7 @@ from gsiplab import expr as ex
 from gsiplab.expr import (EvaluationError, Interval, compile_expr,
                           compile_gradient, evaluate, evaluate_array,
                           interval_eval, substitute)
+from gsiplab.globalopt import ConstraintSpec
 
 x, y = ex.var("x"), ex.var("y")
 
@@ -544,18 +545,30 @@ class TestKernelCache:
         assert compile_expr(e, ("y", "x"))[0]((1.0, 3.0)) == 2.0
 
     @settings(max_examples=100, deadline=None)
-    @given(expressions(consts=FINITE))
-    def test_compiling_leaves_the_tree_as_it_was(self, e):
+    @given(expressions(consts=FINITE), st.booleans())
+    def test_compiling_leaves_the_tree_as_it_was(self, e, constraint):
+        # a constraint on the tree keeps the kernels a solve binds, as the
+        # tree keeps its compiled ones
+        if constraint:
+            e = ConstraintSpec(e, "ge", (("y", -1.5),))
+
+        def compiled(o):
+            """o's kernels, made or kept: a point kernel and a point for it."""
+            if constraint:
+                o.contractor(("x",))
+                return o.compile(("x",), 1e-9)[0], (0.5,)
+            compile_gradient(o, NAMES)
+            return compile_expr(o, NAMES)[0], (0.5, -1.5)
         twin = copy.deepcopy(e)
         before = (hash(e), repr(e), pickle.dumps(e))
-        compile_expr(e, NAMES)
-        compile_gradient(e, NAMES)
+        kernel, point = compiled(e)
         assert e == twin and twin == e
         assert (hash(e), repr(e), pickle.dumps(e)) == before
-        for clone in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        for clone in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
             assert clone == e and hash(clone) == hash(e)
-            assert _bits(_outcome(compile_expr(clone, NAMES)[0], (0.5, -1.5))) == \
-                _bits(_outcome(compile_expr(e, NAMES)[0], (0.5, -1.5)))
+            assert vars(clone) == vars(twin)
+            assert _bits(_outcome(compiled(clone)[0], point)) == \
+                _bits(_outcome(kernel, point))
 
 
 # -- the numpy evaluator against the point evaluator ----------------------------

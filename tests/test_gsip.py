@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from gsiplab.problem_format import parse_problem, serialize_problem
 
 CEX1 = get_builtin("cex1")
 CEX2 = get_builtin("cex2")
+# a 2-D inner set
+FMT = parse_problem((Path(__file__).with_name("golden") / "fmt_output.gsip").read_text())
 
 
 def solve(inst, **kw):
@@ -143,6 +146,10 @@ class TestLowerBoundingBuilder:
     def test_point_outside_host_box(self):
         with pytest.raises(DomainError):
             build_lower_bounding(CEX1, [{"y": 2.0}])
+        # a point after the prefix a previous instance covers is checked too
+        with pytest.raises(DomainError):
+            build_lower_bounding(CEX1, [{"y": 1.0}, {"y": 2.0}],
+                                 build_lower_bounding(CEX1, [{"y": 1.0}]))
 
     def test_cuts_share_one_tree(self):
         inst = build_lower_bounding(CEX1, [{"y": 1.0}, {"y": -0.5}])
@@ -150,6 +157,41 @@ class TestLowerBoundingBuilder:
         assert [c.parameters for c in inst.constraints] == [(("y", 1.0),),
                                                             (("y", -0.5),)]
         assert CEX1.cut == ex.emax(CEX1.g, CEX1.hbar)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_grown_instance_equals_a_fresh_one(self, data):
+        p = data.draw(st.sampled_from([CEX1, CEX2, FMT]))
+        point = st.fixed_dictionaries({n: st.floats(lo, hi)
+                                       for n, (lo, hi) in zip(p.Y.names, p.Y.bounds)})
+        yset = data.draw(st.lists(point, max_size=6))
+        fresh = build_lower_bounding(p, yset)
+        # one previous instance from a prefix, and a chain one point at a time
+        j = data.draw(st.integers(0, len(yset)))
+        assert build_lower_bounding(p, yset, build_lower_bounding(p, yset[:j])) == fresh
+        inst = build_lower_bounding(p, [])
+        for i in range(len(yset) + 1):
+            inst = build_lower_bounding(p, yset[:i], inst)
+        assert inst == fresh
+        assert [c.parameters for c in inst.constraints] == [
+            tuple((n, y[n]) for n in p.Y.names) for y in yset]
+
+    def test_a_grown_instance_keeps_the_previous_cuts(self):
+        previous = build_lower_bounding(CEX1, [{"y": 1.0}])
+        inst = build_lower_bounding(CEX1, [{"y": 1.0}, {"y": 0.5}], previous)
+        assert inst.constraints[0] is previous.constraints[0]
+        assert build_lower_bounding(CEX1, [{"y": 1.0}], previous) == previous
+
+    def test_a_previous_instance_it_cannot_extend(self):
+        yset = [{"y": 1.0}, {"y": 0.5}]
+        # cex2 shares cex1's objective and X, not its cut
+        for previous in (build_lower_bounding(CEX2, yset[:1]),
+                         build_llp(CEX1, {"x": 0.5}),
+                         build_lower_bounding(FMT, [])):
+            with pytest.raises(ValueError, match="not a lower-bounding instance"):
+                build_lower_bounding(CEX1, yset, previous)
+        with pytest.raises(ValueError, match="more than"):
+            build_lower_bounding(CEX1, yset[:1], build_lower_bounding(CEX1, yset))
 
     def test_empty_discretization_matches_plain_minimization(self):
         for p in builtin_problems():
