@@ -1,0 +1,203 @@
+"""Array kernels: ``expr.evaluate_array`` over numpy arrays.
+
+A tree's array kernel is one generated Python function of straight-line
+code, as its point, interval and gradient kernels are (``expr``), kept on
+the tree the same way and keyed also by how many of its names are arrays,
+which come first.  Each node over an array is one numpy call, the one that
+walking the tree with Python's operators would make: ``np.negative``,
+``np.add``, ``np.subtract``, ``np.multiply``, ``np.divide`` after the
+``np.any(b == 0.0)`` check, ``np.float_power``, ``np.minimum`` and
+``np.maximum``.  A subtree over no array is evaluated as that walk would,
+with Python's float operators and numpy's scalar calls.  Each shared subtree
+is computed once.  So every value is that walk's, bit for bit (but for the
+sign of a NaN, see ``expr``); the tests keep the walk as the reference.
+
+Each node over an array writes into the array its kernel is given (``out=``).
+A kernel's temporaries get slots when it is generated, by liveness
+(``_ArrayEmitter.layout``).  Over an open grid (``OpenGrid``, the grid
+oracle's blocks), a slot is a view of one of the thread's flat buffers
+(``_Buffers``), shaped at call time by the grid axes the temporary spans, so
+one kernel serves every block.  The buffers live as long as the thread, so
+the grid's blocks reuse memory already mapped, where arrays allocated afresh
+for each block were mapped and faulted in again by the C library.  Over plain
+arrays every temporary is a new array and the result is the caller's own.
+
+This module imports numpy.  ``expr.evaluate_array`` and the grid oracle
+import it when called, so the rest of the package loads without numpy and
+without compiling this module.
+"""
+from __future__ import annotations
+
+import math
+import threading
+from typing import Mapping
+
+import numpy as np
+
+from .expr import _BINARY, Expr, _cached, _Emitter
+
+_ARRAY = "array"   # the kind of an array kernel on the tree
+
+
+class OpenGrid(dict):
+    """The values of the names over one block of an open grid, for
+    ``expr.evaluate_array``.
+
+    The first ``axes`` names hold the grid's axes, in order: axis ``i`` is an
+    array of ``axes`` dimensions, of length 1 along each but the ``i``-th;
+    the other names hold floats.  An evaluation over an ``OpenGrid`` writes
+    its temporaries into this thread's reused buffers (``_Buffers``) and may
+    return one of them, so its result is valid only until the next
+    evaluation over an ``OpenGrid`` on the same thread.
+    """
+
+    __slots__ = ("axes",)
+
+    def __init__(self, axes: int, values: Mapping):
+        super().__init__(values)
+        self.axes = axes
+
+
+def evaluate(e: Expr, point: Mapping):
+    """``e`` over ``point`` by its array kernel: the names whose values are
+    numpy arrays are its arrays."""
+    grid = isinstance(point, OpenGrid)
+    if grid:
+        names, axes, args = tuple(point), point.axes, tuple(point.values())
+    else:
+        arrays = [n for n, v in point.items() if isinstance(v, np.ndarray)]
+        names = (*arrays, *(n for n in point if n not in arrays))
+        axes, args = len(arrays), tuple(point[n] for n in names)
+    kernel, layout = _cached(e, names, (_ARRAY, axes),
+                             lambda index: _generate(e, index, axes))
+    if not grid:
+        return kernel(args, (None,) * len(layout))
+    # an axis is 1 long along every dimension but its own
+    return kernel(args, _BUFFERS.views(layout, tuple(a.size for a in args[:axes])))
+
+
+class _Buffers(threading.local):
+    """This thread's flat float64 buffers, one per slot of the kernels run
+    over an ``OpenGrid``, each as long as the largest block seen: ``slots *
+    size`` floats in all, for the most slots a kernel has used.  The views of
+    them that kernels write into are kept per layout and block shape until
+    the buffers grow."""
+
+    def __init__(self):
+        self.flat: list = []
+        self.size = 0
+        self.kept: dict = {}
+
+    def views(self, layout, lengths) -> tuple:
+        """The out views of a kernel of ``layout`` over a block of the axes'
+        ``lengths``: each temporary's slot, shaped by the axes it spans."""
+        out = self.kept.get((layout, lengths))
+        if out is None:
+            size = math.prod(lengths)
+            if size > self.size:
+                self.flat, self.size, self.kept = [], size, {}
+            while len(self.flat) < max((s + 1 for s, _ in layout), default=0):
+                self.flat.append(np.empty(self.size))
+            shapes = [tuple(n if mask >> i & 1 else 1 for i, n in enumerate(lengths))
+                      for _, mask in layout]
+            out = self.kept[layout, lengths] = tuple(
+                self.flat[s][:math.prod(shape)].reshape(shape)
+                for (s, _), shape in zip(layout, shapes))
+        return out
+
+
+_BUFFERS = _Buffers()
+
+
+def _generate(e: Expr, index: Mapping[str, int], axes: int):
+    """The array kernel of ``e``, whose first ``axes`` names of ``index`` are
+    arrays, and its layout: a function of the argument tuple and one out
+    array (or None) per temporary, in the layout's order."""
+    emitter = _ArrayEmitter(index, axes)
+    result, _ = emitter.node(e)
+    head = ["def kernel(arg, out):"]
+    if emitter.temps:
+        head.append("".join(f"o{v[1:]}, " for v, _, _ in emitter.temps) + "= out")
+    source = "\n    ".join([*head, *emitter.lines, f"return {result}"])
+    exec(compile(source, "<array kernel>", "exec"), emitter.namespace)
+    return emitter.namespace["kernel"], emitter.layout()
+
+
+# the numpy function of each operation
+_UFUNCS = {"neg": "negative", "add": "add", "sub": "subtract", "mul": "multiply",
+           "div": "divide", "pow": "float_power", "min": "minimum", "max": "maximum"}
+
+
+class _ArrayEmitter(_Emitter):
+    """The body of an array kernel.  A node's operands are its value and
+    the grid axes it spans, as a bit mask (0 for a value over no array)."""
+
+    def __init__(self, index: Mapping[str, int], axes: int):
+        super().__init__(index, _ARRAY, axes)
+        # the temporaries: value name, axes and the temporaries it reads
+        self.temps: list[tuple[str, int, list[str]]] = []
+        self.namespace.update({f"_{name}": getattr(np, name)
+                               for name in (*_UFUNCS.values(), "any")})
+
+    def value(self, e: Expr, kids, n: int) -> tuple[str, int]:
+        """A node over an array is one numpy call that writes into its out
+        view; a node over none is the float operation (or numpy scalar call)
+        of the walk over arrays, Python's operator where the walk uses one."""
+        k = e.kind
+        if k == "const":
+            return self.bind(e.value), 0
+        v = f"v{n}"
+        if k == "var":
+            self.variable(e, v)
+            i = self.index.get(e.name)
+            return v, (1 << i if i in self.dims else 0)
+        emit = self.lines.append
+        ops = [a for a, _ in kids]
+        axes = 0
+        for _, mask in kids:
+            axes |= mask
+        if k == "pow":
+            ops.append(self.bind(e.exponent))
+        elif k == "div":
+            c, mask = kids[1]
+            emit(f"if _any({c} == 0.0): _division_by_zero()" if mask else
+                 f"if {c} == 0.0: _division_by_zero()")
+        if axes:
+            temps = {t for t, _, _ in self.temps}
+            self.temps.append((v, axes, [a for a in ops if a in temps]))
+            emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)}, out=o{n})")
+        elif k == "neg":
+            emit(f"{v} = -{ops[0]}")
+        elif k in _BINARY or k == "div":
+            emit(f"{v} = {ops[0]} {_BINARY.get(k, '/')} {ops[1]}")
+        else:
+            emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)})")
+        return v, axes
+
+    def layout(self) -> tuple[tuple[int, int], ...]:
+        """Each temporary's slot and axes, in the order of the out views.
+
+        A slot is free once the last node that reads its temporary has run.
+        A node writes into the slot of a temporary it reads for the last
+        time and that spans the same axes, where numpy works in place, else
+        into a free slot, or a new one: its other inputs stay whole while it
+        is written, so it never overlaps an input of another shape, which
+        numpy would copy first.  The slots are as many as the most
+        temporaries ever live at once, a node's output and inputs
+        included."""
+        last = {t: j for j, (_, _, inputs) in enumerate(self.temps) for t in inputs}
+        slot: dict[str, int] = {}
+        axes = {v: mask for v, mask, _ in self.temps}
+        free: list[int] = []
+        slots = 0
+        for j, (v, mask, inputs) in enumerate(self.temps):
+            dying = [t for t in dict.fromkeys(inputs) if last[t] == j]
+            same = [t for t in dying if axes[t] == mask][:1]
+            if same:
+                slot[v] = slot[same[0]]
+            elif free:
+                slot[v] = free.pop()
+            else:
+                slot[v], slots = slots, slots + 1
+            free += [slot[t] for t in dying if t not in same]
+        return tuple((slot[v], mask) for v, mask, _ in self.temps)

@@ -2,17 +2,18 @@
 
 An expression is an immutable tree over named variables with the node kinds
 constant, variable, neg, add, sub, mul, div, integer power, and binary
-min/max.  One recursive walker evaluates a tree over three domains: floats
-(``evaluate``), numpy arrays (``evaluate_array``, used by the grid oracle,
-which passes an open grid and lets broadcasting build the full grid) and
-intervals (``interval_eval``, the natural interval extension).  The domains
-differ only in the value of a constant, in division, in power and in min and
-max; every other operation is a Python operator.  Arrays are raised to a power
-with ``np.float_power``, whose float64 loop calls C's ``pow`` per element, as
+min/max.  One recursive walker evaluates a tree over two domains: floats
+(``evaluate``) and intervals (``interval_eval``, the natural interval
+extension).  The domains differ only in the value of a constant, in division,
+in power and in min and max; every other operation is a Python operator.
+Over numpy arrays, ``evaluate_array`` runs a generated array kernel
+(``gsiplab.arrays``), used by the grid oracle, which passes an open grid and
+lets broadcasting build the full grid.  Arrays are raised to a power with
+``np.float_power``, whose float64 loop calls C's ``pow`` per element, as
 Python's ``**`` does: numpy's ``**`` may run SIMD code that differs from
 ``pow`` in the last bit, which would tie the oracle's values to the CPU.  Only
-``evaluate_array`` needs numpy, and it imports numpy when called, so the rest
-of the package loads without it.
+the array kernels need numpy, and ``evaluate_array`` imports their module
+when called, so the rest of the package loads, and compiles, without either.
 
 ``compile_expr`` turns a tree into two kernels over one variable order, for
 callers that evaluate the same expression many times: a point kernel and an
@@ -37,7 +38,8 @@ lines are the interval kernel's and whose derivative lines are straight-line
 code too, each node's rule written out coordinate by coordinate, along the
 coordinates of a box only, not along the bound values that follow them.  An
 integer power is written out for its exponent, and so is its derivative's
-factor, so a kernel calls nothing but the error raisers.
+factor, so a kernel calls nothing but the error raisers.  The array kernel is
+the fourth, generated by a subclass of the same emitter (``gsiplab.arrays``).
 """
 from __future__ import annotations
 
@@ -285,14 +287,11 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
 
 
 def evaluate_array(e: Expr, point: Mapping[str, np.ndarray]):
-    """Vectorized evaluation over numpy arrays (broadcasting applies)."""
-    import numpy as np
-
-    def div(a, b):
-        if np.any(b == 0.0):
-            raise EvaluationError("division by zero")
-        return a / b
-    return _walker(_same, div, np.float_power, np.minimum, np.maximum)(e, point)
+    """Vectorized evaluation over numpy arrays (broadcasting applies), by
+    ``e``'s array kernel (``gsiplab.arrays.evaluate``).  The result is the
+    caller's own, except over an ``arrays.OpenGrid``."""
+    from .arrays import evaluate
+    return evaluate(e, point)
 
 
 def interval_eval(e: Expr, box) -> Interval:
@@ -445,7 +444,8 @@ class _Emitter:
     def __init__(self, index: Mapping[str, int], kind: str, dims: int = 0):
         self.index = index
         self.kind = kind
-        self.dims = range(dims)   # the coordinates a gradient is along
+        # the coordinates a gradient is along, or an array kernel's axes
+        self.dims = range(dims)
         self.lines: list[str] = []
         self.namespace = {"_empty": _empty,
                           "_entire": (-math.inf, math.inf),
@@ -465,14 +465,17 @@ class _Emitter:
         out = self.memo.get(id(e))
         if out is None:
             kids = [self.node(c) for c in e.children]
-            n = len(self.memo)
-            if self.kind == _POINT:
-                out = self.point(e, kids, n)
-            else:
-                out = self.interval(e, kids, n)
-                if self.kind == _GRADIENT:
-                    out += (self.gradient(e, kids, out, n),)
-            self.memo[id(e)] = out
+            out = self.memo[id(e)] = self.value(e, kids, len(self.memo))
+        return out
+
+    def value(self, e: Expr, kids, n: int) -> tuple:
+        """The lines of node ``e``, the ``n``-th, over its children's
+        operands ``kids``, and its operands."""
+        if self.kind == _POINT:
+            return self.point(e, kids, n)
+        out = self.interval(e, kids, n)
+        if self.kind == _GRADIENT:
+            out += (self.gradient(e, kids, out, n),)
         return out
 
     def variable(self, e: Expr, target: str) -> None:

@@ -100,9 +100,11 @@ Two engines share one outcome type:
   candidate, not a bound, so ``value_bounds`` stays certified.
 
 * ``grid_minimize`` -- brute-force evaluation on the full tensor grid,
-  kept deliberately independent of the interval machinery and of the
-  compiled kernels (it uses ``evaluate_array``) so that it can serve as a
-  cross-checking oracle.  Grid points are feasible by
+  kept deliberately independent of the interval machinery that certifies
+  ``minimize``'s bounds, so that it can serve as a cross-checking oracle.
+  It evaluates through ``evaluate_array``'s array kernels, which share no
+  code with the point and interval kernels, and which the tests pin bit for
+  bit to the recursive walk over arrays.  Grid points are feasible by
   ``ConstraintSpec.satisfied``, the rule ``minimize`` applies to its
   candidates, and a point whose value is NaN is never the minimum, as a NaN
   is never ``minimize``'s incumbent.  The grid is evaluated in blocks of
@@ -110,7 +112,8 @@ Two engines share one outcome type:
   evaluates its constraints before its objective, and once none of its
   points passes, it skips the trees that no feasible point needs, save
   those that can raise ``EvaluationError``.  It proves no bound.  It is
-  the only user of numpy here and imports it when called.
+  the only user of numpy here and imports it, and ``gsiplab.arrays``, when
+  called.
 """
 from __future__ import annotations
 
@@ -568,7 +571,8 @@ def grid_minimize(objective: Expr,
     """Brute-force minimization over the full tensor grid (endpoints included).
 
     Bound values (``parameters`` for the objective, each constraint's own)
-    enter the environment as floats.
+    enter the environment as floats; as in ``minimize``, a bound value that
+    shares its name with the box raises ``ValueError``.
 
     The variables are bound to an open grid: axis ``i`` is an array of shape
     ``(1, ..., n, ..., 1)``.  ``evaluate_array`` thus works on one axis's
@@ -577,7 +581,11 @@ def grid_minimize(objective: Expr,
     from the same float operations as on a dense grid, bit for bit.  The grid
     is evaluated in blocks of rows of the first axis, of at most
     ``_BLOCK_POINTS`` points (one row, if a row holds more), so that the
-    arrays of a block stay in cache.
+    arrays of a block stay in cache.  Each tree's values over a block are an
+    ``arrays.OpenGrid``, so its temporaries go into the thread's reused
+    buffers, the same memory for every block and every call: at most as many
+    buffers as a tree's kernel has temporaries live at once, each as long as
+    the largest block seen.
 
     A block evaluates its constraints first, in their order, and its
     objective last; once no point of the block passes, the trees still to
@@ -588,6 +596,10 @@ def grid_minimize(objective: Expr,
     feasible and whose value is not NaN, as a NaN never becomes
     ``minimize``'s incumbent; a grid without such a point is infeasible.
     """
+    # arrays imports numpy: compiled first, its transient memory is reused
+    # by numpy's import instead of adding to the process's peak
+    from .arrays import OpenGrid
+
     import numpy as np
 
     if points_per_axis < 2:
@@ -596,30 +608,38 @@ def grid_minimize(objective: Expr,
     grid = [np.linspace(lo, hi, points_per_axis).reshape(
                 (1,) * i + (-1,) + (1,) * (len(shape) - 1 - i))
             for i, (lo, hi) in enumerate(box.bounds)]
-    env = dict(zip(box.names, grid))
     row = math.prod(shape[1:])
     rows = max(1, _BLOCK_POINTS // row)
-    # each tree with its bound values, its test (None for the objective) and
-    # whether it can raise, which the names bound decide, not the block
+    # each tree with the values of its names over a block (the box's axes,
+    # then its bound values), its test (None for the objective) and whether
+    # it can raise, which the names bound decide, not the block
+    axes = dict(zip(box.names, grid))
     trees = [(c.expr, dict(c.parameters), c.satisfied) for c in constraints]
     trees.append((objective, dict(parameters), None))
-    trees = [(e, bound, test, _can_raise(e, {*box.names, *bound}))
-             for e, bound, test in trees]
+    for _, bound, _ in trees:
+        if not bound.keys().isdisjoint(axes):
+            _bind(box.names, bound.items())   # raises, as minimize does
+    trees = [(e, OpenGrid(len(shape), {**axes, **bound}), test,
+              _can_raise(e, {*axes, *bound})) for e, bound, test in trees]
     best = None   # the first minimum so far: (value, flat index)
     for start in range(0, shape[0] if shape else 1, rows):
         # rows [start, start + rows) of the first axis; a box without axes
         # is one block of one point
         block = ()
         if shape:
-            env[box.names[0]] = grid[0][start:start + rows]
-            block = env[box.names[0]].shape[:1] + shape[1:]
+            axis = grid[0][start:start + rows]
+            for _, env, _, _ in trees:
+                env[box.names[0]] = axis
+            block = axis.shape[:1] + shape[1:]
         # which points pass the constraints evaluated so far; True, not an
         # array, until one is, so that the reduction below takes no mask
         ok = True
         live = True   # whether any point passes
-        for e, bound, test, raises in trees:
+        for e, env, test, raises in trees:
             if live or raises:
-                vals = np.asarray(evaluate_array(e, {**env, **bound}), dtype=float)
+                # the values live in reused buffers until the next tree's
+                # evaluation, so each is read before it
+                vals = np.asarray(evaluate_array(e, env), dtype=float)
                 if test is not None:
                     passed = test(vals, tol_feas)
                     ok = passed if ok is True else ok & passed

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import settings
 
 from gsiplab import expr as ex
@@ -15,6 +16,19 @@ from gsiplab.gsip import GsipProblem
 # ``pytest --hypothesis-profile default``.
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+
+
+def reference_array(e: ex.Expr, env):
+    """The recursive walk over numpy arrays, the array kernels' bit-for-bit
+    reference: ``expr``'s walker with Python's operators for neg, add, sub
+    and mul, and this domain for the rest.  Its values are fresh arrays,
+    except a variable's, which is the caller's own."""
+    def divide(a, b):
+        if np.any(b == 0.0):
+            raise ex.EvaluationError("division by zero")
+        return a / b
+    return ex._walker(lambda v: v, divide, np.float_power, np.minimum,
+                      np.maximum)(e, env)
 
 
 def random_expr(rng: random.Random, names, depth: int, allow_div: bool = True):

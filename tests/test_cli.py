@@ -486,7 +486,8 @@ assert "numpy" not in sys.modules, "numpy loaded on import"
 with contextlib.redirect_stdout(io.StringIO()):
     assert gsiplab.cli.main(["list"]) == 0
     assert gsiplab.cli.main(["fmt", {str(src)!r}]) == 0
-assert "numpy" not in sys.modules, "numpy loaded by list or fmt"
+    assert gsiplab.cli.main(["run", "--problem", "cex1", "--variant", "llp-only"]) == 0
+assert "numpy" not in sys.modules, "numpy loaded by list, fmt or run"
 out = gsiplab.grid_minimize(-gsiplab.var("x"), [],
                             gsiplab.BoxDomain([("x", -1.0, 1.0)]), 3)
 assert out.minimizer == {{"x": 1.0}}, out

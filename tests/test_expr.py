@@ -11,7 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_box, random_expr, sample_point, shrink_box
+from conftest import (random_box, random_expr, reference_array, sample_point,
+                      shrink_box)
+from gsiplab import arrays
 from gsiplab import expr as ex
 from gsiplab.expr import (EvaluationError, Interval, compile_expr,
                           compile_gradient, evaluate, evaluate_array,
@@ -139,12 +141,13 @@ KINDS = ("const", "neg", "add", "sub", "mul", "div", "pow", "min", "max")
 
 
 @st.composite
-def expressions(draw, consts=CONSTS):
-    """A random expression DAG: each new node draws its children from all
-    earlier nodes, so subtrees are often shared."""
-    pool = [ex.var("x"), ex.var("y")]
+def expressions(draw, consts=CONSTS, names=NAMES, unknown="z"):
+    """A random expression DAG over ``names``, and one time in ten also over
+    ``unknown``: each new node draws its children from all earlier nodes, so
+    subtrees are often shared."""
+    pool = [ex.var(n) for n in names]
     if draw(st.integers(0, 9)) == 0:
-        pool.append(ex.var("z"))
+        pool.append(ex.var(unknown))
     for _ in range(draw(st.integers(1, 8))):
         def pick():
             return pool[draw(st.integers(0, len(pool) - 1))]
@@ -610,3 +613,98 @@ class TestArrayEvaluation:
             got = np.broadcast_to(np.asarray(evaluate_array(e, env), dtype=float),
                                   tuple(map(len, axes)))
         assert [got[i] for i in np.ndindex(got.shape)] == want
+
+
+# -- the array kernel against the reference walk --------------------------------
+
+AXES = ("x", "y", "z")
+BOUND = ("a", "b")   # bound values: floats, as the grid binds them
+
+
+@st.composite
+def array_cases(draw):
+    """A random DAG over an open grid of 1-3 axes (each of 1-4 points), two
+    bound values and, one time in ten, a variable bound nowhere; and the
+    rows of the first axis per block, so that the last block is often
+    short."""
+    dims = draw(st.integers(1, 3))
+    axes = [draw(st.lists(COORDS, min_size=1, max_size=4)) for _ in range(dims)]
+    bound = {n: draw(CONSTS) for n in BOUND}
+    e = draw(expressions(names=AXES[:dims] + BOUND, unknown="w"))
+    return e, axes, bound, draw(st.integers(1, len(axes[0])))
+
+
+def _open_grid(axes):
+    """The axes as the arrays of an open grid: axis i along dimension i."""
+    return [np.array(a, dtype=float).reshape((1,) * i + (-1,) + (1,) * (len(axes) - 1 - i))
+            for i, a in enumerate(axes)]
+
+
+def _array_outcome(fn, e, env):
+    """``fn(e, env)``'s type, shape and bits, with the sign of each NaN
+    cleared (see the ``expr`` docstring), or the message of the
+    ``EvaluationError`` it raised; read at once, before a later evaluation
+    can reuse the result's buffer."""
+    try:
+        with np.errstate(all="ignore"):
+            v = fn(e, env)
+    except EvaluationError as err:
+        return str(err)
+    a = np.array(v, dtype=float)
+    bits = a.view(np.uint64)
+    bits[np.isnan(a)] &= np.uint64(2 ** 63 - 1)
+    return type(v), a.shape, bits.tolist()
+
+
+class TestArrayKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(array_cases())
+    @example((x / (y - ex.var("a")) + ex.var("w"), [[1.0, 2.0], [0.5, 1.0]],
+              {"a": 0.5, "b": 0.0}, 1))
+    @example((ex.emin(x * y, x * y) - (ex.var("a") + 1.0) ** 2 / ex.var("b"),
+              [[1.0, 2.0, 3.0], [-0.0, 4.0], [1e200]], {"a": 2.0, "b": -0.5}, 2))
+    def test_matches_the_reference_walk_bit_for_bit(self, case):
+        e, axes, bound, rows = case
+        grid = _open_grid(axes)
+        # block by block, as the grid oracle moves its first axis
+        env = arrays.OpenGrid(len(axes), {**dict(zip(AXES, grid)), **bound})
+        for start in range(0, len(axes[0]), rows):
+            env["x"] = grid[0][start:start + rows]
+            assert _array_outcome(evaluate_array, e, env) == \
+                _array_outcome(reference_array, e, dict(env))
+        # the public entry point, over the whole grid
+        env = {**bound, **dict(zip(AXES, grid))}
+        assert _array_outcome(evaluate_array, e, env) == \
+            _array_outcome(reference_array, e, env)
+
+    def test_errors_raise_where_the_walk_raises(self):
+        grid = _open_grid([[0.0, 1.0], [2.0, 3.0]])
+        env = arrays.OpenGrid(2, dict(zip(AXES, grid)))
+        for e, message in [(y / x + ex.var("w"), "division by zero"),
+                           (ex.var("w") + y / x, "unknown variable 'w'"),
+                           (y / (x - x) ** 2, "division by zero")]:
+            with pytest.raises(EvaluationError, match=message):
+                evaluate_array(e, env)
+
+    def test_slots_are_the_most_temporaries_live_at_once(self):
+        def slots(e, axes):
+            _, layout = arrays._generate(e, {n: i for i, n in enumerate(AXES)}, axes)
+            return len({s for s, _ in layout})
+        # a chain over one axis works in one slot
+        assert slots(-((x * 2.0 + 1.0) ** 3 - x), 1) == 1
+        # x * y spans both axes, so neither input's slot can take it
+        assert slots((x + 1.0) * (y + 1.0), 2) == 3
+        # (x + 1) is read again at the end, so it holds its slot throughout
+        u = x + 1.0
+        assert slots(ex.emax(u * u, u) - u, 1) == 2
+        # a subtree without a grid axis takes no slot
+        assert slots((ex.var("a") + 1.0) * 2.0, 1) == 0
+
+    def test_a_public_result_is_the_callers_own(self):
+        grid = _open_grid([[0.0, 1.0, 2.0], [3.0, 4.0]])
+        env = dict(zip(AXES, grid))
+        first = evaluate_array(x * y + 1.0, env)
+        kept = first.copy()
+        evaluate_array(x * y - 1.0, env)
+        evaluate_array(x * y - 2.0, arrays.OpenGrid(2, env))
+        assert np.array_equal(first, kept)

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -9,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (random_box, random_expr, random_poly_instance,
-                      sample_point, shrink_box)
+                      reference_array, sample_point, shrink_box)
 from test_golden import (ORACLE_GRID_N, ORACLE_GRID_OUTCOMES,
                          ORACLE_NODE_BUDGET, ORACLE_TOL_OPT,
                          load_oracle_outcomes)
-from gsiplab import algorithms, globalopt
+from gsiplab import algorithms, arrays, globalopt
 from gsiplab import expr as ex
 from gsiplab.domains import BoxDomain, corner_values, midpoint_value
 from gsiplab.expr import (EvaluationError, Interval, evaluate, evaluate_array,
@@ -529,6 +531,17 @@ class TestGridMinimize:
         out = grid_minimize(ex.const(math.inf), [ConstraintSpec(x, "ge")], UNIT_X, 5)
         assert (out.minimizer, out.value) == ({"x": 0.0}, math.inf)
 
+    def test_a_bound_value_named_like_an_axis(self):
+        # as in minimize: the axes of the box are the grid's, never bound
+        cons = [ConstraintSpec(x, parameters=(("x", 0.5),))]
+        for objective, constraints, parameters in [(x, [], (("x", 0.5),)),
+                                                   (x, cons, ())]:
+            with pytest.raises(ValueError, match="share names"):
+                grid_minimize(objective, constraints, UNIT_X, 5,
+                              parameters=parameters)
+            with pytest.raises(ValueError, match="share names"):
+                minimize(objective, constraints, UNIT_X, parameters=parameters)
+
     def test_division_by_zero_at_one_grid_point(self):
         # 5 points on [-1, 1] include y = 0.5, where the divisor is zero
         box = BoxDomain([("x", -1.0, 1.0), ("y", -1.0, 1.0)])
@@ -681,11 +694,78 @@ class TestGridFeasibilityFirst:
             _dense_grid_minimize(objective, constraints, box, n))
 
 
+class TestGridBuffers:
+    """The grid evaluates into its thread's reused buffers."""
+
+    @staticmethod
+    def _in_a_new_thread(fn):
+        """``fn()`` run in a new thread, whose buffer set starts empty."""
+        out = []
+        worker = threading.Thread(target=lambda: out.append(fn()))
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive() and out
+        return out[0]
+
+    def test_a_second_grid_makes_no_buffer(self):
+        # a 2-D instance of the oracle suite with two constraints, whose
+        # objective, the tree with the most temporaries, is evaluated
+        obj, cons, box = random_poly_instance(35)
+        trees = [obj, *(c.expr for c in cons)]
+        env = dict(zip(box.names, np.meshgrid(
+            *(np.linspace(lo, hi, 7) for lo, hi in box.bounds), indexing="ij", sparse=True)))
+
+        def run():
+            kept = evaluate_array(obj, env)
+            before = kept.copy()
+            first = grid_minimize(obj, cons, box, ORACLE_GRID_N)
+            made = list(arrays._BUFFERS.flat)
+            second = grid_minimize(obj, cons, box, ORACLE_GRID_N)
+            assert np.array_equal(kept, before)   # the caller's own
+            return first, second, made, list(arrays._BUFFERS.flat), arrays._BUFFERS.size
+
+        first, second, made, now, size = self._in_a_new_thread(run)
+        assert repr(first) == repr(second) == repr(
+            grid_minimize(obj, cons, box, ORACLE_GRID_N))
+        assert made and len(now) == len(made)
+        assert all(a is b for a, b in zip(now, made))
+        # as many buffers as a kernel's most temporaries live at once, each
+        # as long as the largest block: 81 rows of 401 points
+        index = {n: i for i, n in enumerate(box.names)}
+        peak = max(len({s for s, _ in arrays._generate(e, index, 2)[1]})
+                   for e in trees)
+        assert len(made) == peak
+        assert size == (globalopt._BLOCK_POINTS // ORACLE_GRID_N) * ORACLE_GRID_N
+        assert all(len(b) == size for b in made)
+
+    def test_threads_write_into_their_own_buffers(self):
+        # numpy releases the interpreter lock inside a ufunc, so threads that
+        # shared buffers would overwrite each other's temporaries
+        obj, cons, box = random_poly_instance(35)
+        want = repr(grid_minimize(obj, cons, box, 101))
+        got = []
+
+        def work():
+            got.extend(repr(grid_minimize(obj, cons, box, 101)) for _ in range(5))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert got == [want] * 20
+
+
 def _dense_grid_minimize(objective, constraints, box, points_per_axis,
                          tol_feas=1e-9):
-    """Reference oracle: every variable bound to a full meshgrid copy, and
-    the first minimum in C order among the feasible points whose value is
-    not NaN."""
+    """Reference oracle: every variable bound to a full meshgrid copy,
+    evaluated by the reference walk, and the first minimum in C order among
+    the feasible points whose value is not NaN."""
     axes = [np.linspace(lo, hi, points_per_axis) for _, lo, hi in box.coords]
     grids = np.meshgrid(*axes, indexing="ij")
     env = dict(zip(box.names, grids))
@@ -693,7 +773,7 @@ def _dense_grid_minimize(objective, constraints, box, points_per_axis,
 
     def on_grid(e):
         return np.broadcast_to(
-            np.asarray(evaluate_array(e, env), dtype=float), shape)
+            np.asarray(reference_array(e, env), dtype=float), shape)
 
     vals = on_grid(objective)
     feas = ~np.isnan(vals)
@@ -712,7 +792,7 @@ def _dense_grid_minimize(objective, constraints, box, points_per_axis,
 def _sampled_lipschitz(objective, box, points_per_axis):
     axes = [np.linspace(lo, hi, points_per_axis) for _, lo, hi in box.coords]
     env = dict(zip(box.names, np.meshgrid(*axes, indexing="ij", sparse=True)))
-    vals = np.broadcast_to(np.asarray(evaluate_array(objective, env), dtype=float),
+    vals = np.broadcast_to(np.asarray(reference_array(objective, env), dtype=float),
                            tuple(len(a) for a in axes))
     L = 0.0
     for axis, ax in enumerate(axes):
