@@ -68,12 +68,26 @@ def evaluate(e: Expr, point: Mapping):
         arrays = [n for n, v in point.items() if isinstance(v, np.ndarray)]
         names = (*arrays, *(n for n in point if n not in arrays))
         axes, args = len(arrays), tuple(point[n] for n in names)
-    kernel, layout = _cached(e, names, (_ARRAY, axes),
-                             lambda index: _generate(e, index, axes))
+    kernel, layout, _ = _kernel(e, names, axes)
     if not grid:
         return kernel(args, (None,) * len(layout))
     # an axis is 1 long along every dimension but its own
     return kernel(args, _BUFFERS.views(layout, tuple(a.size for a in args[:axes])))
+
+
+def can_raise(e: Expr, grid: OpenGrid) -> bool:
+    """Whether ``evaluate`` can raise ``EvaluationError`` on ``e`` over
+    ``grid``'s names: ``e`` holds a division, or a variable that ``grid``
+    does not bind.  Decided when the kernel is generated, not by the
+    values."""
+    return _kernel(e, tuple(grid), grid.axes)[2]
+
+
+def _kernel(e: Expr, names: tuple, axes: int):
+    """``e``'s array kernel over ``names``, the first ``axes`` of them
+    arrays, with its layout and whether it can raise, made at the first
+    request and kept on the tree."""
+    return _cached(e, names, (_ARRAY, axes), lambda index: _generate(e, index, axes))
 
 
 class _Buffers(threading.local):
@@ -111,8 +125,10 @@ _BUFFERS = _Buffers()
 
 def _generate(e: Expr, index: Mapping[str, int], axes: int):
     """The array kernel of ``e``, whose first ``axes`` names of ``index`` are
-    arrays, and its layout: a function of the argument tuple and one out
-    array (or None) per temporary, in the layout's order."""
+    arrays, its layout and whether it can raise: a function of the argument
+    tuple and one out array (or None) per temporary, in the layout's order,
+    whose body raises ``EvaluationError`` only where it checks a divisor or
+    meets a variable ``index`` lacks."""
     emitter = _ArrayEmitter(index, axes)
     result, _ = emitter.node(e)
     head = ["def kernel(arg, out):"]
@@ -120,7 +136,7 @@ def _generate(e: Expr, index: Mapping[str, int], axes: int):
         head.append("".join(f"o{v[1:]}, " for v, _, _ in emitter.temps) + "= out")
     source = "\n    ".join([*head, *emitter.lines, f"return {result}"])
     exec(compile(source, "<array kernel>", "exec"), emitter.namespace)
-    return emitter.namespace["kernel"], emitter.layout()
+    return emitter.namespace["kernel"], emitter.layout(), emitter.raises
 
 
 # the numpy function of each operation
@@ -136,6 +152,9 @@ class _ArrayEmitter(_Emitter):
         super().__init__(index, _ARRAY, axes)
         # the temporaries: value name, axes and the temporaries it reads
         self.temps: list[tuple[str, int, list[str]]] = []
+        # whether a line raises EvaluationError: a divisor's check, or a
+        # variable not in the index
+        self.raises = False
         self.namespace.update({f"_{name}": getattr(np, name)
                                for name in (*_UFUNCS.values(), "any")})
 
@@ -150,6 +169,7 @@ class _ArrayEmitter(_Emitter):
         if k == "var":
             self.variable(e, v)
             i = self.index.get(e.name)
+            self.raises |= i is None
             return v, (1 << i if i in self.dims else 0)
         emit = self.lines.append
         ops = [a for a, _ in kids]
@@ -159,6 +179,7 @@ class _ArrayEmitter(_Emitter):
         if k == "pow":
             ops.append(self.bind(e.exponent))
         elif k == "div":
+            self.raises = True
             c, mask = kids[1]
             emit(f"if _any({c} == 0.0): _division_by_zero()" if mask else
                  f"if {c} == 0.0: _division_by_zero()")

@@ -9,7 +9,14 @@ Two engines share one outcome type:
   as floats to a point and as ``(v, v)`` pairs to a box, and never bisected.
   A tree keeps its kernels, so a tree that many solves share compiles once,
   and a ``ConstraintSpec`` keeps its kernels with its bound values
-  appended, so a constraint that many solves share is bound once.
+  appended, so a constraint that many solves share is bound once.  With
+  them it keeps its analysis of the last root box a solve asked about: its
+  interval verdict and, where that leaves it undecided, its value at the
+  midpoint, its interval slopes and the box contracted to 0, the steps
+  below.  The root push reads them, so a cut that the lower-bounding solves
+  of a loop share, each from the box X and one cut more than the last, is
+  analysed there once per run, not once per later solve.  A child box is
+  new, so a child push makes the same steps afresh and keeps nothing.
   Incumbents are candidates that pass the ``tol_feas`` check: box midpoints
   and corners, the corners a contraction gives a box, and one secant step
   at the root.  The first one becomes the incumbent even if its value is
@@ -131,7 +138,7 @@ from .expr import (Expr, Interval, compile_expr, compile_gradient,  # noqa: F401
                    evaluate, evaluate_array, interval_eval)
 
 
-_BOUND = "_bound"  # the attribute of a spec that holds its bound kernels
+_BOUND = "_bound"  # the attribute of a spec that holds its bindings (_Binding)
 
 # the outcomes of a constraint's interval test on a box
 VIOLATED, UNDECIDED, SATISFIED = "violated", "undecided", "satisfied"
@@ -157,9 +164,14 @@ class ConstraintSpec:
 
     A spec keeps its bound kernels (``compile`` and ``contractor``), keyed by
     the box's names and the tolerance, as a tree keeps its compiled ones:
-    every solve of a spec after the first binds nothing.  The fields do not
-    change, so equality, hashing and ``repr`` ignore the kernels, and copies
-    and pickles leave them out."""
+    every solve of a spec after the first binds nothing.  With them it keeps
+    its analysis of the last root box a solve asked about (``_Binding``):
+    the interval verdict and, where that is undecided, the signed value at
+    the midpoint, the interval slopes and the box contracted to 0.  A solve
+    that starts from the same box reads them, so a cut that a loop's
+    lower-bounding solves share is analysed at their root once.  The fields
+    do not change, so equality, hashing and ``repr`` ignore the kernels and
+    the analysis, and copies and pickles leave them out."""
 
     expr: Expr
     sense: str = "le"
@@ -194,7 +206,8 @@ class ConstraintSpec:
         (``VIOLATED``), certified to satisfy it at every point (``SATISFIED``)
         or neither (``UNDECIDED``), by the signed value's interval.  Points
         and boxes are over ``names``; the tests append the bound values."""
-        return self._kernels(names, tol_feas)[:2]
+        k = self._binding(names, tol_feas)
+        return k.satisfied, k.decide
 
     def contractor(self, names: Sequence[str]):
         """A function of a box's ``(lo, hi)`` pairs over ``names`` and its
@@ -202,13 +215,13 @@ class ConstraintSpec:
         the midpoint, which passes ``satisfied`` exactly where it is at most
         the tolerance, and the signed value's interval gradient over the box
         (``expr.compile_gradient``, along ``names``)."""
-        return self._kernels(names, 0.0)[2]
+        return self._binding(names, 0.0).contractor
 
-    def _kernels(self, names: Sequence[str], tol_feas: float):
-        """``compile``'s two tests and the ``contractor``, over one binding
-        of the bound values, made at the first request and kept on the spec
-        (a frozen dataclass: the attribute goes straight into its
-        ``__dict__``, outside its fields)."""
+    def _binding(self, names: Sequence[str], tol_feas: float) -> "_Binding":
+        """The kernels over one binding of the bound values, made at the
+        first request and kept on the spec (a frozen dataclass: the
+        attribute goes straight into its ``__dict__``, outside its
+        fields)."""
         kept = self.__dict__.setdefault(_BOUND, {})
         key = (tuple(names), tol_feas)
         k = kept.get(key)
@@ -235,7 +248,48 @@ class ConstraintSpec:
             if sign < 0.0:
                 slopes = [(-hi, -lo) for lo, hi in slopes]
             return sign * point(mid + values), slopes
-        return lambda x: sign * point(x + values) <= tol_feas, decide, contractor
+        return _Binding(lambda x: sign * point(x + values) <= tol_feas,
+                        decide, contractor)
+
+
+class _Binding:
+    """A spec's kernels over one binding (``ConstraintSpec.compile`` and
+    ``contractor``), and its analysis of the last root box a solve asked
+    about, which a solve from the same box reads instead of making.
+
+    ``cut(bounds, mid)`` is the analysis of a box on which ``decide`` left
+    the constraint undecided: the signed value at the box's midpoint
+    ``mid``, its interval slopes and the box contracted to the target 0
+    (``_contract``, None where that is empty).  ``root_decide`` and
+    ``root_cut`` give the same answers, kept for the last root box: a box
+    is the same when its bounds are the same tuple object, which cannot
+    change (an equal tuple may hold a zero of the other sign), and the
+    entry is replaced whole, so it always holds one box's own answers."""
+
+    __slots__ = ("satisfied", "decide", "contractor", "_root")
+
+    def __init__(self, satisfied, decide, contractor):
+        self.satisfied, self.decide, self.contractor = satisfied, decide, contractor
+        self._root = (None, None, None)   # bounds, verdict, cut
+
+    def cut(self, bounds, mid):
+        value, slopes = self.contractor(bounds, mid)
+        return value, slopes, _contract(bounds, mid, value, slopes, 0.0)
+
+    def root_decide(self, bounds):
+        kept, verdict, _ = self._root
+        if kept is not bounds:
+            verdict = self.decide(bounds)
+            self._root = (bounds, verdict, None)
+        return verdict
+
+    def root_cut(self, bounds, mid):
+        # called where root_decide(bounds) is UNDECIDED; mid is the box's own
+        kept, _, cut = self._root
+        if kept is not bounds or cut is None:
+            cut = self.cut(bounds, mid)
+            self._root = (bounds, UNDECIDED, cut)
+        return cut
 
 
 @dataclass(frozen=True)
@@ -374,10 +428,14 @@ def minimize(objective: Expr,
     names = box.names
     pnames, values, pairs = _bind(names, parameters)
     obj_point, obj_interval = compile_expr(objective, (*names, *pnames))
-    kernels = [c._kernels(names, tol_feas) for c in constraints]
-    satisfied = [ok for ok, _, _ in kernels]
-    decide = [d for _, d, _ in kernels]
-    contractor = [c for _, _, c in kernels]
+    bindings = [c._binding(names, tol_feas) for c in constraints]
+    satisfied = [k.satisfied for k in bindings]
+    # each constraint's verdict on a box and, where it is undecided, its cut:
+    # the root's are read from the spec's analysis of the root box, which an
+    # earlier solve from the same box made, or made and kept there; a
+    # child's box is new, so its steps are made afresh and kept nowhere
+    at_root = [k.root_decide for k in bindings], [k.root_cut for k in bindings]
+    afresh = [k.decide for k in bindings], [k.cut for k in bindings]
 
     heap: list = []
     counter = itertools.count()
@@ -400,9 +458,13 @@ def minimize(objective: Expr,
             # the interval kernels round to nearest, so a constraint they
             # certified satisfied can still fail the point test by an ulp:
             # a new incumbent also passes the point tests outside ``active``
-            if all(ok(point) for j, ok in enumerate(satisfied) if j not in active):
-                best_val = v
-                best_pt = point
+            if len(active) < len(satisfied):
+                inside = set(active)
+                if not all(ok(point) for j, ok in enumerate(satisfied)
+                           if j not in inside):
+                    return
+            best_val = v
+            best_pt = point
 
     def settle(lb: float, retired: bool = False) -> bool:
         """Settle a node that ``split`` cannot cut, or one whose ``lb`` passes
@@ -444,12 +506,17 @@ def minimize(objective: Expr,
                         point[i] = r
         return tuple(point), mid
 
-    def push(b: BoxDomain, corners, active) -> bool:
+    def push(b: BoxDomain, corners, active, steps) -> bool:
         """Contract a box, bound it, then queue or settle it.  ``corners``
         are the box's corners not yet considered, ``active`` the constraints
-        not certified satisfied on its parent.  Returns False when the box is
-        certified infeasible, in which case nothing was considered."""
+        not certified satisfied on its parent, ``steps`` the constraints'
+        verdicts and cuts (``at_root`` or ``afresh``).  Returns False when
+        the box is certified infeasible, in which case nothing was
+        considered."""
         bounds = b.bounds
+        decide, cut = steps
+        # every verdict before any cut, so a violated constraint costs no
+        # gradient
         undecided = []
         for j in active:
             verdict = decide[j](bounds)
@@ -463,21 +530,22 @@ def minimize(objective: Expr,
         for j in undecided:
             # one point evaluation per constraint at mid serves both the
             # contraction and mid's feasibility test
-            value, slopes = contractor[j](bounds, mid)
-            passes = passes and value <= tol_feas
-            cuts.append((value, slopes))
+            c = cut[j](bounds, mid)   # value, slopes, box contracted to 0
+            passes = passes and c[0] <= tol_feas
+            cuts.append(c)
         # the box contracted to the exact target, or where the constraints'
         # boxes do not meet, to tol_feas, whose boxes hold the exact ones;
         # where those do not meet either, the box is certified infeasible
-        for target in (0.0, tol_feas):
+        contracted = bounds
+        for _, _, exact in cuts:
+            contracted = _meet(contracted, exact)
+        if contracted is None:
             contracted = bounds
-            for value, slopes in cuts:
+            for value, slopes, _ in cuts:
                 contracted = _meet(contracted,
-                                   _contract(bounds, mid, value, slopes, target))
-            if contracted is not None:
-                break
-        else:
-            return False
+                                   _contract(bounds, mid, value, slopes, tol_feas))
+            if contracted is None:
+                return False
         if passes:
             consider(mid, undecided, checked=True)
         for corner in corners:
@@ -509,7 +577,7 @@ def minimize(objective: Expr,
         return True
 
     push(box, itertools.product(*map(corner_values, box.bounds)),
-         range(len(constraints)))
+         range(len(constraints)), at_root)
     if heap:
         # the root did not settle: its queued box, contracted and reduced,
         # offers the secant step, which the first settle below then reads
@@ -544,8 +612,8 @@ def minimize(objective: Expr,
         plane = list(itertools.product(*[
             (mid,) if j == i else corner_values(p) for j, p in enumerate(b.bounds)]))
         plane = () if offered and len(plane) == 1 else plane
-        considered = push(left, plane, active)
-        push(right, () if considered else plane, active)
+        considered = push(left, plane, active, afresh)
+        push(right, () if considered else plane, active, afresh)
 
     if best_pt is None:
         if settled:
@@ -590,7 +658,8 @@ def grid_minimize(objective: Expr,
     A block evaluates its constraints first, in their order, and its
     objective last; once no point of the block passes, the trees still to
     come are skipped, except those that can raise ``EvaluationError``
-    (``_can_raise``), so an error surfaces whether or not a point passes.
+    (``arrays.can_raise``, decided when a tree's kernel is generated), so an
+    error surfaces whether or not a point passes.
 
     The minimum is the first in C order among the grid points that are
     feasible and whose value is not NaN, as a NaN never becomes
@@ -598,7 +667,7 @@ def grid_minimize(objective: Expr,
     """
     # arrays imports numpy: compiled first, its transient memory is reused
     # by numpy's import instead of adding to the process's peak
-    from .arrays import OpenGrid
+    from .arrays import OpenGrid, can_raise
 
     import numpy as np
 
@@ -619,8 +688,9 @@ def grid_minimize(objective: Expr,
     for _, bound, _ in trees:
         if not bound.keys().isdisjoint(axes):
             _bind(box.names, bound.items())   # raises, as minimize does
-    trees = [(e, OpenGrid(len(shape), {**axes, **bound}), test,
-              _can_raise(e, {*axes, *bound})) for e, bound, test in trees]
+    trees = [(e, OpenGrid(len(shape), {**axes, **bound}), test)
+             for e, bound, test in trees]
+    trees = [(e, env, test, can_raise(e, env)) for e, env, test in trees]
     best = None   # the first minimum so far: (value, flat index)
     for start in range(0, shape[0] if shape else 1, rows):
         # rows [start, start + rows) of the first axis; a box without axes
@@ -665,13 +735,3 @@ def grid_minimize(objective: Expr,
     point = {name: float(g.flat[i]) for name, g, i in zip(box.names, grid, idx)}
     return MinimizeOutcome("optimal", point, value)
 
-
-def _can_raise(e: Expr, bound) -> bool:
-    """Whether ``evaluate_array`` can raise ``EvaluationError`` on ``e`` with
-    the names ``bound`` bound: ``e`` holds a division, or a variable not
-    bound."""
-    if e.kind == "div":
-        return True
-    if e.kind == "var":
-        return e.name not in bound
-    return any(_can_raise(c, bound) for c in e.children)

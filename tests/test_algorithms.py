@@ -221,6 +221,22 @@ class TestCutsBuiltOnce:
         assert result.trace[-2].yset_size_after == 19
         assert counts == {"checked": 19, "bound": 19}
 
+    def test_each_cut_is_contracted_at_the_root_once(self, monkeypatch):
+        # every lower-bounding solve starts from the box X, and a cut keeps
+        # its analysis of it: 19 root contractions in 20 solves, one per
+        # cut, not 0 + 1 + ... + 19 = 190
+        problem = get_builtin("cex1")
+        contract, at_root = globalopt._contract, []
+
+        def contracting(bounds, mid, value, slopes, target):
+            if bounds is problem.X.bounds and target == 0.0:
+                at_root.append(bounds)
+            return contract(bounds, mid, value, slopes, target)
+        monkeypatch.setattr(globalopt, "_contract", contracting)
+        result = run(problem, AlgorithmConfig(variant=LLP_ONLY, max_iter=20))
+        assert result.trace[-2].yset_size_after == 19
+        assert len(at_root) == 19
+
 
 class TestMonotonicityAndValidity:
     @pytest.mark.parametrize("problem", [CEX1, CEX2])

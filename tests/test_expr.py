@@ -15,10 +15,11 @@ from conftest import (random_box, random_expr, reference_array, sample_point,
                       shrink_box)
 from gsiplab import arrays
 from gsiplab import expr as ex
+from gsiplab.domains import BoxDomain
 from gsiplab.expr import (EvaluationError, Interval, compile_expr,
                           compile_gradient, evaluate, evaluate_array,
                           interval_eval, substitute)
-from gsiplab.globalopt import ConstraintSpec
+from gsiplab.globalopt import ConstraintSpec, minimize
 
 x, y = ex.var("x"), ex.var("y")
 
@@ -551,7 +552,7 @@ class TestKernelCache:
     @given(expressions(consts=FINITE), st.booleans())
     def test_compiling_leaves_the_tree_as_it_was(self, e, constraint):
         # a constraint on the tree keeps the kernels a solve binds, as the
-        # tree keeps its compiled ones
+        # tree keeps its compiled ones, and its analysis of the solve's root
         if constraint:
             e = ConstraintSpec(e, "ge", (("y", -1.5),))
 
@@ -559,6 +560,10 @@ class TestKernelCache:
             """o's kernels, made or kept: a point kernel and a point for it."""
             if constraint:
                 o.contractor(("x",))
+                try:
+                    minimize(x, [o], BoxDomain([("x", -1.0, 1.0)]), node_budget=0)
+                except (ValueError, OverflowError, RuntimeError):
+                    pass
                 return o.compile(("x",), 1e-9)[0], (0.5,)
             compile_gradient(o, NAMES)
             return compile_expr(o, NAMES)[0], (0.5, -1.5)
@@ -688,7 +693,7 @@ class TestArrayKernel:
 
     def test_slots_are_the_most_temporaries_live_at_once(self):
         def slots(e, axes):
-            _, layout = arrays._generate(e, {n: i for i, n in enumerate(AXES)}, axes)
+            layout = arrays._generate(e, {n: i for i, n in enumerate(AXES)}, axes)[1]
             return len({s for s, _ in layout})
         # a chain over one axis works in one slot
         assert slots(-((x * 2.0 + 1.0) ** 3 - x), 1) == 1
