@@ -53,7 +53,7 @@ def _read_problem_file(path: str) -> gsip.GsipProblem:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read {path}: {e}") from None
     try:
         return parse_problem(text)
@@ -164,8 +164,11 @@ def cmd_run(args) -> int:
     result = algorithms.run(p, cfg)
     text = (_trace_csv if args.format == "csv" else _trace_json)(p, result)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write {args.output}: {e}") from None
     else:
         sys.stdout.write(text)
     print(f"status={result.status} "

@@ -2,18 +2,19 @@
 
 An expression is an immutable tree over named variables with the node kinds
 constant, variable, neg, add, sub, mul, div, integer power, and binary
-min/max.  One recursive walker evaluates a tree over two domains: floats
-(``evaluate``) and intervals (``interval_eval``, the natural interval
-extension).  The domains differ only in the value of a constant, in division,
-in power and in min and max; every other operation is a Python operator.
-Over numpy arrays, ``evaluate_array`` runs a generated array kernel
-(``gsiplab.arrays``), used by the grid oracle, which passes an open grid and
-lets broadcasting build the full grid.  Arrays are raised to a power with
-``np.float_power``, whose float64 loop calls C's ``pow`` per element, as
-Python's ``**`` does: numpy's ``**`` may run SIMD code that differs from
-``pow`` in the last bit, which would tie the oracle's values to the CPU.  Only
-the array kernels need numpy, and ``evaluate_array`` imports their module
-when called, so the rest of the package loads, and compiles, without either.
+min/max.  A recursive walker evaluates a tree over floats (``evaluate``); it
+takes its domain's value of a constant, division, power and min and max as
+arguments, and every other operation is a Python operator.  Over intervals,
+``interval_eval`` (the natural interval extension) runs the tree's generated
+interval kernel, the package's one interval evaluator.  Over numpy arrays,
+``evaluate_array`` runs a generated array kernel (``gsiplab.arrays``), used
+by the grid oracle, which passes an open grid and lets broadcasting build the
+full grid.  Arrays are raised to a power with ``np.float_power``, whose
+float64 loop calls C's ``pow`` per element, as Python's ``**`` does: numpy's
+``**`` may run SIMD code that differs from ``pow`` in the last bit, which
+would tie the oracle's values to the CPU.  Only the array kernels need numpy,
+and ``evaluate_array`` imports their module when called, so the rest of the
+package loads, and compiles, without either.
 
 ``compile_expr`` turns a tree into two kernels over one variable order, for
 callers that evaluate the same expression many times: a point kernel and an
@@ -22,17 +23,21 @@ compiled once with ``compile``.  The kernels are kept on the tree, keyed by
 the variable order, so a tree that lives for a whole run compiles once
 however many solves use it (``gsip`` builds one tree per problem function,
 and its subproblems pass the outer point as extra kernel arguments).  The
-kernels do the float operations of ``evaluate`` and ``interval_eval`` in
-the same order and raise the same exceptions, so their results are
-bit-identical (up to the sign bit of a NaN: when both operands of a float
-``+`` or ``*`` are NaNs, CPython 3.11 returns one or the other depending on
-whether it has specialized the instruction yet, in the walker too); they
-only drop the per-node calls and kind dispatch, the name lookups and the
-``Interval`` allocations, and compute a shared subtree once.  They share
-no code with the walker, which the tests use as their reference.  Nothing
-from the tree enters a kernel's source text: constants, exponents and the
-names of unknown variables reach it through its namespace, and variables
-are indices into its argument tuple.  ``compile_gradient`` generates a
+point kernel does the float operations of ``evaluate``, and the interval
+kernel those of the natural interval arithmetic, in the walker's order and
+raising the same exceptions, so their results are bit-identical to the
+walk's over floats and over intervals (up to the sign bit of a NaN: when
+both operands of a float ``+`` or ``*`` are NaNs, CPython 3.11 returns one
+or the other depending on whether it has specialized the instruction yet,
+in the walker too); they only drop the per-node calls and kind dispatch,
+the name lookups and the interval allocations, and compute a shared subtree
+once.  They share no code with the walker.  The tests keep the walks as
+their references: ``evaluate`` for the point kernel, and for the interval
+kernel the walk over intervals with their arithmetic
+(``tests/conftest.py::reference_interval``).  Nothing from the tree enters
+a kernel's source text: constants, exponents and the names of unknown
+variables reach it through its namespace, and variables are indices into
+its argument tuple.  ``compile_gradient`` generates a
 third kernel the same way: a forward-mode interval gradient, whose value
 lines are the interval kernel's and whose derivative lines are straight-line
 code too, each node's rule written out coordinate by coordinate, along the
@@ -62,7 +67,8 @@ class EmptyIntervalError(ValueError):
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] of reals."""
+    """Closed interval [lo, hi] of reals: a bracket, with no arithmetic (the
+    interval kernels compute on bare ``(lo, hi)`` pairs)."""
 
     lo: float
     hi: float
@@ -80,43 +86,6 @@ class Interval:
 
     def encloses(self, other: "Interval", slack: float = 0.0) -> bool:
         return self.lo - slack <= other.lo and other.hi <= self.hi + slack
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        p = (self.lo * other.lo, self.lo * other.hi,
-             self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(p), max(p))
-
-    def divide(self, other: "Interval") -> "Interval":
-        if other.lo <= 0.0 <= other.hi:
-            raise EvaluationError("division by an interval containing zero")
-        return self * Interval(1.0 / other.hi, 1.0 / other.lo)
-
-    def __pow__(self, n: int) -> "Interval":
-        if n == 0:
-            return Interval(1.0, 1.0)
-        if n % 2 == 1:
-            return Interval(self.lo ** n, self.hi ** n)
-        # even power: tighten to [0, max^n] when the interval straddles zero
-        hi_abs = max(abs(self.lo), abs(self.hi))
-        if self.lo <= 0.0 <= self.hi:
-            return Interval(0.0, hi_abs ** n)
-        lo_abs = min(abs(self.lo), abs(self.hi))
-        return Interval(lo_abs ** n, hi_abs ** n)
-
-    def min_with(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
-
-    def max_with(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
 
 
 _ARITIES = {
@@ -229,7 +198,9 @@ def emax(a: Expr, b: Expr) -> Expr:
 
 def _walker(constant: Callable, divide: Callable, power: Callable,
             minimum: Callable, maximum: Callable) -> Callable:
-    """The one recursive evaluator, over one domain of values.
+    """The one recursive evaluator, over one domain of values: floats for
+    ``evaluate``; the tests walk arrays and intervals with it, as the
+    references of the array and interval kernels.
 
     neg, add, sub and mul are the domain's Python operators; the arguments
     supply the rest: the value of a constant, division (with its zero
@@ -277,8 +248,6 @@ def _float_div(a: float, b: float) -> float:
 
 
 _evaluate = _walker(_same, _float_div, pow, min, max)
-_interval_eval = _walker(lambda v: Interval(v, v), Interval.divide, pow,
-                         Interval.min_with, Interval.max_with)
 
 
 def evaluate(e: Expr, point: Mapping[str, float]) -> float:
@@ -295,14 +264,19 @@ def evaluate_array(e: Expr, point: Mapping[str, np.ndarray]):
 
 
 def interval_eval(e: Expr, box) -> Interval:
-    """Natural interval extension over a box.
+    """Natural interval extension over a box, by ``e``'s interval kernel
+    (``compile_expr``) over the box's names.
 
-    `box` is either a mapping name -> Interval or an object exposing
-    ``intervals()`` returning such a mapping (e.g. BoxDomain).
+    ``box`` is a ``BoxDomain``, whose names and bounds the kernel takes as
+    they are, or a mapping name -> Interval, whose names it takes in the
+    mapping's order.
     """
-    if not isinstance(box, Mapping):
-        box = box.intervals()
-    return _interval_eval(e, box)
+    if isinstance(box, Mapping):
+        names = tuple(box)
+        bounds = tuple((v.lo, v.hi) for v in box.values())
+    else:
+        names, bounds = box.names, box.bounds
+    return Interval(*compile_expr(e, names)[1](bounds))
 
 
 def substitute(e: Expr, bindings: Mapping[str, float]) -> Expr:
@@ -330,9 +304,10 @@ def compile_expr(e: Expr, names: Sequence[str]) -> tuple[Callable, Callable]:
 
     The point kernel maps a tuple of floats (one per name) to a float, like
     ``evaluate``.  The interval kernel maps a tuple of ``(lo, hi)`` pairs to
-    a ``(lo, hi)`` pair, like ``interval_eval``, without building
-    ``Interval`` objects.  Each kernel is one generated function of
-    straight-line code (``_generate``).  A variable outside ``names``
+    the ``(lo, hi)`` pair of the natural interval extension, without
+    building ``Interval`` objects (``interval_eval`` wraps its pair in one).
+    Each kernel is one generated function of straight-line code
+    (``_generate``).  A variable outside ``names``
     compiles to a line that raises ``EvaluationError`` when it is reached,
     as ``evaluate`` would.
 
@@ -517,11 +492,12 @@ class _Emitter:
     # Every pair an interval kernel computes is a valid interval (lo <= hi,
     # no NaN), the invariant Interval.__post_init__ enforces.  neg, min and
     # max map valid intervals to valid ones; every other node checks its
-    # result wherever the Interval constructor would (add, sub, mul and div
-    # can meet inf - inf or inf * 0).
+    # result, where the reference walk builds an Interval (add, sub, mul and
+    # div can meet inf - inf or inf * 0).
     def interval(self, e: Expr, kids, n: int) -> tuple[str, str]:
-        """``Interval``'s operations on bare floats, as ``interval_eval``
-        applies them."""
+        """The natural interval arithmetic on bare floats, operation by
+        operation as the tests' reference walk over intervals
+        (``tests/conftest.py::reference_interval``) computes it."""
         k = e.kind
         emit = self.lines.append
         if k == "const":
@@ -573,7 +549,7 @@ class _Emitter:
 
     def power(self, lo: str, hi: str, al: str, ah: str, n: int) -> None:
         """``lo, hi = `` the pair ``(al, ah)`` to the power ``n``, as
-        ``Interval.__pow__`` computes it, written out for this ``n``: 1 for
+        ``reference_interval`` computes it, written out for this ``n``: 1 for
         ``n == 0``; for odd ``n`` the ends' powers; for even ``n`` 0 and the
         larger magnitude's power where the pair straddles 0, else the ends'
         powers, of their magnitudes where both are negative."""
@@ -599,9 +575,9 @@ class _Emitter:
         emit(f"if not {lo} <= {hi}: _empty({lo}, {hi})")
 
     def products(self, lo: str, hi: str, a, c) -> None:
-        """``Interval.__mul__``'s min and max of the products of ``a``'s and
-        ``c``'s ends, scanned in the order of the builtins, so that ties and
-        NaNs resolve identically."""
+        """The min and max of the products of ``a``'s and ``c``'s ends, as
+        ``reference_interval`` takes them with the builtins, scanned in their
+        order, so that ties and NaNs resolve identically."""
         first, *rest = [f"{p} * {q}" for p in a for q in c]
         self.lines.append(f"{lo} = {hi} = {first}")
         for product in rest:

@@ -3,10 +3,12 @@
 Two engines share one outcome type:
 
 * ``minimize`` -- deterministic best-first interval branch-and-bound over
-  compiled kernels (``expr.compile_expr``), bit-identical to the recursive
-  evaluators.  The kernels take the box's variables, then the bound values
-  (``parameters``): variables held fixed, which are appended to every call,
-  as floats to a point and as ``(v, v)`` pairs to a box, and never bisected.
+  compiled kernels (``expr.compile_expr``), which the tests pin bit for bit
+  to the recursive walks over floats and intervals (``expr.evaluate`` and
+  ``tests/conftest.py::reference_interval``).  The kernels take the box's
+  variables, then the bound values (``parameters``): variables held fixed,
+  which are appended to every call, as floats to a point and as ``(v, v)``
+  pairs to a box, and never bisected.
   A tree keeps its kernels, so a tree that many solves share compiles once,
   and a ``ConstraintSpec`` keeps its kernels with its bound values
   appended, so a constraint that many solves share is bound once.  With

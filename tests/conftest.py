@@ -31,6 +31,59 @@ def reference_array(e: ex.Expr, env):
                       np.maximum)(e, env)
 
 
+class ReferenceInterval(ex.Interval):
+    """An ``Interval`` with the natural interval arithmetic, operation by
+    operation as the interval kernels compute it: each result is a new
+    ``ReferenceInterval``, whose constructor raises ``EmptyIntervalError``
+    where the kernels check their pairs."""
+
+    def __add__(self, other):
+        return ReferenceInterval(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other):
+        return ReferenceInterval(self.lo - other.hi, self.hi - other.lo)
+
+    def __neg__(self):
+        return ReferenceInterval(-self.hi, -self.lo)
+
+    def __mul__(self, other):
+        p = (self.lo * other.lo, self.lo * other.hi,
+             self.hi * other.lo, self.hi * other.hi)
+        return ReferenceInterval(min(p), max(p))
+
+    def divide(self, other):
+        if other.lo <= 0.0 <= other.hi:
+            raise ex.EvaluationError("division by an interval containing zero")
+        return self * ReferenceInterval(1.0 / other.hi, 1.0 / other.lo)
+
+    def __pow__(self, n):
+        if n == 0:
+            return ReferenceInterval(1.0, 1.0)
+        if n % 2 == 1:
+            return ReferenceInterval(self.lo ** n, self.hi ** n)
+        # even power: tighten to [0, max^n] when the interval straddles zero
+        hi_abs = max(abs(self.lo), abs(self.hi))
+        if self.lo <= 0.0 <= self.hi:
+            return ReferenceInterval(0.0, hi_abs ** n)
+        lo_abs = min(abs(self.lo), abs(self.hi))
+        return ReferenceInterval(lo_abs ** n, hi_abs ** n)
+
+    def min_with(self, other):
+        return ReferenceInterval(min(self.lo, other.lo), min(self.hi, other.hi))
+
+    def max_with(self, other):
+        return ReferenceInterval(max(self.lo, other.lo), max(self.hi, other.hi))
+
+
+def reference_interval(e: ex.Expr, env):
+    """The recursive walk over intervals, the interval kernels' bit-for-bit
+    reference: ``expr``'s walker with ``ReferenceInterval``'s arithmetic.
+    ``env`` maps each name to its ``(lo, hi)`` pair."""
+    return ex._walker(lambda v: ReferenceInterval(v, v), ReferenceInterval.divide,
+                      pow, ReferenceInterval.min_with, ReferenceInterval.max_with)(
+        e, {n: ReferenceInterval(*b) for n, b in env.items()})
+
+
 def random_expr(rng: random.Random, names, depth: int, allow_div: bool = True):
     """Random well-formed expression tree over the given variable names."""
     if depth == 0 or rng.random() < 0.3:

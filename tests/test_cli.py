@@ -151,6 +151,37 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: --grid")
 
 
+def _console(*argv) -> subprocess.CompletedProcess:
+    """``gsiplab *argv`` in a new interpreter, as the console script runs it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "gsiplab.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def _assert_one_error_line(proc: subprocess.CompletedProcess, start: str):
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {start}"), proc.stderr
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("command", [["fmt"], ["run", "--file"],
+                                         ["verify", "--file"]],
+                             ids=["fmt", "run", "verify"])
+    def test_a_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, command):
+        src = tmp_path / "latin1.gsip"
+        src.write_bytes(b'problem "a\xff"\n')
+        proc = _console(*command, str(src))
+        _assert_one_error_line(proc, f"cannot read {src}: 'utf-8' codec can't decode")
+
+    def test_an_unwritable_output_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        proc = _console("run", "--problem", "cex1", "--output", str(out))
+        _assert_one_error_line(proc, f"cannot write {out}: ")
+        assert proc.stdout == "" and not out.parent.exists()
+
+
 # one problem-file defect each, and the message that names it
 INVALID_FILES = [
     ("outer x in [-1, 1]\ninner y in [-1, 1]\nobjective: -x\ng: y\nh: x\n",

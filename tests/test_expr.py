@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_box, random_expr, reference_array, sample_point,
-                      shrink_box)
+from conftest import (ReferenceInterval, random_box, random_expr, reference_array,
+                      reference_interval, sample_point, shrink_box)
 from gsiplab import arrays
 from gsiplab import expr as ex
 from gsiplab.domains import BoxDomain
@@ -72,6 +72,16 @@ class TestIntervalEvaluation:
     def test_odd_power(self):
         assert interval_eval(x ** 3, {"x": Interval(-2, 1)}) == Interval(-8.0, 1.0)
 
+    def test_interval_is_a_bracket_without_arithmetic(self):
+        # the interval kernels are the one interval arithmetic
+        a = Interval(0, 1)
+        with pytest.raises(TypeError):
+            a + a
+        with pytest.raises(TypeError):
+            a * a
+        with pytest.raises(TypeError):
+            -a
+
 
 class TestStructuralInvariants:
     def test_pow_rejects_negative_exponent(self):
@@ -130,7 +140,7 @@ class TestFuzzProperties:
             assert evaluate(ex.emax(a, b), p) == max(va, vb)
 
 
-# -- compiled kernels against the recursive evaluators -------------------------
+# -- compiled kernels against the recursive walks ------------------------------
 
 NAMES = ("x", "y")   # "z" appears in expressions but not in the variable order
 # few distinct values make ties (min/max, signed zeros) and overflow common
@@ -215,8 +225,7 @@ class TestCompiledKernels:
     @example(ex.mul(x, y), ((0.0, 1.0), (-1.0, 1.0)))
     @example(ex.mul(y, x), ((0.0, 1.0), (-1.0, 1.0)))
     def test_interval_kernel_is_bit_identical(self, e, box):
-        want = _outcome(interval_eval, e,
-                        {n: Interval(lo, hi) for n, (lo, hi) in zip(NAMES, box)})
+        want = _outcome(reference_interval, e, dict(zip(NAMES, box)))
         if isinstance(want, Interval):
             want = (want.lo, want.hi)
         got = _outcome(compile_expr(e, NAMES)[1], box)
@@ -242,7 +251,7 @@ class TestCompiledKernels:
     def test_names_and_constants_stay_out_of_the_source(self):
         # none of these names is an identifier, and none of these constants
         # has a repr that reads back as itself, so a kernel compiles and
-        # agrees with the walker only if they reach it through its namespace
+        # agrees with the walks only if they reach it through its namespace
         names = ("x y", "#level", "1x")
         u, w, t = map(ex.var, names)
         nan, inf, nzero = ex.const(math.nan), ex.const(math.inf), ex.const(-0.0)
@@ -265,14 +274,45 @@ class TestCompiledKernels:
                 want = outcome(evaluate, e, dict(zip(names, p)))
                 assert _bits(outcome(point, p)) == _bits(want)
             for b in boxes:
-                want = outcome(interval_eval, e,
-                               {n: Interval(lo, hi) for n, (lo, hi) in zip(names, b)})
+                want = outcome(reference_interval, e, dict(zip(names, b)))
                 if isinstance(want, Interval):
                     want = (_bits(want.lo), _bits(want.hi))
                     assert tuple(map(_bits, outcome(interval, b))) == want
                     assert tuple(map(_bits, outcome(gradient, b)[0])) == want
                 else:
                     assert outcome(interval, b) == outcome(gradient, b) == want
+
+
+class TestIntervalEvalRunsTheKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(expressions(), bounds())
+    # ends that are zeros of either sign
+    @example(-x, ((0.0, 0.0), (-1.0, 1.0)))
+    @example(ex.const(-0.0) * y - x, ((-0.0, 0.0), (-0.0, -0.0)))
+    @example(ex.emin(x, y), ((-0.0, -0.0), (0.0, 0.0)))
+    def test_a_box_and_its_intervals_give_the_same_bits(self, e, pairs):
+        box = BoxDomain((n, lo, hi) for n, (lo, hi) in zip(NAMES, pairs))
+
+        def outcome(over):
+            got = _outcome(interval_eval, e, over)
+            return (_bits(got.lo), _bits(got.hi)) if isinstance(got, Interval) else got
+        assert outcome(box) == outcome(box.intervals())
+
+    def test_a_signed_zero_end_is_kept(self):
+        box = BoxDomain([("x", 0.0, 0.0), ("y", -1.0, 1.0)])
+        got = interval_eval(-x, box)
+        assert (_bits(got.lo), _bits(got.hi)) == (_bits(-0.0), _bits(-0.0))
+
+    def test_a_repeated_call_compiles_nothing(self):
+        e = (x - y) ** 2 + x
+        box = BoxDomain([("x", -1.0, 1.0), ("y", 0.0, 2.0)])
+        first = interval_eval(e, box)
+        kernels = e.__dict__["_kernels"]
+        size = len(kernels)
+        assert interval_eval(e, box) == first
+        assert interval_eval(e, box.intervals()) == first
+        assert len(e.__dict__["_kernels"]) == size
+        assert compile_expr(e, box.names) in kernels.values()
 
 
 # -- the gradient kernel ----------------------------------------------------------
@@ -329,8 +369,9 @@ def _inside(lo, hi, t):
     return min(max(lo + t * (hi - lo), lo), hi)
 
 
-# A small forward-mode reference for the gradient kernel, as the walker is the
-# reference for the point and interval kernels.  A node's rule maps its value
+# A small forward-mode reference for the gradient kernel, as the walks over
+# floats and intervals (``evaluate``, ``reference_interval``) are the references
+# for the point and interval kernels.  A node's rule maps its value
 # and its children's values and gradients to its gradient.  The derivative
 # arithmetic never raises: a NaN, from inf * 0 or inf - inf, means the sign is
 # unknown, so it widens to the entire line.
@@ -392,7 +433,7 @@ def _derivative(e):
             return lambda v, a, da: tuple((0.0, 0.0) for _ in da)
 
         def pow_(v, a, da):
-            u = Interval(*a) ** (n - 1)
+            u = ReferenceInterval(*a) ** (n - 1)
             factor = (n * u.lo, n * u.hi)
             return tuple(_dmul(factor, p) for p in da)
         return pow_
@@ -416,12 +457,12 @@ def _derivative(e):
 
 def _reference_gradient(e, names, box):
     """``compile_gradient(e, names)(box)`` by recursion: children first, then
-    the node's value by ``interval_eval`` and its gradient by its rule."""
-    env = {n: Interval(lo, hi) for n, (lo, hi) in zip(names, box)}
+    the node's value by ``reference_interval`` and its gradient by its rule."""
+    env = dict(zip(names, box))
 
     def walk(e):
         kids = [walk(c) for c in e.children]
-        v = interval_eval(e, env)
+        v = reference_interval(e, env)
         v = (v.lo, v.hi)
         if e.kind == "var":
             return v, tuple((1.0, 1.0) if n == e.name else (0.0, 0.0) for n in names)
