@@ -14,7 +14,6 @@ through ``_solve_at_least``, which reads only the certified ``value_bounds.lo``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .expr import evaluate
@@ -22,6 +21,7 @@ from .globalopt import ConstraintSpec, MinimizeOutcome, check_tolerances, minimi
 from .gsip import (LEVEL, GsipProblem, SlaterCertificate, SubproblemInstance,
                    build_aux_llp, build_llp, build_lower_bounding,
                    build_sip_llp, check_point)
+from .immutable import frozen
 
 LLP_ONLY = "llp-only"
 AUX_LLP = "aux-llp"
@@ -33,7 +33,7 @@ TIE_BREAKS = ("solver", "min-y", "max-y")
 _DUP_TOL = 1e-12  # per-coordinate tolerance for duplicate-cut / stalled-x detection
 
 
-@dataclass(frozen=True)
+@frozen
 class AlgorithmConfig:
     variant: str = SIP_LLP
     alpha: float = 0.95
@@ -58,7 +58,7 @@ class AlgorithmConfig:
             raise ValueError(f"aux_tie_break must be one of {TIE_BREAKS}")
 
 
-@dataclass(frozen=True)
+@frozen
 class IterateRecord:
     k: int
     x: dict[str, float]
@@ -76,7 +76,7 @@ STALLED = "stalled"
 ITERATION_CAP = "iteration_cap"
 
 
-@dataclass(frozen=True)
+@frozen
 class RunResult:
     trace: tuple[IterateRecord, ...]
     status: str

@@ -10,10 +10,10 @@ Exit codes: 0 success, 2 usage error, 3 solver error.
 """
 from __future__ import annotations
 
+# problem_format, csv and json are imported by the commands that use them,
+# so that `gsiplab list` loads none of them
 import argparse
-import csv
 import io
-import json
 import sys
 from typing import Optional
 
@@ -21,8 +21,6 @@ from . import algorithms, gsip
 from .expr import EmptyIntervalError, EvaluationError
 from .globalopt import (MinimizeOutcome, NodeBudgetExceeded, UndecidedError,
                         grid_minimize)
-from .problem_format import (ProblemSyntaxError, ProblemValidationError,
-                             parse_problem, serialize_problem)
 
 
 class UsageError(Exception):
@@ -50,6 +48,8 @@ def _fmt_point(pt: Optional[dict]) -> str:
 
 
 def _read_problem_file(path: str) -> gsip.GsipProblem:
+    from .problem_format import (ProblemSyntaxError, ProblemValidationError,
+                                 parse_problem)
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -111,6 +111,7 @@ def _config_from_args(args, p: gsip.GsipProblem) -> algorithms.AlgorithmConfig:
 
 
 def _trace_csv(p: gsip.GsipProblem, result: algorithms.RunResult) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["k"] + [f"x_{n}" for n in p.X.names] + [
@@ -133,6 +134,8 @@ def _trace_csv(p: gsip.GsipProblem, result: algorithms.RunResult) -> str:
 
 
 def _trace_json(p: gsip.GsipProblem, result: algorithms.RunResult) -> str:
+    import json
+
     def point(pt):
         return None if pt is None else {n: _real(pt[n]) for n in sorted(pt)}
 
@@ -231,6 +234,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_fmt(args) -> int:
+    from .problem_format import serialize_problem
     sys.stdout.write(serialize_problem(_read_problem_file(args.file)))
     return 0
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .expr import Interval
+from .immutable import frozen
 
 
 # a box no wider than this is not cut
@@ -52,7 +52,7 @@ def split(bounds) -> Optional[tuple[int, float]]:
     return (i, mid) if widths[i] > MIN_WIDTH and lo < mid < hi else None
 
 
-@dataclass(frozen=True)
+@frozen
 class BoxDomain:
     """Ordered list of (variable name, lo, hi) with lo <= hi and unique names."""
 

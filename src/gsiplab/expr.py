@@ -49,8 +49,9 @@ the fourth, generated by a subclass of the same emitter (``gsiplab.arrays``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+
+from .immutable import frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,7 +66,7 @@ class EmptyIntervalError(ValueError):
     inf * 0 in interval arithmetic produce."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Interval:
     """Closed interval [lo, hi] of reals: a bracket, with no arithmetic (the
     interval kernels compute on bare ``(lo, hi)`` pairs)."""
@@ -94,7 +95,7 @@ _ARITIES = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class Expr:
     """Immutable expression node.  Build via the constructor helpers below."""
 
@@ -348,7 +349,7 @@ _KERNELS = "_kernels"  # the attribute of a tree that holds its compiled kernels
 
 def _cached(e: Expr, names: Sequence[str], kind, build: Callable):
     """The kernels of ``kind`` of ``e`` over ``names``, built from the name
-    index at the first request and kept on ``e`` (a frozen dataclass: the
+    index at the first request and kept on ``e`` (a ``@frozen`` value: the
     attribute goes straight into its ``__dict__``, outside its fields)."""
     kernels = e.__dict__.setdefault(_KERNELS, {})
     key = (kind, tuple(names))
@@ -439,7 +440,7 @@ class _Emitter:
         # are not reused while the tree is alive
         out = self.memo.get(id(e))
         if out is None:
-            kids = [self.node(c) for c in e.children]
+            kids = list(map(self.node, e.children))   # one frame per level
             out = self.memo[id(e)] = self.value(e, kids, len(self.memo))
         return out
 

@@ -129,7 +129,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .domains import BoxDomain, _validated, corner_values, midpoint_value, split
@@ -138,6 +137,7 @@ from .domains import BoxDomain, _validated, corner_values, midpoint_value, split
 # through these names
 from .expr import (Expr, Interval, compile_expr, compile_gradient,  # noqa: F401
                    evaluate, evaluate_array, interval_eval)
+from .immutable import frozen
 
 
 _BOUND = "_bound"  # the attribute of a spec that holds its bindings (_Binding)
@@ -154,7 +154,7 @@ class UndecidedError(RuntimeError):
     """Branch-and-bound found no feasible point but settled some boxes."""
 
 
-@dataclass(frozen=True)
+@frozen
 class ConstraintSpec:
     """Inequality ``expr <= 0`` (sense "le") or ``expr >= 0`` (sense "ge").
 
@@ -221,7 +221,7 @@ class ConstraintSpec:
 
     def _binding(self, names: Sequence[str], tol_feas: float) -> "_Binding":
         """The kernels over one binding of the bound values, made at the
-        first request and kept on the spec (a frozen dataclass: the
+        first request and kept on the spec (a ``@frozen`` value: the
         attribute goes straight into its ``__dict__``, outside its
         fields)."""
         kept = self.__dict__.setdefault(_BOUND, {})
@@ -294,7 +294,7 @@ class _Binding:
         return cut
 
 
-@dataclass(frozen=True)
+@frozen
 class MinimizeOutcome:
     """``value_bounds`` is present exactly when the solver proved it."""
 

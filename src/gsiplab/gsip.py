@@ -20,7 +20,6 @@ once per run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
@@ -30,6 +29,7 @@ from .domains import BoxDomain
 # bound here because bench/tracer.py counts the calls made through this name
 from .expr import Expr, substitute  # noqa: F401
 from .globalopt import ConstraintSpec
+from .immutable import frozen
 
 
 class DomainError(ValueError):
@@ -43,7 +43,7 @@ _POINT_SLACK = 1e-9  # solver minimizers may sit a rounding step outside faces
 LEVEL = "#level"
 
 
-@dataclass(frozen=True)
+@frozen
 class GsipProblem:
     name: str
     X: BoxDomain
@@ -116,7 +116,7 @@ class GsipProblem:
         return y, -y
 
 
-@dataclass(frozen=True)
+@frozen
 class SlaterCertificate:
     x_s: dict[str, float]
     epsilon: float
@@ -129,7 +129,7 @@ class SlaterCertificate:
             raise ValueError("delta must be > 0")
 
 
-@dataclass(frozen=True)
+@frozen
 class SubproblemInstance:
     """A box-constrained minimization ready for globalopt: ``parameters``
     are the objective's bound values, ``(name, value)`` pairs in the order of

@@ -1,0 +1,69 @@
+"""Immutable value classes, declared by their annotated fields.
+
+``@frozen`` reads a class's annotated fields, in order, and their defaults
+(class attributes, as in a function signature), and gives the class
+
+* ``__init__``: the fields as parameters, with their defaults; one
+  ``object.__setattr__`` per field, then ``__post_init__`` where the class
+  has one.  It is written as straight-line source and compiled once per
+  class;
+* ``__eq__``: equal field tuples within one class, ``NotImplemented``
+  against anything else; ``__hash__``: the hash of the field tuple;
+* ``__repr__``: ``Name(field=value!r, ...)``;
+* ``__setattr__`` and ``__delattr__``, which raise ``AttributeError``;
+* ``__match_args__``: the field names, in order.
+
+A method the class defines itself stays.  The fields live in the instance
+``__dict__``, so ``functools.cached_property``, ``copy`` and ``pickle``
+work, and a class may keep derived values there (writing to ``__dict__``
+directly) outside its fields.
+"""
+
+
+def frozen(cls):
+    names = tuple(cls.__annotations__)
+    namespace = {"_setattr": object.__setattr__}
+    params = []
+    for n in names:
+        if n in cls.__dict__:
+            namespace[f"_default_{n}"] = cls.__dict__[n]
+            params.append(f"{n}=_default_{n}")
+        else:
+            params.append(n)
+    mine = "".join(f"self.{n}, " for n in names)
+    theirs = "".join(f"other.{n}, " for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    # object.__setattr__ keeps the values inline in the instance (CPython
+    # 3.11+), where reads are fastest and no dict is allocated per value;
+    # writing to self.__dict__ would make one
+    source = "\n".join([
+        f"def __init__(self, {', '.join(params)}):",
+        *(f"    _setattr(self, {n!r}, {n})" for n in names),
+        "    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({mine}) == ({theirs})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({mine}))",
+        "def __repr__(self):",
+        f"    return f'{{self.__class__.__qualname__}}({shown})'",
+    ])
+    exec(compile(source, f"<frozen {cls.__qualname__}>", "exec"), namespace)
+    methods = {"__setattr__": _refuse_assignment, "__delattr__": _refuse_deletion,
+               "__match_args__": names}
+    for m in ("__init__", "__eq__", "__hash__", "__repr__"):
+        methods[m] = namespace[m]
+        methods[m].__qualname__ = f"{cls.__qualname__}.{m}"
+    for m, value in methods.items():
+        if m not in cls.__dict__:
+            setattr(cls, m, value)
+    return cls
+
+
+def _refuse_assignment(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -17,7 +16,8 @@ from gsiplab.globalopt import MinimizeOutcome
 from gsiplab.problem_format import MAX_DEPTH, parse_problem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-LLP_INFEASIBLE = Path(__file__).with_name("golden") / "llp_infeasible.gsip"
+GOLDEN = Path(__file__).with_name("golden")
+LLP_INFEASIBLE = GOLDEN / "llp_infeasible.gsip"
 
 CEX1_TEXT = """\
 problem "mine"
@@ -317,8 +317,9 @@ class TestResolveInitial:
             variant=algorithms.AUX_LLP, alpha=0.5, tol_feas=1e-7, tol_opt=1e-8,
             max_iter=7, initial_yset=({"y": 0.25},), aux_tie_break="max-y")
         # a field left at its default could not show that its flag was dropped
-        for f in dataclasses.fields(cfg):
-            assert getattr(cfg, f.name) != f.default, f.name
+        defaults = algorithms.AlgorithmConfig()
+        for name in algorithms.AlgorithmConfig.__match_args__:
+            assert getattr(cfg, name) != getattr(defaults, name), name
 
     def test_wrong_component_count(self, capsys):
         assert main(["run", "--problem", "cex1", "--initial-y", "0.1,0.2"]) == 2
@@ -527,6 +528,24 @@ assert out.minimizer == {{"x": 1.0}}, out
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("args,unwanted", [
+        (["list"], ["dataclasses", "inspect", "gsiplab.problem_format",
+                    "json", "csv"]),
+        (["fmt", str(GOLDEN / "cex1.gsip")], ["dataclasses", "inspect"]),
+    ], ids=["list", "fmt"])
+    def test_a_command_imports_only_what_it_runs(self, args, unwanted):
+        # each of these costs start-up time in every command that loads it;
+        # -S leaves out what the site hooks of an installation import
+        proc = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "gsiplab.cli", *args],
+            cwd=SRC, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "gsiplab.algorithms" in imported
+        assert not imported & set(unwanted)
 
     def test_fmt_rejects_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.gsip"

@@ -241,6 +241,20 @@ class TestCompiledKernels:
         assert point((1.0, 3.0)) == evaluate(e, {"x": 1.0, "y": 3.0}) == 8.0
         assert interval(((0.0, 1.0), (-1.0, 1.0))) == (0.0, 8.0)
 
+    def test_a_chain_of_900_levels_compiles(self):
+        # the emitter takes one frame per tree level, as the walker does, so
+        # a chain nearly as deep as evaluate takes compiles at the default
+        # recursion limit
+        e = x
+        for _ in range(900):
+            e = ex.add(e, ex.const(1.0))
+        point, interval = compile_expr(e, ("x",))
+        assert point((0.5,)) == evaluate(e, {"x": 0.5}) == 900.5
+        assert interval(((0.0, 1.0),)) == (900.0, 901.0)
+        assert compile_gradient(e, ("x",))(((0.0, 1.0),)) == (
+            (900.0, 901.0), ((1.0, 1.0),))
+        assert interval_eval(e, {"x": Interval(0.0, 1.0)}) == Interval(900.0, 901.0)
+
     def test_unknown_variable_raises_only_when_reached(self):
         point, interval = compile_expr(ex.emin(x, ex.var("z")), ("x",))
         with pytest.raises(EvaluationError):
