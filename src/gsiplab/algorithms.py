@@ -11,12 +11,17 @@ Three variants differ only in how the growing discretization set is fed:
 Every iteration is recorded so failures can be inspected after the fact.
 Every subproblem solve of the lab is made here; every decision on one goes
 through ``_solve_at_least``, which reads only the certified ``value_bounds.lo``.
+The float checks made outside the solver -- ``diagnose_trace``'s sign tests,
+the tie-broken aux record and ``verify_slater``'s f(x_s) -- go through the
+trees' compiled point kernels (``expr.compile_expr``), which give the floats
+of ``expr.evaluate`` bit for bit, over the orders the solves already compiled:
+a tree and its bound values follow the box of the solve that binds them.
 """
 from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .expr import evaluate
+from .expr import Expr, compile_expr
 from .globalopt import ConstraintSpec, MinimizeOutcome, check_tolerances, minimize
 from .gsip import (LEVEL, GsipProblem, SlaterCertificate, SubproblemInstance,
                    build_aux_llp, build_llp, build_lower_bounding,
@@ -111,10 +116,16 @@ def verify_slater(p: GsipProblem, cert: SlaterCertificate, f_star: float,
     """Check the near-optimal interior-margin condition: f(x_s) <= f_star + eps
     and min over Y of max(g(x_s,.), hbar(x_s,.)) >= delta - tol_feas."""
     check_point(p.X, cert.x_s, "candidate point")
-    if evaluate(p.f, cert.x_s) > f_star + cert.epsilon:
+    if _value(p.f, p.X.names, [cert.x_s[n] for n in p.X.names]) > f_star + cert.epsilon:
         return False
     cfg = AlgorithmConfig(tol_opt=1e-6, tol_feas=tol_feas)
     return _solve_at_least(build_sip_llp(p, cert.x_s), cfg, cert.delta)[1]
+
+
+def _value(e: Expr, names, values) -> float:
+    """``e`` at the point of ``values`` over ``names``, by its point kernel,
+    which is ``evaluate``'s float bit for bit."""
+    return compile_expr(e, names)[0](tuple(values))
 
 
 def _same_point(a: Mapping[str, float], b: Mapping[str, float]) -> bool:
@@ -136,8 +147,10 @@ def _aux_llp(p: GsipProblem, x: dict[str, float], llp: MinimizeOutcome,
                               inst.parameters + ((LEVEL, aux.value + cfg.tol_opt),))
     y = _solve(SubproblemInstance(secondary, inst.constraints + (near_opt,),
                                   inst.box), cfg).minimizer
-    return MinimizeOutcome("optimal", y,
-                           evaluate(inst.objective, {**y, **dict(inst.parameters)}))
+    names = inst.box.names
+    return MinimizeOutcome("optimal", y, _value(
+        inst.objective, names + tuple(n for n, _ in inst.parameters),
+        [y[n] for n in names] + [v for _, v in inst.parameters]))
 
 
 def run(p: GsipProblem, cfg: AlgorithmConfig) -> RunResult:
@@ -214,20 +227,24 @@ def diagnose_trace(p: GsipProblem, result: RunResult,
     hbar(x_l, y_k) > tol_feas although hbar(x_k, y_k) < -tol_feas.
 
     Requires a trace carrying LLP minimizers (the llp-only variant records them).
+    hbar is evaluated by one point kernel over the Y names, then the X names,
+    the order in which the LLP solves bind it, and each pair is a tuple
+    ``y_k + x_l``.
     """
     recs = {r.k: r for r in result.trace
             if r.llp is not None and r.llp.optimal}
     if not recs:
         raise ValueError("trace carries no LLP minimizers to diagnose")
-    hb = p.hbar
-    xs = {r.k: r.x for r in result.trace}
+    hb = compile_expr(p.hbar, p.Y.names + p.X.names)[0]
+    xnames = p.X.names
+    xs = {r.k: tuple(r.x[n] for n in xnames) for r in result.trace}
     violations = []
     for k, rk in sorted(recs.items()):
-        y_k = rk.llp.minimizer
-        if evaluate(hb, {**rk.x, **y_k}) >= -tol_feas:
+        y_k = tuple(rk.llp.minimizer[n] for n in p.Y.names)
+        if hb(y_k + tuple(rk.x[n] for n in xnames)) >= -tol_feas:
             continue
         for l in sorted(l for l in xs if l > k):
-            value = evaluate(hb, {**xs[l], **y_k})
+            value = hb(y_k + xs[l])
             if value > tol_feas:
                 violations.append((l, k, value))
     return violations

@@ -10,17 +10,20 @@ Exit codes: 0 success, 2 usage error, 3 solver error.
 """
 from __future__ import annotations
 
-# problem_format, csv and json are imported by the commands that use them,
-# so that `gsiplab list` loads none of them
+# algorithms, globalopt, problem_format, csv and json are imported by the
+# commands that use them, so that `gsiplab list` loads none of them and
+# `gsiplab fmt` only the parser
 import argparse
 import io
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import algorithms, gsip
+from . import gsip
 from .expr import EmptyIntervalError, EvaluationError
-from .globalopt import (MinimizeOutcome, NodeBudgetExceeded, UndecidedError,
-                        grid_minimize)
+
+if TYPE_CHECKING:
+    from . import algorithms
+    from .globalopt import MinimizeOutcome
 
 
 class UsageError(Exception):
@@ -70,12 +73,11 @@ def _load_problem(args) -> gsip.GsipProblem:
     return _read_problem_file(args.file)
 
 
-_VARIANT_ALIASES = {
-    "llp-only": algorithms.LLP_ONLY,
-    "aux": algorithms.AUX_LLP,
-    "aux-llp": algorithms.AUX_LLP,
-    "sip-llp": algorithms.SIP_LLP,
-}
+def _variant_aliases() -> dict[str, str]:
+    """The spellings of ``--variant``: each variant's name, and "aux" for
+    aux-llp."""
+    from . import algorithms
+    return {**{v: v for v in algorithms.VARIANTS}, "aux": algorithms.AUX_LLP}
 
 
 def _initial_point(spec: str, p: gsip.GsipProblem) -> dict[str, float]:
@@ -95,10 +97,11 @@ def _initial_point(spec: str, p: gsip.GsipProblem) -> dict[str, float]:
 
 
 def _config_from_args(args, p: gsip.GsipProblem) -> algorithms.AlgorithmConfig:
+    from . import algorithms
     initial = tuple(_initial_point(spec, p) for spec in args.initial_y or [])
     try:
         return algorithms.AlgorithmConfig(
-            variant=_VARIANT_ALIASES[args.variant],
+            variant=_variant_aliases()[args.variant],
             alpha=args.alpha,
             tol_feas=args.tol_feas,
             tol_opt=args.tol_opt,
@@ -162,6 +165,7 @@ def _trace_json(p: gsip.GsipProblem, result: algorithms.RunResult) -> str:
 
 
 def cmd_run(args) -> int:
+    from . import algorithms
     p = _load_problem(args)
     cfg = _config_from_args(args, p)
     result = algorithms.run(p, cfg)
@@ -182,12 +186,15 @@ def cmd_run(args) -> int:
 def _exact_grid_below(inst, points_per_axis: int, lo: float) -> bool:
     """Whether a grid point that passes the constraints of ``inst`` with no
     tolerance has a value below ``lo``."""
+    from .globalopt import grid_minimize
     grid = grid_minimize(inst.objective, inst.constraints, inst.box,
                          points_per_axis, tol_feas=0.0, parameters=inst.parameters)
     return grid.optimal and grid.value < lo
 
 
 def cmd_verify(args) -> int:
+    from . import algorithms
+    from .globalopt import grid_minimize
     if args.grid < 2:
         raise UsageError(f"--grid must be at least 2, got {args.grid}")
     p = _load_problem(args)
@@ -246,8 +253,9 @@ def _add_problem_source(sub):
 
 
 def _add_run_flags(sub):
+    from . import algorithms
     defaults = algorithms.AlgorithmConfig()
-    sub.add_argument("--variant", choices=sorted(_VARIANT_ALIASES),
+    sub.add_argument("--variant", choices=sorted(_variant_aliases()),
                      default=defaults.variant)
     sub.add_argument("--alpha", type=float, default=defaults.alpha)
     sub.add_argument("--tol-feas", type=float, default=defaults.tol_feas)
@@ -259,20 +267,25 @@ def _add_run_flags(sub):
                      default=defaults.aux_tie_break)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(run_flags: bool = True) -> argparse.ArgumentParser:
+    """The parser of every command; with ``run_flags`` False, ``run`` and
+    ``verify`` lack the run flags, whose defaults and choices ``algorithms``
+    holds, so a parse that reads none of them loads nothing for them."""
     parser = argparse.ArgumentParser(prog="gsiplab")
     subs = parser.add_subparsers(dest="command", required=True)
 
     run_p = subs.add_parser("run", help="run a lower-bounding variant")
     _add_problem_source(run_p)
-    _add_run_flags(run_p)
+    if run_flags:
+        _add_run_flags(run_p)
     run_p.add_argument("--output", help="trace output path (default: stdout)")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv")
     run_p.set_defaults(func=cmd_run)
 
     ver_p = subs.add_parser("verify", help="cross-check against the grid oracle")
     _add_problem_source(ver_p)
-    _add_run_flags(ver_p)
+    if run_flags:
+        _add_run_flags(ver_p)
     ver_p.set_defaults(variant="llp-only", max_iter=10)
     ver_p.add_argument("--grid", type=int, default=401,
                        help="oracle grid points per axis")
@@ -287,16 +300,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _globalopt_errors() -> tuple:
+    """globalopt's solver errors, where a command loaded globalopt: one that
+    did not, as ``list`` and ``fmt`` do not, cannot raise them."""
+    globalopt = sys.modules.get(f"{__package__}.globalopt")
+    if globalopt is None:
+        return ()
+    return globalopt.NodeBudgetExceeded, globalopt.UndecidedError
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand is the first argument; list and fmt read no run flag
+    parser = build_parser(run_flags=argv[:1] not in (["list"], ["fmt"]))
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NodeBudgetExceeded, UndecidedError, EvaluationError,
-            EmptyIntervalError, OverflowError) as e:
+    except (*_globalopt_errors(), EvaluationError, EmptyIntervalError,
+            OverflowError) as e:
         print(f"solver error: {e}", file=sys.stderr)
         return 3
 

@@ -73,7 +73,8 @@ Two engines share one outcome type:
   kept satisfies ``s(m) + sum_i D_i (x_i - m_i) <= target``; solved for each
   coordinate and intersected with the box, with each new end moved outward
   by one float, this gives the contracted box (``_contract``), one per
-  constraint, and the box kept is their intersection.  The target is 0, the
+  constraint, and the box kept is their intersection (``_meet``, one pass
+  over the axes however many constraints there are).  The target is 0, the
   exact constraint: a minimizer on a constraint's boundary, as in every
   lower-bounding solve of the paper's loops, becomes a corner of the
   contracted box, whose new corners are offered at once, at the ends as
@@ -325,6 +326,8 @@ def _bind(names: Sequence[str], parameters: Sequence[tuple[str, float]]):
     takes the box's names, then these.  Returns them with the tuples a call
     appends: the bound values to a point, and their ``(v, v)`` pairs to a
     box."""
+    if not parameters:
+        return (), (), ()
     pnames = tuple(n for n, _ in parameters)
     if set(pnames) & set(names):
         raise ValueError(f"bound values {pnames} share names with the box "
@@ -380,14 +383,27 @@ def _contract(bounds, mid, value, slopes, target):
     return tuple(box)
 
 
-def _meet(a, b):
-    """The intersection of two boxes' bounds, None where it is empty or
-    either box is None."""
-    if a is None or b is None:
+def _meet(bounds, boxes):
+    """The intersection of a box's bounds with each box of ``boxes``, None
+    where it is empty or one of them is None, in one pass over the axes.
+
+    An end gives way only to a strictly tighter one, taken in the order of
+    ``boxes``, as ``max`` and ``min`` keep the first of equal values, so the
+    result, a zero end's sign included, is that of folding a two-box meet
+    over ``boxes``; the ends only tighten, so an axis such a fold would
+    empty part way is empty at the end."""
+    if not boxes:
+        return bounds
+    if None in boxes:
         return None
     out = []
-    for (alo, ahi), (blo, bhi) in zip(a, b):
-        lo, hi = max(alo, blo), min(ahi, bhi)
+    for i, (lo, hi) in enumerate(bounds):
+        for box in boxes:
+            a, z = box[i]
+            if a > lo:
+                lo = a
+            if z < hi:
+                hi = z
         if lo > hi:
             return None
         out.append((lo, hi))
@@ -445,6 +461,16 @@ def minimize(objective: Expr,
     best_pt: Optional[tuple[float, ...]] = None
     settled_lb = math.inf  # least lb of the settled nodes
     settled = False
+    obj_gradient = None
+
+    def gradient():
+        """The objective's gradient kernel, fetched at its first use in this
+        solve: a solve that settles at its root may need none, and one that
+        never does compiles none."""
+        nonlocal obj_gradient
+        if obj_gradient is None:
+            obj_gradient = compile_gradient(objective, names, pnames)
+        return obj_gradient
 
     def consider(point, active, checked: bool = False) -> None:
         """Offer a candidate incumbent from a box on which the constraints
@@ -483,9 +509,9 @@ def minimize(objective: Expr,
         coordinate along which the objective is monotone fixed at its better
         end: the lower one where the derivative is >= 0 (a coordinate the
         objective ignores has [0, 0]), the upper one where it is <= 0."""
-        gradient = compile_gradient(objective, names, pnames)(bounds + pairs)[1]
+        slopes = gradient()(bounds + pairs)[1]
         return tuple((lo, lo) if dlo >= 0.0 else (hi, hi) if dhi <= 0.0 else (lo, hi)
-                     for (lo, hi), (dlo, dhi) in zip(bounds, gradient))
+                     for (lo, hi), (dlo, dhi) in zip(bounds, slopes))
 
     def secant(bounds):
         """The box's midpoint with each coordinate moved to the regula-falsi
@@ -494,14 +520,14 @@ def minimize(objective: Expr,
         the lower face and > 0 at the upper one, and the zero lies strictly
         inside the box.  Exact where the objective is quadratic along that
         axis; a NaN derivative fails both tests and keeps the midpoint's."""
-        gradient = compile_gradient(objective, names, pnames)
+        kernel = gradient()
         mid = tuple(map(midpoint_value, bounds))
         at = tuple((v, v) for v in mid)
         point = list(mid)
         for i, (lo, hi) in enumerate(bounds):
             if lo < hi:
-                dl = gradient(at[:i] + ((lo, lo),) + at[i + 1:] + pairs)[1][i][1]
-                dh = gradient(at[:i] + ((hi, hi),) + at[i + 1:] + pairs)[1][i][0]
+                dl = kernel(at[:i] + ((lo, lo),) + at[i + 1:] + pairs)[1][i][1]
+                dh = kernel(at[:i] + ((hi, hi),) + at[i + 1:] + pairs)[1][i][0]
                 if dl < 0.0 < dh:
                     r = lo - dl * (hi - lo) / (dh - dl)
                     if lo < r < hi:
@@ -538,14 +564,10 @@ def minimize(objective: Expr,
         # the box contracted to the exact target, or where the constraints'
         # boxes do not meet, to tol_feas, whose boxes hold the exact ones;
         # where those do not meet either, the box is certified infeasible
-        contracted = bounds
-        for _, _, exact in cuts:
-            contracted = _meet(contracted, exact)
+        contracted = _meet(bounds, [exact for _, _, exact in cuts])
         if contracted is None:
-            contracted = bounds
-            for value, slopes, _ in cuts:
-                contracted = _meet(contracted,
-                                   _contract(bounds, mid, value, slopes, tol_feas))
+            contracted = _meet(bounds, [_contract(bounds, mid, value, slopes, tol_feas)
+                                        for value, slopes, _ in cuts])
             if contracted is None:
                 return False
         if passes:

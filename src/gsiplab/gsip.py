@@ -21,15 +21,17 @@ once per run.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import expr as ex
 from .domains import BoxDomain
 # the builders bind points instead of substituting them; substitute stays
 # bound here because bench/tracer.py counts the calls made through this name
 from .expr import Expr, substitute  # noqa: F401
-from .globalopt import ConstraintSpec
 from .immutable import frozen
+
+if TYPE_CHECKING:
+    from .globalopt import ConstraintSpec
 
 
 class DomainError(ValueError):
@@ -148,6 +150,17 @@ def check_point(box: BoxDomain, point: Mapping[str, float], what: str):
         raise DomainError(f"{what} {dict(point)} does not lie in box over {box.names}")
 
 
+def _constraint(expr: Expr, sense: str, parameters) -> ConstraintSpec:
+    """``globalopt.ConstraintSpec(expr, sense, parameters)``.  The first call
+    imports globalopt, which ``gsiplab list`` and ``fmt`` never load, and
+    binds the class itself under this name, so later builds call it with no
+    import."""
+    global _constraint
+    from .globalopt import ConstraintSpec
+    _constraint = ConstraintSpec
+    return ConstraintSpec(expr, sense, parameters)
+
+
 def _as_parameters(box: BoxDomain, point: Mapping[str, float], what: str):
     """``point``, checked to lie in ``box``, as bound values: ``(name,
     value)`` pairs in the order of ``box``."""
@@ -171,23 +184,26 @@ def build_lower_bounding(p: GsipProblem,
     A ``previous`` of another problem, or with more cuts than ``yset`` has
     points, raises ``ValueError``."""
     cuts = () if previous is None else previous.constraints
-    # the cuts this function builds share one tree, so the first stands for all
+    # the cuts this function builds share one tree, so the first stands for
+    # all; a loop passes back the problem's own trees and box, which the
+    # identity tests accept without comparing them field by field
     if previous is not None and not (
-            previous.objective == p.f and previous.box == p.X
-            and all(c.expr == p.cut for c in cuts[:1])):
+            (previous.objective is p.f or previous.objective == p.f)
+            and (previous.box is p.X or previous.box == p.X)
+            and all(c.expr is p.cut or c.expr == p.cut for c in cuts[:1])):
         raise ValueError("previous is not a lower-bounding instance of this problem")
     if len(cuts) > len(yset):
         raise ValueError(f"previous holds {len(cuts)} cuts, more than the "
                          f"{len(yset)} discretization points")
     return SubproblemInstance(p.f, cuts + tuple(
-        ConstraintSpec(p.cut, "ge", _as_parameters(p.Y, y, "discretization point"))
+        _constraint(p.cut, "ge", _as_parameters(p.Y, y, "discretization point"))
         for y in yset[len(cuts):]), p.X)
 
 
 def build_llp(p: GsipProblem, x: Mapping[str, float]) -> SubproblemInstance:
     """Original lower-level program: min g(x,.) over Y s.t. hbar(x,.) <= 0."""
     xs = _as_parameters(p.X, x, "outer point")
-    return SubproblemInstance(p.g, (ConstraintSpec(p.hbar, "le", xs),), p.Y, xs)
+    return SubproblemInstance(p.g, (_constraint(p.hbar, "le", xs),), p.Y, xs)
 
 
 def build_aux_llp(p: GsipProblem, x: Mapping[str, float],
@@ -200,7 +216,7 @@ def build_aux_llp(p: GsipProblem, x: Mapping[str, float],
     xs = _as_parameters(p.X, x, "outer point")
     level = ((LEVEL, alpha * llp_value),)
     return SubproblemInstance(
-        p.hbar, (ConstraintSpec(p.g_level, "le", xs + level),), p.Y, xs)
+        p.hbar, (_constraint(p.g_level, "le", xs + level),), p.Y, xs)
 
 
 def build_sip_llp(p: GsipProblem, x: Mapping[str, float]) -> SubproblemInstance:

@@ -1,13 +1,20 @@
+import math
+import random
+
 import pytest
 
+from conftest import random_problem, sample_point
+from gsiplab import algorithms, globalopt, gsip
 from gsiplab import expr as ex
-from gsiplab import globalopt, gsip
-from gsiplab.algorithms import (AUX_LLP, LLP_ONLY, SIP_LLP, AlgorithmConfig,
+from gsiplab.algorithms import (AUX_LLP, LLP_ONLY, SIP_LLP, TIE_BREAKS,
+                                VARIANTS, AlgorithmConfig, IterateRecord,
                                 RunResult, diagnose_trace, lower_bound_history,
-                                record_subproblems, run)
-from gsiplab.expr import evaluate
-from gsiplab.globalopt import minimize
-from gsiplab.gsip import build_aux_llp, build_sip_llp, get_builtin
+                                record_subproblems, run, verify_slater)
+from gsiplab.expr import EmptyIntervalError, EvaluationError, evaluate
+from gsiplab.globalopt import (MinimizeOutcome, NodeBudgetExceeded,
+                               UndecidedError, minimize)
+from gsiplab.gsip import (SlaterCertificate, build_aux_llp, build_sip_llp,
+                          builtin_problems, check_point, get_builtin)
 
 CEX1 = get_builtin("cex1")
 CEX2 = get_builtin("cex2")
@@ -293,3 +300,131 @@ class TestDiagnostics:
         assert len(hist) == 2
         assert hist[0][1] == pytest.approx(-1.0, abs=1e-6)
         assert hist[1][1] == pytest.approx(0.5, abs=1e-6)
+
+
+# -- the point kernels against the walker ------------------------------------
+
+def reference_diagnose(p, result, tol_feas=1e-9):
+    """``diagnose_trace`` through the walker, ``evaluate``, over merged
+    name -> value dicts: the compiled version's bit-for-bit reference."""
+    recs = {r.k: r for r in result.trace if r.llp is not None and r.llp.optimal}
+    if not recs:
+        raise ValueError("trace carries no LLP minimizers to diagnose")
+    xs = {r.k: r.x for r in result.trace}
+    violations = []
+    for k, rk in sorted(recs.items()):
+        y_k = rk.llp.minimizer
+        if evaluate(p.hbar, {**rk.x, **y_k}) >= -tol_feas:
+            continue
+        for l in sorted(l for l in xs if l > k):
+            value = evaluate(p.hbar, {**xs[l], **y_k})
+            if value > tol_feas:
+                violations.append((l, k, value))
+    return violations
+
+
+def reference_verify_slater(p, cert, f_star, tol_feas=1e-9):
+    """``verify_slater`` with f(x_s) from the walker."""
+    check_point(p.X, cert.x_s, "candidate point")
+    if evaluate(p.f, cert.x_s) > f_star + cert.epsilon:
+        return False
+    cfg = AlgorithmConfig(tol_opt=1e-6, tol_feas=tol_feas)
+    return algorithms._solve_at_least(build_sip_llp(p, cert.x_s), cfg, cert.delta)[1]
+
+
+_SOLVER_ERRORS = (NodeBudgetExceeded, UndecidedError, EvaluationError,
+                  EmptyIntervalError, OverflowError)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` as bits: floats by ``repr``, which tells a zero's sign,
+    or the type of the error it raised."""
+    try:
+        out = fn(*args)
+    except (ValueError, *_SOLVER_ERRORS) as e:
+        return type(e)
+    return repr(out)
+
+
+def _fuzzed_problems(seed, count):
+    rng = random.Random(seed)
+    return [random_problem(rng) for _ in range(count)]
+
+
+def _sampled_trace(p, rng, n):
+    """A trace of ``n`` records at random points of X, each with an LLP
+    minimizer at a random point of Y (one of them infeasible), so that hbar
+    takes values of both signs at many pairs."""
+    trace = []
+    for k in range(1, n + 1):
+        llp = (MinimizeOutcome("infeasible") if k == 2 else
+               MinimizeOutcome("optimal", sample_point(rng, p.Y), 0.0))
+        trace.append(IterateRecord(k, sample_point(rng, p.X), 0.0, llp, None,
+                                   None, None, k))
+    return RunResult(tuple(trace), "iteration_cap", 0.0)
+
+
+class TestKernelsMatchTheWalker:
+    # diagnose_trace, the tie-broken aux record and verify_slater evaluate
+    # through the trees' point kernels; each float they return, or decide
+    # by, is the walker's, bit for bit and sign for sign
+
+    @staticmethod
+    def _results(problems, max_iter):
+        for p in problems:
+            for variant in VARIANTS:
+                for tie_break in TIE_BREAKS:
+                    cfg = AlgorithmConfig(variant=variant, max_iter=max_iter,
+                                          aux_tie_break=tie_break)
+                    try:
+                        yield p, cfg, run(p, cfg)
+                    except _SOLVER_ERRORS:
+                        continue
+
+    @pytest.mark.parametrize("problems,max_iter", [
+        (builtin_problems(), 20), (_fuzzed_problems(13, 24), 5)],
+        ids=["builtin", "fuzzed"])
+    def test_runs(self, problems, max_iter):
+        diagnosed = records = 0
+        for p, cfg, result in self._results(problems, max_iter):
+            for tol_feas in (1e-9, 0.0):
+                got = _outcome(diagnose_trace, p, result, tol_feas)
+                assert got == _outcome(reference_diagnose, p, result, tol_feas)
+                diagnosed += got is not ValueError
+            for rec in result.trace:
+                if rec.aux is not None and cfg.aux_tie_break != "solver":
+                    inst = build_aux_llp(p, rec.x, rec.llp.value, cfg.alpha)
+                    assert repr(rec.aux.value) == repr(evaluate(
+                        inst.objective, {**rec.aux.minimizer, **dict(inst.parameters)}))
+                    records += 1
+        assert diagnosed and records
+
+    def test_sampled_traces(self):
+        rng = random.Random(5)
+        pairs = 0
+        for p in builtin_problems() + _fuzzed_problems(13, 60):
+            for tol_feas in (1e-9, 0.0):
+                result = _sampled_trace(p, rng, 12)
+                got = diagnose_trace(p, result, tol_feas)
+                assert repr(got) == repr(reference_diagnose(p, result, tol_feas))
+                pairs += len(got)
+        assert pairs > 50, pairs
+
+    def test_verify_slater(self):
+        rng = random.Random(17)
+        verdicts = set()
+        for p in builtin_problems() + _fuzzed_problems(19, 20):
+            for _ in range(3):
+                x = sample_point(rng, p.X)
+                cert = SlaterCertificate(x, epsilon=rng.choice([1e-3, 0.25]),
+                                         delta=rng.choice([1e-6, 0.1]))
+                fx = evaluate(p.f, x)
+                # f_star around the threshold f(x_s) - epsilon, where a
+                # value an ulp off would flip the verdict
+                base = fx - cert.epsilon
+                for f_star in (base, math.nextafter(base, -math.inf),
+                               math.nextafter(base, math.inf), fx):
+                    got = _outcome(verify_slater, p, cert, f_star)
+                    assert got == _outcome(reference_verify_slater, p, cert, f_star)
+                    verdicts.add(got)
+        assert {"True", "False"} <= verdicts

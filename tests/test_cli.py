@@ -544,7 +544,7 @@ assert out.minimizer == {{"x": 1.0}}, out
         imported = {line.rsplit("|", 1)[1].strip()
                     for line in proc.stderr.splitlines()
                     if line.startswith("import time:")}
-        assert "gsiplab.algorithms" in imported
+        assert "gsiplab.gsip" in imported
         assert not imported & set(unwanted)
 
     def test_fmt_rejects_bad_file(self, tmp_path, capsys):

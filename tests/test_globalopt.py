@@ -431,6 +431,40 @@ class TestContraction:
                                    0.0) == ((0.9999999999999999, 2.0),)
         assert globalopt._contract(box, mid, 1.0, ((0.0, 0.25),), 0.0) is None
 
+    def test_one_pass_meet_is_the_folded_pairwise_meet(self):
+        # push meets a box with every constraint's contracted box in one pass
+        # over the axes; folding the meet of two boxes over them is its
+        # reference, end for end, a zero's sign included (repr tells it)
+        def pairwise(a, b):
+            if a is None or b is None:
+                return None
+            out = []
+            for (alo, ahi), (blo, bhi) in zip(a, b):
+                lo, hi = max(alo, blo), min(ahi, bhi)
+                if lo > hi:
+                    return None
+                out.append((lo, hi))
+            return tuple(out)
+
+        rng = random.Random(3)
+        ends = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+        seen = set()
+        for _ in range(3000):
+            dims = rng.randint(0, 3)
+            bounds = tuple((rng.choice(ends[:3]), rng.choice(ends[3:]))
+                           for _ in range(dims))
+            boxes = [None if rng.random() < 0.03 else
+                     tuple(sorted((rng.choice(ends), rng.choice(ends)))
+                           for _ in range(dims))
+                     for _ in range(rng.choice((0, 1, 2, 3, 19)))]
+            want = bounds
+            for box in boxes:
+                want = pairwise(want, box)
+            got = globalopt._meet(bounds, boxes)
+            assert repr(got) == repr(want), (bounds, boxes)
+            seen.add("none" if got is None else "box")
+        assert seen == {"none", "box"}
+
     def test_lower_bounding_solves_do_not_bisect(self, monkeypatch):
         # every lower-bounding solve of the divergence counterexample has its
         # minimizer on the newest cut's boundary, which the contraction

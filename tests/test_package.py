@@ -11,6 +11,7 @@ import pytest
 import gsiplab
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 EXPORTS = {
     "algorithms": {"AUX_LLP", "LLP_ONLY", "SIP_LLP", "AlgorithmConfig",
@@ -82,4 +83,18 @@ assert "gsiplab.problem_format" not in sys.modules
 assert gsiplab.parse_problem is gsiplab.problem_format.parse_problem
 from gsiplab import cli, arrays
 assert cli.main and arrays
+""")
+
+
+@pytest.mark.parametrize("argv", [["list"], ["fmt", str(GOLDEN / "cex1.gsip")]],
+                         ids=["list", "fmt"])
+def test_list_and_fmt_load_neither_algorithms_nor_globalopt(argv):
+    # neither command solves anything; run flags and solver errors come
+    # from those modules only in the commands that run them
+    _run(f"""
+import sys
+from gsiplab import cli
+assert cli.main({argv!r}) == 0
+loaded = {{"gsiplab.algorithms", "gsiplab.globalopt"}} & set(sys.modules)
+assert not loaded, loaded
 """)
