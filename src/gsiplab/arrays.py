@@ -22,9 +22,24 @@ the grid's blocks reuse memory already mapped, where arrays allocated afresh
 for each block were mapped and faulted in again by the C library.  Over plain
 arrays every temporary is a new array and the result is the caller's own.
 
-This module imports numpy.  ``expr.evaluate_array`` and the grid oracle
-import it when called, so the rest of the package loads without numpy and
-without compiling this module.
+The grid oracle blocks its grid along the first axis, and between two
+evaluations over one ``OpenGrid`` only that axis's values change.  So a node
+over arrays that does not span the first axis, a *block-invariant* node, has
+the same value over every block: the kernel computes it at its first
+evaluation over a grid, into a fresh array, keeps it on the grid
+(``OpenGrid.keep``), and later evaluations read it from there.  Those take
+the kernel's second path, the first one's lines without those of the nodes
+that do not span the first axis (nor the checks of their divisors, which
+passed).  A block-invariant node takes no slot.  The first path makes the
+walk's numpy calls, in its order, and the second the same calls over the
+first axis, on the same operands, so every value is the walk's bit for bit,
+and a divisor's check fails at the same evaluation as the walk's.  An
+evaluation over plain arrays takes the first path, with a fresh, empty
+``keep``.
+
+This module imports numpy.  ``expr.evaluate_array`` imports it at its first
+call and the grid oracle when called, so the rest of the package loads
+without numpy and without compiling this module.
 """
 from __future__ import annotations
 
@@ -45,34 +60,56 @@ class OpenGrid(dict):
 
     The first ``axes`` names hold the grid's axes, in order: axis ``i`` is an
     array of ``axes`` dimensions, of length 1 along each but the ``i``-th;
-    the other names hold floats.  An evaluation over an ``OpenGrid`` writes
-    its temporaries into this thread's reused buffers (``_Buffers``) and may
-    return one of them, so its result is valid only until the next
-    evaluation over an ``OpenGrid`` on the same thread.
+    the other names hold floats.  Between two evaluations over one grid,
+    only the values of the first axis may change (the block's rows); the
+    values of its block-invariant nodes, the nodes over arrays that do not
+    span that axis, are computed at the first evaluation of each kernel and
+    kept in ``keep``, by kernel.  An evaluation over an ``OpenGrid`` writes
+    its other temporaries into this thread's reused buffers (``_Buffers``)
+    and may return one of them, or a kept array, so its result is valid only
+    until the next evaluation over an ``OpenGrid`` on the same thread, and
+    must not be written.
     """
 
-    __slots__ = ("axes",)
+    __slots__ = ("axes", "keep")
 
     def __init__(self, axes: int, values: Mapping):
         super().__init__(values)
         self.axes = axes
+        self.keep: dict = {}
 
 
 def evaluate(e: Expr, point: Mapping):
     """``e`` over ``point`` by its array kernel: the names whose values are
     numpy arrays are its arrays."""
-    grid = isinstance(point, OpenGrid)
-    if grid:
-        names, axes, args = tuple(point), point.axes, tuple(point.values())
+    if isinstance(point, OpenGrid):
+        axes, args = point.axes, tuple(point.values())
+        kernel, layout, _ = _kernel(e, tuple(point), axes)
+        # an axis is 1 long along every dimension but its own
+        return kernel(args, _BUFFERS.views(layout, tuple(a.size for a in args[:axes])),
+                      point.keep)
+    arrays = [n for n, v in point.items() if isinstance(v, np.ndarray)]
+    names = (*arrays, *(n for n in point if n not in arrays))
+    kernel, layout, _ = _kernel(e, names, len(arrays))
+    return kernel(tuple(point[n] for n in names), (None,) * len(layout), {})
+
+
+def linspace(lo: float, hi: float, n: int):
+    """``np.linspace(lo, hi, n)`` for floats ``lo`` and ``hi`` and ``n >=
+    2``, bit for bit, by its own recipe without its set-up: ``arange(n)``
+    times the step (divided by ``n - 1``, then times the span, where the step
+    underflows to 0), plus ``lo``, and ``hi`` as the last point."""
+    out = np.arange(n, dtype=float)
+    span = hi - lo
+    step = span / (n - 1)
+    if step == 0:
+        out /= n - 1
+        out *= span
     else:
-        arrays = [n for n, v in point.items() if isinstance(v, np.ndarray)]
-        names = (*arrays, *(n for n in point if n not in arrays))
-        axes, args = len(arrays), tuple(point[n] for n in names)
-    kernel, layout, _ = _kernel(e, names, axes)
-    if not grid:
-        return kernel(args, (None,) * len(layout))
-    # an axis is 1 long along every dimension but its own
-    return kernel(args, _BUFFERS.views(layout, tuple(a.size for a in args[:axes])))
+        out *= step
+    out += lo
+    out[-1] = hi
+    return out
 
 
 def can_raise(e: Expr, grid: OpenGrid) -> bool:
@@ -126,15 +163,32 @@ _BUFFERS = _Buffers()
 def _generate(e: Expr, index: Mapping[str, int], axes: int):
     """The array kernel of ``e``, whose first ``axes`` names of ``index`` are
     arrays, its layout and whether it can raise: a function of the argument
-    tuple and one out array (or None) per temporary, in the layout's order,
-    whose body raises ``EvaluationError`` only where it checks a divisor or
-    meets a variable ``index`` lacks."""
+    tuple, one out array (or None) per temporary, in the layout's order, and
+    the ``keep`` of the grid, whose body raises ``EvaluationError`` only
+    where it checks a divisor or meets a variable ``index`` lacks.
+
+    A kernel with block-invariant nodes has two paths: with nothing kept for
+    it in ``keep``, every line, after which it keeps the values that the
+    lines over the first axis read; with them kept, only those lines."""
     emitter = _ArrayEmitter(index, axes)
     result, _ = emitter.node(e)
-    head = ["def kernel(arg, out):"]
+    head = ["def kernel(arg, out, keep):"]
     if emitter.temps:
         head.append("".join(f"o{v[1:]}, " for v, _, _ in emitter.temps) + "= out")
-    source = "\n    ".join([*head, *emitter.lines, f"return {result}"])
+    body = [*emitter.lines, f"return {result}"]
+    if emitter.hoisted:
+        key = emitter.bind(object())
+        kept = "".join(f"{v}, " for v in emitter.kept(result))
+        rest = [line for line, mask in zip(emitter.lines, emitter.spans) if mask & 1]
+        body = [f"kept = keep.get({key})",
+                "if kept is not None:",
+                f"    {kept}= kept",
+                *(f"    {line}" for line in rest),
+                f"    return {result}",
+                *emitter.lines,
+                f"keep[{key}] = {kept}",
+                f"return {result}"]
+    source = "\n    ".join([*head, *body])
     exec(compile(source, "<array kernel>", "exec"), emitter.namespace)
     return emitter.namespace["kernel"], emitter.layout(), emitter.raises
 
@@ -152,16 +206,35 @@ class _ArrayEmitter(_Emitter):
         super().__init__(index, _ARRAY, axes)
         # the temporaries: value name, axes and the temporaries it reads
         self.temps: list[tuple[str, int, list[str]]] = []
+        # the axes each line's values span: a divisor's for its check
+        self.spans: list[int] = []
+        # the values that do not span the first axis, and those of them that
+        # a node over the first axis reads, in order (dicts as ordered sets)
+        self.invariant: dict[str, None] = {}
+        self.read: dict[str, None] = {}
+        # whether a node over arrays does not span the first axis
+        self.hoisted = False
         # whether a line raises EvaluationError: a divisor's check, or a
         # variable not in the index
         self.raises = False
         self.namespace.update({f"_{name}": getattr(np, name)
                                for name in (*_UFUNCS.values(), "any")})
 
+    def emit(self, line: str, axes: int) -> None:
+        self.lines.append(line)
+        self.spans.append(axes)
+
+    def kept(self, result: str) -> list[str]:
+        """The values the second path reads from ``keep``: those a node
+        over the first axis reads that do not span it, and the result, if
+        it does not."""
+        return [*self.read, *((result,) if result in self.invariant else ())]
+
     def value(self, e: Expr, kids, n: int) -> tuple[str, int]:
-        """A node over an array is one numpy call that writes into its out
-        view; a node over none is the float operation (or numpy scalar call)
-        of the walk over arrays, Python's operator where the walk uses one."""
+        """A node over an array is one numpy call, which writes into its out
+        view unless the node does not span the first axis; a node over none
+        is the float operation (or numpy scalar call) of the walk over
+        arrays, Python's operator where the walk uses one."""
         k = e.kind
         if k == "const":
             return self.bind(e.value), 0
@@ -170,8 +243,19 @@ class _ArrayEmitter(_Emitter):
             self.variable(e, v)
             i = self.index.get(e.name)
             self.raises |= i is None
-            return v, (1 << i if i in self.dims else 0)
-        emit = self.lines.append
+            axes = 1 << i if i in self.dims else 0
+            self.spans.append(axes)
+        else:
+            axes = self.operation(e, kids, v, n)
+        if axes & 1:
+            self.read.update((a, None) for a, _ in kids if a in self.invariant)
+        else:
+            self.invariant[v] = None
+        return v, axes
+
+    def operation(self, e: Expr, kids, v: str, n: int) -> int:
+        """The lines of operation ``e`` into ``v``, and the axes it spans."""
+        k = e.kind
         ops = [a for a, _ in kids]
         axes = 0
         for _, mask in kids:
@@ -181,19 +265,22 @@ class _ArrayEmitter(_Emitter):
         elif k == "div":
             self.raises = True
             c, mask = kids[1]
-            emit(f"if _any({c} == 0.0): _division_by_zero()" if mask else
-                 f"if {c} == 0.0: _division_by_zero()")
-        if axes:
+            self.emit(f"if _any({c} == 0.0): _division_by_zero()" if mask else
+                      f"if {c} == 0.0: _division_by_zero()", mask)
+        if axes & 1:
             temps = {t for t, _, _ in self.temps}
             self.temps.append((v, axes, [a for a in ops if a in temps]))
-            emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)}, out=o{n})")
+            self.emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)}, out=o{n})", axes)
+        elif axes:
+            self.hoisted = True
+            self.emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)})", axes)
         elif k == "neg":
-            emit(f"{v} = -{ops[0]}")
+            self.emit(f"{v} = -{ops[0]}", axes)
         elif k in _BINARY or k == "div":
-            emit(f"{v} = {ops[0]} {_BINARY.get(k, '/')} {ops[1]}")
+            self.emit(f"{v} = {ops[0]} {_BINARY.get(k, '/')} {ops[1]}", axes)
         else:
-            emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)})")
-        return v, axes
+            self.emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)})", axes)
+        return axes
 
     def layout(self) -> tuple[tuple[int, int], ...]:
         """Each temporary's slot and axes, in the order of the out views.

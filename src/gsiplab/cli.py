@@ -69,7 +69,8 @@ def _load_problem(args) -> gsip.GsipProblem:
         try:
             return gsip.get_builtin(args.problem)
         except KeyError as e:
-            raise UsageError(str(e)) from None
+            # str() of a KeyError is the repr of its argument, in quotes
+            raise UsageError(e.args[0]) from None
     return _read_problem_file(args.file)
 
 

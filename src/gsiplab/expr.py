@@ -13,8 +13,8 @@ full grid.  Arrays are raised to a power with ``np.float_power``, whose
 float64 loop calls C's ``pow`` per element, as Python's ``**`` does: numpy's
 ``**`` may run SIMD code that differs from ``pow`` in the last bit, which
 would tie the oracle's values to the CPU.  Only the array kernels need numpy,
-and ``evaluate_array`` imports their module when called, so the rest of the
-package loads, and compiles, without either.
+and ``evaluate_array`` imports their module at its first call, so the rest of
+the package loads, and compiles, without either.
 
 ``compile_expr`` turns a tree into two kernels over one variable order, for
 callers that evaluate the same expression many times: a point kernel and an
@@ -256,12 +256,17 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
     return _evaluate(e, point)
 
 
+_array_evaluate = None   # gsiplab.arrays.evaluate, bound at the first call
+
+
 def evaluate_array(e: Expr, point: Mapping[str, np.ndarray]):
     """Vectorized evaluation over numpy arrays (broadcasting applies), by
     ``e``'s array kernel (``gsiplab.arrays.evaluate``).  The result is the
     caller's own, except over an ``arrays.OpenGrid``."""
-    from .arrays import evaluate
-    return evaluate(e, point)
+    global _array_evaluate
+    if _array_evaluate is None:
+        from .arrays import evaluate as _array_evaluate
+    return _array_evaluate(e, point)
 
 
 def interval_eval(e: Expr, box) -> Interval:

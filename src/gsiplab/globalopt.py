@@ -667,17 +667,21 @@ def grid_minimize(objective: Expr,
     shares its name with the box raises ``ValueError``.
 
     The variables are bound to an open grid: axis ``i`` is an array of shape
-    ``(1, ..., n, ..., 1)``.  ``evaluate_array`` thus works on one axis's
-    values until an operation mixes two axes, where broadcasting builds the
-    full grid.  Broadcasting only repeats operands, so every grid value comes
-    from the same float operations as on a dense grid, bit for bit.  The grid
-    is evaluated in blocks of rows of the first axis, of at most
-    ``_BLOCK_POINTS`` points (one row, if a row holds more), so that the
-    arrays of a block stay in cache.  Each tree's values over a block are an
-    ``arrays.OpenGrid``, so its temporaries go into the thread's reused
-    buffers, the same memory for every block and every call: at most as many
-    buffers as a tree's kernel has temporaries live at once, each as long as
-    the largest block seen.
+    ``(1, ..., n, ..., 1)``, whose values are ``np.linspace(lo, hi, n)``'s,
+    bit for bit, built by its recipe (``arrays.linspace``).
+    ``evaluate_array`` thus works on one axis's values until an operation
+    mixes two axes, where broadcasting builds the full grid.  Broadcasting
+    only repeats operands, so every grid value comes from the same float
+    operations as on a dense grid, bit for bit.  The grid is evaluated in
+    blocks of rows of the first axis, of at most ``_BLOCK_POINTS`` points
+    (one row, if a row holds more), so that the arrays of a block stay in
+    cache.  Each tree's values over a block are an ``arrays.OpenGrid``, one
+    per tree for the whole call, in which only the first axis changes from
+    block to block: so the tree's nodes that do not span that axis are
+    computed once, at its first evaluation, and kept on it, and its other
+    temporaries go into the thread's reused buffers, the same memory for
+    every block and every call: at most as many buffers as a tree's kernel
+    has temporaries live at once, each as long as the largest block seen.
 
     A block evaluates its constraints first, in their order, and its
     objective last; once no point of the block passes, the trees still to
@@ -691,36 +695,39 @@ def grid_minimize(objective: Expr,
     """
     # arrays imports numpy: compiled first, its transient memory is reused
     # by numpy's import instead of adding to the process's peak
-    from .arrays import OpenGrid, can_raise
+    from .arrays import OpenGrid, can_raise, linspace
 
     import numpy as np
 
-    if points_per_axis < 2:
+    n = points_per_axis
+    if n < 2:
         raise ValueError("points_per_axis must be at least 2")
-    shape = (points_per_axis,) * len(box.names)
-    grid = [np.linspace(lo, hi, points_per_axis).reshape(
-                (1,) * i + (-1,) + (1,) * (len(shape) - 1 - i))
-            for i, (lo, hi) in enumerate(box.bounds)]
+    dims = len(box.names)
+    shape = (n,) * dims
+    ticks = [linspace(lo, hi, n) for lo, hi in box.bounds]
+    grid = [a.reshape((1,) * i + (-1,) + (1,) * (dims - 1 - i))
+            for i, a in enumerate(ticks)]
     row = math.prod(shape[1:])
     rows = max(1, _BLOCK_POINTS // row)
     # each tree with the values of its names over a block (the box's axes,
     # then its bound values), its test (None for the objective) and whether
     # it can raise, which the names bound decide, not the block
     axes = dict(zip(box.names, grid))
-    trees = [(c.expr, dict(c.parameters), c.satisfied) for c in constraints]
-    trees.append((objective, dict(parameters), None))
-    for _, bound, _ in trees:
-        if not bound.keys().isdisjoint(axes):
-            _bind(box.names, bound.items())   # raises, as minimize does
-    trees = [(e, OpenGrid(len(shape), {**axes, **bound}), test)
-             for e, bound, test in trees]
-    trees = [(e, env, test, can_raise(e, env)) for e, env, test in trees]
+    trees = []
+    for e, bound, test in [*((c.expr, c.parameters, c.satisfied) for c in constraints),
+                           (objective, parameters, None)]:
+        env = OpenGrid(dims, axes)
+        if bound:
+            if any(name in axes for name, _ in bound):
+                _bind(box.names, bound)   # raises, as minimize does
+            env.update(bound)
+        trees.append((e, env, test, can_raise(e, env)))
     best = None   # the first minimum so far: (value, flat index)
-    for start in range(0, shape[0] if shape else 1, rows):
+    block = shape
+    for start in range(0, n if dims else 1, rows):
         # rows [start, start + rows) of the first axis; a box without axes
-        # is one block of one point
-        block = ()
-        if shape:
+        # is one block of one point, and a grid of one block keeps its axis
+        if dims and rows < n:
             axis = grid[0][start:start + rows]
             for _, env, _, _ in trees:
                 env[box.names[0]] = axis
@@ -742,20 +749,25 @@ def grid_minimize(objective: Expr,
             continue
         # the block's least feasible value, which fmin takes over the values
         # that are not NaN (+inf if there is none), and the first point in C
-        # order that takes it
-        vals = np.broadcast_to(vals, block)
+        # order that takes it, if one does
+        if vals.shape != block:
+            vals = np.broadcast_to(vals, block)
         least = np.fmin.reduce(vals, axis=None, where=ok, initial=np.inf)
         hits = vals == least
         if ok is not True:
             hits &= ok
-        if not hits.any():   # every feasible value is NaN
+        first = int(hits.argmax())
+        if not hits.item(first):   # every feasible value is NaN
             continue
         if best is None or least < best[0]:
-            best = float(least), start * row + int(np.argmax(hits))
+            best = float(least), start * row + first
     if best is None:
         return INFEASIBLE
     value, flat = best
-    idx = np.unravel_index(flat, shape)
-    point = {name: float(g.flat[i]) for name, g, i in zip(box.names, grid, idx)}
+    index = []   # the point's index along each axis, the last axis first
+    for _ in ticks:
+        flat, i = divmod(flat, n)
+        index.append(i)
+    point = {name: a.item(i) for name, a, i in zip(box.names, ticks, reversed(index))}
     return MinimizeOutcome("optimal", point, value)
 

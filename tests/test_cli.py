@@ -116,7 +116,10 @@ class TestRun:
 
 class TestUsageErrors:
     def test_unknown_builtin(self, capsys):
-        assert main(["run", "--problem", "nope"]) == 2
+        # the message itself, not the repr a KeyError's str() gives
+        for command in ("run", "verify"):
+            assert main([command, "--problem", "nope"]) == 2
+            assert capsys.readouterr().err == "error: no builtin problem named 'nope'\n"
 
     def test_unreadable_file(self):
         assert main(["run", "--file", "/does/not/exist.gsip"]) == 2

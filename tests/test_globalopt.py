@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (random_box, random_expr, random_poly_instance,
                       reference_array, sample_point, shrink_box)
+from test_expr import CONSTS, COORDS, expressions
 from test_golden import (ORACLE_GRID_N, ORACLE_GRID_OUTCOMES,
                          ORACLE_NODE_BUDGET, ORACLE_TOL_OPT,
                          load_oracle_outcomes)
@@ -782,6 +783,127 @@ class TestGridFeasibilityFirst:
             _dense_grid_minimize(objective, constraints, box, n))
 
 
+U, V = ex.var("u"), ex.var("v")
+UNIT_UV = BoxDomain([("u", -1.0, 1.0), ("v", -1.0, 1.0)])
+
+
+@st.composite
+def hoisting_cases(draw):
+    """A grid over (u, v) of 2, 3, 5, 8 or 65 points per axis; an objective
+    and 0-2 constraints over u, v and the bound values a and b, each with
+    its own values of a and b; and the rows per block.  One tree divides by
+    a divisor over v alone (and, one time in three, a bound value), which
+    is zero at a grid point one time in three."""
+    n = draw(st.sampled_from((2, 3, 5, 8, 65)))
+    coords = []
+    for name in ("u", "v"):
+        lo, hi = sorted((draw(COORDS), draw(COORDS)))
+        coords.append((name, lo, hi))
+    box = BoxDomain(coords)
+    if draw(st.integers(0, 2)) == 0:
+        # a grid point of v, computed as the grid computes it
+        c = float(np.linspace(*box.bounds[1], n)[draw(st.integers(0, n - 1))])
+    else:
+        c = draw(st.floats(-10.0, 10.0))
+    divisor = V - c
+    if draw(st.integers(0, 2)) == 0:
+        divisor = divisor * draw(expressions(names=("v", "a"), unknown="b"))
+
+    def tree():
+        return draw(expressions(consts=CONSTS, names=("u", "v", "a", "b"), unknown="a"))
+
+    def bound():
+        return (("a", draw(COORDS)), ("b", draw(COORDS)))
+    trees = [tree() for _ in range(draw(st.integers(1, 3)))]
+    i = draw(st.integers(0, len(trees) - 1))
+    trees[i] = trees[i] + tree() / divisor
+    constraints = [ConstraintSpec(e, draw(st.sampled_from(("le", "ge"))), bound())
+                   for e in trees[1:]]
+    return trees[0], constraints, box, n, bound(), draw(st.sampled_from((1, 7, 64)))
+
+
+def _grid_outcome(fn, *args, **kwargs):
+    """``repr`` of what ``fn`` returns, or the type and message of the
+    ``EvaluationError`` it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return repr(fn(*args, **kwargs))
+    except EvaluationError as err:
+        return EvaluationError, str(err)
+
+
+class TestGridHoisting:
+    """A node that does not span the first axis is computed once per grid,
+    and the grid's axes are np.linspace's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hoisting_cases())
+    # 4 points on [-1, 1] miss v = 0.5, 5 points do not
+    @example((U * (V - 0.5) + ex.var("a") / (V - 0.5), [], UNIT_UV, 4, (("a", 2.0),), 1))
+    @example((U * (V - 0.5) + ex.var("a") / (V - 0.5), [], UNIT_UV, 5, (("a", 2.0),), 1))
+    def test_matches_the_dense_grid(self, case):
+        objective, constraints, box, n, parameters, rows = case
+        assert _grid_outcome(_blocked, rows * n, objective, constraints, box, n,
+                             parameters=parameters) == \
+            _grid_outcome(_dense_grid_minimize, objective, constraints, box, n,
+                          parameters=parameters)
+
+    def test_a_subtree_over_the_second_axis_once_per_grid(self):
+        # u ** 2 spans the first axis, (v + 1) ** 3 does not: over 5 blocks of
+        # one row, the one is raised to its power in each, the other once
+        objective = U ** 2 * (V + 1.0) ** 3
+        kernel = arrays._kernel(objective, UNIT_UV.names, 2)[0]
+        power = kernel.__globals__["_float_power"]
+        shapes = []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return power(a, *args, **kwargs)
+        evaluated = []
+
+        def evaluate(e, env):
+            evaluated.append(e)
+            return evaluate_array(e, env)
+        with mock.patch.dict(kernel.__globals__, _float_power=spy), \
+                mock.patch.object(globalopt, "evaluate_array", evaluate):
+            out = _blocked(5, objective, [], UNIT_UV, 5)
+        assert repr(out) == repr(_dense_grid_minimize(objective, [], UNIT_UV, 5))
+        assert evaluated == [objective] * 5
+        assert sorted(shapes) == [(1, 1)] * 5 + [(1, 5)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(COORDS, st.sampled_from(
+               [5e-324, -5e-324, 1e-320, 1.7e308, -1.7e308, math.ulp(1.0)])),
+           min_size=2, max_size=2),
+           st.lists(st.sampled_from((2, 3, 401)), min_size=2, max_size=2),
+           st.booleans())
+    @example([0.5, 0.5], [401, 2], False)           # lo == hi
+    @example([-0.0, 0.0], [3, 401], True)           # signed zeros, both ways
+    @example([0.0, 5e-324], [401, 3], False)        # the step underflows to 0
+    @example([-1.7e308, 1.7e308], [3, 2], False)    # the span overflows to inf
+    def test_the_axes_are_linspaces(self, ends, ns, swap):
+        # the axes as the grid's trees see them, over one block
+        lo, hi = sorted(ends)
+        if swap and lo == hi:
+            lo, hi = hi, lo
+        seen = []
+
+        def evaluate(e, env):
+            seen.append({name: env[name].copy() for name in UNIT_UV.names})
+            return evaluate_array(e, env)
+        for n in ns:
+            box = BoxDomain([("u", lo, hi), ("v", -hi, -lo)])
+            del seen[:]
+            with mock.patch.object(globalopt, "evaluate_array", evaluate), \
+                    np.errstate(all="ignore"):
+                _blocked(n * n, U + V, [], box, n)
+                want = [np.linspace(a, b, n) for _, a, b in box.coords]
+            (axes,) = seen
+            assert axes["u"].shape == (n, 1) and axes["v"].shape == (1, n)
+            for got, line in zip(axes.values(), want):
+                assert got.tobytes() == line.tobytes()
+
+
 class TestGridBuffers:
     """The grid evaluates into its thread's reused buffers."""
 
@@ -850,23 +972,24 @@ class TestGridBuffers:
 
 
 def _dense_grid_minimize(objective, constraints, box, points_per_axis,
-                         tol_feas=1e-9):
-    """Reference oracle: every variable bound to a full meshgrid copy,
-    evaluated by the reference walk, and the first minimum in C order among
-    the feasible points whose value is not NaN."""
+                         tol_feas=1e-9, parameters=()):
+    """Reference oracle: every variable bound to a full meshgrid copy, and
+    each tree's bound values to floats, evaluated by the reference walk, and
+    the first minimum in C order among the feasible points whose value is
+    not NaN."""
     axes = [np.linspace(lo, hi, points_per_axis) for _, lo, hi in box.coords]
     grids = np.meshgrid(*axes, indexing="ij")
     env = dict(zip(box.names, grids))
     shape = tuple(len(a) for a in axes)
 
-    def on_grid(e):
+    def on_grid(e, bound):
         return np.broadcast_to(
-            np.asarray(reference_array(e, env), dtype=float), shape)
+            np.asarray(reference_array(e, {**dict(bound), **env}), dtype=float), shape)
 
-    vals = on_grid(objective)
+    vals = on_grid(objective, parameters)
     feas = ~np.isnan(vals)
     for c in constraints:
-        cv = on_grid(c.expr)
+        cv = on_grid(c.expr, c.parameters)
         feas &= (cv <= tol_feas) if c.sense == "le" else (cv >= -tol_feas)
     candidates = np.flatnonzero(feas)
     if not len(candidates):
