@@ -5,7 +5,10 @@ the lower-level minimizer itself, a nearby point that minimizes the
 aggregated inner constraint among near-optimal points (within a factor
 alpha of the lower-level value).  On the builtin problem "cex2" this gets
 stuck: the first added point pins all later iterates at x = 0, so the
-bounds freeze at 0 while the true value is 0.5.
+bounds freeze at 0 while the true value is 0.5.  The stall needs
+alpha >= 10/11: below it the first added point has y < 0 and the run gets
+past 0.  Shifting g to -y - c moves the threshold to c/(1+c), so every
+alpha in (0, 1) has a problem of this family on which the variant stalls.
 """
 from gsiplab import AUX_LLP, AlgorithmConfig, get_builtin, run
 

@@ -98,16 +98,23 @@ def linspace(lo: float, hi: float, n: int):
     """``np.linspace(lo, hi, n)`` for floats ``lo`` and ``hi`` and ``n >=
     2``, bit for bit, by its own recipe without its set-up: ``arange(n)``
     times the step (divided by ``n - 1``, then times the span, where the step
-    underflows to 0), plus ``lo``, and ``hi`` as the last point."""
+    underflows to 0), plus ``lo``, and ``hi`` as the last point.  Where the
+    span overflows, which makes that recipe's points inf and NaN, point i is
+    ``lo + i*(hi/(n-1)) - i*(lo/(n-1))`` instead, whose terms are finite."""
     out = np.arange(n, dtype=float)
     span = hi - lo
-    step = span / (n - 1)
-    if step == 0:
-        out /= n - 1
-        out *= span
+    if math.isinf(span):
+        # up to the last point, hi, set below, where i*(hi/(n-1)) may overflow
+        i = out[:-1]
+        i[:] = lo + i * (hi / (n - 1)) - i * (lo / (n - 1))
     else:
-        out *= step
-    out += lo
+        step = span / (n - 1)
+        if step == 0:
+            out /= n - 1
+            out *= span
+        else:
+            out *= step
+        out += lo
     out[-1] = hi
     return out
 

@@ -114,13 +114,6 @@ class Expr:
         if self.kind == "pow" and (not isinstance(self.exponent, int) or self.exponent < 0):
             raise ValueError("integer power exponent must be a nonnegative integer")
 
-    def __getstate__(self):
-        # the kernels compile_expr keeps on the tree are generated functions,
-        # not state: copies and pickles leave them out
-        state = dict(self.__dict__)
-        state.pop(_KERNELS, None)
-        return state
-
     # -- convenience operators ------------------------------------------
     def __add__(self, other): return add(self, as_expr(other))
     def __radd__(self, other): return add(as_expr(other), self)

@@ -23,19 +23,16 @@ Two engines share one outcome type:
   and corners, the corners a contraction gives a box, and one secant step
   at the root.  The first one becomes the incumbent even if its value is
   +inf, and later ones must pass the strict ``v < best`` update test, so a
-  point offered again could not change the incumbent.  A node and its
-  children offer none twice: a child considers only its corners
-  (``domains.corner_values``) on the split plane, none when the plane is
-  one point, the parent's midpoint (``domains.midpoint_value``), unless the
-  contraction below moved the parent, and a box that the monotonicity test
-  below reduces to a point, one of its corners, considers nothing; a corner
-  shared with a box that is not a sibling is offered again, and the padded
-  corners of a contracted box, one float outside the ends that were
-  offered, are never offered.  The secant step is outside that claim: a
-  later midpoint may repeat it.  A node leaves the search certified
-  infeasible by a constraint's interval bound or by the contraction,
-  contributing nothing, or settled,
-  contributing its objective lower bound ``lb`` to one minimum: retired at
+  point offered again could not change the incumbent; a solve keeps the set
+  of points it has offered, and offers none twice.  A child offers only its
+  corners (``domains.corner_values``) on the split plane, the others being
+  its parent's, so the padded corners of a contracted box, one float
+  outside the ends that were offered, are never offered; a box that the
+  monotonicity test below reduces to a point, one of its corners, offers
+  nothing; and the secant step is offered only where it moved.  A node
+  leaves the search certified infeasible by a constraint's interval bound
+  or by the contraction, contributing nothing, or settled, contributing
+  its objective lower bound ``lb`` to one minimum: retired at
   the heap front when ``domains.split``, the one bisection rule, cannot cut
   it, whatever its midpoint, or set aside by the one comparison
   ``lb >= best - tol_opt``, at push and at the heap front, where it stops
@@ -165,16 +162,15 @@ class ConstraintSpec:
     value)`` pairs: variables of ``expr`` that the solver holds fixed and
     never bisects.
 
-    A spec keeps its bound kernels (``compile`` and ``contractor``), keyed by
-    the box's names and the tolerance, as a tree keeps its compiled ones:
-    every solve of a spec after the first binds nothing.  With them it keeps
-    its analysis of the last root box a solve asked about (``_Binding``):
-    the interval verdict and, where that is undecided, the signed value at
-    the midpoint, the interval slopes and the box contracted to 0.  A solve
-    that starts from the same box reads them, so a cut that a loop's
-    lower-bounding solves share is analysed at their root once.  The fields
-    do not change, so equality, hashing and ``repr`` ignore the kernels and
-    the analysis, and copies and pickles leave them out."""
+    A spec keeps its bindings (``bind``), keyed by the box's names and the
+    tolerance, as a tree keeps its compiled kernels: every solve of a spec
+    after the first binds nothing.  A binding keeps the analysis of the
+    last root box a solve asked about: the interval verdict and, where that
+    is undecided, the signed value at the midpoint, the interval slopes and
+    the box contracted to 0.  A solve that starts from the same box reads
+    them, so a cut that a loop's lower-bounding solves share is analysed at
+    their root once.  The fields do not change, so equality, hashing and
+    ``repr`` ignore the bindings, and copies and pickles leave them out."""
 
     expr: Expr
     sense: str = "le"
@@ -183,11 +179,6 @@ class ConstraintSpec:
     def __post_init__(self):
         if self.sense not in ("le", "ge"):
             raise ValueError(f"sense must be 'le' or 'ge', got {self.sense!r}")
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop(_BOUND, None)
-        return state
 
     @property
     def sign(self) -> float:
@@ -202,41 +193,48 @@ class ConstraintSpec:
             return value <= tol_feas
         return value >= -tol_feas
 
-    def compile(self, names: Sequence[str], tol_feas: float):
-        """Two tests over the kernels of ``expr`` (``expr.compile_expr``):
-        whether a point passes ``satisfied``, and whether a box of
-        ``(lo, hi)`` pairs is certified to violate the constraint
-        (``VIOLATED``), certified to satisfy it at every point (``SATISFIED``)
-        or neither (``UNDECIDED``), by the signed value's interval.  Points
-        and boxes are over ``names``; the tests append the bound values."""
-        k = self._binding(names, tol_feas)
-        return k.satisfied, k.decide
-
-    def contractor(self, names: Sequence[str]):
-        """A function of a box's ``(lo, hi)`` pairs over ``names`` and its
-        midpoint that returns what ``_contract`` needs: the signed value at
-        the midpoint, which passes ``satisfied`` exactly where it is at most
-        the tolerance, and the signed value's interval gradient over the box
-        (``expr.compile_gradient``, along ``names``)."""
-        return self._binding(names, 0.0).contractor
-
-    def _binding(self, names: Sequence[str], tol_feas: float) -> "_Binding":
-        """The kernels over one binding of the bound values, made at the
-        first request and kept on the spec (a ``@frozen`` value: the
-        attribute goes straight into its ``__dict__``, outside its
-        fields)."""
+    def bind(self, names: Sequence[str], tol_feas: float) -> "_Binding":
+        """The spec's kernels over points and boxes of ``names``, with the
+        bound values appended (``_Binding``), made at the first request and
+        kept on the spec (a ``@frozen`` value: the attribute goes straight
+        into its ``__dict__``, outside its fields)."""
         kept = self.__dict__.setdefault(_BOUND, {})
         key = (tuple(names), tol_feas)
         k = kept.get(key)
         if k is None:
-            k = kept[key] = self._bind_kernels(*key)
+            k = kept[key] = _Binding(self, *key)
         return k
 
-    def _bind_kernels(self, names: tuple[str, ...], tol_feas: float):
-        pnames, values, pairs = _bind(names, self.parameters)
-        point, interval = compile_expr(self.expr, (*names, *pnames))
-        gradient = compile_gradient(self.expr, names, pnames)
-        sign = self.sign
+
+class _Binding:
+    """A spec's kernels over one binding (``ConstraintSpec.bind``), and its
+    analysis of the last root box a solve asked about, which a solve from
+    the same box reads instead of making.
+
+    ``satisfied(point)`` is whether a point passes ``satisfied``;
+    ``decide(bounds)`` whether a box of ``(lo, hi)`` pairs is certified to
+    violate the constraint (``VIOLATED``), certified to satisfy it at every
+    point (``SATISFIED``) or neither (``UNDECIDED``), by the signed value's
+    interval.  ``contractor(bounds, mid)`` gives what ``_contract`` needs:
+    the signed value at the box's midpoint ``mid``, which passes
+    ``satisfied`` exactly where it is at most the tolerance, and the signed
+    value's interval gradient over the box (``expr.compile_gradient``,
+    along the box's names).  ``cut(bounds, mid)`` is the analysis of a box
+    on which ``decide`` left the constraint undecided: that value, those
+    slopes and the box contracted to the target 0 (``_contract``, None
+    where that is empty).  ``root_decide`` and ``root_cut`` give the same
+    answers, kept for the last root box: a box is the same when its bounds
+    are the same tuple object, which cannot change (an equal tuple may hold
+    a zero of the other sign), and the entry is replaced whole, so it
+    always holds one box's own answers."""
+
+    __slots__ = ("satisfied", "decide", "contractor", "_root")
+
+    def __init__(self, spec: ConstraintSpec, names: tuple[str, ...], tol_feas: float):
+        pnames, values, pairs = _bind(names, spec.parameters)
+        point, interval = compile_expr(spec.expr, (*names, *pnames))
+        gradient = compile_gradient(spec.expr, names, pnames)
+        sign = spec.sign
 
         def decide(bounds):
             lo, hi = interval(bounds + pairs)
@@ -251,28 +249,8 @@ class ConstraintSpec:
             if sign < 0.0:
                 slopes = [(-hi, -lo) for lo, hi in slopes]
             return sign * point(mid + values), slopes
-        return _Binding(lambda x: sign * point(x + values) <= tol_feas,
-                        decide, contractor)
-
-
-class _Binding:
-    """A spec's kernels over one binding (``ConstraintSpec.compile`` and
-    ``contractor``), and its analysis of the last root box a solve asked
-    about, which a solve from the same box reads instead of making.
-
-    ``cut(bounds, mid)`` is the analysis of a box on which ``decide`` left
-    the constraint undecided: the signed value at the box's midpoint
-    ``mid``, its interval slopes and the box contracted to the target 0
-    (``_contract``, None where that is empty).  ``root_decide`` and
-    ``root_cut`` give the same answers, kept for the last root box: a box
-    is the same when its bounds are the same tuple object, which cannot
-    change (an equal tuple may hold a zero of the other sign), and the
-    entry is replaced whole, so it always holds one box's own answers."""
-
-    __slots__ = ("satisfied", "decide", "contractor", "_root")
-
-    def __init__(self, satisfied, decide, contractor):
-        self.satisfied, self.decide, self.contractor = satisfied, decide, contractor
+        self.satisfied = lambda x: sign * point(x + values) <= tol_feas
+        self.decide, self.contractor = decide, contractor
         self._root = (None, None, None)   # bounds, verdict, cut
 
     def cut(self, bounds, mid):
@@ -446,7 +424,7 @@ def minimize(objective: Expr,
     names = box.names
     pnames, values, pairs = _bind(names, parameters)
     obj_point, obj_interval = compile_expr(objective, (*names, *pnames))
-    bindings = [c._binding(names, tol_feas) for c in constraints]
+    bindings = [c.bind(names, tol_feas) for c in constraints]
     satisfied = [k.satisfied for k in bindings]
     # each constraint's verdict on a box and, where it is undecided, its cut:
     # the root's are read from the spec's analysis of the root box, which an
@@ -461,6 +439,7 @@ def minimize(objective: Expr,
     best_pt: Optional[tuple[float, ...]] = None
     settled_lb = math.inf  # least lb of the settled nodes
     settled = False
+    offered = set()  # the points offered, and midpoints known infeasible
     obj_gradient = None
 
     def gradient():
@@ -475,8 +454,12 @@ def minimize(objective: Expr,
     def consider(point, active, checked: bool = False) -> None:
         """Offer a candidate incumbent from a box on which the constraints
         outside ``active`` are certified satisfied; ``checked`` when the
-        point is known to pass the tests of ``active``."""
+        point is known to pass the tests of ``active``.  A point offered
+        before is skipped."""
         nonlocal best_val, best_pt
+        if point in offered:
+            return
+        offered.add(point)
         if not checked:
             for j in active:
                 if not satisfied[j](point):
@@ -534,13 +517,11 @@ def minimize(objective: Expr,
                         point[i] = r
         return tuple(point), mid
 
-    def push(b: BoxDomain, corners, active, steps) -> bool:
+    def push(b: BoxDomain, corners, active, steps) -> None:
         """Contract a box, bound it, then queue or settle it.  ``corners``
-        are the box's corners not yet considered, ``active`` the constraints
-        not certified satisfied on its parent, ``steps`` the constraints'
-        verdicts and cuts (``at_root`` or ``afresh``).  Returns False when
-        the box is certified infeasible, in which case nothing was
-        considered."""
+        are the box's corners to offer, ``active`` the constraints not
+        certified satisfied on its parent, ``steps`` the constraints'
+        verdicts and cuts (``at_root`` or ``afresh``)."""
         bounds = b.bounds
         decide, cut = steps
         # every verdict before any cut, so a violated constraint costs no
@@ -549,7 +530,7 @@ def minimize(objective: Expr,
         for j in active:
             verdict = decide[j](bounds)
             if verdict is VIOLATED:
-                return False
+                return
             if verdict is UNDECIDED:
                 undecided.append(j)
         mid = tuple(map(midpoint_value, bounds))
@@ -569,49 +550,47 @@ def minimize(objective: Expr,
             contracted = _meet(bounds, [_contract(bounds, mid, value, slopes, tol_feas)
                                         for value, slopes, _ in cuts])
             if contracted is None:
-                return False
+                return
         if passes:
             consider(mid, undecided, checked=True)
+        else:
+            offered.add(mid)
         for corner in corners:
             consider(corner, undecided)
-        offered = contracted == bounds   # the queued box's midpoint is mid
-        if not offered:
+        if contracted != bounds:
             for corner in _new_corners(bounds, contracted):
-                if corner != mid:
-                    consider(corner, undecided)
+                consider(corner, undecided)
             bounds = contracted
             b = _validated(names, bounds)
         lb = obj_interval(bounds + pairs)[0]
         if settle(lb):
-            return True
+            return
         if not undecided:
             reduced = monotone(bounds)
             if reduced != bounds:
-                # the reduced box's corners are corners of b, which were
-                # considered, except the padded ones of a contracted box,
-                # which are skipped on purpose (see the bisection below), so
-                # a box reduced to a point offers nothing
+                # the reduced box's corners are corners of b, whose padded
+                # ones, of a contracted box, are skipped on purpose (see the
+                # bisection below), so a box reduced to a point offers nothing
                 if any(lo != hi for lo, hi in reduced):
                     consider(tuple(map(midpoint_value, reduced)), ())
                 lb = obj_interval(reduced + pairs)[0]
                 if settle(lb):
-                    return True
+                    return
                 b = _validated(names, reduced)
-        heapq.heappush(heap, (lb, next(counter), b, undecided, offered))
-        return True
+        heapq.heappush(heap, (lb, next(counter), b, undecided))
 
     push(box, itertools.product(*map(corner_values, box.bounds)),
          range(len(constraints)), at_root)
     if heap:
         # the root did not settle: its queued box, contracted and reduced,
         # offers the secant step, which the first settle below then reads
-        _, _, b, active, _ = heap[0]
+        _, _, b, active = heap[0]
         point, mid = secant(b.bounds)
         if point != mid:
             consider(point, active)
     pops = 0
     while heap:
-        lb, _, b, active, offered = heapq.heappop(heap)
+        lb, _, b, active = heapq.heappop(heap)
         if settle(lb):
             break  # b had the least lb of the nodes left in the heap
         cut = split(b.bounds)
@@ -623,21 +602,16 @@ def minimize(objective: Expr,
             raise NodeBudgetExceeded(f"node budget {node_budget} exhausted")
         left, right = b.bisect()
         # A child's corners off the split plane are corners of b, so the
-        # children consider only the plane corners, and the right child only
-        # if the left one was infeasible.  The corners b had when it was
-        # pushed were considered then, and offered again they could not pass
-        # the strict `v < best_val` test.  The corners a contraction gave it
-        # lie one float outside the ends, rounded to nearest, that were
-        # offered; they are skipped on purpose, at the cost of at most an
-        # ulp-scale gap between the incumbent and the lower bound, which
-        # tol_opt covers.  A plane of one point, as in 1-D, is b's midpoint,
-        # considered too unless b was contracted.
+        # children offer only the plane corners.  The corners a contraction
+        # gave b lie one float outside the ends, rounded to nearest, that
+        # were offered; they are skipped on purpose, at the cost of at most
+        # an ulp-scale gap between the incumbent and the lower bound, which
+        # tol_opt covers.
         i, mid = cut
         plane = list(itertools.product(*[
             (mid,) if j == i else corner_values(p) for j, p in enumerate(b.bounds)]))
-        plane = () if offered and len(plane) == 1 else plane
-        considered = push(left, plane, active, afresh)
-        push(right, () if considered else plane, active, afresh)
+        push(left, plane, active, afresh)
+        push(right, plane, active, afresh)
 
     if best_pt is None:
         if settled:
@@ -668,7 +642,8 @@ def grid_minimize(objective: Expr,
 
     The variables are bound to an open grid: axis ``i`` is an array of shape
     ``(1, ..., n, ..., 1)``, whose values are ``np.linspace(lo, hi, n)``'s,
-    bit for bit, built by its recipe (``arrays.linspace``).
+    bit for bit, built by its recipe (``arrays.linspace``), save where
+    ``hi - lo`` overflows and that recipe's points are not finite.
     ``evaluate_array`` thus works on one axis's values until an operation
     mixes two axes, where broadcasting builds the full grid.  Broadcasting
     only repeats operands, so every grid value comes from the same float

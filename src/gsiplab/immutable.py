@@ -10,13 +10,15 @@
 * ``__eq__``: equal field tuples within one class, ``NotImplemented``
   against anything else; ``__hash__``: the hash of the field tuple;
 * ``__repr__``: ``Name(field=value!r, ...)``;
+* ``__getstate__``: the fields by name, so that ``copy`` and ``pickle``
+  keep them and nothing else;
 * ``__setattr__`` and ``__delattr__``, which raise ``AttributeError``;
 * ``__match_args__``: the field names, in order.
 
 A method the class defines itself stays.  The fields live in the instance
 ``__dict__``, so ``functools.cached_property``, ``copy`` and ``pickle``
 work, and a class may keep derived values there (writing to ``__dict__``
-directly) outside its fields.
+directly) outside its fields, which copies and pickles leave out.
 """
 
 
@@ -33,6 +35,7 @@ def frozen(cls):
     mine = "".join(f"self.{n}, " for n in names)
     theirs = "".join(f"other.{n}, " for n in names)
     shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    state = ", ".join(f"{n!r}: self.{n}" for n in names)
     # object.__setattr__ keeps the values inline in the instance (CPython
     # 3.11+), where reads are fastest and no dict is allocated per value;
     # writing to self.__dict__ would make one
@@ -48,11 +51,13 @@ def frozen(cls):
         f"    return hash(({mine}))",
         "def __repr__(self):",
         f"    return f'{{self.__class__.__qualname__}}({shown})'",
+        "def __getstate__(self):",
+        f"    return {{{state}}}",
     ])
     exec(compile(source, f"<frozen {cls.__qualname__}>", "exec"), namespace)
     methods = {"__setattr__": _refuse_assignment, "__delattr__": _refuse_deletion,
                "__match_args__": names}
-    for m in ("__init__", "__eq__", "__hash__", "__repr__"):
+    for m in ("__init__", "__eq__", "__hash__", "__repr__", "__getstate__"):
         methods[m] = namespace[m]
         methods[m].__qualname__ = f"{cls.__qualname__}.{m}"
     for m, value in methods.items():

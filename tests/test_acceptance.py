@@ -73,6 +73,45 @@ def test_stall_of_aux_llp_discretization(capsys):
     _report(capsys, "aux-llp bounds stall at 0 on the second counterexample", check)
 
 
+def shifted_cex2(c: float) -> GsipProblem:
+    """cex2 with ``g = -y - c``; cex2 itself is ``c = 10``."""
+    return GsipProblem(name=f"cex2_shift_{c}", X=CEX2.X, Y=CEX2.Y, f=CEX2.f,
+                       g=-ex.var("y") - c, h=CEX2.h)
+
+
+@pytest.mark.parametrize("c, reached", [(10.0, 0.5), (0.5, 0.25), (0.01, 0.005)])
+def test_aux_llp_stalls_from_its_alpha_threshold_on(capsys, c, reached):
+    """The aux-llp stall needs alpha >= c / (1 + c), 10/11 on cex2.
+
+    The first iterate is x = 1, where hbar = min(y - 2, -1) <= 0 holds on
+    all of Y, so the LLP value is -1 - c, at y = 1.  The aux-LLP keeps the
+    points with -y - c <= -alpha (1 + c), that is y >= alpha (1 + c) - c,
+    and its objective hbar = y - 2 is least at that end.  For alpha at or
+    above the threshold that point has y >= 0, where g < 0, so its cut
+    max(g, hbar) >= 0 needs hbar = min(y - 2x, -x) >= 0, which pins x <= 0:
+    every later iterate is x = 0 and the bound stays 0.  Below it the
+    point has y < 0 and the run gets past 0.  So for every alpha in (0, 1)
+    some c refutes the convergence claim.  The alphas stay a factor 1e-3
+    off the threshold, so that tol_feas does not decide."""
+    problem = shifted_cex2(c)
+    threshold = c / (1.0 + c)
+
+    def check():
+        if c == 10.0:
+            assert problem.g == CEX2.g
+        for tie_break in ("solver", "min-y", "max-y"):
+            above, below = (run(problem, AlgorithmConfig(
+                variant=AUX_LLP, alpha=threshold * factor, aux_tie_break=tie_break))
+                for factor in (1.0 + 1e-3, 1.0 - 1e-3))
+            assert above.trace[0].x["x"] == 1.0
+            assert all(abs(rec.x["x"]) <= 1e-6 for rec in above.trace[1:])
+            assert abs(above.final_lower_bound) <= 1e-6
+            assert below.final_lower_bound == pytest.approx(reached, abs=1e-6)
+
+    _report(capsys, f"aux-llp stalls at 0 above alpha = {threshold:.4g}, not "
+                    f"below (g = -y - {c:g})", check)
+
+
 def test_sip_llp_variant_converges(capsys):
     def check():
         t0 = time.perf_counter()

@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from gsiplab import algorithms, gsip
+from gsiplab import algorithms, globalopt, gsip
 from gsiplab.cli import _config_from_args, build_parser, main
 from gsiplab.expr import Interval
 from gsiplab.globalopt import MinimizeOutcome
@@ -18,6 +19,7 @@ from gsiplab.problem_format import MAX_DEPTH, parse_problem
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).with_name("golden")
 LLP_INFEASIBLE = GOLDEN / "llp_infeasible.gsip"
+WIDE_BOX = GOLDEN / "wide_box.gsip"
 
 CEX1_TEXT = """\
 problem "mine"
@@ -354,6 +356,25 @@ class TestVerify:
             "k=1 llp: bnb=infeasible grid=infeasible\n"
             "k=1 sip_llp: bnb=1.5 grid=1.5 diff=0.000e+00\n"
             "checked 2 subproblems, max discrepancy 0.000000e+00\n")
+
+    def test_grid_minimizers_lie_in_a_box_whose_span_overflows(self, monkeypatch,
+                                                                capsys):
+        # y's span overflows; the grid's axis over it is finite and inside
+        # the box all the same, so the oracle agrees with branch-and-bound
+        grid_minimize, seen = globalopt.grid_minimize, []
+
+        def recording(objective, constraints, box, *args, **kwargs):
+            out = grid_minimize(objective, constraints, box, *args, **kwargs)
+            seen.append((box, out))
+            return out
+        monkeypatch.setattr(globalopt, "grid_minimize", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify", "--file", str(WIDE_BOX)]) == 0
+        assert seen and all(out.optimal and box.contains(out.minimizer)
+                            for box, out in seen)
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "checked 4 subproblems, max discrepancy 0.000000e+00")
 
     @staticmethod
     def _claim_llp(monkeypatch, claim):

@@ -614,12 +614,12 @@ class TestKernelCache:
         def compiled(o):
             """o's kernels, made or kept: a point kernel and a point for it."""
             if constraint:
-                o.contractor(("x",))
+                o.bind(("x",), 0.0)
                 try:
                     minimize(x, [o], BoxDomain([("x", -1.0, 1.0)]), node_budget=0)
                 except (ValueError, OverflowError, RuntimeError):
                     pass
-                return o.compile(("x",), 1e-9)[0], (0.5,)
+                return o.bind(("x",), 1e-9).satisfied, (0.5,)
             compile_gradient(o, NAMES)
             return compile_expr(o, NAMES)[0], (0.5, -1.5)
         twin = copy.deepcopy(e)

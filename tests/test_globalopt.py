@@ -208,16 +208,50 @@ class TestMinimize:
 
     def test_a_plane_of_one_point_is_not_offered(self, monkeypatch):
         # with y degenerate, each split plane is one point, its parent's
-        # midpoint; no solve offers a point twice within a node and its
-        # children, and here no box shares a corner with a non-sibling.  The
-        # quartic is not quadratic along x, so the root's secant step misses
-        # its minimizer and the search bisects
+        # midpoint, offered already, so the children offer their midpoints
+        # only.  The quartic is not quadratic along x, so the root's secant
+        # step misses its minimizer and the search bisects
         obj = (x - 0.3) ** 4 + y
         points = _recorded_points(monkeypatch)
         out = minimize(obj, [], BoxDomain([("x", 0, 1), ("y", 0.5, 0.5)]),
                        tol_opt=1e-9)
         assert out.minimizer == {"x": 0.296875, "y": 0.5}
         assert len(points) == len(set(points)) == 14
+
+    def test_no_point_kernel_sees_an_argument_twice_in_a_solve(self, monkeypatch):
+        # a solve keeps the points it has offered and offers none twice, and
+        # a midpoint whose cut values fail a constraint joins them: on the
+        # oracle suite and on every solve of the builtin runs, no point
+        # kernel that minimize compiles, the objective's or a constraint's,
+        # is called twice with one argument within a solve
+        calls, repeats = [], []
+        compile_expr, solve = globalopt.compile_expr, globalopt.minimize
+
+        def recording(e, names):
+            point, interval = compile_expr(e, names)
+
+            def record(p):
+                calls.append((record, p))
+                return point(p)
+            return record, interval
+
+        def checked(*args, **kwargs):
+            del calls[:]
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                repeats.append(len(calls) - len(set(calls)))
+        monkeypatch.setattr(globalopt, "compile_expr", recording)
+        monkeypatch.setattr(algorithms, "minimize", checked)
+        for seed in range(50):
+            obj, cons, box = random_poly_instance(seed)
+            checked(obj, cons, box, tol_opt=ORACLE_TOL_OPT,
+                    node_budget=ORACLE_NODE_BUDGET)
+        for problem in ("cex1", "cex2"):
+            for variant in (algorithms.LLP_ONLY, algorithms.AUX_LLP, algorithms.SIP_LLP):
+                algorithms.run(get_builtin(problem),
+                               algorithms.AlgorithmConfig(variant=variant))
+        assert len(repeats) > 50 and sum(repeats) == 0, repeats
 
 
 def _recorded_points(monkeypatch):
@@ -317,7 +351,7 @@ class TestConstraintTests:
             c = ConstraintSpec(e - (enclosure.hi + margin), "le")
         else:
             c = ConstraintSpec(e - (enclosure.lo - margin), "ge")
-        _, decide = c.compile(box.names, tol_feas)
+        decide = c.bind(box.names, tol_feas).decide
         if margin >= 0.0:
             assert decide(box.bounds) is SATISFIED
         elif decide(box.bounds) is not SATISFIED:
@@ -341,15 +375,14 @@ class TestConstraintTests:
         # a level inside the enclosure leaves part of the box undecided
         e = e - (enclosure.lo + level * (enclosure.hi - enclosure.lo))
         ge, le = ConstraintSpec(e, "ge"), ConstraintSpec(ex.neg(e), "le")
-        (ge_point, ge_decide), (le_point, le_decide) = (
-            c.compile(box.names, tol_feas) for c in (ge, le))
+        ge_bound, le_bound = (c.bind(box.names, tol_feas) for c in (ge, le))
         left, right = box.bisect()
         for b in (box, left, right, *left.bisect(), *right.bisect()):
-            assert ge_decide(b.bounds) is le_decide(b.bounds)
+            assert ge_bound.decide(b.bounds) is le_bound.decide(b.bounds)
         for p in _candidates(box):
             value = evaluate(e, dict(zip(box.names, p)))
             assert ge.satisfied(value, tol_feas) is le.satisfied(-value, tol_feas) \
-                is ge_point(p) is le_point(p)
+                is ge_bound.satisfied(p) is le_bound.satisfied(p)
         env = dict(zip(box.names, np.meshgrid(
             *(np.linspace(lo, hi, 5) for lo, hi in box.bounds), indexing="ij")))
         assert np.array_equal(ge.satisfied(evaluate_array(e, env), tol_feas),
@@ -359,7 +392,7 @@ class TestConstraintTests:
     def test_exceptional_values_pass_alike_in_both_senses(self, tol_feas):
         values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-9, -1e-9, 1e-300]
         ge, le = ConstraintSpec(x, "ge"), ConstraintSpec(ex.neg(x), "le")
-        ge_point, le_point = (c.compile(("x",), tol_feas)[0] for c in (ge, le))
+        ge_point, le_point = (c.bind(("x",), tol_feas).satisfied for c in (ge, le))
         for v in values:
             assert ge.satisfied(v, tol_feas) is le.satisfied(-v, tol_feas) \
                 is ge_point((v,)) is le_point((v,))
@@ -388,7 +421,7 @@ class TestContraction:
             level = evaluate(e, sample_point(rng, b)) + rng.uniform(-1.0, 1.0)
             c = ConstraintSpec(e - level, sense)
             mid = tuple(map(midpoint_value, b.bounds))
-            value, slopes = c.contractor(b.names)(b.bounds, mid)
+            value, slopes = c.bind(b.names, tol_feas).contractor(b.bounds, mid)
             exact, relaxed = (globalopt._contract(b.bounds, mid, value, slopes, t)
                               for t in (0.0, tol_feas))
             assert value == c.sign * evaluate(c.expr, dict(zip(b.names, mid)))
@@ -880,7 +913,7 @@ class TestGridHoisting:
     @example([0.5, 0.5], [401, 2], False)           # lo == hi
     @example([-0.0, 0.0], [3, 401], True)           # signed zeros, both ways
     @example([0.0, 5e-324], [401, 3], False)        # the step underflows to 0
-    @example([-1.7e308, 1.7e308], [3, 2], False)    # the span overflows to inf
+    @example([-1.7e308, 1.7e308], [3, 2], False)    # the span overflows
     def test_the_axes_are_linspaces(self, ends, ns, swap):
         # the axes as the grid's trees see them, over one block
         lo, hi = sorted(ends)
@@ -897,11 +930,44 @@ class TestGridHoisting:
             with mock.patch.object(globalopt, "evaluate_array", evaluate), \
                     np.errstate(all="ignore"):
                 _blocked(n * n, U + V, [], box, n)
-                want = [np.linspace(a, b, n) for _, a, b in box.coords]
+                want = [_axis(a, b, n) for _, a, b in box.coords]
             (axes,) = seen
             assert axes["u"].shape == (n, 1) and axes["v"].shape == (1, n)
             for got, line in zip(axes.values(), want):
                 assert got.tobytes() == line.tobytes()
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(9e307, sys.float_info.max), st.floats(9e307, sys.float_info.max),
+           st.integers(2, 1000))
+    @example(1.7e308, 1.7e308, 3)
+    @example(sys.float_info.max, sys.float_info.max, 2)
+    def test_an_axis_whose_span_overflows_is_finite(self, a, b, n):
+        # np.linspace(-a, b, n) has inf and NaN points where b + a overflows
+        lo, hi = -a, b
+        assert math.isinf(hi - lo)
+        with np.errstate(all="raise"):
+            axis = arrays.linspace(lo, hi, n)
+        assert axis.shape == (n,) and np.isfinite(axis).all()
+        assert axis[0] == lo and axis[-1] == hi
+        assert ((lo <= axis) & (axis <= hi)).all()
+        assert (axis[:-1] <= axis[1:]).all()
+
+    def test_a_grid_over_an_overflowing_span_stays_in_the_box(self):
+        box = BoxDomain([("u", -1.7e308, 1.7e308)])
+        with np.errstate(all="raise"):
+            out = grid_minimize(ex.const(2.0), [], box, 3)
+        assert out.minimizer == {"u": -1.7e308} and out.value == 2.0
+
+
+def _axis(lo, hi, n):
+    """The grid's axis over ``[lo, hi]``: ``np.linspace``'s, or where the
+    span overflows, point i at ``lo + i*(hi/(n-1)) - i*(lo/(n-1))`` and
+    ``hi`` last."""
+    if math.isinf(hi - lo):
+        return np.array([lo + i * (hi / (n - 1)) - i * (lo / (n - 1))
+                         for i in range(n - 1)] + [hi])
+    return np.linspace(lo, hi, n)
 
 
 class TestGridBuffers:

@@ -141,6 +141,28 @@ class TestPickleAndCopy:
             assert twin == value
             assert not twin != value
 
+    @pytest.mark.parametrize("value", SAMPLES, ids=IDS)
+    def test_the_state_is_the_fields(self, value):
+        assert list(value.__getstate__()) == list(value.__match_args__)
+
+    def test_derived_state_stays_out(self):
+        # a cached property, a tree's kernels and a spec's bindings are
+        # rebuilt where they are needed, never copied or pickled
+        p = gsip.get_builtin("cex1")
+        before = pickle.dumps(p)
+        cut = p.cut
+        spec = ConstraintSpec(cut, "ge")
+        spec.bind(p.Y.names + p.X.names, 1e-9)
+        for value in (p, spec, cut):   # each keeps derived state now
+            assert len(vars(value)) > len(value.__match_args__)
+        assert pickle.dumps(p) == before
+        for value in (p, spec, cut):
+            for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
+                         copy.copy(value)):
+                assert vars(twin).keys() == set(value.__match_args__)
+                assert twin == value
+        assert pickle.loads(before).cut == cut
+
     def test_cached_properties_survive(self):
         p = gsip.get_builtin("cex1")
         cut = p.cut
