@@ -156,7 +156,10 @@ def _aux_llp(p: GsipProblem, x: dict[str, float], llp: MinimizeOutcome,
 def run(p: GsipProblem, cfg: AlgorithmConfig) -> RunResult:
     """Execute the lower-bounding iteration until convergence, stall,
     detected infeasibility, or the iteration cap."""
-    yset = [dict(y) for y in cfg.initial_yset]
+    yset: list[dict[str, float]] = []
+    for y in cfg.initial_yset:   # each initial point once, as an added one
+        if not any(_same_point(y, kept) for kept in yset):
+            yset.append(dict(y))
     trace: list[IterateRecord] = []
     prev_x: Optional[dict[str, float]] = None
     status = ITERATION_CAP

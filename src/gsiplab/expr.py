@@ -492,7 +492,8 @@ class _Emitter:
     # no NaN), the invariant Interval.__post_init__ enforces.  neg, min and
     # max map valid intervals to valid ones; every other node checks its
     # result, where the reference walk builds an Interval (add, sub, mul and
-    # div can meet inf - inf or inf * 0).
+    # div can meet inf - inf or inf * 0).  Those four are written by the
+    # slopes' emitters, dadd and dmul, with the value's NaN rule (check).
     def interval(self, e: Expr, kids, n: int) -> tuple[str, str]:
         """The natural interval arithmetic on bare floats, operation by
         operation as the tests' reference walk over intervals
@@ -526,24 +527,16 @@ class _Emitter:
             emit(f"{hi} = {ch} if {ch} > {ah} else {ah}")
             return lo, hi
         if k == "add":
-            emit(f"{lo} = {al} + {cl}")
-            emit(f"{hi} = {ah} + {ch}")
+            self.dadd(lo, hi, f"{al} + {cl}", f"{ah} + {ch}", value=True)
         elif k == "sub":
-            emit(f"{lo} = {al} - {ch}")
-            emit(f"{hi} = {ah} - {cl}")
+            self.dadd(lo, hi, f"{al} - {ch}", f"{ah} - {cl}", value=True)
         elif k == "div":
             emit(f"if {cl} <= 0.0 <= {ch}: _division_by_straddle()")
             emit(f"r{n} = 1.0 / {ch}")
             emit(f"s{n} = 1.0 / {cl}")
-            self.products(lo, hi, (al, ah), (f"r{n}", f"s{n}"))
-        elif e.children[0].kind == "const" and not math.isnan(e.children[0].value):
-            # [v, v] * [cl, ch]: the third and fourth products repeat the
-            # first two, so they can change neither the min nor the max (a
-            # NaN constant takes the generic path, where its line raises)
-            self.products(lo, hi, (al,), (cl, ch))
+            self.dmul(lo, hi, (al, ah), (f"r{n}", f"s{n}"), value=True)
         else:
-            self.products(lo, hi, (al, ah), (cl, ch))
-        emit(f"if not {lo} <= {hi}: _empty({lo}, {hi})")
+            self.dmul(lo, hi, (al, ah), (cl, ch), value=True)
         return lo, hi
 
     def power(self, lo: str, hi: str, al: str, ah: str, n: int) -> None:
@@ -571,18 +564,7 @@ class _Emitter:
             emit("else:")
             emit(f"    {lo} = (-{ah}) ** {p}")
             emit(f"    {hi} = (-{al}) ** {p}")
-        emit(f"if not {lo} <= {hi}: _empty({lo}, {hi})")
-
-    def products(self, lo: str, hi: str, a, c) -> None:
-        """The min and max of the products of ``a``'s and ``c``'s ends, as
-        ``reference_interval`` takes them with the builtins, scanned in their
-        order, so that ties and NaNs resolve identically."""
-        first, *rest = [f"{p} * {q}" for p in a for q in c]
-        self.lines.append(f"{lo} = {hi} = {first}")
-        for product in rest:
-            self.lines += [f"p = {product}",
-                           f"if p < {lo}: {lo} = p",
-                           f"if p > {hi}: {hi} = p"]
+        self.check(lo, hi, value=True)
 
     # The derivative arithmetic never raises: a NaN, from inf * 0 or
     # inf - inf, means the sign is unknown, so it widens to the entire line.
@@ -647,19 +629,31 @@ class _Emitter:
                 self.dmul(lo, hi, ("ul", "uh"), (f"r{n}", f"s{n}"))
         return d
 
-    def dadd(self, lo: str, hi: str, lo_sum: str, hi_sum: str) -> None:
-        """``lo, hi = lo_sum, hi_sum``, widened where ``lo <= hi`` fails."""
-        self.lines += [f"{lo} = {lo_sum}", f"{hi} = {hi_sum}",
-                       f"if not {lo} <= {hi}: {lo}, {hi} = _entire"]
+    def check(self, lo: str, hi: str, value: bool) -> None:
+        """The NaN rule where ``lo <= hi`` fails: a value raises
+        ``EmptyIntervalError``, as an ``Interval`` does, and a slope widens
+        to the entire line."""
+        self.lines.append(f"if not {lo} <= {hi}: " + (
+            f"_empty({lo}, {hi})" if value else f"{lo}, {hi} = _entire"))
 
-    def dmul(self, lo: str, hi: str, a, c) -> None:
+    def dadd(self, lo: str, hi: str, lo_sum: str, hi_sum: str,
+             value: bool = False) -> None:
+        """``lo, hi = lo_sum, hi_sum``, then the NaN rule (``check``)."""
+        self.lines += [f"{lo} = {lo_sum}", f"{hi} = {hi_sum}"]
+        self.check(lo, hi, value)
+
+    def dmul(self, lo: str, hi: str, a, c, value: bool = False) -> None:
         """The product of the pairs ``a`` and ``c``: the min and max of their
-        ends' products, scanned in the order of the builtins, widened where
-        the products hold a NaN or both infinities (their sum is NaN).
+        ends' products, scanned in the order of the builtins, as
+        ``reference_interval`` takes them, so that ties and NaNs resolve
+        identically.  A value then takes the NaN rule (``check``); a slope
+        is widened where the products hold a NaN or both infinities (their
+        sum is NaN).
 
         A product by the literal 1.0 is the other factor, and a product
-        that repeats an earlier one, as where a pair's ends are one operand,
-        is computed once: the same float cannot move the scan."""
+        that repeats an earlier one, as where a pair's ends are one operand
+        (a constant factor), is computed once: the same float cannot move
+        the scan."""
         terms = [p if q == "1.0" else q if p == "1.0" else f"{p} * {q}"
                  for p in a for q in c]
         operand = {}   # each distinct term once: an operand, or a product
@@ -672,5 +666,8 @@ class _Emitter:
         self.lines.append(f"{lo} = {hi} = {first}")
         for m in rest:
             self.lines += [f"if {m} < {lo}: {lo} = {m}", f"if {m} > {hi}: {hi} = {m}"]
-        self.lines += [f"m = {' + '.join(operand[t] for t in terms)}",
-                       f"if m != m: {lo}, {hi} = _entire"]
+        if value:
+            self.check(lo, hi, True)
+        else:
+            self.lines += [f"m = {' + '.join(operand[t] for t in terms)}",
+                           f"if m != m: {lo}, {hi} = _entire"]

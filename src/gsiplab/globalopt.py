@@ -11,14 +11,10 @@ Two engines share one outcome type:
   pairs to a box, and never bisected.
   A tree keeps its kernels, so a tree that many solves share compiles once,
   and a ``ConstraintSpec`` keeps its kernels with its bound values
-  appended, so a constraint that many solves share is bound once.  With
-  them it keeps its analysis of the last root box a solve asked about: its
-  interval verdict and, where that leaves it undecided, its value at the
-  midpoint, its interval slopes and the box contracted to 0, the steps
-  below.  The root push reads them, so a cut that the lower-bounding solves
-  of a loop share, each from the box X and one cut more than the last, is
-  analysed there once per run, not once per later solve.  A child box is
-  new, so a child push makes the same steps afresh and keeps nothing.
+  appended, so a constraint that many solves share is bound once; each
+  push, the root's and every child's alike, analyses a constraint through
+  its binding, which keeps its answers for the last box it was asked about
+  (``_Binding``).
   Incumbents are candidates that pass the ``tol_feas`` check: box midpoints
   and corners, the corners a contraction gives a box, and one secant step
   at the root.  The first one becomes the incumbent even if its value is
@@ -164,13 +160,10 @@ class ConstraintSpec:
 
     A spec keeps its bindings (``bind``), keyed by the box's names and the
     tolerance, as a tree keeps its compiled kernels: every solve of a spec
-    after the first binds nothing.  A binding keeps the analysis of the
-    last root box a solve asked about: the interval verdict and, where that
-    is undecided, the signed value at the midpoint, the interval slopes and
-    the box contracted to 0.  A solve that starts from the same box reads
-    them, so a cut that a loop's lower-bounding solves share is analysed at
-    their root once.  The fields do not change, so equality, hashing and
-    ``repr`` ignore the bindings, and copies and pickles leave them out."""
+    after the first binds nothing.  A binding keeps its analysis of the last
+    box it was asked about (``_Binding``).  The fields do not change, so
+    equality, hashing and ``repr`` ignore the bindings, and copies and
+    pickles leave them out."""
 
     expr: Expr
     sense: str = "le"
@@ -208,69 +201,64 @@ class ConstraintSpec:
 
 class _Binding:
     """A spec's kernels over one binding (``ConstraintSpec.bind``), and its
-    analysis of the last root box a solve asked about, which a solve from
-    the same box reads instead of making.
+    analysis of the last box a solve asked about.
 
     ``satisfied(point)`` is whether a point passes ``satisfied``;
     ``decide(bounds)`` whether a box of ``(lo, hi)`` pairs is certified to
     violate the constraint (``VIOLATED``), certified to satisfy it at every
     point (``SATISFIED``) or neither (``UNDECIDED``), by the signed value's
-    interval.  ``contractor(bounds, mid)`` gives what ``_contract`` needs:
-    the signed value at the box's midpoint ``mid``, which passes
-    ``satisfied`` exactly where it is at most the tolerance, and the signed
-    value's interval gradient over the box (``expr.compile_gradient``,
-    along the box's names).  ``cut(bounds, mid)`` is the analysis of a box
-    on which ``decide`` left the constraint undecided: that value, those
-    slopes and the box contracted to the target 0 (``_contract``, None
-    where that is empty).  ``root_decide`` and ``root_cut`` give the same
-    answers, kept for the last root box: a box is the same when its bounds
-    are the same tuple object, which cannot change (an equal tuple may hold
-    a zero of the other sign), and the entry is replaced whole, so it
-    always holds one box's own answers."""
+    interval.  ``cut(bounds, mid)`` is the analysis of a box on which
+    ``decide`` left the constraint undecided, ``mid`` being its midpoint:
+    the signed value at ``mid``, which passes ``satisfied`` exactly where it
+    is at most the tolerance, the signed value's interval gradient over the
+    box (``expr.compile_gradient``, along the box's names), and the box
+    contracted to the target 0 (``_contract``, None where that is empty).
 
-    __slots__ = ("satisfied", "decide", "contractor", "_root")
+    Both keep their answers for the last box they were asked about, and give
+    them again when asked about that box: a box is the same when its bounds
+    are the same tuple object, which cannot change (an equal tuple may hold
+    a zero of the other sign), and the entry is replaced whole, so it always
+    holds one box's own answers.  Every push, the root's and each child's
+    alike, goes through them, so a cut that the lower-bounding solves of a
+    loop share, each from the box X with one cut more than the last and
+    each settled at X, is analysed there once per run; after a solve that
+    bisects, the entry holds a child's answers, and the next solve from X
+    makes the root's again.  The entry lives in a cell that the two
+    closures share, not on the binding, so that a binding is no reference
+    cycle and is freed with its spec by reference counting alone."""
+
+    __slots__ = ("satisfied", "decide", "cut")
 
     def __init__(self, spec: ConstraintSpec, names: tuple[str, ...], tol_feas: float):
         pnames, values, pairs = _bind(names, spec.parameters)
         point, interval = compile_expr(spec.expr, (*names, *pnames))
         gradient = compile_gradient(spec.expr, names, pnames)
         sign = spec.sign
+        last = [(None, None, None)]   # a box's bounds, its verdict, its cut
 
         def decide(bounds):
-            lo, hi = interval(bounds + pairs)
-            if sign < 0.0:
-                lo, hi = -hi, -lo
-            if lo > tol_feas:
-                return VIOLATED
-            return SATISFIED if hi <= tol_feas else UNDECIDED
+            kept, verdict, _ = last[0]
+            if kept is not bounds or verdict is None:
+                lo, hi = interval(bounds + pairs)
+                if sign < 0.0:
+                    lo, hi = -hi, -lo
+                verdict = (VIOLATED if lo > tol_feas else
+                           SATISFIED if hi <= tol_feas else UNDECIDED)
+                last[0] = (bounds, verdict, None)
+            return verdict
 
-        def contractor(bounds, mid):
-            slopes = gradient(bounds + pairs)[1]
-            if sign < 0.0:
-                slopes = [(-hi, -lo) for lo, hi in slopes]
-            return sign * point(mid + values), slopes
+        def cut(bounds, mid):
+            kept, verdict, c = last[0]
+            if kept is not bounds or c is None:
+                slopes = gradient(bounds + pairs)[1]
+                if sign < 0.0:
+                    slopes = [(-hi, -lo) for lo, hi in slopes]
+                value = sign * point(mid + values)
+                c = value, slopes, _contract(bounds, mid, value, slopes, 0.0)
+                last[0] = (bounds, verdict if kept is bounds else None, c)
+            return c
         self.satisfied = lambda x: sign * point(x + values) <= tol_feas
-        self.decide, self.contractor = decide, contractor
-        self._root = (None, None, None)   # bounds, verdict, cut
-
-    def cut(self, bounds, mid):
-        value, slopes = self.contractor(bounds, mid)
-        return value, slopes, _contract(bounds, mid, value, slopes, 0.0)
-
-    def root_decide(self, bounds):
-        kept, verdict, _ = self._root
-        if kept is not bounds:
-            verdict = self.decide(bounds)
-            self._root = (bounds, verdict, None)
-        return verdict
-
-    def root_cut(self, bounds, mid):
-        # called where root_decide(bounds) is UNDECIDED; mid is the box's own
-        kept, _, cut = self._root
-        if kept is not bounds or cut is None:
-            cut = self.cut(bounds, mid)
-            self._root = (bounds, UNDECIDED, cut)
-        return cut
+        self.decide, self.cut = decide, cut
 
 
 @frozen
@@ -424,14 +412,11 @@ def minimize(objective: Expr,
     names = box.names
     pnames, values, pairs = _bind(names, parameters)
     obj_point, obj_interval = compile_expr(objective, (*names, *pnames))
+    obj_gradient = compile_gradient(objective, names, pnames)
     bindings = [c.bind(names, tol_feas) for c in constraints]
     satisfied = [k.satisfied for k in bindings]
-    # each constraint's verdict on a box and, where it is undecided, its cut:
-    # the root's are read from the spec's analysis of the root box, which an
-    # earlier solve from the same box made, or made and kept there; a
-    # child's box is new, so its steps are made afresh and kept nowhere
-    at_root = [k.root_decide for k in bindings], [k.root_cut for k in bindings]
-    afresh = [k.decide for k in bindings], [k.cut for k in bindings]
+    decide = [k.decide for k in bindings]
+    cut = [k.cut for k in bindings]
 
     heap: list = []
     counter = itertools.count()
@@ -440,16 +425,6 @@ def minimize(objective: Expr,
     settled_lb = math.inf  # least lb of the settled nodes
     settled = False
     offered = set()  # the points offered, and midpoints known infeasible
-    obj_gradient = None
-
-    def gradient():
-        """The objective's gradient kernel, fetched at its first use in this
-        solve: a solve that settles at its root may need none, and one that
-        never does compiles none."""
-        nonlocal obj_gradient
-        if obj_gradient is None:
-            obj_gradient = compile_gradient(objective, names, pnames)
-        return obj_gradient
 
     def consider(point, active, checked: bool = False) -> None:
         """Offer a candidate incumbent from a box on which the constraints
@@ -492,7 +467,7 @@ def minimize(objective: Expr,
         coordinate along which the objective is monotone fixed at its better
         end: the lower one where the derivative is >= 0 (a coordinate the
         objective ignores has [0, 0]), the upper one where it is <= 0."""
-        slopes = gradient()(bounds + pairs)[1]
+        slopes = obj_gradient(bounds + pairs)[1]
         return tuple((lo, lo) if dlo >= 0.0 else (hi, hi) if dhi <= 0.0 else (lo, hi)
                      for (lo, hi), (dlo, dhi) in zip(bounds, slopes))
 
@@ -503,27 +478,24 @@ def minimize(objective: Expr,
         the lower face and > 0 at the upper one, and the zero lies strictly
         inside the box.  Exact where the objective is quadratic along that
         axis; a NaN derivative fails both tests and keeps the midpoint's."""
-        kernel = gradient()
         mid = tuple(map(midpoint_value, bounds))
         at = tuple((v, v) for v in mid)
         point = list(mid)
         for i, (lo, hi) in enumerate(bounds):
             if lo < hi:
-                dl = kernel(at[:i] + ((lo, lo),) + at[i + 1:] + pairs)[1][i][1]
-                dh = kernel(at[:i] + ((hi, hi),) + at[i + 1:] + pairs)[1][i][0]
+                dl = obj_gradient(at[:i] + ((lo, lo),) + at[i + 1:] + pairs)[1][i][1]
+                dh = obj_gradient(at[:i] + ((hi, hi),) + at[i + 1:] + pairs)[1][i][0]
                 if dl < 0.0 < dh:
                     r = lo - dl * (hi - lo) / (dh - dl)
                     if lo < r < hi:
                         point[i] = r
         return tuple(point), mid
 
-    def push(b: BoxDomain, corners, active, steps) -> None:
+    def push(b: BoxDomain, corners, active) -> None:
         """Contract a box, bound it, then queue or settle it.  ``corners``
         are the box's corners to offer, ``active`` the constraints not
-        certified satisfied on its parent, ``steps`` the constraints'
-        verdicts and cuts (``at_root`` or ``afresh``)."""
+        certified satisfied on its parent."""
         bounds = b.bounds
-        decide, cut = steps
         # every verdict before any cut, so a violated constraint costs no
         # gradient
         undecided = []
@@ -580,7 +552,7 @@ def minimize(objective: Expr,
         heapq.heappush(heap, (lb, next(counter), b, undecided))
 
     push(box, itertools.product(*map(corner_values, box.bounds)),
-         range(len(constraints)), at_root)
+         range(len(constraints)))
     if heap:
         # the root did not settle: its queued box, contracted and reduced,
         # offers the secant step, which the first settle below then reads
@@ -593,8 +565,8 @@ def minimize(objective: Expr,
         lb, _, b, active = heapq.heappop(heap)
         if settle(lb):
             break  # b had the least lb of the nodes left in the heap
-        cut = split(b.bounds)
-        if cut is None:
+        at = split(b.bounds)
+        if at is None:
             settle(lb, retired=True)
             continue
         pops += 1
@@ -607,11 +579,11 @@ def minimize(objective: Expr,
         # were offered; they are skipped on purpose, at the cost of at most
         # an ulp-scale gap between the incumbent and the lower bound, which
         # tol_opt covers.
-        i, mid = cut
+        i, mid = at
         plane = list(itertools.product(*[
             (mid,) if j == i else corner_values(p) for j, p in enumerate(b.bounds)]))
-        push(left, plane, active, afresh)
-        push(right, plane, active, afresh)
+        push(left, plane, active)
+        push(right, plane, active)
 
     if best_pt is None:
         if settled:

@@ -264,6 +264,17 @@ class TestMonotonicityAndValidity:
         assert result.trace[0].x["x"] == pytest.approx(-0.5, abs=1e-6)
         assert result.final_lower_bound == pytest.approx(0.5, abs=1e-4)
 
+    def test_a_repeated_initial_point_is_kept_once(self):
+        # an initial point is a cut like an added one, and an added point
+        # that repeats one in the set is dropped: two copies of y = 0.5 run
+        # as one, where they once made two identical cuts and reported a
+        # set one point larger at every iterate
+        once, twice = (run(CEX1, AlgorithmConfig(
+            variant=LLP_ONLY, max_iter=4, initial_yset=({"y": 0.5},) * n))
+            for n in (1, 2))
+        assert [r.yset_size_after for r in twice.trace] == [2, 3, 4, 5]
+        assert twice == once
+
 
 class TestDiagnostics:
     def test_reported_pairs(self, divergent_run):

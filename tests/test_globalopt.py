@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import math
 import pickle
@@ -421,7 +422,7 @@ class TestContraction:
             level = evaluate(e, sample_point(rng, b)) + rng.uniform(-1.0, 1.0)
             c = ConstraintSpec(e - level, sense)
             mid = tuple(map(midpoint_value, b.bounds))
-            value, slopes = c.bind(b.names, tol_feas).contractor(b.bounds, mid)
+            value, slopes = c.bind(b.names, tol_feas).cut(b.bounds, mid)[:2]
             exact, relaxed = (globalopt._contract(b.bounds, mid, value, slopes, t)
                               for t in (0.0, tol_feas))
             assert value == c.sign * evaluate(c.expr, dict(zip(b.names, mid)))
@@ -545,8 +546,8 @@ def _solved(objective, constraints, box, **kwargs):
 
 
 class TestRootAnalysisKept:
-    """A spec keeps its analysis of the last root box a solve asked about,
-    and no outcome shows it."""
+    """A spec keeps its analysis of the last box a solve asked about, and no
+    outcome shows it."""
 
     def test_a_solve_that_reads_it_is_a_fresh_solve(self, monkeypatch):
         # the 19-cut lower-bounding instance of cex1's llp-only run
@@ -584,6 +585,33 @@ class TestRootAnalysisKept:
                 fresh = copy.deepcopy(constraints)
                 assert _solved(objective, constraints, b, tol_opt=ORACLE_TOL_OPT) == \
                     _solved(objective, fresh, b, tol_opt=ORACLE_TOL_OPT), seed
+
+    def test_a_warm_pass_leaves_no_cyclic_garbage(self):
+        # a binding keeps its last box in a cell its closures share, not on
+        # itself, so the specs that every loop iterate builds afresh, with
+        # their bindings, are freed by their reference counts: a second pass
+        # over the paper's loops and the oracle suite's instances, some of
+        # which bisect, leaves nothing for the cycle collector
+        cex1, cex2 = get_builtin("cex1"), get_builtin("cex2")
+        configs = [(p, algorithms.AlgorithmConfig(variant=v, max_iter=20))
+                   for p in (cex1, cex2) for v in algorithms.VARIANTS]
+        configs.append((cex1, algorithms.AlgorithmConfig(
+            variant=algorithms.AUX_LLP, max_iter=20, aux_tie_break="min-y")))
+        instances = [random_poly_instance(seed) for seed in range(50)]
+
+        def warm_pass():
+            for problem, cfg in configs:
+                algorithms.run(problem, cfg)
+            for objective, constraints, box in instances:
+                minimize(objective, constraints, box, tol_opt=ORACLE_TOL_OPT)
+        warm_pass()
+        gc.collect()
+        gc.disable()
+        try:
+            warm_pass()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _candidates(box):

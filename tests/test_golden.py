@@ -6,7 +6,8 @@ lower-level program is infeasible at the first iterate, under the two variants
 that solve it; ``gsiplab fmt`` must print exactly the stored canonical form of
 ``fmt_input.gsip``, a CRLF file that uses every line kind; ``gsiplab verify``
 must print exactly the stored report for that canonical form, whose inner set
-is 2-D, so its grid oracle runs on 401 x 401 grids; and the
+is 2-D, so its grid oracle runs on 401 x 401 grids, and for both builtin
+problems under every variant at the default grid and iteration count; and the
 branch-and-bound solves of the oracle-agreement suite must return the stored
 outcomes (the latter are asserted in ``test_globalopt.TestOracleAgreement``).
 
@@ -37,6 +38,7 @@ CASES = [(p, v, f) for p in PROBLEMS for v in VARIANTS for f in FORMATS]
 INFEASIBLE_LLP_FILE = GOLDEN / "llp_infeasible.gsip"
 INFEASIBLE_LLP_CASES = [(INFEASIBLE_LLP_FILE.stem, v, f)
                         for v in ("llp-only", "aux-llp") for f in FORMATS]
+VERIFY_CASES = [(p, v) for p in PROBLEMS for v in VARIANTS]
 FMT_INPUT = GOLDEN / "fmt_input.gsip"
 FMT_OUTPUT = GOLDEN / "fmt_output.gsip"
 VERIFY_OUTPUT = GOLDEN / "verify_fmt_output.txt"
@@ -44,6 +46,16 @@ VERIFY_OUTPUT = GOLDEN / "verify_fmt_output.txt"
 
 def golden_path(problem: str, variant: str, fmt: str) -> Path:
     return GOLDEN / f"run_{problem}_{variant}.{fmt}"
+
+
+def verify_golden_path(problem: str, variant: str) -> Path:
+    return GOLDEN / f"verify_{problem}_{variant}.txt"
+
+
+def verify_stdout(problem: str, variant: str) -> str:
+    """What ``gsiplab verify`` prints for a builtin problem at the defaults
+    (``--grid 401``, ``--max-iter 10``)."""
+    return cli_stdout(["verify", "--problem", problem, "--variant", variant])
 
 
 def cli_stdout(argv) -> str:
@@ -114,6 +126,12 @@ def test_verify_output_matches_golden():
     assert cli_stdout(["verify", "--file", str(FMT_OUTPUT)]) == expected
 
 
+@pytest.mark.parametrize("problem,variant", VERIFY_CASES)
+def test_builtin_verify_output_matches_golden(problem, variant):
+    expected = verify_golden_path(problem, variant).read_text(encoding="utf-8")
+    assert verify_stdout(problem, variant) == expected
+
+
 def test_oracle_outcomes_round_trip():
     # the stored records must decode to outcomes that encode back identically
     for path in (ORACLE_OUTCOMES, ORACLE_GRID_OUTCOMES):
@@ -132,6 +150,9 @@ def _regenerate():
     FMT_OUTPUT.write_text(cli_stdout(["fmt", str(FMT_INPUT)]), encoding="utf-8")
     VERIFY_OUTPUT.write_text(cli_stdout(["verify", "--file", str(FMT_OUTPUT)]),
                              encoding="utf-8")
+    for problem, variant in VERIFY_CASES:
+        verify_golden_path(problem, variant).write_text(
+            verify_stdout(problem, variant), encoding="utf-8")
     records, grid_records = [], []
     for seed in range(50):
         obj, cons, box = random_poly_instance(seed)
