@@ -19,6 +19,7 @@ a tree and its bound values follow the box of the solve that binds them.
 """
 from __future__ import annotations
 
+from operator import sub
 from typing import Mapping, Optional
 
 from .expr import Expr, compile_expr
@@ -128,8 +129,16 @@ def _value(e: Expr, names, values) -> float:
     return compile_expr(e, names)[0](tuple(values))
 
 
-def _same_point(a: Mapping[str, float], b: Mapping[str, float]) -> bool:
-    return all(abs(a[n] - b[n]) <= _DUP_TOL for n in a)
+def _near(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
+    """Whether two points, as tuples of floats over the same names, are one
+    point for the loop: within ``_DUP_TOL`` along every coordinate (a NaN
+    is never within it)."""
+    return all(map(_DUP_TOL.__ge__, map(abs, map(sub, a, b))))
+
+
+def _coordinates(point: Mapping[str, float], names) -> tuple[float, ...]:
+    """``point``'s values in the order of ``names``, as floats."""
+    return tuple(float(point[n]) for n in names)
 
 
 def _aux_llp(p: GsipProblem, x: dict[str, float], llp: MinimizeOutcome,
@@ -156,12 +165,17 @@ def _aux_llp(p: GsipProblem, x: dict[str, float], llp: MinimizeOutcome,
 def run(p: GsipProblem, cfg: AlgorithmConfig) -> RunResult:
     """Execute the lower-bounding iteration until convergence, stall,
     detected infeasibility, or the iteration cap."""
+    ynames, xnames = p.Y.names, p.X.names
     yset: list[dict[str, float]] = []
+    near = []   # the points of yset as tuples, to test a new point against
     for y in cfg.initial_yset:   # each initial point once, as an added one
-        if not any(_same_point(y, kept) for kept in yset):
+        check_point(p.Y, y, "discretization point")
+        key = _coordinates(y, ynames)
+        if not any(_near(key, kept) for kept in near):
             yset.append(dict(y))
+            near.append(key)
     trace: list[IterateRecord] = []
-    prev_x: Optional[dict[str, float]] = None
+    prev_x: Optional[tuple[float, ...]] = None
     status = ITERATION_CAP
     lb_inst: Optional[SubproblemInstance] = None
 
@@ -192,12 +206,13 @@ def run(p: GsipProblem, cfg: AlgorithmConfig) -> RunResult:
         if stop is None:
             # the new point is the minimizer of the last subproblem solved
             added = dict((aux or llp or sip).minimizer)
-            duplicate = any(_same_point(added, y) for y in yset)
-            if not duplicate:
+            key, x_key = _coordinates(added, ynames), _coordinates(x_k, xnames)
+            if not any(_near(key, y) for y in near):
                 yset.append(added)
-            elif prev_x is not None and _same_point(x_k, prev_x):
+                near.append(key)
+            elif prev_x is not None and _near(x_key, prev_x):
                 stop = STALLED
-            prev_x = x_k
+            prev_x = x_key
         trace.append(IterateRecord(k=k, x=x_k, f_lower=lb.value, llp=llp,
                                    aux=aux, sip=sip, added_point=added,
                                    yset_size_after=len(yset)))
@@ -205,7 +220,9 @@ def run(p: GsipProblem, cfg: AlgorithmConfig) -> RunResult:
             status = stop
             break
 
-    final = trace[-1].f_lower if trace else float("-inf")
+    # an infeasible discretization's certified bound is +inf, the least value
+    # over its empty feasible set (minimize's bracket of it)
+    final = lb.value_bounds.lo if status == INFEASIBLE_DETECTED else trace[-1].f_lower
     return RunResult(tuple(trace), status, final)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 # `gsiplab fmt` only the parser
 import argparse
 import io
+import math
 import sys
 from typing import TYPE_CHECKING, Optional
 
@@ -140,29 +141,35 @@ def _trace_csv(p: gsip.GsipProblem, result: algorithms.RunResult) -> str:
 def _trace_json(p: gsip.GsipProblem, result: algorithms.RunResult) -> str:
     import json
 
+    def real(v):
+        """``v`` as ``_real`` gives it, or where JSON has no such number
+        (+inf, -inf, NaN), the string the CSV prints for it."""
+        r = _real(v)
+        return r if r is None or math.isfinite(r) else repr(r)
+
     def point(pt):
-        return None if pt is None else {n: _real(pt[n]) for n in sorted(pt)}
+        return None if pt is None else {n: real(pt[n]) for n in sorted(pt)}
 
     records = []
     for r in result.trace:
         records.append({
             "k": r.k,
             "x": point(r.x),
-            "f_Lk": _real(r.f_lower),
+            "f_Lk": real(r.f_lower),
             "llp": None if r.llp is None else {
-                "y": point(r.llp.minimizer), "value": _real(r.llp.value),
+                "y": point(r.llp.minimizer), "value": real(r.llp.value),
                 "infeasible": not r.llp.optimal},
             "aux": None if r.aux is None else {
-                "y": point(r.aux.minimizer), "value": _real(r.aux.value)},
+                "y": point(r.aux.minimizer), "value": real(r.aux.value)},
             "sip_llp": None if r.sip is None else {
-                "y": point(r.sip.minimizer), "value": _real(r.sip.value)},
+                "y": point(r.sip.minimizer), "value": real(r.sip.value)},
             "added_point": point(r.added_point),
             "Yset_size_after": r.yset_size_after,
         })
     doc = {"problem": p.name, "status": result.status,
-           "final_lower_bound": _real(result.final_lower_bound),
+           "final_lower_bound": real(result.final_lower_bound),
            "trace": records}
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_run(args) -> int:

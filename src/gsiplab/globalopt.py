@@ -10,11 +10,12 @@ Two engines share one outcome type:
   which are appended to every call, as floats to a point and as ``(v, v)``
   pairs to a box, and never bisected.
   A tree keeps its kernels, so a tree that many solves share compiles once,
-  and a ``ConstraintSpec`` keeps its kernels with its bound values
-  appended, so a constraint that many solves share is bound once; each
-  push, the root's and every child's alike, analyses a constraint through
-  its binding, which keeps its answers for the last box it was asked about
-  (``_Binding``).
+  and a solve binds its objective and constraints by one rule, stated in
+  ``ConstraintSpec.bind`` and ``_Binding``: what the bound values do not
+  decide once per tree and names, the rest once per spec (per solve for
+  the objective); each push, the root's and every child's alike, analyses
+  a constraint through its binding, which keeps its answers for the last
+  box it was asked about.
   Incumbents are candidates that pass the ``tol_feas`` check: box midpoints
   and corners, the corners a contraction gives a box, and one secant step
   at the root.  The first one becomes the incumbent even if its value is
@@ -135,6 +136,7 @@ from .immutable import frozen
 
 
 _BOUND = "_bound"  # the attribute of a spec that holds its bindings (_Binding)
+_FORMS = "_forms"  # the attribute of a tree that holds its binding forms (_Form)
 
 # the outcomes of a constraint's interval test on a box
 VIOLATED, UNDECIDED, SATISFIED = "violated", "undecided", "satisfied"
@@ -159,11 +161,9 @@ class ConstraintSpec:
     never bisects.
 
     A spec keeps its bindings (``bind``), keyed by the box's names and the
-    tolerance, as a tree keeps its compiled kernels: every solve of a spec
-    after the first binds nothing.  A binding keeps its analysis of the last
-    box it was asked about (``_Binding``).  The fields do not change, so
-    equality, hashing and ``repr`` ignore the bindings, and copies and
-    pickles leave them out."""
+    tolerance, as a tree keeps its compiled kernels.  The fields do not
+    change, so equality, hashing and ``repr`` ignore the bindings, and
+    copies and pickles leave them out."""
 
     expr: Expr
     sense: str = "le"
@@ -187,11 +187,21 @@ class ConstraintSpec:
         return value >= -tol_feas
 
     def bind(self, names: Sequence[str], tol_feas: float) -> "_Binding":
-        """The spec's kernels over points and boxes of ``names``, with the
-        bound values appended (``_Binding``), made at the first request and
-        kept on the spec (a ``@frozen`` value: the attribute goes straight
-        into its ``__dict__``, outside its fields)."""
-        kept = self.__dict__.setdefault(_BOUND, {})
+        """The spec bound over points and boxes of ``names`` at ``tol_feas``
+        (``_Binding``), made at the first request and kept on the spec (a
+        ``@frozen`` value: the attribute goes straight into its ``__dict__``,
+        outside its fields).
+
+        The binding rule: the part of a binding that the bound values do not
+        decide -- the check that none is named like a coordinate, and the
+        tree's kernels over the names, then theirs -- is made once per tree
+        and names and kept on the tree (``_Form``), where each solve's
+        objective fetches it too; a spec's binding adds its own values, their
+        ``(v, v)`` pairs and its kept analysis.  So a spec that a loop builds
+        afresh at each iterate binds at the cost of splitting its values."""
+        kept = self.__dict__.get(_BOUND)
+        if kept is None:
+            kept = self.__dict__[_BOUND] = {}
         key = (tuple(names), tol_feas)
         k = kept.get(key)
         if k is None:
@@ -199,9 +209,50 @@ class ConstraintSpec:
         return k
 
 
+class _Form:
+    """The part of a binding that its bound values do not decide
+    (``ConstraintSpec.bind``): a tree's point, interval and gradient kernels
+    over a box's ``names`` followed by the bound values' ``pnames``, made
+    once the two are known to share no name."""
+
+    __slots__ = ("point", "interval", "gradient")
+
+    def __init__(self, expr: Expr, names: tuple[str, ...], pnames: tuple[str, ...]):
+        _disjoint(names, pnames)
+        self.point, self.interval = compile_expr(expr, (*names, *pnames))
+        self.gradient = compile_gradient(expr, names, pnames)
+
+
+def _form(expr: Expr, names: tuple[str, ...], pnames: tuple[str, ...]) -> _Form:
+    """``expr``'s ``_Form`` over ``names`` then ``pnames``, made at the first
+    request and kept on the tree, beside its kernels."""
+    kept = expr.__dict__.get(_FORMS)
+    if kept is None:
+        kept = expr.__dict__[_FORMS] = {}
+    key = (names, pnames)
+    form = kept.get(key)
+    if form is None:
+        form = kept[key] = _Form(expr, *key)
+    return form
+
+
+def _disjoint(names: tuple[str, ...], pnames: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` where a bound value is named like a coordinate
+    of the box."""
+    if set(pnames) & set(names):
+        raise ValueError(f"bound values {pnames} share names with the box {names}")
+
+
+def _split(parameters: Sequence[tuple[str, float]]):
+    """The names and the values of bound values given as ``(name, value)``
+    pairs, as two tuples."""
+    return tuple(zip(*parameters)) or ((), ())
+
+
 class _Binding:
-    """A spec's kernels over one binding (``ConstraintSpec.bind``), and its
-    analysis of the last box a solve asked about.
+    """A spec bound over one box's names and a tolerance
+    (``ConstraintSpec.bind``), and its analysis of the last box a solve asked
+    about.
 
     ``satisfied(point)`` is whether a point passes ``satisfied``;
     ``decide(bounds)`` whether a box of ``(lo, hi)`` pairs is certified to
@@ -213,52 +264,62 @@ class _Binding:
     is at most the tolerance, the signed value's interval gradient over the
     box (``expr.compile_gradient``, along the box's names), and the box
     contracted to the target 0 (``_contract``, None where that is empty).
+    Every kernel call appends the spec's bound values: as floats to a point,
+    as ``(v, v)`` pairs to a box.
 
-    Both keep their answers for the last box they were asked about, and give
-    them again when asked about that box: a box is the same when its bounds
-    are the same tuple object, which cannot change (an equal tuple may hold
-    a zero of the other sign), and the entry is replaced whole, so it always
-    holds one box's own answers.  Every push, the root's and each child's
-    alike, goes through them, so a cut that the lower-bounding solves of a
-    loop share, each from the box X with one cut more than the last and
-    each settled at X, is analysed there once per run; after a solve that
-    bisects, the entry holds a child's answers, and the next solve from X
-    makes the root's again.  The entry lives in a cell that the two
-    closures share, not on the binding, so that a binding is no reference
-    cycle and is freed with its spec by reference counting alone."""
+    The kernels are the tree's ``_Form``, shared by every spec on the tree
+    bound over the same names; the rest is the spec's own.  ``decide`` and
+    ``cut`` keep their answers for the last box they were asked about, and
+    give them again when asked about that box: a box is the same when its
+    bounds are the same tuple object, which cannot change (an equal tuple
+    may hold a zero of the other sign), and which the entry holds, so its
+    identity cannot pass to another box; the bound values are the binding's
+    own and never change, so the entry cannot answer for other values; and
+    the entry is replaced whole, so it always holds one box's own answers.
+    Every push, the root's and each child's alike, goes through them, so a
+    cut that the lower-bounding solves of a loop share, each from the box X
+    with one cut more than the last and each settled at X, is analysed there
+    once per run; after a solve that bisects, the entry holds a child's
+    answers, and the next solve from X makes the root's again.  A binding
+    refers to its form, its values and its entry, none of which refers back,
+    so it is no reference cycle and is freed with its spec by reference
+    counting alone."""
 
-    __slots__ = ("satisfied", "decide", "cut")
+    __slots__ = ("form", "sign", "tol_feas", "values", "pairs", "last")
 
     def __init__(self, spec: ConstraintSpec, names: tuple[str, ...], tol_feas: float):
-        pnames, values, pairs = _bind(names, spec.parameters)
-        point, interval = compile_expr(spec.expr, (*names, *pnames))
-        gradient = compile_gradient(spec.expr, names, pnames)
-        sign = spec.sign
-        last = [(None, None, None)]   # a box's bounds, its verdict, its cut
+        pnames, values = _split(spec.parameters)
+        self.form = _form(spec.expr, names, pnames)
+        self.sign, self.tol_feas = spec.sign, tol_feas
+        self.values, self.pairs = values, tuple(zip(values, values))
+        self.last = (None, None, None)   # a box's bounds, its verdict, its cut
 
-        def decide(bounds):
-            kept, verdict, _ = last[0]
-            if kept is not bounds or verdict is None:
-                lo, hi = interval(bounds + pairs)
-                if sign < 0.0:
-                    lo, hi = -hi, -lo
-                verdict = (VIOLATED if lo > tol_feas else
-                           SATISFIED if hi <= tol_feas else UNDECIDED)
-                last[0] = (bounds, verdict, None)
-            return verdict
+    def satisfied(self, x) -> bool:
+        return self.sign * self.form.point(x + self.values) <= self.tol_feas
 
-        def cut(bounds, mid):
-            kept, verdict, c = last[0]
-            if kept is not bounds or c is None:
-                slopes = gradient(bounds + pairs)[1]
-                if sign < 0.0:
-                    slopes = [(-hi, -lo) for lo, hi in slopes]
-                value = sign * point(mid + values)
-                c = value, slopes, _contract(bounds, mid, value, slopes, 0.0)
-                last[0] = (bounds, verdict if kept is bounds else None, c)
-            return c
-        self.satisfied = lambda x: sign * point(x + values) <= tol_feas
-        self.decide, self.cut = decide, cut
+    def decide(self, bounds) -> str:
+        kept, verdict, _ = self.last
+        if kept is not bounds or verdict is None:
+            lo, hi = self.form.interval(bounds + self.pairs)
+            if self.sign < 0.0:
+                lo, hi = -hi, -lo
+            tol_feas = self.tol_feas
+            verdict = (VIOLATED if lo > tol_feas else
+                       SATISFIED if hi <= tol_feas else UNDECIDED)
+            self.last = (bounds, verdict, None)
+        return verdict
+
+    def cut(self, bounds, mid):
+        kept, verdict, c = self.last
+        if kept is not bounds or c is None:
+            sign, form = self.sign, self.form
+            slopes = form.gradient(bounds + self.pairs)[1]
+            if sign < 0.0:
+                slopes = [(-hi, -lo) for lo, hi in slopes]
+            value = sign * form.point(mid + self.values)
+            c = value, slopes, _contract(bounds, mid, value, slopes, 0.0)
+            self.last = (bounds, verdict if kept is bounds else None, c)
+        return c
 
 
 @frozen
@@ -285,21 +346,6 @@ def check_tolerances(tol_opt: float, tol_feas: float) -> None:
         raise ValueError(f"tol_opt must be positive and finite, got {tol_opt}")
     if not 0.0 <= tol_feas < math.inf:
         raise ValueError(f"tol_feas must be nonnegative and finite, got {tol_feas}")
-
-
-def _bind(names: Sequence[str], parameters: Sequence[tuple[str, float]]):
-    """The names of ``parameters``, bound over a box's ``names``: a kernel
-    takes the box's names, then these.  Returns them with the tuples a call
-    appends: the bound values to a point, and their ``(v, v)`` pairs to a
-    box."""
-    if not parameters:
-        return (), (), ()
-    pnames = tuple(n for n, _ in parameters)
-    if set(pnames) & set(names):
-        raise ValueError(f"bound values {pnames} share names with the box "
-                         f"{tuple(names)}")
-    values = tuple(v for _, v in parameters)
-    return pnames, values, tuple((v, v) for v in values)
 
 
 def _contract(bounds, mid, value, slopes, target):
@@ -410,13 +456,11 @@ def minimize(objective: Expr,
     # Kernels take points as tuples and boxes as their bounds, both in the
     # order of box.names, and the bound values are appended to every call.
     names = box.names
-    pnames, values, pairs = _bind(names, parameters)
-    obj_point, obj_interval = compile_expr(objective, (*names, *pnames))
-    obj_gradient = compile_gradient(objective, names, pnames)
+    pnames, values = _split(parameters)
+    form = _form(objective, names, pnames)
+    obj_point, obj_interval, obj_gradient = form.point, form.interval, form.gradient
+    pairs = tuple(zip(values, values))
     bindings = [c.bind(names, tol_feas) for c in constraints]
-    satisfied = [k.satisfied for k in bindings]
-    decide = [k.decide for k in bindings]
-    cut = [k.cut for k in bindings]
 
     heap: list = []
     counter = itertools.count()
@@ -437,16 +481,16 @@ def minimize(objective: Expr,
         offered.add(point)
         if not checked:
             for j in active:
-                if not satisfied[j](point):
+                if not bindings[j].satisfied(point):
                     return
         v = obj_point(point + values)
         if v < best_val or (best_pt is None and v == math.inf):
             # the interval kernels round to nearest, so a constraint they
             # certified satisfied can still fail the point test by an ulp:
             # a new incumbent also passes the point tests outside ``active``
-            if len(active) < len(satisfied):
+            if len(active) < len(bindings):
                 inside = set(active)
-                if not all(ok(point) for j, ok in enumerate(satisfied)
+                if not all(k.satisfied(point) for j, k in enumerate(bindings)
                            if j not in inside):
                     return
             best_val = v
@@ -500,7 +544,7 @@ def minimize(objective: Expr,
         # gradient
         undecided = []
         for j in active:
-            verdict = decide[j](bounds)
+            verdict = bindings[j].decide(bounds)
             if verdict is VIOLATED:
                 return
             if verdict is UNDECIDED:
@@ -511,7 +555,7 @@ def minimize(objective: Expr,
         for j in undecided:
             # one point evaluation per constraint at mid serves both the
             # contraction and mid's feasibility test
-            c = cut[j](bounds, mid)   # value, slopes, box contracted to 0
+            c = bindings[j].cut(bounds, mid)   # value, slopes, box contracted to 0
             passes = passes and c[0] <= tol_feas
             cuts.append(c)
         # the box contracted to the exact target, or where the constraints'
@@ -665,8 +709,7 @@ def grid_minimize(objective: Expr,
                            (objective, parameters, None)]:
         env = OpenGrid(dims, axes)
         if bound:
-            if any(name in axes for name, _ in bound):
-                _bind(box.names, bound)   # raises, as minimize does
+            _disjoint(box.names, _split(bound)[0])   # as in minimize
             env.update(bound)
         trees.append((e, env, test, can_raise(e, env)))
     best = None   # the first minimum so far: (value, flat index)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_problem, sample_point
 from gsiplab import algorithms, globalopt, gsip
@@ -211,18 +213,18 @@ class TestCutsBuiltOnce:
         # cut, and its solver binds only that cut: 19 points in 20 solves,
         # each cut checked and bound once, not 0 + 1 + ... + 19 = 190 times
         counts = {"checked": 0, "bound": 0}
-        as_parameters, bind = gsip._as_parameters, globalopt._bind
+        as_parameters, bind = gsip._as_parameters, globalopt._Binding
 
         def checking(box, point, what):
             counts["checked"] += what == "discretization point"
             return as_parameters(box, point, what)
 
-        def binding(names, parameters):
+        def binding(spec, names, tol_feas):
             # a cut binds y over the box of x; the LLP binds x over y's
-            counts["bound"] += tuple(names) == ("x",) and bool(parameters)
-            return bind(names, parameters)
+            counts["bound"] += tuple(names) == ("x",) and bool(spec.parameters)
+            return bind(spec, names, tol_feas)
         monkeypatch.setattr(gsip, "_as_parameters", checking)
-        monkeypatch.setattr(globalopt, "_bind", binding)
+        monkeypatch.setattr(globalopt, "_Binding", binding)
         result = run(get_builtin("cex1"), AlgorithmConfig(variant=LLP_ONLY, max_iter=20))
         assert len(result.trace) == 20
         assert result.trace[-2].yset_size_after == 19
@@ -243,6 +245,106 @@ class TestCutsBuiltOnce:
         result = run(problem, AlgorithmConfig(variant=LLP_ONLY, max_iter=20))
         assert result.trace[-2].yset_size_after == 19
         assert len(at_root) == 19
+
+
+def _lb_infeasible():
+    """Every cut max(g, hbar) = max(-1 - y^2, -1) is negative at every x, so
+    the first lower-bounding solve with a point in its set is infeasible."""
+    x, y = ex.var("x"), ex.var("y")
+    unit = lambda n: gsip.BoxDomain([(n, -1.0, 1.0)])
+    return gsip.GsipProblem(name="lb_infeasible", X=unit("x"), Y=unit("y"),
+                            f=-x, g=ex.const(-1.0) - y * y, h=(ex.const(-1.0),))
+
+
+class TestInfeasibleDiscretization:
+    """A lower-bounding solve certified infeasible ends the run, and the
+    run's bound is that solve's certified bound, +inf, whether or not an
+    iterate came before it."""
+
+    def test_after_an_iterate(self):
+        result = run(_lb_infeasible(), AlgorithmConfig(variant=LLP_ONLY))
+        assert result.status == algorithms.INFEASIBLE_DETECTED
+        assert [(r.k, r.f_lower, r.yset_size_after) for r in result.trace] == \
+            [(1, -1.0, 1)]
+        assert result.final_lower_bound == math.inf
+
+    def test_at_the_first_solve(self):
+        result = run(_lb_infeasible(), AlgorithmConfig(
+            variant=LLP_ONLY, initial_yset=({"y": 0.0},)))
+        assert result.status == algorithms.INFEASIBLE_DETECTED
+        assert result.trace == ()
+        assert result.final_lower_bound == math.inf
+
+
+class TestFormsMadeOnce:
+    """The part of a binding that its values do not decide is made once per
+    tree and names (``globalopt._Form``), not once per spec."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        form, made = globalopt._Form, []
+
+        def making(expr, names, pnames):
+            made.append((names, pnames))
+            return form(expr, names, pnames)
+        monkeypatch.setattr(globalopt, "_Form", making)
+        return made
+
+    def test_a_warm_run_makes_none(self, made):
+        cfg = AlgorithmConfig(variant=LLP_ONLY, max_iter=20)
+        problem = get_builtin("cex1")
+        run(problem, cfg)
+        assert made
+        made.clear()
+        assert len(run(problem, cfg).trace) == 20
+        assert made == []
+
+    def test_a_cold_run_makes_as_many_however_long(self, made):
+        counts = []
+        for max_iter in (5, 20):
+            made.clear()
+            result = run(get_builtin("cex1"),  # fresh trees, bound by no one
+                         AlgorithmConfig(variant=LLP_ONLY, max_iter=max_iter))
+            assert len(result.trace) == max_iter
+            counts.append(len(made))
+        assert counts[0] == counts[1] > 0
+
+
+def reference_same_point(a, b):
+    """The duplicate rule as points over names: within ``_DUP_TOL`` along
+    every coordinate, the reference of ``algorithms._near``."""
+    return all(abs(a[n] - b[n]) <= algorithms._DUP_TOL for n in a)
+
+
+_TOL = algorithms._DUP_TOL
+# differences at the tolerance, one ulp either side of it, and zeros of both
+# signs and infinities, about 0 and about other values
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, _TOL, -_TOL,
+          math.nextafter(_TOL, 0.0), math.nextafter(_TOL, 1.0),
+          -math.nextafter(_TOL, 0.0), -math.nextafter(_TOL, 1.0), 1.0, -0.5]
+_coordinate = st.sampled_from(_EDGES) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestDuplicateRule:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(_coordinate, min_size=n, max_size=n),
+        st.lists(_coordinate | st.sampled_from(_EDGES[5:11]), min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n))))
+    @example(([0.0], [_TOL], [False]))
+    @example(([0.0], [math.nextafter(_TOL, 1.0)], [False]))
+    @example(([-0.0], [math.nextafter(_TOL, 0.0)], [False]))
+    @example(([math.inf], [math.inf], [False]))
+    @example(([math.nan], [math.nan], [False]))
+    @example(([1.0, 0.0], [1.0, -0.0], [False, False]))
+    def test_agrees_with_the_reference(self, drawn):
+        # b is a drawn point, or an offset from a by one of the edges
+        a, b, offset = drawn
+        b = [x + d if off else d for x, d, off in zip(a, b, offset)]
+        names = [f"y{i}" for i in range(len(a))]
+        expected = reference_same_point(dict(zip(names, a)), dict(zip(names, b)))
+        assert algorithms._near(tuple(a), tuple(b)) is expected
+        assert algorithms._near(tuple(b), tuple(a)) is expected
 
 
 class TestMonotonicityAndValidity:

@@ -116,6 +116,54 @@ class TestRun:
         assert out.splitlines()[-1] == "status=stalled final_lower_bound=0.0"
 
 
+# every cut max(-1 - y^2, -1) is negative: the lower-bounding solve is
+# infeasible once the set holds a point
+LB_INFEASIBLE_TEXT = CEX1_TEXT.replace("g: (x - y)^2 - 10", "g: -1 - y*y").replace(
+    "h: -2*x + y", "h: -1")
+
+
+def _strict_json(text):
+    """``text`` parsed as JSON proper, which has no NaN or infinities."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestInfeasibleDiscretization:
+    """A run whose lower-bounding solve is certified infeasible reports the
+    certified bound, +inf, and its JSON is strict."""
+
+    @pytest.mark.parametrize("initial,rows", [([], 1), (["--initial-y", "0"], 0)])
+    def test_csv(self, tmp_path, capsys, initial, rows):
+        path = tmp_path / "p.gsip"
+        path.write_text(LB_INFEASIBLE_TEXT)
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--file", str(path), "--variant", "llp-only",
+                     "--output", str(out), *initial]) == 0
+        trace = read_csv(out)
+        assert len(trace) == rows
+        assert all(r["status"] == "infeasible_detected" for r in trace)
+        assert capsys.readouterr().out == \
+            "status=infeasible_detected final_lower_bound=inf\n"
+
+    @pytest.mark.parametrize("initial,rows", [([], 1), (["--initial-y", "0"], 0)])
+    def test_json(self, tmp_path, capsys, initial, rows):
+        path = tmp_path / "p.gsip"
+        path.write_text(LB_INFEASIBLE_TEXT)
+        assert main(["run", "--file", str(path), "--variant", "llp-only",
+                     "--format", "json", *initial]) == 0
+        text, status = capsys.readouterr().out.rsplit("status=", 1)
+        doc = _strict_json(text)
+        assert (doc["status"], doc["final_lower_bound"]) == ("infeasible_detected", "inf")
+        assert len(doc["trace"]) == rows
+        assert status == "infeasible_detected final_lower_bound=inf\n"
+
+    def test_every_json_number_is_finite(self, tmp_path):
+        # the goldens' JSON holds no infinity, and parses strictly as it is
+        for path in sorted(GOLDEN.glob("run_*.json")):
+            _strict_json(path.read_text().rsplit("status=", 1)[0])
+
+
 class TestUsageErrors:
     def test_unknown_builtin(self, capsys):
         # the message itself, not the repr a KeyError's str() gives

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (random_box, random_expr, random_poly_instance,
-                      reference_array, sample_point, shrink_box)
+                      random_polynomial, reference_array, sample_point,
+                      shrink_box)
 from test_expr import CONSTS, COORDS, expressions
 from test_golden import (ORACLE_GRID_N, ORACLE_GRID_OUTCOMES,
                          ORACLE_NODE_BUDGET, ORACLE_TOL_OPT,
@@ -27,8 +28,8 @@ from gsiplab.expr import (EvaluationError, Interval, evaluate, evaluate_array,
 from gsiplab.globalopt import (INFEASIBLE, SATISFIED, ConstraintSpec,
                                MinimizeOutcome, NodeBudgetExceeded,
                                UndecidedError, grid_minimize, minimize)
-from gsiplab.gsip import (SubproblemInstance, build_llp, build_lower_bounding,
-                          get_builtin)
+from gsiplab.gsip import (LEVEL, SubproblemInstance, build_llp,
+                          build_lower_bounding, get_builtin)
 
 x, y, z = ex.var("x"), ex.var("y"), ex.var("z")
 UNIT_X = BoxDomain([("x", -1.0, 1.0)])
@@ -612,6 +613,69 @@ class TestRootAnalysisKept:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+@st.composite
+def shared_tree_solves(draw):
+    """Specs on one tree, bound over one box's names, each with its own
+    bound values, with the objective and its bound values that each is
+    solved with; the box, one ``BoxDomain``, so every solve starts from one
+    bounds tuple; the tolerance; and the order of the solves, with repeats.
+    The trees: the LLP's hbar and the aux-LLP's g - level of cex1 and cex2
+    at outer points and levels drawn, and a random polynomial over u with
+    v bound."""
+    kind = draw(st.sampled_from(["cex1 hbar", "cex2 hbar", "cex1 g_level",
+                                 "cex2 g_level", "polynomial"]))
+    n = draw(st.integers(2, 4))
+    if kind == "polynomial":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        tree = random_polynomial(rng, ["u", "v"], max_terms=3)
+        objective = random_polynomial(rng, ["u", "v"])
+        box, sense = random_box(rng, ["u"]), rng.choice(["le", "ge"])
+        bound = [(("v", draw(st.floats(-3.0, 3.0))),) for _ in range(n)]
+        specs = [(ConstraintSpec(tree, sense, v), objective, v) for v in bound]
+        tol_opt = ORACLE_TOL_OPT
+    else:
+        name, tree = kind.split()
+        p = get_builtin(name)
+        xs = [(("x", draw(st.floats(-1.0, 1.0))),) for _ in range(n)]
+        if tree == "hbar":
+            specs = [(ConstraintSpec(p.hbar, "le", x), p.g, x) for x in xs]
+        else:
+            specs = [(ConstraintSpec(p.g_level, "le",
+                                     x + ((LEVEL, draw(st.floats(-11.0, -6.0))),)),
+                      p.hbar, x) for x in xs]
+        box, tol_opt = p.Y, algorithms.AlgorithmConfig().tol_opt
+    order = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=3 * n))
+    return specs, box, tol_opt, order
+
+
+class TestSharedForms:
+    """Specs on one tree share the part of their binding that their values
+    do not decide (``ConstraintSpec.bind``), and no outcome shows it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shared_tree_solves())
+    def test_interleaved_solves_are_fresh_solves(self, case):
+        # each solve reads the kept analysis of the root box that its spec
+        # made, if it was solved before, beside specs holding other values
+        specs, box, tol_opt, order = case
+        for i in order:
+            spec, objective, parameters = specs[i]
+            fresh = copy.deepcopy(spec)
+            assert _solved(objective, [spec], box, tol_opt=tol_opt,
+                           parameters=parameters) == \
+                _solved(objective, [fresh], box, tol_opt=tol_opt,
+                        parameters=parameters)
+        forms = {spec.bind(box.names, 1e-9).form for spec, _, _ in specs}
+        assert len(forms) == 1
+
+    def test_a_bound_value_named_like_the_box_raises_at_every_bind(self):
+        # a form that fails its name check is not kept
+        spec = ConstraintSpec(x + y, "le", (("x", 0.5),))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="share names"):
+                spec.bind(("x", "y"), 1e-9)
 
 
 def _candidates(box):
