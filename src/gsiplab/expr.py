@@ -41,7 +41,8 @@ its argument tuple.  ``compile_gradient`` generates a
 third kernel the same way: a forward-mode interval gradient, whose value
 lines are the interval kernel's and whose derivative lines are straight-line
 code too, each node's rule written out coordinate by coordinate, along the
-coordinates of a box only, not along the bound values that follow them.  An
+coordinates of a box only, not along the bound values that follow them, and
+only along those that the node's subtree reads.  An
 integer power is written out for its exponent, and so is its derivative's
 factor, so a kernel calls nothing but the error raisers.  The array kernel is
 the fourth, generated by a subclass of the same emitter (``gsiplab.arrays``).
@@ -334,8 +335,19 @@ def compile_gradient(e: Expr, names: Sequence[str],
     children's value intervals do not overlap, and the hull of both
     otherwise.  Its value lines are the interval kernel's, so it raises
     exactly where the interval kernel raises; a NaN in a derivative, as
-    inf * 0 or inf - inf produce, widens it to (-inf, inf) instead.  It is
-    kept on ``e`` as the kernels of ``compile_expr`` are.
+    inf * 0 or inf - inf produce, widens it to (-inf, inf) instead.
+
+    A node's derivative along a name is absent where its subtree reads no
+    variable of that name (a constant, a zeroth power, another name, a bound
+    value): it is exactly 0 and takes no line.  An operation on an absent
+    derivative is absent (``neg``, ``pow``) or takes its other side's
+    terms: a sum passes the live side through, a difference negates it on
+    the right, a product keeps ``c da`` or ``a dc``, a quotient ``da / c``
+    where ``dc`` is absent, and ``min``/``max`` is absent only where both
+    sides are, an absent side being 0 in the rule above.  So a derivative
+    absent along a name is ``(0.0, 0.0)`` in the result, never widened by
+    an infinite factor.  It is kept on ``e`` as the kernels of
+    ``compile_expr`` are.
     """
     dims = len(names)
     return _cached(e, (*names, *bound), (_GRADIENT, dims),
@@ -376,8 +388,9 @@ def _generate(e: Expr, index: Mapping[str, int], kind: str,
     """
     emitter = _Emitter(index, kind, dims)
     out = emitter.node(e)
-    if kind == _GRADIENT:   # a tuple of pairs
-        out = (*out[:2], "".join(f"({lo}, {hi}), " for lo, hi in out[2]))
+    if kind == _GRADIENT:   # a tuple of pairs, (0.0, 0.0) where absent
+        out = (*out[:2], "".join("({}, {}), ".format(*(p or ("0.0", "0.0")))
+                                 for p in out[2]))
     result = {_POINT: "{0}", _INTERVAL: "{0}, {1}", _GRADIENT: "({0}, {1}), ({2})"}
     source = "\n    ".join(["def kernel(arg):", *emitter.lines,
                             "return " + result[kind].format(*out)])
@@ -568,66 +581,89 @@ class _Emitter:
 
     # The derivative arithmetic never raises: a NaN, from inf * 0 or
     # inf - inf, means the sign is unknown, so it widens to the entire line.
-    # A gradient is one (lo, hi) pair of operands per name.
-    def gradient(self, e: Expr, kids, out, n: int) -> tuple[tuple[str, str], ...]:
+    # A gradient holds, per coordinate, a (lo, hi) pair of operands, or None
+    # where the derivative is absent: the node's subtree reads no variable of
+    # that coordinate, so the derivative is exactly 0 and takes no line.
+    def gradient(self, e: Expr, kids, out, n: int) -> tuple:
         """The node's gradient, by forward-mode rules written out coordinate
         by coordinate, over its value ``out`` and its children's values and
-        gradients."""
+        gradients: a line only along the coordinates where a child's
+        derivative is present."""
         k = e.kind
-        dims = self.dims
-        if k in ("const", "var") or (k == "pow" and e.exponent == 0):
-            i = self.index.get(e.name) if k == "var" else None
-            return tuple(("1.0", "1.0") if j == i else ("0.0", "0.0") for j in dims)
+        if k == "var":
+            i = self.index.get(e.name)
+            return tuple(("1.0", "1.0") if j == i else None for j in self.dims)
+        absent = (None,) * len(self.dims)
+        if k == "const" or (k == "pow" and e.exponent == 0):
+            return absent
         emit = self.lines.append
-        d = tuple((f"dl{n}_{j}", f"dh{n}_{j}") for j in dims)
         (al, ah, da), *rest = kids
-        if k == "neg":
-            for (lo, hi), (pl, ph) in zip(d, da):
-                emit(f"{lo} = -{ph}")
-                emit(f"{hi} = -{pl}")
-            return d
-        if k == "pow":
+        (cl, ch, dc), = rest or [(None, None, absent)]
+        live = [j for j in self.dims if da[j] or dc[j]]
+        d = list(absent)
+        if k in ("min", "max"):
+            # one child's gradient where the values do not overlap, else the
+            # hull of both, an absent side's being 0
+            zero = ("0.0", "0.0")
+            first, second = ((ah, cl), (ch, al)) if k == "min" else ((ch, al), (ah, cl))
+            for j in live:
+                d[j] = f"dl{n}_{j}", f"dh{n}_{j}"
+            sides = [(d[j], da[j] or zero, dc[j] or zero) for j in live]
+            if sides:
+                emit(f"if {first[0]} < {first[1]}:")
+                self.lines += [f"    {lo}, {hi} = {pl}, {ph}" for (lo, hi), (pl, ph), _ in sides]
+                emit(f"elif {second[0]} < {second[1]}:")
+                self.lines += [f"    {lo}, {hi} = {ql}, {qh}" for (lo, hi), _, (ql, qh) in sides]
+                emit("else:")
+                for (lo, hi), (pl, ph), (ql, qh) in sides:
+                    emit(f"    {lo} = {pl} if {pl} < {ql} else {ql}")
+                    emit(f"    {hi} = {ph} if {ph} > {qh} else {qh}")
+            return tuple(d)
+        if live and k == "pow":
             # d(u^n) = n u^(n-1) du; u^(n-1) cannot overflow where u^n did not
             self.power("fl", "fh", al, ah, e.exponent - 1)
             factor = self.bind(e.exponent)
             emit(f"fl = {factor} * fl")
             emit(f"fh = {factor} * fh")
-            for (lo, hi), p in zip(d, da):
+        for j in live:
+            lo, hi = f"dl{n}_{j}", f"dh{n}_{j}"
+            p, q = da[j], dc[j]
+            if k == "neg" or (k == "sub" and not p):
+                # -p, or -q: exact
+                pl, ph = p or q
+                emit(f"{lo} = -{ph}")
+                emit(f"{hi} = -{pl}")
+            elif k in ("add", "sub") and not (p and q):
+                lo, hi = p or q   # the live side, passed through
+            elif k == "pow":
                 self.dmul(lo, hi, ("fl", "fh"), p)
-            return d
-        (cl, ch, dc), = rest
-        if k in ("min", "max"):
-            # one child's gradient where the values do not overlap, else the
-            # hull of both
-            first, second = ((ah, cl), (ch, al)) if k == "min" else ((ch, al), (ah, cl))
-            if d:
-                emit(f"if {first[0]} < {first[1]}:")
-                self.lines += [f"    {lo}, {hi} = {pl}, {ph}" for (lo, hi), (pl, ph) in zip(d, da)]
-                emit(f"elif {second[0]} < {second[1]}:")
-                self.lines += [f"    {lo}, {hi} = {ql}, {qh}" for (lo, hi), (ql, qh) in zip(d, dc)]
-                emit("else:")
-                for (lo, hi), (pl, ph), (ql, qh) in zip(d, da, dc):
-                    emit(f"    {lo} = {pl} if {pl} < {ql} else {ql}")
-                    emit(f"    {hi} = {ph} if {ph} > {qh} else {qh}")
-            return d
-        for (lo, hi), (pl, ph), (ql, qh) in zip(d, da, dc):
-            if k == "add":
-                self.dadd(lo, hi, f"{pl} + {ql}", f"{ph} + {qh}")
+            elif k == "add":
+                self.dadd(lo, hi, f"{p[0]} + {q[0]}", f"{p[1]} + {q[1]}")
             elif k == "sub":
                 # p + (-q), which is how IEEE defines p - q
-                self.dadd(lo, hi, f"{pl} - {qh}", f"{ph} - {ql}")
+                self.dadd(lo, hi, f"{p[0]} - {q[1]}", f"{p[1]} - {q[0]}")
             elif k == "mul":
-                # d(a c) = c da + a dc
-                self.dmul("tl", "th", (cl, ch), (pl, ph))
-                self.dmul("ul", "uh", (al, ah), (ql, qh))
-                self.dadd(lo, hi, "tl + ul", "th + uh")
+                # d(a c) = c da + a dc, each term only where its side is live
+                if p and q:
+                    self.dmul("tl", "th", (cl, ch), p)
+                    self.dmul("ul", "uh", (al, ah), q)
+                    self.dadd(lo, hi, "tl + ul", "th + uh")
+                else:
+                    self.dmul(lo, hi, (cl, ch) if p else (al, ah), p or q)
             else:
                 # d(a / c) = (da - (a / c) dc) / c, where (r, s) is the
-                # value lines' (1 / ch, 1 / cl)
-                self.dmul("tl", "th", out, (ql, qh))
-                self.dadd("ul", "uh", f"{pl} - th", f"{ph} - tl")
-                self.dmul(lo, hi, ("ul", "uh"), (f"r{n}", f"s{n}"))
-        return d
+                # value lines' (1 / ch, 1 / cl): da / c where dc is absent,
+                # -(a / c) dc / c where da is
+                if q:
+                    self.dmul("tl", "th", out, q)
+                    if p:
+                        self.dadd("ul", "uh", f"{p[0]} - th", f"{p[1]} - tl")
+                    else:
+                        self.lines += ["ul = -th", "uh = -tl"]
+                    p = ("ul", "uh")
+                self.dmul(lo, hi, p, (f"r{n}", f"s{n}"))
+            d[j] = lo, hi
+        return tuple(d)
 
     def check(self, lo: str, hi: str, value: bool) -> None:
         """The NaN rule where ``lo <= hi`` fails: a value raises

@@ -46,16 +46,25 @@ Two engines share one outcome type:
   would become the incumbent is then checked against the constraints
   outside the set, since the interval tests round to nearest and may
   certify a constraint that fails the point test by an ulp.  A node whose
-  set is empty is feasible at every point, and it gets the monotonicity
-  test (Hansen & Walster, *Global Optimization Using Interval Analysis*,
-  2004) when its bound does not settle it: each coordinate along which the
-  objective's interval gradient (``expr.compile_gradient``) is >= 0 is fixed
-  at its lower end, each along which it is <= 0 at its upper end, and the
-  reduced box's midpoint is considered and its bound replaces the node's.
-  A coordinate the objective ignores, or one along which the minimum sits
-  on a face of the box, is then no longer bisected, which removes most of
-  the cluster of boxes that a first-order bound leaves around a minimizer
-  (Du & Kearfott, J. Glob. Optim. 1994).
+  set is empty is feasible at every point, and one call of the objective's
+  interval gradient kernel (``expr.compile_gradient``) bounds it: its value
+  pair is the interval kernel's, bit for bit, and gives the natural bound,
+  and its slopes serve the two tests that follow when that bound does not
+  settle the node.  The monotonicity test (Hansen & Walster, *Global
+  Optimization Using Interval Analysis*, 2004) fixes each coordinate along
+  which the slope is >= 0 at its lower end and each along which it is <= 0
+  at its upper end; the reduced box's midpoint is considered and its bound
+  replaces the node's.  A coordinate the objective ignores, or one along
+  which the minimum sits on a face of the box, is then no longer bisected,
+  which removes most of the cluster of boxes that a first-order bound
+  leaves around a minimizer (Du & Kearfott, J. Glob. Optim. 1994).  Where
+  the reduced box keeps an axis of positive width, the centered
+  (mean-value) form about its midpoint m, f(m) + sum_i min over X_i of
+  D_i (x_i - m_i) (``_centered``; ibid., ch. 5-6), raises the node's bound
+  where it is higher: f(m) is the lower end of the interval kernel over
+  (m, m), and D the slopes over the unreduced box, which hold over the
+  reduced one.  It costs one interval-kernel call, and only at these
+  nodes: at constrained nodes it cost more than it saved.
 
   Before a box is bounded, queued or offers candidates, it is contracted
   against each constraint its interval tests leave undecided: mean-value
@@ -369,10 +378,7 @@ def _contract(bounds, mid, value, slopes, target):
     contracted to a higher target."""
     if not math.isfinite(value):
         return bounds
-    # the least of D_j (x_j - m_j) over X_j: an offset of 0 adds 0 whatever
-    # the slope, as the box holds no other value there
-    least = [min(dh * (lo - m) if lo != m else 0.0, dl * (hi - m) if hi != m else 0.0)
-             for (lo, hi), m, (dl, dh) in zip(bounds, mid, slopes)]
+    least = _least(bounds, mid, slopes)
     inf, step = math.inf, math.nextafter
     box = []
     for i, ((lo, hi), m, (dl, dh)) in enumerate(zip(bounds, mid, slopes)):
@@ -393,6 +399,28 @@ def _contract(bounds, mid, value, slopes, target):
             return None
         box.append((a, z))
     return tuple(box)
+
+
+def _least(bounds, mid, slopes):
+    """The least of D_i (x_i - m_i) over X_i, axis by axis, for a box's
+    ``bounds``, a point ``mid`` of it and an interval gradient ``slopes``
+    over it: the mean-value terms of ``_contract`` and ``_centered``.  An
+    offset of 0 adds 0 whatever the slope, as the box holds no other value
+    there."""
+    return [min(dh * (lo - m) if lo != m else 0.0, dl * (hi - m) if hi != m else 0.0)
+            for (lo, hi), m, (dl, dh) in zip(bounds, mid, slopes)]
+
+
+def _centered(bounds, mid, value, slopes):
+    """The centered (mean-value) lower bound of a function over a box: f(m)
+    + sum_i min over X_i of D_i (x_i - m_i), where ``value`` is f at ``mid``,
+    a point m of the box, and ``slopes`` an interval gradient D of f over
+    the box (Hansen & Walster, ch. 5-6).  A value that is not finite bounds
+    nothing (-inf), as it cuts nothing in ``_contract``; an infinite slope
+    makes its term -inf, unless its offset is 0."""
+    if not math.isfinite(value):
+        return -math.inf
+    return value + sum(_least(bounds, mid, slopes))
 
 
 def _meet(bounds, boxes):
@@ -506,15 +534,6 @@ def minimize(objective: Expr,
             return True
         return False
 
-    def monotone(bounds):
-        """The bounds of a box on which every point is feasible, with each
-        coordinate along which the objective is monotone fixed at its better
-        end: the lower one where the derivative is >= 0 (a coordinate the
-        objective ignores has [0, 0]), the upper one where it is <= 0."""
-        slopes = obj_gradient(bounds + pairs)[1]
-        return tuple((lo, lo) if dlo >= 0.0 else (hi, hi) if dhi <= 0.0 else (lo, hi)
-                     for (lo, hi), (dlo, dhi) in zip(bounds, slopes))
-
     def secant(bounds):
         """The box's midpoint with each coordinate moved to the regula-falsi
         zero of the objective's partial derivative along it, taken at the
@@ -578,21 +597,47 @@ def minimize(objective: Expr,
                 consider(corner, undecided)
             bounds = contracted
             b = _validated(names, bounds)
-        lb = obj_interval(bounds + pairs)[0]
+        if undecided:
+            lb = obj_interval(bounds + pairs)[0]
+            if settle(lb):
+                return
+            heapq.heappush(heap, (lb, next(counter), b, undecided))
+            return
+        # every point is feasible: one gradient call gives the natural bound,
+        # its value pair being the interval kernel's, and the slopes of the
+        # monotonicity test and of the centered bound
+        (lb, _), slopes = obj_gradient(bounds + pairs)
         if settle(lb):
             return
-        if not undecided:
-            reduced = monotone(bounds)
-            if reduced != bounds:
-                # the reduced box's corners are corners of b, whose padded
-                # ones, of a contracted box, are skipped on purpose (see the
-                # bisection below), so a box reduced to a point offers nothing
-                if any(lo != hi for lo, hi in reduced):
-                    consider(tuple(map(midpoint_value, reduced)), ())
-                lb = obj_interval(reduced + pairs)[0]
+        # each coordinate along which the objective is monotone is fixed at
+        # its better end: the lower one where the derivative is >= 0 (a
+        # coordinate the objective ignores has [0, 0]), the upper one where
+        # it is <= 0
+        reduced = tuple((lo, lo) if dlo >= 0.0 else (hi, hi) if dhi <= 0.0 else (lo, hi)
+                        for (lo, hi), (dlo, dhi) in zip(bounds, slopes))
+        wide = any(lo != hi for lo, hi in reduced)
+        if reduced != bounds:
+            # the reduced box's corners are corners of b, whose padded ones,
+            # of a contracted box, are skipped on purpose (see the bisection
+            # below), so a box reduced to a point offers nothing
+            if wide:
+                mid = tuple(map(midpoint_value, reduced))
+                consider(mid, ())
+            lb = obj_interval(reduced + pairs)[0]
+            if settle(lb):
+                return
+            bounds = reduced
+            b = _validated(names, reduced)
+        if wide:
+            # the centered bound about the box's midpoint (a box that no
+            # constraint contracts keeps its own), by the slopes over the
+            # unreduced box, which hold over the reduced one; a NaN is ignored
+            at = obj_interval(tuple(zip(mid, mid)) + pairs)[0]
+            centered = _centered(bounds, mid, at, slopes)
+            if centered > lb:
+                lb = centered
                 if settle(lb):
                     return
-                b = _validated(names, reduced)
         heapq.heappush(heap, (lb, next(counter), b, undecided))
 
     push(box, itertools.product(*map(corner_values, box.bounds)),

@@ -386,24 +386,31 @@ def _inside(lo, hi, t):
 # A small forward-mode reference for the gradient kernel, as the walks over
 # floats and intervals (``evaluate``, ``reference_interval``) are the references
 # for the point and interval kernels.  A node's rule maps its value
-# and its children's values and gradients to its gradient.  The derivative
-# arithmetic never raises: a NaN, from inf * 0 or inf - inf, means the sign is
-# unknown, so it widens to the entire line.
+# and its children's values and gradients to its gradient.  A derivative is
+# None, absent, along a coordinate that the node's subtree does not read: it is
+# exactly 0, and an operation on it is absent or its other side's.  The
+# derivative arithmetic never raises: a NaN, from inf * 0 or inf - inf, means
+# the sign is unknown, so it widens to the entire line.
 
 _ENTIRE = (-math.inf, math.inf)
+_ZERO = (0.0, 0.0)
 
 
 def _dadd(p, q):
+    if p is None or q is None:
+        return q if p is None else p
     lo = p[0] + q[0]
     hi = p[1] + q[1]
     return (lo, hi) if lo <= hi else _ENTIRE
 
 
 def _dneg(p):
-    return -p[1], -p[0]
+    return None if p is None else (-p[1], -p[0])
 
 
 def _dmul(p, q):
+    if p is None or q is None:
+        return None
     a, b = p
     c, d = q
     w, x, y, z = a * c, a * d, b * c, b * d
@@ -414,7 +421,18 @@ def _dmul(p, q):
 
 
 def _hull(p, q):
+    if p is None and q is None:
+        return None
+    p, q = p or _ZERO, q or _ZERO
     return (p[0] if p[0] < q[0] else q[0]), (p[1] if p[1] > q[1] else q[1])
+
+
+def _either(side, p, q):
+    """One side's derivative where min or max takes that side, an absent one
+    being 0 where the other side's is present."""
+    if p is None and q is None:
+        return None
+    return side or _ZERO
 
 
 def _derivative(e):
@@ -444,7 +462,7 @@ def _derivative(e):
         # d(u^n) = n u^(n-1) du; u^(n-1) cannot overflow where u^n did not
         n = e.exponent
         if n == 0:
-            return lambda v, a, da: tuple((0.0, 0.0) for _ in da)
+            return lambda v, a, da: (None,) * len(da)
 
         def pow_(v, a, da):
             u = ReferenceInterval(*a) ** (n - 1)
@@ -454,24 +472,25 @@ def _derivative(e):
     if k == "min":
         def min_(v, a, da, c, dc):
             if a[1] < c[0]:
-                return da
+                return tuple(_either(p, p, q) for p, q in zip(da, dc))
             if c[1] < a[0]:
-                return dc
+                return tuple(_either(q, p, q) for p, q in zip(da, dc))
             return tuple(map(_hull, da, dc))
         return min_
 
     def max_(v, a, da, c, dc):
         if a[0] > c[1]:
-            return da
+            return tuple(_either(p, p, q) for p, q in zip(da, dc))
         if c[0] > a[1]:
-            return dc
+            return tuple(_either(q, p, q) for p, q in zip(da, dc))
         return tuple(map(_hull, da, dc))
     return max_
 
 
 def _reference_gradient(e, names, box):
     """``compile_gradient(e, names)(box)`` by recursion: children first, then
-    the node's value by ``reference_interval`` and its gradient by its rule."""
+    the node's value by ``reference_interval`` and its gradient by its rule;
+    an absent derivative comes out as (0.0, 0.0)."""
     env = dict(zip(names, box))
 
     def walk(e):
@@ -479,11 +498,12 @@ def _reference_gradient(e, names, box):
         v = reference_interval(e, env)
         v = (v.lo, v.hi)
         if e.kind == "var":
-            return v, tuple((1.0, 1.0) if n == e.name else (0.0, 0.0) for n in names)
+            return v, tuple((1.0, 1.0) if n == e.name else None for n in names)
         if e.kind == "const":
-            return v, ((0.0, 0.0),) * len(names)
+            return v, (None,) * len(names)
         return v, _derivative(e)(v, *itertools.chain.from_iterable(kids))
-    return walk(e)
+    value, gradient = walk(e)
+    return value, tuple(p or _ZERO for p in gradient)
 
 
 def _nested_bits(v):
@@ -508,9 +528,14 @@ class TestGradientKernel:
     @example(x / (y + 3.0) * x, ((-1.0, 2.0), (0.5, 1.0)))
     @example(ex.const(math.inf) / y, ((0.0, 1.0), (1.0, 2.0)))
     @example(x / y, ((0.0, 1.0), (-1.0, 1.0)))
-    # powers: the zeroth, and an infinite factor times a zero derivative
+    # powers: the zeroth, and an infinite factor times an absent derivative
     @example(ex.ipow(x - y, 0) + ex.ipow(x, 3), ((-1.0, 2.0), (0.0, 1.0)))
     @example(ex.ipow(x, 2), ((0.0, math.inf), (0.0, 1.0)))
+    @example(ex.const(math.inf) * x, ((-1.0, 1.0), (0.0, 1.0)))
+    # an absent side: passed through, negated, or 0 in a hull
+    @example(ex.const(2.0) - y * x, ((-1.0, 2.0), (0.5, 1.0)))
+    @example(ex.const(3.0) / (y + 3.0), ((-1.0, 2.0), (0.5, 1.0)))
+    @example(ex.emax(x, ex.const(0.5)) * ex.const(math.inf), ((0.0, 1.0), (0.0, 1.0)))
     # a tie of signed zeros between the second and third end products
     @example(ex.emin(-x, y) * y, ((0.0, 1.0), (-1.0, -0.0)))
     def test_matches_the_reference_bit_for_bit(self, e, box):
@@ -583,6 +608,25 @@ class TestGradientKernel:
             ((1.0, 2.0), (-1.0, 1.0)))
         assert value == (-3.0, 6.0)
         assert gradient == ((1.0, 10.0), (0.0, 0.0))
+
+    def test_an_absent_derivative_is_exactly_zero(self):
+        # neither tree reads y, so its derivative along y is absent: exactly
+        # (0.0, 0.0), where inf * 0 would have widened it to the entire line
+        box = ((0.0, math.inf), (0.0, 1.0))
+        assert compile_gradient(ex.ipow(x, 2), NAMES)(box) == (
+            (0.0, math.inf), ((0.0, math.inf), (0.0, 0.0)))
+        got = compile_gradient(ex.const(math.inf) * x, NAMES)(((-1.0, 1.0), (0.0, 1.0)))
+        assert _nested_bits(got) == _nested_bits(
+            ((-math.inf, math.inf), ((math.inf, math.inf), (0.0, 0.0))))
+
+    def test_a_kernel_writes_no_line_for_an_absent_derivative(self):
+        # x * 2 + y: the product's line along y, the sum's along either
+        # coordinate, and the constant's along both are absent
+        kernel = compile_gradient(x * 2.0 + y, NAMES)
+        assert kernel(((0.0, 1.0), (-1.0, 1.0))) == (
+            (-1.0, 3.0), ((2.0, 2.0), (1.0, 1.0)))
+        names = kernel.__code__.co_varnames
+        assert [v for v in names if v.startswith(("dl", "dh"))] == ["dl2_0", "dh2_0"]
 
     def test_no_names(self):
         # no coordinates: the gradient is empty, at a min or max node too

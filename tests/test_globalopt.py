@@ -546,6 +546,73 @@ def _solved(objective, constraints, box, **kwargs):
     return out, repr(out), pickle.dumps(out)
 
 
+class TestCenteredBound:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2))
+    @example(35, 2)
+    def test_no_point_of_the_box_lies_below_it(self, seed, dims):
+        # mean value theorem: f(x) >= f(m) + sum_i min over X_i of D_i (x_i -
+        # m_i) at every point x of the box, for slopes D over the box or over
+        # any box that holds it, as minimize takes them over a box before
+        # the monotonicity test reduces it; the oracle suite's polynomials
+        rng = random.Random(seed)
+        names = ["u", "v"][:dims]
+        f = random_polynomial(rng, names)
+        outer = random_box(rng, names)
+        gradient = ex.compile_gradient(f, names)
+        interval = ex.compile_expr(f, names)[1]
+        for b, over in ((outer, outer), (shrink_box(rng, outer), outer)):
+            slopes = gradient(over.bounds)[1]
+            mid = tuple(map(midpoint_value, b.bounds))
+            at = interval(tuple(zip(mid, mid)))[0]
+            centered = globalopt._centered(b.bounds, mid, at, slopes)
+            assert centered <= at
+            points = _candidates(b) + [tuple(sample_point(rng, b).values())
+                                       for _ in range(30)]
+            for p in points:
+                v = evaluate(f, dict(zip(names, p)))
+                # the kernels round to nearest, not outward
+                assert v >= centered - 1e-9 * max(1.0, abs(v), abs(centered)), p
+
+    def test_it_settles_a_node_the_natural_bound_does_not(self, monkeypatch):
+        # x^2 - x on [0.4, 0.6]: the root offers its midpoint, 0.5, the
+        # minimizer, at -0.25.  The natural bound, [0.16, 0.36] - [0.4, 0.6],
+        # is -0.44, below -0.25 - tol_opt, and the slope 2x - 1, in about
+        # [-0.2, 0.2], fixes no coordinate; the centered bound, about
+        # -0.25 - 0.02, settles the root
+        f, box, tol_opt = x * x - x, BoxDomain([("x", 0.4, 0.6)]), 0.05
+        natural = interval_eval(f, box).lo
+        slopes = ex.compile_gradient(f, box.names)(box.bounds)[1]
+        assert natural < -0.25 - tol_opt and slopes[0][0] < 0.0 < slopes[0][1]
+        centered = globalopt._centered(box.bounds, (0.5,), -0.25, slopes)
+        assert -0.25 - tol_opt <= centered < -0.25
+        _no_bisection(monkeypatch)
+        out = minimize(f, [], box, tol_opt=tol_opt)
+        assert out.minimizer == {"x": 0.5} and out.value == -0.25
+        assert out.value_bounds == Interval(centered, -0.25)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_value_that_is_not_finite_bounds_nothing(self, value):
+        assert globalopt._centered(((-1.0, 1.0),), (0.0,), value,
+                                   ((-1.0, 1.0),)) == -math.inf
+
+    @pytest.mark.parametrize("slopes", [
+        ((-math.inf, math.inf),), ((math.inf, math.inf),),
+        ((-math.inf, -math.inf),), ((0.0, math.inf),)])
+    def test_an_infinite_slope_bounds_nothing(self, slopes):
+        # an infinite slope times a nonzero offset is an infinite fall
+        assert globalopt._centered(((-1.0, 1.0),), (0.0,), 1.0, slopes) == -math.inf
+
+    def test_a_degenerate_axis_adds_nothing(self):
+        # an offset of 0 adds 0 whatever the slope, an infinite one too; so
+        # does an end at the midpoint
+        bounds, mid = ((-1.0, 1.0), (2.0, 2.0), (0.0, 1.0)), (0.0, 2.0, 0.0)
+        slopes = ((-1.0, 1.0), (-math.inf, math.inf), (2.0, 3.0))
+        assert globalopt._centered(bounds, mid, 1.0, slopes) == 0.0
+        assert globalopt._centered(((3.0, 3.0),), (3.0,), 1.5,
+                                   ((math.inf, math.inf),)) == 1.5
+
+
 class TestRootAnalysisKept:
     """A spec keeps its analysis of the last box a solve asked about, and no
     outcome shows it."""
@@ -1205,6 +1272,22 @@ class TestOracleAgreement:
                 # cannot have found a feasible point
                 assert oracle.status == "infeasible", seed
             # bnb optimal + oracle infeasible is the tolerated sub-mesh sliver
+
+    @pytest.mark.parametrize("tol_opt,most", [(ORACLE_TOL_OPT, 30), (1e-6, 52)])
+    def test_the_centered_bound_shortens_the_deepest_solve(self, monkeypatch,
+                                                           tol_opt, most):
+        # seed 35 bisects 88 boxes at the suite's tolerance and 144 at 1e-6
+        # with the natural bound alone
+        bisect, count = BoxDomain.bisect, []
+
+        def counting(self):
+            count.append(self)
+            return bisect(self)
+        monkeypatch.setattr(BoxDomain, "bisect", counting)
+        obj, cons, box = random_poly_instance(35)
+        assert minimize(obj, cons, box, tol_opt=tol_opt,
+                        node_budget=ORACLE_NODE_BUDGET).optimal
+        assert len(count) <= most
 
     @pytest.mark.parametrize("seed", [25, 35])
     def test_deep_instances_at_a_tight_tolerance(self, seed):
