@@ -1,4 +1,5 @@
-"""Array kernels: ``expr.evaluate_array`` over numpy arrays.
+"""Array kernels: ``expr.evaluate_array`` over numpy arrays, and the grid
+oracle's one kernel per grid.
 
 A tree's array kernel is one generated Python function of straight-line
 code, as its point, interval and gradient kernels are (``expr``), kept on
@@ -8,34 +9,46 @@ walking the tree with Python's operators would make: ``np.negative``,
 ``np.add``, ``np.subtract``, ``np.multiply``, ``np.divide`` after the
 ``np.any(b == 0.0)`` check, ``np.float_power``, ``np.minimum`` and
 ``np.maximum``.  A subtree over no array is evaluated as that walk would,
-with Python's float operators and numpy's scalar calls.  Each shared subtree
-is computed once.  So every value is that walk's, bit for bit (but for the
-sign of a NaN, see ``expr``); the tests keep the walk as the reference.
+with Python's float operators and numpy's scalar calls.  Equal subtrees are
+computed once (``expr._Emitter.node`` numbers values).  So every value is
+that walk's, bit for bit (but for the sign of a NaN, see ``expr``); the
+tests keep the walk as the reference.  Over plain arrays every temporary is
+a new array and the result is the caller's own.
 
-Each node over an array writes into the array its kernel is given (``out=``).
-A kernel's temporaries get slots when it is generated, by liveness
-(``_ArrayEmitter.layout``).  Over an open grid (``OpenGrid``, the grid
-oracle's blocks), a slot is a view of one of the thread's flat buffers
-(``_Buffers``), shaped at call time by the grid axes the temporary spans, so
-one kernel serves every block.  The buffers live as long as the thread, so
-the grid's blocks reuse memory already mapped, where arrays allocated afresh
-for each block were mapped and faulted in again by the C library.  Over plain
-arrays every temporary is a new array and the result is the caller's own.
+The grid oracle's kernel (``grid_kernel``) is generated the same way, by
+the same emitter, from a whole minimization: a list of constraint trees,
+each with its sense, and an objective, each with the names of its bound
+values, over an open grid of the box's names.  Its argument list holds the
+grid's axes, then every tree's bound values, as floats, so one kernel serves
+every call whatever the values, and a tree met twice (two cuts) reads its
+own values each time.  Per block of the grid it runs each constraint in
+order and applies its test (``ConstraintSpec.satisfied``'s rule) to the
+running mask, which it returns as ``True`` where every point passes, and it
+stops once no point passes, save that the trees that can raise
+``EvaluationError`` (a division, a variable bound nowhere) still run; it
+runs the objective last.  Values are numbered across the trees, so a subtree
+two trees share is computed once, except where a tree that runs on a
+block without a passing point would read a value of a tree that does not.
+
+Each node over the grid's first axis writes into a view of one of the
+thread's flat buffers (``_Buffers``), shaped at call time by the grid axes
+it spans; the slots are given when the kernel is generated, by liveness
+(``_ArrayEmitter.layout``), so one kernel serves every block, and the
+grid's blocks reuse memory already mapped, where arrays allocated afresh
+for each block were mapped and faulted in again by the C library.
 
 The grid oracle blocks its grid along the first axis, and between two
-evaluations over one ``OpenGrid`` only that axis's values change.  So a node
-over arrays that does not span the first axis, a *block-invariant* node, has
-the same value over every block: the kernel computes it at its first
-evaluation over a grid, into a fresh array, keeps it on the grid
-(``OpenGrid.keep``), and later evaluations read it from there.  Those take
-the kernel's second path, the first one's lines without those of the nodes
-that do not span the first axis (nor the checks of their divisors, which
-passed).  A block-invariant node takes no slot.  The first path makes the
-walk's numpy calls, in its order, and the second the same calls over the
-first axis, on the same operands, so every value is the walk's bit for bit,
-and a divisor's check fails at the same evaluation as the walk's.  An
-evaluation over plain arrays takes the first path, with a fresh, empty
-``keep``.
+blocks of one grid only that axis's values change.  So a node that does not
+span the first axis, a *block-invariant* node, has the same value over every
+block: a tree's first run in a grid computes it, into a fresh array, and
+keeps it in the call's ``keep``, and the tree's later runs read it from
+there.  Those take the tree's second path, the first one's lines without
+those of the nodes that do not span the first axis (nor the checks of their
+divisors, which passed).  A block-invariant node takes no slot.  The first
+path makes the walk's numpy calls, in its order, and the second the same
+calls over the first axis, on the same operands, so every value is the
+walk's bit for bit, and a divisor's check fails at the same block as the
+walk's.
 
 This module imports numpy.  ``expr.evaluate_array`` imports it at its first
 call and the grid oracle when called, so the rest of the package loads
@@ -45,53 +58,24 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .expr import _BINARY, Expr, _cached, _Emitter
 
-_ARRAY = "array"   # the kind of an array kernel on the tree
-
-
-class OpenGrid(dict):
-    """The values of the names over one block of an open grid, for
-    ``expr.evaluate_array``.
-
-    The first ``axes`` names hold the grid's axes, in order: axis ``i`` is an
-    array of ``axes`` dimensions, of length 1 along each but the ``i``-th;
-    the other names hold floats.  Between two evaluations over one grid,
-    only the values of the first axis may change (the block's rows); the
-    values of its block-invariant nodes, the nodes over arrays that do not
-    span that axis, are computed at the first evaluation of each kernel and
-    kept in ``keep``, by kernel.  An evaluation over an ``OpenGrid`` writes
-    its other temporaries into this thread's reused buffers (``_Buffers``)
-    and may return one of them, or a kept array, so its result is valid only
-    until the next evaluation over an ``OpenGrid`` on the same thread, and
-    must not be written.
-    """
-
-    __slots__ = ("axes", "keep")
-
-    def __init__(self, axes: int, values: Mapping):
-        super().__init__(values)
-        self.axes = axes
-        self.keep: dict = {}
+# the kinds of an array kernel and of a grid kernel on the tree
+_ARRAY, _GRID = "array", "grid"
 
 
 def evaluate(e: Expr, point: Mapping):
     """``e`` over ``point`` by its array kernel: the names whose values are
     numpy arrays are its arrays."""
-    if isinstance(point, OpenGrid):
-        axes, args = point.axes, tuple(point.values())
-        kernel, layout, _ = _kernel(e, tuple(point), axes)
-        # an axis is 1 long along every dimension but its own
-        return kernel(args, _BUFFERS.views(layout, tuple(a.size for a in args[:axes])),
-                      point.keep)
     arrays = [n for n, v in point.items() if isinstance(v, np.ndarray)]
     names = (*arrays, *(n for n in point if n not in arrays))
-    kernel, layout, _ = _kernel(e, names, len(arrays))
-    return kernel(tuple(point[n] for n in names), (None,) * len(layout), {})
+    kernel = _cached(e, names, (_ARRAY, len(arrays)),
+                     lambda index: _generate(e, index, len(arrays)))
+    return kernel(tuple(point[n] for n in names))
 
 
 def linspace(lo: float, hi: float, n: int):
@@ -119,27 +103,42 @@ def linspace(lo: float, hi: float, n: int):
     return out
 
 
-def can_raise(e: Expr, grid: OpenGrid) -> bool:
-    """Whether ``evaluate`` can raise ``EvaluationError`` on ``e`` over
-    ``grid``'s names: ``e`` holds a division, or a variable that ``grid``
-    does not bind.  Decided when the kernel is generated, not by the
-    values."""
-    return _kernel(e, tuple(grid), grid.axes)[2]
+def grid_kernel(objective: Expr, parameters: tuple,
+                constraints: Sequence[tuple[Expr, str, tuple]], names: tuple):
+    """The grid kernel of minimizing ``objective``, whose bound values are
+    named ``parameters``, subject to ``constraints``, ``(tree, sense, names
+    of its bound values)`` triples, over an open grid of the box's
+    ``names``; made at the first request and kept on the objective.
 
+    It is keyed by the identity of the constraint trees, with their senses
+    and bound names, and it holds those trees, so that an id cannot be
+    reused by another tree while it is kept.
 
-def _kernel(e: Expr, names: tuple, axes: int):
-    """``e``'s array kernel over ``names``, the first ``axes`` of them
-    arrays, with its layout and whether it can raise, made at the first
-    request and kept on the tree."""
-    return _cached(e, names, (_ARRAY, axes), lambda index: _generate(e, index, axes))
+    ``kernel(arg, lengths, keep, tol)`` runs the kernel over one block:
+    ``arg`` holds the block's axes (axis ``i`` an array of ``len(names)``
+    dimensions, of length 1 along each but the ``i``-th; only the first
+    changes from block to block), then the bound values of each constraint
+    and of the objective, in order; ``lengths`` the block's shape; ``keep``
+    a dict, empty at a grid's first block, that holds the block-invariant
+    values; ``tol`` the constraints' ``tol_feas``.  It returns ``(ok,
+    values)``: ``ok`` is ``None`` where no point passes the constraints,
+    ``True`` where every point does, else a boolean mask of the block (or
+    broadcast to it); ``values`` are the objective's, an array or a float,
+    valid only until the next grid kernel call on the same thread, and not
+    to be written.
+    """
+    key = (_GRID, parameters,
+           tuple((id(e), sense, pnames) for e, sense, pnames in constraints))
+    return _cached(objective, names, key,
+                   lambda index: _generate_grid(objective, parameters, constraints, index))
 
 
 class _Buffers(threading.local):
-    """This thread's flat float64 buffers, one per slot of the kernels run
-    over an ``OpenGrid``, each as long as the largest block seen: ``slots *
-    size`` floats in all, for the most slots a kernel has used.  The views of
-    them that kernels write into are kept per layout and block shape until
-    the buffers grow."""
+    """This thread's flat float64 buffers, one per slot of the grid kernels,
+    each as long as the largest block seen: ``slots * size`` floats in all,
+    for the most slots a kernel has used.  The views of them that kernels
+    write into are kept per layout and block shape until the buffers
+    grow."""
 
     def __init__(self):
         self.flat: list = []
@@ -169,36 +168,127 @@ _BUFFERS = _Buffers()
 
 def _generate(e: Expr, index: Mapping[str, int], axes: int):
     """The array kernel of ``e``, whose first ``axes`` names of ``index`` are
-    arrays, its layout and whether it can raise: a function of the argument
-    tuple, one out array (or None) per temporary, in the layout's order, and
-    the ``keep`` of the grid, whose body raises ``EvaluationError`` only
-    where it checks a divisor or meets a variable ``index`` lacks.
-
-    A kernel with block-invariant nodes has two paths: with nothing kept for
-    it in ``keep``, every line, after which it keeps the values that the
-    lines over the first axis read; with them kept, only those lines."""
-    emitter = _ArrayEmitter(index, axes)
+    arrays: a function of the argument tuple, whose body raises
+    ``EvaluationError`` only where it checks a divisor or meets a variable
+    ``index`` lacks."""
+    emitter = _ArrayEmitter(axes, grid=False)
+    emitter.index = index
     result, _ = emitter.node(e)
-    head = ["def kernel(arg, out, keep):"]
-    if emitter.temps:
-        head.append("".join(f"o{v[1:]}, " for v, _, _ in emitter.temps) + "= out")
-    body = [*emitter.lines, f"return {result}"]
-    if emitter.hoisted:
-        key = emitter.bind(object())
-        kept = "".join(f"{v}, " for v in emitter.kept(result))
-        rest = [line for line, mask in zip(emitter.lines, emitter.spans) if mask & 1]
-        body = [f"kept = keep.get({key})",
-                "if kept is not None:",
-                f"    {kept}= kept",
-                *(f"    {line}" for line in rest),
-                f"    return {result}",
-                *emitter.lines,
-                f"keep[{key}] = {kept}",
-                f"return {result}"]
-    source = "\n    ".join([*head, *body])
+    source = "\n    ".join(["def kernel(arg):", *emitter.lines, f"return {result}"])
     exec(compile(source, "<array kernel>", "exec"), emitter.namespace)
-    return emitter.namespace["kernel"], emitter.layout(), emitter.raises
+    return emitter.namespace["kernel"]
 
+
+def _can_raise(e: Expr, index: Mapping[str, int]) -> bool:
+    """Whether ``e`` holds a division, or a variable ``index`` lacks."""
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node.kind == "div" or (node.kind == "var" and node.name not in index):
+                return True
+            stack += node.children
+    return False
+
+
+def _test(passed, ok):
+    """The running mask after a constraint's test ``passed`` (an array or a
+    bool): ``ok & passed``, ``True`` where every point passes, ``None``
+    where none does, which it stays."""
+    if ok is None:
+        return None
+    if ok is not True:
+        passed = passed & ok
+    n = np.count_nonzero(passed)
+    if n == 0:
+        return None
+    return True if n == np.size(passed) else passed
+
+
+def _indent(lines) -> list[str]:
+    return [f"    {line}" for line in lines]
+
+
+def _generate_grid(objective: Expr, parameters: tuple,
+                   constraints: Sequence[tuple[Expr, str, tuple]], box: Mapping[str, int]):
+    """The grid kernel (``grid_kernel``) over an open grid of ``box``, the
+    box's names mapped to their axes.
+
+    Each tree is one segment of the body, with a name index of its own: the
+    box's names, then its bound values' slots of the argument list.  A
+    constraint's segment ends with its test.  Once no point passes, the
+    kernel returns, unless a tree that can raise is still to come: then the
+    mask is ``None`` and the segments of the trees that cannot raise, up to
+    the last that can, run under ``if ok is not None``.  A tree that can
+    raise runs unguarded and reuses no value of a guarded segment.  A
+    segment with block-invariant array nodes has two paths: with nothing in
+    ``keep`` for it, every line, after which it keeps its block-invariant
+    values that other lines read (``_ArrayEmitter.exported``); with them
+    kept, only its lines over the first axis."""
+    trees = [*constraints, (objective, None, parameters)]
+    slot = len(box)
+    indices = []
+    for _, _, pnames in trees:
+        indices.append({**box, **{n: slot + i for i, n in enumerate(pnames)}})
+        slot += len(pnames)
+    raising = [_can_raise(e, index) for (e, _, _), index in zip(trees, indices)]
+    last = max((i for i, r in enumerate(raising) if r), default=-1)
+    # the mask may be None at a segment after the first and up to the last
+    # tree that can raise, as no test before that one returns
+    guarded = [not r and 0 < i < last for i, r in enumerate(raising)]
+    banned: set = set()
+    while True:
+        emitter = _ArrayEmitter(len(box), grid=True, banned=banned)
+        segments = []   # each tree's lines, whether it keeps values, its result
+        for s, ((e, _, _), index) in enumerate(zip(trees, indices)):
+            start, made = len(emitter.lines), len(emitter.made)
+            result, _ = emitter.tree(e, index, s, restricted=raising[s] and last > 0)
+            emitter.read(result)
+            if guarded[s]:
+                emitter.conditional.update(emitter.made[made:])
+            segments.append((start, len(emitter.lines), emitter.hoisted, result))
+        layout = emitter.layout()
+        if len({s for s, _ in layout}) <= _SLOTS or not emitter.reused:
+            break
+        # the reuse of a temporary that holds its slot the longest
+        banned.add(max(emitter.reused, key=emitter.reused.get))
+    body = ["ok = True"] if constraints else []
+    for s, ((_, sense, _), (start, end, hoisted, result)) in enumerate(zip(trees, segments)):
+        lines = emitter.lines[start:end]
+        if hoisted:
+            kept = "".join(f"{v}, " for v in emitter.exported if emitter.owner[v] == s)
+            lines = [f"kept = keep.get({s})",
+                     "if kept is None:",
+                     *_indent(lines),
+                     f"    keep[{s}] = {kept}",
+                     "else:",
+                     f"    {kept}= kept",
+                     *_indent(line for line, span in
+                              zip(lines, emitter.spans[start:end]) if span & 1)]
+        if sense is None:
+            body += [*lines, f"return {'ok' if constraints else 'True'}, {result}"]
+            break
+        # ConstraintSpec.satisfied: value <= tol_feas for "le", value >=
+        # -tol_feas for "ge"
+        lines.append(f"ok = _test({result} <= tol, ok)" if sense == "le" else
+                     f"ok = _test({result} >= -tol, ok)")
+        body += ["if ok is not None:", *_indent(lines)] if guarded[s] else lines
+        if s >= last:
+            body.append("if ok is None: return None, None")
+    emitter.namespace.update(_test=_test, _views=_BUFFERS.views, _layout=layout,
+                             _trees=[e for e, _, _ in trees])
+    if layout:
+        body.insert(0, "".join(f"o{v[1:]}, " for v, _, _ in emitter.temps if v)
+                    + "= _views(_layout, lengths)")
+    source = "\n    ".join(["def kernel(arg, lengths, keep, tol):", *body])
+    exec(compile(source, "<grid kernel>", "exec"), emitter.namespace)
+    return emitter.namespace["kernel"]
+
+
+# the most buffer slots a grid kernel takes by reusing temporaries of equal
+# nodes; beyond them, a node is computed again instead
+_SLOTS = 3
 
 # the numpy function of each operation
 _UFUNCS = {"neg": "negative", "add": "add", "sub": "subtract", "mul": "multiply",
@@ -206,42 +296,96 @@ _UFUNCS = {"neg": "negative", "add": "add", "sub": "subtract", "mul": "multiply"
 
 
 class _ArrayEmitter(_Emitter):
-    """The body of an array kernel.  A node's operands are its value and
-    the grid axes it spans, as a bit mask (0 for a value over no array)."""
+    """The body of an array kernel, or of a grid kernel (``grid``), whose
+    nodes over the first axis write into out views.  A node's operands are
+    its value and the grid axes it spans, as a bit mask (0 for a value over
+    no array)."""
 
-    def __init__(self, index: Mapping[str, int], axes: int):
-        super().__init__(index, _ARRAY, axes)
-        # the temporaries: value name, axes and the temporaries it reads
-        self.temps: list[tuple[str, int, list[str]]] = []
+    def __init__(self, axes: int, grid: bool, banned=frozenset()):
+        super().__init__({}, _ARRAY, axes)
+        self.grid = grid
+        # each temporary's position in temps
+        self.slotted: dict[str, int] = {}
+        # the reuses of a temporary by an equal node, by (segment, node id):
+        # those not to make, and the temporary of each made; and of these,
+        # those that a node, test or return reads, with how many temporaries
+        # were made since the one it reads, the most over its reads
+        self.banned = banned
+        self.hits: dict[tuple, str] = {}
+        self.reused: dict[tuple, int] = {}
+        # the temporaries, in order: value name (None for a read that
+        # writes nothing, a test's or the return's), axes and the
+        # temporaries it reads
+        self.temps: list[tuple] = []
         # the axes each line's values span: a divisor's for its check
         self.spans: list[int] = []
-        # the values that do not span the first axis, and those of them that
-        # a node over the first axis reads, in order (dicts as ordered sets)
-        self.invariant: dict[str, None] = {}
-        self.read: dict[str, None] = {}
-        # whether a node over arrays does not span the first axis
+        # the value names in the order they are made
+        self.made: list[str] = []
+        # the segment of each value that does not span the first axis, and
+        # those of them read by a line over the first axis or by another
+        # segment (a dict as an ordered set)
+        self.owner: dict[str, int] = {}
+        self.exported: dict[str, None] = {}
+        # the values of guarded segments
+        self.conditional: set[str] = set()
+        self.segment = 0
+        # whether a node over arrays of this segment does not span the
+        # first axis
         self.hoisted = False
-        # whether a line raises EvaluationError: a divisor's check, or a
-        # variable not in the index
-        self.raises = False
         self.namespace.update({f"_{name}": getattr(np, name)
                                for name in (*_UFUNCS.values(), "any")})
+
+    def tree(self, e: Expr, index: Mapping[str, int], segment: int,
+             restricted: bool) -> tuple[str, int]:
+        """The operands of tree ``e``, the grid kernel's ``segment``-th,
+        over ``index``; ``restricted``, it reuses no value of a guarded
+        segment."""
+        self.index, self.segment, self.hoisted = index, segment, False
+        self.memo = {}   # a tree met again may read other bound values
+        numbers = self.numbers
+        if restricted:
+            self.numbers = {key: out for key, out in numbers.items()
+                            if out[0] not in self.conditional}
+        out = self.node(e)
+        self.used(e)
+        numbers.update(self.numbers)
+        self.numbers = numbers
+        return out
+
+    def reuse(self, e: Expr, out: tuple) -> bool:
+        """Yes, save for a banned reuse of a temporary."""
+        if out[0] not in self.slotted:
+            return True
+        hit = (self.segment, id(e))
+        if hit in self.banned:
+            return False
+        self.hits[hit] = out[0]
+        return True
+
+    def used(self, e: Expr) -> None:
+        """Note that ``e``'s operands are read now."""
+        hit = (self.segment, id(e))
+        t = self.hits.get(hit)
+        if t is not None:
+            self.reused[hit] = len(self.temps) - self.slotted[t]
 
     def emit(self, line: str, axes: int) -> None:
         self.lines.append(line)
         self.spans.append(axes)
 
-    def kept(self, result: str) -> list[str]:
-        """The values the second path reads from ``keep``: those a node
-        over the first axis reads that do not span it, and the result, if
-        it does not."""
-        return [*self.read, *((result,) if result in self.invariant else ())]
+    def read(self, value: str) -> None:
+        """Note that a test or the return reads ``value``, a tree's result,
+        after the tree's lines."""
+        if value in self.owner:
+            self.exported[value] = None
+        elif value in self.slotted:
+            self.temps.append((None, 0, [value]))
 
     def value(self, e: Expr, kids, n: int) -> tuple[str, int]:
         """A node over an array is one numpy call, which writes into its out
-        view unless the node does not span the first axis; a node over none
-        is the float operation (or numpy scalar call) of the walk over
-        arrays, Python's operator where the walk uses one."""
+        view where it spans the first axis of a grid; a node over none is
+        the float operation (or numpy scalar call) of the walk over arrays,
+        Python's operator where the walk uses one."""
         k = e.kind
         if k == "const":
             return self.bind(e.value), 0
@@ -249,15 +393,17 @@ class _ArrayEmitter(_Emitter):
         if k == "var":
             self.variable(e, v)
             i = self.index.get(e.name)
-            self.raises |= i is None
             axes = 1 << i if i in self.dims else 0
             self.spans.append(axes)
         else:
             axes = self.operation(e, kids, v, n)
-        if axes & 1:
-            self.read.update((a, None) for a, _ in kids if a in self.invariant)
-        else:
-            self.invariant[v] = None
+        for a, _ in kids:
+            t = self.owner.get(a)
+            if t is not None and (t != self.segment or axes & 1):
+                self.exported[a] = None
+        if not axes & 1:
+            self.owner[v] = self.segment
+        self.made.append(v)
         return v, axes
 
     def operation(self, e: Expr, kids, v: str, n: int) -> int:
@@ -270,13 +416,14 @@ class _ArrayEmitter(_Emitter):
         if k == "pow":
             ops.append(self.bind(e.exponent))
         elif k == "div":
-            self.raises = True
             c, mask = kids[1]
             self.emit(f"if _any({c} == 0.0): _division_by_zero()" if mask else
                       f"if {c} == 0.0: _division_by_zero()", mask)
-        if axes & 1:
-            temps = {t for t, _, _ in self.temps}
-            self.temps.append((v, axes, [a for a in ops if a in temps]))
+        for c in e.children:
+            self.used(c)
+        if axes & 1 and self.grid:
+            self.slotted[v] = len(self.temps)
+            self.temps.append((v, axes, [a for a in ops if a in self.slotted]))
             self.emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)}, out=o{n})", axes)
         elif axes:
             self.hoisted = True
@@ -292,14 +439,14 @@ class _ArrayEmitter(_Emitter):
     def layout(self) -> tuple[tuple[int, int], ...]:
         """Each temporary's slot and axes, in the order of the out views.
 
-        A slot is free once the last node that reads its temporary has run.
-        A node writes into the slot of a temporary it reads for the last
-        time and that spans the same axes, where numpy works in place, else
-        into a free slot, or a new one: its other inputs stay whole while it
-        is written, so it never overlaps an input of another shape, which
-        numpy would copy first.  The slots are as many as the most
-        temporaries ever live at once, a node's output and inputs
-        included."""
+        A slot is free once the last node, test or return that reads its
+        temporary has run.  A node writes into the slot of a temporary it
+        reads for the last time and that spans the same axes, where numpy
+        works in place, else into a free slot, or a new one: its other
+        inputs stay whole while it is written, so it never overlaps an input
+        of another shape, which numpy would copy first.  The slots are as
+        many as the most temporaries ever live at once, a node's output and
+        inputs included."""
         last = {t: j for j, (_, _, inputs) in enumerate(self.temps) for t in inputs}
         slot: dict[str, int] = {}
         axes = {v: mask for v, mask, _ in self.temps}
@@ -307,12 +454,12 @@ class _ArrayEmitter(_Emitter):
         slots = 0
         for j, (v, mask, inputs) in enumerate(self.temps):
             dying = [t for t in dict.fromkeys(inputs) if last[t] == j]
-            same = [t for t in dying if axes[t] == mask][:1]
+            same = [t for t in dying if v and axes[t] == mask][:1]
             if same:
                 slot[v] = slot[same[0]]
-            elif free:
+            elif free and v:
                 slot[v] = free.pop()
-            else:
+            elif v:
                 slot[v], slots = slots, slots + 1
             free += [slot[t] for t in dying if t not in same]
-        return tuple((slot[v], mask) for v, mask, _ in self.temps)
+        return tuple((slot[v], mask) for v, mask, _ in self.temps if v)

@@ -7,10 +7,11 @@ takes its domain's value of a constant, division, power and min and max as
 arguments, and every other operation is a Python operator.  Over intervals,
 ``interval_eval`` (the natural interval extension) runs the tree's generated
 interval kernel, the package's one interval evaluator.  Over numpy arrays,
-``evaluate_array`` runs a generated array kernel (``gsiplab.arrays``), used
-by the grid oracle, which passes an open grid and lets broadcasting build the
-full grid.  Arrays are raised to a power with ``np.float_power``, whose
-float64 loop calls C's ``pow`` per element, as Python's ``**`` does: numpy's
+``evaluate_array`` runs a generated array kernel (``gsiplab.arrays``); the
+grid oracle runs one kernel per grid from the same emitter, over an open
+grid, and lets broadcasting build the full grid.  Arrays are raised to a
+power with ``np.float_power``, whose float64 loop calls C's ``pow`` per
+element, as Python's ``**`` does: numpy's
 ``**`` may run SIMD code that differs from ``pow`` in the last bit, which
 would tie the oracle's values to the CPU.  Only the array kernels need numpy,
 and ``evaluate_array`` imports their module at its first call, so the rest of
@@ -30,12 +31,12 @@ walk's over floats and over intervals (up to the sign bit of a NaN: when
 both operands of a float ``+`` or ``*`` are NaNs, CPython 3.11 returns one
 or the other depending on whether it has specialized the instruction yet,
 in the walker too); they only drop the per-node calls and kind dispatch,
-the name lookups and the interval allocations, and compute a shared subtree
-once.  They share no code with the walker.  The tests keep the walks as
-their references: ``evaluate`` for the point kernel, and for the interval
-kernel the walk over intervals with their arithmetic
-(``tests/conftest.py::reference_interval``).  Nothing from the tree enters
-a kernel's source text: constants, exponents and the names of unknown
+the name lookups and the interval allocations, and compute a shared subtree,
+or equal subtrees built apart (``_Emitter.node``), once.  They share no code
+with the walker.  The tests keep the walks as their references:
+``evaluate`` for the point kernel, and for the interval kernel the walk over
+intervals with their arithmetic (``tests/conftest.py::reference_interval``).
+Nothing from the tree enters a kernel's source text: constants, exponents and the names of unknown
 variables reach it through its namespace, and variables are indices into
 its argument tuple.  ``compile_gradient`` generates a
 third kernel the same way: a forward-mode interval gradient, whose value
@@ -256,7 +257,7 @@ _array_evaluate = None   # gsiplab.arrays.evaluate, bound at the first call
 def evaluate_array(e: Expr, point: Mapping[str, np.ndarray]):
     """Vectorized evaluation over numpy arrays (broadcasting applies), by
     ``e``'s array kernel (``gsiplab.arrays.evaluate``).  The result is the
-    caller's own, except over an ``arrays.OpenGrid``."""
+    caller's own."""
     global _array_evaluate
     if _array_evaluate is None:
         from .arrays import evaluate as _array_evaluate
@@ -380,8 +381,8 @@ def _generate(e: Expr, index: Mapping[str, int], kind: str,
 
     The body is straight-line code: one assignment (a few for an interval
     product) per node, children before their parent and left to right, as
-    the walker evaluates them, and each shared subtree once.  The source
-    holds only names the emitter makes up and its own literals: every value
+    the walker evaluates them, and each value once (``_Emitter.node``).  The
+    source holds only names the emitter makes up and its own literals: every value
     taken from the tree (a constant, an exponent, the error of an unknown
     variable) reaches the function through its namespace, and a variable is
     an index into the argument tuple.
@@ -438,7 +439,10 @@ class _Emitter:
                           "_entire": (-math.inf, math.inf),
                           "_division_by_zero": _division_by_zero,
                           "_division_by_straddle": _division_by_straddle}
-        self.memo: dict[int, tuple[str, ...]] = {}
+        # a node's operands by its id, and by its value number
+        self.memo: dict[int, tuple] = {}
+        self.numbers: dict[tuple, tuple] = {}
+        self.count = 0   # the nodes that wrote lines, or bound a constant
 
     def bind(self, value) -> str:
         """A new name in the kernel's namespace, bound to ``value``."""
@@ -447,13 +451,32 @@ class _Emitter:
         return name
 
     def node(self, e: Expr) -> tuple[str, ...]:
-        # the memo is keyed by id because Expr hashes its whole subtree; ids
-        # are not reused while the tree is alive
+        """The operands of ``e``, whose lines are written at its first
+        visit, unless an equal node's were: value numbering (Alpern, Wegman
+        & Zadeck, POPL 1988) gives one number to the nodes of one kind whose
+        constant bits (``float.hex``, so 0.0 and -0.0 stay apart), variable
+        (its name and its index), exponent and children's operands match,
+        and a node with a number already seen takes its operands and writes
+        no line.  Equal operands give equal floats, bit for bit, but for the
+        sign of a NaN.  The memo by id comes first, as Expr hashes its whole
+        subtree; ids are not reused while the tree is alive."""
         out = self.memo.get(id(e))
         if out is None:
             kids = list(map(self.node, e.children))   # one frame per level
-            out = self.memo[id(e)] = self.value(e, kids, len(self.memo))
+            k = e.kind
+            key = ((k, float(e.value).hex()) if k == "const" else
+                   (k, e.name, self.index.get(e.name)) if k == "var" else
+                   (k, e.exponent, *kids))
+            out = self.numbers.get(key)
+            if out is None or not self.reuse(e, out):
+                out = self.numbers[key] = self.value(e, kids, self.count)
+                self.count += 1
+            self.memo[id(e)] = out
         return out
+
+    def reuse(self, e: Expr, out: tuple) -> bool:
+        """Whether ``e`` takes the operands ``out`` of an equal node."""
+        return True
 
     def value(self, e: Expr, kids, n: int) -> tuple:
         """The lines of node ``e``, the ``n``-th, over its children's

@@ -115,13 +115,14 @@ Two engines share one outcome type:
 * ``grid_minimize`` -- brute-force evaluation on the full tensor grid,
   kept deliberately independent of the interval machinery that certifies
   ``minimize``'s bounds, so that it can serve as a cross-checking oracle.
-  It evaluates through ``evaluate_array``'s array kernels, which share no
-  code with the point and interval kernels, and which the tests pin bit for
-  bit to the recursive walk over arrays.  Grid points are feasible by
-  ``ConstraintSpec.satisfied``, the rule ``minimize`` applies to its
-  candidates, and a point whose value is NaN is never the minimum, as a NaN
-  is never ``minimize``'s incumbent.  The grid is evaluated in blocks of
-  rows of its first axis, so that a block's arrays stay in cache.  A block
+  It evaluates through one generated array kernel per grid
+  (``arrays.grid_kernel``), which shares no code with the point and interval
+  kernels, and which the tests pin bit for bit to the recursive walk over
+  arrays.  Grid points are feasible by ``ConstraintSpec.satisfied``, the
+  rule ``minimize`` applies to its candidates, and a point whose value is
+  NaN is never the minimum, as a NaN is never ``minimize``'s incumbent.
+  The grid is evaluated in blocks of rows of its first axis, so that a
+  block's arrays stay in cache, by one kernel call per block.  A block
   evaluates its constraints before its objective, and once none of its
   points passes, it skips the trees that no feasible point needs, save
   those that can raise ``EvaluationError``.  It proves no bound.  It is
@@ -136,9 +137,9 @@ import math
 from typing import Optional, Sequence
 
 from .domains import BoxDomain, _validated, corner_values, midpoint_value, split
-# minimize calls neither evaluate nor interval_eval; they stay bound here
-# because bench/tracer.py counts the point and interval evaluations made
-# through these names
+# neither minimize nor grid_minimize calls evaluate, interval_eval or
+# evaluate_array; they stay bound here because bench/tracer.py counts the
+# evaluations made through these names
 from .expr import (Expr, Interval, compile_expr, compile_gradient,  # noqa: F401
                    evaluate, evaluate_array, interval_eval)
 from .immutable import frozen
@@ -688,6 +689,8 @@ def minimize(objective: Expr,
 # dominate
 _BLOCK_POINTS = 1 << 15
 
+_arrays = None   # gsiplab.arrays, imported at the first grid
+
 
 def grid_minimize(objective: Expr,
                   constraints: Sequence[ConstraintSpec],
@@ -704,87 +707,77 @@ def grid_minimize(objective: Expr,
     The variables are bound to an open grid: axis ``i`` is an array of shape
     ``(1, ..., n, ..., 1)``, whose values are ``np.linspace(lo, hi, n)``'s,
     bit for bit, built by its recipe (``arrays.linspace``), save where
-    ``hi - lo`` overflows and that recipe's points are not finite.
-    ``evaluate_array`` thus works on one axis's values until an operation
-    mixes two axes, where broadcasting builds the full grid.  Broadcasting
-    only repeats operands, so every grid value comes from the same float
+    ``hi - lo`` overflows and that recipe's points are not finite.  The
+    array kernels thus work on one axis's values until an operation mixes
+    two axes, where broadcasting builds the full grid.  Broadcasting only
+    repeats operands, so every grid value comes from the same float
     operations as on a dense grid, bit for bit.  The grid is evaluated in
     blocks of rows of the first axis, of at most ``_BLOCK_POINTS`` points
     (one row, if a row holds more), so that the arrays of a block stay in
-    cache.  Each tree's values over a block are an ``arrays.OpenGrid``, one
-    per tree for the whole call, in which only the first axis changes from
-    block to block: so the tree's nodes that do not span that axis are
-    computed once, at its first evaluation, and kept on it, and its other
-    temporaries go into the thread's reused buffers, the same memory for
-    every block and every call: at most as many buffers as a tree's kernel
-    has temporaries live at once, each as long as the largest block seen.
+    cache.
 
-    A block evaluates its constraints first, in their order, and its
-    objective last; once no point of the block passes, the trees still to
-    come are skipped, except those that can raise ``EvaluationError``
-    (``arrays.can_raise``, decided when a tree's kernel is generated), so an
-    error surfaces whether or not a point passes.
+    One generated kernel evaluates a whole block (``arrays.grid_kernel``),
+    kept on the objective and keyed by the identity of the trees, so a loop
+    that checks the same trees under new bound values, or at another
+    ``tol_feas``, generates it once.  It evaluates the constraints first, in
+    their order, each followed by its test, and the objective last; once no
+    point of the block passes, it skips the trees still to come, except
+    those that can raise ``EvaluationError`` (a division, a variable bound
+    nowhere), so an error surfaces whether or not a point passes.  It
+    computes a subtree that the trees share once, a node that does not span
+    the first axis once per call, and writes its temporaries into the
+    thread's reused buffers, the same memory for every block and every call.
 
     The minimum is the first in C order among the grid points that are
     feasible and whose value is not NaN, as a NaN never becomes
-    ``minimize``'s incumbent; a grid without such a point is infeasible.
+    ``minimize``'s incumbent; a grid without such a point is infeasible.  A
+    block whose points all pass takes it without a mask.
     """
-    # arrays imports numpy: compiled first, its transient memory is reused
-    # by numpy's import instead of adding to the process's peak
-    from .arrays import OpenGrid, can_raise, linspace
-
-    import numpy as np
-
+    global _arrays
+    if _arrays is None:
+        # arrays imports numpy: compiled first, its transient memory is
+        # reused by numpy's import instead of adding to the process's peak
+        from . import arrays as _arrays
+    np = _arrays.np
     n = points_per_axis
     if n < 2:
         raise ValueError("points_per_axis must be at least 2")
     dims = len(box.names)
     shape = (n,) * dims
-    ticks = [linspace(lo, hi, n) for lo, hi in box.bounds]
+    ticks = [_arrays.linspace(lo, hi, n) for lo, hi in box.bounds]
     grid = [a.reshape((1,) * i + (-1,) + (1,) * (dims - 1 - i))
             for i, a in enumerate(ticks)]
     row = math.prod(shape[1:])
     rows = max(1, _BLOCK_POINTS // row)
-    # each tree with the values of its names over a block (the box's axes,
-    # then its bound values), its test (None for the objective) and whether
-    # it can raise, which the names bound decide, not the block
-    axes = dict(zip(box.names, grid))
-    trees = []
-    for e, bound, test in [*((c.expr, c.parameters, c.satisfied) for c in constraints),
-                           (objective, parameters, None)]:
-        env = OpenGrid(dims, axes)
+    # the kernel's arguments: the axes, then each tree's bound values
+    args = list(grid)
+    named = []   # the names of each tree's bound values
+    for bound in (*(c.parameters for c in constraints), parameters):
+        pnames, values = _split(bound)
         if bound:
-            _disjoint(box.names, _split(bound)[0])   # as in minimize
-            env.update(bound)
-        trees.append((e, env, test, can_raise(e, env)))
+            _disjoint(box.names, pnames)   # as in minimize
+            args += values
+        named.append(pnames)
+    kernel = _arrays.grid_kernel(
+        objective, named.pop(),
+        [(c.expr, c.sense, p) for c, p in zip(constraints, named)], box.names)
+    keep: dict = {}   # the block-invariant values of this grid
     best = None   # the first minimum so far: (value, flat index)
     block = shape
     for start in range(0, n if dims else 1, rows):
         # rows [start, start + rows) of the first axis; a box without axes
         # is one block of one point, and a grid of one block keeps its axis
         if dims and rows < n:
-            axis = grid[0][start:start + rows]
-            for _, env, _, _ in trees:
-                env[box.names[0]] = axis
-            block = axis.shape[:1] + shape[1:]
-        # which points pass the constraints evaluated so far; True, not an
-        # array, until one is, so that the reduction below takes no mask
-        ok = True
-        live = True   # whether any point passes
-        for e, env, test, raises in trees:
-            if live or raises:
-                # the values live in reused buffers until the next tree's
-                # evaluation, so each is read before it
-                vals = np.asarray(evaluate_array(e, env), dtype=float)
-                if test is not None:
-                    passed = test(vals, tol_feas)
-                    ok = passed if ok is True else ok & passed
-                    live = bool(ok.any())
-        if not live:
+            args[0] = grid[0][start:start + rows]
+            block = args[0].shape[:1] + shape[1:]
+        ok, vals = kernel(args, block, keep, tol_feas)
+        if ok is None:
             continue
         # the block's least feasible value, which fmin takes over the values
         # that are not NaN (+inf if there is none), and the first point in C
-        # order that takes it, if one does
+        # order that takes it, if one does; where every point passes, ok is
+        # True, which numpy reads as no mask
+        vals = np.asarray(vals, dtype=float)
         if vals.shape != block:
             vals = np.broadcast_to(vals, block)
         least = np.fmin.reduce(vals, axis=None, where=ok, initial=np.inf)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gsiplab import algorithms, globalopt, gsip
+from gsiplab import algorithms, arrays, globalopt, gsip
 from gsiplab.cli import _config_from_args, build_parser, main
 from gsiplab.expr import Interval
 from gsiplab.globalopt import MinimizeOutcome
@@ -454,6 +454,33 @@ class TestVerify:
         assert out.out.splitlines()[0] == "k=1 llp: bnb=-10.0 grid=-10.0 diff=0.000e+00"
         assert out.err == ("FAIL: the grid has feasible points below the "
                            "certified lower bound in 1 subproblem(s)\n")
+
+    @pytest.mark.parametrize("max_iter", ["1", "3"])
+    def test_one_grid_kernel_per_subproblem_kind(self, capsys, monkeypatch, max_iter):
+        # a wrong certificate on every LLP makes verify re-check each on the
+        # exact grid (tol_feas=0), which reuses the LLP's kernel
+        self._claim_llp(monkeypatch, MinimizeOutcome(
+            "optimal", {"y": 1.0}, -10.0, Interval(-9.5, -9.5)))
+        generate, grid_minimize = arrays._generate_grid, globalopt.grid_minimize
+        made, grids = [], []
+
+        def generating(objective, *args):
+            made.append(objective)
+            return generate(objective, *args)
+
+        def gridding(*args, **kwargs):
+            grids.append(kwargs["tol_feas"])
+            return grid_minimize(*args, **kwargs)
+        monkeypatch.setattr(arrays, "_generate_grid", generating)
+        monkeypatch.setattr(globalopt, "grid_minimize", gridding)
+        assert main(["verify", "--problem", "cex1", "--variant", "aux-llp",
+                     "--max-iter", max_iter]) == 3
+        capsys.readouterr()
+        p = gsip.get_builtin("cex1")
+        # the objectives of the LLP, the aux-LLP and the SIP-LLP
+        assert made == [p.g, p.hbar, p.cut]
+        k = int(max_iter)
+        assert sorted(grids) == [0.0] * k + [1e-9] * (3 * k)
 
     def test_grid_mesh_error_is_no_failure(self, capsys):
         # the k=3 LLP's grid value lies 2.45e-3 above the solver's, the mesh

@@ -5,6 +5,7 @@ import pickle
 import random
 import struct
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -771,11 +772,8 @@ class TestArrayKernel:
         e, axes, bound, rows = case
         grid = _open_grid(axes)
         # block by block, as the grid oracle moves its first axis
-        env = arrays.OpenGrid(len(axes), {**dict(zip(AXES, grid)), **bound})
-        for start in range(0, len(axes[0]), rows):
-            env["x"] = grid[0][start:start + rows]
-            assert _array_outcome(evaluate_array, e, env) == \
-                _array_outcome(reference_array, e, dict(env))
+        for env, value in _grid_blocks(e, grid, bound, rows):
+            assert _array_outcome(value, e, env) == _array_outcome(reference_array, e, env)
         # the public entry point, over the whole grid
         env = {**bound, **dict(zip(AXES, grid))}
         assert _array_outcome(evaluate_array, e, env) == \
@@ -783,27 +781,35 @@ class TestArrayKernel:
 
     def test_errors_raise_where_the_walk_raises(self):
         grid = _open_grid([[0.0, 1.0], [2.0, 3.0]])
-        env = arrays.OpenGrid(2, dict(zip(AXES, grid)))
         for e, message in [(y / x + ex.var("w"), "division by zero"),
                            (ex.var("w") + y / x, "unknown variable 'w'"),
                            (y / (x - x) ** 2, "division by zero")]:
             with pytest.raises(EvaluationError, match=message):
-                evaluate_array(e, env)
+                arrays.grid_kernel(e, (), (), AXES[:2])(grid, (2, 2), {}, 0.0)
 
     def test_slots_are_the_most_temporaries_live_at_once(self):
-        def slots(e, axes):
-            layout = arrays._generate(e, {n: i for i, n in enumerate(AXES)}, axes)[1]
-            return len({s for s, _ in layout})
         # a chain over one axis works in one slot
-        assert slots(-((x * 2.0 + 1.0) ** 3 - x), 1) == 1
+        assert _slots(-((x * 2.0 + 1.0) ** 3 - x), 1) == 1
         # x * y spans both axes, so x + 1's slot cannot take it; y + 1 does
-        # not span the first axis, so it is kept on the grid, in no slot
-        assert slots((x + 1.0) * (y + 1.0), 2) == 2
+        # not span the first axis, so it is kept for the grid, in no slot
+        assert _slots((x + 1.0) * (y + 1.0), 2) == 2
         # (x + 1) is read again at the end, so it holds its slot throughout
         u = x + 1.0
-        assert slots(ex.emax(u * u, u) - u, 1) == 2
+        assert _slots(ex.emax(u * u, u) - u, 1) == 2
         # a subtree without a grid axis takes no slot
-        assert slots((ex.var("a") + 1.0) * 2.0, 1) == 0
+        assert _slots((ex.var("a") + 1.0) * 2.0, 1) == 0
+
+    def test_an_equal_node_is_computed_again_beyond_the_slots(self):
+        # the powers of x, built twice: reading the first ones at the end
+        # would hold five slots, so the kernel raises some of them again
+        def powers():
+            return [x ** i for i in range(2, 7)]
+        first, second = powers(), powers()
+        e = sum(first[1:], first[0]) + math.prod(second[1:], start=second[0])
+        assert _slots(e, 1) == arrays._SLOTS
+        grid = _open_grid([[-1.5, -0.0, 0.5, 2.0]])
+        for env, value in _grid_blocks(e, grid, {}, 4):
+            assert _array_outcome(value, e, env) == _array_outcome(reference_array, e, env)
 
     def test_a_public_result_is_the_callers_own(self):
         grid = _open_grid([[0.0, 1.0, 2.0], [3.0, 4.0]])
@@ -811,5 +817,115 @@ class TestArrayKernel:
         first = evaluate_array(x * y + 1.0, env)
         kept = first.copy()
         evaluate_array(x * y - 1.0, env)
-        evaluate_array(x * y - 2.0, arrays.OpenGrid(2, env))
+        arrays.grid_kernel(x * y - 2.0, (), (), AXES[:2])(grid, (3, 2), {}, 0.0)
         assert np.array_equal(first, kept)
+
+
+def _grid_blocks(e, grid, bound, rows):
+    """``e``'s grid kernel, without constraints, over the open ``grid`` with
+    the bound values ``bound`` (of ``BOUND``), block by block of ``rows``
+    rows of the first axis, as the grid oracle runs it: each block's
+    environment, and the function that runs the kernel over it."""
+    names = AXES[:len(grid)]
+    kernel = arrays.grid_kernel(e, BOUND, (), names)
+    args, keep = [*grid, *(bound.get(n, 0.0) for n in BOUND)], {}
+    for start in range(0, grid[0].size, rows):
+        args[0] = grid[0][start:start + rows]
+        lengths = tuple(a.size for a in args[:len(names)])
+        yield ({**bound, **dict(zip(names, args))},
+               lambda e, env: kernel(args, lengths, keep, 0.0)[1])
+
+
+def _slots(e, axes):
+    """The buffer slots of ``e``'s grid kernel over the first ``axes`` of
+    ``AXES``, with the bound values ``BOUND``."""
+    layout = arrays.grid_kernel(e, BOUND, (), AXES[:axes]).__globals__["_layout"]
+    return len({s for s, _ in layout})
+
+
+# -- value numbering: equal subtrees built apart are computed once --------------
+
+# constants whose bits a merge would mix up: signed zeros, infinities, the
+# edge of overflow, NaNs of both signs
+NUMBERED = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e308, -1e308,
+                            math.nan, -math.nan])
+
+
+def _rebuilt(e):
+    """A copy of ``e`` built apart: equal to it, with no node in common."""
+    return ex.Expr(e.kind, value=e.value, name=e.name, exponent=e.exponent,
+                   children=tuple(map(_rebuilt, e.children)))
+
+
+@st.composite
+def repeated_subtrees(draw):
+    """A tree whose subtrees repeat, built apart: a random DAG over
+    ``NAMES`` and a copy of it or of one of its subterms, under one binary
+    node."""
+    e = draw(expressions(consts=NUMBERED))
+    s = _rebuilt(draw(st.sampled_from(list(_subterms(e)))))
+    kind = draw(st.sampled_from(("add", "sub", "mul", "div", "min", "max")))
+    return ex.Expr(kind, children=(e, s) if draw(st.booleans()) else (s, _rebuilt(e)))
+
+
+def _sources(e):
+    """The source of each of ``e``'s kernels over ``x``: point, interval,
+    gradient, array and grid."""
+    made = []
+
+    def spy(source, *args):
+        made.append(source)
+        return compile(source, *args)
+    with mock.patch.object(ex, "compile", spy, create=True), \
+            mock.patch.object(arrays, "compile", spy, create=True):
+        compile_expr(e, ("x",))
+        compile_gradient(e, ("x",))
+        evaluate_array(e, {"x": np.arange(3.0)})
+        arrays.grid_kernel(e, (), (), ("x",))
+    return made
+
+
+class TestValueNumbering:
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_subtrees(), st.tuples(COORDS, COORDS), bounds(),
+           st.lists(COORDS, min_size=1, max_size=3), st.lists(COORDS, min_size=1, max_size=3))
+    @example(ex.const(0.0) * x - ex.const(-0.0) * x, (1.0, 2.0),
+             ((1.0, 1.0), (0.0, 0.0)), [1.0], [2.0])
+    @example((x + ex.const(math.nan)) * (ex.const(-math.nan) + x), (1.0, 2.0),
+             ((1.0, 1.0), (0.0, 0.0)), [1.0], [2.0])
+    def test_every_kernel_matches_its_reference(self, e, point, box, xs, ys):
+        want = _outcome(evaluate, e, dict(zip(NAMES, point)))
+        assert _bits(_outcome(compile_expr(e, NAMES)[0], point)) == _bits(want)
+        want = _outcome(reference_interval, e, dict(zip(NAMES, box)))
+        if isinstance(want, Interval):
+            want = (want.lo, want.hi)
+        assert _nested_bits(_outcome(compile_expr(e, NAMES)[1], box)) == _nested_bits(want)
+        want = _outcome(_reference_gradient, e, NAMES, box)
+        assert _nested_bits(_outcome(compile_gradient(e, NAMES), box)) == _nested_bits(want)
+        grid = _open_grid([xs, ys])
+        env = dict(zip(NAMES, grid))
+        assert _array_outcome(evaluate_array, e, env) == \
+            _array_outcome(reference_array, e, env)
+        for env, value in _grid_blocks(e, grid, {}, 1):
+            assert _array_outcome(value, e, env) == _array_outcome(reference_array, e, env)
+
+    def test_a_power_built_twice_is_one_line(self):
+        once = _sources(ex.ipow(ex.var("x"), 2))
+        twice = _sources(ex.ipow(ex.var("x"), 2) + ex.ipow(ex.var("x"), 2))
+        powers = ("**", "**", "**", "_float_power(", "_float_power(")
+        assert [s.count(p) for s, p in zip(twice, powers)] == \
+            [s.count(p) for s, p in zip(once, powers)]
+        assert [s.count(p) for s, p in zip(twice, powers)][::3] == [1, 1]
+        assert twice[4].count("_float_power(") == 1
+
+    def test_signed_zero_constants_stay_apart(self):
+        # -0.0 - 0.0 is -0.0; one constant for both would give 0.0
+        e = x * ex.const(-0.0) - x * ex.const(0.0)
+        point, interval = compile_expr(e, ("x",))
+        assert _bits(point((1.0,))) == _bits(-0.0)
+        assert tuple(map(_bits, interval(((1.0, 1.0),)))) == (_bits(-0.0),) * 2
+        assert tuple(map(_bits, compile_gradient(e, ("x",))(((1.0, 1.0),))[0])) == \
+            (_bits(-0.0),) * 2
+        grid = [np.ones(2)]
+        assert np.signbit(evaluate_array(e, {"x": grid[0]})).all()
+        assert np.signbit(arrays.grid_kernel(e, (), (), ("x",))(grid, (2,), {}, 0.0)[1]).all()

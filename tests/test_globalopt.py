@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import (random_box, random_expr, random_poly_instance,
                       random_polynomial, reference_array, sample_point,
                       shrink_box)
-from test_expr import CONSTS, COORDS, expressions
+from test_expr import CONSTS, COORDS, _rebuilt, _subterms, expressions
 from test_golden import (ORACLE_GRID_N, ORACLE_GRID_OUTCOMES,
                          ORACLE_NODE_BUDGET, ORACLE_TOL_OPT,
                          load_oracle_outcomes)
@@ -840,6 +840,34 @@ def _blocked(block, *args, **kwargs):
         return grid_minimize(*args, **kwargs)
 
 
+def _traced(block, *args, blocks=None, **kwargs):
+    """``_blocked(block, *args, **kwargs)`` and, per block, the numpy
+    functions its grid kernel called, by name, in order (appended to
+    ``blocks`` as they are called)."""
+    blocks = [] if blocks is None else blocks
+    make = arrays.grid_kernel
+
+    def grid_kernel(*key):
+        kernel = make(*key)
+        namespace = kernel.__globals__
+
+        def spy(name):
+            def call(*a, **kw):
+                blocks[-1].append(name)
+                return ufunc(*a, **kw)
+            ufunc = namespace[f"_{name}"]
+            return call
+        spies = {f"_{name}": spy(name) for name in arrays._UFUNCS.values()}
+
+        def run(*a):
+            blocks.append([])
+            with mock.patch.dict(namespace, spies):
+                return kernel(*a)
+        return run
+    with mock.patch.object(arrays, "grid_kernel", grid_kernel):
+        return _blocked(block, *args, **kwargs), blocks
+
+
 UNIT_XY = BoxDomain([("x", -1.0, 1.0), ("y", -1.0, 1.0)])
 
 
@@ -904,35 +932,24 @@ class TestGridFeasibilityFirst:
     """A block evaluates its constraints first and its objective last, and
     stops once none of its points passes."""
 
-    @staticmethod
-    def _spied(*args, parameters=()):
-        """``grid_minimize(*args)`` in blocks of one row, and the trees it
-        evaluated, one entry per block."""
-        seen = []
-
-        def spy(e, env):
-            seen.append(e)
-            return evaluate_array(e, env)
-        with mock.patch.object(globalopt, "evaluate_array", spy):
-            out = _blocked(5, *args, parameters=parameters)
-        return out, seen
-
     def test_no_tree_after_a_constraint_that_no_point_passes(self):
         first = ConstraintSpec(2.0 + y, "le")
         second = ConstraintSpec(x * y, "ge")
         # w is a bound value, so the objective cannot raise
         obj = x * x + ex.var("w")
-        out, seen = self._spied(obj, [first, second], UNIT_XY, 5,
-                                parameters=(("w", 1.0),))
+        out, blocks = _traced(5, obj, [first, second], UNIT_XY, 5,
+                              parameters=(("w", 1.0),))
         assert out is INFEASIBLE
-        assert seen == [first.expr] * 5
+        # 2 + y spans the second axis alone: computed at the first block and
+        # kept; neither product is ever computed
+        assert blocks == [["add"]] + [[]] * 4
 
     def test_the_objective_only_on_blocks_with_a_feasible_point(self):
         # only the last two rows satisfy x >= 0.5
         cons = [ConstraintSpec(x - 0.5, "ge")]
-        out, seen = self._spied(-y, cons, UNIT_XY, 5)
-        assert (out.minimizer, out.value) == ({"x": 0.5, "y": 1.0}, -1.0)
-        assert seen == [cons[0].expr] * 3 + [cons[0].expr, -y] * 2
+        out, blocks = _traced(5, x * y, cons, UNIT_XY, 5)
+        assert (out.minimizer, out.value) == ({"x": 1.0, "y": -1.0}, -1.0)
+        assert blocks == [["subtract"]] * 3 + [["subtract", "multiply"]] * 2
 
     @pytest.mark.parametrize("objective", [x / (y - 0.5), x + ex.var("w")],
                              ids=["division", "unbound-variable"])
@@ -946,12 +963,39 @@ class TestGridFeasibilityFirst:
         with pytest.raises(EvaluationError):
             grid_minimize(x, cons + [ConstraintSpec(objective)], UNIT_XY, 5)
 
+    def test_a_tree_that_can_raise_runs_past_the_trees_that_cannot(self):
+        # no point passes the first constraint; the second cannot raise, so
+        # it is skipped, and the objective, which divides by y - y, raises
+        first = ConstraintSpec(2.0 + y, "le")
+        second = ConstraintSpec(x * y, "ge")
+        blocks = []
+        with pytest.raises(EvaluationError, match="division by zero"):
+            _traced(5, x / (y - y), [first, second], UNIT_XY, 5, blocks=blocks)
+        assert blocks == [["add", "subtract"]]
+        # and after it, a constraint that cannot raise is skipped again
+        third = ConstraintSpec(x * x, "le")
+        out, blocks = _traced(5, x * y, [first, ConstraintSpec(x / (y - 3.0)), third],
+                              UNIT_XY, 5)
+        assert out is INFEASIBLE
+        assert blocks == [["add", "subtract", "divide"]] + [["divide"]] * 4
+
+    def test_a_tree_that_can_raise_reads_no_skipped_value(self):
+        # the objective divides, so it runs where no point passes; it
+        # computes x * y again rather than read the skipped constraint's
+        first = ConstraintSpec(2.0 + y, "le")
+        second = ConstraintSpec(x * y, "ge")
+        objective = x * y + x / (y - 0.5)
+        out, blocks = _traced(4, objective, [first, second], UNIT_XY, 4)
+        assert out is INFEASIBLE
+        assert blocks == [["add", "multiply", "subtract", "divide", "add"]] + \
+            [["multiply", "divide", "add"]] * 3
+
     def test_a_division_that_does_not_raise(self):
         # 4 points on [-1, 1] miss y = 0.5: evaluated, and nothing passes
         cons = [ConstraintSpec(2.0 + y, "le")]
-        out, seen = self._spied(x / (y - 0.5), cons, UNIT_XY, 4)
+        out, blocks = _traced(4, x / (y - 0.5), cons, UNIT_XY, 4)
         assert out is INFEASIBLE
-        assert seen == [cons[0].expr, x / (y - 0.5)] * 4
+        assert blocks == [["add", "subtract", "divide"]] + [["divide"]] * 3
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(2, 6),
@@ -1009,6 +1053,14 @@ def hoisting_cases(draw):
     trees = [tree() for _ in range(draw(st.integers(1, 3)))]
     i = draw(st.integers(0, len(trees) - 1))
     trees[i] = trees[i] + tree() / divisor
+    # a constraint may hold a copy of a subterm of the objective, built
+    # apart, and the objective one of the last constraint's: equal subtrees
+    # over their own bound values
+    for j in range(1, len(trees)):
+        if draw(st.booleans()):
+            trees[j] = trees[j] - _rebuilt(draw(st.sampled_from(list(_subterms(trees[0])))))
+    if len(trees) > 1 and draw(st.booleans()):
+        trees[0] = trees[0] * _rebuilt(draw(st.sampled_from(list(_subterms(trees[-1])))))
     constraints = [ConstraintSpec(e, draw(st.sampled_from(("le", "ge"))), bound())
                    for e in trees[1:]]
     return trees[0], constraints, box, n, bound(), draw(st.sampled_from((1, 7, 64)))
@@ -1044,23 +1096,17 @@ class TestGridHoisting:
         # u ** 2 spans the first axis, (v + 1) ** 3 does not: over 5 blocks of
         # one row, the one is raised to its power in each, the other once
         objective = U ** 2 * (V + 1.0) ** 3
-        kernel = arrays._kernel(objective, UNIT_UV.names, 2)[0]
+        kernel = arrays.grid_kernel(objective, (), (), UNIT_UV.names)
         power = kernel.__globals__["_float_power"]
         shapes = []
 
         def spy(a, *args, **kwargs):
             shapes.append(a.shape)
             return power(a, *args, **kwargs)
-        evaluated = []
-
-        def evaluate(e, env):
-            evaluated.append(e)
-            return evaluate_array(e, env)
-        with mock.patch.dict(kernel.__globals__, _float_power=spy), \
-                mock.patch.object(globalopt, "evaluate_array", evaluate):
-            out = _blocked(5, objective, [], UNIT_UV, 5)
+        with mock.patch.dict(kernel.__globals__, _float_power=spy):
+            out, blocks = _traced(5, objective, [], UNIT_UV, 5)
         assert repr(out) == repr(_dense_grid_minimize(objective, [], UNIT_UV, 5))
-        assert evaluated == [objective] * 5
+        assert len(blocks) == 5
         assert sorted(shapes) == [(1, 1)] * 5 + [(1, 5)]
 
     @settings(max_examples=200, deadline=None)
@@ -1079,20 +1125,25 @@ class TestGridHoisting:
         if swap and lo == hi:
             lo, hi = hi, lo
         seen = []
+        make = arrays.grid_kernel
 
-        def evaluate(e, env):
-            seen.append({name: env[name].copy() for name in UNIT_UV.names})
-            return evaluate_array(e, env)
+        def grid_kernel(*key):
+            kernel = make(*key)
+
+            def run(args, *rest):
+                seen.append([a.copy() for a in args])
+                return kernel(args, *rest)
+            return run
         for n in ns:
             box = BoxDomain([("u", lo, hi), ("v", -hi, -lo)])
             del seen[:]
-            with mock.patch.object(globalopt, "evaluate_array", evaluate), \
+            with mock.patch.object(arrays, "grid_kernel", grid_kernel), \
                     np.errstate(all="ignore"):
                 _blocked(n * n, U + V, [], box, n)
                 want = [_axis(a, b, n) for _, a, b in box.coords]
             (axes,) = seen
-            assert axes["u"].shape == (n, 1) and axes["v"].shape == (1, n)
-            for got, line in zip(axes.values(), want):
+            assert axes[0].shape == (n, 1) and axes[1].shape == (1, n)
+            for got, line in zip(axes, want):
                 assert got.tobytes() == line.tobytes()
 
 
@@ -1129,6 +1180,81 @@ def _axis(lo, hi, n):
     return np.linspace(lo, hi, n)
 
 
+class TestGridKernel:
+    """One kernel per grid, kept on the objective and keyed by the trees."""
+
+    def test_two_cuts_of_one_tree_read_their_own_values(self):
+        # u >= a at a = -0.5 and at a = 0.25: the second decides; one value
+        # for both would put the minimizer at u = -0.5
+        cut = U - ex.var("a")
+        cuts = [ConstraintSpec(cut, "ge", (("a", a),)) for a in (-0.5, 0.25)]
+        for cons in (cuts, cuts[::-1]):
+            out = grid_minimize(U + V, cons, UNIT_UV, 5)
+            assert (out.minimizer, out.value) == ({"u": 0.5, "v": -1.0}, -0.5)
+            assert repr(out) == repr(_dense_grid_minimize(U + V, cons, UNIT_UV, 5))
+
+    def test_a_tree_whose_value_an_earlier_tree_computed(self):
+        # the objective is the first constraint's x * x, and the second
+        # constraint its (x * x) * 3, each built apart: their values are
+        # read after the temporaries made since, which must not take their
+        # slots
+        cons = [ConstraintSpec((x * x + 1.0) * 3.0, "ge"), ConstraintSpec(x * x * 3.0 - 2.0)]
+        out = grid_minimize(x * x, cons, UNIT_X, 5)
+        assert (out.minimizer, out.value) == ({"x": 0.0}, 0.0)
+        assert repr(out) == repr(_dense_grid_minimize(x * x, cons, UNIT_X, 5))
+
+    def test_new_values_reuse_the_kernel(self):
+        obj = (U - ex.var("a")) ** 2 + V
+        cut = V * ex.var("a")
+        made = []
+        generate = arrays._generate_grid
+
+        def generating(*args):
+            made.append(args)
+            return generate(*args)
+        with mock.patch.object(arrays, "_generate_grid", generating):
+            for a, tol in [(0.5, 1e-9), (-0.25, 0.0), (0.75, 0.5)]:
+                cons = [ConstraintSpec(cut, "le", (("a", -a),))]
+                out = grid_minimize(obj, cons, UNIT_UV, 9, tol_feas=tol,
+                                    parameters=(("a", a),))
+                assert repr(out) == repr(_dense_grid_minimize(
+                    obj, cons, UNIT_UV, 9, tol_feas=tol, parameters=(("a", a),)))
+            assert len(made) == 1
+            # another constraint tree, equal but built apart, or another
+            # sense, is another kernel
+            for c in (ConstraintSpec(V * ex.var("a"), "le", (("a", 1.0),)),
+                      ConstraintSpec(cut, "ge", (("a", 1.0),))):
+                grid_minimize(obj, [c], UNIT_UV, 9, parameters=(("a", 1.0),))
+            assert len(made) == 3
+
+    def test_the_kernel_holds_its_trees(self):
+        # so the id of a constraint tree that its caller dropped is not
+        # reused while the kernel is kept on the objective
+        obj, cut = U * V, U - 0.5
+        kernel = arrays.grid_kernel(obj, (), [(cut, "le", ())], UNIT_UV.names)
+        assert kernel.__globals__["_trees"] == [cut, obj]
+        assert all(a is b for a, b in zip(kernel.__globals__["_trees"], [cut, obj]))
+
+    def test_a_block_whose_points_all_pass_takes_no_mask(self):
+        reduce, masked = np.fmin.reduce, []
+
+        class Fmin:
+            @staticmethod
+            def reduce(*args, **kwargs):
+                masked.append(kwargs.get("where", True) is not True)
+                return reduce(*args, **kwargs)
+        # one row per block: every point passes x <= 2, a part of each row
+        # y >= 0.5, and the whole of the last two rows x >= 0.5
+        for cut, want in [(ConstraintSpec(x - 2.0), [False] * 5),
+                          (ConstraintSpec(y - 0.5, "ge"), [True] * 5),
+                          (ConstraintSpec(x - 0.5, "ge"), [False] * 2)]:
+            del masked[:]
+            with mock.patch.object(np, "fmin", Fmin):
+                out = _blocked(5, x * y, [cut], UNIT_XY, 5)
+            assert masked == want
+            assert repr(out) == repr(_dense_grid_minimize(x * y, [cut], UNIT_XY, 5))
+
+
 class TestGridBuffers:
     """The grid evaluates into its thread's reused buffers."""
 
@@ -1146,7 +1272,6 @@ class TestGridBuffers:
         # a 2-D instance of the oracle suite with two constraints, whose
         # objective, the tree with the most temporaries, is evaluated
         obj, cons, box = random_poly_instance(35)
-        trees = [obj, *(c.expr for c in cons)]
         env = dict(zip(box.names, np.meshgrid(
             *(np.linspace(lo, hi, 7) for lo, hi in box.bounds), indexing="ij", sparse=True)))
 
@@ -1164,12 +1289,11 @@ class TestGridBuffers:
             grid_minimize(obj, cons, box, ORACLE_GRID_N))
         assert made and len(now) == len(made)
         assert all(a is b for a, b in zip(now, made))
-        # as many buffers as a kernel's most temporaries live at once, each
+        # as many buffers as the kernel's most temporaries live at once, each
         # as long as the largest block: 81 rows of 401 points
-        index = {n: i for i, n in enumerate(box.names)}
-        peak = max(len({s for s, _ in arrays._generate(e, index, 2)[1]})
-                   for e in trees)
-        assert len(made) == peak
+        kernel = arrays.grid_kernel(obj, (), [(c.expr, c.sense, ()) for c in cons],
+                                    box.names)
+        assert len(made) == len({s for s, _ in kernel.__globals__["_layout"]})
         assert size == (globalopt._BLOCK_POINTS // ORACLE_GRID_N) * ORACLE_GRID_N
         assert all(len(b) == size for b in made)
 
