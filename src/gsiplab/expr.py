@@ -179,8 +179,13 @@ def div(a: Expr, b: Expr) -> Expr:
 
 
 def ipow(base: Expr, n: int) -> Expr:
+    """``base`` to the power ``n``; ``base`` itself for ``n == 1``, as ``u **
+    1`` is ``u`` bit for bit over floats, intervals and arrays, so that no
+    kernel spends a line on it."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a nonnegative integer")
+    if n == 1:
+        return base
     return Expr("pow", exponent=n, children=(base,))
 
 

@@ -691,6 +691,8 @@ _BLOCK_POINTS = 1 << 15
 
 _arrays = None   # gsiplab.arrays, imported at the first grid
 
+_AXES = "_axes"  # the attribute of a box that holds its open grids (_open_grid)
+
 
 def grid_minimize(objective: Expr,
                   constraints: Sequence[ConstraintSpec],
@@ -704,17 +706,19 @@ def grid_minimize(objective: Expr,
     enter the environment as floats; as in ``minimize``, a bound value that
     shares its name with the box raises ``ValueError``.
 
-    The variables are bound to an open grid: axis ``i`` is an array of shape
-    ``(1, ..., n, ..., 1)``, whose values are ``np.linspace(lo, hi, n)``'s,
-    bit for bit, built by its recipe (``arrays.linspace``), save where
-    ``hi - lo`` overflows and that recipe's points are not finite.  The
-    array kernels thus work on one axis's values until an operation mixes
-    two axes, where broadcasting builds the full grid.  Broadcasting only
-    repeats operands, so every grid value comes from the same float
-    operations as on a dense grid, bit for bit.  The grid is evaluated in
-    blocks of rows of the first axis, of at most ``_BLOCK_POINTS`` points
-    (one row, if a row holds more), so that the arrays of a block stay in
-    cache.
+    The variables are bound to an open grid (``_open_grid``): axis ``i`` is
+    an array of shape ``(1, ..., n, ..., 1)``, whose values are
+    ``np.linspace(lo, hi, n)``'s, bit for bit, built by its recipe
+    (``arrays.linspace``), save where ``hi - lo`` overflows and that
+    recipe's points are not finite.  The axes are kept on the box, so a box
+    gridded again, as ``verify`` grids the inner box at every iterate,
+    builds none.  The array kernels thus work on one axis's values until an
+    operation mixes two axes, where broadcasting builds the full grid.
+    Broadcasting only repeats operands, so every grid value comes from the
+    same float operations as on a dense grid, bit for bit.  The grid is
+    evaluated in blocks of rows of the first axis, of at most
+    ``_BLOCK_POINTS`` points (one row, if a row holds more), so that the
+    arrays of a block stay in cache.
 
     One generated kernel evaluates a whole block (``arrays.grid_kernel``),
     kept on the objective and keyed by the identity of the trees, so a loop
@@ -730,8 +734,12 @@ def grid_minimize(objective: Expr,
 
     The minimum is the first in C order among the grid points that are
     feasible and whose value is not NaN, as a NaN never becomes
-    ``minimize``'s incumbent; a grid without such a point is infeasible.  A
-    block whose points all pass takes it without a mask.
+    ``minimize``'s incumbent, and its value is that point's, so a zero
+    keeps its sign; a grid without such a point is infeasible.  A block
+    whose points all pass takes it in one ``argmin``, which stops at the
+    first NaN; where it meets one, or where some point fails, a masked
+    ``np.fmin`` reduction, which passes over NaNs, finds the least value,
+    and the first feasible point that takes it.
     """
     global _arrays
     if _arrays is None:
@@ -742,11 +750,9 @@ def grid_minimize(objective: Expr,
     n = points_per_axis
     if n < 2:
         raise ValueError("points_per_axis must be at least 2")
-    dims = len(box.names)
+    grid = _open_grid(box, n)
+    dims = len(grid)
     shape = (n,) * dims
-    ticks = [_arrays.linspace(lo, hi, n) for lo, hi in box.bounds]
-    grid = [a.reshape((1,) * i + (-1,) + (1,) * (dims - 1 - i))
-            for i, a in enumerate(ticks)]
     row = math.prod(shape[1:])
     rows = max(1, _BLOCK_POINTS // row)
     # the kernel's arguments: the axes, then each tree's bound values
@@ -773,29 +779,54 @@ def grid_minimize(objective: Expr,
         ok, vals = kernel(args, block, keep, tol_feas)
         if ok is None:
             continue
-        # the block's least feasible value, which fmin takes over the values
-        # that are not NaN (+inf if there is none), and the first point in C
-        # order that takes it, if one does; where every point passes, ok is
-        # True, which numpy reads as no mask
         vals = np.asarray(vals, dtype=float)
         if vals.shape != block:
             vals = np.broadcast_to(vals, block)
-        least = np.fmin.reduce(vals, axis=None, where=ok, initial=np.inf)
-        hits = vals == least
-        if ok is not True:
-            hits &= ok
-        first = int(hits.argmax())
-        if not hits.item(first):   # every feasible value is NaN
-            continue
-        if best is None or least < best[0]:
-            best = float(least), start * row + first
+        # the first point in C order that takes the block's least value:
+        # where every point passes, argmin's, unless it is a NaN (argmin
+        # stops at the first); else the first feasible point that takes the
+        # least feasible value that is not NaN, which fmin finds (+inf if
+        # there is none), if one does
+        first = int(vals.argmin()) if ok is True else 0
+        if ok is not True or math.isnan(vals.item(first)):
+            least = np.fmin.reduce(vals, axis=None, where=ok, initial=np.inf)
+            hits = vals == least
+            if ok is not True:
+                hits &= ok
+            first = int(hits.argmax())
+            if not hits.item(first):   # every feasible value is NaN
+                continue
+        value = vals.item(first)
+        if best is None or value < best[0]:
+            best = value, start * row + first
     if best is None:
         return INFEASIBLE
     value, flat = best
     index = []   # the point's index along each axis, the last axis first
-    for _ in ticks:
+    for _ in grid:
         flat, i = divmod(flat, n)
         index.append(i)
-    point = {name: a.item(i) for name, a, i in zip(box.names, ticks, reversed(index))}
+    point = {name: a.item(i) for name, a, i in zip(box.names, grid, reversed(index))}
     return MinimizeOutcome("optimal", point, value)
 
+
+def _open_grid(box: BoxDomain, n: int) -> tuple:
+    """The axes of ``box``'s open grid of ``n`` points per axis: axis ``i``
+    ``arrays.linspace`` over the box's ``i``-th bounds, of shape ``(1, ...,
+    n, ..., 1)`` and not writeable; made at the first request and kept on
+    the box, keyed by ``n`` (a ``@frozen`` value: the attribute goes
+    straight into its ``__dict__``, outside its fields, which equality,
+    copies and pickles read alone)."""
+    kept = box.__dict__.get(_AXES)
+    if kept is None:
+        kept = box.__dict__[_AXES] = {}
+    grid = kept.get(n)
+    if grid is None:
+        dims = len(box.bounds)
+        axes = []
+        for i, (lo, hi) in enumerate(box.bounds):
+            a = _arrays.linspace(lo, hi, n)
+            a.flags.writeable = False
+            axes.append(a.reshape((1,) * i + (-1,) + (1,) * (dims - 1 - i)))
+        grid = kept[n] = tuple(axes)
+    return grid

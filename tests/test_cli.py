@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -650,3 +651,28 @@ assert out.minimizer == {{"x": 1.0}}, out
         bad = tmp_path / "bad.gsip"
         bad.write_text("outer x in\n")
         assert main(["fmt", str(bad)]) == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``gsiplab`` commands of README's "Command line" section, each as
+    the arguments it passes."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("gsiplab ")]
+
+
+def test_readme_shows_five_commands():
+    assert len(_readme_commands()) == 5
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_a_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
+    # README's my.gsip stands for any problem file: here, cex1's
+    (tmp_path / "my.gsip").write_bytes((GOLDEN / "cex1.gsip").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr().out

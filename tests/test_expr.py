@@ -12,8 +12,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (ReferenceInterval, random_box, random_expr, reference_array,
-                      reference_interval, sample_point, shrink_box)
+from conftest import (ReferenceInterval, random_box, random_expr, random_poly_instance,
+                      reference_array, reference_interval, sample_point,
+                      shrink_box)
 from gsiplab import arrays
 from gsiplab import expr as ex
 from gsiplab.domains import BoxDomain
@@ -91,6 +92,28 @@ class TestStructuralInvariants:
 
     def test_neg_constant_folds(self):
         assert ex.neg(ex.const(3.0)) == ex.const(-3.0)
+
+    def test_a_first_power_is_its_base(self):
+        # u ** 1 is u bit for bit in every domain, so it takes no node
+        for base in (x, x - y, ex.const(-0.0), ex.const(math.nan)):
+            assert ex.ipow(base, 1) is base
+            assert (base ** 1) is base
+        assert ex.ipow(x, 0).kind == ex.ipow(x, 2).kind == "pow"
+
+    def test_the_oracle_suite_holds_no_first_power(self):
+        # its polynomials write a degree-1 factor as ipow(var, 1)
+        exponents = []
+        for seed in range(50):
+            objective, constraints, _ = random_poly_instance(seed)
+            for tree in (objective, *(c.expr for c in constraints)):
+                stack = [tree]
+                while stack:
+                    e = stack.pop()
+                    stack += e.children
+                    if e.kind == "pow":
+                        exponents.append(e.exponent)
+        assert len(exponents) == 181
+        assert 1 not in exponents
 
     def test_arity_enforced(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import gc
 import itertools
@@ -1236,23 +1237,142 @@ class TestGridKernel:
         assert all(a is b for a, b in zip(kernel.__globals__["_trees"], [cut, obj]))
 
     def test_a_block_whose_points_all_pass_takes_no_mask(self):
-        reduce, masked = np.fmin.reduce, []
-
-        class Fmin:
-            @staticmethod
-            def reduce(*args, **kwargs):
-                masked.append(kwargs.get("where", True) is not True)
-                return reduce(*args, **kwargs)
         # one row per block: every point passes x <= 2, a part of each row
         # y >= 0.5, and the whole of the last two rows x >= 0.5
-        for cut, want in [(ConstraintSpec(x - 2.0), [False] * 5),
-                          (ConstraintSpec(y - 0.5, "ge"), [True] * 5),
-                          (ConstraintSpec(x - 0.5, "ge"), [False] * 2)]:
-            del masked[:]
-            with mock.patch.object(np, "fmin", Fmin):
-                out = _blocked(5, x * y, [cut], UNIT_XY, 5)
-            assert masked == want
+        for cut, want in [(ConstraintSpec(x - 2.0), ["argmin"] * 5),
+                          (ConstraintSpec(y - 0.5, "ge"), ["masked"] * 5),
+                          (ConstraintSpec(x - 0.5, "ge"), [None] * 3 + ["argmin"] * 2)]:
+            out, paths = _reductions(5, x * y, [cut], UNIT_XY, 5)
+            assert paths == want
             assert repr(out) == repr(_dense_grid_minimize(x * y, [cut], UNIT_XY, 5))
+
+
+def _reductions(block, *args, **kwargs):
+    """``_blocked(block, *args, **kwargs)`` and, per block, how it took its
+    minimum: ``None`` where no point passes, ``"argmin"`` where it made no
+    ``np.fmin`` reduction, else ``"masked"`` or ``"fmin"`` (unmasked) by
+    the reduction it made."""
+    paths, reduce, make = [], np.fmin.reduce, arrays.grid_kernel
+
+    class Fmin:
+        @staticmethod
+        def reduce(*a, **kw):
+            paths[-1] = "fmin" if kw.get("where", True) is True else "masked"
+            return reduce(*a, **kw)
+
+    def grid_kernel(*key):
+        kernel = make(*key)
+
+        def run(*a):
+            ok, vals = kernel(*a)
+            paths.append(None if ok is None else "argmin")
+            return ok, vals
+        return run
+    with mock.patch.object(arrays, "grid_kernel", grid_kernel), \
+            mock.patch.object(np, "fmin", Fmin), np.errstate(invalid="ignore"):
+        return _blocked(block, *args, **kwargs), paths
+
+
+# 8 points on [-1, 1]: (x + 0.9) * 0.0 is -0.0 at x = -1 and 0.0 at the
+# others, where np.fmin.reduce returns 0.0
+SIGNED_ZEROS = (x + 0.9) * 0.0
+
+
+class TestGridReduction:
+    """A block whose points all pass takes its minimum by one argmin, and
+    the masked np.fmin reduction is the rule wherever a point fails or the
+    argmin meets a NaN; the minimum's value is its point's."""
+
+    @pytest.mark.parametrize("objective,constraints,box,n,block,want", [
+        # np.minimum(u, NaN) is NaN: a NaN at x = -1, before the minimum 0
+        (ex.emin(x * x, ex.const(math.inf) * (x + 1.0)), [], UNIT_X, 5, 5,
+         ["fmin"]),
+        (ex.emin(x * x, ex.const(math.inf) * (x + 1.0)),
+         [ConstraintSpec(x - 0.75)], UNIT_X, 5, 5, ["masked"]),
+        (SIGNED_ZEROS, [], UNIT_X, 8, 8, ["argmin"]),
+        (SIGNED_ZEROS, [ConstraintSpec(x - 0.9)], UNIT_X, 8, 8, ["masked"]),
+        # one row per block: the first all +inf, the later ones y; and +inf
+        # at every point
+        (ex.emax(ex.const(math.inf) * (-x - 0.75), y), [], UNIT_XY, 5, 5,
+         ["argmin"] * 5),
+        (ex.const(math.inf) + x * y, [], UNIT_XY, 5, 5, ["argmin"] * 5),
+        # over y alone: two rows per block, each broadcast from one
+        ((y - 0.3) ** 2, [], UNIT_XY, 5, 10, ["argmin"] * 3),
+        ((y - 0.3) ** 2, [ConstraintSpec(x + 0.75, "ge")], UNIT_XY, 5, 10,
+         ["masked", "argmin", "argmin"]),
+        (ex.const(-0.0), [], BoxDomain([]), 5, 1, ["argmin"]),
+        (ex.const(math.nan), [], BoxDomain([]), 5, 1, ["fmin"]),
+    ], ids=["nan-first", "nan-first-masked", "signed-zeros", "signed-zeros-masked",
+            "an-infinite-block", "infinite-everywhere", "broadcast",
+            "broadcast-masked", "no-axes", "no-axes-nan"])
+    def test_matches_the_dense_grid(self, objective, constraints, box, n, block,
+                                    want):
+        out, paths = _reductions(block, objective, constraints, box, n)
+        assert paths == want
+        with np.errstate(invalid="ignore"):
+            assert repr(out) == repr(
+                _dense_grid_minimize(objective, constraints, box, n))
+
+
+@contextlib.contextmanager
+def _axes_built():
+    """A list of the axes built meanwhile, as the ``(lo, hi, n)`` arguments
+    of their ``arrays.linspace`` calls."""
+    made, linspace = [], arrays.linspace
+
+    def building(*a):
+        made.append(a)
+        return linspace(*a)
+    with mock.patch.object(arrays, "linspace", building):
+        yield made
+
+
+class TestGridAxesKept:
+    """A box keeps its grid axes, per points per axis."""
+
+    @staticmethod
+    def _built(box, n):
+        """The axes that ``grid_minimize`` over ``box`` at ``n`` points per
+        axis builds."""
+        with _axes_built() as made:
+            out = grid_minimize(x * y, [], box, n)
+        assert repr(out) == repr(_dense_grid_minimize(x * y, [], box, n))
+        return made
+
+    def test_a_second_grid_builds_no_axes(self):
+        box = BoxDomain(UNIT_XY.coords)
+        assert self._built(box, 5) == [(-1.0, 1.0, 5)] * 2
+        assert self._built(box, 5) == []
+        assert self._built(box, 7) == [(-1.0, 1.0, 7)] * 2
+        assert self._built(box, 5) == self._built(box, 7) == []
+        # an equal box built apart keeps its own
+        assert self._built(BoxDomain(UNIT_XY.coords), 5) == [(-1.0, 1.0, 5)] * 2
+
+    def test_the_kept_axes_are_read_only_and_outside_the_fields(self):
+        box = BoxDomain(UNIT_XY.coords)
+        fresh = BoxDomain(UNIT_XY.coords)
+        grid_minimize(x * y, [], box, 5)
+        axes = box.__dict__[globalopt._AXES][5]
+        assert [a.shape for a in axes] == [(5, 1), (1, 5)]
+        for a in axes:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert box == fresh and hash(box) == hash(fresh) and repr(box) == repr(fresh)
+        for twin in (copy.copy(box), copy.deepcopy(box),
+                     pickle.loads(pickle.dumps(box))):
+            assert twin == box
+            assert globalopt._AXES not in twin.__dict__
+
+    def test_verify_builds_the_inner_axes_once(self, capsys):
+        # every subproblem of cex1, at every iterate, grids the problem's
+        # one inner box
+        from gsiplab.cli import main
+        with _axes_built() as made:
+            assert main(["verify", "--problem", "cex1", "--variant", "aux-llp",
+                         "--max-iter", "3"]) == 0
+        capsys.readouterr()
+        assert made == [(-1.0, 1.0, 401)]
 
 
 class TestGridBuffers:

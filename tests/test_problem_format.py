@@ -90,6 +90,13 @@ class TestParsing:
         with pytest.raises(ProblemSyntaxError):
             parse_expression("x^-2")
 
+    def test_a_first_power_is_its_base(self):
+        # u^1 is u (expr.ipow), so fmt writes it as u
+        assert parse_expression("x^1") == ex.var("x")
+        e = parse_expression("x^1 + (x - y)^1*y^2")
+        assert e == parse_expression("x + (x - y)*y^2")
+        assert format_expr(e) == "x + (x - y)*y^2"
+
 
 class TestSerialization:
     def test_cex1_round_trip(self):
