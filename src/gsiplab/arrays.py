@@ -22,13 +22,13 @@ values, over an open grid of the box's names.  Its argument list holds the
 grid's axes, then every tree's bound values, as floats, so one kernel serves
 every call whatever the values, and a tree met twice (two cuts) reads its
 own values each time.  Per block of the grid it runs each constraint in
-order and applies its test (``ConstraintSpec.satisfied``'s rule) to the
-running mask, which it returns as ``True`` where every point passes, and it
-stops once no point passes, save that the trees that can raise
-``EvaluationError`` (a division, a variable bound nowhere) still run; it
-runs the objective last.  Values are numbered across the trees, so a subtree
-two trees share is computed once, except where a tree that runs on a
-block without a passing point would read a value of a tree that does not.
+order and the objective last, under one rule: every test narrows a running
+mask, and the kernel returns ``None, None`` as soon as no point passes.  A
+constraint's test is ``ConstraintSpec.satisfied``'s rule, a division's
+``divisor != 0.0``: a point that divides by zero fails, where the walk
+raises.  A variable that neither the box nor the tree's bound values bind
+raises ``EvaluationError`` when the kernel is generated.  Values are
+numbered across the trees, so a subtree two trees share is computed once.
 
 Each node over the grid's first axis writes into a view of one of the
 thread's flat buffers (``_Buffers``), shaped at call time by the grid axes
@@ -43,12 +43,11 @@ span the first axis, a *block-invariant* node, has the same value over every
 block: a tree's first run in a grid computes it, into a fresh array, and
 keeps it in the call's ``keep``, and the tree's later runs read it from
 there.  Those take the tree's second path, the first one's lines without
-those of the nodes that do not span the first axis (nor the checks of their
-divisors, which passed).  A block-invariant node takes no slot.  The first
-path makes the walk's numpy calls, in its order, and the second the same
-calls over the first axis, on the same operands, so every value is the
-walk's bit for bit, and a divisor's check fails at the same block as the
-walk's.
+those of the nodes that do not span the first axis; every test stays on it,
+as the mask is the block's.  A block-invariant node takes no slot.  The
+first path makes the walk's numpy calls, in its order, and the second the
+same calls over the first axis, on the same operands, so every value where
+a point passes is the walk's bit for bit.
 
 This module imports numpy.  ``expr.evaluate_array`` imports it at its first
 call and the grid oracle when called, so the rest of the package loads
@@ -62,7 +61,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import _BINARY, Expr, _cached, _Emitter
+from .expr import _BINARY, Expr, _cached, _Emitter, _unknown
 
 # the kinds of an array kernel and of a grid kernel on the tree
 _ARRAY, _GRID = "array", "grid"
@@ -111,8 +110,8 @@ def grid_kernel(objective: Expr, parameters: tuple,
     ``names``; made at the first request and kept on the objective.
 
     It is keyed by the identity of the constraint trees, with their senses
-    and bound names, and it holds those trees, so that an id cannot be
-    reused by another tree while it is kept.
+    and bound names, and it holds those trees, so that an id cannot pass to
+    another tree while it is kept.
 
     ``kernel(arg, lengths, keep, tol)`` runs the kernel over one block:
     ``arg`` holds the block's axes (axis ``i`` an array of ``len(names)``
@@ -121,11 +120,13 @@ def grid_kernel(objective: Expr, parameters: tuple,
     and of the objective, in order; ``lengths`` the block's shape; ``keep``
     a dict, empty at a grid's first block, that holds the block-invariant
     values; ``tol`` the constraints' ``tol_feas``.  It returns ``(ok,
-    values)``: ``ok`` is ``None`` where no point passes the constraints,
-    ``True`` where every point does, else a boolean mask of the block (or
-    broadcast to it); ``values`` are the objective's, an array or a float,
-    valid only until the next grid kernel call on the same thread, and not
-    to be written.
+    values)``: ``ok`` is ``None`` where no point passes its tests (the
+    constraints', and each divisor's ``!= 0.0``), and then ``values`` is
+    ``None`` too, ``True`` where every point does, else a boolean mask of
+    the block (or broadcast to it); ``values`` are the objective's, an
+    array or a float, valid only until the next grid kernel call on the
+    same thread, and not to be written.  Generating it raises
+    ``EvaluationError`` where a tree reads a variable bound nowhere.
     """
     key = (_GRID, parameters,
            tuple((id(e), sense, pnames) for e, sense, pnames in constraints))
@@ -172,38 +173,24 @@ def _generate(e: Expr, index: Mapping[str, int], axes: int):
     ``EvaluationError`` only where it checks a divisor or meets a variable
     ``index`` lacks."""
     emitter = _ArrayEmitter(axes, grid=False)
-    emitter.index = index
-    result, _ = emitter.node(e)
+    result, _ = emitter.tree(e, index, 0)
     source = "\n    ".join(["def kernel(arg):", *emitter.lines, f"return {result}"])
     exec(compile(source, "<array kernel>", "exec"), emitter.namespace)
     return emitter.namespace["kernel"]
 
 
-def _can_raise(e: Expr, index: Mapping[str, int]) -> bool:
-    """Whether ``e`` holds a division, or a variable ``index`` lacks."""
-    seen, stack = set(), [e]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            if node.kind == "div" or (node.kind == "var" and node.name not in index):
-                return True
-            stack += node.children
-    return False
-
-
 def _test(passed, ok):
-    """The running mask after a constraint's test ``passed`` (an array or a
-    bool): ``ok & passed``, ``True`` where every point passes, ``None``
-    where none does, which it stays."""
-    if ok is None:
-        return None
+    """The running mask ``ok & passed`` after a test ``passed`` (an array or
+    a bool): ``True`` where every point passes, ``None`` where none does."""
     if ok is not True:
         passed = passed & ok
     n = np.count_nonzero(passed)
-    if n == 0:
-        return None
-    return True if n == np.size(passed) else passed
+    return None if n == 0 else True if n == np.size(passed) else passed
+
+
+# a test's line in a grid kernel: the running mask narrowed by the test's
+# condition, and the return once no point passes
+_TEST = "if (ok := _test({}, ok)) is None: return None, None"
 
 
 def _indent(lines) -> list[str]:
@@ -217,43 +204,24 @@ def _generate_grid(objective: Expr, parameters: tuple,
 
     Each tree is one segment of the body, with a name index of its own: the
     box's names, then its bound values' slots of the argument list.  A
-    constraint's segment ends with its test.  Once no point passes, the
-    kernel returns, unless a tree that can raise is still to come: then the
-    mask is ``None`` and the segments of the trees that cannot raise, up to
-    the last that can, run under ``if ok is not None``.  A tree that can
-    raise runs unguarded and reuses no value of a guarded segment.  A
-    segment with block-invariant array nodes has two paths: with nothing in
-    ``keep`` for it, every line, after which it keeps its block-invariant
-    values that other lines read (``_ArrayEmitter.exported``); with them
-    kept, only its lines over the first axis."""
+    constraint's segment ends with its test.  A segment with block-invariant
+    array nodes has two paths: with nothing in ``keep`` for it, every line,
+    after which it keeps its block-invariant values that other lines read
+    (``_ArrayEmitter.exported``); with them kept, only its lines over the
+    first axis and its divisors' tests.  A kernel that divides by an array
+    runs under ``np.errstate``: a point it masks warns of nothing."""
     trees = [*constraints, (objective, None, parameters)]
+    emitter = _ArrayEmitter(len(box), grid=True)
+    segments = []   # each tree's lines, whether it keeps values, its result
     slot = len(box)
-    indices = []
-    for _, _, pnames in trees:
-        indices.append({**box, **{n: slot + i for i, n in enumerate(pnames)}})
+    for s, (e, _, pnames) in enumerate(trees):
+        index = {**box, **{n: slot + i for i, n in enumerate(pnames)}}
         slot += len(pnames)
-    raising = [_can_raise(e, index) for (e, _, _), index in zip(trees, indices)]
-    last = max((i for i, r in enumerate(raising) if r), default=-1)
-    # the mask may be None at a segment after the first and up to the last
-    # tree that can raise, as no test before that one returns
-    guarded = [not r and 0 < i < last for i, r in enumerate(raising)]
-    banned: set = set()
-    while True:
-        emitter = _ArrayEmitter(len(box), grid=True, banned=banned)
-        segments = []   # each tree's lines, whether it keeps values, its result
-        for s, ((e, _, _), index) in enumerate(zip(trees, indices)):
-            start, made = len(emitter.lines), len(emitter.made)
-            result, _ = emitter.tree(e, index, s, restricted=raising[s] and last > 0)
-            emitter.read(result)
-            if guarded[s]:
-                emitter.conditional.update(emitter.made[made:])
-            segments.append((start, len(emitter.lines), emitter.hoisted, result))
-        layout = emitter.layout()
-        if len({s for s, _ in layout}) <= _SLOTS or not emitter.reused:
-            break
-        # the reuse of a temporary that holds its slot the longest
-        banned.add(max(emitter.reused, key=emitter.reused.get))
-    body = ["ok = True"] if constraints else []
+        start = len(emitter.lines)
+        result, _ = emitter.tree(e, index, s)
+        emitter.read(result)
+        segments.append((start, len(emitter.lines), emitter.hoisted, result))
+    body = ["ok = True"]
     for s, ((_, sense, _), (start, end, hoisted, result)) in enumerate(zip(trees, segments)):
         lines = emitter.lines[start:end]
         if hoisted:
@@ -266,16 +234,17 @@ def _generate_grid(objective: Expr, parameters: tuple,
                      f"    {kept}= kept",
                      *_indent(line for line, span in
                               zip(lines, emitter.spans[start:end]) if span & 1)]
+        body += lines
         if sense is None:
-            body += [*lines, f"return {'ok' if constraints else 'True'}, {result}"]
-            break
-        # ConstraintSpec.satisfied: value <= tol_feas for "le", value >=
-        # -tol_feas for "ge"
-        lines.append(f"ok = _test({result} <= tol, ok)" if sense == "le" else
-                     f"ok = _test({result} >= -tol, ok)")
-        body += ["if ok is not None:", *_indent(lines)] if guarded[s] else lines
-        if s >= last:
-            body.append("if ok is None: return None, None")
+            body.append(f"return ok, {result}")
+        else:
+            # ConstraintSpec.satisfied: value <= tol_feas for "le", value >=
+            # -tol_feas for "ge"
+            body.append(_TEST.format(f"{result} <= tol" if sense == "le" else
+                                     f"{result} >= -tol"))
+    if emitter.divides:
+        body = ["with _errstate(divide='ignore', invalid='ignore'):", *_indent(body)]
+    layout = emitter.layout()
     emitter.namespace.update(_test=_test, _views=_BUFFERS.views, _layout=layout,
                              _trees=[e for e, _, _ in trees])
     if layout:
@@ -285,10 +254,6 @@ def _generate_grid(objective: Expr, parameters: tuple,
     exec(compile(source, "<grid kernel>", "exec"), emitter.namespace)
     return emitter.namespace["kernel"]
 
-
-# the most buffer slots a grid kernel takes by reusing temporaries of equal
-# nodes; beyond them, a node is computed again instead
-_SLOTS = 3
 
 # the numpy function of each operation
 _UFUNCS = {"neg": "negative", "add": "add", "sub": "subtract", "mul": "multiply",
@@ -301,73 +266,35 @@ class _ArrayEmitter(_Emitter):
     its value and the grid axes it spans, as a bit mask (0 for a value over
     no array)."""
 
-    def __init__(self, axes: int, grid: bool, banned=frozenset()):
+    def __init__(self, axes: int, grid: bool):
         super().__init__({}, _ARRAY, axes)
         self.grid = grid
-        # each temporary's position in temps
-        self.slotted: dict[str, int] = {}
-        # the reuses of a temporary by an equal node, by (segment, node id):
-        # those not to make, and the temporary of each made; and of these,
-        # those that a node, test or return reads, with how many temporaries
-        # were made since the one it reads, the most over its reads
-        self.banned = banned
-        self.hits: dict[tuple, str] = {}
-        self.reused: dict[tuple, int] = {}
         # the temporaries, in order: value name (None for a read that
         # writes nothing, a test's or the return's), axes and the
-        # temporaries it reads
+        # temporaries it reads; and their value names
         self.temps: list[tuple] = []
-        # the axes each line's values span: a divisor's for its check
+        self.slotted: set[str] = set()
+        # the axes each line's values span, the first axis for a test's
         self.spans: list[int] = []
-        # the value names in the order they are made
-        self.made: list[str] = []
         # the segment of each value that does not span the first axis, and
         # those of them read by a line over the first axis or by another
         # segment (a dict as an ordered set)
         self.owner: dict[str, int] = {}
         self.exported: dict[str, None] = {}
-        # the values of guarded segments
-        self.conditional: set[str] = set()
-        self.segment = 0
         # whether a node over arrays of this segment does not span the
         # first axis
         self.hoisted = False
+        # whether the kernel divides by an array
+        self.divides = False
         self.namespace.update({f"_{name}": getattr(np, name)
-                               for name in (*_UFUNCS.values(), "any")})
+                               for name in (*_UFUNCS.values(), "any", "errstate")})
 
-    def tree(self, e: Expr, index: Mapping[str, int], segment: int,
-             restricted: bool) -> tuple[str, int]:
-        """The operands of tree ``e``, the grid kernel's ``segment``-th,
-        over ``index``; ``restricted``, it reuses no value of a guarded
-        segment."""
+    def tree(self, e: Expr, index: Mapping[str, int], segment: int) -> tuple[str, int]:
+        """The operands of tree ``e``, the kernel's ``segment``-th, over
+        ``index``."""
         self.index, self.segment, self.hoisted = index, segment, False
         self.memo = {}   # a tree met again may read other bound values
-        numbers = self.numbers
-        if restricted:
-            self.numbers = {key: out for key, out in numbers.items()
-                            if out[0] not in self.conditional}
-        out = self.node(e)
-        self.used(e)
-        numbers.update(self.numbers)
-        self.numbers = numbers
-        return out
-
-    def reuse(self, e: Expr, out: tuple) -> bool:
-        """Yes, save for a banned reuse of a temporary."""
-        if out[0] not in self.slotted:
-            return True
-        hit = (self.segment, id(e))
-        if hit in self.banned:
-            return False
-        self.hits[hit] = out[0]
-        return True
-
-    def used(self, e: Expr) -> None:
-        """Note that ``e``'s operands are read now."""
-        hit = (self.segment, id(e))
-        t = self.hits.get(hit)
-        if t is not None:
-            self.reused[hit] = len(self.temps) - self.slotted[t]
+        return self.node(e)
 
     def emit(self, line: str, axes: int) -> None:
         self.lines.append(line)
@@ -391,6 +318,9 @@ class _ArrayEmitter(_Emitter):
             return self.bind(e.value), 0
         v = f"v{n}"
         if k == "var":
+            if self.grid and e.name not in self.index:
+                # straight-line code would read it on every block
+                _unknown(e.name)()
             self.variable(e, v)
             i = self.index.get(e.name)
             axes = 1 << i if i in self.dims else 0
@@ -403,7 +333,6 @@ class _ArrayEmitter(_Emitter):
                 self.exported[a] = None
         if not axes & 1:
             self.owner[v] = self.segment
-        self.made.append(v)
         return v, axes
 
     def operation(self, e: Expr, kids, v: str, n: int) -> int:
@@ -417,12 +346,17 @@ class _ArrayEmitter(_Emitter):
             ops.append(self.bind(e.exponent))
         elif k == "div":
             c, mask = kids[1]
-            self.emit(f"if _any({c} == 0.0): _division_by_zero()" if mask else
-                      f"if {c} == 0.0: _division_by_zero()", mask)
-        for c in e.children:
-            self.used(c)
+            if self.grid:
+                # a test like a constraint's, on every block
+                self.emit(_TEST.format(f"{c} != 0.0"), 1)
+                if c in self.owner:
+                    self.exported[c] = None
+                self.divides |= mask != 0
+            else:
+                self.emit(f"if _any({c} == 0.0): _division_by_zero()" if mask else
+                          f"if {c} == 0.0: _division_by_zero()", mask)
         if axes & 1 and self.grid:
-            self.slotted[v] = len(self.temps)
+            self.slotted.add(v)
             self.temps.append((v, axes, [a for a in ops if a in self.slotted]))
             self.emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)}, out=o{n})", axes)
         elif axes:

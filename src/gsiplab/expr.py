@@ -26,7 +26,7 @@ however many solves use it (``gsip`` builds one tree per problem function,
 and its subproblems pass the outer point as extra kernel arguments).  The
 point kernel does the float operations of ``evaluate``, and the interval
 kernel those of the natural interval arithmetic, in the walker's order and
-raising the same exceptions, so their results are bit-identical to the
+with the same exceptions, so their results are bit-identical to the
 walk's over floats and over intervals (up to the sign bit of a NaN: when
 both operands of a float ``+`` or ``*`` are NaNs, CPython 3.11 returns one
 or the other depending on whether it has specialized the instruction yet,
@@ -464,7 +464,7 @@ class _Emitter:
         and a node with a number already seen takes its operands and writes
         no line.  Equal operands give equal floats, bit for bit, but for the
         sign of a NaN.  The memo by id comes first, as Expr hashes its whole
-        subtree; ids are not reused while the tree is alive."""
+        subtree; no id passes to another node while the tree is alive."""
         out = self.memo.get(id(e))
         if out is None:
             kids = list(map(self.node, e.children))   # one frame per level
@@ -473,15 +473,11 @@ class _Emitter:
                    (k, e.name, self.index.get(e.name)) if k == "var" else
                    (k, e.exponent, *kids))
             out = self.numbers.get(key)
-            if out is None or not self.reuse(e, out):
+            if out is None:
                 out = self.numbers[key] = self.value(e, kids, self.count)
                 self.count += 1
             self.memo[id(e)] = out
         return out
-
-    def reuse(self, e: Expr, out: tuple) -> bool:
-        """Whether ``e`` takes the operands ``out`` of an equal node."""
-        return True
 
     def value(self, e: Expr, kids, n: int) -> tuple:
         """The lines of node ``e``, the ``n``-th, over its children's

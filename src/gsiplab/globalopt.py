@@ -123,11 +123,11 @@ Two engines share one outcome type:
   NaN is never the minimum, as a NaN is never ``minimize``'s incumbent.
   The grid is evaluated in blocks of rows of its first axis, so that a
   block's arrays stay in cache, by one kernel call per block.  A block
-  evaluates its constraints before its objective, and once none of its
-  points passes, it skips the trees that no feasible point needs, save
-  those that can raise ``EvaluationError``.  It proves no bound.  It is
-  the only user of numpy here and imports it, and ``gsiplab.arrays``, when
-  called.
+  evaluates its constraints before its objective, and a point fails where
+  a test fails: a constraint's, or a divisor's ``!= 0.0``, so a point that
+  divides by zero is skipped as a NaN value is; once none of its points
+  passes, the block stops.  It proves no bound.  It is the only user of
+  numpy here and imports it, and ``gsiplab.arrays``, when called.
 """
 from __future__ import annotations
 
@@ -724,13 +724,14 @@ def grid_minimize(objective: Expr,
     kept on the objective and keyed by the identity of the trees, so a loop
     that checks the same trees under new bound values, or at another
     ``tol_feas``, generates it once.  It evaluates the constraints first, in
-    their order, each followed by its test, and the objective last; once no
-    point of the block passes, it skips the trees still to come, except
-    those that can raise ``EvaluationError`` (a division, a variable bound
-    nowhere), so an error surfaces whether or not a point passes.  It
-    computes a subtree that the trees share once, a node that does not span
-    the first axis once per call, and writes its temporaries into the
-    thread's reused buffers, the same memory for every block and every call.
+    their order, each followed by its test, and the objective last; a
+    division tests that its divisor is not zero, and a point where it is
+    fails, as an infeasible point does.  Once no point of the block passes,
+    it skips the rest.  A variable bound nowhere raises ``EvaluationError``
+    whether or not a point passes.  It computes a subtree that the trees
+    share once, a node that does not span the first axis once per call, and
+    writes its temporaries into the thread's buffers, the same memory for
+    every block and every call.
 
     The minimum is the first in C order among the grid points that are
     feasible and whose value is not NaN, as a NaN never becomes
@@ -743,8 +744,8 @@ def grid_minimize(objective: Expr,
     """
     global _arrays
     if _arrays is None:
-        # arrays imports numpy: compiled first, its transient memory is
-        # reused by numpy's import instead of adding to the process's peak
+        # arrays imports numpy: compiled first, its transient memory serves
+        # numpy's import again instead of adding to the process's peak
         from . import arrays as _arrays
     np = _arrays.np
     n = points_per_axis
@@ -790,11 +791,11 @@ def grid_minimize(objective: Expr,
         first = int(vals.argmin()) if ok is True else 0
         if ok is not True or math.isnan(vals.item(first)):
             least = np.fmin.reduce(vals, axis=None, where=ok, initial=np.inf)
-            hits = vals == least
+            minima = vals == least
             if ok is not True:
-                hits &= ok
-            first = int(hits.argmax())
-            if not hits.item(first):   # every feasible value is NaN
+                minima &= ok
+            first = int(minima.argmax())
+            if not minima.item(first):   # every feasible value is NaN
                 continue
         value = vals.item(first)
         if best is None or value < best[0]:

@@ -103,7 +103,8 @@ class _ExprParser:
         """``make(*children)``, unless its tree would be deeper than
         ``MAX_DEPTH`` operations: then an error at column ``col``.  The nodes
         are keyed by id, as hashing one walks its whole tree; every node
-        built stays in the tree, so no id is reused during the parse."""
+        built stays in the tree, so no id passes to another node during the
+        parse."""
         depth = 1 + max(self.depths.get(id(c), 0) for c in children)
         if depth > MAX_DEPTH:
             raise ProblemSyntaxError(

@@ -1,6 +1,7 @@
 """Shared randomized generators for the fuzz and oracle-agreement suites."""
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -29,6 +30,29 @@ def reference_array(e: ex.Expr, env):
         return a / b
     return ex._walker(lambda v: v, divide, np.float_power, np.minimum,
                       np.maximum)(e, env)
+
+
+def reference_grid(e: ex.Expr, env):
+    """The reference walk over arrays under the grid kernel's rule: a point
+    where a divisor is zero fails, as a point that fails a constraint does,
+    where ``reference_array`` raises.  Its ``(passed, values)``: which points
+    every divisor's test passes (a bool, or a boolean array over the axes
+    the divisors span) and the walk's values, bit for bit ``reference_array``'s
+    where it raises nothing.  It runs under ``np.errstate``, as a kernel
+    that divides by an array does."""
+    passed = True
+
+    def divide(a, b):
+        nonlocal passed
+        passed = passed & (b != 0.0)
+        try:
+            return a / b
+        except ZeroDivisionError:   # float by float: no point passes
+            return math.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = ex._walker(lambda v: v, divide, np.float_power, np.minimum,
+                            np.maximum)(e, env)
+    return passed, values
 
 
 class ReferenceInterval(ex.Interval):

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (ReferenceInterval, random_box, random_expr, random_poly_instance,
-                      reference_array, reference_interval, sample_point,
+                      reference_array, reference_grid, reference_interval, sample_point,
                       shrink_box)
 from gsiplab import arrays
 from gsiplab import expr as ex
@@ -784,31 +784,77 @@ def _array_outcome(fn, e, env):
     return type(v), a.shape, bits.tolist()
 
 
+def _masked_outcome(fn, e, env):
+    """``fn(e, env)``'s ``(passed, values)`` as the grid oracle reads them:
+    ``None`` where no point passes, else the values' type and shape and, at
+    each point, its bits (as ``_array_outcome``'s) where it passes and
+    ``None`` where it fails; or the message of the ``EvaluationError`` it
+    raised."""
+    try:
+        with np.errstate(all="ignore"):
+            passed, v = fn(e, env)
+    except EvaluationError as err:
+        return str(err)
+    if not np.any(passed):
+        return None
+    _, shape, bits = _array_outcome(lambda e, env: v, e, env)
+    passed = np.broadcast_to(passed, shape).ravel().tolist()
+    return type(v), shape, [b if p else None for b, p in zip(np.ravel(bits).tolist(), passed)]
+
+
 class TestArrayKernel:
     @settings(max_examples=400, deadline=None)
     @given(array_cases())
     @example((x / (y - ex.var("a")) + ex.var("w"), [[1.0, 2.0], [0.5, 1.0]],
               {"a": 0.5, "b": 0.0}, 1))
+    # y = a in one block of two: those points fail, the rest pass
+    @example((x / (y - ex.var("a")), [[1.0, 2.0], [0.5, 1.0]], {"a": 0.5, "b": 0.0}, 1))
     @example((ex.emin(x * y, x * y) - (ex.var("a") + 1.0) ** 2 / ex.var("b"),
               [[1.0, 2.0, 3.0], [-0.0, 4.0], [1e200]], {"a": 2.0, "b": -0.5}, 2))
     def test_matches_the_reference_walk_bit_for_bit(self, case):
         e, axes, bound, rows = case
         grid = _open_grid(axes)
         # block by block, as the grid oracle moves its first axis
-        for env, value in _grid_blocks(e, grid, bound, rows):
-            assert _array_outcome(value, e, env) == _array_outcome(reference_array, e, env)
+        for env, run in _grid_blocks(e, grid, bound, rows):
+            assert _masked_outcome(run, e, env) == _masked_outcome(reference_grid, e, env)
         # the public entry point, over the whole grid
         env = {**bound, **dict(zip(AXES, grid))}
         assert _array_outcome(evaluate_array, e, env) == \
             _array_outcome(reference_array, e, env)
 
-    def test_errors_raise_where_the_walk_raises(self):
+    def test_a_zero_divisor_fails_its_points_where_the_walk_raises(self):
         grid = _open_grid([[0.0, 1.0], [2.0, 3.0]])
+        env = dict(zip(AXES, grid))
+
+        def run(e):
+            return arrays.grid_kernel(e, (), (), AXES[:2])(grid, (2, 2), {}, 0.0)
+        # x is zero in the first row, whose points fail; -0.0 too
+        for divisor in (x, x * -1.0):
+            ok, vals = run(y / divisor)
+            assert ok.tolist() == [[False], [True]]
+            assert vals[1].tolist() == ([2.0, 3.0] if divisor is x else [-2.0, -3.0])
+            assert _masked_outcome(lambda e, env: run(e), y / divisor, env) == \
+                _masked_outcome(reference_grid, y / divisor, env)
+        # zero everywhere, over an array or a float: no point passes
+        for e in (y / (x - x) ** 2, y / (ex.const(1.0) - 1.0)):
+            assert run(e) == (None, None)
+            assert _masked_outcome(reference_grid, e, env) is None
+        # where the walk raises, evaluate_array raises too
         for e, message in [(y / x + ex.var("w"), "division by zero"),
                            (ex.var("w") + y / x, "unknown variable 'w'"),
                            (y / (x - x) ** 2, "division by zero")]:
-            with pytest.raises(EvaluationError, match=message):
-                arrays.grid_kernel(e, (), (), AXES[:2])(grid, (2, 2), {}, 0.0)
+            for walk in (evaluate_array, reference_array):
+                with pytest.raises(EvaluationError, match=message):
+                    walk(e, env)
+
+    def test_an_unbound_variable_raises_when_the_kernel_is_made(self):
+        # before or after a zero divisor, and where no point passes
+        for e in (y / x + ex.var("w"), ex.var("w") + y / x,
+                  y / (x - x) + ex.var("w")):
+            with pytest.raises(EvaluationError, match="unknown variable 'w'"):
+                arrays.grid_kernel(e, (), (), AXES[:2])
+            with pytest.raises(EvaluationError, match="unknown variable 'w'"):
+                reference_grid(e, dict(zip(AXES, _open_grid([[0.0, 1.0], [2.0, 3.0]]))))
 
     def test_slots_are_the_most_temporaries_live_at_once(self):
         # a chain over one axis works in one slot
@@ -822,17 +868,19 @@ class TestArrayKernel:
         # a subtree without a grid axis takes no slot
         assert _slots((ex.var("a") + 1.0) * 2.0, 1) == 0
 
-    def test_an_equal_node_is_computed_again_beyond_the_slots(self):
-        # the powers of x, built twice: reading the first ones at the end
-        # would hold five slots, so the kernel raises some of them again
+    def test_an_equal_node_is_computed_once_in_any_number_of_slots(self):
+        # the powers of x, built twice: the sum computes each once, and the
+        # product reads them all again, so x^2 ... x^6 and the running sum
+        # are live at once when the sum takes x^6: six slots
         def powers():
             return [x ** i for i in range(2, 7)]
         first, second = powers(), powers()
         e = sum(first[1:], first[0]) + math.prod(second[1:], start=second[0])
-        assert _slots(e, 1) == arrays._SLOTS
+        assert _slots(e, 1) == 6
+        assert _sources(e)[4].count("_float_power(") == 5
         grid = _open_grid([[-1.5, -0.0, 0.5, 2.0]])
-        for env, value in _grid_blocks(e, grid, {}, 4):
-            assert _array_outcome(value, e, env) == _array_outcome(reference_array, e, env)
+        for env, run in _grid_blocks(e, grid, {}, 4):
+            assert _masked_outcome(run, e, env) == _masked_outcome(reference_grid, e, env)
 
     def test_a_public_result_is_the_callers_own(self):
         grid = _open_grid([[0.0, 1.0, 2.0], [3.0, 4.0]])
@@ -848,15 +896,15 @@ def _grid_blocks(e, grid, bound, rows):
     """``e``'s grid kernel, without constraints, over the open ``grid`` with
     the bound values ``bound`` (of ``BOUND``), block by block of ``rows``
     rows of the first axis, as the grid oracle runs it: each block's
-    environment, and the function that runs the kernel over it."""
+    environment, and the function that runs the kernel over it, made (or
+    raising) at its first call."""
     names = AXES[:len(grid)]
-    kernel = arrays.grid_kernel(e, BOUND, (), names)
     args, keep = [*grid, *(bound.get(n, 0.0) for n in BOUND)], {}
     for start in range(0, grid[0].size, rows):
         args[0] = grid[0][start:start + rows]
         lengths = tuple(a.size for a in args[:len(names)])
         yield ({**bound, **dict(zip(names, args))},
-               lambda e, env: kernel(args, lengths, keep, 0.0)[1])
+               lambda e, env: arrays.grid_kernel(e, BOUND, (), names)(args, lengths, keep, 0.0))
 
 
 def _slots(e, axes):
@@ -916,6 +964,8 @@ class TestValueNumbering:
              ((1.0, 1.0), (0.0, 0.0)), [1.0], [2.0])
     @example((x + ex.const(math.nan)) * (ex.const(-math.nan) + x), (1.0, 2.0),
              ((1.0, 1.0), (0.0, 0.0)), [1.0], [2.0])
+    # a divisor zero at x = 1 alone, built twice
+    @example((x - 1.0) / (x - 1.0), (1.0, 2.0), ((1.0, 2.0), (0.0, 0.0)), [1.0, 2.0], [2.0])
     def test_every_kernel_matches_its_reference(self, e, point, box, xs, ys):
         want = _outcome(evaluate, e, dict(zip(NAMES, point)))
         assert _bits(_outcome(compile_expr(e, NAMES)[0], point)) == _bits(want)
@@ -929,8 +979,8 @@ class TestValueNumbering:
         env = dict(zip(NAMES, grid))
         assert _array_outcome(evaluate_array, e, env) == \
             _array_outcome(reference_array, e, env)
-        for env, value in _grid_blocks(e, grid, {}, 1):
-            assert _array_outcome(value, e, env) == _array_outcome(reference_array, e, env)
+        for env, run in _grid_blocks(e, grid, {}, 1):
+            assert _masked_outcome(run, e, env) == _masked_outcome(reference_grid, e, env)
 
     def test_a_power_built_twice_is_one_line(self):
         once = _sources(ex.ipow(ex.var("x"), 2))

@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (random_box, random_expr, random_poly_instance,
-                      random_polynomial, reference_array, sample_point,
-                      shrink_box)
+                      random_polynomial, reference_array, reference_grid,
+                      sample_point, shrink_box)
 from test_expr import CONSTS, COORDS, _rebuilt, _subterms, expressions
 from test_golden import (ORACLE_GRID_N, ORACLE_GRID_OUTCOMES,
                          ORACLE_NODE_BUDGET, ORACLE_TOL_OPT,
@@ -824,14 +825,27 @@ class TestGridMinimize:
             with pytest.raises(ValueError, match="share names"):
                 minimize(objective, constraints, UNIT_X, parameters=parameters)
 
-    def test_division_by_zero_at_one_grid_point(self):
-        # 5 points on [-1, 1] include y = 0.5, where the divisor is zero
-        box = BoxDomain([("x", -1.0, 1.0), ("y", -1.0, 1.0)])
-        obj = x / (y - 0.5)
-        with pytest.raises(EvaluationError):
-            _dense_grid_minimize(obj, [], box, 5)
-        with pytest.raises(EvaluationError):
-            grid_minimize(obj, [], box, 5)
+    @pytest.mark.parametrize("obj,want", [(x / (y - 0.5), -2.0),
+                                          (x - 1.0 / (y - 0.5), -3.0)])
+    def test_a_zero_divisor_fails_its_grid_point(self, obj, want):
+        # 5 points on [-1, 1] include y = 0.5, where the divisor is zero and
+        # obj at x = -1 would be -inf; as one block, and as one row per
+        # block, whose later rows test their divisor, kept from the first
+        # row (as is the second division), on the kept path
+        for block in (25, 5):
+            with warnings.catch_warnings(), np.errstate(all="warn"):
+                warnings.simplefilter("error")
+                out = _blocked(block, obj, [], UNIT_XY, 5)
+            assert (out.minimizer, out.value) == ({"x": -1.0, "y": 1.0}, want)
+            assert repr(out) == repr(_dense_grid_minimize(obj, [], UNIT_XY, 5))
+
+    def test_only_a_kernel_that_divides_by_an_array_sets_the_error_state(self):
+        # np.errstate costs microseconds per call: a kernel whose divisors
+        # are all floats, or that does not divide, leaves it alone
+        for e, divides in [(x / (y - 0.5), True), (x / (ex.var("a") - 0.5), False),
+                           (x * y, False)]:
+            kernel = arrays.grid_kernel(e, ("a",), (), UNIT_XY.names)
+            assert ("_errstate" in kernel.__code__.co_names) is divides
 
 
 def _blocked(block, *args, **kwargs):
@@ -841,11 +855,10 @@ def _blocked(block, *args, **kwargs):
         return grid_minimize(*args, **kwargs)
 
 
-def _traced(block, *args, blocks=None, **kwargs):
+def _traced(block, *args, **kwargs):
     """``_blocked(block, *args, **kwargs)`` and, per block, the numpy
-    functions its grid kernel called, by name, in order (appended to
-    ``blocks`` as they are called)."""
-    blocks = [] if blocks is None else blocks
+    functions its grid kernel called, by name, in order."""
+    blocks = []
     make = arrays.grid_kernel
 
     def grid_kernel(*key):
@@ -904,10 +917,12 @@ class TestGridBlocks:
         assert (out.minimizer, out.value) == ({"x": 0.5, "y": 1.0}, -1.0)
         assert repr(out) == repr(_dense_grid_minimize(-y, cons, UNIT_XY, 5))
 
-    def test_zero_divisor_in_the_last_block(self):
-        # x - 1 is zero in the last row only
-        with pytest.raises(EvaluationError):
-            _blocked(5, y / (x - 1.0), [], UNIT_XY, 5)
+    def test_a_zero_divisor_in_the_last_block_fails_its_points(self):
+        # x - 1 is zero in the last row only, which divides nothing
+        out, blocks = _traced(5, y / (x - 1.0), [], UNIT_XY, 5)
+        assert (out.minimizer, out.value) == ({"x": 0.5, "y": 1.0}, -2.0)
+        assert repr(out) == repr(_dense_grid_minimize(y / (x - 1.0), [], UNIT_XY, 5))
+        assert blocks == [["subtract", "divide"]] * 4 + [["subtract"]]
 
     def test_box_without_axes(self):
         box = BoxDomain([])
@@ -952,51 +967,51 @@ class TestGridFeasibilityFirst:
         assert (out.minimizer, out.value) == ({"x": 1.0, "y": -1.0}, -1.0)
         assert blocks == [["subtract"]] * 3 + [["subtract", "multiply"]] * 2
 
-    @pytest.mark.parametrize("objective", [x / (y - 0.5), x + ex.var("w")],
-                             ids=["division", "unbound-variable"])
-    def test_a_tree_that_can_raise_is_evaluated(self, objective):
-        # no point passes; the divisor is zero at y = 0.5, w is bound nowhere
-        cons = [ConstraintSpec(2.0 + y, "le")]
-        with pytest.raises(EvaluationError):
-            grid_minimize(objective, cons, UNIT_XY, 5)
-        with pytest.raises(EvaluationError):
-            _dense_grid_minimize(objective, cons, UNIT_XY, 5)
-        with pytest.raises(EvaluationError):
-            grid_minimize(x, cons + [ConstraintSpec(objective)], UNIT_XY, 5)
-
-    def test_a_tree_that_can_raise_runs_past_the_trees_that_cannot(self):
-        # no point passes the first constraint; the second cannot raise, so
-        # it is skipped, and the objective, which divides by y - y, raises
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_a_dividing_tree_runs_on_no_block_once_no_point_passes(self, n):
+        # no point passes 2 + y <= 0; y - 0.5 is zero at a grid point of 5
+        # points, at none of 4
         first = ConstraintSpec(2.0 + y, "le")
-        second = ConstraintSpec(x * y, "ge")
-        blocks = []
-        with pytest.raises(EvaluationError, match="division by zero"):
-            _traced(5, x / (y - y), [first, second], UNIT_XY, 5, blocks=blocks)
-        assert blocks == [["add", "subtract"]]
-        # and after it, a constraint that cannot raise is skipped again
-        third = ConstraintSpec(x * x, "le")
-        out, blocks = _traced(5, x * y, [first, ConstraintSpec(x / (y - 3.0)), third],
-                              UNIT_XY, 5)
+        for objective, cons in [(x / (y - 0.5), [first]),
+                                (x, [first, ConstraintSpec(x / (y - 0.5)),
+                                     ConstraintSpec(x * x, "le")])]:
+            out, blocks = _traced(n, objective, cons, UNIT_XY, n)
+            assert out is INFEASIBLE
+            assert repr(out) == repr(_dense_grid_minimize(objective, cons, UNIT_XY, n))
+            assert blocks == [["add"]] + [[]] * (n - 1)
+
+    def test_a_divisor_zero_everywhere_fails_every_point(self):
+        # every point passes x * x <= 1, and y - y is zero everywhere: each
+        # block returns at the divisor's test, before it keeps y - y, and
+        # divides nothing
+        cons = [ConstraintSpec(x * x - 1.0, "le")]
+        objective = x * y + x / (y - y)
+        out, blocks = _traced(5, objective, cons, UNIT_XY, 5)
         assert out is INFEASIBLE
-        assert blocks == [["add", "subtract", "divide"]] + [["divide"]] * 4
+        assert repr(out) == repr(_dense_grid_minimize(objective, cons, UNIT_XY, 5))
+        assert blocks == [["multiply", "subtract", "multiply", "subtract"]] * 5
 
-    def test_a_tree_that_can_raise_reads_no_skipped_value(self):
-        # the objective divides, so it runs where no point passes; it
-        # computes x * y again rather than read the skipped constraint's
-        first = ConstraintSpec(2.0 + y, "le")
-        second = ConstraintSpec(x * y, "ge")
+    @pytest.mark.parametrize("where", ["objective", "constraint"])
+    def test_an_unbound_variable_raises_though_no_point_passes(self, where):
+        # w is bound nowhere; no point passes 2 + y <= 0, which comes first
+        cons = [ConstraintSpec(2.0 + y, "le")]
+        objective = x + ex.var("w")
+        if where == "constraint":
+            cons, objective = cons + [ConstraintSpec(objective)], x
+        for oracle in (grid_minimize, _dense_grid_minimize):
+            with pytest.raises(EvaluationError, match="unknown variable 'w'"):
+                oracle(objective, cons, UNIT_XY, 5)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_a_dividing_tree_reads_an_earlier_trees_value(self, n):
+        # the objective's x * y is the constraint's, computed once per block;
+        # y - 0.5 is kept from the first block, and tested at every block
+        cons = [ConstraintSpec(x * y, "ge")]
         objective = x * y + x / (y - 0.5)
-        out, blocks = _traced(4, objective, [first, second], UNIT_XY, 4)
-        assert out is INFEASIBLE
-        assert blocks == [["add", "multiply", "subtract", "divide", "add"]] + \
-            [["multiply", "divide", "add"]] * 3
-
-    def test_a_division_that_does_not_raise(self):
-        # 4 points on [-1, 1] miss y = 0.5: evaluated, and nothing passes
-        cons = [ConstraintSpec(2.0 + y, "le")]
-        out, blocks = _traced(4, x / (y - 0.5), cons, UNIT_XY, 4)
-        assert out is INFEASIBLE
-        assert blocks == [["add", "subtract", "divide"]] + [["divide"]] * 3
+        out, blocks = _traced(n, objective, cons, UNIT_XY, n)
+        assert repr(out) == repr(_dense_grid_minimize(objective, cons, UNIT_XY, n))
+        assert blocks == [["multiply", "subtract", "divide", "add"]] + \
+            [["multiply", "divide", "add"]] * (n - 1)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(2, 6),
@@ -1030,7 +1045,7 @@ def hoisting_cases(draw):
     and 0-2 constraints over u, v and the bound values a and b, each with
     its own values of a and b; and the rows per block.  One tree divides by
     a divisor over v alone (and, one time in three, a bound value), which
-    is zero at a grid point one time in three."""
+    is zero at a grid point, whose points fail, one time in three."""
     n = draw(st.sampled_from((2, 3, 5, 8, 65)))
     coords = []
     for name in ("u", "v"):
@@ -1068,13 +1083,9 @@ def hoisting_cases(draw):
 
 
 def _grid_outcome(fn, *args, **kwargs):
-    """``repr`` of what ``fn`` returns, or the type and message of the
-    ``EvaluationError`` it raises."""
-    try:
-        with np.errstate(all="ignore"):
-            return repr(fn(*args, **kwargs))
-    except EvaluationError as err:
-        return EvaluationError, str(err)
+    """``repr`` of what ``fn`` returns."""
+    with np.errstate(all="ignore"):
+        return repr(fn(*args, **kwargs))
 
 
 class TestGridHoisting:
@@ -1443,23 +1454,25 @@ class TestGridBuffers:
 def _dense_grid_minimize(objective, constraints, box, points_per_axis,
                          tol_feas=1e-9, parameters=()):
     """Reference oracle: every variable bound to a full meshgrid copy, and
-    each tree's bound values to floats, evaluated by the reference walk, and
-    the first minimum in C order among the feasible points whose value is
-    not NaN."""
+    each tree's bound values to floats, evaluated by the reference walk
+    under the grid kernel's rule (a point where a divisor is zero fails),
+    and the first minimum in C order among the feasible points whose value
+    is not NaN."""
     axes = [np.linspace(lo, hi, points_per_axis) for _, lo, hi in box.coords]
     grids = np.meshgrid(*axes, indexing="ij")
     env = dict(zip(box.names, grids))
     shape = tuple(len(a) for a in axes)
 
     def on_grid(e, bound):
-        return np.broadcast_to(
-            np.asarray(reference_array(e, {**dict(bound), **env}), dtype=float), shape)
+        passed, vals = reference_grid(e, {**dict(bound), **env})
+        return (np.broadcast_to(passed, shape),
+                np.broadcast_to(np.asarray(vals, dtype=float), shape))
 
-    vals = on_grid(objective, parameters)
-    feas = ~np.isnan(vals)
+    feas, vals = on_grid(objective, parameters)
+    feas = feas & ~np.isnan(vals)
     for c in constraints:
-        cv = on_grid(c.expr, c.parameters)
-        feas &= (cv <= tol_feas) if c.sense == "le" else (cv >= -tol_feas)
+        passed, cv = on_grid(c.expr, c.parameters)
+        feas &= passed & ((cv <= tol_feas) if c.sense == "le" else (cv >= -tol_feas))
     candidates = np.flatnonzero(feas)
     if not len(candidates):
         return INFEASIBLE
