@@ -40,14 +40,14 @@ for each block were mapped and faulted in again by the C library.
 The grid oracle blocks its grid along the first axis, and between two
 blocks of one grid only that axis's values change.  So a node that does not
 span the first axis, a *block-invariant* node, has the same value over every
-block: a tree's first run in a grid computes it, into a fresh array, and
-keeps it in the call's ``keep``, and the tree's later runs read it from
-there.  Those take the tree's second path, the first one's lines without
-those of the nodes that do not span the first axis; every test stays on it,
-as the mask is the block's.  A block-invariant node takes no slot.  The
-first path makes the walk's numpy calls, in its order, and the second the
-same calls over the first axis, on the same operands, so every value where
-a point passes is the walk's bit for bit.
+block: the first block that reaches a tree computes the tree's
+block-invariant nodes, into fresh arrays, in the walk's order and before any
+of its tests can return, and keeps them in the call's ``keep``, and later
+blocks read them from there.  Every block then runs the tree's nodes over
+the first axis and its tests, as the mask is the block's.  A
+block-invariant node takes no slot.  Each node makes the walk's numpy call
+on the same operands, and a numpy call's value does not depend on when it
+is made, so every value where a point passes is the walk's bit for bit.
 
 This module imports numpy.  ``expr.evaluate_array`` imports it at its first
 call and the grid oracle when called, so the rest of the package loads
@@ -75,31 +75,6 @@ def evaluate(e: Expr, point: Mapping):
     kernel = _cached(e, names, (_ARRAY, len(arrays)),
                      lambda index: _generate(e, index, len(arrays)))
     return kernel(tuple(point[n] for n in names))
-
-
-def linspace(lo: float, hi: float, n: int):
-    """``np.linspace(lo, hi, n)`` for floats ``lo`` and ``hi`` and ``n >=
-    2``, bit for bit, by its own recipe without its set-up: ``arange(n)``
-    times the step (divided by ``n - 1``, then times the span, where the step
-    underflows to 0), plus ``lo``, and ``hi`` as the last point.  Where the
-    span overflows, which makes that recipe's points inf and NaN, point i is
-    ``lo + i*(hi/(n-1)) - i*(lo/(n-1))`` instead, whose terms are finite."""
-    out = np.arange(n, dtype=float)
-    span = hi - lo
-    if math.isinf(span):
-        # up to the last point, hi, set below, where i*(hi/(n-1)) may overflow
-        i = out[:-1]
-        i[:] = lo + i * (hi / (n - 1)) - i * (lo / (n - 1))
-    else:
-        step = span / (n - 1)
-        if step == 0:
-            out /= n - 1
-            out *= span
-        else:
-            out *= step
-        out += lo
-    out[-1] = hi
-    return out
 
 
 def grid_kernel(objective: Expr, parameters: tuple,
@@ -205,11 +180,16 @@ def _generate_grid(objective: Expr, parameters: tuple,
     Each tree is one segment of the body, with a name index of its own: the
     box's names, then its bound values' slots of the argument list.  A
     constraint's segment ends with its test.  A segment with block-invariant
-    array nodes has two paths: with nothing in ``keep`` for it, every line,
-    after which it keeps its block-invariant values that other lines read
-    (``_ArrayEmitter.exported``); with them kept, only its lines over the
-    first axis and its divisors' tests.  A kernel that divides by an array
-    runs under ``np.errstate``: a point it masks warns of nothing."""
+    array nodes starts with them: with nothing in ``keep`` for it, it runs
+    its lines that do not span the first axis, in order, and keeps those of
+    their values that other lines read (``_ArrayEmitter.exported``); with
+    them kept, it reads them back.  Its lines over the first axis and its
+    tests follow, on every block.  Only the test of a divisor over no array
+    runs before the keep: the division after it would raise where the
+    divisor is zero, and a failing test fails every block alike.  So a
+    block that no point of passes returns after the keep, and the next
+    block computes nothing again.  A kernel that divides by an array runs
+    under ``np.errstate``: a point it masks warns of nothing."""
     trees = [*constraints, (objective, None, parameters)]
     emitter = _ArrayEmitter(len(box), grid=True)
     segments = []   # each tree's lines, whether it keeps values, its result
@@ -226,14 +206,14 @@ def _generate_grid(objective: Expr, parameters: tuple,
         lines = emitter.lines[start:end]
         if hoisted:
             kept = "".join(f"{v}, " for v in emitter.exported if emitter.owner[v] == s)
+            spans = emitter.spans[start:end]
             lines = [f"kept = keep.get({s})",
                      "if kept is None:",
-                     *_indent(lines),
+                     *_indent(line for line, span in zip(lines, spans) if not span & 1),
                      f"    keep[{s}] = {kept}",
                      "else:",
                      f"    {kept}= kept",
-                     *_indent(line for line, span in
-                              zip(lines, emitter.spans[start:end]) if span & 1)]
+                     *(line for line, span in zip(lines, spans) if span & 1)]
         body += lines
         if sense is None:
             body.append(f"return ok, {result}")
@@ -274,7 +254,8 @@ class _ArrayEmitter(_Emitter):
         # temporaries it reads; and their value names
         self.temps: list[tuple] = []
         self.slotted: set[str] = set()
-        # the axes each line's values span, the first axis for a test's
+        # the axes each line's values span, the first axis for a test's (none
+        # for the test of a divisor over no array)
         self.spans: list[int] = []
         # the segment of each value that does not span the first axis, and
         # those of them read by a line over the first axis or by another
@@ -347,8 +328,9 @@ class _ArrayEmitter(_Emitter):
         elif k == "div":
             c, mask = kids[1]
             if self.grid:
-                # a test like a constraint's, on every block
-                self.emit(_TEST.format(f"{c} != 0.0"), 1)
+                # a test like a constraint's, on every block where the
+                # divisor is an array
+                self.emit(_TEST.format(f"{c} != 0.0"), 1 if mask else 0)
                 if c in self.owner:
                     self.exported[c] = None
                 self.divides |= mask != 0

@@ -191,49 +191,70 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _exact_grid_below(inst, points_per_axis: int, lo: float) -> bool:
+# the most point evaluations that verify's grids may take for it to scan them
+# point by point rather than load numpy: a point evaluation costs about
+# 0.5 us, and numpy's import with the grid kernels' compilation about 70 ms
+_SCAN_WORK = 1 << 17
+
+
+def _exact_grid_below(oracle, inst, points_per_axis: int, lo: float) -> bool:
     """Whether a grid point that passes the constraints of ``inst`` with no
-    tolerance has a value below ``lo``."""
-    from .globalopt import grid_minimize
-    grid = grid_minimize(inst.objective, inst.constraints, inst.box,
-                         points_per_axis, tol_feas=0.0, parameters=inst.parameters)
+    tolerance has a value below ``lo``, by ``oracle``."""
+    grid = oracle(inst.objective, inst.constraints, inst.box,
+                  points_per_axis, tol_feas=0.0, parameters=inst.parameters)
     return grid.optimal and grid.value < lo
 
 
 def cmd_verify(args) -> int:
+    """Run the loop, then check every subproblem of every iterate on the grid
+    of ``--grid`` points per axis.
+
+    The oracle is ``globalopt.grid_minimize``, or for a small grid its
+    point-by-point scan, ``globalopt._grid_scan``, which returns the same
+    outcome (see its docstring for where a value's NaN or zero sign may
+    differ) by the kernels the solves made, and so loads neither numpy nor
+    ``gsiplab.arrays``.  The work of the grids is counted before any is
+    evaluated: over every subproblem, its grid's points times its trees,
+    ``grid ** dims * (1 + constraints)``.  Where that is at most
+    ``_SCAN_WORK``, verify scans, where the scan's time is less than
+    numpy's import; above it, the numpy oracle's per-point cost wins."""
     from . import algorithms
-    from .globalopt import grid_minimize
+    from .globalopt import _grid_scan, grid_minimize
     if args.grid < 2:
         raise UsageError(f"--grid must be at least 2, got {args.grid}")
     p = _load_problem(args)
     cfg = _config_from_args(args, p)
     result = algorithms.run(p, cfg)
+    checked = [(r, sub) for r in result.trace
+               for sub in algorithms.record_subproblems(p, r, cfg)]
+    work = sum(args.grid ** len(inst.box.names) * (1 + len(inst.constraints))
+               for _, (_, inst, _) in checked)
+    oracle = _grid_scan if work <= _SCAN_WORK else grid_minimize
 
     worst = 0.0
-    checks = refuted = 0
-    for r in result.trace:
-        for label, inst, bnb in algorithms.record_subproblems(p, r, cfg):
-            grid = grid_minimize(inst.objective, inst.constraints, inst.box,
-                                 args.grid, tol_feas=cfg.tol_feas,
-                                 parameters=inst.parameters)
-            line = f"bnb={_fmt_value(bnb)} grid={_fmt_value(grid)}"
-            if bnb.optimal and grid.optimal:
-                diff = abs(grid.value - bnb.value)
-                worst = max(worst, diff)
-                line += f" diff={diff:.3e}"
-            # a grid point below the certified lower bound refutes it: for an
-            # infeasible outcome (+inf) any point that passes tol_feas, for an
-            # optimal one a point that passes the constraints exactly, the
-            # points its bound holds for; none of those lies below the
-            # tol_feas grid's minimum
-            refuted += (bnb.value_bounds is not None and grid.optimal
-                        and grid.value < bnb.value_bounds.lo
-                        and (not bnb.optimal
-                             or _exact_grid_below(inst, args.grid, bnb.value_bounds.lo)))
-            checks += 1
-            print(f"k={r.k} {label}: {line}")
+    refuted = 0
+    for r, (label, inst, bnb) in checked:
+        grid = oracle(inst.objective, inst.constraints, inst.box,
+                      args.grid, tol_feas=cfg.tol_feas,
+                      parameters=inst.parameters)
+        line = f"bnb={_fmt_value(bnb)} grid={_fmt_value(grid)}"
+        if bnb.optimal and grid.optimal:
+            diff = abs(grid.value - bnb.value)
+            worst = max(worst, diff)
+            line += f" diff={diff:.3e}"
+        # a grid point below the certified lower bound refutes it: for an
+        # infeasible outcome (+inf) any point that passes tol_feas, for an
+        # optimal one a point that passes the constraints exactly, the
+        # points its bound holds for; none of those lies below the
+        # tol_feas grid's minimum
+        refuted += (bnb.value_bounds is not None and grid.optimal
+                    and grid.value < bnb.value_bounds.lo
+                    and (not bnb.optimal
+                         or _exact_grid_below(oracle, inst, args.grid,
+                                              bnb.value_bounds.lo)))
+        print(f"k={r.k} {label}: {line}")
 
-    print(f"checked {checks} subproblems, max discrepancy {worst:.6e}")
+    print(f"checked {len(checked)} subproblems, max discrepancy {worst:.6e}")
     if refuted:
         print(f"FAIL: the grid has feasible points below the certified lower "
               f"bound in {refuted} subproblem(s)", file=sys.stderr)

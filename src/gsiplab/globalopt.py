@@ -128,6 +128,9 @@ Two engines share one outcome type:
   divides by zero is skipped as a NaN value is; once none of its points
   passes, the block stops.  It proves no bound.  It is the only user of
   numpy here and imports it, and ``gsiplab.arrays``, when called.
+  ``_grid_scan`` returns its outcome point by point, by the point kernels
+  that ``minimize`` binds, with no numpy: ``gsiplab verify`` scans its
+  grids where they are small.
 """
 from __future__ import annotations
 
@@ -140,8 +143,9 @@ from .domains import BoxDomain, _validated, corner_values, midpoint_value, split
 # neither minimize nor grid_minimize calls evaluate, interval_eval or
 # evaluate_array; they stay bound here because bench/tracer.py counts the
 # evaluations made through these names
-from .expr import (Expr, Interval, compile_expr, compile_gradient,  # noqa: F401
-                   evaluate, evaluate_array, interval_eval)
+from .expr import (EvaluationError, Expr, Interval, _unknown,  # noqa: F401
+                   compile_expr, compile_gradient, evaluate, evaluate_array,
+                   interval_eval)
 from .immutable import frozen
 
 
@@ -692,6 +696,7 @@ _BLOCK_POINTS = 1 << 15
 _arrays = None   # gsiplab.arrays, imported at the first grid
 
 _AXES = "_axes"  # the attribute of a box that holds its open grids (_open_grid)
+_POINTS = "_points"  # ... and its grid points along each axis (_grid_points)
 
 
 def grid_minimize(objective: Expr,
@@ -709,7 +714,7 @@ def grid_minimize(objective: Expr,
     The variables are bound to an open grid (``_open_grid``): axis ``i`` is
     an array of shape ``(1, ..., n, ..., 1)``, whose values are
     ``np.linspace(lo, hi, n)``'s, bit for bit, built by its recipe
-    (``arrays.linspace``), save where ``hi - lo`` overflows and that
+    (``_linspace``), save where ``hi - lo`` overflows and that
     recipe's points are not finite.  The axes are kept on the box, so a box
     gridded again, as ``verify`` grids the inner box at every iterate,
     builds none.  The array kernels thus work on one axis's values until an
@@ -811,13 +816,121 @@ def grid_minimize(objective: Expr,
     return MinimizeOutcome("optimal", point, value)
 
 
+def _grid_scan(objective: Expr,
+               constraints: Sequence[ConstraintSpec],
+               box: BoxDomain,
+               points_per_axis: int,
+               tol_feas: float = 1e-9,
+               parameters: Sequence[tuple[str, float]] = ()) -> MinimizeOutcome:
+    """``grid_minimize``'s outcome, found point by point by the point kernels
+    that ``minimize`` binds, with no numpy: for a small grid, which costs
+    less than numpy's import.
+
+    It walks the grid points (``_grid_points``) in C order.  A point passes
+    the constraints in their order, each by its binding's ``satisfied``
+    (``ConstraintSpec.bind``), then takes the objective's value by its
+    ``_Form``'s point kernel, and the first point whose value is least and
+    not NaN is the minimum; these are the bindings and forms that a solve of
+    the same trees over the box's names has made, so the scan generates no
+    kernel.  It keeps ``grid_minimize``'s rules: a bound value named like a
+    coordinate raises ``ValueError``, and a variable bound nowhere
+    ``EvaluationError``, before the first point; a point that divides by
+    zero fails, by the point kernel's ``EvaluationError``, the only one it
+    raises once every variable is bound.
+
+    Its values are the grid kernel's, bit for bit, as both make the same
+    float operations in the same order, but in three cases.  Where Python's
+    ``**`` overflows, it raises ``OverflowError`` where ``np.float_power``
+    gives an infinity: the scan then returns ``grid_minimize``'s outcome.
+    Where a min or max meets a NaN as its second operand, the point kernel
+    returns the first, and ``np.minimum`` and ``np.maximum`` the NaN; and
+    where it meets two zeros of opposite signs, the point kernel returns
+    the first, and numpy the second.  The scan follows the point kernel
+    there, as ``minimize`` does.  A NaN comes only from an infinity, which
+    an operation that overflows or an infinite value makes, and a zero's
+    sign only changes the sign of a zero or of an infinity that a divisor
+    test fails, so the second case alone can move the minimum, and the
+    third only the sign of a zero minimum.
+    """
+    n = points_per_axis
+    if n < 2:
+        raise ValueError("points_per_axis must be at least 2")
+    names = box.names
+    tests = [c.bind(names, tol_feas).satisfied for c in constraints]
+    pnames, values = _split(parameters)
+    point = _form(objective, names, pnames).point
+    for e, bound in (*((c.expr, c.parameters) for c in constraints),
+                     (objective, parameters)):
+        unknown = e.variables().difference(names, (name for name, _ in bound))
+        if unknown:
+            _unknown(min(unknown))()
+    best, best_x = math.inf, None
+    try:
+        for x in itertools.product(*_grid_points(box, n)):
+            try:
+                for passes in tests:
+                    if not passes(x):
+                        break
+                else:
+                    v = point(x + values)
+                    # minimize's incumbent rule: +inf only as the first
+                    if v < best or (best_x is None and v == best):
+                        best, best_x = v, x
+            except EvaluationError:
+                # with every variable bound, a point kernel raises no other
+                pass
+    except OverflowError:
+        return grid_minimize(objective, constraints, box, n, tol_feas, parameters)
+    if best_x is None:
+        return INFEASIBLE
+    return MinimizeOutcome("optimal", dict(zip(names, best_x)), best)
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """The points of ``np.linspace(lo, hi, n)`` for floats ``lo`` and ``hi``
+    and ``n >= 2``, bit for bit, as floats, by its own recipe: ``i`` times
+    the step (divided by ``n - 1``, then times the span, where the step
+    underflows to 0), plus ``lo``, and ``hi`` as the last point.  Where the
+    span overflows, which makes that recipe's points inf and NaN, point
+    ``i`` is ``lo + i*(hi/(n-1)) - i*(lo/(n-1))`` instead, whose terms are
+    finite."""
+    m = n - 1
+    span = hi - lo
+    if math.isinf(span):
+        a, b = hi / m, lo / m
+        points = [lo + i * a - i * b for i in range(m)]
+    else:
+        step = span / m
+        if step == 0:
+            points = [i / m * span + lo for i in range(m)]
+        else:
+            points = [i * step + lo for i in range(m)]
+    points.append(hi)
+    return points
+
+
+def _grid_points(box: BoxDomain, n: int) -> tuple:
+    """The points of ``box``'s grid of ``n`` points per axis along each axis
+    (``_linspace`` over the axis's bounds), as floats, made at the first
+    request and kept on the box, as ``_open_grid`` keeps its arrays."""
+    kept = box.__dict__.get(_POINTS)
+    if kept is None:
+        kept = box.__dict__[_POINTS] = {}
+    points = kept.get(n)
+    if points is None:
+        points = kept[n] = tuple(_linspace(lo, hi, n) for lo, hi in box.bounds)
+    return points
+
+
 def _open_grid(box: BoxDomain, n: int) -> tuple:
     """The axes of ``box``'s open grid of ``n`` points per axis: axis ``i``
-    ``arrays.linspace`` over the box's ``i``-th bounds, of shape ``(1, ...,
-    n, ..., 1)`` and not writeable; made at the first request and kept on
-    the box, keyed by ``n`` (a ``@frozen`` value: the attribute goes
+    the array of ``_linspace`` over the box's ``i``-th bounds, of shape
+    ``(1, ..., n, ..., 1)`` and not writeable; made at the first request and
+    kept on the box, keyed by ``n`` (a ``@frozen`` value: the attribute goes
     straight into its ``__dict__``, outside its fields, which equality,
-    copies and pickles read alone)."""
+    copies and pickles read alone).  ``_linspace``'s list is not kept, as
+    ``_grid_points`` keeps it: its floats take four times the array's
+    memory."""
     kept = box.__dict__.get(_AXES)
     if kept is None:
         kept = box.__dict__[_AXES] = {}
@@ -826,7 +939,7 @@ def _open_grid(box: BoxDomain, n: int) -> tuple:
         dims = len(box.bounds)
         axes = []
         for i, (lo, hi) in enumerate(box.bounds):
-            a = _arrays.linspace(lo, hi, n)
+            a = _arrays.np.array(_linspace(lo, hi, n))
             a.flags.writeable = False
             axes.append(a.reshape((1,) * i + (-1,) + (1,) * (dims - 1 - i)))
         grid = kept[n] = tuple(axes)

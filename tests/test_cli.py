@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from gsiplab import algorithms, arrays, globalopt, gsip
+from gsiplab import algorithms, arrays, cli, globalopt, gsip
+from gsiplab import expr as ex
 from gsiplab.cli import _config_from_args, build_parser, main
 from gsiplab.expr import Interval
 from gsiplab.globalopt import MinimizeOutcome
@@ -406,22 +407,33 @@ class TestVerify:
             "k=1 sip_llp: bnb=1.5 grid=1.5 diff=0.000e+00\n"
             "checked 2 subproblems, max discrepancy 0.000000e+00\n")
 
-    def test_grid_minimizers_lie_in_a_box_whose_span_overflows(self, monkeypatch,
-                                                                capsys):
-        # y's span overflows; the grid's axis over it is finite and inside
-        # the box all the same, so the oracle agrees with branch-and-bound
-        grid_minimize, seen = globalopt.grid_minimize, []
+    @staticmethod
+    def _oracle(monkeypatch, oracle):
+        """Make ``verify`` grid by ``oracle``, a name in ``globalopt``, the
+        scan or the numpy oracle, and record the ``(box, tol_feas,
+        outcome)`` of each of its calls."""
+        if oracle == "grid_minimize":
+            monkeypatch.setattr(cli, "_SCAN_WORK", 0)
+        fn, seen = getattr(globalopt, oracle), []
 
         def recording(objective, constraints, box, *args, **kwargs):
-            out = grid_minimize(objective, constraints, box, *args, **kwargs)
-            seen.append((box, out))
+            out = fn(objective, constraints, box, *args, **kwargs)
+            seen.append((box, kwargs["tol_feas"], out))
             return out
-        monkeypatch.setattr(globalopt, "grid_minimize", recording)
+        monkeypatch.setattr(globalopt, oracle, recording)
+        return seen
+
+    @pytest.mark.parametrize("oracle", ["_grid_scan", "grid_minimize"])
+    def test_grid_minimizers_lie_in_a_box_whose_span_overflows(self, monkeypatch,
+                                                                capsys, oracle):
+        # y's span overflows; the grid's axis over it is finite and inside
+        # the box all the same, so either oracle agrees with branch-and-bound
+        seen = self._oracle(monkeypatch, oracle)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["verify", "--file", str(WIDE_BOX)]) == 0
-        assert seen and all(out.optimal and box.contains(out.minimizer)
-                            for box, out in seen)
+        assert len(seen) == 4 and all(out.optimal and box.contains(out.minimizer)
+                                      for box, _, out in seen)
         assert capsys.readouterr().out.splitlines()[-1] == (
             "checked 4 subproblems, max discrepancy 0.000000e+00")
 
@@ -458,22 +470,18 @@ class TestVerify:
 
     @pytest.mark.parametrize("max_iter", ["1", "3"])
     def test_one_grid_kernel_per_subproblem_kind(self, capsys, monkeypatch, max_iter):
-        # a wrong certificate on every LLP makes verify re-check each on the
-        # exact grid (tol_feas=0), which reuses the LLP's kernel
+        # with no grid small enough to scan, the numpy oracle: a wrong
+        # certificate on every LLP makes verify re-check each on the exact
+        # grid (tol_feas=0), which reuses the LLP's kernel
         self._claim_llp(monkeypatch, MinimizeOutcome(
             "optimal", {"y": 1.0}, -10.0, Interval(-9.5, -9.5)))
-        generate, grid_minimize = arrays._generate_grid, globalopt.grid_minimize
-        made, grids = [], []
+        grids = self._oracle(monkeypatch, "grid_minimize")
+        generate, made = arrays._generate_grid, []
 
         def generating(objective, *args):
             made.append(objective)
             return generate(objective, *args)
-
-        def gridding(*args, **kwargs):
-            grids.append(kwargs["tol_feas"])
-            return grid_minimize(*args, **kwargs)
         monkeypatch.setattr(arrays, "_generate_grid", generating)
-        monkeypatch.setattr(globalopt, "grid_minimize", gridding)
         assert main(["verify", "--problem", "cex1", "--variant", "aux-llp",
                      "--max-iter", max_iter]) == 3
         capsys.readouterr()
@@ -481,7 +489,39 @@ class TestVerify:
         # the objectives of the LLP, the aux-LLP and the SIP-LLP
         assert made == [p.g, p.hbar, p.cut]
         k = int(max_iter)
+        assert sorted(tol for _, tol, _ in grids) == [0.0] * k + [1e-9] * (3 * k)
+
+    @pytest.mark.parametrize("max_iter", ["1", "3"])
+    def test_the_scan_generates_no_kernel(self, capsys, monkeypatch, max_iter):
+        # cex1's grids are small, so verify scans them, exact re-checks
+        # included, by the kernels its solves made: none is generated while
+        # a grid is scanned
+        self._claim_llp(monkeypatch, MinimizeOutcome(
+            "optimal", {"y": 1.0}, -10.0, Interval(-9.5, -9.5)))
+        scan, generate = globalopt._grid_scan, ex._generate
+        scanning, made, grids = [], [], []
+
+        def scanned(*args, **kwargs):
+            scanning.append(True)
+            try:
+                out = scan(*args, **kwargs)
+            finally:
+                scanning.pop()
+            grids.append(kwargs["tol_feas"])
+            return out
+
+        def generating(*args):
+            made.append(bool(scanning))
+            return generate(*args)
+        monkeypatch.setattr(globalopt, "_grid_scan", scanned)
+        monkeypatch.setattr(ex, "_generate", generating)
+        monkeypatch.setattr(globalopt, "grid_minimize", None)
+        assert main(["verify", "--problem", "cex1", "--variant", "aux-llp",
+                     "--max-iter", max_iter]) == 3
+        capsys.readouterr()
+        k = int(max_iter)
         assert sorted(grids) == [0.0] * k + [1e-9] * (3 * k)
+        assert made and not any(made)
 
     def test_grid_mesh_error_is_no_failure(self, capsys):
         # the k=3 LLP's grid value lies 2.45e-3 above the solver's, the mesh
@@ -608,7 +648,8 @@ class TestListAndFmt:
         assert "#" not in canonical
 
     def test_list_and_fmt_load_no_numpy(self, tmp_path):
-        # numpy is needed only by the grid oracle; check in a new interpreter
+        # numpy is needed only by the grid oracle, which verify leaves alone
+        # on cex1's small grids; check in a new interpreter
         src = tmp_path / "mine.gsip"
         src.write_text(CEX1_TEXT)
         script = f"""
@@ -619,7 +660,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert gsiplab.cli.main(["list"]) == 0
     assert gsiplab.cli.main(["fmt", {str(src)!r}]) == 0
     assert gsiplab.cli.main(["run", "--problem", "cex1", "--variant", "llp-only"]) == 0
-assert "numpy" not in sys.modules, "numpy loaded by list, fmt or run"
+    assert gsiplab.cli.main(["verify", "--problem", "cex1"]) == 0
+loaded = {{"numpy", "gsiplab.arrays"}} & set(sys.modules)
+assert not loaded, f"{{loaded}} loaded by list, fmt, run or verify"
 out = gsiplab.grid_minimize(-gsiplab.var("x"), [],
                             gsiplab.BoxDomain([("x", -1.0, 1.0)]), 3)
 assert out.minimizer == {{"x": 1.0}}, out

@@ -12,13 +12,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (random_box, random_expr, random_poly_instance,
                       random_polynomial, reference_array, reference_grid,
                       sample_point, shrink_box)
-from test_expr import CONSTS, COORDS, _rebuilt, _subterms, expressions
+from test_expr import CONSTS, COORDS, _bits, _rebuilt, _subterms, expressions
 from test_golden import (ORACLE_GRID_N, ORACLE_GRID_OUTCOMES,
                          ORACLE_NODE_BUDGET, ORACLE_TOL_OPT,
                          load_oracle_outcomes)
@@ -982,14 +982,16 @@ class TestGridFeasibilityFirst:
 
     def test_a_divisor_zero_everywhere_fails_every_point(self):
         # every point passes x * x <= 1, and y - y is zero everywhere: each
-        # block returns at the divisor's test, before it keeps y - y, and
-        # divides nothing
+        # block returns at the divisor's test and divides nothing; the first
+        # computes y - y, ahead of x * y, and keeps it before the test, so no
+        # later block subtracts it again
         cons = [ConstraintSpec(x * x - 1.0, "le")]
         objective = x * y + x / (y - y)
         out, blocks = _traced(5, objective, cons, UNIT_XY, 5)
         assert out is INFEASIBLE
         assert repr(out) == repr(_dense_grid_minimize(objective, cons, UNIT_XY, 5))
-        assert blocks == [["multiply", "subtract", "multiply", "subtract"]] * 5
+        assert blocks == [["multiply", "subtract", "subtract", "multiply"]] + \
+            [["multiply", "subtract", "multiply"]] * 4
 
     @pytest.mark.parametrize("where", ["objective", "constraint"])
     def test_an_unbound_variable_raises_though_no_point_passes(self, where):
@@ -998,7 +1000,7 @@ class TestGridFeasibilityFirst:
         objective = x + ex.var("w")
         if where == "constraint":
             cons, objective = cons + [ConstraintSpec(objective)], x
-        for oracle in (grid_minimize, _dense_grid_minimize):
+        for oracle in (grid_minimize, _dense_grid_minimize, globalopt._grid_scan):
             with pytest.raises(EvaluationError, match="unknown variable 'w'"):
                 oracle(objective, cons, UNIT_XY, 5)
 
@@ -1155,8 +1157,10 @@ class TestGridHoisting:
                 want = [_axis(a, b, n) for _, a, b in box.coords]
             (axes,) = seen
             assert axes[0].shape == (n, 1) and axes[1].shape == (1, n)
-            for got, line in zip(axes, want):
-                assert got.tobytes() == line.tobytes()
+            # the grid scan's points are the same floats, by the same recipe
+            points = globalopt._grid_points(box, n)
+            for got, line, scanned in zip(axes, want, points):
+                assert got.tobytes() == line.tobytes() == np.array(scanned).tobytes()
 
 
     @settings(max_examples=200, deadline=None)
@@ -1168,8 +1172,7 @@ class TestGridHoisting:
         # np.linspace(-a, b, n) has inf and NaN points where b + a overflows
         lo, hi = -a, b
         assert math.isinf(hi - lo)
-        with np.errstate(all="raise"):
-            axis = arrays.linspace(lo, hi, n)
+        axis = np.array(globalopt._linspace(lo, hi, n))
         assert axis.shape == (n,) and np.isfinite(axis).all()
         assert axis[0] == lo and axis[-1] == hi
         assert ((lo <= axis) & (axis <= hi)).all()
@@ -1328,13 +1331,13 @@ class TestGridReduction:
 @contextlib.contextmanager
 def _axes_built():
     """A list of the axes built meanwhile, as the ``(lo, hi, n)`` arguments
-    of their ``arrays.linspace`` calls."""
-    made, linspace = [], arrays.linspace
+    of their ``globalopt._linspace`` calls."""
+    made, linspace = [], globalopt._linspace
 
     def building(*a):
         made.append(a)
         return linspace(*a)
-    with mock.patch.object(arrays, "linspace", building):
+    with mock.patch.object(globalopt, "_linspace", building):
         yield made
 
 
@@ -1363,6 +1366,7 @@ class TestGridAxesKept:
         box = BoxDomain(UNIT_XY.coords)
         fresh = BoxDomain(UNIT_XY.coords)
         grid_minimize(x * y, [], box, 5)
+        globalopt._grid_scan(x * y, [], box, 5)
         axes = box.__dict__[globalopt._AXES][5]
         assert [a.shape for a in axes] == [(5, 1), (1, 5)]
         for a in axes:
@@ -1374,16 +1378,139 @@ class TestGridAxesKept:
                      pickle.loads(pickle.dumps(box))):
             assert twin == box
             assert globalopt._AXES not in twin.__dict__
+            assert globalopt._POINTS not in twin.__dict__
 
-    def test_verify_builds_the_inner_axes_once(self, capsys):
+    @pytest.mark.parametrize("oracle", ["_grid_scan", "grid_minimize"])
+    def test_verify_builds_the_inner_axes_once(self, capsys, monkeypatch, oracle):
         # every subproblem of cex1, at every iterate, grids the problem's
-        # one inner box
-        from gsiplab.cli import main
+        # one inner box, by the scan (cex1's grids are small) or, with no
+        # work small enough to scan, by the numpy oracle
+        from gsiplab import cli
+        if oracle == "grid_minimize":
+            monkeypatch.setattr(cli, "_SCAN_WORK", 0)
+        calls, fn = [], getattr(globalopt, oracle)
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(globalopt, oracle, counting)
         with _axes_built() as made:
-            assert main(["verify", "--problem", "cex1", "--variant", "aux-llp",
-                         "--max-iter", "3"]) == 0
+            assert cli.main(["verify", "--problem", "cex1", "--variant", "aux-llp",
+                             "--max-iter", "3"]) == 0
         capsys.readouterr()
-        assert made == [(-1.0, 1.0, 401)]
+        assert len(calls) == 9 and made == [(-1.0, 1.0, 401)]
+
+
+@st.composite
+def scan_cases(draw):
+    """A grid over (u,) or (u, v) of 2, 3 or 5 points per axis; an objective
+    and 0-2 constraints over u, v and the bound value a, one time in ten
+    also over w, bound nowhere, each tree with its own value of a, which is
+    named u one time in twenty; one time in three, a tree divides by u less
+    one of u's grid points; and ``tol_feas``, 0 or 1e-9."""
+    n = draw(st.sampled_from((2, 3, 5)))
+    coords = []
+    for name in ("u", "v")[:draw(st.integers(1, 2))]:
+        lo, hi = sorted((draw(COORDS), draw(COORDS)))
+        coords.append((name, lo, hi))
+    box = BoxDomain(coords)
+
+    def tree():
+        return draw(expressions(consts=COORDS, names=(*box.names, "a"), unknown="w"))
+
+    def bound():
+        return ((draw(st.sampled_from(("a",) * 19 + ("u",))), draw(COORDS)),)
+    trees = [tree() for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.integers(0, 2)) == 0:
+        c = globalopt._linspace(*box.bounds[0], n)[draw(st.integers(0, n - 1))]
+        i = draw(st.integers(0, len(trees) - 1))
+        trees[i] = trees[i] + tree() / (U - c)
+    constraints = [ConstraintSpec(e, draw(st.sampled_from(("le", "ge"))), bound())
+                   for e in trees[1:]]
+    return (trees[0], constraints, box, n, draw(st.sampled_from((0.0, 1e-9))),
+            bound())
+
+
+def _scanned(oracle, *args, **kwargs):
+    """What ``oracle`` returns: its status, its minimizer and its value, each
+    float by its bits, or the type of the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            out = oracle(*args, **kwargs)
+    except (EvaluationError, ValueError) as e:
+        return type(e)
+    return (out.status, out.minimizer and {n: _bits(v) for n, v in out.minimizer.items()},
+            _bits(out.value))
+
+
+def _finite_at_every_point(trees, box, n):
+    """Whether every subterm of ``trees``, ``(tree, bound values)`` pairs, is
+    finite at every grid point where the walk over floats gives it a value,
+    and no min or max meets two zeros of opposite signs: where the point
+    kernels and numpy part ways (``globalopt._grid_scan``)."""
+    for x in itertools.product(*globalopt._grid_points(box, n)):
+        for e, bound in trees:
+            env = {**dict(bound), **dict(zip(box.names, x))}
+            for s in _subterms(e):
+                try:
+                    v = evaluate(s, env)
+                    if s.kind in ("min", "max"):
+                        a, c = (evaluate(k, env) for k in s.children)
+                        if a == c == 0.0 and math.copysign(1.0, a) != math.copysign(1.0, c):
+                            return False
+                except EvaluationError:
+                    continue
+                except OverflowError:
+                    return False
+                if not math.isfinite(v):
+                    return False
+    return True
+
+
+class TestGridScan:
+    """The point-by-point scan returns grid_minimize's outcome."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scan_cases())
+    # ties between a zero of each sign: the first point in C order wins
+    @example((U * 0.0, [], BoxDomain([("u", -1.0, 1.0)]), 3, 1e-9, ()))
+    @example((U * -0.0, [], BoxDomain([("u", -1.0, 1.0)]), 3, 0.0, ()))
+    # a divisor zero at u = 0, and a constraint that only tol_feas passes
+    @example((ex.var("a") / U, [ConstraintSpec(U * U - 1e-10, "le", ())],
+              BoxDomain([("u", -1.0, 1.0)]), 3, 1e-9, (("a", 2.0),)))
+    def test_matches_the_numpy_oracle(self, case):
+        objective, constraints, box, n, tol_feas, parameters = case
+        trees = [(c.expr, c.parameters) for c in constraints] + [(objective, parameters)]
+        assume(_finite_at_every_point(trees, box, n))
+        args = (objective, constraints, box, n)
+        kwargs = dict(tol_feas=tol_feas, parameters=parameters)
+        assert _scanned(globalopt._grid_scan, *args, **kwargs) == \
+            _scanned(grid_minimize, *args, **kwargs)
+
+    def test_matches_the_numpy_oracle_on_the_oracle_suite(self):
+        # 41 points per axis: the 2-D instances' 401-point grids take the
+        # scan about 0.2 s each
+        for seed in range(50):
+            obj, cons, box = random_poly_instance(seed)
+            for tol_feas in (1e-9, 0.0):
+                args = (obj, cons, box, 41)
+                assert _scanned(globalopt._grid_scan, *args, tol_feas=tol_feas) == \
+                    _scanned(grid_minimize, *args, tol_feas=tol_feas), seed
+
+    def test_an_overflowing_power_returns_the_numpy_outcome(self, monkeypatch):
+        # (1e200 * u) ** 2 overflows at u = +-1, where Python's ** raises and
+        # np.float_power gives inf
+        calls, grid = [], globalopt.grid_minimize
+
+        def gridding(*args, **kwargs):
+            calls.append(grid(*args, **kwargs))
+            return calls[-1]
+        monkeypatch.setattr(globalopt, "grid_minimize", gridding)
+        box = BoxDomain([("u", -1.0, 1.0)])
+        with np.errstate(over="ignore"):
+            out = globalopt._grid_scan((U * 1e200) ** 2 - U, [], box, 3)
+        assert len(calls) == 1 and out is calls[0]
+        assert (out.minimizer, out.value) == ({"u": 0.0}, 0.0)
 
 
 class TestGridBuffers:
