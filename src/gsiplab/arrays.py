@@ -1,34 +1,26 @@
-"""Array kernels: ``expr.evaluate_array`` over numpy arrays, and the grid
-oracle's one kernel per grid.
+"""The grid oracle's one kernel per grid (``grid_kernel``).
 
-A tree's array kernel is one generated Python function of straight-line
-code, as its point, interval and gradient kernels are (``expr``), kept on
-the tree the same way and keyed also by how many of its names are arrays,
-which come first.  Each node over an array is one numpy call, the one that
-walking the tree with Python's operators would make: ``np.negative``,
-``np.add``, ``np.subtract``, ``np.multiply``, ``np.divide`` after the
-``np.any(b == 0.0)`` check, ``np.float_power``, ``np.minimum`` and
-``np.maximum``.  A subtree over no array is evaluated as that walk would,
-with Python's float operators and numpy's scalar calls.  Equal subtrees are
-computed once (``expr._Emitter.node`` numbers values).  So every value is
-that walk's, bit for bit (but for the sign of a NaN, see ``expr``); the
-tests keep the walk as the reference.  Over plain arrays every temporary is
-a new array and the result is the caller's own.
-
-The grid oracle's kernel (``grid_kernel``) is generated the same way, by
-the same emitter, from a whole minimization: a list of constraint trees,
-each with its sense, and an objective, each with the names of its bound
-values, over an open grid of the box's names.  Its argument list holds the
-grid's axes, then every tree's bound values, as floats, so one kernel serves
-every call whatever the values, and a tree met twice (two cuts) reads its
-own values each time.  Per block of the grid it runs each constraint in
-order and the objective last, under one rule: every test narrows a running
-mask, and the kernel returns ``None, None`` as soon as no point passes.  A
-constraint's test is ``ConstraintSpec.satisfied``'s rule, a division's
-``divisor != 0.0``: a point that divides by zero fails, where the walk
-raises.  A variable that neither the box nor the tree's bound values bind
-raises ``EvaluationError`` when the kernel is generated.  Values are
-numbered across the trees, so a subtree two trees share is computed once.
+A grid kernel is one generated Python function of straight-line code, as a
+tree's point, interval and gradient kernels are (``expr``), kept on the
+objective the same way, made from a whole minimization: a list of
+constraint trees, each with its sense, and an objective, each with the
+names of its bound values, over an open grid of the box's names.  Each node
+over an array is one numpy call, the one that the walk over arrays
+(``expr.evaluate_array``) makes; a node over none is evaluated as that walk
+would, with Python's float operators and numpy's scalar calls.  So every
+value where a point passes is that walk's, bit for bit (but for the sign of
+a NaN, see ``expr``), and the tests keep the walk as the reference.  The
+kernel's argument list holds the grid's axes, then every tree's bound
+values, as floats, so one kernel serves every call whatever the values, and
+a tree met twice (two cuts) reads its own values each time.  Per block of
+the grid it runs each constraint in order and the objective last, under one
+rule: every test narrows a running mask, and the kernel returns ``None,
+None`` as soon as no point passes.  A constraint's test is
+``ConstraintSpec.satisfied``'s rule, a division's ``divisor != 0.0``: a
+point that divides by zero fails, where the walk raises.  A variable that
+neither the box nor the tree's bound values bind raises ``EvaluationError``
+when the kernel is generated.  Values are numbered across the trees, so a
+subtree two trees share is computed once.
 
 Each node over the grid's first axis writes into a view of one of the
 thread's flat buffers (``_Buffers``), shaped at call time by the grid axes
@@ -49,9 +41,8 @@ block-invariant node takes no slot.  Each node makes the walk's numpy call
 on the same operands, and a numpy call's value does not depend on when it
 is made, so every value where a point passes is the walk's bit for bit.
 
-This module imports numpy.  ``expr.evaluate_array`` imports it at its first
-call and the grid oracle when called, so the rest of the package loads
-without numpy and without compiling this module.
+This module imports numpy.  The grid oracle imports it when called, so the
+rest of the package loads without numpy and without compiling this module.
 """
 from __future__ import annotations
 
@@ -61,20 +52,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import _BINARY, Expr, _cached, _Emitter, _unknown
+from .expr import _BINARY, _KERNELS, Expr, _Emitter, _unknown
+from .immutable import kept
 
-# the kinds of an array kernel and of a grid kernel on the tree
-_ARRAY, _GRID = "array", "grid"
-
-
-def evaluate(e: Expr, point: Mapping):
-    """``e`` over ``point`` by its array kernel: the names whose values are
-    numpy arrays are its arrays."""
-    arrays = [n for n, v in point.items() if isinstance(v, np.ndarray)]
-    names = (*arrays, *(n for n in point if n not in arrays))
-    kernel = _cached(e, names, (_ARRAY, len(arrays)),
-                     lambda index: _generate(e, index, len(arrays)))
-    return kernel(tuple(point[n] for n in names))
+# the kind of a grid kernel on the tree
+_GRID = "grid"
 
 
 def grid_kernel(objective: Expr, parameters: tuple,
@@ -103,10 +85,10 @@ def grid_kernel(objective: Expr, parameters: tuple,
     same thread, and not to be written.  Generating it raises
     ``EvaluationError`` where a tree reads a variable bound nowhere.
     """
-    key = (_GRID, parameters,
-           tuple((id(e), sense, pnames) for e, sense, pnames in constraints))
-    return _cached(objective, names, key,
-                   lambda index: _generate_grid(objective, parameters, constraints, index))
+    kind = (_GRID, parameters,
+            tuple((id(e), sense, pnames) for e, sense, pnames in constraints))
+    return kept(objective, _KERNELS, (kind, tuple(names)),
+                lambda e, _: _generate_grid(e, parameters, constraints, names))
 
 
 class _Buffers(threading.local):
@@ -142,18 +124,6 @@ class _Buffers(threading.local):
 _BUFFERS = _Buffers()
 
 
-def _generate(e: Expr, index: Mapping[str, int], axes: int):
-    """The array kernel of ``e``, whose first ``axes`` names of ``index`` are
-    arrays: a function of the argument tuple, whose body raises
-    ``EvaluationError`` only where it checks a divisor or meets a variable
-    ``index`` lacks."""
-    emitter = _ArrayEmitter(axes, grid=False)
-    result, _ = emitter.tree(e, index, 0)
-    source = "\n    ".join(["def kernel(arg):", *emitter.lines, f"return {result}"])
-    exec(compile(source, "<array kernel>", "exec"), emitter.namespace)
-    return emitter.namespace["kernel"]
-
-
 def _test(passed, ok):
     """The running mask ``ok & passed`` after a test ``passed`` (an array or
     a bool): ``True`` where every point passes, ``None`` where none does."""
@@ -173,9 +143,9 @@ def _indent(lines) -> list[str]:
 
 
 def _generate_grid(objective: Expr, parameters: tuple,
-                   constraints: Sequence[tuple[Expr, str, tuple]], box: Mapping[str, int]):
-    """The grid kernel (``grid_kernel``) over an open grid of ``box``, the
-    box's names mapped to their axes.
+                   constraints: Sequence[tuple[Expr, str, tuple]], names: tuple):
+    """The grid kernel (``grid_kernel``) over an open grid of the box's
+    ``names``.
 
     Each tree is one segment of the body, with a name index of its own: the
     box's names, then its bound values' slots of the argument list.  A
@@ -190,8 +160,9 @@ def _generate_grid(objective: Expr, parameters: tuple,
     block that no point of passes returns after the keep, and the next
     block computes nothing again.  A kernel that divides by an array runs
     under ``np.errstate``: a point it masks warns of nothing."""
+    box = {n: i for i, n in enumerate(names)}
     trees = [*constraints, (objective, None, parameters)]
-    emitter = _ArrayEmitter(len(box), grid=True)
+    emitter = _ArrayEmitter(len(box))
     segments = []   # each tree's lines, whether it keeps values, its result
     slot = len(box)
     for s, (e, _, pnames) in enumerate(trees):
@@ -225,7 +196,7 @@ def _generate_grid(objective: Expr, parameters: tuple,
     if emitter.divides:
         body = ["with _errstate(divide='ignore', invalid='ignore'):", *_indent(body)]
     layout = emitter.layout()
-    emitter.namespace.update(_test=_test, _views=_BUFFERS.views, _layout=layout,
+    emitter.namespace.update(_views=_BUFFERS.views, _layout=layout,
                              _trees=[e for e, _, _ in trees])
     if layout:
         body.insert(0, "".join(f"o{v[1:]}, " for v, _, _ in emitter.temps if v)
@@ -241,14 +212,12 @@ _UFUNCS = {"neg": "negative", "add": "add", "sub": "subtract", "mul": "multiply"
 
 
 class _ArrayEmitter(_Emitter):
-    """The body of an array kernel, or of a grid kernel (``grid``), whose
-    nodes over the first axis write into out views.  A node's operands are
-    its value and the grid axes it spans, as a bit mask (0 for a value over
-    no array)."""
+    """The body of a grid kernel, whose nodes over the first axis write into
+    out views.  A node's operands are its value and the grid axes it spans,
+    as a bit mask (0 for a value over no array)."""
 
-    def __init__(self, axes: int, grid: bool):
-        super().__init__({}, _ARRAY, axes)
-        self.grid = grid
+    def __init__(self, axes: int):
+        super().__init__({}, _GRID, axes)
         # the temporaries, in order: value name (None for a read that
         # writes nothing, a test's or the return's), axes and the
         # temporaries it reads; and their value names
@@ -268,7 +237,7 @@ class _ArrayEmitter(_Emitter):
         # whether the kernel divides by an array
         self.divides = False
         self.namespace.update({f"_{name}": getattr(np, name)
-                               for name in (*_UFUNCS.values(), "any", "errstate")})
+                               for name in (*_UFUNCS.values(), "errstate")}, _test=_test)
 
     def tree(self, e: Expr, index: Mapping[str, int], segment: int) -> tuple[str, int]:
         """The operands of tree ``e``, the kernel's ``segment``-th, over
@@ -291,15 +260,15 @@ class _ArrayEmitter(_Emitter):
 
     def value(self, e: Expr, kids, n: int) -> tuple[str, int]:
         """A node over an array is one numpy call, which writes into its out
-        view where it spans the first axis of a grid; a node over none is
-        the float operation (or numpy scalar call) of the walk over arrays,
-        Python's operator where the walk uses one."""
+        view where it spans the first axis; a node over none is the float
+        operation (or numpy scalar call) of the walk over arrays, Python's
+        operator where the walk uses one."""
         k = e.kind
         if k == "const":
             return self.bind(e.value), 0
         v = f"v{n}"
         if k == "var":
-            if self.grid and e.name not in self.index:
+            if e.name not in self.index:
                 # straight-line code would read it on every block
                 _unknown(e.name)()
             self.variable(e, v)
@@ -326,18 +295,14 @@ class _ArrayEmitter(_Emitter):
         if k == "pow":
             ops.append(self.bind(e.exponent))
         elif k == "div":
+            # a test like a constraint's, on every block where the divisor is
+            # an array
             c, mask = kids[1]
-            if self.grid:
-                # a test like a constraint's, on every block where the
-                # divisor is an array
-                self.emit(_TEST.format(f"{c} != 0.0"), 1 if mask else 0)
-                if c in self.owner:
-                    self.exported[c] = None
-                self.divides |= mask != 0
-            else:
-                self.emit(f"if _any({c} == 0.0): _division_by_zero()" if mask else
-                          f"if {c} == 0.0: _division_by_zero()", mask)
-        if axes & 1 and self.grid:
+            self.emit(_TEST.format(f"{c} != 0.0"), 1 if mask else 0)
+            if c in self.owner:
+                self.exported[c] = None
+            self.divides |= mask != 0
+        if axes & 1:
             self.slotted.add(v)
             self.temps.append((v, axes, [a for a in ops if a in self.slotted]))
             self.emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)}, out=o{n})", axes)

@@ -2,20 +2,20 @@
 
 An expression is an immutable tree over named variables with the node kinds
 constant, variable, neg, add, sub, mul, div, integer power, and binary
-min/max.  A recursive walker evaluates a tree over floats (``evaluate``); it
-takes its domain's value of a constant, division, power and min and max as
-arguments, and every other operation is a Python operator.  Over intervals,
-``interval_eval`` (the natural interval extension) runs the tree's generated
-interval kernel, the package's one interval evaluator.  Over numpy arrays,
-``evaluate_array`` runs a generated array kernel (``gsiplab.arrays``); the
-grid oracle runs one kernel per grid from the same emitter, over an open
-grid, and lets broadcasting build the full grid.  Arrays are raised to a
-power with ``np.float_power``, whose float64 loop calls C's ``pow`` per
-element, as Python's ``**`` does: numpy's
-``**`` may run SIMD code that differs from ``pow`` in the last bit, which
-would tie the oracle's values to the CPU.  Only the array kernels need numpy,
-and ``evaluate_array`` imports their module at its first call, so the rest of
-the package loads, and compiles, without either.
+min/max.  A recursive walker evaluates a tree over floats (``evaluate``) and
+over numpy arrays (``evaluate_array``); it takes its domain's value of a
+constant, division, power and min and max as arguments, and every other
+operation is a Python operator.  Over intervals, ``interval_eval`` (the
+natural interval extension) runs the tree's generated interval kernel, the
+package's one interval evaluator.  The grid oracle runs one generated kernel
+per grid (``gsiplab.arrays``), over an open grid, and lets broadcasting
+build the full grid.  Arrays are raised to a power with ``np.float_power``,
+whose float64 loop calls C's ``pow`` per element, as Python's ``**`` does:
+numpy's ``**`` may run SIMD code that differs from ``pow`` in the last bit,
+which would tie the oracle's values to the CPU.  ``evaluate_array`` imports
+numpy at its first call, and the grid oracle imports ``gsiplab.arrays``
+when called, so the rest of the package loads, and compiles, without
+either.
 
 ``compile_expr`` turns a tree into two kernels over one variable order, for
 callers that evaluate the same expression many times: a point kernel and an
@@ -45,7 +45,7 @@ code too, each node's rule written out coordinate by coordinate, along the
 coordinates of a box only, not along the bound values that follow them, and
 only along those that the node's subtree reads.  An
 integer power is written out for its exponent, and so is its derivative's
-factor, so a kernel calls nothing but the error raisers.  The array kernel is
+factor, so a kernel calls nothing but the error raisers.  The grid kernel is
 the fourth, generated by a subclass of the same emitter (``gsiplab.arrays``).
 """
 from __future__ import annotations
@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .immutable import frozen
+from .immutable import frozen, kept
 
 if TYPE_CHECKING:
     import numpy as np
@@ -200,8 +200,9 @@ def emax(a: Expr, b: Expr) -> Expr:
 def _walker(constant: Callable, divide: Callable, power: Callable,
             minimum: Callable, maximum: Callable) -> Callable:
     """The one recursive evaluator, over one domain of values: floats for
-    ``evaluate``; the tests walk arrays and intervals with it, as the
-    references of the array and interval kernels.
+    ``evaluate`` and numpy arrays for ``evaluate_array``; the tests walk
+    intervals with it, as the interval kernels' reference, and arrays under
+    the grid kernel's rule, as its reference.
 
     neg, add, sub and mul are the domain's Python operators; the arguments
     supply the rest: the value of a constant, division (with its zero
@@ -256,17 +257,25 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
     return _evaluate(e, point)
 
 
-_array_evaluate = None   # gsiplab.arrays.evaluate, bound at the first call
+_evaluate_array = None   # the walk over arrays, made at the first call
 
 
 def evaluate_array(e: Expr, point: Mapping[str, np.ndarray]):
-    """Vectorized evaluation over numpy arrays (broadcasting applies), by
-    ``e``'s array kernel (``gsiplab.arrays.evaluate``).  The result is the
-    caller's own."""
-    global _array_evaluate
-    if _array_evaluate is None:
-        from .arrays import evaluate as _array_evaluate
-    return _array_evaluate(e, point)
+    """Vectorized evaluation over numpy arrays (broadcasting applies): the
+    walk over arrays, with ``np.float_power``, ``np.minimum`` and
+    ``np.maximum``, and a division that raises ``EvaluationError`` where any
+    divisor is zero.  It imports numpy at its first call.  Its values are
+    fresh arrays, except a variable's, which is the caller's own."""
+    global _evaluate_array
+    if _evaluate_array is None:
+        import numpy as np
+
+        def divide(a, b):
+            if np.any(b == 0.0):
+                raise EvaluationError("division by zero")
+            return a / b
+        _evaluate_array = _walker(_same, divide, np.float_power, np.minimum, np.maximum)
+    return _evaluate_array(e, point)
 
 
 def interval_eval(e: Expr, box) -> Interval:
@@ -317,13 +326,11 @@ def compile_expr(e: Expr, names: Sequence[str]) -> tuple[Callable, Callable]:
     compiles to a line that raises ``EvaluationError`` when it is reached,
     as ``evaluate`` would.
 
-    The kernels are kept on ``e``, keyed by the order of ``names``: compiling
-    the same tree over the same names again returns them without compiling.
-    The tree's fields do not change, so equality, hashing and ``repr``
-    ignore them, and copies and pickles leave them out.
+    The kernels are kept on ``e``, keyed by the order of ``names``
+    (``immutable.kept``): compiling the same tree over the same names again
+    returns them without compiling.
     """
-    return _cached(e, names, "expr", lambda index: (
-        _generate(e, index, _POINT), _generate(e, index, _INTERVAL)))
+    return kept(e, _KERNELS, ("expr", tuple(names)), _point_and_interval)
 
 
 def compile_gradient(e: Expr, names: Sequence[str],
@@ -355,34 +362,31 @@ def compile_gradient(e: Expr, names: Sequence[str],
     an infinite factor.  It is kept on ``e`` as the kernels of
     ``compile_expr`` are.
     """
-    dims = len(names)
-    return _cached(e, (*names, *bound), (_GRADIENT, dims),
-                   lambda index: _generate(e, index, _GRADIENT, dims))
+    return kept(e, _KERNELS, ((_GRADIENT, len(names)), (*names, *bound)), _gradient)
 
 
-_KERNELS = "_kernels"  # the attribute of a tree that holds its compiled kernels
-
-
-def _cached(e: Expr, names: Sequence[str], kind, build: Callable):
-    """The kernels of ``kind`` of ``e`` over ``names``, built from the name
-    index at the first request and kept on ``e`` (a ``@frozen`` value: the
-    attribute goes straight into its ``__dict__``, outside its fields)."""
-    kernels = e.__dict__.setdefault(_KERNELS, {})
-    key = (kind, tuple(names))
-    k = kernels.get(key)
-    if k is None:
-        k = kernels[key] = build({n: i for i, n in enumerate(key[1])})
-    return k
-
+# the attribute of a tree that holds its compiled kernels, keyed by their
+# kind and names
+_KERNELS = "_kernels"
 
 _POINT, _INTERVAL, _GRADIENT = "point", "interval", "gradient"
 
 
-def _generate(e: Expr, index: Mapping[str, int], kind: str,
+def _point_and_interval(e: Expr, key) -> tuple[Callable, Callable]:
+    _, names = key
+    return _generate(e, names, _POINT), _generate(e, names, _INTERVAL)
+
+
+def _gradient(e: Expr, key) -> Callable:
+    (_, dims), names = key
+    return _generate(e, names, _GRADIENT, dims)
+
+
+def _generate(e: Expr, names: tuple[str, ...], kind: str,
               dims: int = 0) -> Callable:
-    """The kernel of ``kind`` of ``e``, written out as the source of one
-    Python function and compiled once; a gradient kernel differentiates
-    along the first ``dims`` names of ``index``.
+    """The kernel of ``kind`` of ``e`` over ``names``, written out as the
+    source of one Python function and compiled once; a gradient kernel
+    differentiates along the first ``dims`` names.
 
     The body is straight-line code: one assignment (a few for an interval
     product) per node, children before their parent and left to right, as
@@ -392,7 +396,7 @@ def _generate(e: Expr, index: Mapping[str, int], kind: str,
     variable) reaches the function through its namespace, and a variable is
     an index into the argument tuple.
     """
-    emitter = _Emitter(index, kind, dims)
+    emitter = _Emitter({n: i for i, n in enumerate(names)}, kind, dims)
     out = emitter.node(e)
     if kind == _GRADIENT:   # a tuple of pairs, (0.0, 0.0) where absent
         out = (*out[:2], "".join("({}, {}), ".format(*(p or ("0.0", "0.0")))
@@ -437,7 +441,7 @@ class _Emitter:
     def __init__(self, index: Mapping[str, int], kind: str, dims: int = 0):
         self.index = index
         self.kind = kind
-        # the coordinates a gradient is along, or an array kernel's axes
+        # the coordinates a gradient is along, or a grid kernel's axes
         self.dims = range(dims)
         self.lines: list[str] = []
         self.namespace = {"_empty": _empty,

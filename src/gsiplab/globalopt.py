@@ -115,7 +115,7 @@ Two engines share one outcome type:
 * ``grid_minimize`` -- brute-force evaluation on the full tensor grid,
   kept deliberately independent of the interval machinery that certifies
   ``minimize``'s bounds, so that it can serve as a cross-checking oracle.
-  It evaluates through one generated array kernel per grid
+  It evaluates through one generated kernel per grid
   (``arrays.grid_kernel``), which shares no code with the point and interval
   kernels, and which the tests pin bit for bit to the recursive walk over
   arrays.  Grid points are feasible by ``ConstraintSpec.satisfied``, the
@@ -146,7 +146,7 @@ from .domains import BoxDomain, _validated, corner_values, midpoint_value, split
 from .expr import (EvaluationError, Expr, Interval, _unknown,  # noqa: F401
                    compile_expr, compile_gradient, evaluate, evaluate_array,
                    interval_eval)
-from .immutable import frozen
+from .immutable import frozen, kept
 
 
 _BOUND = "_bound"  # the attribute of a spec that holds its bindings (_Binding)
@@ -175,9 +175,7 @@ class ConstraintSpec:
     never bisects.
 
     A spec keeps its bindings (``bind``), keyed by the box's names and the
-    tolerance, as a tree keeps its compiled kernels.  The fields do not
-    change, so equality, hashing and ``repr`` ignore the bindings, and
-    copies and pickles leave them out."""
+    tolerance, as a tree keeps its compiled kernels (``immutable.kept``)."""
 
     expr: Expr
     sense: str = "le"
@@ -202,9 +200,7 @@ class ConstraintSpec:
 
     def bind(self, names: Sequence[str], tol_feas: float) -> "_Binding":
         """The spec bound over points and boxes of ``names`` at ``tol_feas``
-        (``_Binding``), made at the first request and kept on the spec (a
-        ``@frozen`` value: the attribute goes straight into its ``__dict__``,
-        outside its fields).
+        (``_Binding``), kept on the spec (``immutable.kept``).
 
         The binding rule: the part of a binding that the bound values do not
         decide -- the check that none is named like a coordinate, and the
@@ -213,41 +209,28 @@ class ConstraintSpec:
         objective fetches it too; a spec's binding adds its own values, their
         ``(v, v)`` pairs and its kept analysis.  So a spec that a loop builds
         afresh at each iterate binds at the cost of splitting its values."""
-        kept = self.__dict__.get(_BOUND)
-        if kept is None:
-            kept = self.__dict__[_BOUND] = {}
-        key = (tuple(names), tol_feas)
-        k = kept.get(key)
-        if k is None:
-            k = kept[key] = _Binding(self, *key)
-        return k
+        return kept(self, _BOUND, (tuple(names), tol_feas), _Binding)
 
 
 class _Form:
     """The part of a binding that its bound values do not decide
     (``ConstraintSpec.bind``): a tree's point, interval and gradient kernels
-    over a box's ``names`` followed by the bound values' ``pnames``, made
-    once the two are known to share no name."""
+    over a box's ``names`` followed by the bound values' ``pnames`` (``key``
+    is the two), made once the two are known to share no name."""
 
     __slots__ = ("point", "interval", "gradient")
 
-    def __init__(self, expr: Expr, names: tuple[str, ...], pnames: tuple[str, ...]):
+    def __init__(self, expr: Expr, key: tuple[tuple[str, ...], tuple[str, ...]]):
+        names, pnames = key
         _disjoint(names, pnames)
         self.point, self.interval = compile_expr(expr, (*names, *pnames))
         self.gradient = compile_gradient(expr, names, pnames)
 
 
 def _form(expr: Expr, names: tuple[str, ...], pnames: tuple[str, ...]) -> _Form:
-    """``expr``'s ``_Form`` over ``names`` then ``pnames``, made at the first
-    request and kept on the tree, beside its kernels."""
-    kept = expr.__dict__.get(_FORMS)
-    if kept is None:
-        kept = expr.__dict__[_FORMS] = {}
-    key = (names, pnames)
-    form = kept.get(key)
-    if form is None:
-        form = kept[key] = _Form(expr, *key)
-    return form
+    """``expr``'s ``_Form`` over ``names`` then ``pnames``, kept on the tree
+    beside its kernels."""
+    return kept(expr, _FORMS, (names, pnames), _Form)
 
 
 def _disjoint(names: tuple[str, ...], pnames: tuple[str, ...]) -> None:
@@ -301,7 +284,8 @@ class _Binding:
 
     __slots__ = ("form", "sign", "tol_feas", "values", "pairs", "last")
 
-    def __init__(self, spec: ConstraintSpec, names: tuple[str, ...], tol_feas: float):
+    def __init__(self, spec: ConstraintSpec, key: tuple[tuple[str, ...], float]):
+        names, tol_feas = key
         pnames, values = _split(spec.parameters)
         self.form = _form(spec.expr, names, pnames)
         self.sign, self.tol_feas = spec.sign, tol_feas
@@ -717,7 +701,7 @@ def grid_minimize(objective: Expr,
     (``_linspace``), save where ``hi - lo`` overflows and that
     recipe's points are not finite.  The axes are kept on the box, so a box
     gridded again, as ``verify`` grids the inner box at every iterate,
-    builds none.  The array kernels thus work on one axis's values until an
+    builds none.  The grid kernel thus works on one axis's values until an
     operation mixes two axes, where broadcasting builds the full grid.
     Broadcasting only repeats operands, so every grid value comes from the
     same float operations as on a dense grid, bit for bit.  The grid is
@@ -911,36 +895,30 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 def _grid_points(box: BoxDomain, n: int) -> tuple:
     """The points of ``box``'s grid of ``n`` points per axis along each axis
-    (``_linspace`` over the axis's bounds), as floats, made at the first
-    request and kept on the box, as ``_open_grid`` keeps its arrays."""
-    kept = box.__dict__.get(_POINTS)
-    if kept is None:
-        kept = box.__dict__[_POINTS] = {}
-    points = kept.get(n)
-    if points is None:
-        points = kept[n] = tuple(_linspace(lo, hi, n) for lo, hi in box.bounds)
-    return points
+    (``_linspace`` over the axis's bounds), as floats, kept on the box, keyed
+    by ``n``, as ``_open_grid`` keeps its arrays."""
+    return kept(box, _POINTS, n, _points)
+
+
+def _points(box: BoxDomain, n: int) -> tuple:
+    return tuple(_linspace(lo, hi, n) for lo, hi in box.bounds)
 
 
 def _open_grid(box: BoxDomain, n: int) -> tuple:
     """The axes of ``box``'s open grid of ``n`` points per axis: axis ``i``
     the array of ``_linspace`` over the box's ``i``-th bounds, of shape
-    ``(1, ..., n, ..., 1)`` and not writeable; made at the first request and
-    kept on the box, keyed by ``n`` (a ``@frozen`` value: the attribute goes
-    straight into its ``__dict__``, outside its fields, which equality,
-    copies and pickles read alone).  ``_linspace``'s list is not kept, as
+    ``(1, ..., n, ..., 1)`` and not writeable; kept on the box, keyed by
+    ``n`` (``immutable.kept``).  ``_linspace``'s list is not kept, as
     ``_grid_points`` keeps it: its floats take four times the array's
     memory."""
-    kept = box.__dict__.get(_AXES)
-    if kept is None:
-        kept = box.__dict__[_AXES] = {}
-    grid = kept.get(n)
-    if grid is None:
-        dims = len(box.bounds)
-        axes = []
-        for i, (lo, hi) in enumerate(box.bounds):
-            a = _arrays.np.array(_linspace(lo, hi, n))
-            a.flags.writeable = False
-            axes.append(a.reshape((1,) * i + (-1,) + (1,) * (dims - 1 - i)))
-        grid = kept[n] = tuple(axes)
-    return grid
+    return kept(box, _AXES, n, _axes)
+
+
+def _axes(box: BoxDomain, n: int) -> tuple:
+    dims = len(box.bounds)
+    axes = []
+    for i, (lo, hi) in enumerate(box.bounds):
+        a = _arrays.np.array(_linspace(lo, hi, n))
+        a.flags.writeable = False
+        axes.append(a.reshape((1,) * i + (-1,) + (1,) * (dims - 1 - i)))
+    return tuple(axes)

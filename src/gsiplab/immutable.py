@@ -18,8 +18,24 @@
 A method the class defines itself stays.  The fields live in the instance
 ``__dict__``, so ``functools.cached_property``, ``copy`` and ``pickle``
 work, and a class may keep derived values there (writing to ``__dict__``
-directly) outside its fields, which copies and pickles leave out.
+directly) outside its fields, which equality, hashing and ``repr`` ignore
+and copies and pickles leave out.  ``kept`` is the one rule for such a
+value: made at the first request and kept, by key, in a dict under one
+attribute.  The fields do not change, so a value derived from them stays
+valid.
 """
+
+
+def kept(obj, attr: str, key, make):
+    """The value kept on ``obj`` under ``attr`` and ``key``: ``make(obj,
+    key)`` at the first request, then the same object."""
+    values = obj.__dict__.get(attr)
+    if values is None:
+        values = obj.__dict__[attr] = {}
+    value = values.get(key)
+    if value is None:
+        value = values[key] = make(obj, key)
+    return value
 
 
 def frozen(cls):

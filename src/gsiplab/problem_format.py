@@ -324,7 +324,8 @@ def _fmt_real(v: float) -> str:
 
 def _level(e: Expr) -> int:
     if e.kind == "const":
-        return _LVL_UNARY if e.value < 0 else _LVL_ATOM
+        # the sign bit: -0.0 is written with a minus too
+        return _LVL_UNARY if math.copysign(1.0, e.value) < 0 else _LVL_ATOM
     return {
         "var": _LVL_ATOM, "min": _LVL_ATOM, "max": _LVL_ATOM,
         "neg": _LVL_UNARY, "pow": _LVL_POW,

@@ -20,10 +20,11 @@ settings.load_profile("tier1")
 
 
 def reference_array(e: ex.Expr, env):
-    """The recursive walk over numpy arrays, the array kernels' bit-for-bit
-    reference: ``expr``'s walker with Python's operators for neg, add, sub
-    and mul, and this domain for the rest.  Its values are fresh arrays,
-    except a variable's, which is the caller's own."""
+    """The recursive walk over numpy arrays, ``evaluate_array``'s and (with
+    ``reference_grid``) the grid kernel's bit-for-bit reference: ``expr``'s
+    walker with Python's operators for neg, add, sub and mul, and this
+    domain for the rest.  Its values are fresh arrays, except a variable's,
+    which is the caller's own."""
     def divide(a, b):
         if np.any(b == 0.0):
             raise ex.EvaluationError("division by zero")

@@ -219,10 +219,11 @@ class TestCutsBuiltOnce:
             counts["checked"] += what == "discretization point"
             return as_parameters(box, point, what)
 
-        def binding(spec, names, tol_feas):
+        def binding(spec, key):
             # a cut binds y over the box of x; the LLP binds x over y's
-            counts["bound"] += tuple(names) == ("x",) and bool(spec.parameters)
-            return bind(spec, names, tol_feas)
+            names, _ = key
+            counts["bound"] += names == ("x",) and bool(spec.parameters)
+            return bind(spec, key)
         monkeypatch.setattr(gsip, "_as_parameters", checking)
         monkeypatch.setattr(globalopt, "_Binding", binding)
         result = run(get_builtin("cex1"), AlgorithmConfig(variant=LLP_ONLY, max_iter=20))
@@ -284,9 +285,9 @@ class TestFormsMadeOnce:
     def made(self, monkeypatch):
         form, made = globalopt._Form, []
 
-        def making(expr, names, pnames):
-            made.append((names, pnames))
-            return form(expr, names, pnames)
+        def making(expr, key):
+            made.append(key)
+            return form(expr, key)
         monkeypatch.setattr(globalopt, "_Form", making)
         return made
 

@@ -743,7 +743,7 @@ class TestArrayEvaluation:
         assert [got[i] for i in np.ndindex(got.shape)] == want
 
 
-# -- the array kernel against the reference walk --------------------------------
+# -- the grid kernel and evaluate_array against the reference walk --------------
 
 AXES = ("x", "y", "z")
 BOUND = ("a", "b")   # bound values: floats, as the grid binds them
@@ -877,7 +877,7 @@ class TestArrayKernel:
         first, second = powers(), powers()
         e = sum(first[1:], first[0]) + math.prod(second[1:], start=second[0])
         assert _slots(e, 1) == 6
-        assert _sources(e)[4].count("_float_power(") == 5
+        assert _sources(e)[3].count("_float_power(") == 5
         grid = _open_grid([[-1.5, -0.0, 0.5, 2.0]])
         for env, run in _grid_blocks(e, grid, {}, 4):
             assert _masked_outcome(run, e, env) == _masked_outcome(reference_grid, e, env)
@@ -941,7 +941,7 @@ def repeated_subtrees(draw):
 
 def _sources(e):
     """The source of each of ``e``'s kernels over ``x``: point, interval,
-    gradient, array and grid."""
+    gradient and grid."""
     made = []
 
     def spy(source, *args):
@@ -951,7 +951,6 @@ def _sources(e):
             mock.patch.object(arrays, "compile", spy, create=True):
         compile_expr(e, ("x",))
         compile_gradient(e, ("x",))
-        evaluate_array(e, {"x": np.arange(3.0)})
         arrays.grid_kernel(e, (), (), ("x",))
     return made
 
@@ -985,11 +984,10 @@ class TestValueNumbering:
     def test_a_power_built_twice_is_one_line(self):
         once = _sources(ex.ipow(ex.var("x"), 2))
         twice = _sources(ex.ipow(ex.var("x"), 2) + ex.ipow(ex.var("x"), 2))
-        powers = ("**", "**", "**", "_float_power(", "_float_power(")
+        powers = ("**", "**", "**", "_float_power(")
         assert [s.count(p) for s, p in zip(twice, powers)] == \
             [s.count(p) for s, p in zip(once, powers)]
         assert [s.count(p) for s, p in zip(twice, powers)][::3] == [1, 1]
-        assert twice[4].count("_float_power(") == 1
 
     def test_signed_zero_constants_stay_apart(self):
         # -0.0 - 0.0 is -0.0; one constant for both would give 0.0

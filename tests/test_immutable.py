@@ -14,7 +14,7 @@ from gsiplab.domains import BoxDomain
 from gsiplab.expr import EmptyIntervalError, Expr, Interval
 from gsiplab.globalopt import ConstraintSpec, MinimizeOutcome
 from gsiplab.gsip import GsipProblem, SlaterCertificate, SubproblemInstance
-from gsiplab.immutable import frozen
+from gsiplab.immutable import frozen, kept
 
 x, y = ex.var("x"), ex.var("y")
 
@@ -162,6 +162,20 @@ class TestPickleAndCopy:
                 assert vars(twin).keys() == set(value.__match_args__)
                 assert twin == value
         assert pickle.loads(before).cut == cut
+
+    def test_a_kept_value_is_made_once_per_key(self):
+        made = []
+
+        def make(obj, key):
+            made.append((obj, key))
+            return [key]
+        box = BoxDomain([("x", -1.0, 1.0)])
+        first = kept(box, "_made", 3, make)
+        assert kept(box, "_made", 3, make) is first
+        assert kept(box, "_made", 4, make) == [4]
+        assert made == [(box, 3), (box, 4)]
+        assert box == BoxDomain([("x", -1.0, 1.0)])
+        assert vars(copy.copy(box)).keys() == set(box.__match_args__)
 
     def test_cached_properties_survive(self):
         p = gsip.get_builtin("cex1")

@@ -86,6 +86,23 @@ assert cli.main and arrays
 """)
 
 
+def test_evaluate_array_loads_numpy_but_not_the_grid_kernel():
+    # evaluate_array is the walk over arrays: numpy at its first call, and
+    # none of the grid oracle's generated code
+    _run("""
+import sys
+import gsiplab
+assert "numpy" not in sys.modules
+x = gsiplab.var("x")
+assert gsiplab.evaluate_array(x * 2.0, {"x": 1.5}) == 3.0
+assert "numpy" in sys.modules
+import numpy as np
+got = gsiplab.evaluate_array(x * x / (x + 1.0), {"x": np.arange(3.0)})
+assert got.tolist() == [0.0, 0.5, 4.0 / 3.0], got
+assert "gsiplab.arrays" not in sys.modules
+""")
+
+
 @pytest.mark.parametrize("argv", [["list"], ["fmt", str(GOLDEN / "cex1.gsip")]],
                          ids=["list", "fmt"])
 def test_list_and_fmt_load_neither_algorithms_nor_globalopt(argv):

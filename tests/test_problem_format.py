@@ -165,6 +165,15 @@ class TestExpressionFormatting:
         e = parse_expression(text)
         assert parse_expression(format_expr(e)) == e
 
+    def test_a_power_of_negative_zero_round_trips(self):
+        # -0.0 == 0.0, so the sign bit decides the parentheses: "-0.0^2"
+        # would parse back as -(0.0^2), whose value is -0.0, not 0.0
+        zero = ex.const(-0.0)
+        for e in (zero ** 2, zero ** 3, zero ** 2 * ex.var("x")):
+            text = format_expr(e)
+            assert text.startswith("(-0.0)^")
+            assert repr(parse_expression(text)) == repr(e)
+
     def test_fuzzed_expressions_round_trip(self):
         rng = random.Random(99)
         from conftest import random_expr
