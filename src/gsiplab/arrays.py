@@ -30,16 +30,21 @@ grid's blocks reuse memory already mapped, where arrays allocated afresh
 for each block were mapped and faulted in again by the C library.
 
 The grid oracle blocks its grid along the first axis, and between two
-blocks of one grid only that axis's values change.  So a node that does not
-span the first axis, a *block-invariant* node, has the same value over every
-block: the first block that reaches a tree computes the tree's
-block-invariant nodes, into fresh arrays, in the walk's order and before any
-of its tests can return, and keeps them in the call's ``keep``, and later
-blocks read them from there.  Every block then runs the tree's nodes over
-the first axis and its tests, as the mask is the block's.  A
-block-invariant node takes no slot.  Each node makes the walk's numpy call
-on the same operands, and a numpy call's value does not depend on when it
-is made, so every value where a point passes is the walk's bit for bit.
+blocks of one grid only that axis's values change.  So a line that spans no
+value of the first axis, a *block-invariant* line (a node over the other
+axes, a bound value's read, a float operation, or the test of a divisor over
+no array), does the same on every block.  One rule places them: the
+block-invariant lines of all the trees form one prologue, which runs once
+per grid, at its first block, in the kernel's order and before any other
+line, and keeps every value it computes in the call's ``keep``; later blocks
+read them from there.  Every block then runs the other lines, in their
+order: the nodes over the first axis, the constraints' tests, the tests of
+the divisors over arrays and the return, as the mask is the block's.  So a
+tree that no point reaches still has its block-invariant nodes computed,
+once.  A block-invariant node writes a fresh array and takes no slot.  Each
+node makes the walk's numpy call on the same operands, and a numpy call's
+value does not depend on when it is made, so every value where a point
+passes is the walk's bit for bit.
 
 This module imports numpy.  The grid oracle imports it when called, so the
 rest of the package loads without numpy and without compiling this module.
@@ -147,52 +152,40 @@ def _generate_grid(objective: Expr, parameters: tuple,
     """The grid kernel (``grid_kernel``) over an open grid of the box's
     ``names``.
 
-    Each tree is one segment of the body, with a name index of its own: the
-    box's names, then its bound values' slots of the argument list.  A
-    constraint's segment ends with its test.  A segment with block-invariant
-    array nodes starts with them: with nothing in ``keep`` for it, it runs
-    its lines that do not span the first axis, in order, and keeps those of
-    their values that other lines read (``_ArrayEmitter.exported``); with
-    them kept, it reads them back.  Its lines over the first axis and its
-    tests follow, on every block.  Only the test of a divisor over no array
-    runs before the keep: the division after it would raise where the
-    divisor is zero, and a failing test fails every block alike.  So a
-    block that no point of passes returns after the keep, and the next
-    block computes nothing again.  A kernel that divides by an array runs
-    under ``np.errstate``: a point it masks warns of nothing."""
+    Each tree's lines are written in turn, with a name index of its own (the
+    box's names, then its bound values' slots of the argument list), each
+    constraint's ending with its test and the objective's with the return.
+    Then they split by the axes they span, under one rule: the lines that
+    span no value of the first axis (the nodes over other axes, the bound
+    values' reads, the float operations and the tests of a divisor over no
+    array) form one prologue, which runs at a grid's first block, before any
+    other line, and keeps all their values in ``keep``; later blocks read
+    them back.  The other lines run on every block, in their order, as the
+    mask is the block's.  A failing test in the prologue fails every block
+    alike, and it returns before the division it guards, which would raise.
+    A kernel that divides by an array runs under ``np.errstate``: a point it
+    masks warns of nothing."""
     box = {n: i for i, n in enumerate(names)}
     trees = [*constraints, (objective, None, parameters)]
     emitter = _ArrayEmitter(len(box))
-    segments = []   # each tree's lines, whether it keeps values, its result
     slot = len(box)
-    for s, (e, _, pnames) in enumerate(trees):
+    for e, sense, pnames in trees:
         index = {**box, **{n: slot + i for i, n in enumerate(pnames)}}
         slot += len(pnames)
-        start = len(emitter.lines)
-        result, _ = emitter.tree(e, index, s)
-        emitter.read(result)
-        segments.append((start, len(emitter.lines), emitter.hoisted, result))
-    body = ["ok = True"]
-    for s, ((_, sense, _), (start, end, hoisted, result)) in enumerate(zip(trees, segments)):
-        lines = emitter.lines[start:end]
-        if hoisted:
-            kept = "".join(f"{v}, " for v in emitter.exported if emitter.owner[v] == s)
-            spans = emitter.spans[start:end]
-            lines = [f"kept = keep.get({s})",
-                     "if kept is None:",
-                     *_indent(line for line, span in zip(lines, spans) if not span & 1),
-                     f"    keep[{s}] = {kept}",
-                     "else:",
-                     f"    {kept}= kept",
-                     *(line for line, span in zip(lines, spans) if span & 1)]
-        body += lines
-        if sense is None:
-            body.append(f"return ok, {result}")
-        else:
-            # ConstraintSpec.satisfied: value <= tol_feas for "le", value >=
-            # -tol_feas for "ge"
-            body.append(_TEST.format(f"{result} <= tol" if sense == "le" else
-                                     f"{result} >= -tol"))
+        result, _ = emitter.tree(e, index)
+        # ConstraintSpec.satisfied: value <= tol_feas for "le", value >=
+        # -tol_feas for "ge"
+        emitter.read(result, f"return ok, {result}" if sense is None else
+                     _TEST.format(f"{result} <= tol" if sense == "le" else
+                                  f"{result} >= -tol"))
+    lines = list(zip(emitter.lines, emitter.spans))
+    body = [line for line, span in lines if span & 1]
+    prologue = [line for line, span in lines if not span & 1]
+    if prologue:
+        kept = ", ".join(emitter.invariant)
+        body = ["if not keep:", *_indent(prologue), f"    keep[0] = [{kept}]",
+                "else:", f"    [{kept}] = keep[0]", *body]
+    body.insert(0, "ok = True")
     if emitter.divides:
         body = ["with _errstate(divide='ignore', invalid='ignore'):", *_indent(body)]
     layout = emitter.layout()
@@ -226,23 +219,16 @@ class _ArrayEmitter(_Emitter):
         # the axes each line's values span, the first axis for a test's (none
         # for the test of a divisor over no array)
         self.spans: list[int] = []
-        # the segment of each value that does not span the first axis, and
-        # those of them read by a line over the first axis or by another
-        # segment (a dict as an ordered set)
-        self.owner: dict[str, int] = {}
-        self.exported: dict[str, None] = {}
-        # whether a node over arrays of this segment does not span the
-        # first axis
-        self.hoisted = False
+        # the values that span no value of the first axis, in order
+        self.invariant: list[str] = []
         # whether the kernel divides by an array
         self.divides = False
         self.namespace.update({f"_{name}": getattr(np, name)
                                for name in (*_UFUNCS.values(), "errstate")}, _test=_test)
 
-    def tree(self, e: Expr, index: Mapping[str, int], segment: int) -> tuple[str, int]:
-        """The operands of tree ``e``, the kernel's ``segment``-th, over
-        ``index``."""
-        self.index, self.segment, self.hoisted = index, segment, False
+    def tree(self, e: Expr, index: Mapping[str, int]) -> tuple[str, int]:
+        """The operands of tree ``e`` over ``index``."""
+        self.index = index
         self.memo = {}   # a tree met again may read other bound values
         return self.node(e)
 
@@ -250,13 +236,12 @@ class _ArrayEmitter(_Emitter):
         self.lines.append(line)
         self.spans.append(axes)
 
-    def read(self, value: str) -> None:
-        """Note that a test or the return reads ``value``, a tree's result,
-        after the tree's lines."""
-        if value in self.owner:
-            self.exported[value] = None
-        elif value in self.slotted:
+    def read(self, value: str, line: str) -> None:
+        """``line``, a test or the return, which reads ``value``, a tree's
+        result, after the tree's lines, on every block."""
+        if value in self.slotted:
             self.temps.append((None, 0, [value]))
+        self.emit(line, 1)
 
     def value(self, e: Expr, kids, n: int) -> tuple[str, int]:
         """A node over an array is one numpy call, which writes into its out
@@ -277,12 +262,8 @@ class _ArrayEmitter(_Emitter):
             self.spans.append(axes)
         else:
             axes = self.operation(e, kids, v, n)
-        for a, _ in kids:
-            t = self.owner.get(a)
-            if t is not None and (t != self.segment or axes & 1):
-                self.exported[a] = None
         if not axes & 1:
-            self.owner[v] = self.segment
+            self.invariant.append(v)
         return v, axes
 
     def operation(self, e: Expr, kids, v: str, n: int) -> int:
@@ -299,19 +280,14 @@ class _ArrayEmitter(_Emitter):
             # an array
             c, mask = kids[1]
             self.emit(_TEST.format(f"{c} != 0.0"), 1 if mask else 0)
-            if c in self.owner:
-                self.exported[c] = None
             self.divides |= mask != 0
         if axes & 1:
             self.slotted.add(v)
             self.temps.append((v, axes, [a for a in ops if a in self.slotted]))
             self.emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)}, out=o{n})", axes)
-        elif axes:
-            self.hoisted = True
-            self.emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)})", axes)
-        elif k == "neg":
+        elif k == "neg" and not axes:
             self.emit(f"{v} = -{ops[0]}", axes)
-        elif k in _BINARY or k == "div":
+        elif (k in _BINARY or k == "div") and not axes:
             self.emit(f"{v} = {ops[0]} {_BINARY.get(k, '/')} {ops[1]}", axes)
         else:
             self.emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)})", axes)

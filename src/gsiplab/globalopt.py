@@ -718,9 +718,11 @@ def grid_minimize(objective: Expr,
     fails, as an infeasible point does.  Once no point of the block passes,
     it skips the rest.  A variable bound nowhere raises ``EvaluationError``
     whether or not a point passes.  It computes a subtree that the trees
-    share once, a node that does not span the first axis once per call, and
-    writes its temporaries into the thread's buffers, the same memory for
-    every block and every call.
+    share once, and every line that spans no value of the first axis once
+    per call, in one prologue at the first block ahead of every other line,
+    whether or not a point reaches its tree; it writes its other
+    temporaries into the thread's buffers, the same memory for every block
+    and every call.
 
     The minimum is the first in C order among the grid points that are
     feasible and whose value is not NaN, as a NaN never becomes

@@ -273,6 +273,19 @@ INVALID_FILES = [
      "g references undeclared variable(s): ['z']"),
     (CEX1_TEXT + "h: x + z\n",
      "h[1] references undeclared variable(s): ['z']"),
+    # one input per syntax error of the parser
+    (CEX1_TEXT.replace("objective: -x", "objective: -x * )"),
+     "line 4, column 17: expected expression, found ')'"),
+    (CEX1_TEXT.replace("outer x in [-1, 1]", "outer x in [-1, y]"),
+     "line 2, column 17: expected a number, found 'y'"),
+    (CEX1_TEXT.replace("objective: -x", "objective: -x 2"),
+     "line 4, column 15: unexpected trailing input '2'"),
+    (CEX1_TEXT.replace("outer x in [-1, 1]", "outer 1 in [-1, 1]"),
+     "line 2, column 7: expected a variable name"),
+    (CEX1_TEXT.replace("outer x in [-1, 1]", "outer x on [-1, 1]"),
+     "line 2, column 9: expected 'in'"),
+    (CEX1_TEXT + "[1]\n", "line 7, column 1: expected a keyword, found '['"),
+    (CEX1_TEXT + "bound: 1\n", "line 7, column 1: unknown keyword 'bound'"),
 ]
 
 

@@ -37,6 +37,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="bounds of 'x' must be finite"):
             BoxDomain([("x", lo, hi)])
 
+    def test_repeated_name_rejected(self):
+        with pytest.raises(ValueError, match="duplicate coordinate name 'x'"):
+            BoxDomain([("x", 0.0, 1.0), ("y", 0.0, 1.0), ("x", 2.0, 3.0)])
+
+    def test_a_point_that_lacks_a_name_is_not_contained(self):
+        box = BoxDomain([("x", -1.0, 1.0), ("y", 0.0, 2.0)])
+        assert box.contains({"x": 0.5, "y": 1.0})
+        assert not box.contains({"x": 0.5})
+        assert not box.contains({"x": 0.5, "z": 1.0}, slack=1.0)
+
     def test_bisection_children_share_names(self):
         box = BoxDomain([("x", 0.0, 1.0), ("y", 0.0, 4.0)])
         left, right = box.bisect()

@@ -89,6 +89,10 @@ class TestStructuralInvariants:
     def test_pow_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             ex.ipow(x, -1)
+        # the node checks its exponent too, where it is built directly
+        for exponent in (-1, 2.0):
+            with pytest.raises(ValueError, match="integer power exponent"):
+                ex.Expr("pow", exponent=exponent, children=(x,))
 
     def test_neg_constant_folds(self):
         assert ex.neg(ex.const(3.0)) == ex.const(-3.0)
@@ -118,6 +122,16 @@ class TestStructuralInvariants:
     def test_arity_enforced(self):
         with pytest.raises(ValueError):
             ex.Expr("add", children=(x,))
+        with pytest.raises(ValueError, match="unknown expression kind 'sin'"):
+            ex.Expr("sin", children=(x,))
+
+    def test_a_string_is_no_operand_and_a_name_is_not_empty(self):
+        with pytest.raises(TypeError, match="cannot coerce str to Expr"):
+            ex.as_expr("s")
+        with pytest.raises(TypeError):
+            x + "s"
+        with pytest.raises(ValueError, match="variable name must be nonempty"):
+            ex.var("")
 
 
 class TestSubstitution:

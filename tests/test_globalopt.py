@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 import warnings
@@ -459,6 +460,24 @@ class TestContraction:
         assert globalopt._contract(((-1.0, 1.0),), (0.0,), -1.0, slopes,
                                    0.0) == kept
 
+    def test_a_value_that_is_not_finite_cuts_nothing(self, monkeypatch):
+        # x * 4e307 * 10 overflows to +inf at the root's midpoint x = 1, so
+        # the signed value there is +inf: the root box is returned uncut,
+        # and the solve still finds the constraint's one feasible end
+        contract, seen = globalopt._contract, []
+
+        def recording(bounds, mid, value, slopes, target):
+            out = contract(bounds, mid, value, slopes, target)
+            seen.append((bounds, mid, value, out))
+            return out
+        monkeypatch.setattr(globalopt, "_contract", recording)
+        box = BoxDomain([("x", -1.0, 3.0)])
+        out = minimize(x, [ConstraintSpec(x * 4e307 * 10.0 - 1.0)], box)
+        assert seen == [(box.bounds, (1.0,), math.inf, box.bounds)]
+        assert seen[0][3] is box.bounds
+        assert (out.status, out.minimizer, out.value) == ("optimal", {"x": -1.0}, -1.0)
+        assert (out.value_bounds.lo, out.value_bounds.hi) == (-1.0, -1.0)
+
     def test_two_pieces_and_an_empty_box(self):
         # s(0) = 1 with slopes in [-1, 1]: s <= 0 needs |x| >= 1, the two
         # ends of [-2, 2] and what lies beyond them; the hull is the box.
@@ -770,8 +789,9 @@ class TestGridMinimize:
         assert out.status == "infeasible"
 
     def test_rejects_degenerate_grid(self):
-        with pytest.raises(ValueError):
-            grid_minimize(x, [], UNIT_X, 1)
+        for oracle in (grid_minimize, globalopt._grid_scan):
+            with pytest.raises(ValueError, match="points_per_axis must be at least 2"):
+                oracle(x, [], UNIT_X, 1)
 
     @pytest.mark.parametrize("objective,constraints,coords,n", [
         # constant objective and constraint on a 2-D box
@@ -970,7 +990,8 @@ class TestGridFeasibilityFirst:
     @pytest.mark.parametrize("n", [4, 5])
     def test_a_dividing_tree_runs_on_no_block_once_no_point_passes(self, n):
         # no point passes 2 + y <= 0; y - 0.5 is zero at a grid point of 5
-        # points, at none of 4
+        # points, at none of 4; the first block computes both, which span no
+        # value of x, ahead of any test, and no block divides
         first = ConstraintSpec(2.0 + y, "le")
         for objective, cons in [(x / (y - 0.5), [first]),
                                 (x, [first, ConstraintSpec(x / (y - 0.5)),
@@ -978,19 +999,19 @@ class TestGridFeasibilityFirst:
             out, blocks = _traced(n, objective, cons, UNIT_XY, n)
             assert out is INFEASIBLE
             assert repr(out) == repr(_dense_grid_minimize(objective, cons, UNIT_XY, n))
-            assert blocks == [["add"]] + [[]] * (n - 1)
+            assert blocks == [["add", "subtract"]] + [[]] * (n - 1)
 
     def test_a_divisor_zero_everywhere_fails_every_point(self):
         # every point passes x * x <= 1, and y - y is zero everywhere: each
         # block returns at the divisor's test and divides nothing; the first
-        # computes y - y, ahead of x * y, and keeps it before the test, so no
-        # later block subtracts it again
+        # computes y - y ahead of every test and keeps it, so no later block
+        # subtracts it again
         cons = [ConstraintSpec(x * x - 1.0, "le")]
         objective = x * y + x / (y - y)
         out, blocks = _traced(5, objective, cons, UNIT_XY, 5)
         assert out is INFEASIBLE
         assert repr(out) == repr(_dense_grid_minimize(objective, cons, UNIT_XY, 5))
-        assert blocks == [["multiply", "subtract", "subtract", "multiply"]] + \
+        assert blocks == [["subtract", "multiply", "subtract", "multiply"]] + \
             [["multiply", "subtract", "multiply"]] * 4
 
     @pytest.mark.parametrize("where", ["objective", "constraint"])
@@ -1007,12 +1028,13 @@ class TestGridFeasibilityFirst:
     @pytest.mark.parametrize("n", [4, 5])
     def test_a_dividing_tree_reads_an_earlier_trees_value(self, n):
         # the objective's x * y is the constraint's, computed once per block;
-        # y - 0.5 is kept from the first block, and tested at every block
+        # y - 0.5 is computed ahead of it at the first block and kept, and
+        # tested at every block
         cons = [ConstraintSpec(x * y, "ge")]
         objective = x * y + x / (y - 0.5)
         out, blocks = _traced(n, objective, cons, UNIT_XY, n)
         assert repr(out) == repr(_dense_grid_minimize(objective, cons, UNIT_XY, n))
-        assert blocks == [["multiply", "subtract", "divide", "add"]] + \
+        assert blocks == [["subtract", "multiply", "divide", "add"]] + \
             [["multiply", "divide", "add"]] * (n - 1)
 
     @settings(max_examples=150, deadline=None)
@@ -1105,6 +1127,51 @@ class TestGridHoisting:
                              parameters=parameters) == \
             _grid_outcome(_dense_grid_minimize, objective, constraints, box, n,
                           parameters=parameters)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hoisting_cases())
+    @example((U * V + ex.var("a") / (ex.var("b") - 1.0) + V / 2.0 + (V - 0.5) * 3.0,
+              [ConstraintSpec(V * V - ex.var("a"), "le", (("a", 0.5),))],
+              UNIT_UV, 5, (("a", 2.0), ("b", 3.0)), 1))
+    def test_one_prologue_holds_every_line_over_no_first_axis_value(self, case):
+        # the generated source, read line by line: a value spans the first
+        # axis where it reads arg[0] or a value that does
+        objective, constraints, box, _, parameters, _ = case
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+        with mock.patch.object(arrays, "compile", spy, create=True):
+            arrays._generate_grid(
+                objective, tuple(n for n, _ in parameters),
+                [(c.expr, c.sense, tuple(n for n, _ in c.parameters))
+                 for c in constraints], box.names)
+        (source,) = sources
+        body = [line.strip() for line in source.splitlines()[1:]]
+        assert body.count("if not keep:") <= 1
+        prologue, kept = [], None
+        if "if not keep:" in body:
+            start = body.index("if not keep:")
+            end = next(i for i in range(start, len(body)) if body[i].startswith("keep[0] = "))
+            prologue = body[start + 1:end]
+            kept = body[end][len("keep[0] = "):]
+            assert body[end + 1:end + 3] == ["else:", f"{kept} = keep[0]"]
+            body = body[:start] + body[end + 3:]
+        first, invariant = set(), []
+        for line in prologue + body:
+            target, _, rhs = line.partition(" = ")
+            if not re.fullmatch(r"v\d+", target):
+                # a test or the return: only a divisor's test is in the prologue
+                assert line not in prologue or "!= 0.0, ok)" in line
+                continue
+            over = "arg[0]" in rhs or bool(first & set(re.findall(r"\bv\d+\b", rhs)))
+            assert over == (line not in prologue), line
+            if over:
+                first.add(target)
+            else:
+                invariant.append(target)
+        assert kept == (f"[{', '.join(invariant)}]" if prologue else None)
 
     def test_a_subtree_over_the_second_axis_once_per_grid(self):
         # u ** 2 spans the first axis, (v + 1) ** 3 does not: over 5 blocks of

@@ -354,9 +354,12 @@ class TestSlaterVerification:
         cert = SlaterCertificate({"x": 0.0}, epsilon=0.2, delta=0.01)
         assert not verify_slater(CEX1, cert, f_star=0.5)
 
-    def test_delta_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SlaterCertificate({"x": -0.6}, epsilon=0.2, delta=0.0)
+    @pytest.mark.parametrize("epsilon,delta,message", [
+        (0.2, 0.0, "delta must be > 0"), (0.0, 0.1, "epsilon must be > 0"),
+        (-0.2, 0.1, "epsilon must be > 0")])
+    def test_epsilon_and_delta_must_be_positive(self, epsilon, delta, message):
+        with pytest.raises(ValueError, match=message):
+            SlaterCertificate({"x": -0.6}, epsilon=epsilon, delta=delta)
 
     def test_rejects_insufficient_margin(self):
         # margin at x=-0.6 is 0.2, so delta above that must fail
