@@ -20,7 +20,8 @@ _EXPORTS = {
              "compile_expr", "const", "emax", "emin", "evaluate",
              "evaluate_array", "interval_eval", "substitute", "var"),
     "globalopt": ("ConstraintSpec", "MinimizeOutcome", "NodeBudgetExceeded",
-                  "UndecidedError", "grid_minimize", "minimize"),
+                  "UndecidedError", "minimize"),
+    "grid": ("grid_minimize",),
     "gsip": ("DomainError", "GsipProblem", "SlaterCertificate",
              "build_aux_llp", "build_llp", "build_lower_bounding",
              "build_sip_llp", "builtin_problems", "get_builtin"),
@@ -30,7 +31,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("algorithms", "arrays", "cli", "domains", "expr", "globalopt",
-               "gsip", "immutable", "problem_format")
+               "grid", "gsip", "immutable", "problem_format")
 
 __all__ = list(_HOME)
 

@@ -41,7 +41,10 @@ read them from there.  Every block then runs the other lines, in their
 order: the nodes over the first axis, the constraints' tests, the tests of
 the divisors over arrays and the return, as the mask is the block's.  So a
 tree that no point reaches still has its block-invariant nodes computed,
-once.  A block-invariant node writes a fresh array and takes no slot.  Each
+once; a prologue that calls numpy runs under ``np.errstate(all="ignore")``,
+so that such a node warns of nothing, and a test in it that fails (a zero
+divisor over no array) fails every block alike, so no block runs after it.
+A block-invariant node writes a fresh array and takes no slot.  Each
 node makes the walk's numpy call on the same operands, and a numpy call's
 value does not depend on when it is made, so every value where a point
 passes is the walk's bit for bit.
@@ -82,12 +85,13 @@ def grid_kernel(objective: Expr, parameters: tuple,
     and of the objective, in order; ``lengths`` the block's shape; ``keep``
     a dict, empty at a grid's first block, that holds the block-invariant
     values; ``tol`` the constraints' ``tol_feas``.  It returns ``(ok,
-    values)``: ``ok`` is ``None`` where no point passes its tests (the
-    constraints', and each divisor's ``!= 0.0``), and then ``values`` is
-    ``None`` too, ``True`` where every point does, else a boolean mask of
-    the block (or broadcast to it); ``values`` are the objective's, an
-    array or a float, valid only until the next grid kernel call on the
-    same thread, and not to be written.  Generating it raises
+    values)``: ``ok`` is ``None`` where no point of the block passes its
+    tests (the constraints', and each divisor's ``!= 0.0``), ``False`` where
+    no point of any block can, as a divisor over no array is zero, and then
+    ``values`` is ``None`` too; ``True`` where every point passes, else a
+    boolean mask of the block (or broadcast to it); ``values`` are the
+    objective's, an array or a float, valid only until the next grid kernel
+    call on the same thread, and not to be written.  Generating it raises
     ``EvaluationError`` where a tree reads a variable bound nowhere.
     """
     kind = (_GRID, parameters,
@@ -162,9 +166,13 @@ def _generate_grid(objective: Expr, parameters: tuple,
     other line, and keeps all their values in ``keep``; later blocks read
     them back.  The other lines run on every block, in their order, as the
     mask is the block's.  A failing test in the prologue fails every block
-    alike, and it returns before the division it guards, which would raise.
-    A kernel that divides by an array runs under ``np.errstate``: a point it
-    masks warns of nothing."""
+    alike: it returns ``False, None`` before the division it guards, which
+    would raise, and the caller runs no further block.  A prologue that
+    calls numpy runs under ``np.errstate(all="ignore")``, as its values may
+    belong to a tree that no point reaches: an overflow there warns of
+    nothing, and shows only as the inf or NaN it gives.  A kernel that
+    divides by an array runs under ``np.errstate``: a point it masks warns
+    of nothing."""
     box = {n: i for i, n in enumerate(names)}
     trees = [*constraints, (objective, None, parameters)]
     emitter = _ArrayEmitter(len(box))
@@ -182,6 +190,8 @@ def _generate_grid(objective: Expr, parameters: tuple,
     body = [line for line, span in lines if span & 1]
     prologue = [line for line, span in lines if not span & 1]
     if prologue:
+        if emitter.warns:
+            prologue = ["with _errstate(all='ignore'):", *_indent(prologue)]
         kept = ", ".join(emitter.invariant)
         body = ["if not keep:", *_indent(prologue), f"    keep[0] = [{kept}]",
                 "else:", f"    [{kept}] = keep[0]", *body]
@@ -223,6 +233,9 @@ class _ArrayEmitter(_Emitter):
         self.invariant: list[str] = []
         # whether the kernel divides by an array
         self.divides = False
+        # whether a line that spans no value of the first axis (a line of the
+        # prologue) calls numpy, which may warn
+        self.warns = False
         self.namespace.update({f"_{name}": getattr(np, name)
                                for name in (*_UFUNCS.values(), "errstate")}, _test=_test)
 
@@ -277,9 +290,11 @@ class _ArrayEmitter(_Emitter):
             ops.append(self.bind(e.exponent))
         elif k == "div":
             # a test like a constraint's, on every block where the divisor is
-            # an array
+            # an array; one over no array fails every block alike, so it says
+            # that no block can pass
             c, mask = kids[1]
-            self.emit(_TEST.format(f"{c} != 0.0"), 1 if mask else 0)
+            self.emit(_TEST.format(f"{c} != 0.0") if mask else
+                      f"if {c} == 0.0: return False, None", 1 if mask else 0)
             self.divides |= mask != 0
         if axes & 1:
             self.slotted.add(v)
@@ -291,6 +306,7 @@ class _ArrayEmitter(_Emitter):
             self.emit(f"{v} = {ops[0]} {_BINARY.get(k, '/')} {ops[1]}", axes)
         else:
             self.emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)})", axes)
+            self.warns = True
         return axes
 
     def layout(self) -> tuple[tuple[int, int], ...]:

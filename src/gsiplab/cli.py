@@ -10,8 +10,8 @@ Exit codes: 0 success, 2 usage error, 3 solver error.
 """
 from __future__ import annotations
 
-# algorithms, globalopt, problem_format, csv and json are imported by the
-# commands that use them, so that `gsiplab list` loads none of them and
+# algorithms, globalopt, grid, problem_format, csv and json are imported by
+# the commands that use them, so that `gsiplab list` loads none of them and
 # `gsiplab fmt` only the parser
 import argparse
 import io
@@ -191,37 +191,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-# the most point evaluations that verify's grids may take for it to scan them
-# point by point rather than load numpy.  Measured on 2 CPUs with CPython
-# 3.11: a scanned point evaluation costs about 0.35 us (cex1's 20 grids,
-# 12,030 evaluations, 4.1 ms), and numpy's import 57-62 ms plus 12 ms for
-# gsiplab.arrays, so a scan at this bound (about 46 ms) still costs less
-_SCAN_WORK = 1 << 17
-
-
-def _exact_grid_below(oracle, inst, points_per_axis: int, lo: float) -> bool:
-    """Whether a grid point that passes the constraints of ``inst`` with no
-    tolerance has a value below ``lo``, by ``oracle``."""
-    grid = oracle(inst.objective, inst.constraints, inst.box,
-                  points_per_axis, tol_feas=0.0, parameters=inst.parameters)
-    return grid.optimal and grid.value < lo
-
-
 def cmd_verify(args) -> int:
     """Run the loop, then check every subproblem of every iterate on the grid
-    of ``--grid`` points per axis.
-
-    The oracle is ``globalopt.grid_minimize``, or for a small grid its
-    point-by-point scan, ``globalopt._grid_scan``, which returns the same
-    outcome (see its docstring for where a value's NaN or zero sign may
-    differ) by the kernels the solves made, and so loads neither numpy nor
-    ``gsiplab.arrays``.  The work of the grids is counted before any is
-    evaluated: over every subproblem, its grid's points times its trees,
-    ``grid ** dims * (1 + constraints)``.  Where that is at most
-    ``_SCAN_WORK``, verify scans, where the scan's time is less than
-    numpy's import; above it, the numpy oracle's per-point cost wins."""
+    of ``--grid`` points per axis, by ``grid.cross_check``, which decides
+    which oracle grids them and which certified bounds the grid refutes."""
     from . import algorithms
-    from .globalopt import _grid_scan, grid_minimize
+    from .grid import cross_check
     if args.grid < 2:
         raise UsageError(f"--grid must be at least 2, got {args.grid}")
     p = _load_problem(args)
@@ -229,31 +204,18 @@ def cmd_verify(args) -> int:
     result = algorithms.run(p, cfg)
     checked = [(r, sub) for r in result.trace
                for sub in algorithms.record_subproblems(p, r, cfg)]
-    work = sum(args.grid ** len(inst.box.names) * (1 + len(inst.constraints))
-               for _, (_, inst, _) in checked)
-    oracle = _grid_scan if work <= _SCAN_WORK else grid_minimize
+    grids = cross_check([(inst, bnb) for _, (_, inst, bnb) in checked],
+                        args.grid, cfg.tol_feas)
 
     worst = 0.0
     refuted = 0
-    for r, (label, inst, bnb) in checked:
-        grid = oracle(inst.objective, inst.constraints, inst.box,
-                      args.grid, tol_feas=cfg.tol_feas,
-                      parameters=inst.parameters)
+    for (r, (label, _, bnb)), (grid, refutes) in zip(checked, grids):
         line = f"bnb={_fmt_value(bnb)} grid={_fmt_value(grid)}"
         if bnb.optimal and grid.optimal:
             diff = abs(grid.value - bnb.value)
             worst = max(worst, diff)
             line += f" diff={diff:.3e}"
-        # a grid point below the certified lower bound refutes it: for an
-        # infeasible outcome (+inf) any point that passes tol_feas, for an
-        # optimal one a point that passes the constraints exactly, the
-        # points its bound holds for; none of those lies below the
-        # tol_feas grid's minimum
-        refuted += (bnb.value_bounds is not None and grid.optimal
-                    and grid.value < bnb.value_bounds.lo
-                    and (not bnb.optimal
-                         or _exact_grid_below(oracle, inst, args.grid,
-                                              bnb.value_bounds.lo)))
+        refuted += refutes
         print(f"k={r.k} {label}: {line}")
 
     print(f"checked {len(checked)} subproblems, max discrepancy {worst:.6e}")

@@ -1,6 +1,7 @@
 """Certified box-constrained global minimization.
 
-Two engines share one outcome type:
+The grid oracle that cross-checks its bounds by brute force, and shares
+its outcome type, ``MinimizeOutcome``, is ``gsiplab.grid``.  Here:
 
 * ``minimize`` -- deterministic best-first interval branch-and-bound over
   compiled kernels (``expr.compile_expr``), which the tests pin bit for bit
@@ -90,7 +91,7 @@ Two engines share one outcome type:
   points that pass the ``tol_feas`` test, so ``value_bounds.lo`` bounds the
   minimum over the exactly feasible points, as well as the incumbent's
   value, and a grid cross-check of it takes the grid points that pass the
-  constraints exactly (``grid_minimize(..., tol_feas=0.0)``, as
+  constraints exactly (``grid.grid_minimize(..., tol_feas=0.0)``, as
   ``gsiplab verify`` does).  The contraction evaluates each undecided
   constraint once at m, and m's own feasibility test reads those values;
   the midpoint of a contracted box is offered when the box is cut.  Its arithmetic rounds to
@@ -111,26 +112,6 @@ Two engines share one outcome type:
   ``tol_opt`` of an interior minimizer.  It costs two gradient-kernel
   calls per axis and is not offered where it is the midpoint.  It adds a
   candidate, not a bound, so ``value_bounds`` stays certified.
-
-* ``grid_minimize`` -- brute-force evaluation on the full tensor grid,
-  kept deliberately independent of the interval machinery that certifies
-  ``minimize``'s bounds, so that it can serve as a cross-checking oracle.
-  It evaluates through one generated kernel per grid
-  (``arrays.grid_kernel``), which shares no code with the point and interval
-  kernels, and which the tests pin bit for bit to the recursive walk over
-  arrays.  Grid points are feasible by ``ConstraintSpec.satisfied``, the
-  rule ``minimize`` applies to its candidates, and a point whose value is
-  NaN is never the minimum, as a NaN is never ``minimize``'s incumbent.
-  The grid is evaluated in blocks of rows of its first axis, so that a
-  block's arrays stay in cache, by one kernel call per block.  A block
-  evaluates its constraints before its objective, and a point fails where
-  a test fails: a constraint's, or a divisor's ``!= 0.0``, so a point that
-  divides by zero is skipped as a NaN value is; once none of its points
-  passes, the block stops.  It proves no bound.  It is the only user of
-  numpy here and imports it, and ``gsiplab.arrays``, when called.
-  ``_grid_scan`` returns its outcome point by point, by the point kernels
-  that ``minimize`` binds, with no numpy: ``gsiplab verify`` scans its
-  grids where they are small.
 """
 from __future__ import annotations
 
@@ -140,12 +121,11 @@ import math
 from typing import Optional, Sequence
 
 from .domains import BoxDomain, _validated, corner_values, midpoint_value, split
-# neither minimize nor grid_minimize calls evaluate, interval_eval or
-# evaluate_array; they stay bound here because bench/tracer.py counts the
-# evaluations made through these names
-from .expr import (EvaluationError, Expr, Interval, _unknown,  # noqa: F401
-                   compile_expr, compile_gradient, evaluate, evaluate_array,
-                   interval_eval)
+# minimize calls none of evaluate, interval_eval and evaluate_array; they
+# stay bound here because bench/tracer.py counts the evaluations made through
+# these names
+from .expr import (Expr, Interval, compile_expr, compile_gradient,  # noqa: F401
+                   evaluate, evaluate_array, interval_eval)
 from .immutable import frozen, kept
 
 
@@ -672,255 +652,14 @@ def minimize(objective: Expr,
                            Interval(min(settled_lb, best_val), best_val))
 
 
-# the most grid points grid_minimize evaluates at once: few enough that a
-# block's arrays stay in a core's cache, enough that a block's Python does not
-# dominate
-_BLOCK_POINTS = 1 << 15
-
-_arrays = None   # gsiplab.arrays, imported at the first grid
-
-_AXES = "_axes"  # the attribute of a box that holds its open grids (_open_grid)
-_POINTS = "_points"  # ... and its grid points along each axis (_grid_points)
-
-
-def grid_minimize(objective: Expr,
-                  constraints: Sequence[ConstraintSpec],
-                  box: BoxDomain,
-                  points_per_axis: int,
-                  tol_feas: float = 1e-9,
-                  parameters: Sequence[tuple[str, float]] = ()) -> MinimizeOutcome:
-    """Brute-force minimization over the full tensor grid (endpoints included).
-
-    Bound values (``parameters`` for the objective, each constraint's own)
-    enter the environment as floats; as in ``minimize``, a bound value that
-    shares its name with the box raises ``ValueError``.
-
-    The variables are bound to an open grid (``_open_grid``): axis ``i`` is
-    an array of shape ``(1, ..., n, ..., 1)``, whose values are
-    ``np.linspace(lo, hi, n)``'s, bit for bit, built by its recipe
-    (``_linspace``), save where ``hi - lo`` overflows and that
-    recipe's points are not finite.  The axes are kept on the box, so a box
-    gridded again, as ``verify`` grids the inner box at every iterate,
-    builds none.  The grid kernel thus works on one axis's values until an
-    operation mixes two axes, where broadcasting builds the full grid.
-    Broadcasting only repeats operands, so every grid value comes from the
-    same float operations as on a dense grid, bit for bit.  The grid is
-    evaluated in blocks of rows of the first axis, of at most
-    ``_BLOCK_POINTS`` points (one row, if a row holds more), so that the
-    arrays of a block stay in cache.
-
-    One generated kernel evaluates a whole block (``arrays.grid_kernel``),
-    kept on the objective and keyed by the identity of the trees, so a loop
-    that checks the same trees under new bound values, or at another
-    ``tol_feas``, generates it once.  It evaluates the constraints first, in
-    their order, each followed by its test, and the objective last; a
-    division tests that its divisor is not zero, and a point where it is
-    fails, as an infeasible point does.  Once no point of the block passes,
-    it skips the rest.  A variable bound nowhere raises ``EvaluationError``
-    whether or not a point passes.  It computes a subtree that the trees
-    share once, and every line that spans no value of the first axis once
-    per call, in one prologue at the first block ahead of every other line,
-    whether or not a point reaches its tree; it writes its other
-    temporaries into the thread's buffers, the same memory for every block
-    and every call.
-
-    The minimum is the first in C order among the grid points that are
-    feasible and whose value is not NaN, as a NaN never becomes
-    ``minimize``'s incumbent, and its value is that point's, so a zero
-    keeps its sign; a grid without such a point is infeasible.  A block
-    whose points all pass takes it in one ``argmin``, which stops at the
-    first NaN; where it meets one, or where some point fails, a masked
-    ``np.fmin`` reduction, which passes over NaNs, finds the least value,
-    and the first feasible point that takes it.
-    """
-    global _arrays
-    if _arrays is None:
-        # arrays imports numpy: compiled first, its transient memory serves
-        # numpy's import again instead of adding to the process's peak
-        from . import arrays as _arrays
-    np = _arrays.np
-    n = points_per_axis
-    if n < 2:
-        raise ValueError("points_per_axis must be at least 2")
-    grid = _open_grid(box, n)
-    dims = len(grid)
-    shape = (n,) * dims
-    row = math.prod(shape[1:])
-    rows = max(1, _BLOCK_POINTS // row)
-    # the kernel's arguments: the axes, then each tree's bound values
-    args = list(grid)
-    named = []   # the names of each tree's bound values
-    for bound in (*(c.parameters for c in constraints), parameters):
-        pnames, values = _split(bound)
-        if bound:
-            _disjoint(box.names, pnames)   # as in minimize
-            args += values
-        named.append(pnames)
-    kernel = _arrays.grid_kernel(
-        objective, named.pop(),
-        [(c.expr, c.sense, p) for c, p in zip(constraints, named)], box.names)
-    keep: dict = {}   # the block-invariant values of this grid
-    best = None   # the first minimum so far: (value, flat index)
-    block = shape
-    for start in range(0, n if dims else 1, rows):
-        # rows [start, start + rows) of the first axis; a box without axes
-        # is one block of one point, and a grid of one block keeps its axis
-        if dims and rows < n:
-            args[0] = grid[0][start:start + rows]
-            block = args[0].shape[:1] + shape[1:]
-        ok, vals = kernel(args, block, keep, tol_feas)
-        if ok is None:
-            continue
-        vals = np.asarray(vals, dtype=float)
-        if vals.shape != block:
-            vals = np.broadcast_to(vals, block)
-        # the first point in C order that takes the block's least value:
-        # where every point passes, argmin's, unless it is a NaN (argmin
-        # stops at the first); else the first feasible point that takes the
-        # least feasible value that is not NaN, which fmin finds (+inf if
-        # there is none), if one does
-        first = int(vals.argmin()) if ok is True else 0
-        if ok is not True or math.isnan(vals.item(first)):
-            least = np.fmin.reduce(vals, axis=None, where=ok, initial=np.inf)
-            minima = vals == least
-            if ok is not True:
-                minima &= ok
-            first = int(minima.argmax())
-            if not minima.item(first):   # every feasible value is NaN
-                continue
-        value = vals.item(first)
-        if best is None or value < best[0]:
-            best = value, start * row + first
-    if best is None:
-        return INFEASIBLE
-    value, flat = best
-    index = []   # the point's index along each axis, the last axis first
-    for _ in grid:
-        flat, i = divmod(flat, n)
-        index.append(i)
-    point = {name: a.item(i) for name, a, i in zip(box.names, grid, reversed(index))}
-    return MinimizeOutcome("optimal", point, value)
-
-
-def _grid_scan(objective: Expr,
-               constraints: Sequence[ConstraintSpec],
-               box: BoxDomain,
-               points_per_axis: int,
-               tol_feas: float = 1e-9,
-               parameters: Sequence[tuple[str, float]] = ()) -> MinimizeOutcome:
-    """``grid_minimize``'s outcome, found point by point by the point kernels
-    that ``minimize`` binds, with no numpy: for a small grid, which costs
-    less than numpy's import.
-
-    It walks the grid points (``_grid_points``) in C order.  A point passes
-    the constraints in their order, each by its binding's ``satisfied``
-    (``ConstraintSpec.bind``), then takes the objective's value by its
-    ``_Form``'s point kernel, and the first point whose value is least and
-    not NaN is the minimum; these are the bindings and forms that a solve of
-    the same trees over the box's names has made, so the scan generates no
-    kernel.  It keeps ``grid_minimize``'s rules: a bound value named like a
-    coordinate raises ``ValueError``, and a variable bound nowhere
-    ``EvaluationError``, before the first point; a point that divides by
-    zero fails, by the point kernel's ``EvaluationError``, the only one it
-    raises once every variable is bound.
-
-    Its values are the grid kernel's, bit for bit, as both make the same
-    float operations in the same order, but in three cases.  Where Python's
-    ``**`` overflows, it raises ``OverflowError`` where ``np.float_power``
-    gives an infinity: the scan then returns ``grid_minimize``'s outcome.
-    Where a min or max meets a NaN as its second operand, the point kernel
-    returns the first, and ``np.minimum`` and ``np.maximum`` the NaN; and
-    where it meets two zeros of opposite signs, the point kernel returns
-    the first, and numpy the second.  The scan follows the point kernel
-    there, as ``minimize`` does.  A NaN comes only from an infinity, which
-    an operation that overflows or an infinite value makes, and a zero's
-    sign only changes the sign of a zero or of an infinity that a divisor
-    test fails, so the second case alone can move the minimum, and the
-    third only the sign of a zero minimum.
-    """
-    n = points_per_axis
-    if n < 2:
-        raise ValueError("points_per_axis must be at least 2")
-    names = box.names
-    tests = [c.bind(names, tol_feas).satisfied for c in constraints]
-    pnames, values = _split(parameters)
-    point = _form(objective, names, pnames).point
-    for e, bound in (*((c.expr, c.parameters) for c in constraints),
-                     (objective, parameters)):
-        unknown = e.variables().difference(names, (name for name, _ in bound))
-        if unknown:
-            _unknown(min(unknown))()
-    best, best_x = math.inf, None
-    try:
-        for x in itertools.product(*_grid_points(box, n)):
-            try:
-                for passes in tests:
-                    if not passes(x):
-                        break
-                else:
-                    v = point(x + values)
-                    # minimize's incumbent rule: +inf only as the first
-                    if v < best or (best_x is None and v == best):
-                        best, best_x = v, x
-            except EvaluationError:
-                # with every variable bound, a point kernel raises no other
-                pass
-    except OverflowError:
-        return grid_minimize(objective, constraints, box, n, tol_feas, parameters)
-    if best_x is None:
-        return INFEASIBLE
-    return MinimizeOutcome("optimal", dict(zip(names, best_x)), best)
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """The points of ``np.linspace(lo, hi, n)`` for floats ``lo`` and ``hi``
-    and ``n >= 2``, bit for bit, as floats, by its own recipe: ``i`` times
-    the step (divided by ``n - 1``, then times the span, where the step
-    underflows to 0), plus ``lo``, and ``hi`` as the last point.  Where the
-    span overflows, which makes that recipe's points inf and NaN, point
-    ``i`` is ``lo + i*(hi/(n-1)) - i*(lo/(n-1))`` instead, whose terms are
-    finite."""
-    m = n - 1
-    span = hi - lo
-    if math.isinf(span):
-        a, b = hi / m, lo / m
-        points = [lo + i * a - i * b for i in range(m)]
-    else:
-        step = span / m
-        if step == 0:
-            points = [i / m * span + lo for i in range(m)]
-        else:
-            points = [i * step + lo for i in range(m)]
-    points.append(hi)
-    return points
-
-
-def _grid_points(box: BoxDomain, n: int) -> tuple:
-    """The points of ``box``'s grid of ``n`` points per axis along each axis
-    (``_linspace`` over the axis's bounds), as floats, kept on the box, keyed
-    by ``n``, as ``_open_grid`` keeps its arrays."""
-    return kept(box, _POINTS, n, _points)
-
-
-def _points(box: BoxDomain, n: int) -> tuple:
-    return tuple(_linspace(lo, hi, n) for lo, hi in box.bounds)
-
-
-def _open_grid(box: BoxDomain, n: int) -> tuple:
-    """The axes of ``box``'s open grid of ``n`` points per axis: axis ``i``
-    the array of ``_linspace`` over the box's ``i``-th bounds, of shape
-    ``(1, ..., n, ..., 1)`` and not writeable; kept on the box, keyed by
-    ``n`` (``immutable.kept``).  ``_linspace``'s list is not kept, as
-    ``_grid_points`` keeps it: its floats take four times the array's
-    memory."""
-    return kept(box, _AXES, n, _axes)
-
-
-def _axes(box: BoxDomain, n: int) -> tuple:
-    dims = len(box.bounds)
-    axes = []
-    for i, (lo, hi) in enumerate(box.bounds):
-        a = _arrays.np.array(_linspace(lo, hi, n))
-        a.flags.writeable = False
-        axes.append(a.reshape((1,) * i + (-1,) + (1,) * (dims - 1 - i)))
-    return tuple(axes)
+def __getattr__(name: str):
+    # grid_minimize stays bound here for bench/ alone, whose tracer hooks
+    # gsiplab.globalopt.grid_minimize and whose oracle workload calls it; it
+    # imports gsiplab.grid at first access, so that a solve loads no grid
+    # code, and goes once the bench reads its counts from the solver (ROADMAP
+    # item 2)
+    if name == "grid_minimize":
+        from .grid import grid_minimize
+        globals()[name] = grid_minimize   # later reads find it bound
+        return grid_minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,8 @@ from gsiplab.algorithms import (AUX_LLP, LLP_ONLY, SIP_LLP, AlgorithmConfig,
                                 verify_slater)
 from gsiplab.domains import BoxDomain
 from gsiplab.expr import evaluate, interval_eval
-from gsiplab.globalopt import grid_minimize, minimize
+from gsiplab.globalopt import minimize
+from gsiplab.grid import grid_minimize
 from gsiplab.gsip import (GsipProblem, SlaterCertificate, builtin_problems,
                           get_builtin)
 from gsiplab.problem_format import parse_problem, serialize_problem

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gsiplab import algorithms, arrays, cli, globalopt, gsip
+from gsiplab import algorithms, arrays, grid, gsip
 from gsiplab import expr as ex
 from gsiplab.cli import _config_from_args, build_parser, main
 from gsiplab.expr import Interval
@@ -422,18 +422,18 @@ class TestVerify:
 
     @staticmethod
     def _oracle(monkeypatch, oracle):
-        """Make ``verify`` grid by ``oracle``, a name in ``globalopt``, the
+        """Make ``verify`` grid by ``oracle``, a name in ``gsiplab.grid``, the
         scan or the numpy oracle, and record the ``(box, tol_feas,
         outcome)`` of each of its calls."""
         if oracle == "grid_minimize":
-            monkeypatch.setattr(cli, "_SCAN_WORK", 0)
-        fn, seen = getattr(globalopt, oracle), []
+            monkeypatch.setattr(grid, "_SCAN_WORK", 0)
+        fn, seen = getattr(grid, oracle), []
 
         def recording(objective, constraints, box, *args, **kwargs):
             out = fn(objective, constraints, box, *args, **kwargs)
             seen.append((box, kwargs["tol_feas"], out))
             return out
-        monkeypatch.setattr(globalopt, oracle, recording)
+        monkeypatch.setattr(grid, oracle, recording)
         return seen
 
     @pytest.mark.parametrize("oracle", ["_grid_scan", "grid_minimize"])
@@ -511,7 +511,7 @@ class TestVerify:
         # a grid is scanned
         self._claim_llp(monkeypatch, MinimizeOutcome(
             "optimal", {"y": 1.0}, -10.0, Interval(-9.5, -9.5)))
-        scan, generate = globalopt._grid_scan, ex._generate
+        scan, generate = grid._grid_scan, ex._generate
         scanning, made, grids = [], [], []
 
         def scanned(*args, **kwargs):
@@ -526,9 +526,9 @@ class TestVerify:
         def generating(*args):
             made.append(bool(scanning))
             return generate(*args)
-        monkeypatch.setattr(globalopt, "_grid_scan", scanned)
+        monkeypatch.setattr(grid, "_grid_scan", scanned)
         monkeypatch.setattr(ex, "_generate", generating)
-        monkeypatch.setattr(globalopt, "grid_minimize", None)
+        monkeypatch.setattr(grid, "grid_minimize", None)
         assert main(["verify", "--problem", "cex1", "--variant", "aux-llp",
                      "--max-iter", max_iter]) == 3
         capsys.readouterr()
@@ -689,7 +689,12 @@ assert out.minimizer == {{"x": 1.0}}, out
         (["list"], ["dataclasses", "inspect", "gsiplab.problem_format",
                     "json", "csv"]),
         (["fmt", str(GOLDEN / "cex1.gsip")], ["dataclasses", "inspect"]),
-    ], ids=["list", "fmt"])
+        # numpy and the grid kernel serve the grid oracle alone, which run
+        # never calls, and which verify leaves alone on cex1's small grids
+        (["run", "--problem", "cex1", "--variant", "llp-only"],
+         ["numpy", "gsiplab.arrays", "gsiplab.grid"]),
+        (["verify", "--problem", "cex1"], ["numpy", "gsiplab.arrays"]),
+    ], ids=["list", "fmt", "run", "verify"])
     def test_a_command_imports_only_what_it_runs(self, args, unwanted):
         # each of these costs start-up time in every command that loads it;
         # -S leaves out what the site hooks of an installation import

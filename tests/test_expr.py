@@ -849,9 +849,10 @@ class TestArrayKernel:
             assert vals[1].tolist() == ([2.0, 3.0] if divisor is x else [-2.0, -3.0])
             assert _masked_outcome(lambda e, env: run(e), y / divisor, env) == \
                 _masked_outcome(reference_grid, y / divisor, env)
-        # zero everywhere, over an array or a float: no point passes
-        for e in (y / (x - x) ** 2, y / (ex.const(1.0) - 1.0)):
-            assert run(e) == (None, None)
+        # zero everywhere, over an array or a float: no point passes, and a
+        # float's zero, which no block changes, fails every block
+        for e, ok in [(y / (x - x) ** 2, None), (y / (ex.const(1.0) - 1.0), False)]:
+            assert run(e) == (ok, None)
             assert _masked_outcome(reference_grid, e, env) is None
         # where the walk raises, evaluate_array raises too
         for e, message in [(y / x + ex.var("w"), "division by zero"),

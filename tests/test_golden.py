@@ -142,7 +142,8 @@ def test_oracle_outcomes_round_trip():
 
 def _regenerate():
     from conftest import random_poly_instance
-    from gsiplab.globalopt import grid_minimize, minimize
+    from gsiplab.globalopt import minimize
+    from gsiplab.grid import grid_minimize
 
     for problem, variant, fmt in CASES + INFEASIBLE_LLP_CASES:
         golden_path(problem, variant, fmt).write_text(

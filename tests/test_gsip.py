@@ -10,7 +10,8 @@ from gsiplab.algorithms import check_relaxation_feasible, verify_slater
 from gsiplab.domains import BoxDomain
 from gsiplab.expr import EvaluationError, evaluate, interval_eval, substitute
 from gsiplab.globalopt import (ConstraintSpec, NodeBudgetExceeded,
-                               UndecidedError, grid_minimize, minimize)
+                               UndecidedError, minimize)
+from gsiplab.grid import grid_minimize
 from gsiplab.gsip import (LEVEL, DomainError, GsipProblem, SlaterCertificate,
                           build_aux_llp, build_llp, build_lower_bounding,
                           build_sip_llp, builtin_problems, get_builtin)

@@ -23,7 +23,8 @@ EXPORTS = {
              "compile_expr", "const", "emax", "emin", "evaluate",
              "evaluate_array", "interval_eval", "substitute", "var"},
     "globalopt": {"ConstraintSpec", "MinimizeOutcome", "NodeBudgetExceeded",
-                  "UndecidedError", "grid_minimize", "minimize"},
+                  "UndecidedError", "minimize"},
+    "grid": {"grid_minimize"},
     "gsip": {"DomainError", "GsipProblem", "SlaterCertificate",
              "build_aux_llp", "build_llp", "build_lower_bounding",
              "build_sip_llp", "builtin_problems", "get_builtin"},
@@ -101,6 +102,22 @@ got = gsiplab.evaluate_array(x * x / (x + 1.0), {"x": np.arange(3.0)})
 assert got.tolist() == [0.0, 0.5, 4.0 / 3.0], got
 assert "gsiplab.arrays" not in sys.modules
 """)
+
+
+def test_globalopt_loads_no_grid_code_and_binds_grid_minimize_at_first_access():
+    # the benchmark hooks and calls gsiplab.globalopt.grid_minimize, which is
+    # gsiplab.grid's; importing globalopt, as every solve does, loads no grid
+    # code
+    _run("""
+import sys
+import gsiplab.globalopt
+assert "gsiplab.grid" not in sys.modules
+grid_minimize = gsiplab.globalopt.grid_minimize
+import gsiplab.grid
+assert grid_minimize is gsiplab.grid.grid_minimize is gsiplab.grid_minimize
+""")
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        importlib.import_module("gsiplab.globalopt").nothing
 
 
 @pytest.mark.parametrize("argv", [["list"], ["fmt", str(GOLDEN / "cex1.gsip")]],
