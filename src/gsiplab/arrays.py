@@ -12,42 +12,32 @@ value where a point passes is that walk's, bit for bit (but for the sign of
 a NaN, see ``expr``), and the tests keep the walk as the reference.  The
 kernel's argument list holds the grid's axes, then every tree's bound
 values, as floats, so one kernel serves every call whatever the values, and
-a tree met twice (two cuts) reads its own values each time.  Per block of
-the grid it runs each constraint in order and the objective last, under one
-rule: every test narrows a running mask, and the kernel returns ``None,
-None`` as soon as no point passes.  A constraint's test is
-``ConstraintSpec.satisfied``'s rule, a division's ``divisor != 0.0``: a
-point that divides by zero fails, where the walk raises.  A variable that
-neither the box nor the tree's bound values bind raises ``EvaluationError``
-when the kernel is generated.  Values are numbered across the trees, so a
-subtree two trees share is computed once.
+a tree met twice (two cuts) reads its own values each time.  A variable
+that neither the box nor the tree's bound values bind raises
+``EvaluationError`` when the kernel is generated.  Values are numbered
+across the trees, so a subtree two trees share is computed once.
+
+Per block of the grid the kernel runs every tree's lines in order, each
+constraint's followed by its test and the objective's by the return, as
+the walk would run them, under one rule: every test narrows a running
+mask, and the kernel returns ``None, None`` as soon as no point passes.  A
+constraint's test is ``ConstraintSpec.satisfied``'s rule, a division's
+``divisor != 0.0``: a point that divides by zero fails, where the walk
+raises.  A test whose operand spans no grid axis (a tree of bound values
+and constants) fails every block alike, so where it fails the kernel
+returns ``False, None``, and the grid oracle runs no further block.  A
+numpy call warns as the walk's does, save that a kernel that divides by an
+array runs under ``np.errstate``, so that a point it masks warns of
+nothing; the lines after a return run on no block, and warn of nothing.
 
 Each node over the grid's first axis writes into a view of one of the
 thread's flat buffers (``_Buffers``), shaped at call time by the grid axes
 it spans; the slots are given when the kernel is generated, by liveness
 (``_ArrayEmitter.layout``), so one kernel serves every block, and the
 grid's blocks reuse memory already mapped, where arrays allocated afresh
-for each block were mapped and faulted in again by the C library.
-
-The grid oracle blocks its grid along the first axis, and between two
-blocks of one grid only that axis's values change.  So a line that spans no
-value of the first axis, a *block-invariant* line (a node over the other
-axes, a bound value's read, a float operation, or the test of a divisor over
-no array), does the same on every block.  One rule places them: the
-block-invariant lines of all the trees form one prologue, which runs once
-per grid, at its first block, in the kernel's order and before any other
-line, and keeps every value it computes in the call's ``keep``; later blocks
-read them from there.  Every block then runs the other lines, in their
-order: the nodes over the first axis, the constraints' tests, the tests of
-the divisors over arrays and the return, as the mask is the block's.  So a
-tree that no point reaches still has its block-invariant nodes computed,
-once; a prologue that calls numpy runs under ``np.errstate(all="ignore")``,
-so that such a node warns of nothing, and a test in it that fails (a zero
-divisor over no array) fails every block alike, so no block runs after it.
-A block-invariant node writes a fresh array and takes no slot.  Each
-node makes the walk's numpy call on the same operands, and a numpy call's
-value does not depend on when it is made, so every value where a point
-passes is the walk's bit for bit.
+for each block were mapped and faulted in again by the C library.  A node
+over the other axes alone writes a fresh array, of one row of the grid at
+most.
 
 This module imports numpy.  The grid oracle imports it when called, so the
 rest of the package loads without numpy and without compiling this module.
@@ -78,16 +68,15 @@ def grid_kernel(objective: Expr, parameters: tuple,
     and bound names, and it holds those trees, so that an id cannot pass to
     another tree while it is kept.
 
-    ``kernel(arg, lengths, keep, tol)`` runs the kernel over one block:
-    ``arg`` holds the block's axes (axis ``i`` an array of ``len(names)``
+    ``kernel(arg, lengths, tol)`` runs the kernel over one block: ``arg``
+    holds the block's axes (axis ``i`` an array of ``len(names)``
     dimensions, of length 1 along each but the ``i``-th; only the first
     changes from block to block), then the bound values of each constraint
-    and of the objective, in order; ``lengths`` the block's shape; ``keep``
-    a dict, empty at a grid's first block, that holds the block-invariant
-    values; ``tol`` the constraints' ``tol_feas``.  It returns ``(ok,
-    values)``: ``ok`` is ``None`` where no point of the block passes its
-    tests (the constraints', and each divisor's ``!= 0.0``), ``False`` where
-    no point of any block can, as a divisor over no array is zero, and then
+    and of the objective, in order; ``lengths`` the block's shape; ``tol``
+    the constraints' ``tol_feas``.  It returns ``(ok, values)``: ``ok`` is
+    ``None`` where no point of the block passes its tests (the
+    constraints', and each divisor's ``!= 0.0``), ``False`` where no point
+    of any block can, as a test over no grid axis fails, and then
     ``values`` is ``None`` too; ``True`` where every point passes, else a
     boolean mask of the block (or broadcast to it); ``values`` are the
     objective's, an array or a float, valid only until the next grid kernel
@@ -142,13 +131,14 @@ def _test(passed, ok):
     return None if n == 0 else True if n == np.size(passed) else passed
 
 
-# a test's line in a grid kernel: the running mask narrowed by the test's
-# condition, and the return once no point passes
-_TEST = "if (ok := _test({}, ok)) is None: return None, None"
-
-
-def _indent(lines) -> list[str]:
-    return [f"    {line}" for line in lines]
+def _check(passed: str, axes: int) -> str:
+    """The line of a test whose points pass where ``passed`` holds, over
+    the grid ``axes`` it spans: the running mask narrowed by it, and the
+    return once no point passes; over no axis, the return once it fails,
+    which fails every block alike."""
+    if axes:
+        return f"if (ok := _test({passed}, ok)) is None: return None, None"
+    return f"if not {passed}: return False, None"
 
 
 def _generate_grid(objective: Expr, parameters: tuple,
@@ -158,19 +148,8 @@ def _generate_grid(objective: Expr, parameters: tuple,
 
     Each tree's lines are written in turn, with a name index of its own (the
     box's names, then its bound values' slots of the argument list), each
-    constraint's ending with its test and the objective's with the return.
-    Then they split by the axes they span, under one rule: the lines that
-    span no value of the first axis (the nodes over other axes, the bound
-    values' reads, the float operations and the tests of a divisor over no
-    array) form one prologue, which runs at a grid's first block, before any
-    other line, and keeps all their values in ``keep``; later blocks read
-    them back.  The other lines run on every block, in their order, as the
-    mask is the block's.  A failing test in the prologue fails every block
-    alike: it returns ``False, None`` before the division it guards, which
-    would raise, and the caller runs no further block.  A prologue that
-    calls numpy runs under ``np.errstate(all="ignore")``, as its values may
-    belong to a tree that no point reaches: an overflow there warns of
-    nothing, and shows only as the inf or NaN it gives.  A kernel that
+    constraint's ending with its test and the objective's with the return,
+    into one body that runs on every block, in that order.  A kernel that
     divides by an array runs under ``np.errstate``: a point it masks warns
     of nothing."""
     box = {n: i for i, n in enumerate(names)}
@@ -180,31 +159,23 @@ def _generate_grid(objective: Expr, parameters: tuple,
     for e, sense, pnames in trees:
         index = {**box, **{n: slot + i for i, n in enumerate(pnames)}}
         slot += len(pnames)
-        result, _ = emitter.tree(e, index)
+        result, axes = emitter.tree(e, index)
         # ConstraintSpec.satisfied: value <= tol_feas for "le", value >=
         # -tol_feas for "ge"
         emitter.read(result, f"return ok, {result}" if sense is None else
-                     _TEST.format(f"{result} <= tol" if sense == "le" else
-                                  f"{result} >= -tol"))
-    lines = list(zip(emitter.lines, emitter.spans))
-    body = [line for line, span in lines if span & 1]
-    prologue = [line for line, span in lines if not span & 1]
-    if prologue:
-        if emitter.warns:
-            prologue = ["with _errstate(all='ignore'):", *_indent(prologue)]
-        kept = ", ".join(emitter.invariant)
-        body = ["if not keep:", *_indent(prologue), f"    keep[0] = [{kept}]",
-                "else:", f"    [{kept}] = keep[0]", *body]
-    body.insert(0, "ok = True")
+                     _check(f"{result} <= tol" if sense == "le" else
+                            f"{result} >= -tol", axes))
+    body = ["ok = True", *emitter.lines]
     if emitter.divides:
-        body = ["with _errstate(divide='ignore', invalid='ignore'):", *_indent(body)]
+        body = ["with _errstate(divide='ignore', invalid='ignore'):",
+                *(f"    {line}" for line in body)]
     layout = emitter.layout()
     emitter.namespace.update(_views=_BUFFERS.views, _layout=layout,
                              _trees=[e for e, _, _ in trees])
     if layout:
         body.insert(0, "".join(f"o{v[1:]}, " for v, _, _ in emitter.temps if v)
                     + "= _views(_layout, lengths)")
-    source = "\n    ".join(["def kernel(arg, lengths, keep, tol):", *body])
+    source = "\n    ".join(["def kernel(arg, lengths, tol):", *body])
     exec(compile(source, "<grid kernel>", "exec"), emitter.namespace)
     return emitter.namespace["kernel"]
 
@@ -226,16 +197,8 @@ class _ArrayEmitter(_Emitter):
         # temporaries it reads; and their value names
         self.temps: list[tuple] = []
         self.slotted: set[str] = set()
-        # the axes each line's values span, the first axis for a test's (none
-        # for the test of a divisor over no array)
-        self.spans: list[int] = []
-        # the values that span no value of the first axis, in order
-        self.invariant: list[str] = []
         # whether the kernel divides by an array
         self.divides = False
-        # whether a line that spans no value of the first axis (a line of the
-        # prologue) calls numpy, which may warn
-        self.warns = False
         self.namespace.update({f"_{name}": getattr(np, name)
                                for name in (*_UFUNCS.values(), "errstate")}, _test=_test)
 
@@ -245,16 +208,12 @@ class _ArrayEmitter(_Emitter):
         self.memo = {}   # a tree met again may read other bound values
         return self.node(e)
 
-    def emit(self, line: str, axes: int) -> None:
-        self.lines.append(line)
-        self.spans.append(axes)
-
     def read(self, value: str, line: str) -> None:
         """``line``, a test or the return, which reads ``value``, a tree's
-        result, after the tree's lines, on every block."""
+        result, after the tree's lines."""
         if value in self.slotted:
             self.temps.append((None, 0, [value]))
-        self.emit(line, 1)
+        self.lines.append(line)
 
     def value(self, e: Expr, kids, n: int) -> tuple[str, int]:
         """A node over an array is one numpy call, which writes into its out
@@ -271,42 +230,34 @@ class _ArrayEmitter(_Emitter):
                 _unknown(e.name)()
             self.variable(e, v)
             i = self.index.get(e.name)
-            axes = 1 << i if i in self.dims else 0
-            self.spans.append(axes)
-        else:
-            axes = self.operation(e, kids, v, n)
-        if not axes & 1:
-            self.invariant.append(v)
-        return v, axes
+            return v, 1 << i if i in self.dims else 0
+        return v, self.operation(e, kids, v, n)
 
     def operation(self, e: Expr, kids, v: str, n: int) -> int:
         """The lines of operation ``e`` into ``v``, and the axes it spans."""
         k = e.kind
         ops = [a for a, _ in kids]
+        emit = self.lines.append
         axes = 0
         for _, mask in kids:
             axes |= mask
         if k == "pow":
             ops.append(self.bind(e.exponent))
         elif k == "div":
-            # a test like a constraint's, on every block where the divisor is
-            # an array; one over no array fails every block alike, so it says
-            # that no block can pass
+            # a test like a constraint's
             c, mask = kids[1]
-            self.emit(_TEST.format(f"{c} != 0.0") if mask else
-                      f"if {c} == 0.0: return False, None", 1 if mask else 0)
+            emit(_check(f"{c} != 0.0", mask))
             self.divides |= mask != 0
         if axes & 1:
             self.slotted.add(v)
             self.temps.append((v, axes, [a for a in ops if a in self.slotted]))
-            self.emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)}, out=o{n})", axes)
+            emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)}, out=o{n})")
         elif k == "neg" and not axes:
-            self.emit(f"{v} = -{ops[0]}", axes)
+            emit(f"{v} = -{ops[0]}")
         elif (k in _BINARY or k == "div") and not axes:
-            self.emit(f"{v} = {ops[0]} {_BINARY.get(k, '/')} {ops[1]}", axes)
+            emit(f"{v} = {ops[0]} {_BINARY.get(k, '/')} {ops[1]}")
         else:
-            self.emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)})", axes)
-            self.warns = True
+            emit(f"{v} = _{_UFUNCS[k]}({', '.join(ops)})")
         return axes
 
     def layout(self) -> tuple[tuple[int, int], ...]:

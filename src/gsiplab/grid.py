@@ -82,15 +82,13 @@ def grid_minimize(objective: Expr,
     their order, each followed by its test, and the objective last; a
     division tests that its divisor is not zero, and a point where it is
     fails, as an infeasible point does.  Once no point of the block passes,
-    it skips the rest, and where a divisor over no array is zero, which no
+    it skips the rest, and where a test over no grid axis fails (a
+    constraint on bound values alone, or a divisor that is zero), which no
     point of any block passes, no further block runs.  A variable bound
     nowhere raises ``EvaluationError`` whether or not a point passes.  It
-    computes a subtree that the trees share once, and every line that spans
-    no value of the first axis once per call, in one prologue at the first
-    block ahead of every other line, whether or not a point reaches its
-    tree, and where that prologue calls numpy, it warns of nothing; it
-    writes its other temporaries into the thread's buffers, the same memory
-    for every block and every call.
+    computes a subtree that the trees share once per block, and writes its
+    temporaries over the first axis into the thread's buffers, the same
+    memory for every block and every call.
 
     The minimum is the first in C order among the grid points that are
     feasible and whose value is not NaN, as a NaN never becomes
@@ -127,7 +125,6 @@ def grid_minimize(objective: Expr,
     kernel = _arrays.grid_kernel(
         objective, named.pop(),
         [(c.expr, c.sense, p) for c, p in zip(constraints, named)], box.names)
-    keep: dict = {}   # the block-invariant values of this grid
     best = None   # the first minimum so far: (value, flat index)
     block = shape
     for start in range(0, n if dims else 1, rows):
@@ -136,8 +133,8 @@ def grid_minimize(objective: Expr,
         if dims and rows < n:
             args[0] = grid[0][start:start + rows]
             block = args[0].shape[:1] + shape[1:]
-        ok, vals = kernel(args, block, keep, tol_feas)
-        if ok is False:   # a divisor over no array is zero: no block passes
+        ok, vals = kernel(args, block, tol_feas)
+        if ok is False:   # a test over no grid axis fails: no block passes
             break
         if ok is None:
             continue

@@ -841,7 +841,7 @@ class TestArrayKernel:
         env = dict(zip(AXES, grid))
 
         def run(e):
-            return arrays.grid_kernel(e, (), (), AXES[:2])(grid, (2, 2), {}, 0.0)
+            return arrays.grid_kernel(e, (), (), AXES[:2])(grid, (2, 2), 0.0)
         # x is zero in the first row, whose points fail; -0.0 too
         for divisor in (x, x * -1.0):
             ok, vals = run(y / divisor)
@@ -875,7 +875,7 @@ class TestArrayKernel:
         # a chain over one axis works in one slot
         assert _slots(-((x * 2.0 + 1.0) ** 3 - x), 1) == 1
         # x * y spans both axes, so x + 1's slot cannot take it; y + 1 does
-        # not span the first axis, so it is kept for the grid, in no slot
+        # not span the first axis, so it writes a fresh array, in no slot
         assert _slots((x + 1.0) * (y + 1.0), 2) == 2
         # (x + 1) is read again at the end, so it holds its slot throughout
         u = x + 1.0
@@ -903,7 +903,7 @@ class TestArrayKernel:
         first = evaluate_array(x * y + 1.0, env)
         kept = first.copy()
         evaluate_array(x * y - 1.0, env)
-        arrays.grid_kernel(x * y - 2.0, (), (), AXES[:2])(grid, (3, 2), {}, 0.0)
+        arrays.grid_kernel(x * y - 2.0, (), (), AXES[:2])(grid, (3, 2), 0.0)
         assert np.array_equal(first, kept)
 
 
@@ -914,12 +914,12 @@ def _grid_blocks(e, grid, bound, rows):
     environment, and the function that runs the kernel over it, made (or
     raising) at its first call."""
     names = AXES[:len(grid)]
-    args, keep = [*grid, *(bound.get(n, 0.0) for n in BOUND)], {}
+    args = [*grid, *(bound.get(n, 0.0) for n in BOUND)]
     for start in range(0, grid[0].size, rows):
         args[0] = grid[0][start:start + rows]
         lengths = tuple(a.size for a in args[:len(names)])
         yield ({**bound, **dict(zip(names, args))},
-               lambda e, env: arrays.grid_kernel(e, BOUND, (), names)(args, lengths, keep, 0.0))
+               lambda e, env: arrays.grid_kernel(e, BOUND, (), names)(args, lengths, 0.0))
 
 
 def _slots(e, axes):
@@ -1014,4 +1014,4 @@ class TestValueNumbering:
             (_bits(-0.0),) * 2
         grid = [np.ones(2)]
         assert np.signbit(evaluate_array(e, {"x": grid[0]})).all()
-        assert np.signbit(arrays.grid_kernel(e, (), (), ("x",))(grid, (2,), {}, 0.0)[1]).all()
+        assert np.signbit(arrays.grid_kernel(e, (), (), ("x",))(grid, (2,), 0.0)[1]).all()

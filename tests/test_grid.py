@@ -237,9 +237,9 @@ class TestGridFeasibilityFirst:
         out, blocks = _traced(5, obj, [first, second], UNIT_XY, 5,
                               parameters=(("w", 1.0),))
         assert out is INFEASIBLE
-        # 2 + y spans the second axis alone: computed at the first block and
-        # kept; neither product is ever computed
-        assert blocks == [["add"]] + [[]] * 4
+        # every block computes 2 + y and returns at its test; neither product
+        # is ever computed
+        assert blocks == [["add"]] * 5
 
     def test_the_objective_only_on_blocks_with_a_feasible_point(self):
         # only the last two rows satisfy x >= 0.5
@@ -251,8 +251,8 @@ class TestGridFeasibilityFirst:
     @pytest.mark.parametrize("n", [4, 5])
     def test_a_dividing_tree_runs_on_no_block_once_no_point_passes(self, n):
         # no point passes 2 + y <= 0; y - 0.5 is zero at a grid point of 5
-        # points, at none of 4; the first block computes both, which span no
-        # value of x, ahead of any test, and no block divides
+        # points, at none of 4; every block returns at the first test, ahead
+        # of both, and no block divides
         first = ConstraintSpec(2.0 + y, "le")
         for objective, cons in [(x / (y - 0.5), [first]),
                                 (x, [first, ConstraintSpec(x / (y - 0.5)),
@@ -260,42 +260,60 @@ class TestGridFeasibilityFirst:
             out, blocks = _traced(n, objective, cons, UNIT_XY, n)
             assert out is INFEASIBLE
             assert repr(out) == repr(_dense_grid_minimize(objective, cons, UNIT_XY, n))
-            assert blocks == [["add", "subtract"]] + [[]] * (n - 1)
+            assert blocks == [["add"]] * n
 
     def test_a_zero_divisor_over_no_array_decides_the_grid(self):
-        # w - 1 is zero: the first block's prologue computes y + 1 and its
-        # cube, then fails the divisor's test before it keeps them, and no
-        # later block runs it again
+        # w - 1 is zero: the first block computes the lines before the
+        # divisor's test, then fails it, and no later block runs
         w = ex.var("w")
         objective = x * y + (y + 1) ** 3 + x / (w - 1)
         out, blocks = _traced(5, objective, [], UNIT_XY, 5, parameters=(("w", 1.0),))
         assert out is INFEASIBLE
         assert repr(out) == repr(_dense_grid_minimize(
             objective, [], UNIT_XY, 5, parameters=(("w", 1.0),)))
-        assert blocks == [["add", "float_power"]]
+        assert blocks == [["multiply", "add", "float_power", "add"]]
 
-    def test_a_prologue_value_that_no_point_reads_warns_of_nothing(self):
-        # no point passes 2 + y <= 0, so none reaches the objective, whose
-        # (y * 1e300) ** 2 spans no value of x: the prologue computes it all
-        # the same, and it overflows
+    def test_a_failing_constraint_over_no_axis_ends_the_grid(self):
+        # every point passes x * x - 1 <= 0, and none w - 2 <= 0 at w = 3,
+        # which no block changes: the first block fails it, and no later
+        # block runs
+        cons = [ConstraintSpec(x * x - 1.0),
+                ConstraintSpec(ex.var("w") - 2.0, "le", (("w", 3.0),))]
+        out, blocks = _traced(5, x * y, cons, UNIT_XY, 5)
+        assert out is INFEASIBLE
+        assert repr(out) == repr(_dense_grid_minimize(x * y, cons, UNIT_XY, 5))
+        assert blocks == [["multiply", "subtract"]]
+
+    def test_a_value_that_no_point_reaches_warns_of_nothing(self):
+        # no point passes 2 + y <= 0, so no block reaches the objective, whose
+        # (y * 1e300) ** 2 would overflow
         cons = [ConstraintSpec(2.0 + y, "le")]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             out = grid_minimize(x + (y * 1e300) ** 2, cons, UNIT_XY, 5)
         assert out is INFEASIBLE
 
+    @pytest.mark.parametrize("objective", [x + (y * 1e300) ** 2, y + (x * 1e300) ** 2],
+                             ids=["second-axis", "first-axis"])
+    def test_a_reached_overflow_warns_over_any_axis(self, objective):
+        # (1e300) ** 2 overflows: the grid warns where the walk does
+        env = dict(zip(UNIT_XY.names, np.ix_(*[np.linspace(-1.0, 1.0, 5)] * 2)))
+        for run in (lambda: grid_minimize(objective, [], UNIT_XY, 5),
+                    lambda: evaluate_array(objective, env)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RuntimeWarning, match="overflow encountered in float_power"):
+                    run()
+
     def test_a_divisor_zero_everywhere_fails_every_point(self):
         # every point passes x * x <= 1, and y - y is zero everywhere: each
-        # block returns at the divisor's test and divides nothing; the first
-        # computes y - y ahead of every test and keeps it, so no later block
-        # subtracts it again
+        # block returns at the divisor's test and divides nothing
         cons = [ConstraintSpec(x * x - 1.0, "le")]
         objective = x * y + x / (y - y)
         out, blocks = _traced(5, objective, cons, UNIT_XY, 5)
         assert out is INFEASIBLE
         assert repr(out) == repr(_dense_grid_minimize(objective, cons, UNIT_XY, 5))
-        assert blocks == [["subtract", "multiply", "subtract", "multiply"]] + \
-            [["multiply", "subtract", "multiply"]] * 4
+        assert blocks == [["multiply", "subtract", "multiply", "subtract"]] * 5
 
     @pytest.mark.parametrize("where", ["objective", "constraint"])
     def test_an_unbound_variable_raises_though_no_point_passes(self, where):
@@ -310,15 +328,12 @@ class TestGridFeasibilityFirst:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_a_dividing_tree_reads_an_earlier_trees_value(self, n):
-        # the objective's x * y is the constraint's, computed once per block;
-        # y - 0.5 is computed ahead of it at the first block and kept, and
-        # tested at every block
+        # the objective's x * y is the constraint's, computed once per block
         cons = [ConstraintSpec(x * y, "ge")]
         objective = x * y + x / (y - 0.5)
         out, blocks = _traced(n, objective, cons, UNIT_XY, n)
         assert repr(out) == repr(_dense_grid_minimize(objective, cons, UNIT_XY, n))
-        assert blocks == [["subtract", "multiply", "divide", "add"]] + \
-            [["multiply", "divide", "add"]] * (n - 1)
+        assert blocks == [["multiply", "subtract", "divide", "add"]] * n
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(2, 6),
@@ -347,7 +362,7 @@ UNIT_UV = BoxDomain([("u", -1.0, 1.0), ("v", -1.0, 1.0)])
 
 
 @st.composite
-def hoisting_cases(draw):
+def axes_cases(draw):
     """A grid over (u, v) of 2, 3, 5, 8 or 65 points per axis; an objective
     and 0-2 constraints over u, v and the bound values a and b, each with
     its own values of a and b; and the rows per block.  One tree divides by
@@ -395,12 +410,12 @@ def _grid_outcome(fn, *args, **kwargs):
         return repr(fn(*args, **kwargs))
 
 
-class TestGridHoisting:
-    """A node that does not span the first axis is computed once per grid,
-    and the grid's axes are np.linspace's."""
+class TestGridAxes:
+    """Trees over either axis, bound values and divisors zero at a grid
+    point match the dense grid, and the grid's axes are np.linspace's."""
 
     @settings(max_examples=200, deadline=None)
-    @given(hoisting_cases())
+    @given(axes_cases())
     # 4 points on [-1, 1] miss v = 0.5, 5 points do not
     @example((U * (V - 0.5) + ex.var("a") / (V - 0.5), [], UNIT_UV, 4, (("a", 2.0),), 1))
     @example((U * (V - 0.5) + ex.var("a") / (V - 0.5), [], UNIT_UV, 5, (("a", 2.0),), 1))
@@ -412,13 +427,14 @@ class TestGridHoisting:
                           parameters=parameters)
 
     @settings(max_examples=200, deadline=None)
-    @given(hoisting_cases())
+    @given(axes_cases())
     @example((U * V + ex.var("a") / (ex.var("b") - 1.0) + V / 2.0 + (V - 0.5) * 3.0,
               [ConstraintSpec(V * V - ex.var("a"), "le", (("a", 0.5),))],
               UNIT_UV, 5, (("a", 2.0), ("b", 3.0)), 1))
-    def test_one_prologue_holds_every_line_over_no_first_axis_value(self, case):
-        # the generated source, read line by line: a value spans the first
-        # axis where it reads arg[0] or a value that does
+    def test_only_a_test_over_no_axis_ends_the_grid(self, case):
+        # the generated source, read line by line: a value spans a grid axis
+        # where it reads arg[0], arg[1] or a value that does; every block runs
+        # every line, and a test returns False only over no axis
         objective, constraints, box, _, parameters, _ = case
         sources = []
 
@@ -431,53 +447,20 @@ class TestGridHoisting:
                 [(c.expr, c.sense, tuple(n for n, _ in c.parameters))
                  for c in constraints], box.names)
         (source,) = sources
-        body = [line.strip() for line in source.splitlines()[1:]]
-        assert body.count("if not keep:") <= 1
-        prologue, kept = [], None
-        if "if not keep:" in body:
-            start = body.index("if not keep:")
-            end = next(i for i in range(start, len(body)) if body[i].startswith("keep[0] = "))
-            prologue = body[start + 1:end]
-            # a prologue that calls numpy runs with its warnings off
-            quiet = "with _errstate(all='ignore'):"
-            assert (prologue[0] == quiet) == any(
-                re.search(r" = _\w+\(", line) for line in prologue)
-            prologue = [line for line in prologue if line != quiet]
-            kept = body[end][len("keep[0] = "):]
-            assert body[end + 1:end + 3] == ["else:", f"{kept} = keep[0]"]
-            body = body[:start] + body[end + 3:]
-        first, invariant = set(), []
-        for line in prologue + body:
+        head, *body = [line.strip() for line in source.splitlines()]
+        assert head == "def kernel(arg, lengths, tol):"
+        spanning = set()
+        for line in body:
             target, _, rhs = line.partition(" = ")
-            if not re.fullmatch(r"v\d+", target):
-                # a test or the return: only a divisor's test is in the
-                # prologue, and one that fails there fails every block
-                assert line not in prologue or line.endswith(" == 0.0: return False, None")
-                continue
-            over = "arg[0]" in rhs or bool(first & set(re.findall(r"\bv\d+\b", rhs)))
-            assert over == (line not in prologue), line
-            if over:
-                first.add(target)
-            else:
-                invariant.append(target)
-        assert kept == (f"[{', '.join(invariant)}]" if prologue else None)
-
-    def test_a_subtree_over_the_second_axis_once_per_grid(self):
-        # u ** 2 spans the first axis, (v + 1) ** 3 does not: over 5 blocks of
-        # one row, the one is raised to its power in each, the other once
-        objective = U ** 2 * (V + 1.0) ** 3
-        kernel = arrays.grid_kernel(objective, (), (), UNIT_UV.names)
-        power = kernel.__globals__["_float_power"]
-        shapes = []
-
-        def spy(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return power(a, *args, **kwargs)
-        with mock.patch.dict(kernel.__globals__, _float_power=spy):
-            out, blocks = _traced(5, objective, [], UNIT_UV, 5)
-        assert repr(out) == repr(_dense_grid_minimize(objective, [], UNIT_UV, 5))
-        assert len(blocks) == 5
-        assert sorted(shapes) == [(1, 1)] * 5 + [(1, 5)]
+            value = re.fullmatch(r"v\d+", target)
+            reads = set(re.findall(r"\bv\d+\b", rhs if value else line))
+            over = bool(re.search(r"arg\[[01]\]", rhs) or spanning & reads)
+            if value and over:
+                spanning.add(target)
+            elif line.endswith("return False, None"):
+                assert line.startswith("if not ") and not over, line
+            elif line.endswith("return None, None"):
+                assert over, line
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(COORDS, st.sampled_from(
