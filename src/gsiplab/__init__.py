@@ -31,7 +31,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("algorithms", "arrays", "cli", "domains", "expr", "globalopt",
-               "grid", "gsip", "immutable", "problem_format")
+               "grid", "gsip", "immutable", "kernels", "problem_format")
 
 __all__ = list(_HOME)
 

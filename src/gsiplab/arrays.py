@@ -1,21 +1,22 @@
 """The grid oracle's one kernel per grid (``grid_kernel``).
 
 A grid kernel is one generated Python function of straight-line code, as a
-tree's point, interval and gradient kernels are (``expr``), kept on the
-objective the same way, made from a whole minimization: a list of
-constraint trees, each with its sense, and an objective, each with the
-names of its bound values, over an open grid of the box's names.  Each node
-over an array is one numpy call, the one that the walk over arrays
-(``expr.evaluate_array``) makes; a node over none is evaluated as that walk
-would, with Python's float operators and numpy's scalar calls.  So every
-value where a point passes is that walk's, bit for bit (but for the sign of
-a NaN, see ``expr``), and the tests keep the walk as the reference.  The
-kernel's argument list holds the grid's axes, then every tree's bound
-values, as floats, so one kernel serves every call whatever the values, and
-a tree met twice (two cuts) reads its own values each time.  A variable
-that neither the box nor the tree's bound values bind raises
-``EvaluationError`` when the kernel is generated.  Values are numbered
-across the trees, so a subtree two trees share is computed once.
+tree's point, interval and gradient kernels are, by a subclass of their
+emitter (``gsiplab.kernels``), kept on the objective the same way, made from
+a whole minimization: a list of constraint trees, each with its sense, and
+an objective, each with the names of its bound values, over an open grid of
+the box's names.  Each node over an array is one numpy call, the one that
+the walk over arrays (``expr.evaluate_array``) makes; a node over none is
+evaluated as that walk would, with Python's float operators and numpy's
+scalar calls.  So every value where a point passes is that walk's, bit for
+bit (but for the sign of a NaN, see ``gsiplab.kernels``), and the tests keep
+the walk as the reference.  The kernel's argument list holds the grid's
+axes, then every tree's bound values, as floats, so one kernel serves every
+call whatever the values, and a tree met twice (two cuts) reads its own
+values each time.  A variable that neither the box nor the tree's bound
+values bind raises ``EvaluationError`` when the kernel is generated.  Values
+are numbered across the trees, so a subtree two trees share is computed
+once.
 
 Per block of the grid the kernel runs every tree's lines in order, each
 constraint's followed by its test and the objective's by the return, as
@@ -24,11 +25,13 @@ mask, and the kernel returns ``None, None`` as soon as no point passes.  A
 constraint's test is ``ConstraintSpec.satisfied``'s rule, a division's
 ``divisor != 0.0``: a point that divides by zero fails, where the walk
 raises.  A test whose operand spans no grid axis (a tree of bound values
-and constants) fails every block alike, so where it fails the kernel
-returns ``False, None``, and the grid oracle runs no further block.  A
-numpy call warns as the walk's does, save that a kernel that divides by an
-array runs under ``np.errstate``, so that a point it masks warns of
-nothing; the lines after a return run on no block, and warn of nothing.
+and constants), or only axes other than the first (the one the blocks
+split), is the same on every block: where none of its own points passes,
+it fails every block alike, so the kernel returns ``False, None``, and the
+grid oracle runs no further block.  A numpy call warns as the walk's does,
+save that a kernel that divides by an array runs under ``np.errstate``, so
+that a point it masks warns of nothing; the lines after a return run on no
+block, and warn of nothing.
 
 Each node over the grid's first axis writes into a view of one of the
 thread's flat buffers (``_Buffers``), shaped at call time by the grid axes
@@ -50,8 +53,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import _BINARY, _KERNELS, Expr, _Emitter, _unknown
+from .expr import _KERNELS, Expr
 from .immutable import kept
+from .kernels import _BINARY, _Emitter, _unknown
 
 # the kind of a grid kernel on the tree
 _GRID = "grid"
@@ -76,7 +80,7 @@ def grid_kernel(objective: Expr, parameters: tuple,
     the constraints' ``tol_feas``.  It returns ``(ok, values)``: ``ok`` is
     ``None`` where no point of the block passes its tests (the
     constraints', and each divisor's ``!= 0.0``), ``False`` where no point
-    of any block can, as a test over no grid axis fails, and then
+    of any block can, as a test alike on every block fails, and then
     ``values`` is ``None`` too; ``True`` where every point passes, else a
     boolean mask of the block (or broadcast to it); ``values`` are the
     objective's, an array or a float, valid only until the next grid kernel
@@ -131,14 +135,19 @@ def _test(passed, ok):
     return None if n == 0 else True if n == np.size(passed) else passed
 
 
-def _check(passed: str, axes: int) -> str:
-    """The line of a test whose points pass where ``passed`` holds, over
+def _check(passed: str, axes: int) -> list[str]:
+    """The lines of a test whose points pass where ``passed`` holds, over
     the grid ``axes`` it spans: the running mask narrowed by it, and the
-    return once no point passes; over no axis, the return once it fails,
+    return once no point passes.  A test over no axis, or over axes other
+    than the first (the one the blocks split), is the same on every block,
+    so it first returns ``False, None`` once none of its own points passes,
     which fails every block alike."""
+    if axes & 1:
+        return [f"if (ok := _test({passed}, ok)) is None: return None, None"]
     if axes:
-        return f"if (ok := _test({passed}, ok)) is None: return None, None"
-    return f"if not {passed}: return False, None"
+        return [f"if not (t := {passed}).any(): return False, None",
+                "if (ok := _test(t, ok)) is None: return None, None"]
+    return [f"if not {passed}: return False, None"]
 
 
 def _generate_grid(objective: Expr, parameters: tuple,
@@ -162,7 +171,7 @@ def _generate_grid(objective: Expr, parameters: tuple,
         result, axes = emitter.tree(e, index)
         # ConstraintSpec.satisfied: value <= tol_feas for "le", value >=
         # -tol_feas for "ge"
-        emitter.read(result, f"return ok, {result}" if sense is None else
+        emitter.read(result, [f"return ok, {result}"] if sense is None else
                      _check(f"{result} <= tol" if sense == "le" else
                             f"{result} >= -tol", axes))
     body = ["ok = True", *emitter.lines]
@@ -208,12 +217,12 @@ class _ArrayEmitter(_Emitter):
         self.memo = {}   # a tree met again may read other bound values
         return self.node(e)
 
-    def read(self, value: str, line: str) -> None:
-        """``line``, a test or the return, which reads ``value``, a tree's
+    def read(self, value: str, lines: list[str]) -> None:
+        """``lines``, a test or the return, which read ``value``, a tree's
         result, after the tree's lines."""
         if value in self.slotted:
             self.temps.append((None, 0, [value]))
-        self.lines.append(line)
+        self.lines += lines
 
     def value(self, e: Expr, kids, n: int) -> tuple[str, int]:
         """A node over an array is one numpy call, which writes into its out
@@ -246,7 +255,7 @@ class _ArrayEmitter(_Emitter):
         elif k == "div":
             # a test like a constraint's
             c, mask = kids[1]
-            emit(_check(f"{c} != 0.0", mask))
+            self.lines += _check(f"{c} != 0.0", mask)
             self.divides |= mask != 0
         if axes & 1:
             self.slotted.add(v)

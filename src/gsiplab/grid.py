@@ -32,10 +32,11 @@ import math
 from typing import Sequence
 
 from .domains import BoxDomain
-from .expr import EvaluationError, Expr, _unknown
+from .expr import EvaluationError, Expr
 from .globalopt import (INFEASIBLE, ConstraintSpec, MinimizeOutcome, _disjoint,
                         _form, _split)
 from .immutable import kept
+from .kernels import _unknown
 
 
 # the most grid points grid_minimize evaluates at once: few enough that a
@@ -82,13 +83,14 @@ def grid_minimize(objective: Expr,
     their order, each followed by its test, and the objective last; a
     division tests that its divisor is not zero, and a point where it is
     fails, as an infeasible point does.  Once no point of the block passes,
-    it skips the rest, and where a test over no grid axis fails (a
-    constraint on bound values alone, or a divisor that is zero), which no
-    point of any block passes, no further block runs.  A variable bound
-    nowhere raises ``EvaluationError`` whether or not a point passes.  It
-    computes a subtree that the trees share once per block, and writes its
-    temporaries over the first axis into the thread's buffers, the same
-    memory for every block and every call.
+    it skips the rest, and where a test that every block runs alike, over
+    no grid axis or over axes other than the first, fails at all of its
+    points (a constraint on bound values alone, a divisor that is zero, or a
+    constraint over the other axes that no point passes), no further block
+    runs.  A variable bound nowhere raises ``EvaluationError`` whether or
+    not a point passes.  It computes a subtree that the trees share once per
+    block, and writes its temporaries over the first axis into the thread's
+    buffers, the same memory for every block and every call.
 
     The minimum is the first in C order among the grid points that are
     feasible and whose value is not NaN, as a NaN never becomes
@@ -134,7 +136,7 @@ def grid_minimize(objective: Expr,
             args[0] = grid[0][start:start + rows]
             block = args[0].shape[:1] + shape[1:]
         ok, vals = kernel(args, block, tol_feas)
-        if ok is False:   # a test over no grid axis fails: no block passes
+        if ok is False:   # a test alike on every block fails: none passes
             break
         if ok is None:
             continue

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_problem, sample_point
-from gsiplab import algorithms, globalopt, gsip
+from gsiplab import algorithms, globalopt, gsip, kernels
 from gsiplab import expr as ex
 from gsiplab.algorithms import (AUX_LLP, LLP_ONLY, SIP_LLP, TIE_BREAKS,
                                 VARIANTS, AlgorithmConfig, IterateRecord,
@@ -174,13 +174,13 @@ class TestCompileOnce:
     @pytest.fixture
     def generated(self, monkeypatch):
         """The kind of every kernel generated while the test runs."""
-        generate = ex._generate
+        generate = kernels._generate
         kinds = []
 
         def counting(e, index, kind, *rest):
             kinds.append(kind)
             return generate(e, index, kind, *rest)
-        monkeypatch.setattr(ex, "_generate", counting)
+        monkeypatch.setattr(kernels, "_generate", counting)
         return kinds
 
     @staticmethod

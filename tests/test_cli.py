@@ -11,14 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from gsiplab import algorithms, arrays, grid, gsip
-from gsiplab import expr as ex
+from gsiplab import algorithms, arrays, grid, gsip, kernels
 from gsiplab.cli import _config_from_args, build_parser, main
 from gsiplab.expr import Interval
 from gsiplab.globalopt import MinimizeOutcome
 from gsiplab.problem_format import MAX_DEPTH, parse_problem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+CLI = ["-m", "gsiplab.cli"]
 GOLDEN = Path(__file__).with_name("golden")
 LLP_INFEASIBLE = GOLDEN / "llp_infeasible.gsip"
 WIDE_BOX = GOLDEN / "wide_box.gsip"
@@ -511,7 +511,7 @@ class TestVerify:
         # a grid is scanned
         self._claim_llp(monkeypatch, MinimizeOutcome(
             "optimal", {"y": 1.0}, -10.0, Interval(-9.5, -9.5)))
-        scan, generate = grid._grid_scan, ex._generate
+        scan, generate = grid._grid_scan, kernels._generate
         scanning, made, grids = [], [], []
 
         def scanned(*args, **kwargs):
@@ -527,7 +527,7 @@ class TestVerify:
             made.append(bool(scanning))
             return generate(*args)
         monkeypatch.setattr(grid, "_grid_scan", scanned)
-        monkeypatch.setattr(ex, "_generate", generating)
+        monkeypatch.setattr(kernels, "_generate", generating)
         monkeypatch.setattr(grid, "grid_minimize", None)
         assert main(["verify", "--problem", "cex1", "--variant", "aux-llp",
                      "--max-iter", max_iter]) == 3
@@ -685,27 +685,38 @@ assert out.minimizer == {{"x": 1.0}}, out
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("args,unwanted", [
-        (["list"], ["dataclasses", "inspect", "gsiplab.problem_format",
-                    "json", "csv"]),
-        (["fmt", str(GOLDEN / "cex1.gsip")], ["dataclasses", "inspect"]),
+    @pytest.mark.parametrize("argv,loaded,unwanted", [
+        ([*CLI, "list"], ["gsiplab.gsip"],
+         ["dataclasses", "inspect", "gsiplab.problem_format", "json", "csv",
+          "gsiplab.kernels"]),
+        ([*CLI, "fmt", str(GOLDEN / "cex1.gsip")], ["gsiplab.gsip"],
+         ["dataclasses", "inspect", "gsiplab.kernels"]),
+        # the kernel generator is loaded at the first kernel compiled, which
+        # parsing a problem, and importing the solver, never compile
+        (["-c", "import gsiplab; gsiplab.parse_problem("
+                f"open({str(GOLDEN / 'cex1.gsip')!r}).read())"],
+         ["gsiplab.problem_format"], ["gsiplab.kernels"]),
+        (["-c", "import gsiplab.cli, gsiplab.algorithms"], ["gsiplab.globalopt"],
+         ["gsiplab.kernels"]),
         # numpy and the grid kernel serve the grid oracle alone, which run
         # never calls, and which verify leaves alone on cex1's small grids
-        (["run", "--problem", "cex1", "--variant", "llp-only"],
+        ([*CLI, "run", "--problem", "cex1", "--variant", "llp-only"],
+         ["gsiplab.gsip", "gsiplab.kernels"],
          ["numpy", "gsiplab.arrays", "gsiplab.grid"]),
-        (["verify", "--problem", "cex1"], ["numpy", "gsiplab.arrays"]),
-    ], ids=["list", "fmt", "run", "verify"])
-    def test_a_command_imports_only_what_it_runs(self, args, unwanted):
+        ([*CLI, "verify", "--problem", "cex1"], ["gsiplab.gsip"],
+         ["numpy", "gsiplab.arrays"]),
+    ], ids=["list", "fmt", "parse_problem", "import", "run", "verify"])
+    def test_a_command_imports_only_what_it_runs(self, argv, loaded, unwanted):
         # each of these costs start-up time in every command that loads it;
         # -S leaves out what the site hooks of an installation import
         proc = subprocess.run(
-            [sys.executable, "-S", "-X", "importtime", "-m", "gsiplab.cli", *args],
+            [sys.executable, "-S", "-X", "importtime", *argv],
             cwd=SRC, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         imported = {line.rsplit("|", 1)[1].strip()
                     for line in proc.stderr.splitlines()
                     if line.startswith("import time:")}
-        assert "gsiplab.gsip" in imported
+        assert imported >= set(loaded)
         assert not imported & set(unwanted)
 
     def test_fmt_rejects_bad_file(self, tmp_path, capsys):

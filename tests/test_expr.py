@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import (ReferenceInterval, random_box, random_expr, random_poly_instance,
                       reference_array, reference_grid, reference_interval, sample_point,
                       shrink_box)
-from gsiplab import arrays
+from gsiplab import arrays, kernels
 from gsiplab import expr as ex
 from gsiplab.domains import BoxDomain
 from gsiplab.expr import (EvaluationError, Interval, compile_expr,
@@ -962,7 +962,7 @@ def _sources(e):
     def spy(source, *args):
         made.append(source)
         return compile(source, *args)
-    with mock.patch.object(ex, "compile", spy, create=True), \
+    with mock.patch.object(kernels, "compile", spy, create=True), \
             mock.patch.object(arrays, "compile", spy, create=True):
         compile_expr(e, ("x",))
         compile_gradient(e, ("x",))

@@ -237,9 +237,10 @@ class TestGridFeasibilityFirst:
         out, blocks = _traced(5, obj, [first, second], UNIT_XY, 5,
                               parameters=(("w", 1.0),))
         assert out is INFEASIBLE
-        # every block computes 2 + y and returns at its test; neither product
-        # is ever computed
-        assert blocks == [["add"]] * 5
+        # 2 + y spans the second axis alone, so it is the same on every
+        # block: the first computes it, no point passes, and no later block
+        # runs; neither product is ever computed
+        assert blocks == [["add"]]
 
     def test_the_objective_only_on_blocks_with_a_feasible_point(self):
         # only the last two rows satisfy x >= 0.5
@@ -251,8 +252,8 @@ class TestGridFeasibilityFirst:
     @pytest.mark.parametrize("n", [4, 5])
     def test_a_dividing_tree_runs_on_no_block_once_no_point_passes(self, n):
         # no point passes 2 + y <= 0; y - 0.5 is zero at a grid point of 5
-        # points, at none of 4; every block returns at the first test, ahead
-        # of both, and no block divides
+        # points, at none of 4; the first block returns at the first test,
+        # ahead of both, no later block runs, and no block divides
         first = ConstraintSpec(2.0 + y, "le")
         for objective, cons in [(x / (y - 0.5), [first]),
                                 (x, [first, ConstraintSpec(x / (y - 0.5)),
@@ -260,7 +261,7 @@ class TestGridFeasibilityFirst:
             out, blocks = _traced(n, objective, cons, UNIT_XY, n)
             assert out is INFEASIBLE
             assert repr(out) == repr(_dense_grid_minimize(objective, cons, UNIT_XY, n))
-            assert blocks == [["add"]] * n
+            assert blocks == [["add"]]
 
     def test_a_zero_divisor_over_no_array_decides_the_grid(self):
         # w - 1 is zero: the first block computes the lines before the
@@ -306,14 +307,15 @@ class TestGridFeasibilityFirst:
                     run()
 
     def test_a_divisor_zero_everywhere_fails_every_point(self):
-        # every point passes x * x <= 1, and y - y is zero everywhere: each
-        # block returns at the divisor's test and divides nothing
+        # every point passes x * x <= 1, and y - y, over the second axis
+        # alone, is zero everywhere: the first block returns at the
+        # divisor's test and divides nothing, and no later block runs
         cons = [ConstraintSpec(x * x - 1.0, "le")]
         objective = x * y + x / (y - y)
         out, blocks = _traced(5, objective, cons, UNIT_XY, 5)
         assert out is INFEASIBLE
         assert repr(out) == repr(_dense_grid_minimize(objective, cons, UNIT_XY, 5))
-        assert blocks == [["multiply", "subtract", "multiply", "subtract"]] * 5
+        assert blocks == [["multiply", "subtract", "multiply", "subtract"]]
 
     @pytest.mark.parametrize("where", ["objective", "constraint"])
     def test_an_unbound_variable_raises_though_no_point_passes(self, where):
@@ -431,10 +433,13 @@ class TestGridAxes:
     @example((U * V + ex.var("a") / (ex.var("b") - 1.0) + V / 2.0 + (V - 0.5) * 3.0,
               [ConstraintSpec(V * V - ex.var("a"), "le", (("a", 0.5),))],
               UNIT_UV, 5, (("a", 2.0), ("b", 3.0)), 1))
-    def test_only_a_test_over_no_axis_ends_the_grid(self, case):
+    def test_only_a_test_alike_on_every_block_ends_the_grid(self, case):
         # the generated source, read line by line: a value spans a grid axis
-        # where it reads arg[0], arg[1] or a value that does; every block runs
-        # every line, and a test returns False only over no axis
+        # where it reads arg[0], arg[1] or a value that does, and the first
+        # where it reads arg[0] or a value that does; every block runs every
+        # line, and a test returns False only where it spans no first axis,
+        # so that every block computes it alike; over the second axis, it
+        # then narrows the mask by its operand t
         objective, constraints, box, _, parameters, _ = case
         sources = []
 
@@ -449,16 +454,21 @@ class TestGridAxes:
         (source,) = sources
         head, *body = [line.strip() for line in source.splitlines()]
         assert head == "def kernel(arg, lengths, tol):"
-        spanning = set()
+        spanning, first = set(), set()
         for line in body:
             target, _, rhs = line.partition(" = ")
             value = re.fullmatch(r"v\d+", target)
-            reads = set(re.findall(r"\bv\d+\b", rhs if value else line))
+            reads = set(re.findall(r"\b(?:v\d+|t)\b", rhs if value else line))
             over = bool(re.search(r"arg\[[01]\]", rhs) or spanning & reads)
-            if value and over:
-                spanning.add(target)
+            over_first = bool("arg[0]" in rhs or first & reads)
+            if value:
+                spanning |= {target} if over else set()
+                first |= {target} if over_first else set()
             elif line.endswith("return False, None"):
-                assert line.startswith("if not ") and not over, line
+                assert line.startswith("if not ") and not over_first, line
+                if over:
+                    assert line.startswith("if not (t := "), line
+                    spanning.add("t")
             elif line.endswith("return None, None"):
                 assert over, line
 

@@ -1,8 +1,14 @@
 """The value classes (``gsiplab.immutable.frozen``): construction, equality,
 hashing, ``repr``, immutability, validation, pickling and copying."""
 import copy
+import json
 import math
+import os
 import pickle
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +42,7 @@ def _samples():
 
 SAMPLES = _samples()
 IDS = [type(v).__name__ for v in SAMPLES]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestRepr:
@@ -183,3 +190,96 @@ class TestPickleAndCopy:
         for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
             assert twin == p
             assert twin.cut == cut
+
+
+@pytest.fixture(scope="module")
+def frozen_sources():
+    """The sources that ``frozen`` compiled while the package's modules
+    were imported, by class name: a fresh interpreter with a spy on
+    ``compile``."""
+    script = """
+import builtins, json
+made, compile_ = {}, builtins.compile
+def spy(source, filename, *args, **kwargs):
+    if filename.startswith("<frozen "):
+        made.setdefault(filename[len("<frozen "):-1], []).append(source)
+    return compile_(source, filename, *args, **kwargs)
+builtins.compile = spy
+import gsiplab.algorithms
+print(json.dumps(made))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _generated_methods(cls) -> dict:
+    """``__eq__``, ``__hash__``, ``__repr__`` and ``__getstate__`` written
+    out as source over ``cls``'s fields, as ``frozen`` once compiled them
+    per class: the reference the shared functions must match."""
+    names = tuple(cls.__annotations__)
+    mine = "".join(f"self.{n}, " for n in names)
+    theirs = "".join(f"other.{n}, " for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    state = ", ".join(f"{n!r}: self.{n}" for n in names)
+    namespace = {}
+    exec("\n".join([
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({mine}) == ({theirs})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({mine}))",
+        "def __repr__(self):",
+        f"    return f'{{self.__class__.__qualname__}}({shown})'",
+        "def __getstate__(self):",
+        f"    return {{{state}}}",
+    ]), namespace)
+    return namespace
+
+
+class TestSharedMethods:
+    """Each value class compiles its ``__init__`` alone, and shares the
+    other methods, whose results are those of methods generated for it."""
+
+    @pytest.mark.parametrize("value", SAMPLES, ids=IDS)
+    def test_a_class_compiles_its_init_alone(self, value, frozen_sources):
+        cls = type(value)
+        sources = frozen_sources.get(cls.__qualname__, [])
+        # BoxDomain defines its own __init__, and compiles nothing
+        assert len(sources) == (cls is not BoxDomain)
+        for source in sources:
+            assert re.findall(r"^def (\w+)", source, re.MULTILINE) == ["__init__"]
+
+    @pytest.mark.parametrize("value", SAMPLES, ids=IDS)
+    def test_repr_hash_and_state_are_the_generated_ones(self, value):
+        generated = _generated_methods(type(value))
+        assert repr(value) == generated["__repr__"](value)
+        state = value.__getstate__()
+        assert state == generated["__getstate__"](value)
+        assert list(state) == list(generated["__getstate__"](value))
+        try:
+            want = generated["__hash__"](value)
+        except TypeError:   # a field is a dict
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == want
+        assert type(value).__match_args__ == tuple(type(value).__annotations__)
+
+    @pytest.mark.parametrize("value", SAMPLES, ids=IDS)
+    def test_equality_is_the_generated_one_against_every_class(self, value):
+        eq = _generated_methods(type(value))["__eq__"]
+        twins = [copy.copy(value), pickle.loads(pickle.dumps(value))]
+        for other in [*SAMPLES, *twins, (value,), None]:
+            got, want = value.__eq__(other), eq(value, other)
+            assert got is want if want is NotImplemented else got == want
+        assert all(value == twin for twin in twins)
+
+    @pytest.mark.parametrize("value", SAMPLES, ids=IDS)
+    def test_copies_and_pickles_read_as_the_value(self, value):
+        for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert repr(twin) == repr(value)
+            assert vars(twin) == _generated_methods(type(value))["__getstate__"](value)
